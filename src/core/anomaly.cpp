@@ -1,5 +1,6 @@
 #include "core/anomaly.h"
 
+#include "core/edge_scorer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,6 +21,9 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
                       "valid edge lacks a trained model");
       valid_edges_.push_back(e);
     }
+  }
+  if (config_.threads != 1 && valid_edges_.size() > 1) {
+    pool_ = std::make_shared<util::ThreadPool>(config_.threads);
   }
 }
 
@@ -83,38 +87,43 @@ DetectionResult AnomalyDetector::detect(
     }
   }
 
-  // Each edge owns its model — and therefore its scoring workspace, which
-  // translate() rewinds and reuses across this window loop — so edges are
-  // independent units of work and the decode path stays allocation-free.
-  // Excluded (edge, window) pairs are skipped entirely: an unhealthy
+  // Edges are independent units of work: one edge's model is touched by
+  // one thread, which decodes on its own thread arena. Each edge scores all
+  // of its windows in one EdgeScorer call, so repeated sentences decode
+  // once. Excluded (edge, window) pairs are skipped entirely: an unhealthy
   // sensor's sentences are plumbing artifacts, not data worth scoring.
+  const EdgeScorer scorer({config_.bleu, options.precision});
+  obs::Counter& edge_windows =
+      obs::metrics().counter("detector.edge_windows_scored");
+  obs::Counter& decoded = obs::metrics().counter("detector.decoded");
   auto score_edge = [&](std::size_t e) {
     const MvrEdge& edge = valid_edges_[e];
     DESMINE_EXPECTS(edge.src < test_sentences.size() &&
                         edge.dst < test_sentences.size(),
                     "edge endpoint missing from test data");
     const obs::ScopedTimer timer("score-edge", edge_ms);
-    const text::Corpus& src = test_sentences[edge.src];
-    const text::Corpus& dst = test_sentences[edge.dst];
-    // Scoped precision override: each edge owns its model here, so flipping
-    // the decode precision for the window loop races with nothing; the
-    // previous mode is restored before the edge is handed back.
-    const tensor::Precision prev = edge.model->decode_precision();
-    edge.model->set_decode_precision(options.precision);
+    std::vector<std::size_t> at;
+    std::vector<const text::Sentence*> sources, references;
     for (std::size_t t = 0; t < windows; ++t) {
       if (!excluded.empty() && excluded[t][e]) continue;
-      const text::Sentence candidate = edge.model->translate(src[t]);
-      result.edge_bleu[e][t] =
-          text::sentence_bleu(candidate, dst[t], config_.bleu).score;
+      at.push_back(t);
+      sources.push_back(&test_sentences[edge.src][t]);
+      references.push_back(&test_sentences[edge.dst][t]);
     }
-    edge.model->set_decode_precision(prev);
+    if (at.empty()) return;
+    const EdgeScorer::Result r =
+        scorer.score([&edge] { return edge.model; }, sources, references);
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      result.edge_bleu[e][at[i]] = r.bleu[i];
+    }
+    edge_windows.inc(at.size());
+    decoded.inc(r.decoded);
   };
 
-  if (config_.threads == 1 || valid_edges_.size() <= 1) {
+  if (pool_ == nullptr) {
     for (std::size_t e = 0; e < valid_edges_.size(); ++e) score_edge(e);
   } else {
-    util::ThreadPool pool(config_.threads);
-    pool.parallel_for(valid_edges_.size(), score_edge);
+    pool_->parallel_for(valid_edges_.size(), score_edge);
   }
 
   const double total = static_cast<double>(valid_edges_.size());
@@ -148,9 +157,6 @@ DetectionResult AnomalyDetector::detect(
   }
 
   obs::metrics().counter("detector.windows_scored").inc(windows);
-  obs::metrics()
-      .counter("detector.edge_windows_scored")
-      .inc(windows * valid_edges_.size());
   DESMINE_LOG_DEBUG("detection pass complete",
                     {obs::kv("windows", windows),
                      obs::kv("valid_edges", valid_edges_.size()),

@@ -20,12 +20,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mvr_graph.h"
 #include "tensor/kernels.h"
 #include "text/bleu.h"
+
+namespace desmine::util {
+class ThreadPool;
+}  // namespace desmine::util
 
 namespace desmine::core {
 
@@ -38,7 +43,9 @@ struct DetectorConfig {
   /// score forced to 0.0). Only consulted when a health mask is supplied.
   double min_coverage = 0.5;
   text::BleuOptions bleu{};  ///< sentence-BLEU options (smoothing on)
-  std::size_t threads = 0;   ///< 0 = hardware concurrency
+  /// Edge-scoring threads (0 = hardware concurrency). The pool is created
+  /// once per AnomalyDetector, not per detect() call.
+  std::size_t threads = 0;
 };
 
 /// Per-window exclusion mask for degraded-mode detection: mask[t] holds the
@@ -83,7 +90,8 @@ struct DetectOptions {
 
 class AnomalyDetector {
  public:
-  /// `graph` must carry trained models on its edges.
+  /// `graph` must carry trained models on its edges. Spawns the scoring
+  /// pool unless config.threads == 1 or at most one edge is valid.
   AnomalyDetector(const MvrGraph& graph, DetectorConfig config);
 
   /// `test_sentences[k]` is the aligned test corpus of sensor node k (same
@@ -100,16 +108,6 @@ class AnomalyDetector {
   DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
                          const DetectOptions& options) const;
 
-  /// Deprecated shim for the pre-DetectOptions signature. Callers passing a
-  /// raw mask pointer should move to detect(corpora, DetectOptions{...}).
-  [[deprecated("use detect(test_sentences, DetectOptions{.unhealthy = mask})")]]
-  DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
-                         const HealthMask* unhealthy) const {
-    DetectOptions options;
-    options.unhealthy = unhealthy;
-    return detect(test_sentences, options);
-  }
-
   std::size_t valid_model_count() const { return valid_edges_.size(); }
   const std::vector<MvrEdge>& valid_edges() const { return valid_edges_; }
 
@@ -117,6 +115,9 @@ class AnomalyDetector {
   DetectorConfig config_;
   std::vector<MvrEdge> valid_edges_;  ///< edges within the valid band
   std::vector<std::string> names_;    ///< sensor names, graph node indexing
+  /// Edge-scoring pool (null = score on the calling thread). Shared by
+  /// copies; ThreadPool::parallel_for is safe for concurrent callers.
+  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace desmine::core

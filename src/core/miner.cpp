@@ -260,9 +260,10 @@ MvrGraph RelationshipMiner::mine(
         const auto start = std::chrono::steady_clock::now();
         nmt::TrainingHistory history;
         // One arena per pool thread: successive pairs on the same thread
-        // reuse the already-grown chunks instead of re-warming a fresh heap.
+        // reuse the already-grown chunks instead of re-warming a fresh heap,
+        // and the dev-set decode below runs on the same arena.
         // Rewinding (not releasing) keeps capacity at the high-water mark.
-        thread_local tensor::Workspace pair_ws;
+        tensor::Workspace& pair_ws = tensor::thread_workspace();
         pair_ws.reset();
         nmt::TranslationModel model = nmt::train_translation_model(
             src.train, dst.train, cfg, seed, &history, &pair_ws);

@@ -1,8 +1,6 @@
 #include "nmt/seq2seq.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 
 #include "nn/loss.h"
 #include "obs/log.h"
@@ -186,61 +184,6 @@ double Seq2SeqModel::evaluate_loss(
   return run_teacher_forced(batch, /*train=*/false);
 }
 
-void Seq2SeqModel::encode_single(const std::vector<std::int32_t>& source,
-                                 tensor::Precision precision) {
-  encoder_.begin(1, nullptr, /*train=*/false, nullptr, ws_, precision);
-  enc_outputs_.clear();
-  enc_outputs_.reserve(source.size());
-  for (std::int32_t id : source) {
-    tensor::MatrixView src_emb = ws_->alloc(1, config_.embedding_dim);
-    src_embed_.forward_into({id}, src_emb);
-    enc_outputs_.push_back(encoder_.step(src_emb));
-  }
-}
-
-std::vector<std::int32_t> Seq2SeqModel::translate(
-    const std::vector<std::int32_t>& source) {
-  DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
-
-  ws_->reset();
-  encode_single(source, decode_precision_);
-  const nn::LstmState enc_final = encoder_.state();
-
-  decoder_.begin(1, &enc_final, /*train=*/false, nullptr, ws_,
-                 decode_precision_);
-  attention_.begin(enc_outputs_, 1, ws_, nullptr, decode_precision_);
-
-  std::vector<std::int32_t> output;
-  std::int32_t prev = text::Vocabulary::kBos;
-  bool saw_eos = false;
-  for (std::size_t t = 0; t < config_.max_decode_length; ++t) {
-    tensor::MatrixView tgt_emb = ws_->alloc(1, config_.embedding_dim);
-    tgt_embed_.forward_into({prev}, tgt_emb);
-    const tensor::ConstMatrixView h_dec = decoder_.step(tgt_emb);
-    const tensor::ConstMatrixView attn = attention_.step(h_dec);
-    const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
-    tensor::MatrixView logits = ws_->alloc(1, tgt_vocab());
-    out_.forward_into(attn, logits, decode_precision_);
-    const std::int32_t next =
-        nn::argmax_rows(tensor::ConstMatrixView(logits))[0];
-    ws_->rewind(scratch);
-    if (next == text::Vocabulary::kEos) {
-      saw_eos = true;
-      break;
-    }
-    output.push_back(next);
-    prev = next;
-  }
-  // A truncated decode usually means max_decode_length is too small for the
-  // configured sentence length; scores computed from it are suspect.
-  if (!saw_eos) {
-    DESMINE_LOG_DEBUG("greedy decode truncated before </s>",
-                      {obs::kv("max_decode_length", config_.max_decode_length),
-                       obs::kv("source_length", source.size())});
-  }
-  return output;
-}
-
 std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
     const std::vector<const std::vector<std::int32_t>*>& sources) {
   DESMINE_EXPECTS(!sources.empty(), "cannot translate an empty batch");
@@ -254,12 +197,15 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
     max_len = std::max(max_len, lengths[b]);
   }
 
-  ws_->reset();
+  // Decode scratch lives on the calling thread's arena, never on the
+  // model's own (training) arena: see tensor::thread_workspace().
+  tensor::Workspace* ws = &tensor::thread_workspace();
+  ws->reset();
 
   // Lock-step ragged encode: rows run to the longest source; a row past its
   // own length steps on <pad> and is immediately rolled back, so its final
   // state is exactly the state at its true length.
-  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws_,
+  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws,
                  decode_precision_);
   enc_outputs_.clear();
   enc_outputs_.reserve(max_len);
@@ -277,16 +223,16 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
         any_frozen = true;
       }
     }
-    tensor::MatrixView src_emb = ws_->alloc(B, config_.embedding_dim);
+    tensor::MatrixView src_emb = ws->alloc(B, config_.embedding_dim);
     src_embed_.forward_into(step_ids, src_emb);
     enc_outputs_.push_back(encoder_.step(src_emb));
     if (any_frozen) encoder_.retain_rows(frozen);
   }
   const nn::LstmState enc_final = encoder_.state();
 
-  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws_,
+  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws,
                  decode_precision_);
-  attention_.begin(enc_outputs_, B, ws_, &lengths, decode_precision_);
+  attention_.begin(enc_outputs_, B, ws, &lengths, decode_precision_);
 
   // Lock-step greedy decode. A finished row keeps stepping (its state no
   // longer feeds anything that is kept), which cannot perturb other rows:
@@ -297,16 +243,16 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   std::size_t done_count = 0;
   for (std::size_t t = 0;
        t < config_.max_decode_length && done_count < B; ++t) {
-    tensor::MatrixView tgt_emb = ws_->alloc(B, config_.embedding_dim);
+    tensor::MatrixView tgt_emb = ws->alloc(B, config_.embedding_dim);
     tgt_embed_.forward_into(prev, tgt_emb);
     const tensor::ConstMatrixView h_dec = decoder_.step(tgt_emb);
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
-    const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
-    tensor::MatrixView logits = ws_->alloc(B, tgt_vocab());
+    const tensor::Workspace::Checkpoint scratch = ws->checkpoint();
+    tensor::MatrixView logits = ws->alloc(B, tgt_vocab());
     out_.forward_into(attn, logits, decode_precision_);
     const std::vector<std::int32_t> next =
         nn::argmax_rows(tensor::ConstMatrixView(logits));
-    ws_->rewind(scratch);
+    ws->rewind(scratch);
     for (std::size_t b = 0; b < B; ++b) {
       if (done[b]) continue;
       if (next[b] == text::Vocabulary::kEos) {
@@ -324,100 +270,6 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
                        obs::kv("unfinished_rows", B - done_count)});
   }
   return outputs;
-}
-
-std::vector<std::int32_t> Seq2SeqModel::translate_beam(
-    const std::vector<std::int32_t>& source, std::size_t beam_width) {
-  DESMINE_EXPECTS(!source.empty(), "cannot translate an empty sentence");
-  DESMINE_EXPECTS(beam_width >= 1, "beam width must be >= 1");
-
-  // Beam search always runs f32: its log-prob arithmetic is calibrated on
-  // full-precision logits.
-  ws_->reset();
-  encode_single(source, tensor::Precision::kF32);
-  attention_.begin(enc_outputs_, 1, ws_);
-
-  struct Hypothesis {
-    nn::LstmState state;
-    std::vector<std::int32_t> tokens;  ///< emitted ids (no specials)
-    double log_prob = 0.0;
-    bool done = false;
-    std::int32_t last = text::Vocabulary::kBos;
-
-    double normalized() const {
-      return log_prob / static_cast<double>(tokens.size() + 1);
-    }
-  };
-
-  std::vector<Hypothesis> beam(1);
-  beam[0].state = encoder_.state();
-
-  const std::size_t V = tgt_vocab();
-  for (std::size_t t = 0; t < config_.max_decode_length; ++t) {
-    bool all_done = true;
-    std::vector<Hypothesis> candidates;
-    for (const Hypothesis& hyp : beam) {
-      if (hyp.done) {
-        candidates.push_back(hyp);
-        continue;
-      }
-      all_done = false;
-      Hypothesis advanced = hyp;
-      const tensor::Matrix h_dec = decoder_.infer_step(
-          tgt_embed_.forward({hyp.last}), advanced.state);
-      const tensor::Matrix attn = attention_.infer(h_dec);
-      tensor::Matrix logits = out_.forward(attn);
-
-      // Log-softmax over the single row.
-      float mx = logits(0, 0);
-      for (std::size_t v = 1; v < V; ++v) mx = std::max(mx, logits(0, v));
-      double denom = 0.0;
-      for (std::size_t v = 0; v < V; ++v) {
-        denom += std::exp(static_cast<double>(logits(0, v)) - mx);
-      }
-      const double log_denom = std::log(denom) + mx;
-
-      // Expand the top beam_width continuations of this hypothesis.
-      std::vector<std::pair<double, std::int32_t>> scored;
-      scored.reserve(V);
-      for (std::size_t v = 0; v < V; ++v) {
-        const auto id = static_cast<std::int32_t>(v);
-        if (id == text::Vocabulary::kPad || id == text::Vocabulary::kBos) {
-          continue;
-        }
-        scored.emplace_back(static_cast<double>(logits(0, v)) - log_denom, id);
-      }
-      const std::size_t expand = std::min(beam_width, scored.size());
-      std::partial_sort(scored.begin(),
-                        scored.begin() + static_cast<long>(expand),
-                        scored.end(), std::greater<>());
-      for (std::size_t e = 0; e < expand; ++e) {
-        Hypothesis next = advanced;
-        next.log_prob += scored[e].first;
-        if (scored[e].second == text::Vocabulary::kEos) {
-          next.done = true;
-        } else {
-          next.tokens.push_back(scored[e].second);
-          next.last = scored[e].second;
-        }
-        candidates.push_back(std::move(next));
-      }
-    }
-    if (all_done) break;
-
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Hypothesis& a, const Hypothesis& b) {
-                return a.normalized() > b.normalized();
-              });
-    if (candidates.size() > beam_width) candidates.resize(beam_width);
-    beam = std::move(candidates);
-  }
-
-  const auto best = std::max_element(
-      beam.begin(), beam.end(), [](const Hypothesis& a, const Hypothesis& b) {
-        return a.normalized() < b.normalized();
-      });
-  return best->tokens;
 }
 
 }  // namespace desmine::nmt

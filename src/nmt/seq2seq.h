@@ -7,12 +7,13 @@
 // outputs feeds an attentional hidden state into the output projection.
 // Training uses teacher forcing; inference uses greedy decoding.
 //
-// All activations, per-timestep caches, and backward scratch live in one
-// tensor::Workspace per model (or a caller-provided one, e.g. the miner's
-// per-thread arena), rewound wholesale at the start of every batch/decode.
-// After the first step has grown the arena to its high-water mark, training
-// and greedy decoding perform no steady-state heap allocation in the
-// numeric path (see DESIGN.md §10).
+// Training activations, per-timestep caches, and backward scratch live in
+// one tensor::Workspace per model (or a caller-provided one, e.g. the
+// miner's per-thread arena); greedy decodes run on the decoding thread's
+// tensor::thread_workspace(). Each arena is rewound wholesale at the start
+// of every batch/decode, so after the first step has grown it to its
+// high-water mark, training and greedy decoding perform no steady-state
+// heap allocation in the numeric path (see DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ struct Seq2SeqConfig {
   std::size_t num_layers = 2;      ///< paper: 2
   float dropout = 0.2f;            ///< paper: 0.2
   float init_scale = 0.1f;
-  std::size_t max_decode_length = 64;  ///< decode cap (greedy and beam)
+  std::size_t max_decode_length = 64;  ///< greedy decode cap
   nn::AttentionScore attention = nn::AttentionScore::kGeneral;
 };
 
@@ -52,7 +53,7 @@ class Seq2SeqModel {
  public:
   /// All weights are drawn from `rng`, so a (seed, config) pair fully
   /// determines the initial model. `workspace`, if given, backs the model's
-  /// hot path (the model rewinds it per batch/decode and must be its only
+  /// training (the model rewinds it per batch and must be its only
   /// concurrent user); otherwise the model owns a private arena.
   /// With `storage == kDeferred` no weight tensors are allocated or
   /// initialized: the caller binds every registry Param to external
@@ -71,28 +72,18 @@ class Seq2SeqModel {
   /// Mean per-token loss without gradient computation or dropout.
   double evaluate_loss(const std::vector<const EncodedPair*>& batch);
 
-  /// Greedy-decode a single source sentence; returns target ids without
-  /// specials.
-  std::vector<std::int32_t> translate(
-      const std::vector<std::int32_t>& source);
-
-  /// Greedy-decode B ragged-length sources in one lock-step batched pass
-  /// (the serve layer's score_batch kernel). Sources are padded to the
+  /// The greedy decoder: decode B ragged-length sources (target ids
+  /// without specials) in one lock-step batched pass on the calling
+  /// thread's tensor::thread_workspace(). Sources are padded to the
   /// longest; encoder rows past their own length are frozen via
   /// LstmStack::retain_rows and attention masks padded positions to -inf,
   /// so every kernel still sees each row's exact sequential inputs. Every
   /// kernel on this path (gemm, bias, softmax, LSTM gates, attention,
   /// argmax) computes each output row purely from that row's inputs, so the
   /// returned ids — and any score derived from them — are bit-identical to
-  /// calling translate() per sentence (under either decode precision).
+  /// decoding each sentence alone at B=1 (under either decode precision).
   std::vector<std::vector<std::int32_t>> translate_batch(
       const std::vector<const std::vector<std::int32_t>*>& sources);
-
-  /// Beam-search decode with the given width; returns the
-  /// length-normalized-highest-log-probability hypothesis (ids without
-  /// specials). beam_width == 1 degenerates to greedy.
-  std::vector<std::int32_t> translate_beam(
-      const std::vector<std::int32_t>& source, std::size_t beam_width);
 
   /// Pre-size the workspace for the largest (source length, target length,
   /// batch) the caller will run, so the hot loop never grows the arena.
@@ -100,7 +91,7 @@ class Seq2SeqModel {
   void reserve_workspace(std::size_t max_src_len, std::size_t max_tgt_len,
                          std::size_t batch);
 
-  /// The workspace backing this model's hot path (for stats/bench).
+  /// The workspace backing this model's training (for stats/bench).
   const tensor::Workspace& workspace() const { return *ws_; }
 
   /// Detach from a caller-provided workspace and fall back to the model's
@@ -109,11 +100,10 @@ class Seq2SeqModel {
   /// then detaches the finished model before publishing it to the graph.
   void use_own_workspace() { ws_ = &own_ws_; }
 
-  /// Numeric mode of greedy decodes (translate / translate_batch and their
-  /// encoder passes): kF32 (default) or the int8 quantized-weight path
-  /// (DESIGN.md §16). Training, evaluate_loss, and beam search always run
-  /// f32 — int8 has no backward, and beam scores feed log-prob arithmetic
-  /// tuned on f32. Set at load/config time, not mid-decode.
+  /// Numeric mode of greedy decodes (translate_batch and its encoder pass):
+  /// kF32 (default) or the int8 quantized-weight path (DESIGN.md §16).
+  /// Training and evaluate_loss always run f32 — int8 has no backward. Set
+  /// at load/config time, not mid-decode.
   void set_decode_precision(tensor::Precision p) { decode_precision_ = p; }
   tensor::Precision decode_precision() const { return decode_precision_; }
 
@@ -130,11 +120,6 @@ class Seq2SeqModel {
   /// and dropout is active.
   double run_teacher_forced(const std::vector<const EncodedPair*>& batch,
                             bool train);
-
-  /// Encoder pass over `source` (batch 1) into the workspace; fills
-  /// enc_outputs_ and leaves the encoder holding its final state.
-  void encode_single(const std::vector<std::int32_t>& source,
-                     tensor::Precision precision);
 
   Seq2SeqConfig config_;
   util::Rng rng_;

@@ -1,5 +1,6 @@
 #include "nmt/translation.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -18,8 +19,7 @@ TranslationModel::TranslationModel(text::Vocabulary src_vocab,
 }
 
 text::Sentence TranslationModel::translate(const text::Sentence& source) {
-  const std::vector<std::int32_t> ids = src_vocab_.encode(source);
-  return tgt_vocab_.decode(model_->translate(ids));
+  return translate_batch({&source}).front();
 }
 
 text::BleuBreakdown TranslationModel::score(const text::Corpus& source,
@@ -27,10 +27,11 @@ text::BleuBreakdown TranslationModel::score(const text::Corpus& source,
                                             const text::BleuOptions& options) {
   DESMINE_EXPECTS(source.size() == reference.size(),
                   "source/reference corpora must align");
-  text::Corpus candidates;
-  candidates.reserve(source.size());
-  for (const text::Sentence& s : source) candidates.push_back(translate(s));
-  return text::corpus_bleu(candidates, reference, options);
+  if (source.empty()) return text::corpus_bleu({}, reference, options);
+  std::vector<const text::Sentence*> sources;
+  sources.reserve(source.size());
+  for (const text::Sentence& s : source) sources.push_back(&s);
+  return text::corpus_bleu(translate_batch(sources), reference, options);
 }
 
 std::vector<text::Sentence> TranslationModel::translate_batch(
@@ -48,11 +49,18 @@ std::vector<text::Sentence> TranslationModel::translate_batch(
     if (inserted) encoded.push_back(it->first);
     slot[i] = it->second;
   }
-  std::vector<const std::vector<std::int32_t>*> unique_ptrs;
-  unique_ptrs.reserve(encoded.size());
-  for (const auto& ids : encoded) unique_ptrs.push_back(&ids);
-  const std::vector<std::vector<std::int32_t>> decoded =
-      model_->translate_batch(unique_ptrs);
+  std::vector<std::vector<std::int32_t>> decoded;
+  decoded.reserve(encoded.size());
+  std::vector<const std::vector<std::int32_t>*> chunk;
+  for (std::size_t first = 0; first < encoded.size();
+       first += kMaxDecodeRows) {
+    const std::size_t last = std::min(first + kMaxDecodeRows, encoded.size());
+    chunk.clear();
+    for (std::size_t u = first; u < last; ++u) chunk.push_back(&encoded[u]);
+    for (std::vector<std::int32_t>& ids : model_->translate_batch(chunk)) {
+      decoded.push_back(std::move(ids));
+    }
+  }
 
   std::vector<text::Sentence> out;
   out.reserve(sources.size());
@@ -60,22 +68,6 @@ std::vector<text::Sentence> TranslationModel::translate_batch(
     out.push_back(tgt_vocab_.decode(decoded[slot[i]]));
   }
   return out;
-}
-
-std::vector<double> TranslationModel::score_batch(
-    const std::vector<const text::Sentence*>& sources,
-    const std::vector<const text::Sentence*>& references,
-    const text::BleuOptions& options) {
-  DESMINE_EXPECTS(sources.size() == references.size(),
-                  "source/reference batches must align");
-  const std::vector<text::Sentence> candidates = translate_batch(sources);
-  std::vector<double> scores(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    DESMINE_EXPECTS(references[i] != nullptr, "null reference sentence");
-    scores[i] =
-        text::sentence_bleu(candidates[i], *references[i], options).score;
-  }
-  return scores;
 }
 
 std::vector<EncodedPair> encode_pairs(const text::Vocabulary& src_vocab,

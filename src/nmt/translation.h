@@ -23,43 +23,41 @@ struct TranslationConfig {
   text::BleuOptions bleu{};
 };
 
+/// Most distinct rows one stacked greedy decode runs. Bounds the decoding
+/// thread's scratch arena (tensor::thread_workspace) for any batch size.
+inline constexpr std::size_t kMaxDecodeRows = 32;
+
 class TranslationModel {
  public:
   TranslationModel(text::Vocabulary src_vocab, text::Vocabulary tgt_vocab,
                    std::unique_ptr<Seq2SeqModel> model);
 
-  /// Translate one sentence (token strings in, token strings out). Unknown
-  /// source tokens map to <unk>, matching the paper's reserved symbol.
+  /// Translate one sentence (token strings in, token strings out): a B=1
+  /// translate_batch. Unknown source tokens map to <unk>, matching the
+  /// paper's reserved symbol.
   text::Sentence translate(const text::Sentence& source);
 
   /// Corpus BLEU (0..100) of greedy translations of `source` against
-  /// `reference`. Corpora must be aligned sentence-by-sentence.
+  /// `reference` (decoded with translate_batch). Corpora must be aligned
+  /// sentence-by-sentence.
   text::BleuBreakdown score(const text::Corpus& source,
                             const text::Corpus& reference,
                             const text::BleuOptions& options = {});
 
-  /// Translate a batch of sentences in one stacked greedy decode
-  /// (Seq2SeqModel::translate_batch), bit-identical per sentence to
-  /// translate(). Duplicate sources — the common case for periodic discrete
-  /// event streams — are decoded once and fanned back out.
+  /// Greedy-translate a batch of sentences with stacked decodes
+  /// (Seq2SeqModel::translate_batch) of at most kMaxDecodeRows rows each,
+  /// bit-identical per sentence to decoding it alone. Duplicate sources —
+  /// the common case for periodic discrete event streams — are decoded once
+  /// and fanned back out.
   std::vector<text::Sentence> translate_batch(
       const std::vector<const text::Sentence*>& sources);
-
-  /// Batched per-sentence scoring (the serve hot path): sentence BLEU
-  /// (0..100) of the batched greedy translation of each source against its
-  /// aligned reference. Element i is bit-identical to
-  /// sentence_bleu(translate(*sources[i]), *references[i], options).score.
-  std::vector<double> score_batch(
-      const std::vector<const text::Sentence*>& sources,
-      const std::vector<const text::Sentence*>& references,
-      const text::BleuOptions& options = {});
 
   const text::Vocabulary& src_vocab() const { return src_vocab_; }
   const text::Vocabulary& tgt_vocab() const { return tgt_vocab_; }
   Seq2SeqModel& model() { return *model_; }
 
-  /// Numeric mode of greedy decodes (translate / translate_batch /
-  /// score / score_batch); forwards to Seq2SeqModel::set_decode_precision.
+  /// Numeric mode of greedy decodes (translate / translate_batch / score);
+  /// forwards to Seq2SeqModel::set_decode_precision.
   void set_decode_precision(tensor::Precision p) {
     model_->set_decode_precision(p);
   }

@@ -251,52 +251,4 @@ tensor::MatrixView LuongAttention::backward_step(
   return dh_dec;
 }
 
-tensor::Matrix LuongAttention::infer(const tensor::Matrix& h_dec) const {
-  DESMINE_EXPECTS(!enc_.empty(), "begin() not called");
-  const std::size_t B = h_dec.rows();
-  DESMINE_EXPECTS(h_dec.cols() == hidden_, "h_dec shape");
-  DESMINE_EXPECTS(B == batch_, "infer batch must match begin()");
-  const std::size_t S = enc_.size();
-
-  tensor::Matrix align(B, S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const tensor::ConstMatrixView tr = transformed_[s];
-    for (std::size_t b = 0; b < B; ++b) {
-      const float* hd = h_dec.row(b);
-      const float* tv = tr.row(b);
-      float dot = 0.0f;
-      for (std::size_t k = 0; k < hidden_; ++k) dot += hd[k] * tv[k];
-      align(b, s) = dot;
-    }
-  }
-  tensor::softmax_rows(align);
-
-  tensor::Matrix concat(B, 2 * hidden_);
-  for (std::size_t s = 0; s < S; ++s) {
-    const tensor::ConstMatrixView e = enc_[s];
-    for (std::size_t b = 0; b < B; ++b) {
-      const float w = align(b, s);
-      if (w == 0.0f) continue;
-      float* ctx = concat.row(b);
-      const float* ev = e.row(b);
-      for (std::size_t k = 0; k < hidden_; ++k) ctx[k] += w * ev[k];
-    }
-  }
-  for (std::size_t b = 0; b < B; ++b) {
-    float* dst = concat.row(b) + hidden_;
-    const float* hd = h_dec.row(b);
-    for (std::size_t k = 0; k < hidden_; ++k) dst[k] = hd[k];
-  }
-
-  tensor::Matrix attn(B, hidden_);
-  if (precision_ == tensor::Precision::kInt8) {
-    tensor::gemm_i8_accum(concat, wc_.quantized(), attn);
-  } else {
-    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, concat,
-                 wc_.view(), 0.0f, attn);
-  }
-  attn.apply([](float v) { return std::tanh(v); });
-  return attn;
-}
-
 }  // namespace desmine::nn

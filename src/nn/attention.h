@@ -82,11 +82,6 @@ class LuongAttention {
     return d_encoder_;
   }
 
-  /// Inference-only step: compute h~ for a decoder hidden state without
-  /// recording a cache entry (beam search runs many hypotheses against one
-  /// begin()-bound encoding). Does not interact with backward_step.
-  tensor::Matrix infer(const tensor::Matrix& h_dec) const;
-
   void register_params(ParamRegistry& reg) {
     if (score_ == AttentionScore::kGeneral) reg.add(&wa_);
     reg.add(&wc_);

@@ -324,45 +324,6 @@ LstmStack::BackwardResult LstmStack::backward(
   return backward(views, dfinal);
 }
 
-LstmState LstmStack::zero_state(std::size_t batch) const {
-  LstmState s;
-  s.h.assign(layers_.size(), tensor::Matrix(batch, hidden_dim_));
-  s.c.assign(layers_.size(), tensor::Matrix(batch, hidden_dim_));
-  return s;
-}
-
-tensor::Matrix LstmStack::infer_step(const tensor::Matrix& x_t,
-                                     LstmState& state) const {
-  DESMINE_EXPECTS(x_t.cols() == input_dim_, "infer_step input dim");
-  DESMINE_EXPECTS(state.h.size() == layers_.size(), "infer_step state layers");
-  const std::size_t B = x_t.rows();
-  const std::size_t H = hidden_dim_;
-
-  // Gate scratch for the fused activation kernel; the cell view aliases
-  // state.c[l] (updated in place), which lstm_gate_fusion permits.
-  tensor::Matrix gi(B, H), gf(B, H), gg(B, H), go(B, H), tanh_c(B, H);
-
-  tensor::Matrix layer_in = x_t;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    DESMINE_EXPECTS(state.h[l].rows() == B && state.h[l].cols() == H,
-                    "infer_step state shape");
-    tensor::Matrix z(B, 4 * H);
-    tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, layer_in,
-                 layers_[l].wx.view(), 1.0f, z);
-    tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, state.h[l],
-                 layers_[l].wh.view(), 1.0f, z);
-    tensor::add_row_bias(z, layers_[l].b.view());
-
-    tensor::Matrix h(B, H);
-    tensor::lstm_gate_fusion(z, state.c[l],
-                             {gi.view(), gf.view(), gg.view(), go.view(),
-                              state.c[l].view(), tanh_c.view(), h.view()});
-    state.h[l] = h;
-    layer_in = std::move(h);
-  }
-  return layer_in;
-}
-
 void LstmStack::register_params(ParamRegistry& reg) {
   for (auto& layer : layers_) {
     reg.add(&layer.wx);

@@ -95,16 +95,6 @@ class LstmStack {
   BackwardResult backward(const std::vector<tensor::Matrix>& dh_top,
                           const LstmState* dfinal = nullptr);
 
-  /// Stateless inference step: advance `state` by one timestep for input
-  /// `x_t` without touching the training caches (no dropout, no backward).
-  /// Used by beam search, where many hypotheses each carry their own state.
-  /// Returns the top-layer hidden output. `state` must have this stack's
-  /// layer count and a batch matching x_t.
-  tensor::Matrix infer_step(const tensor::Matrix& x_t, LstmState& state) const;
-
-  /// Zero state for a given batch size (for seeding infer_step loops).
-  LstmState zero_state(std::size_t batch) const;
-
   void register_params(ParamRegistry& reg);
 
   std::size_t input_dim() const { return input_dim_; }

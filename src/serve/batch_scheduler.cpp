@@ -28,7 +28,9 @@ BatchScheduler::BatchScheduler(
     const std::shared_ptr<const ModelGeneration>& initial,
     SchedulerConfig config,
     std::function<void(std::unique_ptr<PendingWindow>)> on_scored)
-    : config_(config), on_scored_(std::move(on_scored)) {
+    : config_(config),
+      scorer_({config.bleu, config.precision, config.decode_cache}),
+      on_scored_(std::move(on_scored)) {
   DESMINE_EXPECTS(config_.max_batch > 0, "max_batch must be > 0");
   DESMINE_EXPECTS(config_.circuit_open_after == 0 ||
                       config_.circuit_probe_after > 0,
@@ -263,61 +265,25 @@ void BatchScheduler::score_batch(EdgeState& state,
       break;
   }
 
-  std::map<text::Sentence, text::Sentence>& cache = state.cache;
-  const std::size_t cache_capacity = config_.decode_cache;
-
-  // Partition into cache hits and sources still to decode. The decode pass
-  // itself dedups identical sources, so `misses` may hold repeats. One map
-  // lookup per item: the hit's translation pointer is kept for the scoring
-  // loop below (map references stay valid across the inserts at the end).
-  std::vector<const text::Sentence*> sources(batch.size());
-  std::vector<const text::Sentence*> candidates(batch.size(), nullptr);
-  std::vector<const text::Sentence*> misses;
-  std::vector<std::size_t> miss_index;
+  std::vector<const text::Sentence*> sources, references;
+  sources.reserve(batch.size());
+  references.reserve(batch.size());
+  for (const Item& item : batch) {
+    sources.push_back(&item.window->corpora[edge.src].front());
+    references.push_back(&item.window->corpora[edge.dst].front());
+  }
+  const core::EdgeScorer::Result r =
+      scorer_.score([&edge] { return edge.acquire(); }, sources, references,
+                    config_.decode_cache > 0 ? &state.cache : nullptr);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingWindow& w = *batch[i].window;
-    sources[i] = &w.corpora[edge.src].front();
-    const auto hit = cache_capacity > 0 ? cache.find(*sources[i])
-                                        : cache.end();
-    if (hit != cache.end()) {
-      cache_hits.inc();
-      candidates[i] = &hit->second;
-    } else {
-      misses.push_back(sources[i]);
-      miss_index.push_back(i);
-    }
+    batch[i].window->edge_bleu[batch[i].slot] = r.bleu[i];
   }
-  std::vector<text::Sentence> fresh;
-  if (!misses.empty()) {
-    const std::shared_ptr<nmt::TranslationModel> model = edge.acquire();
-    model->set_decode_precision(config_.precision);
-    fresh = model->translate_batch(misses);
-    decoded.inc(misses.size());
-  }
-
-  // Score every item. Hits and fresh decodes are interchangeable bit for
-  // bit: greedy decoding is a pure function of the source tokens.
-  for (std::size_t m = 0; m < miss_index.size(); ++m) {
-    candidates[miss_index[m]] = &fresh[m];
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingWindow& w = *batch[i].window;
-    const text::Sentence& candidate = *candidates[i];
-    const text::Sentence& reference = w.corpora[edge.dst].front();
-    batch[i].window->edge_bleu[batch[i].slot] =
-        text::sentence_bleu(candidate, reference, config_.bleu).score;
-  }
-
-  if (cache_capacity > 0) {
-    for (std::size_t m = 0; m < miss_index.size(); ++m) {
-      if (cache.size() >= cache_capacity) {
-        // Epoch eviction: periodic discrete streams repopulate the working
-        // set within a few windows, and clearing keeps the bound simple.
-        cache.clear();
-        obs::metrics().counter("serve.batch.cache_evictions").inc();
-      }
-      cache.emplace(*misses[m], fresh[m]);
-    }
+  cache_hits.inc(r.cache_hits);
+  decoded.inc(r.decoded);
+  if (r.cache_evictions > 0) {
+    obs::metrics()
+        .counter("serve.batch.cache_evictions")
+        .inc(r.cache_evictions);
   }
 }
 

@@ -5,12 +5,13 @@
 // OnlineDetector does) decodes each source sentence alone. The scheduler
 // instead keeps one FIFO of (window, edge) work items per edge model, and a
 // worker drains up to SchedulerConfig::max_batch items of ONE edge in a
-// single TranslationModel::score pass: duplicate sources decode once, the
-// rest go through Seq2SeqModel::translate_batch's stacked GEMMs, and a
-// per-edge decode cache carries results across batches. All three layers
-// preserve IEEE-754 bit-identity with the sequential path because greedy
-// decoding is deterministic and every kernel is row-independent (see
-// seq2seq.h).
+// single core::EdgeScorer pass — the scoring step batch detection shares:
+// duplicate sources decode once, the rest go through
+// Seq2SeqModel::translate_batch's stacked GEMMs on the worker's thread
+// arena, and a per-edge decode cache carries results across batches. All
+// three layers preserve IEEE-754 bit-identity with the sequential path
+// because greedy decoding is deterministic and every kernel is
+// row-independent (see seq2seq.h).
 //
 // Fault tolerance (DESIGN.md §13):
 //  * Edge states are keyed by (generation id, edge id). A window carries a
@@ -50,7 +51,7 @@
 #include <utility>
 #include <vector>
 
-#include "nmt/translation.h"
+#include "core/edge_scorer.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "text/bleu.h"
@@ -184,7 +185,7 @@ class BatchScheduler {
     /// Per-edge source->translation memo. Greedy decoding is deterministic,
     /// so a hit is bit-identical to a fresh decode. Touched only by the
     /// worker currently holding the busy flag.
-    std::map<text::Sentence, text::Sentence> cache;
+    core::DecodeCache cache;
     Breaker breaker = Breaker::kClosed;
     std::size_t consecutive_failures = 0;  ///< failed batches since a success
     std::size_t skipped_since_open = 0;    ///< quarantined items since open
@@ -201,6 +202,7 @@ class BatchScheduler {
   void score_batch(EdgeState& state, const std::vector<Item>& batch);
 
   const SchedulerConfig config_;
+  const core::EdgeScorer scorer_;
   const std::function<void(std::unique_ptr<PendingWindow>)> on_scored_;
 
   std::mutex mu_;

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/edge_scorer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "robust/fault_injector.h"
@@ -95,6 +96,8 @@ void ShadowScorer::observe(ShadowSample sample) {
   const auto is_bad = [&bad](std::size_t node) {
     return node < bad.size() && bad[node] != 0;
   };
+  const core::EdgeScorer scorer(
+      {candidate_->detector.bleu, config_.precision});
   std::size_t surviving = 0;
   std::size_t broken = 0;
   bool any_failed = false;
@@ -116,13 +119,12 @@ void ShadowScorer::observe(ShadowSample sample) {
         default:
           break;
       }
-      const std::shared_ptr<nmt::TranslationModel> model = edge.acquire();
-      model->set_decode_precision(config_.precision);
-      const double f = model
-                           ->score(sample.corpora[edge.src],
-                                   sample.corpora[edge.dst],
-                                   candidate_->detector.bleu)
-                           .score;
+      const double f =
+          scorer
+              .score([&edge] { return edge.acquire(); },
+                     {&sample.corpora[edge.src].front()},
+                     {&sample.corpora[edge.dst].front()})
+              .bleu.front();
       ++surviving;
       if (f < edge.train_bleu - candidate_->detector.tolerance) ++broken;
     } catch (const std::exception& e) {

@@ -82,8 +82,7 @@ struct LstmGateViews {
 /// Fused LSTM gate activation over a (batch x 4H) pre-activation z in
 /// [i f g o] layout: i = σ(z₀), f = σ(z₁), g = tanh(z₂), o = σ(z₃),
 /// c = f ⊙ c_prev + i ⊙ g, tanh_c = tanh(c), h = o ⊙ tanh_c.
-/// `out.c` may alias `c_prev` (stateless inference steps update the cell in
-/// place). Scalar and blocked use libm exp/tanh (bit-exact); AVX2 uses
+/// `out.c` may alias `c_prev` (an in-place cell update). Scalar and blocked use libm exp/tanh (bit-exact); AVX2 uses
 /// polynomial vector transcendentals (≈1e-7 relative, tolerance contract).
 void lstm_gate_fusion(ConstMatrixView z, ConstMatrixView c_prev,
                       const LstmGateViews& out);

@@ -118,4 +118,9 @@ std::size_t Workspace::bytes_used() const {
   return (floats_before_ + used_) * sizeof(float);
 }
 
+Workspace& thread_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
 }  // namespace desmine::tensor

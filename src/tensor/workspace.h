@@ -12,9 +12,12 @@
 // caches with transient scratch allocate the caches first, checkpoint, then
 // allocate scratch and rewind to the checkpoint when the step is done.
 //
-// Workspaces are single-threaded by design; concurrent phases (miner pair
-// training, detector edge scoring) use one thread_local workspace per pool
-// thread. Process-wide traffic is reported through obs::metrics() as the
+// Workspaces are single-threaded by design. Ownership: a model's own arena
+// backs its training only; every greedy decode runs on the decoding
+// thread's arena (thread_workspace()), shared by all models that thread
+// decodes, so scratch scales with threads rather than with edge models. The
+// miner trains its pairs on that same per-thread arena. Process-wide
+// traffic is reported through obs::metrics() as the
 // `tensor.workspace.bytes_peak` gauge (max over all workspaces ever) and the
 // `tensor.workspace.rewinds` counter.
 #pragma once
@@ -88,5 +91,10 @@ class Workspace {
   std::size_t floats_before_ = 0;  ///< floats in chunks before chunk_
   Stats stats_;
 };
+
+/// The calling thread's scratch arena (created on first use, freed when the
+/// thread exits). Each user resets it before use, so views into it die at
+/// the next greedy decode or training batch on this thread.
+Workspace& thread_workspace();
 
 }  // namespace desmine::tensor

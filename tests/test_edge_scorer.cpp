@@ -1,0 +1,411 @@
+// Differential and memory tests for the shared Algorithm 2 scoring step
+// (core::EdgeScorer). Batch detection, the streaming OnlineDetector and the
+// serving SessionManager all score through it, so their a_t, broken sets,
+// coverage, degraded flags and f(i,j) must agree bit for bit — strict and
+// degraded, f32 and int8, and on an edge whose source has more distinct
+// sentences than one stacked decode holds (nmt::kMaxDecodeRows). Greedy
+// decodes run on the scoring thread's arena: a model's own arena stays
+// empty outside training, and a warm thread arena does not grow again.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/edge_scorer.h"
+#include "core/framework.h"
+#include "core/online.h"
+#include "io/serialize.h"
+#include "nmt/translation.h"
+#include "obs/metrics.h"
+#include "serve/session_manager.h"
+#include "tensor/workspace.h"
+#include "util/rng.h"
+
+namespace dc = desmine::core;
+namespace dm = desmine::nmt;
+namespace ds = desmine::serve;
+namespace dt = desmine::tensor;
+namespace dx = desmine::text;
+namespace dio = desmine::io;
+using desmine::util::Rng;
+
+namespace {
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Coupled pair (follow repeats lead 2 ticks later) plus a noise sensor.
+/// With `flood_lo < flood_hi`, noise reports a state never seen in training
+/// over [flood_lo, flood_hi): the health tracker floods it and degraded
+/// detection excludes its edges there.
+dc::MultivariateSeries make_series(std::size_t ticks, std::uint64_t seed,
+                                   std::size_t flood_lo = 0,
+                                   std::size_t flood_hi = 0) {
+  Rng rng(seed);
+  dc::EventSequence lead, follow, noise;
+  bool state = false;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    if (t % 13 == 0) state = !state;
+    lead.push_back(state ? "ON" : "OFF");
+    follow.push_back((t >= 2 && lead[t - 2] == "ON") ? "ON" : "OFF");
+    const bool flooded = t >= flood_lo && t < flood_hi;
+    noise.push_back(flooded ? "JAMMED" : rng.bernoulli(0.5) ? "ON" : "OFF");
+  }
+  return {{"lead", lead}, {"follow", follow}, {"noise", noise}};
+}
+
+struct Fixture {
+  dc::FrameworkConfig cfg;
+  dc::Framework framework;
+
+  Fixture()
+      : cfg([] {
+          dc::FrameworkConfig c;
+          c.window = {4, 1, 4, 4};
+          c.miner.translation.model.embedding_dim = 16;
+          c.miner.translation.model.hidden_dim = 16;
+          c.miner.translation.model.num_layers = 1;
+          c.miner.translation.model.dropout = 0.0f;
+          c.miner.translation.trainer.steps = 150;
+          c.miner.translation.trainer.batch_size = 8;
+          c.miner.seed = 3;
+          c.miner.threads = 2;
+          c.detector.valid_lo = 0.0;
+          c.detector.valid_hi = 100.5;
+          c.detector.tolerance = 10.0;
+          c.detector.threads = 2;
+          return c;
+        }()),
+        framework(cfg) {
+    framework.fit(make_series(600, 1), make_series(300, 2));
+  }
+};
+
+Fixture& fixture() {
+  static Fixture f;
+  return f;
+}
+
+std::map<std::string, std::string> tick_states(
+    const dc::MultivariateSeries& series, std::size_t t) {
+  std::map<std::string, std::string> out;
+  for (const auto& sensor : series) out[sensor.name] = sensor.events[t];
+  return out;
+}
+
+using Pairs = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// One window's verdict, with every double kept as its bit pattern.
+struct Verdict {
+  std::uint64_t score = 0;
+  std::uint64_t coverage = 0;
+  bool degraded = false;
+  Pairs broken;  ///< sorted (src, dst)
+
+  bool operator==(const Verdict& o) const {
+    return score == o.score && coverage == o.coverage &&
+           degraded == o.degraded && broken == o.broken;
+  }
+};
+
+Verdict verdict(double score, double coverage, bool degraded, Pairs broken) {
+  std::sort(broken.begin(), broken.end());
+  return {bits(score), bits(coverage), degraded, std::move(broken)};
+}
+
+std::vector<Verdict> batch_verdicts(const dc::DetectionResult& r) {
+  std::vector<Verdict> out;
+  for (std::size_t t = 0; t < r.anomaly_scores.size(); ++t) {
+    Pairs broken;
+    for (const std::size_t e : r.broken_edges[t]) {
+      broken.emplace_back(r.valid_edges[e].src, r.valid_edges[e].dst);
+    }
+    out.push_back(verdict(r.anomaly_scores[t], r.coverage[t],
+                          r.degraded[t] != 0, std::move(broken)));
+  }
+  return out;
+}
+
+std::vector<Verdict> online_verdicts(const Fixture& f,
+                                     const dc::MultivariateSeries& series,
+                                     const dc::DetectorConfig& detector,
+                                     dc::DegradedConfig degraded) {
+  dc::OnlineDetector online(f.framework.graph(), f.framework.encrypter(),
+                            f.cfg.window, detector, degraded);
+  std::vector<Verdict> out;
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    if (const auto r = online.push(tick_states(series, t))) {
+      out.push_back(verdict(r->anomaly_score, r->coverage, r->degraded,
+                            r->broken));
+    }
+  }
+  return out;
+}
+
+std::vector<Verdict> served_verdicts(const Fixture& f,
+                                     const dc::MultivariateSeries& series,
+                                     const dc::DetectorConfig& detector,
+                                     dc::DegradedConfig degraded,
+                                     dt::Precision precision) {
+  ds::ServeConfig scfg;
+  scfg.detector = detector;
+  scfg.workers = 2;
+  scfg.max_batch = 8;
+  scfg.precision = precision;
+  // A budget of one window per tick never blocks ingest.
+  scfg.limits.max_pending_windows = series.front().events.size();
+  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
+                             f.cfg.window, scfg);
+  const std::uint64_t id = manager.open(degraded);
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    manager.ingest(id, tick_states(series, t));
+  }
+  manager.drain(id);
+  std::vector<Verdict> out;
+  while (const auto r = manager.poll(id)) {
+    EXPECT_TRUE(r->failed.empty());
+    EXPECT_FALSE(r->shed);
+    out.push_back(verdict(r->anomaly_score, r->coverage, r->degraded,
+                          r->broken));
+  }
+  return out;
+}
+
+void expect_same(const std::vector<Verdict>& expected,
+                 const std::vector<Verdict>& actual, const char* path) {
+  ASSERT_EQ(expected.size(), actual.size()) << path;
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    EXPECT_TRUE(expected[t] == actual[t]) << path << " window " << t;
+  }
+}
+
+/// f(i,j) of every (edge, window) from batch detection must equal the
+/// one-window detect() the streaming path runs, bit for bit.
+void expect_edge_bleu_matches_per_window(
+    const Fixture& f, const std::vector<dx::Corpus>& corpora,
+    const dc::HealthMask* mask, dt::Precision precision,
+    const dc::DetectionResult& batch) {
+  const dc::AnomalyDetector detector(f.framework.graph(), f.cfg.detector);
+  for (std::size_t t = 0; t < batch.anomaly_scores.size(); ++t) {
+    std::vector<dx::Corpus> one;
+    for (const dx::Corpus& c : corpora) one.push_back({c[t]});
+    dc::HealthMask one_mask;
+    dc::DetectOptions options;
+    options.precision = precision;
+    if (mask != nullptr) {
+      one_mask.push_back((*mask)[t]);
+      options.unhealthy = &one_mask;
+    }
+    const dc::DetectionResult r = detector.detect(one, options);
+    for (std::size_t e = 0; e < batch.edge_bleu.size(); ++e) {
+      EXPECT_EQ(bits(batch.edge_bleu[e][t]), bits(r.edge_bleu[e][0]))
+          << "edge " << e << " window " << t;
+    }
+  }
+}
+
+/// The model edge whose source sensor has the most distinct sentences in
+/// `corpora`, with that count.
+std::pair<const dc::MvrEdge*, std::size_t> widest_edge(
+    const Fixture& f, const std::vector<dx::Corpus>& corpora) {
+  std::pair<const dc::MvrEdge*, std::size_t> best{nullptr, 0};
+  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
+    if (!e.model) continue;
+    const std::set<dx::Sentence> distinct(corpora[e.src].begin(),
+                                          corpora[e.src].end());
+    if (distinct.size() > best.second) best = {&e, distinct.size()};
+  }
+  return best;
+}
+
+}  // namespace
+
+TEST(EdgeScorer, FixtureExercisesChunkingAndFanOut) {
+  // The differential tests below only exercise chunked decoding if some
+  // valid edge's source has more distinct sentences than one decode holds,
+  // and only catch a wrong fan-out (a window scored with another window's
+  // decode) if some model's translation depends on its source.
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(600, 5));
+  EXPECT_GT(widest_edge(f, corpora).second, dm::kMaxDecodeRows);
+  std::size_t most_outputs = 0;
+  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
+    if (!e.model) continue;
+    std::set<dx::Sentence> outputs;
+    for (const dx::Sentence& s : corpora[e.src]) {
+      outputs.insert(e.model->translate(s));
+    }
+    most_outputs = std::max(most_outputs, outputs.size());
+  }
+  EXPECT_GT(most_outputs, 1u);
+}
+
+TEST(EdgeScorer, BatchOnlineAndServeAgreeStrict) {
+  auto& f = fixture();
+  const auto series = make_series(600, 5);
+  const dc::DetectionResult batch = f.framework.detect(series);
+  const std::vector<Verdict> expected = batch_verdicts(batch);
+  expect_same(expected, online_verdicts(f, series, f.cfg.detector, {}),
+              "online");
+  expect_same(expected,
+              served_verdicts(f, series, f.cfg.detector, {},
+                              dt::Precision::kF32),
+              "serve");
+  expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
+                                      nullptr, dt::Precision::kF32, batch);
+}
+
+TEST(EdgeScorer, BatchOnlineAndServeAgreeDegraded) {
+  auto& f = fixture();
+  const auto series = make_series(600, 6, 200, 360);
+  dc::DegradedConfig degraded;
+  degraded.enabled = true;
+  const dc::DetectionResult batch =
+      f.framework.detect_degraded(series, degraded.health);
+  const std::vector<Verdict> expected = batch_verdicts(batch);
+  std::size_t masked = 0, quorum_lost = 0;
+  for (std::size_t t = 0; t < batch.coverage.size(); ++t) {
+    masked += batch.coverage[t] < 1.0;
+    quorum_lost += batch.degraded[t];
+  }
+  EXPECT_GT(masked, 0u);
+  EXPECT_GT(quorum_lost, 0u);
+  expect_same(expected, online_verdicts(f, series, f.cfg.detector, degraded),
+              "online");
+  expect_same(expected,
+              served_verdicts(f, series, f.cfg.detector, degraded,
+                              dt::Precision::kF32),
+              "serve");
+
+  const dc::HealthMask mask = dc::window_health_mask(
+      f.framework.encrypter(), f.cfg.window, series, degraded.health);
+  expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
+                                      &mask, dt::Precision::kF32, batch);
+}
+
+TEST(EdgeScorer, BatchAndServeAgreeUnderInt8AndRestorePrecision) {
+  auto& f = fixture();
+  const auto series = make_series(600, 7);
+  const dc::DetectionResult batch =
+      f.framework.detect(series, dt::Precision::kInt8);
+  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
+    if (e.model) {
+      EXPECT_EQ(e.model->decode_precision(), dt::Precision::kF32);
+    }
+  }
+  expect_same(batch_verdicts(batch),
+              served_verdicts(f, series, f.cfg.detector, {},
+                              dt::Precision::kInt8),
+              "serve");
+  expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
+                                      nullptr, dt::Precision::kInt8, batch);
+
+  // A model pinned to int8 keeps that mode across an f32 detect.
+  const dc::MvrEdge* pinned = nullptr;
+  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
+    if (e.model) pinned = &e;
+  }
+  ASSERT_NE(pinned, nullptr);
+  pinned->model->set_decode_precision(dt::Precision::kInt8);
+  (void)f.framework.detect(series);
+  EXPECT_EQ(pinned->model->decode_precision(), dt::Precision::kInt8);
+  pinned->model->set_decode_precision(dt::Precision::kF32);
+}
+
+TEST(EdgeScorer, CountersTrackScoredPairsAndDecodes) {
+  auto& f = fixture();
+  const auto series = make_series(600, 6, 200, 360);
+  desmine::obs::MetricsRegistry& m = desmine::obs::metrics();
+  const auto scored0 = m.counter("detector.edge_windows_scored").value();
+  const auto decoded0 = m.counter("detector.decoded").value();
+  const dc::DetectionResult r =
+      f.framework.detect_degraded(series, dc::DegradedConfig{}.health);
+
+  std::uint64_t pairs = 0;
+  for (std::size_t t = 0; t < r.coverage.size(); ++t) {
+    pairs += static_cast<std::uint64_t>(
+        r.coverage[t] * static_cast<double>(r.valid_edges.size()) + 0.5);
+  }
+  const auto scored =
+      m.counter("detector.edge_windows_scored").value() - scored0;
+  const auto decoded = m.counter("detector.decoded").value() - decoded0;
+  EXPECT_EQ(scored, pairs);
+  EXPECT_LT(scored, r.coverage.size() * r.valid_edges.size());
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, scored);  // periodic sensors repeat sentences
+}
+
+TEST(EdgeScorer, CacheHitsMatchFreshDecodesAndEvict) {
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(300, 8));
+  const dc::MvrEdge* edge = widest_edge(f, corpora).first;
+  ASSERT_NE(edge, nullptr);
+  std::vector<const dx::Sentence*> sources, references;
+  for (std::size_t t = 0; t < corpora[edge->src].size(); ++t) {
+    sources.push_back(&corpora[edge->src][t]);
+    references.push_back(&corpora[edge->dst][t]);
+  }
+  const auto model = [edge] { return edge->model; };
+  const dc::EdgeScorer uncached({});
+  const dc::EdgeScorer::Result fresh =
+      uncached.score(model, sources, references);
+
+  dc::EdgeScorer::Options small;
+  small.cache_capacity = 4;
+  const dc::EdgeScorer cached(small);
+  dc::DecodeCache cache;
+  const dc::EdgeScorer::Result first =
+      cached.score(model, sources, references, &cache);
+  const dc::EdgeScorer::Result second =
+      cached.score(model, sources, references, &cache);
+  EXPECT_EQ(first.cache_hits, 0u);
+  EXPECT_EQ(first.decoded, fresh.decoded);
+  EXPECT_GT(first.cache_evictions, 0u);
+  EXPECT_LE(cache.size(), small.cache_capacity);
+  EXPECT_GT(second.cache_hits, 0u);
+  EXPECT_LT(second.decoded, fresh.decoded);
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    EXPECT_EQ(bits(first.bleu[k]), bits(fresh.bleu[k])) << k;
+    EXPECT_EQ(bits(second.bleu[k]), bits(fresh.bleu[k])) << k;
+  }
+}
+
+TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {
+  auto& f = fixture();
+  const std::filesystem::path artifact =
+      std::filesystem::temp_directory_path() / "desmine_test_edge_scorer.bin";
+  dio::save_framework(f.framework, artifact.string());
+  dc::FrameworkConfig overlay = f.cfg;
+  overlay.detector.threads = 1;  // score on this thread, on its arena
+  const dc::Framework loaded = dio::load_framework(artifact.string(), overlay);
+
+  const auto series = make_series(600, 9);
+  const dc::DetectionResult first = loaded.detect(series);
+  const std::uint64_t grows = dt::thread_workspace().stats().grows;
+  const dc::DetectionResult second = loaded.detect(series);
+  EXPECT_EQ(dt::thread_workspace().stats().grows, grows);
+  EXPECT_GT(dt::thread_workspace().stats().bytes_reserved, 0u);
+  expect_same(batch_verdicts(first), batch_verdicts(second), "second call");
+
+  std::size_t models = 0;
+  for (const dc::MvrEdge& e : loaded.graph().edges()) {
+    if (!e.model) continue;
+    ++models;
+    EXPECT_EQ(e.model->model().workspace().stats().bytes_reserved, 0u)
+        << e.src << "->" << e.dst;
+  }
+  EXPECT_GT(models, 0u);
+  std::remove(artifact.string().c_str());
+}

@@ -1,5 +1,5 @@
-// Tests for the NMT extensions: beam-search decoding, dot-attention variant
-// (including its gradient check), LR decay, and dev-based early stopping.
+// Tests for the NMT extensions: dot-attention variant (including its
+// gradient check), LR decay, and dev-based early stopping.
 #include <gtest/gtest.h>
 
 #include "nmt/seq2seq.h"
@@ -43,69 +43,6 @@ void make_corpus(std::size_t sentences, std::size_t length, dx::Corpus& src,
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ beam search --
-
-TEST(BeamSearch, WidthOneMatchesGreedy) {
-  dx::Corpus src, tgt;
-  make_corpus(64, 5, src, tgt, 1);
-  dm::TranslationConfig cfg;
-  cfg.model = tiny_config();
-  cfg.trainer.steps = 400;
-  cfg.trainer.batch_size = 8;
-  cfg.trainer.lr = 0.02f;
-  auto model = dm::train_translation_model(src, tgt, cfg, 3);
-
-  for (std::size_t s = 0; s < 8; ++s) {
-    const auto ids = model.src_vocab().encode(src[s]);
-    EXPECT_EQ(model.model().translate_beam(ids, 1), model.model().translate(ids))
-        << "sentence " << s;
-  }
-}
-
-TEST(BeamSearch, WiderBeamNeverHurtsTrivially) {
-  dx::Corpus src, tgt;
-  make_corpus(96, 5, src, tgt, 2);
-  dm::TranslationConfig cfg;
-  cfg.model = tiny_config();
-  cfg.trainer.steps = 700;
-  cfg.trainer.batch_size = 12;
-  cfg.trainer.lr = 0.02f;
-  auto model = dm::train_translation_model(src, tgt, cfg, 7);
-
-  dx::Corpus test_src, test_tgt;
-  make_corpus(16, 5, test_src, test_tgt, 5);
-  dx::Corpus greedy_out, beam_out;
-  for (const auto& s : test_src) {
-    const auto ids = model.src_vocab().encode(s);
-    greedy_out.push_back(model.tgt_vocab().decode(model.model().translate(ids)));
-    beam_out.push_back(
-        model.tgt_vocab().decode(model.model().translate_beam(ids, 4)));
-  }
-  const double greedy_bleu =
-      dx::corpus_bleu(greedy_out, test_tgt).score;
-  const double beam_bleu = dx::corpus_bleu(beam_out, test_tgt).score;
-  // Beam search optimizes sequence log-prob; on a near-deterministic task it
-  // should be at least competitive with greedy.
-  EXPECT_GE(beam_bleu, greedy_bleu - 5.0);
-}
-
-TEST(BeamSearch, RespectsMaxLengthAndValidatesArgs) {
-  dx::Corpus src = {{"a", "b", "a", "b"}};
-  dx::Corpus tgt = {{"x", "y", "x", "y"}};
-  dm::TranslationConfig cfg;
-  cfg.model = tiny_config();
-  cfg.model.max_decode_length = 3;
-  cfg.trainer.steps = 5;
-  cfg.trainer.batch_size = 1;
-  auto model = dm::train_translation_model(src, tgt, cfg, 3);
-  const auto ids = model.src_vocab().encode(src[0]);
-  EXPECT_LE(model.model().translate_beam(ids, 3).size(), 3u);
-  EXPECT_THROW(model.model().translate_beam({}, 2),
-               desmine::PreconditionError);
-  EXPECT_THROW(model.model().translate_beam(ids, 0),
-               desmine::PreconditionError);
-}
 
 // --------------------------------------------------------- dot attention ---
 

@@ -1,15 +1,17 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, session isolation under
 // flooding, backpressure/close semantics, the config JSON round-trip, and
-// the deprecated detect() shim.
+// the strict default of detect().
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/anomaly.h"
+#include "core/edge_scorer.h"
 #include "core/framework.h"
 #include "core/online.h"
 #include "io/config_json.h"
@@ -143,8 +145,8 @@ TEST(ScoreBatch, BitIdenticalToSequentialAcrossRaggedLengths) {
   cfg.model.dropout = 0.0f;
   cfg.trainer.steps = 150;
   cfg.trainer.batch_size = 8;
-  dm::TranslationModel model =
-      dm::train_translation_model(train_src, train_tgt, cfg, 77);
+  const auto model = std::make_shared<dm::TranslationModel>(
+      dm::train_translation_model(train_src, train_tgt, cfg, 77));
 
   dx::Corpus test_src, test_ref;
   make_ragged_corpus(40, test_src, test_ref, 12);
@@ -153,7 +155,7 @@ TEST(ScoreBatch, BitIdenticalToSequentialAcrossRaggedLengths) {
   std::vector<dx::Sentence> seq_out;
   std::vector<double> seq_bleu;
   for (std::size_t i = 0; i < test_src.size(); ++i) {
-    seq_out.push_back(model.translate(test_src[i]));
+    seq_out.push_back(model->translate(test_src[i]));
     seq_bleu.push_back(
         dx::corpus_bleu({seq_out.back()}, {test_ref[i]}, {}).score);
   }
@@ -163,9 +165,11 @@ TEST(ScoreBatch, BitIdenticalToSequentialAcrossRaggedLengths) {
     sources.push_back(&test_src[i]);
     references.push_back(&test_ref[i]);
   }
-  const std::vector<dx::Sentence> batch_out = model.translate_batch(sources);
+  const std::vector<dx::Sentence> batch_out = model->translate_batch(sources);
   const std::vector<double> batch_bleu =
-      model.score_batch(sources, references);
+      dc::EdgeScorer({})
+          .score([&model] { return model; }, sources, references)
+          .bleu;
 
   ASSERT_EQ(batch_out.size(), test_src.size());
   ASSERT_EQ(batch_bleu.size(), test_src.size());
@@ -451,39 +455,15 @@ TEST(ConfigJson, MalformedJsonNamesTheOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated detect() shim
+// DetectOptions defaults
 
-TEST(DetectOptions, DeprecatedPointerShimMatchesOptionsOverload) {
+TEST(DetectOptions, DefaultOverloadIsStrict) {
   auto& f = fixture();
   const auto series = make_series(80, 40);
   const auto corpora = f.framework.to_corpora(series);
   dc::AnomalyDetector detector(f.framework.graph(), f.cfg.detector);
 
-  const std::size_t windows = corpora.front().size();
-  dc::HealthMask mask(windows);
-  mask[0] = {0};  // exclude sensor 0's edges from the first window
-
-  dc::DetectOptions options;
-  options.unhealthy = &mask;
-  const dc::DetectionResult via_options = detector.detect(corpora, options);
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const dc::DetectionResult via_shim = detector.detect(corpora, &mask);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  ASSERT_EQ(via_shim.anomaly_scores.size(), via_options.anomaly_scores.size());
-  for (std::size_t w = 0; w < via_shim.anomaly_scores.size(); ++w) {
-    EXPECT_EQ(bits(via_shim.anomaly_scores[w]),
-              bits(via_options.anomaly_scores[w]));
-    EXPECT_EQ(via_shim.broken_edges[w], via_options.broken_edges[w]);
-  }
-
-  // The two-argument form defaults to strict detection (no mask).
+  // The one-argument form is strict detection (no mask).
   const dc::DetectionResult strict_default = detector.detect(corpora);
   const dc::DetectionResult strict_options =
       detector.detect(corpora, dc::DetectOptions{});
