@@ -22,6 +22,7 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
       valid_edges_.push_back(e);
     }
   }
+  vocabs_ = sensor_vocabularies(names_.size(), valid_edges_);
   if (config_.threads != 1 && valid_edges_.size() > 1) {
     pool_ = std::make_shared<util::ThreadPool>(config_.threads);
   }
@@ -87,6 +88,16 @@ DetectionResult AnomalyDetector::detect(
     }
   }
 
+  // Each sensor's corpus is encoded once against its vocabulary; every
+  // valid edge out of or into the sensor scores on those ids.
+  const std::size_t max_order = config_.bleu.max_order;
+  std::vector<std::vector<EncodedSentence>> encoded(test_sentences.size());
+  auto encode = [&](std::size_t k) {
+    if (k < vocabs_.size() && vocabs_[k] != nullptr) {
+      encoded[k] = encode_corpus(*vocabs_[k], test_sentences[k], max_order);
+    }
+  };
+
   // Edges are independent units of work: one edge's model is touched by
   // one thread, which decodes on its own thread arena. Each edge scores all
   // of its windows in one EdgeScorer call, so repeated sentences decode
@@ -103,12 +114,12 @@ DetectionResult AnomalyDetector::detect(
                     "edge endpoint missing from test data");
     const obs::ScopedTimer timer("score-edge", edge_ms);
     std::vector<std::size_t> at;
-    std::vector<const text::Sentence*> sources, references;
+    std::vector<const EncodedSentence*> sources, references;
     for (std::size_t t = 0; t < windows; ++t) {
       if (!excluded.empty() && excluded[t][e]) continue;
       at.push_back(t);
-      sources.push_back(&test_sentences[edge.src][t]);
-      references.push_back(&test_sentences[edge.dst][t]);
+      sources.push_back(&encoded[edge.src][t]);
+      references.push_back(&encoded[edge.dst][t]);
     }
     if (at.empty()) return;
     const EdgeScorer::Result r =
@@ -121,8 +132,10 @@ DetectionResult AnomalyDetector::detect(
   };
 
   if (pool_ == nullptr) {
+    for (std::size_t k = 0; k < test_sentences.size(); ++k) encode(k);
     for (std::size_t e = 0; e < valid_edges_.size(); ++e) score_edge(e);
   } else {
+    pool_->parallel_for(test_sentences.size(), encode);
     pool_->parallel_for(valid_edges_.size(), score_edge);
   }
 

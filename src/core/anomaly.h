@@ -90,8 +90,10 @@ struct DetectOptions {
 
 class AnomalyDetector {
  public:
-  /// `graph` must carry trained models on its edges. Spawns the scoring
-  /// pool unless config.threads == 1 or at most one edge is valid.
+  /// `graph` must carry trained models on its edges, every valid edge of a
+  /// sensor on the sensor's one vocabulary (robust::VocabularyMismatch
+  /// otherwise). Spawns the scoring pool unless config.threads == 1 or at
+  /// most one edge is valid.
   AnomalyDetector(const MvrGraph& graph, DetectorConfig config);
 
   /// `test_sentences[k]` is the aligned test corpus of sensor node k (same
@@ -115,6 +117,7 @@ class AnomalyDetector {
   DetectorConfig config_;
   std::vector<MvrEdge> valid_edges_;  ///< edges within the valid band
   std::vector<std::string> names_;    ///< sensor names, graph node indexing
+  SensorVocabularies vocabs_;         ///< of the valid edges' sensors
   /// Edge-scoring pool (null = score on the calling thread). Shared by
   /// copies; ThreadPool::parallel_for is safe for concurrent callers.
   std::shared_ptr<util::ThreadPool> pool_;

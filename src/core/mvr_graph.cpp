@@ -3,9 +3,30 @@
 #include <algorithm>
 #include <set>
 
+#include "robust/errors.h"
 #include "util/error.h"
 
 namespace desmine::core {
+
+SensorVocabularies sensor_vocabularies(std::size_t sensors,
+                                       const std::vector<MvrEdge>& edges) {
+  SensorVocabularies out(sensors);
+  const auto bind = [&out](std::size_t sensor, const text::Vocabulary& vocab,
+                           const MvrEdge& e) {
+    DESMINE_EXPECTS(sensor < out.size(), "edge endpoint out of range");
+    if (out[sensor] == nullptr) {
+      out[sensor] = std::make_shared<const text::Vocabulary>(vocab);
+    } else if (*out[sensor] != vocab) {
+      throw robust::VocabularyMismatch(sensor, e.src, e.dst);
+    }
+  };
+  for (const MvrEdge& e : edges) {
+    if (e.model == nullptr) continue;
+    bind(e.src, e.model->src_vocab(), e);
+    bind(e.dst, e.model->tgt_vocab(), e);
+  }
+  return out;
+}
 
 MvrGraph::MvrGraph(std::vector<std::string> sensor_names)
     : names_(std::move(sensor_names)) {}

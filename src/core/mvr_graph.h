@@ -28,6 +28,18 @@ struct MvrEdge {
   std::shared_ptr<nmt::TranslationModel> model;
 };
 
+/// Sensor k's vocabulary (graph node indexing): the one vocabulary every
+/// edge model out of k (as source) and into k (as target) is trained on.
+/// Null for a sensor no model edge touches.
+using SensorVocabularies = std::vector<std::shared_ptr<const text::Vocabulary>>;
+
+/// Read the per-sensor vocabularies off the models of `edges` (endpoints
+/// below `sensors`; model-less edges are skipped). Throws
+/// robust::VocabularyMismatch naming the first edge whose source or target
+/// vocabulary differs from an earlier edge's vocabulary of that sensor.
+SensorVocabularies sensor_vocabularies(std::size_t sensors,
+                                       const std::vector<MvrEdge>& edges);
+
 /// A pair whose model could not be trained (diverged, timed out, crashed).
 /// The edge is absent from the graph; the reason is kept so a partial MVRG
 /// is honest about what it is missing instead of silently thinner.

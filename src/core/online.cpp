@@ -21,8 +21,11 @@ OnlineDetector::OnlineDetector(const MvrGraph& graph,
 
 std::optional<OnlineDetector::WindowResult> OnlineDetector::push(
     const std::map<std::string, std::string>& states) {
+  static obs::Counter& ticks = obs::metrics().counter("online.ticks");
+  static obs::Counter& windows_emitted =
+      obs::metrics().counter("online.windows_emitted");
   std::optional<WindowAssembler::Window> window = assembler_.push(states);
-  obs::metrics().counter("online.ticks").inc();
+  ticks.inc();
   if (!window) return std::nullopt;
 
   HealthMask mask(1);
@@ -42,7 +45,7 @@ std::optional<OnlineDetector::WindowResult> OnlineDetector::push(
     out.broken.emplace_back(result.valid_edges[e].src,
                             result.valid_edges[e].dst);
   }
-  obs::metrics().counter("online.windows_emitted").inc();
+  windows_emitted.inc();
   DESMINE_LOG_DEBUG("online window scored",
                     {obs::kv("window", out.window_index),
                      obs::kv("end_tick", out.end_tick),

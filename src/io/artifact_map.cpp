@@ -396,9 +396,7 @@ const unsigned char* ArtifactMap::data() const {
                  : heap_copy_.data();
 }
 
-void ArtifactMap::verify_edge(std::size_t index) {
-  std::lock_guard<std::mutex> lock(verify_mutex_);
-  if (verified_[index]) return;
+void ArtifactMap::check_meta(std::size_t index) const {
   const EdgeEntry& e = edges_[index];
   if (util::crc32(data() + e.meta_off, e.meta_len) != e.meta_crc) {
     throw ArtifactError(
@@ -406,6 +404,13 @@ void ArtifactMap::verify_edge(std::size_t index) {
         "meta blob checksum mismatch for edge " + std::to_string(e.src) +
             "->" + std::to_string(e.dst) + ": " + path_);
   }
+}
+
+void ArtifactMap::verify_edge(std::size_t index) {
+  std::lock_guard<std::mutex> lock(verify_mutex_);
+  if (verified_[index]) return;
+  const EdgeEntry& e = edges_[index];
+  check_meta(index);
   if (util::crc32(data() + e.weights_off, e.weights_len) != e.weights_crc) {
     throw ArtifactError(
         ArtifactError::Section::kWeights,
@@ -419,6 +424,21 @@ void ArtifactMap::verify_all() {
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     if (edges_[i].has_model) verify_edge(i);
   }
+}
+
+std::pair<text::Vocabulary, text::Vocabulary> ArtifactMap::vocabularies(
+    std::size_t index) const {
+  DESMINE_EXPECTS(index < edges_.size() && edges_[index].has_model,
+                  "edge has no model to read vocabularies from");
+  check_meta(index);
+  const EdgeEntry& e = edges_[index];
+  std::istringstream is(
+      std::string(reinterpret_cast<const char*>(data() + e.meta_off),
+                  e.meta_len),
+      std::ios::binary);
+  text::Vocabulary src = read_vocabulary(is);
+  text::Vocabulary tgt = read_vocabulary(is);
+  return {std::move(src), std::move(tgt)};
 }
 
 std::shared_ptr<nmt::TranslationModel> ArtifactMap::materialize_edge(

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/encryption.h"
@@ -155,6 +156,13 @@ class ArtifactMap : public std::enable_shared_from_this<ArtifactMap> {
   /// shared. `index` is an index into edges(); the entry must have a model.
   std::shared_ptr<nmt::TranslationModel> materialize_edge(std::size_t index);
 
+  /// The edge's source and target vocabularies, read from its meta blob
+  /// after checking the blob's CRC (ArtifactError kMeta on mismatch). No
+  /// weight page is touched: serving reads each sensor's vocabulary this
+  /// way while it builds a mapped generation.
+  std::pair<text::Vocabulary, text::Vocabulary> vocabularies(
+      std::size_t index) const;
+
   /// Verify every model edge's meta + weight CRCs now — the eager
   /// counterpart of the lazy first-touch checks (ArtifactError naming the
   /// failing section). Hot reload and shadow arming call this so a corrupt
@@ -180,6 +188,8 @@ class ArtifactMap : public std::enable_shared_from_this<ArtifactMap> {
   const unsigned char* data() const;
   /// Verify an edge's meta+weight CRCs exactly once (under mutex).
   void verify_edge(std::size_t index);
+  /// Throw ArtifactError kMeta unless the edge's meta blob matches its CRC.
+  void check_meta(std::size_t index) const;
 
   std::string path_;
   std::uint64_t size_ = 0;

@@ -49,18 +49,10 @@ std::vector<text::Sentence> TranslationModel::translate_batch(
     if (inserted) encoded.push_back(it->first);
     slot[i] = it->second;
   }
-  std::vector<std::vector<std::int32_t>> decoded;
-  decoded.reserve(encoded.size());
-  std::vector<const std::vector<std::int32_t>*> chunk;
-  for (std::size_t first = 0; first < encoded.size();
-       first += kMaxDecodeRows) {
-    const std::size_t last = std::min(first + kMaxDecodeRows, encoded.size());
-    chunk.clear();
-    for (std::size_t u = first; u < last; ++u) chunk.push_back(&encoded[u]);
-    for (std::vector<std::int32_t>& ids : model_->translate_batch(chunk)) {
-      decoded.push_back(std::move(ids));
-    }
-  }
+  std::vector<const std::vector<std::int32_t>*> rows;
+  rows.reserve(encoded.size());
+  for (const std::vector<std::int32_t>& ids : encoded) rows.push_back(&ids);
+  const std::vector<std::vector<std::int32_t>> decoded = translate_ids(rows);
 
   std::vector<text::Sentence> out;
   out.reserve(sources.size());
@@ -68,6 +60,23 @@ std::vector<text::Sentence> TranslationModel::translate_batch(
     out.push_back(tgt_vocab_.decode(decoded[slot[i]]));
   }
   return out;
+}
+
+std::vector<std::vector<std::int32_t>> TranslationModel::translate_ids(
+    const std::vector<const std::vector<std::int32_t>*>& sources) {
+  std::vector<std::vector<std::int32_t>> decoded;
+  decoded.reserve(sources.size());
+  std::vector<const std::vector<std::int32_t>*> chunk;
+  for (std::size_t first = 0; first < sources.size();
+       first += kMaxDecodeRows) {
+    const std::size_t last = std::min(first + kMaxDecodeRows, sources.size());
+    chunk.assign(sources.begin() + static_cast<std::ptrdiff_t>(first),
+                 sources.begin() + static_cast<std::ptrdiff_t>(last));
+    for (std::vector<std::int32_t>& ids : model_->translate_batch(chunk)) {
+      decoded.push_back(std::move(ids));
+    }
+  }
+  return decoded;
 }
 
 std::vector<EncodedPair> encode_pairs(const text::Vocabulary& src_vocab,

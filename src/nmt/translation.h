@@ -52,6 +52,13 @@ class TranslationModel {
   std::vector<text::Sentence> translate_batch(
       const std::vector<const text::Sentence*>& sources);
 
+  /// The id-level decoder under translate_batch: greedy-decode rows of
+  /// src_vocab() ids in stacked passes of at most kMaxDecodeRows rows, one
+  /// tgt_vocab() id row out per row in (structural specials included, as
+  /// the model emitted them). No dedup: callers pass distinct rows.
+  std::vector<std::vector<std::int32_t>> translate_ids(
+      const std::vector<const std::vector<std::int32_t>*>& sources);
+
   const text::Vocabulary& src_vocab() const { return src_vocab_; }
   const text::Vocabulary& tgt_vocab() const { return tgt_vocab_; }
   Seq2SeqModel& model() { return *model_; }

@@ -83,8 +83,10 @@ class TelemetryRegistry {
   /// Rotated-to-now snapshot of every sliding instrument.
   std::map<std::string, Histogram::Snapshot> snapshot() const;
 
-  /// Drop every instrument (names included). Test/tool helper; callers must
-  /// not hold references across a reset.
+  /// Drop every instrument (names included). Test/tool helper for private
+  /// registries; callers must not hold references across a reset. The
+  /// process-wide telemetry() is never reset: serving keeps a function-local
+  /// reference to serve.window.latency_ms.
   void reset();
 
   double window_s() const;

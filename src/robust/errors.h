@@ -74,4 +74,29 @@ class MisalignedCorpus : public PreconditionError {
   std::size_t got_;
 };
 
+/// An edge model's vocabulary differs from its sensor's. Every edge out of
+/// or into a sensor must be trained on that sensor's one vocabulary, because
+/// scoring encodes each window's sentence once per sensor and hands the same
+/// ids to all of them.
+class VocabularyMismatch : public RuntimeError {
+ public:
+  VocabularyMismatch(std::size_t sensor, std::size_t src, std::size_t dst)
+      : RuntimeError("edge " + std::to_string(src) + "->" +
+                     std::to_string(dst) + " was trained on a vocabulary of "
+                     "sensor " + std::to_string(sensor) +
+                     " that differs from the sensor's"),
+        sensor_(sensor),
+        src_(src),
+        dst_(dst) {}
+
+  std::size_t sensor() const { return sensor_; }
+  std::size_t src() const { return src_; }
+  std::size_t dst() const { return dst_; }
+
+ private:
+  std::size_t sensor_;
+  std::size_t src_;
+  std::size_t dst_;
+};
+
 }  // namespace desmine::robust

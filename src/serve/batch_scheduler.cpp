@@ -265,12 +265,14 @@ void BatchScheduler::score_batch(EdgeState& state,
       break;
   }
 
-  std::vector<const text::Sentence*> sources, references;
+  std::vector<const core::EncodedSentence*> sources, references;
   sources.reserve(batch.size());
   references.reserve(batch.size());
   for (const Item& item : batch) {
-    sources.push_back(&item.window->corpora[edge.src].front());
-    references.push_back(&item.window->corpora[edge.dst].front());
+    const std::vector<core::EncodedSentence>& encoded =
+        item.window->encoded();
+    sources.push_back(&encoded[edge.src]);
+    references.push_back(&encoded[edge.dst]);
   }
   const core::EdgeScorer::Result r =
       scorer_.score([&edge] { return edge.acquire(); }, sources, references,

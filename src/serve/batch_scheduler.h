@@ -5,10 +5,12 @@
 // OnlineDetector does) decodes each source sentence alone. The scheduler
 // instead keeps one FIFO of (window, edge) work items per edge model, and a
 // worker drains up to SchedulerConfig::max_batch items of ONE edge in a
-// single core::EdgeScorer pass — the scoring step batch detection shares:
-// duplicate sources decode once, the rest go through
-// Seq2SeqModel::translate_batch's stacked GEMMs on the worker's thread
-// arena, and a per-edge decode cache carries results across batches. All
+// single core::EdgeScorer pass — the scoring step batch detection shares.
+// A window's sentences are encoded to ids once, by the first worker that
+// scores any of its edges (PendingWindow::encoded); duplicate sources
+// decode once, the rest go through Seq2SeqModel::translate_batch's stacked
+// GEMMs on the worker's thread arena, and a per-edge decode cache of
+// candidate n-gram profiles carries results across batches. All
 // three layers preserve IEEE-754 bit-identity with the sequential path
 // because greedy decoding is deterministic and every kernel is
 // row-independent (see seq2seq.h).
@@ -78,6 +80,14 @@ struct PendingWindow {
   std::shared_ptr<const ModelGeneration> generation;
   /// One single-sentence corpus per sensor node (WindowAssembler output).
   std::vector<text::Corpus> corpora;
+  /// `corpora` encoded against the generation's vocabularies (encode_window),
+  /// once, by the first scoring worker that needs the window; the others
+  /// wait on the once-flag, which also publishes the result to them.
+  const std::vector<core::EncodedSentence>& encoded() {
+    std::call_once(encode_once_,
+                   [this] { encoded_ = encode_window(*generation, corpora); });
+    return encoded_;
+  }
   /// Node indices excluded from this window (degraded sessions only).
   std::vector<std::size_t> unhealthy;
   bool masked = false;  ///< session runs degraded-mode semantics
@@ -109,6 +119,10 @@ struct PendingWindow {
   std::chrono::steady_clock::time_point first_dequeue{};
   std::chrono::steady_clock::time_point last_dequeue{};
   std::chrono::steady_clock::time_point scored_done{};
+
+ private:
+  std::once_flag encode_once_;
+  std::vector<core::EncodedSentence> encoded_;
 };
 
 struct SchedulerConfig {

@@ -3,9 +3,33 @@
 #include <algorithm>
 #include <utility>
 
+#include "robust/errors.h"
 #include "util/error.h"
 
 namespace desmine::serve {
+
+std::shared_ptr<nmt::TranslationModel> EdgeModel::acquire() const {
+  if (model != nullptr) return model;
+  std::shared_ptr<nmt::TranslationModel> m = residency->acquire(map_index);
+  if (src_vocab == nullptr || m->src_vocab() != *src_vocab) {
+    throw robust::VocabularyMismatch(src, src, dst);
+  }
+  if (dst_vocab == nullptr || m->tgt_vocab() != *dst_vocab) {
+    throw robust::VocabularyMismatch(dst, src, dst);
+  }
+  return m;
+}
+
+namespace {
+
+void bind_vocabularies(ModelGeneration& gen) {
+  for (EdgeModel& edge : gen.edges) {
+    edge.src_vocab = gen.vocabularies[edge.src];
+    edge.dst_vocab = gen.vocabularies[edge.dst];
+  }
+}
+
+}  // namespace
 
 std::shared_ptr<const ModelGeneration> make_generation(
     const core::MvrGraph& graph, const core::DetectorConfig& detector,
@@ -14,9 +38,11 @@ std::shared_ptr<const ModelGeneration> make_generation(
   auto gen = std::make_shared<ModelGeneration>();
   gen->id = id;
   gen->detector = detector;
+  std::vector<core::MvrEdge> valid;
   for (const core::MvrEdge& e : graph.edges()) {
     if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
       DESMINE_EXPECTS(e.model != nullptr, "valid edge lacks a trained model");
+      valid.push_back(e);
       EdgeModel edge;
       edge.src = e.src;
       edge.dst = e.dst;
@@ -25,6 +51,8 @@ std::shared_ptr<const ModelGeneration> make_generation(
       gen->edges.push_back(std::move(edge));
     }
   }
+  gen->vocabularies = core::sensor_vocabularies(graph.sensor_count(), valid);
+  bind_vocabularies(*gen);
   return gen;
 }
 
@@ -37,11 +65,16 @@ std::shared_ptr<const ModelGeneration> make_generation(
   gen->detector = detector;
   gen->residency =
       std::make_shared<ResidencyManager>(std::move(map), residency);
-  const auto& entries = gen->residency->map()->edges();
+  const io::ArtifactMap& m = *gen->residency->map();
+  const std::size_t sensors = m.sensor_names().size();
+  gen->vocabularies.assign(sensors, nullptr);
+  const auto& entries = m.edges();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const io::EdgeEntry& e = entries[i];
     if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
       DESMINE_EXPECTS(e.has_model, "valid edge lacks a trained model");
+      DESMINE_EXPECTS(e.src < sensors && e.dst < sensors,
+                      "edge endpoint out of range");
       EdgeModel edge;
       edge.src = e.src;
       edge.dst = e.dst;
@@ -49,9 +82,39 @@ std::shared_ptr<const ModelGeneration> make_generation(
       edge.residency = gen->residency;
       edge.map_index = i;
       gen->edges.push_back(std::move(edge));
+
+      auto& src_vocab = gen->vocabularies[e.src];
+      auto& dst_vocab = gen->vocabularies[e.dst];
+      if (src_vocab != nullptr && dst_vocab != nullptr) continue;
+      try {
+        auto [src, dst] = m.vocabularies(i);
+        if (src_vocab == nullptr) {
+          src_vocab = std::make_shared<const text::Vocabulary>(std::move(src));
+        }
+        if (dst_vocab == nullptr) {
+          dst_vocab = std::make_shared<const text::Vocabulary>(std::move(dst));
+        }
+      } catch (const io::ArtifactError&) {
+        // A corrupt meta blob fails its own edge at first acquire; the
+        // sensors' vocabularies come from their other edges.
+      }
     }
   }
+  bind_vocabularies(*gen);
   return gen;
+}
+
+std::vector<core::EncodedSentence> encode_window(
+    const ModelGeneration& gen, const std::vector<text::Corpus>& corpora) {
+  std::vector<core::EncodedSentence> out(corpora.size());
+  const std::size_t max_order = gen.detector.bleu.max_order;
+  for (std::size_t k = 0; k < corpora.size(); ++k) {
+    if (k < gen.vocabularies.size() && gen.vocabularies[k] != nullptr) {
+      out[k] = core::encode_sentence(*gen.vocabularies[k],
+                                     corpora[k].front(), max_order);
+    }
+  }
+  return out;
 }
 
 ModelRegistry::ModelRegistry(std::shared_ptr<const ModelGeneration> initial)

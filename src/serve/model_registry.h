@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/anomaly.h"
+#include "core/edge_scorer.h"
 #include "core/mvr_graph.h"
 #include "nmt/translation.h"
 #include "serve/residency.h"
@@ -36,18 +37,19 @@ struct EdgeModel {
   std::size_t dst = 0;
   double train_bleu = 0.0;  ///< s(i, j) — the broken threshold baseline
   std::shared_ptr<nmt::TranslationModel> model;
+  /// The generation's vocabularies of sensors src and dst.
+  std::shared_ptr<const text::Vocabulary> src_vocab, dst_vocab;
   /// Mapped generations only: the residency cache and this edge's index
   /// into the map's TOC.
   std::shared_ptr<ResidencyManager> residency;
   std::size_t map_index = 0;
 
   /// The model to score with: the owned model when present, else the
-  /// residency cache's (materializing on first touch — io::ArtifactError
-  /// surfaces corruption; the scheduler's per-edge failure handling treats
-  /// it like any scoring error).
-  std::shared_ptr<nmt::TranslationModel> acquire() const {
-    return model != nullptr ? model : residency->acquire(map_index);
-  }
+  /// residency cache's (materializing on first touch). io::ArtifactError
+  /// surfaces corruption, and robust::VocabularyMismatch a mapped model
+  /// trained on other vocabularies than its sensors'; the scheduler's
+  /// per-edge failure handling treats either like any scoring error.
+  std::shared_ptr<nmt::TranslationModel> acquire() const;
 };
 
 /// One immutable published model state. Windows and scheduler edge states
@@ -59,25 +61,35 @@ struct ModelGeneration {
   std::uint64_t id = 1;  ///< monotonically increasing across reloads
   std::vector<EdgeModel> edges;
   core::DetectorConfig detector;
+  /// Per sensor node, the vocabulary its valid edges are trained on (null
+  /// for sensors no valid edge touches): what windows are encoded with.
+  core::SensorVocabularies vocabularies;
   std::shared_ptr<ResidencyManager> residency;  ///< null for heap generations
 };
 
 /// Build a generation from a trained graph: keep the edges whose training
 /// BLEU lies in [detector.valid_lo, detector.valid_hi) — the same valid-band
 /// rule AnomalyDetector applies. Throws PreconditionError when a valid edge
-/// lacks a trained model.
+/// lacks a trained model, and robust::VocabularyMismatch when two valid
+/// edges of a sensor disagree on its vocabulary.
 std::shared_ptr<const ModelGeneration> make_generation(
     const core::MvrGraph& graph, const core::DetectorConfig& detector,
     std::uint64_t id);
 
 /// Build a generation over a mapped (v4) artifact: same valid-band rule,
 /// but no model is deserialized — edges materialize lazily through a fresh
-/// ResidencyManager budgeted by `residency`. Open-to-serveable cost is
-/// O(TOC), independent of weight bytes. Throws PreconditionError when a
-/// valid-band TOC entry lacks a model blob.
+/// ResidencyManager budgeted by `residency`. Each sensor's vocabulary is
+/// read from the meta blob of the first valid edge touching it whose blob
+/// is intact; the open-to-serveable cost stays independent of weight bytes.
+/// Throws PreconditionError when a valid-band TOC entry lacks a model blob.
 std::shared_ptr<const ModelGeneration> make_generation(
     std::shared_ptr<io::ArtifactMap> map, const core::DetectorConfig& detector,
     std::uint64_t id, const ResidencyConfig& residency);
+
+/// A window's sentences (one single-sentence corpus per sensor node)
+/// encoded against `gen`'s vocabularies; sensors without one stay empty.
+std::vector<core::EncodedSentence> encode_window(
+    const ModelGeneration& gen, const std::vector<text::Corpus>& corpora);
 
 class ModelRegistry {
  public:

@@ -40,6 +40,9 @@ Session::Session(std::uint64_t id, const ModelRegistry& registry,
 
 IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
                              std::unique_ptr<PendingWindow>* to_schedule) {
+  static obs::Counter& ticks = obs::metrics().counter("serve.ticks");
+  static obs::Counter& rejected =
+      obs::metrics().counter("serve.ingest.rejected");
   DESMINE_EXPECTS(to_schedule != nullptr, "ingest needs an output slot");
   to_schedule->reset();
   std::unique_lock lock(mu_);
@@ -49,7 +52,7 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
   // half-consumed and the caller can always retry the same sample.
   while (pending_locked() >= limits_.max_pending_windows) {
     if (limits_.reject_when_full) {
-      obs::metrics().counter("serve.ingest.rejected").inc();
+      rejected.inc();
       return IngestStatus::kRejected;
     }
     cv_.wait(lock);
@@ -75,7 +78,7 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
 
   std::optional<core::WindowAssembler::Window> window =
       assembler_.push(states);
-  obs::metrics().counter("serve.ticks").inc();
+  ticks.inc();
   if (!window) return IngestStatus::kAccepted;
 
   // Snapshot the generation this window will score against: a concurrent
@@ -133,6 +136,8 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
 }
 
 void Session::finalize(std::unique_ptr<PendingWindow> window) {
+  static obs::Counter& windows_scored =
+      obs::metrics().counter("serve.windows_scored");
   // The resolved window is exclusively ours here; compute the result before
   // taking the session lock. The math mirrors AnomalyDetector::detect()
   // operation for operation so served scores are bit-identical to replay.
@@ -185,7 +190,7 @@ void Session::finalize(std::unique_ptr<PendingWindow> window) {
     }
   }
 
-  obs::metrics().counter("serve.windows_scored").inc();
+  windows_scored.inc();
 
   Delivery delivery;
   delivery.result = std::move(out);
@@ -234,6 +239,8 @@ void Session::deliver_telemetry(
       obs::metrics().histogram("serve.stage.decode_ms");
   static obs::Histogram& reorder_ms =
       obs::metrics().histogram("serve.stage.reorder_ms");
+  static obs::SlidingHistogram& recent_latency =
+      obs::telemetry().sliding("serve.window.latency_ms");
 
   const double latency_ms = ms_between(d.enqueued, delivered);
 
@@ -250,7 +257,7 @@ void Session::deliver_telemetry(
   }
 
   latency.record(latency_ms);
-  obs::telemetry().sliding("serve.window.latency_ms").record(latency_ms);
+  recent_latency.record(latency_ms);
 
   double stage_ms[4] = {0.0, 0.0, 0.0, 0.0};
   if (d.scheduled) {

@@ -96,6 +96,10 @@ void ShadowScorer::observe(ShadowSample sample) {
   const auto is_bad = [&bad](std::size_t node) {
     return node < bad.size() && bad[node] != 0;
   };
+  // The candidate scores on its own vocabularies, which a retrain may have
+  // left different from the active generation's.
+  const std::vector<core::EncodedSentence> encoded =
+      encode_window(*candidate_, sample.corpora);
   const core::EdgeScorer scorer(
       {candidate_->detector.bleu, config_.precision});
   std::size_t surviving = 0;
@@ -122,8 +126,7 @@ void ShadowScorer::observe(ShadowSample sample) {
       const double f =
           scorer
               .score([&edge] { return edge.acquire(); },
-                     {&sample.corpora[edge.src].front()},
-                     {&sample.corpora[edge.dst].front()})
+                     {&encoded[edge.src]}, {&encoded[edge.dst]})
               .bleu.front();
       ++surviving;
       if (f < edge.train_bleu - candidate_->detector.tolerance) ++broken;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
 
 #include "util/error.h"
@@ -12,131 +11,233 @@ namespace desmine::text {
 
 namespace {
 
-/// Count n-grams of one order in a sentence. N-grams are keyed by joining
-/// tokens with '\x1f' (a separator that cannot occur in sensor words).
-/// Fallback path for sentence pairs the packed-key fast path cannot encode.
-std::map<std::string, std::size_t> ngram_counts(const Sentence& sentence,
-                                                std::size_t order) {
-  std::map<std::string, std::size_t> counts;
-  if (sentence.size() < order) return counts;
-  for (std::size_t i = 0; i + order <= sentence.size(); ++i) {
-    std::string key = sentence[i];
-    for (std::size_t k = 1; k < order; ++k) {
-      key += '\x1f';
-      key += sentence[i + k];
-    }
-    ++counts[key];
-  }
-  return counts;
+/// N-grams of order n in a sentence of `length` tokens.
+std::size_t grams_of_order(std::size_t length, std::size_t n) {
+  return length >= n ? length - n + 1 : 0;
 }
 
-/// Running clipped-match totals for one candidate/reference pair, shared by
-/// the map fallback and the packed fast path. Both produce the same counts,
-/// so BLEU scores are bit-identical whichever path ran.
-void accumulate_pair_map(const Sentence& cand, const Sentence& ref,
-                         std::size_t max_order, std::size_t* matched,
-                         std::size_t* total) {
-  for (std::size_t order = 1; order <= max_order; ++order) {
-    const auto cand_counts = ngram_counts(cand, order);
-    const auto ref_counts = ngram_counts(ref, order);
-    for (const auto& [gram, count] : cand_counts) {
-      total[order - 1] += count;
-      const auto it = ref_counts.find(gram);
-      if (it != ref_counts.end()) {
-        // Modified precision: clip by the reference count.
-        matched[order - 1] += std::min(count, it->second);
-      }
-    }
-  }
+// Canonical n-gram order: by a 64-bit head, then (only where the head
+// cannot tell two n-grams apart) by ids. The head packs the first
+// min(n, kHeadIds) ids at 16 bits each, saturating at kSaturated. For a
+// profile whose ids all stay below kSaturated ("small": any realistic
+// sensor vocabulary) the head of an n-gram with n <= kHeadIds holds every
+// id, so such an order is just its sorted heads, and two small profiles
+// merge on one integer compare per step.
+constexpr std::size_t kHeadIds = 4;
+constexpr std::uint32_t kSaturated = 0xFFFF;
+
+/// Whether the heads of order n hold whole n-grams.
+bool heads_whole(const NgramProfile& p, std::size_t n) {
+  return p.small && n <= kHeadIds;
 }
 
-/// Scratch buffers for the packed fast path, reused across the sentences of
-/// a corpus so the steady-state cost is sorting two small vectors per order.
-struct PackScratch {
-  std::vector<const std::string*> dict;  ///< shared token dictionary
-  std::vector<std::uint64_t> cand_ids, ref_ids;
-  std::vector<std::uint64_t> cand_keys, ref_keys;
+/// The n-grams of one order of a profile.
+struct OrderView {
+  const std::uint32_t* ids;
+  const std::uint64_t* heads;
+  const std::uint32_t* pos;  ///< start positions; null when heads are whole
+  std::size_t n;
+
+  /// The ids of n-gram i: at its position, or unpacked from its head.
+  const std::uint32_t* gram(std::size_t i, std::uint32_t* buf) const {
+    if (pos != nullptr) return ids + pos[i];
+    for (std::size_t k = 0; k < n; ++k) {
+      buf[k] = static_cast<std::uint32_t>(heads[i] >> (16 * (n - 1 - k))) &
+               kSaturated;
+    }
+    return buf;
+  }
 };
 
-/// The serve hot path scores one short candidate/reference pair per
-/// (window, edge) work item; the map path above allocates ~8 string-keyed
-/// maps per pair, which dominates the batched scorer once decoding is
-/// vectorized (DESIGN.md §16). This path maps tokens to small ids through a
-/// dictionary shared by both sentences, packs each n-gram into one uint64
-/// (16 bits per token, orders 1..4), and counts via sort + linear merge —
-/// no per-n-gram allocations. Returns false when the pair cannot be packed
-/// (order > 4 or very long sentences); the caller then uses the map path.
-bool accumulate_pair_packed(const Sentence& cand, const Sentence& ref,
-                            std::size_t max_order, std::size_t* matched,
-                            std::size_t* total, PackScratch& scratch) {
-  // 16-bit ids and 4 ids per key; the length cap also bounds the O(n^2)
-  // linear-scan dictionary build to small n.
-  constexpr std::size_t kMaxTokens = 512;
-  if (max_order > 4 || cand.size() + ref.size() > kMaxTokens) return false;
+/// -1, 0 or 1 as n-gram i of a orders before, with or after n-gram j of b.
+/// `heads_exact`: both orders' heads are whole, so heads decide alone.
+int gram_compare(const OrderView& a, std::size_t i, const OrderView& b,
+                 std::size_t j, bool heads_exact) {
+  if (a.heads[i] != b.heads[j]) return a.heads[i] < b.heads[j] ? -1 : 1;
+  if (heads_exact) return 0;
+  std::uint32_t a_buf[kHeadIds], b_buf[kHeadIds];
+  const std::uint32_t* x = a.gram(i, a_buf);
+  const std::uint32_t* y = b.gram(j, b_buf);
+  for (std::size_t k = 0; k < a.n; ++k) {
+    if (x[k] != y[k]) return x[k] < y[k] ? -1 : 1;
+  }
+  return 0;
+}
 
-  scratch.dict.clear();
-  const auto id_of = [&scratch](const std::string& token) -> std::uint64_t {
-    for (std::size_t i = 0; i < scratch.dict.size(); ++i) {
-      if (*scratch.dict[i] == token) return i;
-    }
-    scratch.dict.push_back(&token);
-    return scratch.dict.size() - 1;
+/// (Re)build p's n-gram lists from p.ids for orders 1..p.max_order,
+/// reusing capacity.
+void fill_grams(NgramProfile& p) {
+  struct Entry {
+    std::uint64_t head;
+    std::uint32_t pos;
   };
-  scratch.cand_ids.clear();
-  scratch.ref_ids.clear();
-  for (const std::string& t : cand) scratch.cand_ids.push_back(id_of(t));
-  for (const std::string& t : ref) scratch.ref_ids.push_back(id_of(t));
-
-  const auto collect_keys = [](const std::vector<std::uint64_t>& ids,
-                               std::size_t order,
-                               std::vector<std::uint64_t>& keys) {
-    keys.clear();
-    if (ids.size() < order) return;
-    for (std::size_t i = 0; i + order <= ids.size(); ++i) {
-      std::uint64_t key = 1;  // leading 1 separates orders' key spaces
-      for (std::size_t k = 0; k < order; ++k) key = (key << 16) | ids[i + k];
-      keys.push_back(key);
+  thread_local std::vector<std::uint64_t> heads;  // by position
+  thread_local std::vector<Entry> entries;
+  const std::size_t length = p.ids.size();
+  const std::uint32_t* ids = p.ids.data();
+  p.small = std::all_of(p.ids.begin(), p.ids.end(),
+                        [](std::uint32_t id) { return id < kSaturated; });
+  p.heads.clear();
+  p.grams.clear();
+  p.heads.reserve(p.max_order * length);
+  heads.assign(length, 0);
+  for (std::size_t n = 1; n <= p.max_order; ++n) {
+    const std::size_t count = grams_of_order(length, n);
+    if (n <= kHeadIds) {  // extend each head by the n-gram's last id
+      for (std::size_t i = 0; i < count; ++i) {
+        heads[i] = (heads[i] << 16) | std::min(ids[i + n - 1], kSaturated);
+      }
     }
-    std::sort(keys.begin(), keys.end());
-  };
+    const std::size_t first = p.heads.size();
+    if (heads_whole(p, n)) {
+      p.heads.insert(p.heads.end(), heads.begin(),
+                     heads.begin() + static_cast<std::ptrdiff_t>(count));
+      // Sensor sentences are often one repeated word: already sorted.
+      const auto from = p.heads.begin() + static_cast<std::ptrdiff_t>(first);
+      if (!std::is_sorted(from, p.heads.end())) std::sort(from, p.heads.end());
+      continue;
+    }
+    entries.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      entries.push_back({heads[i], static_cast<std::uint32_t>(i)});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [ids, n](const Entry& a, const Entry& b) {
+                if (a.head != b.head) return a.head < b.head;
+                return std::lexicographical_compare(
+                    ids + a.pos, ids + a.pos + n, ids + b.pos, ids + b.pos + n);
+              });
+    for (const Entry& e : entries) {
+      p.heads.push_back(e.head);
+      p.grams.push_back(e.pos);
+    }
+  }
+}
 
-  for (std::size_t order = 1; order <= max_order; ++order) {
-    collect_keys(scratch.cand_ids, order, scratch.cand_keys);
-    collect_keys(scratch.ref_ids, order, scratch.ref_keys);
-    total[order - 1] += scratch.cand_keys.size();
-    // Merge the two sorted runs, clipping each candidate n-gram's count by
-    // its reference count — exactly the map path's modified precision.
+/// The n-gram counting routine every entry point shares: add one pair's
+/// clipped matches (modified precision: each candidate n-gram counts at most
+/// as often as the reference holds it) and candidate n-gram counts, per
+/// order, by merging the two sorted runs of each order.
+void accumulate_pair(const NgramProfile& cand, const NgramProfile& ref,
+                     std::size_t max_order, std::size_t* matched,
+                     std::size_t* total) {
+  const std::uint64_t* ch = cand.heads.data();
+  const std::uint64_t* rh = ref.heads.data();
+  const std::uint32_t* cg = cand.grams.data();
+  const std::uint32_t* rg = ref.grams.data();
+  for (std::size_t n = 1; n <= max_order; ++n) {
+    const std::size_t nc = grams_of_order(cand.ids.size(), n);
+    const std::size_t nr = grams_of_order(ref.ids.size(), n);
+    const bool c_whole = heads_whole(cand, n);
+    const bool r_whole = heads_whole(ref, n);
+    const OrderView cv{cand.ids.data(), ch, c_whole ? nullptr : cg, n};
+    const OrderView rv{ref.ids.data(), rh, r_whole ? nullptr : rg, n};
+    const bool heads_exact = c_whole && r_whole;
+    total[n - 1] += nc;
     std::size_t c = 0, r = 0;
-    while (c < scratch.cand_keys.size() && r < scratch.ref_keys.size()) {
-      const std::uint64_t key = scratch.cand_keys[c];
-      if (scratch.ref_keys[r] < key) {
+    while (c < nc && r < nr) {
+      const int order = gram_compare(rv, r, cv, c, heads_exact);
+      if (order < 0) {
         ++r;
         continue;
       }
+      const std::size_t key = c;
       std::size_t c_run = 0;
-      while (c < scratch.cand_keys.size() && scratch.cand_keys[c] == key) {
+      while (c < nc && gram_compare(cv, c, cv, key, heads_exact) == 0) {
         ++c;
         ++c_run;
       }
-      if (scratch.ref_keys[r] == key) {
+      if (order == 0) {
         std::size_t r_run = 0;
-        while (r < scratch.ref_keys.size() && scratch.ref_keys[r] == key) {
+        while (r < nr && gram_compare(rv, r, cv, key, heads_exact) == 0) {
           ++r;
           ++r_run;
         }
-        matched[order - 1] += std::min(c_run, r_run);
+        matched[n - 1] += std::min(c_run, r_run);
       }
     }
-    // Candidate keys with no reference run left only add to `total`, which
-    // the collect step above already did.
+    ch += nc;
+    rh += nr;
+    if (!c_whole) cg += nc;
+    if (!r_whole) rg += nr;
   }
-  return true;
+}
+
+/// Profiles of one string candidate/reference pair, reused across the
+/// pairs of a corpus. Equal strings get equal ids and distinct strings
+/// distinct ones: a token repeating its predecessor takes its id, the rest
+/// are ranked in (hash, string) order.
+struct PairProfiles {
+  NgramProfile cand, ref;
+  std::vector<const std::string*> tokens;  ///< candidate ++ reference
+  std::vector<std::uint64_t> keys;  ///< 32-bit hash << 32 | token index
+
+  void build(const Sentence& c, const Sentence& r, std::size_t max_order) {
+    constexpr std::uint32_t kRepeat = 0xFFFFFFFFu;
+    std::vector<std::uint32_t>& out = cand.ids;  // both sentences, for now
+    tokens.clear();
+    keys.clear();
+    out.clear();
+    tokens.reserve(c.size() + r.size());
+    out.reserve(c.size() + r.size());
+    const std::hash<std::string> hash;
+    for (const Sentence* s : {&c, &r}) {
+      for (std::size_t i = 0; i < s->size(); ++i) {
+        const bool repeat = i > 0 && (*s)[i] == (*s)[i - 1];
+        if (!repeat) {
+          keys.push_back(static_cast<std::uint64_t>(hash((*s)[i])) << 32 |
+                         tokens.size());
+        }
+        out.push_back(repeat ? kRepeat : 0);
+        tokens.push_back(&(*s)[i]);
+      }
+    }
+    const auto text = [this](std::uint64_t key) -> const std::string& {
+      return *tokens[key & 0xFFFFFFFFu];
+    };
+    // Equal hashes end up adjacent; ordering each run by string makes the
+    // distinct strings of a hash collision adjacent too.
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t k = 0, end = 0; k < keys.size(); k = end) {
+      end = k + 1;
+      while (end < keys.size() && keys[end] >> 32 == keys[k] >> 32) ++end;
+      std::sort(keys.begin() + static_cast<std::ptrdiff_t>(k),
+                keys.begin() + static_cast<std::ptrdiff_t>(end),
+                [&text](std::uint64_t a, std::uint64_t b) {
+                  return text(a) < text(b);
+                });
+    }
+    std::uint32_t id = 0;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      if (k > 0 && (keys[k] >> 32 != keys[k - 1] >> 32 ||
+                    text(keys[k]) != text(keys[k - 1]))) {
+        ++id;
+      }
+      out[keys[k] & 0xFFFFFFFFu] = id;
+    }
+    for (std::size_t at = 1; at < out.size(); ++at) {
+      if (out[at] == kRepeat) out[at] = out[at - 1];
+    }
+    ref.ids.assign(out.begin() + static_cast<std::ptrdiff_t>(c.size()),
+                   out.end());
+    out.resize(c.size());
+    cand.max_order = ref.max_order = max_order;
+    fill_grams(cand);
+    fill_grams(ref);
+  }
+};
+
+/// The brevity penalty of a candidate of length c against a reference of
+/// length r: 1 when c >= r, 0 for an empty candidate, else e^(1 - r/c).
+double brevity_penalty(std::size_t c, std::size_t r) {
+  if (c >= r) return 1.0;
+  if (c == 0) return 0.0;
+  return std::exp(1.0 - static_cast<double>(r) / static_cast<double>(c));
 }
 
 /// Shared scoring tail: turn accumulated clipped counts + lengths into the
 /// smoothed geometric-mean BLEU. Identical arithmetic for every entry point.
-BleuBreakdown finalize(const std::vector<std::size_t>& matched,
-                       const std::vector<std::size_t>& total,
+BleuBreakdown finalize(const std::size_t* matched, const std::size_t* total,
                        std::size_t candidate_length,
                        std::size_t reference_length,
                        const BleuOptions& options) {
@@ -144,6 +245,7 @@ BleuBreakdown finalize(const std::vector<std::size_t>& matched,
   out.precisions.assign(options.max_order, 0.0);
   out.candidate_length = candidate_length;
   out.reference_length = reference_length;
+  out.brevity_penalty = brevity_penalty(candidate_length, reference_length);
 
   double log_precision_sum = 0.0;
   for (std::size_t order = 0; order < options.max_order; ++order) {
@@ -157,12 +259,6 @@ BleuBreakdown finalize(const std::vector<std::size_t>& matched,
       // Unsmoothed zero precision: BLEU is exactly 0.
       out.precisions[order] = 0.0;
       out.score = 0.0;
-      out.brevity_penalty =
-          out.candidate_length >= out.reference_length
-              ? 1.0
-              : std::exp(1.0 - static_cast<double>(out.reference_length) /
-                                   std::max<double>(1.0, static_cast<double>(
-                                                             out.candidate_length)));
       return out;
     }
     out.precisions[order] = num / den;
@@ -171,22 +267,36 @@ BleuBreakdown finalize(const std::vector<std::size_t>& matched,
 
   const double geo_mean =
       std::exp(log_precision_sum / static_cast<double>(options.max_order));
-
-  if (out.candidate_length >= out.reference_length) {
-    out.brevity_penalty = 1.0;
-  } else if (out.candidate_length == 0) {
-    out.brevity_penalty = 0.0;
-  } else {
-    out.brevity_penalty =
-        std::exp(1.0 - static_cast<double>(out.reference_length) /
-                           static_cast<double>(out.candidate_length));
-  }
-
   out.score = 100.0 * geo_mean * out.brevity_penalty;
   return out;
 }
 
 }  // namespace
+
+NgramProfile ngram_profile(std::vector<std::uint32_t> ids,
+                           std::size_t max_order) {
+  DESMINE_EXPECTS(max_order >= 1, "max_order >= 1");
+  NgramProfile p;
+  p.ids = std::move(ids);
+  p.max_order = max_order;
+  fill_grams(p);
+  return p;
+}
+
+BleuBreakdown sentence_bleu(const NgramProfile& candidate,
+                            const NgramProfile& reference,
+                            const BleuOptions& options) {
+  DESMINE_EXPECTS(options.max_order >= 1, "max_order >= 1");
+  DESMINE_EXPECTS(candidate.max_order >= options.max_order &&
+                      reference.max_order >= options.max_order,
+                  "n-gram profile built for a lower max_order");
+  std::vector<std::size_t> counts(2 * options.max_order, 0);
+  std::size_t* matched = counts.data();
+  std::size_t* total = matched + options.max_order;
+  accumulate_pair(candidate, reference, options.max_order, matched, total);
+  return finalize(matched, total, candidate.ids.size(), reference.ids.size(),
+                  options);
+}
 
 BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
                           const BleuOptions& options) {
@@ -200,21 +310,16 @@ BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
     return out;
   }
 
-  std::vector<std::size_t> matched(options.max_order, 0);
-  std::vector<std::size_t> total(options.max_order, 0);
+  std::vector<std::size_t> counts(2 * options.max_order, 0);
+  std::size_t* matched = counts.data();
+  std::size_t* total = matched + options.max_order;
   std::size_t candidate_length = 0, reference_length = 0;
-
-  PackScratch scratch;
+  PairProfiles pair;
   for (std::size_t s = 0; s < candidates.size(); ++s) {
-    const Sentence& cand = candidates[s];
-    const Sentence& ref = references[s];
-    candidate_length += cand.size();
-    reference_length += ref.size();
-    if (!accumulate_pair_packed(cand, ref, options.max_order, matched.data(),
-                                total.data(), scratch)) {
-      accumulate_pair_map(cand, ref, options.max_order, matched.data(),
-                          total.data());
-    }
+    candidate_length += candidates[s].size();
+    reference_length += references[s].size();
+    pair.build(candidates[s], references[s], options.max_order);
+    accumulate_pair(pair.cand, pair.ref, options.max_order, matched, total);
   }
   return finalize(matched, total, candidate_length, reference_length, options);
 }
@@ -223,15 +328,9 @@ BleuBreakdown sentence_bleu(const Sentence& candidate,
                             const Sentence& reference,
                             const BleuOptions& options) {
   DESMINE_EXPECTS(options.max_order >= 1, "max_order >= 1");
-  std::vector<std::size_t> matched(options.max_order, 0);
-  std::vector<std::size_t> total(options.max_order, 0);
-  PackScratch scratch;
-  if (!accumulate_pair_packed(candidate, reference, options.max_order,
-                              matched.data(), total.data(), scratch)) {
-    accumulate_pair_map(candidate, reference, options.max_order,
-                        matched.data(), total.data());
-  }
-  return finalize(matched, total, candidate.size(), reference.size(), options);
+  PairProfiles pair;
+  pair.build(candidate, reference, options.max_order);
+  return sentence_bleu(pair.cand, pair.ref, options);
 }
 
 }  // namespace desmine::text

@@ -6,9 +6,17 @@
 // to max_order, times a brevity penalty, with optional +1 smoothing
 // (Lin & Och) so short sensor sentences with a missing n-gram order do not
 // collapse the score to zero.
+//
+// Counting runs on token ids. A sentence's NgramProfile holds its n-grams
+// sorted per order, so the clipped matches of a candidate/reference pair
+// are one linear merge per order. Scorers that see a sentence many times
+// (one reference per sensor and window, one candidate per cached decode)
+// build its profile once; the string entry points number each pair's tokens
+// and go through the same profiles and merge.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -27,6 +35,32 @@ struct BleuBreakdown {
   std::size_t candidate_length = 0;
   std::size_t reference_length = 0;
 };
+
+/// Exact n-gram profile of one sentence in token-id form. `ids` must number
+/// tokens injectively within the id space both sides of a comparison share
+/// (equal tokens, equal ids; distinct tokens, distinct ids). For each order
+/// n = 1..max_order in turn, `heads` holds the sort keys (first ids,
+/// packed) of the sentence's n-grams in one canonical n-gram order, and
+/// `grams` their start positions for the orders whose heads do not hold
+/// the whole n-gram (n > 4, or ids past 16 bits).
+struct NgramProfile {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint64_t> heads;
+  std::vector<std::uint32_t> grams;
+  std::size_t max_order = 0;
+  bool small = true;  ///< every id below 0xFFFF
+};
+
+/// Profile `ids` for orders 1..max_order (max_order >= 1).
+NgramProfile ngram_profile(std::vector<std::uint32_t> ids,
+                           std::size_t max_order);
+
+/// Sentence BLEU of two profiles numbered in one id space; both must cover
+/// options.max_order. Bit-identical to the string sentence_bleu of the
+/// sentences they encode.
+BleuBreakdown sentence_bleu(const NgramProfile& candidate,
+                            const NgramProfile& reference,
+                            const BleuOptions& options = {});
 
 /// Corpus-level BLEU between aligned candidate/reference sentence lists.
 /// Requires equal list sizes; empty corpora score 0.

@@ -48,11 +48,30 @@ std::vector<std::int32_t> Vocabulary::encode(const Sentence& sentence) const {
   return out;
 }
 
+std::vector<std::uint32_t> Vocabulary::encode_exact(
+    const Sentence& sentence) const {
+  std::vector<std::uint32_t> out;
+  out.reserve(sentence.size());
+  std::vector<const std::string*> unknown;  // this sentence's, in order
+  for (const std::string& word : sentence) {
+    const auto it = index_.find(word);
+    if (it != index_.end()) {
+      out.push_back(static_cast<std::uint32_t>(it->second));
+      continue;
+    }
+    std::size_t k = 0;
+    while (k < unknown.size() && *unknown[k] != word) ++k;
+    if (k == unknown.size()) unknown.push_back(&word);
+    out.push_back(static_cast<std::uint32_t>(tokens_.size() + k));
+  }
+  return out;
+}
+
 Sentence Vocabulary::decode(const std::vector<std::int32_t>& ids) const {
   Sentence out;
   out.reserve(ids.size());
   for (std::int32_t id : ids) {
-    if (id == kPad || id == kBos || id == kEos) continue;
+    if (structural(id)) continue;
     out.push_back(token(id));
   }
   return out;

@@ -42,8 +42,23 @@ class Vocabulary {
   /// Encode a sentence to ids (unknowns -> kUnk).
   std::vector<std::int32_t> encode(const Sentence& sentence) const;
 
-  /// Decode ids to tokens, skipping pad/bos/eos.
+  /// Encode a sentence to ids in which distinct tokens always differ: a
+  /// known token (the literal specials included) gets its id, and the k-th
+  /// distinct unknown token of this sentence gets size() + k. Ids below
+  /// size() are exactly encode()'s; the rest are encode()'s kUnk.
+  std::vector<std::uint32_t> encode_exact(const Sentence& sentence) const;
+
+  /// Decode ids to tokens, skipping the structural specials.
   Sentence decode(const std::vector<std::int32_t>& ids) const;
+
+  /// pad/bos/eos: ids decode() drops from a model's output.
+  static bool structural(std::int32_t id) {
+    return id == kPad || id == kBos || id == kEos;
+  }
+
+  bool operator==(const Vocabulary& other) const {
+    return tokens_ == other.tokens_;
+  }
 
  private:
   void add(const std::string& token);

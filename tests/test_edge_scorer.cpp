@@ -3,9 +3,12 @@
 // serving SessionManager all score through it, so their a_t, broken sets,
 // coverage, degraded flags and f(i,j) must agree bit for bit — strict and
 // degraded, f32 and int8, and on an edge whose source has more distinct
-// sentences than one stacked decode holds (nmt::kMaxDecodeRows). Greedy
-// decodes run on the scoring thread's arena: a model's own arena stays
-// empty outside training, and a warm thread arena does not grow again.
+// sentences than one stacked decode holds (nmt::kMaxDecodeRows). Scoring
+// runs on ids encoded once per sensor, so f(i,j) must also match the string
+// sentence_bleu of the decoded strings, and every edge must share its
+// sensors' vocabularies. Greedy decodes run on the scoring thread's arena:
+// a model's own arena stays empty outside training, and a warm thread arena
+// does not grow again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +29,10 @@
 #include "io/serialize.h"
 #include "nmt/translation.h"
 #include "obs/metrics.h"
+#include "robust/errors.h"
+#include "serve/model_registry.h"
 #include "serve/session_manager.h"
+#include "serve/shadow_scorer.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -230,6 +236,83 @@ std::pair<const dc::MvrEdge*, std::size_t> widest_edge(
   return best;
 }
 
+/// One edge's items, encoded with the edge model's vocabularies.
+struct Items {
+  std::vector<dc::EncodedSentence> encoded_sources, encoded_references;
+  std::vector<const dc::EncodedSentence*> sources, references;
+
+  Items(const dm::TranslationModel& model, const dx::Corpus& src,
+        const dx::Corpus& ref)
+      : encoded_sources(dc::encode_corpus(model.src_vocab(), src, 4)),
+        encoded_references(dc::encode_corpus(model.tgt_vocab(), ref, 4)) {
+    for (std::size_t k = 0; k < src.size(); ++k) {
+      sources.push_back(&encoded_sources[k]);
+      references.push_back(&encoded_references[k]);
+    }
+  }
+};
+
+/// The fixture's graph retrained on each sensor's training corpus in
+/// reverse order: same sensors, edges and bands, but the vocabularies
+/// number their words in another first-occurrence order.
+const dc::MvrGraph& reversed_graph() {
+  static const dc::MvrGraph graph = [] {
+    const Fixture& f = fixture();
+    std::vector<dx::Corpus> corpora =
+        f.framework.to_corpora(make_series(600, 1));
+    for (dx::Corpus& c : corpora) std::reverse(c.begin(), c.end());
+    dm::TranslationConfig cfg = f.cfg.miner.translation;
+    cfg.trainer.steps = 40;
+    dc::MvrGraph out(f.framework.graph().sensor_names());
+    for (dc::MvrEdge e : f.framework.graph().edges()) {
+      if (e.model) {
+        e.model = std::make_shared<dm::TranslationModel>(
+            dm::train_translation_model(corpora[e.src], corpora[e.dst], cfg,
+                                        11));
+      }
+      out.add_edge(std::move(e));
+    }
+    return out;
+  }();
+  return graph;
+}
+
+/// The fixture's graph with its last model edge swapped for the reversed
+/// graph's model of the same pair: that edge disagrees with both of its
+/// sensors' vocabularies, which earlier edges fix.
+struct ForeignEdge {
+  dc::MvrGraph graph;
+  std::size_t index = 0;
+};
+
+ForeignEdge foreign_edge_graph() {
+  const dc::MvrGraph& own = fixture().framework.graph();
+  ForeignEdge out{dc::MvrGraph(own.sensor_names()), 0};
+  for (std::size_t i = 0; i < own.edges().size(); ++i) {
+    if (own.edges()[i].model) out.index = i;
+  }
+  std::set<std::size_t> touched;
+  for (std::size_t i = 0; i < own.edges().size(); ++i) {
+    dc::MvrEdge e = own.edges()[i];
+    if (i == out.index) {
+      EXPECT_TRUE(touched.count(e.src) && touched.count(e.dst));
+      e.model = reversed_graph().edges()[i].model;
+      EXPECT_FALSE(e.model->src_vocab() == own.edges()[i].model->src_vocab());
+    } else if (e.model) {
+      touched.insert(e.src);
+      touched.insert(e.dst);
+    }
+    out.graph.add_edge(std::move(e));
+  }
+  return out;
+}
+
+struct WindowResultLite {
+  double score = 0.0;
+  Pairs broken;
+  Pairs failed;
+};
+
 }  // namespace
 
 TEST(EdgeScorer, FixtureExercisesChunkingAndFanOut) {
@@ -352,34 +435,182 @@ TEST(EdgeScorer, CacheHitsMatchFreshDecodesAndEvict) {
   const auto corpora = f.framework.to_corpora(make_series(300, 8));
   const dc::MvrEdge* edge = widest_edge(f, corpora).first;
   ASSERT_NE(edge, nullptr);
-  std::vector<const dx::Sentence*> sources, references;
-  for (std::size_t t = 0; t < corpora[edge->src].size(); ++t) {
-    sources.push_back(&corpora[edge->src][t]);
-    references.push_back(&corpora[edge->dst][t]);
-  }
+  const Items items(*edge->model, corpora[edge->src], corpora[edge->dst]);
   const auto model = [edge] { return edge->model; };
   const dc::EdgeScorer uncached({});
   const dc::EdgeScorer::Result fresh =
-      uncached.score(model, sources, references);
+      uncached.score(model, items.sources, items.references);
 
   dc::EdgeScorer::Options small;
   small.cache_capacity = 4;
   const dc::EdgeScorer cached(small);
   dc::DecodeCache cache;
   const dc::EdgeScorer::Result first =
-      cached.score(model, sources, references, &cache);
+      cached.score(model, items.sources, items.references, &cache);
   const dc::EdgeScorer::Result second =
-      cached.score(model, sources, references, &cache);
+      cached.score(model, items.sources, items.references, &cache);
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_EQ(first.decoded, fresh.decoded);
   EXPECT_GT(first.cache_evictions, 0u);
   EXPECT_LE(cache.size(), small.cache_capacity);
   EXPECT_GT(second.cache_hits, 0u);
   EXPECT_LT(second.decoded, fresh.decoded);
-  for (std::size_t k = 0; k < sources.size(); ++k) {
+  for (std::size_t k = 0; k < items.sources.size(); ++k) {
+    const double strings = dx::sentence_bleu(
+        edge->model->translate(corpora[edge->src][k]),
+        corpora[edge->dst][k]).score;
+    EXPECT_EQ(bits(fresh.bleu[k]), bits(strings)) << k;
     EXPECT_EQ(bits(first.bleu[k]), bits(fresh.bleu[k])) << k;
     EXPECT_EQ(bits(second.bleu[k]), bits(fresh.bleu[k])) << k;
   }
+}
+
+TEST(EdgeScorer, SourcesDifferingOnlyInUnknownTokensShareOneCacheEntry) {
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(300, 8));
+  const dc::MvrEdge* edge = widest_edge(f, corpora).first;
+  ASSERT_NE(edge, nullptr);
+  dx::Sentence a = corpora[edge->src].front();
+  dx::Sentence b = a;
+  ASSERT_GE(a.size(), 2u);
+  a[1] = "never-seen-1";
+  b[1] = "never-seen-2";
+  // References with unknown tokens and literal specials, which must count
+  // as themselves: "<unk>" matches a decoded <unk>, an unknown word nothing.
+  dx::Sentence ref_a = corpora[edge->dst].front();
+  dx::Sentence ref_b = ref_a;
+  ref_a[0] = "never-seen-3";
+  ref_b[0] = "<unk>";
+  ref_b.push_back("<s>");
+  ref_b.push_back("never-seen-3");
+  ref_b.push_back("never-seen-3");
+
+  const Items items(*edge->model, {a, b}, {ref_a, ref_b});
+  ASSERT_EQ(items.encoded_sources[0].input, items.encoded_sources[1].input);
+  dc::DecodeCache cache;
+  const dc::EdgeScorer::Result r =
+      dc::EdgeScorer({}).score([edge] { return edge->model; },
+                               items.sources, items.references, &cache);
+  EXPECT_EQ(r.decoded, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  const dx::Sentence cand_a = edge->model->translate(a);
+  EXPECT_EQ(cand_a, edge->model->translate(b));
+  EXPECT_EQ(bits(r.bleu[0]), bits(dx::sentence_bleu(cand_a, ref_a).score));
+  EXPECT_EQ(bits(r.bleu[1]), bits(dx::sentence_bleu(cand_a, ref_b).score));
+}
+
+TEST(EdgeScorer, HeapGraphWithForeignEdgeVocabularyIsRejected) {
+  auto& f = fixture();
+  const ForeignEdge bad = foreign_edge_graph();
+  const std::size_t sensor = bad.graph.edges()[bad.index].src;
+  try {
+    const dc::AnomalyDetector detector(bad.graph, f.cfg.detector);
+    FAIL() << "expected robust::VocabularyMismatch";
+  } catch (const desmine::robust::VocabularyMismatch& e) {
+    EXPECT_EQ(e.sensor(), sensor);
+    EXPECT_EQ(e.src(), bad.graph.edges()[bad.index].src);
+    EXPECT_EQ(e.dst(), bad.graph.edges()[bad.index].dst);
+  }
+  EXPECT_THROW(ds::make_generation(bad.graph, f.cfg.detector, 1),
+               desmine::robust::VocabularyMismatch);
+}
+
+TEST(EdgeScorer, MappedForeignEdgeFailsAloneAndTripsItsBreaker) {
+  auto& f = fixture();
+  const ForeignEdge bad = foreign_edge_graph();
+  const dc::MvrEdge& foreign = bad.graph.edges()[bad.index];
+  dc::Framework framework(f.cfg);
+  framework.restore(f.framework.encrypter(), bad.graph);
+  const std::filesystem::path artifact =
+      std::filesystem::temp_directory_path() / "desmine_test_foreign_edge.bin";
+  dio::save_framework(framework, artifact.string());
+
+  const auto series = make_series(600, 5);
+  const dc::DetectionResult batch = f.framework.detect(series);
+  desmine::obs::Counter& opened =
+      desmine::obs::metrics().counter("serve.circuit.opened");
+  const auto opened0 = opened.value();
+
+  ds::ServeConfig scfg;
+  scfg.detector = f.cfg.detector;
+  scfg.workers = 2;
+  scfg.max_batch = 8;
+  scfg.limits.max_pending_windows = series.front().events.size();
+  std::vector<WindowResultLite> served;
+  {
+    ds::SessionManager manager(artifact.string(), scfg);
+    const std::uint64_t id = manager.open();
+    for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+      manager.ingest(id, tick_states(series, t));
+    }
+    manager.drain(id);
+    while (const auto r = manager.poll(id)) {
+      served.push_back({r->anomaly_score, r->broken, r->failed});
+    }
+  }
+  std::remove(artifact.string().c_str());
+  EXPECT_GT(opened.value(), opened0);
+
+  // Every window drops exactly the foreign edge and renormalizes over the
+  // rest, whose f(i,j) match batch detection on the fixture's own models.
+  ASSERT_EQ(served.size(), batch.anomaly_scores.size());
+  const Pairs failed = {{foreign.src, foreign.dst}};
+  for (std::size_t t = 0; t < served.size(); ++t) {
+    EXPECT_EQ(served[t].failed, failed) << t;
+    Pairs broken;
+    std::size_t surviving = 0;
+    for (std::size_t e = 0; e < batch.valid_edges.size(); ++e) {
+      const dc::MvrEdge& edge = batch.valid_edges[e];
+      if (edge.src == foreign.src && edge.dst == foreign.dst) continue;
+      ++surviving;
+      if (batch.edge_bleu[e][t] < edge.bleu - f.cfg.detector.tolerance) {
+        broken.emplace_back(edge.src, edge.dst);
+      }
+    }
+    const double expected = static_cast<double>(broken.size()) /
+                            static_cast<double>(surviving);
+    EXPECT_EQ(bits(served[t].score), bits(expected)) << t;
+    Pairs got = served[t].broken;
+    std::sort(got.begin(), got.end());
+    std::sort(broken.begin(), broken.end());
+    EXPECT_EQ(got, broken) << t;
+  }
+}
+
+TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
+  auto& f = fixture();
+  const dc::MvrGraph& candidate_graph = reversed_graph();
+  const auto active =
+      ds::make_generation(f.framework.graph(), f.cfg.detector, 1);
+  const auto candidate =
+      ds::make_generation(candidate_graph, f.cfg.detector, 2);
+  std::size_t differing = 0;
+  for (std::size_t k = 0; k < active->vocabularies.size(); ++k) {
+    ASSERT_NE(candidate->vocabularies[k], nullptr);
+    differing += *candidate->vocabularies[k] != *active->vocabularies[k];
+  }
+  EXPECT_GT(differing, 0u);
+
+  ds::ShadowConfig scfg;
+  scfg.sample_rate = 1.0;
+  ds::ShadowScorer shadow(candidate, scfg, "reversed");
+  const auto corpora = f.framework.to_corpora(make_series(300, 4));
+  const dc::DetectionResult expected =
+      dc::AnomalyDetector(candidate_graph, f.cfg.detector).detect(corpora);
+  double sum = 0.0;
+  std::size_t alerts = 0;
+  for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {
+    ds::ShadowSample sample;
+    for (const dx::Corpus& c : corpora) sample.corpora.push_back({c[t]});
+    shadow.observe(std::move(sample));
+    sum += expected.anomaly_scores[t];
+    alerts += expected.anomaly_scores[t] >= scfg.alert_threshold;
+  }
+  const ds::ShadowScorer::Status st = shadow.status();
+  EXPECT_EQ(st.failures, 0u);
+  EXPECT_EQ(st.candidate_alerts, alerts);
+  EXPECT_EQ(bits(st.candidate_mean),
+            bits(sum / static_cast<double>(expected.anomaly_scores.size())));
 }
 
 TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {

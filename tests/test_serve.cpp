@@ -166,9 +166,18 @@ TEST(ScoreBatch, BitIdenticalToSequentialAcrossRaggedLengths) {
     references.push_back(&test_ref[i]);
   }
   const std::vector<dx::Sentence> batch_out = model->translate_batch(sources);
+  const std::vector<dc::EncodedSentence> enc_src =
+      dc::encode_corpus(model->src_vocab(), test_src, 4);
+  const std::vector<dc::EncodedSentence> enc_ref =
+      dc::encode_corpus(model->tgt_vocab(), test_ref, 4);
+  std::vector<const dc::EncodedSentence*> enc_sources, enc_references;
+  for (std::size_t i = 0; i < test_src.size(); ++i) {
+    enc_sources.push_back(&enc_src[i]);
+    enc_references.push_back(&enc_ref[i]);
+  }
   const std::vector<double> batch_bleu =
       dc::EdgeScorer({})
-          .score([&model] { return model; }, sources, references)
+          .score([&model] { return model; }, enc_sources, enc_references)
           .bleu;
 
   ASSERT_EQ(batch_out.size(), test_src.size());

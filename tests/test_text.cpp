@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "text/bleu.h"
 #include "text/vocabulary.h"
@@ -159,4 +164,184 @@ TEST(Bleu, ShortSentencesBelowMaxOrderStillScore) {
   const auto b = dx::sentence_bleu(s, s);
   EXPECT_GT(b.score, 50.0);
   EXPECT_LE(b.score, 100.0);
+}
+
+TEST(Bleu, EmptyCandidateHasZeroBrevityPenaltyWithAndWithoutSmoothing) {
+  const dx::Sentence ref = {"a", "b", "c"};
+  for (const bool smooth : {true, false}) {
+    dx::BleuOptions opts;
+    opts.smooth = smooth;
+    const auto b = dx::sentence_bleu({}, ref, opts);
+    EXPECT_DOUBLE_EQ(b.score, 0.0) << smooth;
+    EXPECT_DOUBLE_EQ(b.brevity_penalty, 0.0) << smooth;
+  }
+}
+
+// ------------------------------------------ BLEU differential -------------
+
+namespace {
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Test-only oracle: clipped n-gram counts through string-keyed maps (the
+/// textbook formulation), then the documented BLEU arithmetic.
+struct Oracle {
+  std::vector<std::size_t> matched, total;
+  std::size_t cand_len = 0, ref_len = 0;
+
+  explicit Oracle(std::size_t max_order)
+      : matched(max_order, 0), total(max_order, 0) {}
+
+  static std::map<std::string, std::size_t> counts(const dx::Sentence& s,
+                                                   std::size_t n) {
+    std::map<std::string, std::size_t> out;
+    for (std::size_t i = 0; i + n <= s.size(); ++i) {
+      std::string key = s[i];
+      for (std::size_t k = 1; k < n; ++k) key += '\x1f' + s[i + k];
+      ++out[key];
+    }
+    return out;
+  }
+
+  void add(const dx::Sentence& cand, const dx::Sentence& ref) {
+    cand_len += cand.size();
+    ref_len += ref.size();
+    for (std::size_t n = 1; n <= matched.size(); ++n) {
+      const auto ref_counts = counts(ref, n);
+      for (const auto& [gram, count] : counts(cand, n)) {
+        total[n - 1] += count;
+        const auto it = ref_counts.find(gram);
+        if (it != ref_counts.end()) {
+          matched[n - 1] += std::min(count, it->second);
+        }
+      }
+    }
+  }
+
+  double score(bool smooth) const {
+    double log_sum = 0.0;
+    for (std::size_t n = 0; n < matched.size(); ++n) {
+      double num = static_cast<double>(matched[n]);
+      double den = static_cast<double>(total[n]);
+      if (smooth && (num == 0.0 || den == 0.0)) {
+        num += 1.0;
+        den += 1.0;
+      }
+      if (num == 0.0 || den == 0.0) return 0.0;
+      log_sum += std::log(num / den);
+    }
+    const double bp =
+        cand_len >= ref_len
+            ? 1.0
+            : cand_len == 0 ? 0.0
+                            : std::exp(1.0 - static_cast<double>(ref_len) /
+                                                 static_cast<double>(cand_len));
+    return 100.0 * std::exp(log_sum / static_cast<double>(matched.size())) *
+           bp;
+  }
+};
+
+/// Random sentence over `words`, with runs (repeated n-grams) and empty or
+/// shorter-than-order lengths.
+dx::Sentence random_sentence(desmine::util::Rng& rng,
+                             const std::vector<std::string>& words) {
+  dx::Sentence s;
+  const std::size_t length = rng.index(13);
+  while (s.size() < length) {
+    const std::string& w = words[rng.index(words.size())];
+    const std::size_t run = rng.bernoulli(0.3) ? 1 + rng.index(4) : 1;
+    for (std::size_t k = 0; k < run && s.size() < length; ++k) s.push_back(w);
+  }
+  return s;
+}
+
+/// Profile ids remapped injectively past 65,535 for every odd id, so pairs
+/// mix small and large ids.
+dx::NgramProfile widened(std::vector<std::uint32_t> ids,
+                         std::size_t max_order) {
+  for (std::uint32_t& id : ids) {
+    if (id % 2 == 1) id = 70001 + id * 4099;
+  }
+  return dx::ngram_profile(std::move(ids), max_order);
+}
+
+}  // namespace
+
+TEST(BleuDifferential, EveryEntryPointMatchesTheMapOracleBitForBit) {
+  desmine::util::Rng rng(2024);
+  // Known words (literal specials included) and words unknown to `vocab`.
+  const dx::Vocabulary vocab = dx::Vocabulary::build({{"a", "b", "c", "d"}});
+  const std::vector<std::string> known = {"a", "b", "c", "d", "<unk>", "<s>"};
+  std::vector<std::string> any = known;
+  for (const char* w : {"x", "y", "zz"}) any.push_back(w);
+
+  std::size_t checked = 0;
+  for (std::size_t max_order = 1; max_order <= 6; ++max_order) {
+    for (const bool smooth : {true, false}) {
+      const dx::BleuOptions opts{max_order, smooth};
+      for (int trial = 0; trial < 60; ++trial) {
+        // Candidates come out of the vocabulary (as decoded ones do);
+        // references may hold unknown words.
+        const dx::Sentence cand = random_sentence(rng, known);
+        const dx::Sentence ref = random_sentence(rng, any);
+        Oracle oracle(max_order);
+        oracle.add(cand, ref);
+        const std::uint64_t expected = bits(oracle.score(smooth));
+
+        EXPECT_EQ(bits(dx::sentence_bleu(cand, ref, opts).score), expected);
+        EXPECT_EQ(bits(dx::corpus_bleu({cand}, {ref}, opts).score), expected);
+        const std::vector<std::uint32_t> cand_ids = vocab.encode_exact(cand);
+        const std::vector<std::uint32_t> ref_ids = vocab.encode_exact(ref);
+        EXPECT_EQ(bits(dx::sentence_bleu(dx::ngram_profile(cand_ids, max_order),
+                                          dx::ngram_profile(ref_ids, max_order),
+                                          opts)
+                           .score),
+                  expected);
+        EXPECT_EQ(bits(dx::sentence_bleu(widened(cand_ids, max_order),
+                                          widened(ref_ids, max_order), opts)
+                           .score),
+                  expected);
+        ++checked;
+      }
+
+      dx::Corpus cands, refs;
+      Oracle oracle(max_order);
+      for (int s = 0; s < 25; ++s) {
+        cands.push_back(random_sentence(rng, any));
+        refs.push_back(random_sentence(rng, any));
+        oracle.add(cands.back(), refs.back());
+      }
+      EXPECT_EQ(bits(dx::corpus_bleu(cands, refs, opts).score),
+                bits(oracle.score(smooth)));
+    }
+  }
+  EXPECT_EQ(checked, 6u * 2u * 60u);
+}
+
+TEST(BleuDifferential, ProfileIdsBeyond16BitsMatchSmallIds) {
+  // The same sentence pair numbered with small ids and with ids past
+  // 65,535 scores the same bits.
+  const std::vector<std::uint32_t> cand = {4, 5, 5, 6, 4, 5, 5, 6, 7};
+  const std::vector<std::uint32_t> ref = {4, 5, 5, 6, 9, 4, 5, 5, 6};
+  const auto shift = [](std::vector<std::uint32_t> ids) {
+    for (std::uint32_t& id : ids) id += 100000;
+    return ids;
+  };
+  for (std::size_t max_order = 1; max_order <= 6; ++max_order) {
+    const dx::BleuOptions opts{max_order, true};
+    const double small = dx::sentence_bleu(dx::ngram_profile(cand, max_order),
+                                           dx::ngram_profile(ref, max_order),
+                                           opts)
+                             .score;
+    const double large =
+        dx::sentence_bleu(dx::ngram_profile(shift(cand), max_order),
+                          dx::ngram_profile(shift(ref), max_order), opts)
+            .score;
+    EXPECT_EQ(bits(small), bits(large)) << max_order;
+    EXPECT_GT(small, 0.0);
+  }
 }
