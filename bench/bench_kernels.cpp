@@ -80,29 +80,8 @@ static void BM_Gemm(benchmark::State& state, dt::kernels::Backend backend) {
 }
 BENCHMARK_CAPTURE(BM_Gemm, scalar, dt::kernels::Backend::kScalar)
     ->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_Gemm, blocked, dt::kernels::Backend::kBlocked)
-    ->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK_CAPTURE(BM_Gemm, avx2, dt::kernels::Backend::kAvx2)
     ->Arg(64)->Arg(128)->Arg(256);
-
-static void BM_GemmI8(benchmark::State& state) {
-  // The int8 decode GEMM (dynamic per-row activation quantization +
-  // int32 accumulation + dequant), on the startup-default backend.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  dt::Matrix a(n, n), w(n, n), c(n, n);
-  a.init_uniform(rng, 1.0f);
-  w.init_uniform(rng, 1.0f);
-  const dt::QuantizedTensor wq = dt::quantize_absmax(w.view());
-  for (auto _ : state) {
-    c.zero();
-    dt::gemm_i8_accum(a.view(), wq, c.view());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmI8)->Arg(64)->Arg(128)->Arg(256);
 
 static void BM_LstmStep(benchmark::State& state) {
   // Forward-only stepping: the greedy-decode / encoder inner loop.
@@ -141,8 +120,6 @@ static void BM_LstmStepBackend(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK_CAPTURE(BM_LstmStepBackend, scalar, dt::kernels::Backend::kScalar)
-    ->Arg(24)->Arg(64);
-BENCHMARK_CAPTURE(BM_LstmStepBackend, blocked, dt::kernels::Backend::kBlocked)
     ->Arg(24)->Arg(64);
 BENCHMARK_CAPTURE(BM_LstmStepBackend, avx2, dt::kernels::Backend::kAvx2)
     ->Arg(24)->Arg(64);

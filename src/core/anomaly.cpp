@@ -103,7 +103,7 @@ DetectionResult AnomalyDetector::detect(
   // of its windows in one EdgeScorer call, so repeated sentences decode
   // once. Excluded (edge, window) pairs are skipped entirely: an unhealthy
   // sensor's sentences are plumbing artifacts, not data worth scoring.
-  const EdgeScorer scorer({config_.bleu, options.precision});
+  const EdgeScorer scorer({config_.bleu});
   obs::Counter& edge_windows =
       obs::metrics().counter("detector.edge_windows_scored");
   obs::Counter& decoded = obs::metrics().counter("detector.decoded");

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/mvr_graph.h"
-#include "tensor/kernels.h"
 #include "text/bleu.h"
 
 namespace desmine::util {
@@ -82,10 +81,6 @@ struct DetectOptions {
   /// degraded quorum never fires). The pointed-to mask must outlive the
   /// detect() call.
   const HealthMask* unhealthy = nullptr;
-  /// Numeric mode of the per-edge greedy decodes: kF32 (default) or the
-  /// int8 quantized-weight path (DESIGN.md §16). Each edge model's previous
-  /// decode precision is restored when the call returns.
-  tensor::Precision precision = tensor::Precision::kF32;
 };
 
 class AnomalyDetector {

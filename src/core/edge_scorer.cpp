@@ -8,22 +8,6 @@ namespace desmine::core {
 
 namespace {
 
-/// Sets a model's decode precision for one scope, restoring it on exit.
-class PrecisionScope {
- public:
-  PrecisionScope(nmt::TranslationModel& model, tensor::Precision p)
-      : model_(model), prev_(model.decode_precision()) {
-    model_.set_decode_precision(p);
-  }
-  ~PrecisionScope() { model_.set_decode_precision(prev_); }
-  PrecisionScope(const PrecisionScope&) = delete;
-  PrecisionScope& operator=(const PrecisionScope&) = delete;
-
- private:
-  nmt::TranslationModel& model_;
-  tensor::Precision prev_;
-};
-
 struct IdsPtrHash {
   std::size_t operator()(const std::vector<std::int32_t>* ids) const noexcept {
     return IdsHash{}(*ids);
@@ -128,11 +112,8 @@ EdgeScorer::Result EdgeScorer::score(
   if (!misses.empty()) {
     const std::shared_ptr<nmt::TranslationModel> m = model();
     DESMINE_EXPECTS(m != nullptr, "edge has no model to decode with");
-    std::vector<std::vector<std::int32_t>> decoded;
-    {
-      const PrecisionScope precision(*m, options_.precision);
-      decoded = m->translate_ids(misses);
-    }
+    const std::vector<std::vector<std::int32_t>> decoded =
+        m->translate_ids(misses);
     fresh.reserve(decoded.size());
     for (const std::vector<std::int32_t>& ids : decoded) {
       fresh.push_back(candidate_profile(ids, options_.bleu.max_order));

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "nmt/translation.h"
-#include "tensor/kernels.h"
 #include "text/bleu.h"
 
 namespace desmine::core {
@@ -59,9 +58,8 @@ struct IdsHash {
   std::size_t operator()(const std::vector<std::int32_t>& ids) const noexcept;
 };
 
-/// Model-input ids -> candidate profile memo for one edge model under one
-/// decode precision, owned by the caller (serve keeps one per edge and
-/// generation).
+/// Model-input ids -> candidate profile memo for one edge model, owned by
+/// the caller (serve keeps one per edge and generation).
 using DecodeCache =
     std::unordered_map<std::vector<std::int32_t>, text::NgramProfile, IdsHash>;
 
@@ -69,8 +67,6 @@ class EdgeScorer {
  public:
   struct Options {
     text::BleuOptions bleu{};
-    /// Decode precision; the model's previous precision is restored after.
-    tensor::Precision precision = tensor::Precision::kF32;
     /// Entry bound of the caller's DecodeCache: an insert into a full cache
     /// clears it first (epoch eviction — periodic streams repopulate the
     /// working set within a few windows).

@@ -59,26 +59,21 @@ std::vector<text::Corpus> Framework::to_corpora(
   return corpora;
 }
 
-DetectionResult Framework::detect(const MultivariateSeries& test,
-                                  tensor::Precision precision) const {
+DetectionResult Framework::detect(const MultivariateSeries& test) const {
   DESMINE_EXPECTS(fitted(), "fit() must run first");
   const AnomalyDetector detector(*graph_, config_.detector);
-  DetectOptions options;
-  options.precision = precision;
-  return detector.detect(to_corpora(test), options);
+  return detector.detect(to_corpora(test));
 }
 
 DetectionResult Framework::detect_degraded(
     const MultivariateSeries& test, const robust::HealthConfig& health,
-    const std::vector<std::size_t>& missing_ticks,
-    tensor::Precision precision) const {
+    const std::vector<std::size_t>& missing_ticks) const {
   DESMINE_EXPECTS(fitted(), "fit() must run first");
   const HealthMask mask = window_health_mask(*encrypter_, config_.window,
                                              test, health, missing_ticks);
   const AnomalyDetector detector(*graph_, config_.detector);
   DetectOptions options;
   options.unhealthy = &mask;
-  options.precision = precision;
   return detector.detect(to_corpora(test), options);
 }
 

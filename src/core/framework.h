@@ -37,11 +37,7 @@ class Framework {
   void fit(const MultivariateSeries& train, const MultivariateSeries& dev);
 
   /// Online detection over a test series (must contain every kept sensor).
-  /// `precision` selects the per-edge decode mode (DetectOptions::precision,
-  /// DESIGN.md §16); kF32 is the reference path.
-  DetectionResult detect(
-      const MultivariateSeries& test,
-      tensor::Precision precision = tensor::Precision::kF32) const;
+  DetectionResult detect(const MultivariateSeries& test) const;
 
   /// Degraded-mode batch detection (DESIGN.md §8): replay the test series
   /// through a sensor-health tracker, exclude unhealthy sensors per window,
@@ -50,8 +46,7 @@ class Framework {
   /// whose source rows were quarantined at ingestion (io::CsvReport).
   DetectionResult detect_degraded(
       const MultivariateSeries& test, const robust::HealthConfig& health,
-      const std::vector<std::size_t>& missing_ticks = {},
-      tensor::Precision precision = tensor::Precision::kF32) const;
+      const std::vector<std::size_t>& missing_ticks = {}) const;
 
   /// Aligned sentence corpora for the kept sensors, indexed like the graph's
   /// nodes. Exposed for benches that score custom windows.

@@ -20,15 +20,12 @@
 //   io::RunConfig / run_config_{to,from}_json — config files (--config)
 //   obs::init_logging / metrics / trace      — structured obs surface
 //   obs::telemetry / HttpExposition          — live scrape plane (/metrics)
-//   tensor::kernels (Backend / select_backend / apply_kernel_config)
-//   tensor::Precision + tensor::gemm         — compute-kernel dispatch and
-//                                              decode precision (DESIGN.md
-//                                              §16): backend chosen per
-//                                              process via config key
-//                                              tensor.kernels / --kernels /
-//                                              DESMINE_KERNELS; precision
-//                                              (f32 | int8) flows through
-//                                              DetectOptions and ServeConfig
+//   tensor::kernels (Backend / select_backend) + tensor::gemm
+//                                            — compute-kernel dispatch
+//                                              (DESIGN.md §16): scalar or
+//                                              avx2, chosen per process via
+//                                              config key tensor.kernels /
+//                                              --kernels / DESMINE_KERNELS
 //
 // Everything else under src/ (tensor internals beyond the kernel dispatch
 // surface, nn, nmt, text, robust internals, serve::BatchScheduler, util) is

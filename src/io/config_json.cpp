@@ -254,7 +254,6 @@ JsonValue shadow_to_json(const serve::ShadowConfig& s) {
 JsonValue tensor_to_json(const tensor::kernels::KernelConfig& t) {
   JsonValue v = make_object();
   put_string(v, "kernels", t.kernels);
-  put_string(v, "precision", t.precision);
   return v;
 }
 
@@ -644,17 +643,9 @@ void parse_tensor(const JsonValue& v, const std::string& prefix,
       const std::string name = string_at(value, path);
       tensor::kernels::Backend backend;
       if (name != "auto" && !tensor::kernels::parse_backend(name, &backend)) {
-        bad("key '" + path +
-            "' must be \"auto\", \"scalar\", \"blocked\", or \"avx2\"");
+        bad("key '" + path + "' must be \"auto\", \"scalar\", or \"avx2\"");
       }
       out->kernels = name;
-    } else if (key == "precision") {
-      const std::string name = string_at(value, path);
-      tensor::Precision precision;
-      if (!tensor::parse_precision(name, &precision)) {
-        bad("key '" + path + "' must be \"f32\" or \"int8\"");
-      }
-      out->precision = name;
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -720,11 +711,6 @@ RunConfig run_config_from_json(std::string_view text) {
   }
   config.serve.detector = config.framework.detector;
   config.serve.shadow = config.lifecycle.shadow;
-  // tensor.precision was name-validated by parse_tensor, so this parse
-  // cannot fail; the serving layer then decodes under the configured mode.
-  tensor::Precision precision = tensor::Precision::kF32;
-  tensor::parse_precision(config.tensor.precision, &precision);
-  config.serve.precision = precision;
   return config;
 }
 

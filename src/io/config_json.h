@@ -16,9 +16,8 @@
 // should_abort), ServeConfig::detector (the detector section is the
 // single source of truth; callers mirror it into ServeConfig themselves,
 // as run_config_from_json already does), ServeConfig::shadow (mirrored
-// from lifecycle.shadow the same way), ServeConfig::precision (mirrored
-// from tensor.precision), and RetrainConfig::seed (a test determinism
-// knob, not an operator-facing one).
+// from lifecycle.shadow the same way), and RetrainConfig::seed (a test
+// determinism knob, not an operator-facing one).
 #pragma once
 
 #include <string>
@@ -39,12 +38,10 @@ struct RunConfig {
   /// serialized separately; serve.shadow is mirrored from lifecycle.shadow.
   serve::ServeConfig serve{};
   lifecycle::LifecycleConfig lifecycle{};
-  /// Compute-kernel backend + decode precision (DESIGN.md §16). Parsing
-  /// validates the names only; availability (e.g. avx2 on a non-AVX2 CPU)
-  /// is checked when a tool applies the choice via
-  /// tensor::kernels::apply_kernel_config, so a config file written on one
-  /// machine still parses on another. serve.precision mirrors
-  /// tensor.precision.
+  /// Compute-kernel backend (DESIGN.md §16). Parsing validates the name
+  /// only; availability (e.g. avx2 on a non-AVX2 CPU) is checked when a
+  /// tool applies the choice via tensor::kernels::select_backend, so a
+  /// config file written on one machine still parses on another.
   tensor::kernels::KernelConfig tensor{};
 };
 

@@ -205,8 +205,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   // Lock-step ragged encode: rows run to the longest source; a row past its
   // own length steps on <pad> and is immediately rolled back, so its final
   // state is exactly the state at its true length.
-  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws,
-                 decode_precision_);
+  encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws);
   enc_outputs_.clear();
   enc_outputs_.reserve(max_len);
   std::vector<std::int32_t> step_ids(B);
@@ -230,9 +229,8 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   }
   const nn::LstmState enc_final = encoder_.state();
 
-  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws,
-                 decode_precision_);
-  attention_.begin(enc_outputs_, B, ws, &lengths, decode_precision_);
+  decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws);
+  attention_.begin(enc_outputs_, B, ws, &lengths);
 
   // Lock-step greedy decode. A finished row keeps stepping (its state no
   // longer feeds anything that is kept), which cannot perturb other rows:
@@ -249,7 +247,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
     const tensor::Workspace::Checkpoint scratch = ws->checkpoint();
     tensor::MatrixView logits = ws->alloc(B, tgt_vocab());
-    out_.forward_into(attn, logits, decode_precision_);
+    out_.forward_into(attn, logits);
     const std::vector<std::int32_t> next =
         nn::argmax_rows(tensor::ConstMatrixView(logits));
     ws->rewind(scratch);

@@ -81,7 +81,7 @@ class Seq2SeqModel {
   /// kernel on this path (gemm, bias, softmax, LSTM gates, attention,
   /// argmax) computes each output row purely from that row's inputs, so the
   /// returned ids — and any score derived from them — are bit-identical to
-  /// decoding each sentence alone at B=1 (under either decode precision).
+  /// decoding each sentence alone at B=1.
   std::vector<std::vector<std::int32_t>> translate_batch(
       const std::vector<const std::vector<std::int32_t>*>& sources);
 
@@ -100,13 +100,6 @@ class Seq2SeqModel {
   /// then detaches the finished model before publishing it to the graph.
   void use_own_workspace() { ws_ = &own_ws_; }
 
-  /// Numeric mode of greedy decodes (translate_batch and its encoder pass):
-  /// kF32 (default) or the int8 quantized-weight path (DESIGN.md §16).
-  /// Training and evaluate_loss always run f32 — int8 has no backward. Set
-  /// at load/config time, not mid-decode.
-  void set_decode_precision(tensor::Precision p) { decode_precision_ = p; }
-  tensor::Precision decode_precision() const { return decode_precision_; }
-
   nn::ParamRegistry& params() { return registry_; }
   const Seq2SeqConfig& config() const { return config_; }
   /// False when the weights are bound views over external (mapped) storage;
@@ -124,7 +117,6 @@ class Seq2SeqModel {
   Seq2SeqConfig config_;
   util::Rng rng_;
   nn::WeightStorage storage_ = nn::WeightStorage::kOwned;
-  tensor::Precision decode_precision_ = tensor::Precision::kF32;
 
   nn::Embedding src_embed_;
   nn::Embedding tgt_embed_;

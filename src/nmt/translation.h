@@ -63,15 +63,6 @@ class TranslationModel {
   const text::Vocabulary& tgt_vocab() const { return tgt_vocab_; }
   Seq2SeqModel& model() { return *model_; }
 
-  /// Numeric mode of greedy decodes (translate / translate_batch / score);
-  /// forwards to Seq2SeqModel::set_decode_precision.
-  void set_decode_precision(tensor::Precision p) {
-    model_->set_decode_precision(p);
-  }
-  tensor::Precision decode_precision() const {
-    return model_->decode_precision();
-  }
-
   /// Keep `pin` alive as long as this model: a mapped model's weights are
   /// views into an io::ArtifactMap's pages, so the map must outlive every
   /// reader (DESIGN.md §15). Idempotent per pin; owned models never call it.

@@ -24,14 +24,12 @@ LuongAttention::LuongAttention(const std::string& name, std::size_t hidden,
 void LuongAttention::begin(
     const std::vector<tensor::ConstMatrixView>& encoder_outputs,
     std::size_t batch, tensor::Workspace* workspace,
-    const std::vector<std::size_t>* source_lengths,
-    tensor::Precision precision) {
+    const std::vector<std::size_t>* source_lengths) {
   DESMINE_EXPECTS(!encoder_outputs.empty(), "attention needs encoder outputs");
   ws_ = workspace != nullptr ? workspace : &own_ws_;
   if (workspace == nullptr) own_ws_.reset();
   enc_.assign(encoder_outputs.begin(), encoder_outputs.end());
   batch_ = batch;
-  precision_ = precision;
   if (source_lengths != nullptr) {
     DESMINE_EXPECTS(source_lengths->size() == batch,
                     "one source length per batch row");
@@ -50,12 +48,8 @@ void LuongAttention::begin(
                     "encoder output shape");
     if (score_ == AttentionScore::kGeneral) {
       tensor::MatrixView t = ws_->alloc(batch, hidden_);
-      if (precision_ == tensor::Precision::kInt8) {
-        tensor::gemm_i8_accum(e, wa_.quantized(), t);  // t is zero-alloc'd
-      } else {
-        tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, e,
-                     wa_.view(), 0.0f, t);
-      }
+      tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, e,
+                   wa_.view(), 0.0f, t);
       transformed_.push_back(t);
     } else {
       transformed_.push_back(e);  // dot score: transformed == encoder output
@@ -132,12 +126,8 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   }
 
   cache.attn = ws_->alloc(batch_, hidden_);
-  if (precision_ == tensor::Precision::kInt8) {
-    tensor::gemm_i8_accum(cache.concat, wc_.quantized(), cache.attn);
-  } else {
-    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
-                 cache.concat, wc_.view(), 0.0f, cache.attn);
-  }
+  tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
+               cache.concat, wc_.view(), 0.0f, cache.attn);
   cache.attn.apply([](float v) { return std::tanh(v); });
 
   steps_.push_back(cache);

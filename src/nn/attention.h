@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "nn/param.h"
-#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -53,12 +52,9 @@ class LuongAttention {
   /// prefix — and hence the context and h~ — is bit-identical to running
   /// that row alone at its compact length. Masked decodes are inference
   /// only: backward_step through a -inf score is undefined.
-  /// `precision` kInt8 routes the Wa/Wc weight GEMMs of this sequence
-  /// through the quantized decode path (inference only).
   void begin(const std::vector<tensor::ConstMatrixView>& encoder_outputs,
              std::size_t batch, tensor::Workspace* workspace = nullptr,
-             const std::vector<std::size_t>* source_lengths = nullptr,
-             tensor::Precision precision = tensor::Precision::kF32);
+             const std::vector<std::size_t>* source_lengths = nullptr);
 
   /// Convenience overload over owned encoder outputs. The pointed-to vector
   /// must outlive the sequence.
@@ -112,7 +108,6 @@ class LuongAttention {
   std::vector<StepCache> steps_;
   std::size_t backward_cursor_ = 0;  ///< steps remaining to backprop
   std::size_t batch_ = 0;
-  tensor::Precision precision_ = tensor::Precision::kF32;  ///< per begin()
 };
 
 }  // namespace desmine::nn

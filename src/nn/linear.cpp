@@ -22,18 +22,13 @@ tensor::Matrix Linear::forward(const tensor::Matrix& x) const {
   return y;
 }
 
-void Linear::forward_into(tensor::ConstMatrixView x, tensor::MatrixView y,
-                          tensor::Precision precision) const {
+void Linear::forward_into(tensor::ConstMatrixView x,
+                          tensor::MatrixView y) const {
   DESMINE_EXPECTS(x.cols() == in_dim(), "linear input dim mismatch");
   DESMINE_EXPECTS(y.rows() == x.rows() && y.cols() == out_dim(),
                   "linear output shape");
-  if (precision == tensor::Precision::kInt8) {
-    y.zero();
-    tensor::gemm_i8_accum(x, weight_.quantized(), y);
-  } else {
-    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, x,
-                 weight_.view(), 0.0f, y);
-  }
+  tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, x,
+               weight_.view(), 0.0f, y);
   if (with_bias_) tensor::add_row_bias(y, bias_.view());
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include "nn/param.h"
-#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "util/rng.h"
 
@@ -24,12 +23,7 @@ class Linear {
   tensor::Matrix forward(const tensor::Matrix& x) const;
 
   /// y = x W + b into a pre-shaped (batch x out) buffer (overwritten).
-  /// `precision` kInt8 runs the weight GEMM through the quantized decode
-  /// path (per-tensor absmax W, per-row dynamic x; inference only — the
-  /// quantized product has no backward).
-  void forward_into(tensor::ConstMatrixView x, tensor::MatrixView y,
-                    tensor::Precision precision =
-                        tensor::Precision::kF32) const;
+  void forward_into(tensor::ConstMatrixView x, tensor::MatrixView y) const;
 
   /// Given dL/dy and the forward input, accumulate parameter gradients and
   /// return dL/dx.

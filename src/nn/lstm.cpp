@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "tensor/kernels.h"
 #include "util/error.h"
 
 namespace desmine::nn {
@@ -39,14 +40,10 @@ LstmStack::LstmStack(const std::string& name, std::size_t input_dim,
 }
 
 void LstmStack::begin(std::size_t batch, const LstmState* init, bool train,
-                      util::Rng* dropout_rng, tensor::Workspace* workspace,
-                      tensor::Precision precision) {
+                      util::Rng* dropout_rng, tensor::Workspace* workspace) {
   DESMINE_EXPECTS(batch > 0, "lstm batch must be > 0");
-  DESMINE_EXPECTS(!train || precision == tensor::Precision::kF32,
-                  "int8 precision is inference-only");
   batch_ = batch;
   train_ = train;
-  precision_ = precision;
   dropout_rng_ = dropout_rng;
   if (train_ && dropout_ > 0.0f) {
     DESMINE_EXPECTS(dropout_rng_ != nullptr,
@@ -95,15 +92,10 @@ void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
   // The fused pre-activation is transient: reclaim it once the gates are out.
   const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
   tensor::MatrixView z = ws_->alloc(batch_, 4 * H);
-  if (precision_ == tensor::Precision::kInt8) {
-    tensor::gemm_i8_accum(input, layers_[l].wx.quantized(), z);
-    tensor::gemm_i8_accum(h_prev, layers_[l].wh.quantized(), z);
-  } else {
-    tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, input,
-                 layers_[l].wx.view(), 1.0f, z);
-    tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, h_prev,
-                 layers_[l].wh.view(), 1.0f, z);
-  }
+  tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, input,
+               layers_[l].wx.view(), 1.0f, z);
+  tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, h_prev,
+               layers_[l].wh.view(), 1.0f, z);
   tensor::add_row_bias(z, layers_[l].b.view());
 
   tensor::lstm_gate_fusion(z, c_prev,

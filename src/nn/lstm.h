@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "nn/param.h"
-#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -47,13 +46,10 @@ class LstmStack {
   /// training with dropout > 0. `workspace`, if given, backs all caches for
   /// this sequence (the caller rewinds it between sequences; begin() never
   /// rewinds a shared workspace). With no workspace an internal arena is
-  /// used and reset here. `precision` selects the weight GEMM mode for this
-  /// sequence: kInt8 runs the Wx/Wh products through the quantized decode
-  /// path (inference only — backward() requires an f32 forward).
+  /// used and reset here.
   void begin(std::size_t batch, const LstmState* init = nullptr,
              bool train = false, util::Rng* dropout_rng = nullptr,
-             tensor::Workspace* workspace = nullptr,
-             tensor::Precision precision = tensor::Precision::kF32);
+             tensor::Workspace* workspace = nullptr);
 
   /// Advance one timestep with input (batch x input_dim); returns the
   /// top-layer hidden output (batch x hidden).
@@ -140,7 +136,6 @@ class LstmStack {
   // Per-sequence scratch (reset by begin()).
   std::size_t batch_ = 0;
   bool train_ = false;
-  tensor::Precision precision_ = tensor::Precision::kF32;
   util::Rng* dropout_rng_ = nullptr;
   tensor::Workspace* ws_ = nullptr;
   tensor::Workspace own_ws_;

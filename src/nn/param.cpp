@@ -1,34 +1,8 @@
 #include "nn/param.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace desmine::nn {
-
-namespace {
-
-// One process-wide mutex guards quantized-view materialization; the path is
-// hit once per tensor per model lifetime, so contention is irrelevant.
-std::mutex& quant_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-}  // namespace
-
-const tensor::QuantizedTensor& Param::quantized() const {
-  std::lock_guard<std::mutex> lock(quant_mutex());
-  if (quant_ == nullptr) {
-    quant_ = std::make_shared<const tensor::QuantizedTensor>(
-        tensor::quantize_absmax(view()));
-  }
-  return *quant_;
-}
-
-void Param::invalidate_quantized() const {
-  std::lock_guard<std::mutex> lock(quant_mutex());
-  quant_.reset();
-}
 
 double ParamRegistry::grad_norm() const {
   double total = 0.0;

@@ -1,11 +1,9 @@
 // Trainable parameters and the registry optimizers iterate over.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "util/error.h"
 
@@ -46,17 +44,6 @@ struct Param {
     return bound_.data() != nullptr ? bound_ : tensor::ConstMatrixView(value);
   }
 
-  /// Read path for the int8 decode kernels: a lazily-materialized per-tensor
-  /// absmax quantization of view() (DESIGN.md §16). The first call quantizes
-  /// and caches; later calls return the cache. Materialization is
-  /// thread-safe; like bind(), invalidation must not race live readers.
-  const tensor::QuantizedTensor& quantized() const;
-
-  /// Drop the cached int8 view because the weight bytes changed. Called by
-  /// bind() and zero_grad(), which every optimizer loop runs before the next
-  /// forward — so training naturally re-materializes a fresh view.
-  void invalidate_quantized() const;
-
   /// True when this Param owns mutable storage the optimizer may update.
   bool trainable() const { return !value.empty(); }
 
@@ -67,13 +54,9 @@ struct Param {
     DESMINE_EXPECTS(external.rows() == rows_ && external.cols() == cols_,
                     "bound storage shape mismatch for " + name);
     bound_ = external;
-    invalidate_quantized();
   }
 
-  void zero_grad() {
-    grad.zero();
-    invalidate_quantized();
-  }
+  void zero_grad() { grad.zero(); }
 
   std::string name;
   tensor::Matrix value;
@@ -83,9 +66,6 @@ struct Param {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   tensor::ConstMatrixView bound_;
-  // shared_ptr (not a plain member) keeps Param copyable/movable and lets
-  // concurrent readers hold the materialized view cheaply.
-  mutable std::shared_ptr<const tensor::QuantizedTensor> quant_;
 };
 
 /// Non-owning list of a model's parameters, in a stable order.

@@ -138,11 +138,6 @@ struct SchedulerConfig {
   std::size_t circuit_probe_after = 16;
   /// Shed sheddable windows older than this at item-pop time (0 disables).
   double max_queue_delay_ms = 0.0;
-  /// Numeric mode of the batched greedy decodes: kF32 (default) or the int8
-  /// quantized-weight path (DESIGN.md §16). Fixed for the scheduler's
-  /// lifetime, so the per-edge decode caches stay self-consistent (a cached
-  /// translation is always replayed under the precision that produced it).
-  tensor::Precision precision = tensor::Precision::kF32;
 };
 
 class BatchScheduler {

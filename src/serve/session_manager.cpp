@@ -60,11 +60,6 @@ void SessionManager::start() {
   DESMINE_EXPECTS(config_.detector.min_coverage >= 0.0 &&
                       config_.detector.min_coverage <= 1.0,
                   "min_coverage must lie in [0, 1]");
-  // Shadow candidates are gated under the serving precision (see
-  // ShadowConfig::precision): a gate passed at f32 says nothing about the
-  // int8 path the promoted generation would actually decode with.
-  config_.shadow.precision = config_.precision;
-
   // Telemetry plane: shape the sliding windows before any instrument is
   // created, then pre-register the scrape-visible instruments so /metrics
   // carries them (zero-valued) from the first scrape, not the first window.
@@ -115,7 +110,6 @@ void SessionManager::start() {
   sched.circuit_open_after = config_.circuit_open_after;
   sched.circuit_probe_after = config_.circuit_probe_after;
   sched.max_queue_delay_ms = config_.max_queue_delay_ms;
-  sched.precision = config_.precision;
   scheduler_ = std::make_unique<BatchScheduler>(
       registry_->current(), sched,
       [this](std::unique_ptr<PendingWindow> window) {

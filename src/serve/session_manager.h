@@ -69,10 +69,6 @@ struct ServeConfig {
   /// Per-session flow control (pending-window budget + block/reject +
   /// consecutive-shed guard).
   SessionLimits limits{};
-  /// Numeric mode of the serve-side greedy decodes: kF32 (default) or the
-  /// int8 quantized-weight path (DESIGN.md §16). Chosen at startup (config
-  /// file `tensor.precision` / `--precision`), never mid-stream.
-  tensor::Precision precision = tensor::Precision::kF32;
 
   // --- Fault tolerance (DESIGN.md §13) ---
   /// Global in-flight budget: windows scheduled for scoring across all

@@ -100,8 +100,7 @@ void ShadowScorer::observe(ShadowSample sample) {
   // left different from the active generation's.
   const std::vector<core::EncodedSentence> encoded =
       encode_window(*candidate_, sample.corpora);
-  const core::EdgeScorer scorer(
-      {candidate_->detector.bleu, config_.precision});
+  const core::EdgeScorer scorer({candidate_->detector.bleu});
   std::size_t surviving = 0;
   std::size_t broken = 0;
   bool any_failed = false;

@@ -58,10 +58,6 @@ struct ShadowConfig {
   double min_agreement = 0.0;
   /// Max sampled windows with candidate decode failures.
   std::size_t max_failures = 0;
-  /// Numeric mode of candidate decodes. Not a config-file knob: the
-  /// SessionManager copies ServeConfig::precision in so the candidate is
-  /// gated under exactly the precision it would serve with if promoted.
-  tensor::Precision precision = tensor::Precision::kF32;
 };
 
 /// What capture() lifts out of a PendingWindow before finalize() consumes

@@ -8,8 +8,8 @@
 // reference — FMA contraction, register-tiled accumulation, vectorized dot
 // reductions, and polynomial exp/tanh all move final-bit rounding. The
 // conformance suite holds them to tight tolerances plus argmax identity.
-// axpy, bias_add, and the int8 GEMM use lane-parallel mul+add only and
-// remain bit-exact; softmax and argmax reuse the scalar reference outright.
+// axpy and bias_add use lane-parallel mul+add only and remain bit-exact;
+// softmax and argmax reuse the scalar reference outright.
 //
 // Workspace arena slices carry no alignment guarantee, so every vector
 // memory access is unaligned (loadu/storeu).
@@ -364,50 +364,6 @@ void lstm_gates_avx2(ConstMatrixView z, ConstMatrixView c_prev,
   }
 }
 
-// Vectorized int32 inner loop; identical integer accumulation and
-// single-multiply dequant as the reference, hence bit-exact.
-void gemm_i8_avx2(ConstMatrixView a, const QuantizedTensor& w,
-                  MatrixView out) {
-  const std::size_t k = w.rows, n = w.cols;
-  std::vector<std::int32_t> qa(k);
-  std::vector<std::int32_t> acc(n);
-  const std::size_t n8 = n - n % 8;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float row_scale = quantize_row_absmax(a.row(i), k, qa.data());
-    if (row_scale == 0.0f) continue;
-    std::fill(acc.begin(), acc.end(), 0);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t q = qa[p];
-      if (q == 0) continue;
-      const std::int8_t* wrow = w.data.data() + p * n;
-      const __m256i qv = _mm256_set1_epi32(q);
-      std::size_t j = 0;
-      for (; j < n8; j += 8) {
-        const __m128i w8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(wrow + j));
-        const __m256i w32 = _mm256_cvtepi8_epi32(w8);
-        const __m256i prod = _mm256_mullo_epi32(qv, w32);
-        __m256i* accv = reinterpret_cast<__m256i*>(acc.data() + j);
-        _mm256_storeu_si256(
-            accv, _mm256_add_epi32(_mm256_loadu_si256(accv), prod));
-      }
-      for (; j < n; ++j) acc[j] += q * wrow[j];
-    }
-    const float deq = row_scale * w.scale;
-    float* orow = out.row(i);
-    const __m256 dv = _mm256_set1_ps(deq);
-    std::size_t j = 0;
-    for (; j < n8; j += 8) {
-      const __m256 fa = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(acc.data() + j)));
-      const __m256 prod = _mm256_mul_ps(dv, fa);
-      _mm256_storeu_ps(orow + j,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j), prod));
-    }
-    for (; j < n; ++j) orow[j] += deq * static_cast<float>(acc[j]);
-  }
-}
-
 }  // namespace
 
 const Ops* avx2_ops() {
@@ -420,7 +376,6 @@ const Ops* avx2_ops() {
     ops.axpy = &axpy_avx2;
     ops.bias_add = &bias_add_avx2;
     ops.lstm_gates = &lstm_gates_avx2;
-    ops.gemm_i8 = &gemm_i8_avx2;
     return ops;
   }();
   return &ops;

@@ -1,10 +1,9 @@
-// Kernel dispatch (ISSUE 10): backend selection state and the public,
-// shape-checked entry points declared in tensor/matrix.h and
-// tensor/kernels.h. Backends (scalar.cpp / blocked.cpp / avx2.cpp) receive
-// pre-validated views and only accumulate; alpha folding and beta handling
-// live here so every backend sees identical semantics.
+// Kernel dispatch: backend selection state and the public, shape-checked
+// entry points declared in tensor/matrix.h and tensor/kernels.h. Backends
+// (scalar.cpp / avx2.cpp) receive pre-validated views and only accumulate;
+// alpha folding and beta handling live here so every backend sees identical
+// semantics.
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -30,8 +29,6 @@ const Ops* ops_for(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return &scalar_ops();
-    case Backend::kBlocked:
-      return &blocked_ops();
     case Backend::kAvx2:
       return avx2_ops();
   }
@@ -40,7 +37,7 @@ const Ops* ops_for(Backend b) {
 
 // Best available backend ignoring the environment override.
 Backend best_backend() {
-  return backend_available(Backend::kAvx2) ? Backend::kAvx2 : Backend::kBlocked;
+  return backend_available(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
 // Startup selection: DESMINE_KERNELS when set, else best available.
@@ -50,7 +47,7 @@ Backend detect_backend() {
     Backend b{};
     DESMINE_EXPECTS(parse_backend(env, &b),
                     std::string("DESMINE_KERNELS: unknown backend '") + env +
-                        "' (expected scalar|blocked|avx2)");
+                        "' (expected scalar|avx2)");
     DESMINE_EXPECTS(backend_available(b),
                     std::string("DESMINE_KERNELS: backend '") + env +
                         "' is not available on this build/CPU");
@@ -86,8 +83,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kBlocked:
-      return "blocked";
     case Backend::kAvx2:
       return "avx2";
   }
@@ -97,8 +92,6 @@ const char* backend_name(Backend b) {
 bool parse_backend(std::string_view name, Backend* out) {
   if (name == "scalar") {
     *out = Backend::kScalar;
-  } else if (name == "blocked") {
-    *out = Backend::kBlocked;
   } else if (name == "avx2") {
     *out = Backend::kAvx2;
   } else {
@@ -115,7 +108,7 @@ bool backend_available(Backend b) {
 }
 
 std::vector<Backend> available_backends() {
-  std::vector<Backend> out{Backend::kScalar, Backend::kBlocked};
+  std::vector<Backend> out{Backend::kScalar};
   if (backend_available(Backend::kAvx2)) out.push_back(Backend::kAvx2);
   return out;
 }
@@ -146,35 +139,11 @@ void select_backend(std::string_view choice) {
   DESMINE_EXPECTS(parse_backend(choice, &b),
                   std::string("unknown kernel backend '") +
                       std::string(choice) +
-                      "' (expected auto|scalar|blocked|avx2)");
+                      "' (expected auto|scalar|avx2)");
   set_backend(b);
 }
 
-Precision apply_kernel_config(const KernelConfig& config) {
-  select_backend(config.kernels);
-  Precision p{};
-  DESMINE_EXPECTS(parse_precision(config.precision, &p),
-                  std::string("unknown precision '") + config.precision +
-                      "' (expected f32|int8)");
-  return p;
-}
-
 }  // namespace kernels
-
-const char* precision_name(Precision p) {
-  return p == Precision::kInt8 ? "int8" : "f32";
-}
-
-bool parse_precision(std::string_view name, Precision* out) {
-  if (name == "f32") {
-    *out = Precision::kF32;
-  } else if (name == "int8") {
-    *out = Precision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // Public entry points. Validation happens once here; backends assume valid
@@ -244,41 +213,6 @@ void lstm_gate_fusion(ConstMatrixView z, ConstMatrixView c_prev,
 void argmax_rows(ConstMatrixView m, std::int32_t* out) {
   DESMINE_EXPECTS(m.cols() > 0, "argmax over empty rows");
   kernels::active_ops().argmax_rows(m, out);
-}
-
-QuantizedTensor quantize_absmax(ConstMatrixView m) {
-  QuantizedTensor q;
-  q.rows = m.rows();
-  q.cols = m.cols();
-  q.data.resize(m.size());
-  float absmax = 0.0f;
-  const float* src = m.data();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    absmax = std::max(absmax, std::abs(src[i]));
-  }
-  if (absmax == 0.0f) {
-    q.scale = 1.0f;
-    return q;  // data already zero-filled by resize
-  }
-  q.scale = absmax / 127.0f;
-  const float inv = 127.0f / absmax;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const float v = src[i] * inv;
-    const float clamped = std::min(127.0f, std::max(-127.0f, v));
-    q.data[i] = static_cast<std::int8_t>(std::lround(clamped));
-  }
-  return q;
-}
-
-void gemm_i8_accum(ConstMatrixView a, const QuantizedTensor& w,
-                   MatrixView out) {
-  DESMINE_EXPECTS(a.cols() == w.rows, "inner dimensions must agree");
-  DESMINE_EXPECTS(out.rows() == a.rows() && out.cols() == w.cols,
-                  "output shape mismatch");
-  DESMINE_EXPECTS(w.data.size() == w.rows * w.cols,
-                  "quantized tensor storage mismatch");
-  if (a.cols() == 0) return;
-  kernels::active_ops().gemm_i8(a, w, out);
 }
 
 }  // namespace desmine::tensor

@@ -9,9 +9,8 @@
 //    bodies bit for bit, including the av == 0 skip and loop order.
 //  * axpy / bias_add / softmax / argmax: bit-exact across all backends
 //    (lane-parallel vectorization only; exp and row sums in scalar order).
-//  * lstm_gates: out.c may alias c_prev; kScalar/kBlocked must use libm
+//  * lstm_gates: out.c may alias c_prev; kScalar must use libm
 //    transcendentals (bit-exact); kAvx2 may use vector polynomials.
-//  * gemm_i8: identical int32 accumulation across backends.
 #pragma once
 
 #include "tensor/kernels.h"
@@ -35,17 +34,11 @@ struct Ops {
   void (*lstm_gates)(ConstMatrixView z, ConstMatrixView c_prev,
                      const LstmGateViews& out);
   void (*argmax_rows)(ConstMatrixView m, std::int32_t* out);
-  void (*gemm_i8)(ConstMatrixView a, const QuantizedTensor& w, MatrixView out);
 };
 
 const Ops& scalar_ops();
-const Ops& blocked_ops();
 /// Null when this build carries no AVX2 TU (non-x86 toolchain); runtime
 /// CPUID gating happens in dispatch.cpp on top of this.
 const Ops* avx2_ops();
-
-/// Shared int8 helper (defined in scalar.cpp): quantize one activation row
-/// with its own absmax; returns the row's dequant scale (0 for a zero row).
-float quantize_row_absmax(const float* arow, std::size_t k, std::int32_t* qa);
 
 }  // namespace desmine::tensor::kernels

@@ -1,10 +1,10 @@
 // Scalar reference backend: the historical matrix.cpp loop bodies, moved
-// here verbatim (ISSUE 10). This backend defines the numerics every other
-// backend is measured against — the golden-regression tests pin its bit
-// patterns, so the loop order, the av == 0 skips, and the libm calls must
-// not change. With alpha == 1 the folded `alpha * arow[p]` multiplies are
-// exact (1.0f * x == x), so the gemm kernels reproduce the pre-refactor
-// matmul/matmul_accum/matmul_trans{A,B}_accum results bit for bit.
+// here verbatim. This backend defines the numerics the avx2 backend is
+// measured against — the golden-regression tests pin its bit patterns, so
+// the loop order, the av == 0 skips, and the libm calls must not change.
+// With alpha == 1 the folded `alpha * arow[p]` multiplies are exact
+// (1.0f * x == x), so the gemm kernels reproduce the original per-variant
+// matrix products bit for bit.
 #include <algorithm>
 #include <cmath>
 
@@ -150,64 +150,11 @@ void argmax_rows_scalar(ConstMatrixView m, std::int32_t* out) {
 
 }  // namespace
 
-// Shared by every backend: the dynamic per-row activation quantization of
-// the int8 decode GEMM. Returns the row's dequantization scale (absmax/127)
-// or 0 for an all-zero row. Integer accumulation is exact and commutative,
-// so as long as backends keep the single-multiply dequant below, gemm_i8
-// results are bit-identical across backends. Non-static for the sibling
-// TUs.
-float quantize_row_absmax(const float* arow, std::size_t k, std::int32_t* qa) {
-  float absmax = 0.0f;
-  for (std::size_t p = 0; p < k; ++p) {
-    absmax = std::max(absmax, std::abs(arow[p]));
-  }
-  if (absmax == 0.0f) return 0.0f;
-  const float inv = 127.0f / absmax;
-  for (std::size_t p = 0; p < k; ++p) {
-    const float q = arow[p] * inv;
-    const float clamped = std::min(127.0f, std::max(-127.0f, q));
-    qa[p] = static_cast<std::int32_t>(std::lround(clamped));
-  }
-  return absmax / 127.0f;
-}
-
-namespace {
-
-// i-k-j over int32 accumulators: same memory pattern as the f32 reference
-// (W rows stream sequentially), with the q == 0 skip mirroring the f32
-// av == 0 skip. |q * w| <= 127² and k stays in the hundreds, so int32
-// accumulation cannot overflow for any realistic model dimension.
-void gemm_i8_scalar(ConstMatrixView a, const QuantizedTensor& w,
-                    MatrixView out) {
-  const std::size_t k = w.rows, n = w.cols;
-  std::vector<std::int32_t> qa(k);
-  std::vector<std::int32_t> acc(n);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float row_scale = quantize_row_absmax(a.row(i), k, qa.data());
-    if (row_scale == 0.0f) continue;
-    std::fill(acc.begin(), acc.end(), 0);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t q = qa[p];
-      if (q == 0) continue;
-      const std::int8_t* wrow = w.data.data() + p * n;
-      for (std::size_t j = 0; j < n; ++j) acc[j] += q * wrow[j];
-    }
-    const float deq = row_scale * w.scale;
-    float* orow = out.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      orow[j] += deq * static_cast<float>(acc[j]);
-    }
-  }
-}
-
-}  // namespace
-
 const Ops& scalar_ops() {
   static const Ops ops = {
       &gemm_nn_scalar, &gemm_tn_scalar,      &gemm_nt_scalar,
       &gemm_tt_scalar, &axpy_scalar,         &bias_add_scalar,
       &softmax_rows_scalar, &lstm_gates_scalar, &argmax_rows_scalar,
-      &gemm_i8_scalar,
   };
   return ops;
 }

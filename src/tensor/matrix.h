@@ -1,7 +1,7 @@
 // Row-major single-precision matrix kernel.
 //
 // This is the numeric substrate for desmine::nn. It deliberately stays small:
-// dense f32 storage, a cache-blocked GEMM with transpose variants, and the
+// dense f32 storage, one dispatched GEMM with transpose variants, and the
 // elementwise helpers the LSTM/attention layers need. Vectors are 1xN or Nx1
 // matrices; there is no broadcasting beyond the row-bias helper.
 //
@@ -224,54 +224,23 @@ enum class Transpose : std::uint8_t { kNo, kTrans };
 /// out (it is zeroed first, so prior NaN/Inf never leak through); beta == 1
 /// accumulates. The call dispatches to the kernel backend selected at
 /// startup (tensor/kernels.h): the scalar backend is the bit-exact golden
-/// reference, the blocked backend is bit-identical to it, and the AVX2+FMA
-/// backend is deterministic but may differ in final-bit rounding (see
-/// DESIGN.md §16 for the per-backend bit-compatibility contract).
+/// reference, and the AVX2+FMA backend is deterministic but may differ in
+/// final-bit rounding (see DESIGN.md §16 for the per-backend
+/// bit-compatibility contract).
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, ConstMatrixView a,
           ConstMatrixView b, float beta, MatrixView out);
 
 /// Add a 1 x cols bias row to every row of m. Backend-dispatched; bit-exact
-/// across every f32 backend.
+/// across every backend.
 void add_row_bias(MatrixView m, ConstMatrixView bias);
 
 /// y += alpha * x (flat AXPY over equal-shaped matrices). Backend-
-/// dispatched; bit-exact across every f32 backend.
+/// dispatched; bit-exact across every backend.
 void axpy(float alpha, ConstMatrixView x, MatrixView y);
 
 /// Row-wise softmax in place. Backend-dispatched; bit-exact across every
-/// f32 backend (exp and the row sum always run in scalar reference order).
+/// backend (exp and the row sum always run in scalar reference order).
 void softmax_rows(MatrixView m);
-
-// --- Deprecated pre-gemm entry points (ISSUE 10) -------------------------
-// One release of source compatibility for the four ad-hoc matmul free
-// functions; every in-tree call site now uses tensor::gemm directly.
-
-/// out = A * B. Shapes: (m x k) * (k x n) -> (m x n).
-[[deprecated("use tensor::gemm(Transpose::kNo, Transpose::kNo, 1, a, b, 0, out)")]]
-inline void matmul(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
-  gemm(Transpose::kNo, Transpose::kNo, 1.0f, a, b, 0.0f, out);
-}
-
-/// out += A * B.
-[[deprecated("use tensor::gemm(Transpose::kNo, Transpose::kNo, 1, a, b, 1, out)")]]
-inline void matmul_accum(ConstMatrixView a, ConstMatrixView b,
-                         MatrixView out) {
-  gemm(Transpose::kNo, Transpose::kNo, 1.0f, a, b, 1.0f, out);
-}
-
-/// out += A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n).
-[[deprecated("use tensor::gemm(Transpose::kTrans, Transpose::kNo, 1, a, b, 1, out)")]]
-inline void matmul_transA_accum(ConstMatrixView a, ConstMatrixView b,
-                                MatrixView out) {
-  gemm(Transpose::kTrans, Transpose::kNo, 1.0f, a, b, 1.0f, out);
-}
-
-/// out += A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n).
-[[deprecated("use tensor::gemm(Transpose::kNo, Transpose::kTrans, 1, a, b, 1, out)")]]
-inline void matmul_transB_accum(ConstMatrixView a, ConstMatrixView b,
-                                MatrixView out) {
-  gemm(Transpose::kNo, Transpose::kTrans, 1.0f, a, b, 1.0f, out);
-}
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
 

@@ -4,9 +4,10 @@
 //   2    usage error
 //   3    training completed but some pairs permanently failed
 //   4    detection completed degraded (windows below the coverage quorum)
-// The CLI binary path is injected by CMake as DESMINE_CLI_PATH; faults are
-// injected into the spawned process via the DESMINE_FAULTS environment
-// variable (see robust::FaultInjector).
+// desmine_serve shares the usage-error contract for options it does not
+// take. The binary paths are injected by CMake as DESMINE_CLI_PATH and
+// DESMINE_SERVE_PATH; faults are injected into the spawned process via the
+// DESMINE_FAULTS environment variable (see robust::FaultInjector).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -28,15 +29,20 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
-/// Run the CLI with `args` (and an optional DESMINE_FAULTS value for the
+/// Run `tool` with `args` (and an optional DESMINE_FAULTS value for the
 /// child only) and return its exit code; -1 if it died on a signal.
-int run_cli(const std::string& args, const std::string& faults = "") {
+int run_tool(const std::string& tool, const std::string& args,
+             const std::string& faults = "") {
   std::string cmd;
   if (!faults.empty()) cmd += "DESMINE_FAULTS='" + faults + "' ";
-  cmd += std::string(DESMINE_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+  cmd += tool + " " + args + " >/dev/null 2>&1 </dev/null";
   const int status = std::system(cmd.c_str());
   if (status < 0 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
+}
+
+int run_cli(const std::string& args, const std::string& faults = "") {
+  return run_tool(DESMINE_CLI_PATH, args, faults);
 }
 
 /// Tiny plant CSVs shared by the train tests (generated once).
@@ -77,6 +83,27 @@ TEST(CliExitCodes, UnknownCommandIsUsageError) {
 
 TEST(CliExitCodes, MissingOptionValueIsUsageError) {
   EXPECT_EQ(run_cli("generate --out"), 2);
+}
+
+TEST(CliExitCodes, UnknownOptionIsUsageError) {
+  // A misspelled option must not silently fall back to its default.
+  const TempFile csv("typo.csv");
+  EXPECT_EQ(run_cli("generate --out " + csv.path +
+                    " --days 1 --minutes 40 --dayz 7 --precison int8"),
+            2);
+  EXPECT_EQ(run_cli("generate --out " + csv.path + " --days=1 --dayz=7"), 2);
+  // Nothing ran: the check precedes the command's work.
+  EXPECT_FALSE(std::ifstream(csv.path).good());
+}
+
+TEST(ServeExitCodes, UnknownOptionIsUsageError) {
+  EXPECT_EQ(run_tool(DESMINE_SERVE_PATH, "--dump-config"), 0);
+  EXPECT_EQ(run_tool(DESMINE_SERVE_PATH, "--dump-config --kernelz scalar"), 2);
+  // Rejected before the model is opened, so no artifact is needed.
+  EXPECT_EQ(run_tool(DESMINE_SERVE_PATH,
+                     "--model /tmp/desmine_cli_no_such_model.bin "
+                     "--precision int8"),
+            2);
 }
 
 TEST(CliExitCodes, MissingRequiredOptionIsUsageError) {
@@ -197,6 +224,18 @@ TEST(CliExitCodes, SkipModeDetectSucceedsDespiteBadRow) {
   // Skipping removes the tick for every sensor, so alignment (and strict
   // scoring) survives.
   EXPECT_EQ(run_cli(detect_args(bad.path) + " --on-bad-row skip"), 0);
+}
+
+TEST(CliExitCodes, RetiredPrecisionOptionIsUsageError) {
+  EXPECT_EQ(run_cli(detect_args(detect_fixture().test.path) +
+                    " --precision int8"),
+            2);
+}
+
+TEST(CliExitCodes, RetiredBlockedKernelsIsUsageError) {
+  EXPECT_EQ(run_cli(detect_args(detect_fixture().test.path) +
+                    " --kernels blocked"),
+            2);
 }
 
 TEST(CliExitCodes, BadOnBadRowValueIsUsageError) {

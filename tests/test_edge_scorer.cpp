@@ -2,7 +2,7 @@
 // (core::EdgeScorer). Batch detection, the streaming OnlineDetector and the
 // serving SessionManager all score through it, so their a_t, broken sets,
 // coverage, degraded flags and f(i,j) must agree bit for bit — strict and
-// degraded, f32 and int8, and on an edge whose source has more distinct
+// degraded, and on an edge whose source has more distinct
 // sentences than one stacked decode holds (nmt::kMaxDecodeRows). Scoring
 // runs on ids encoded once per sensor, so f(i,j) must also match the string
 // sentence_bleu of the decoded strings, and every edge must share its
@@ -163,13 +163,11 @@ std::vector<Verdict> online_verdicts(const Fixture& f,
 std::vector<Verdict> served_verdicts(const Fixture& f,
                                      const dc::MultivariateSeries& series,
                                      const dc::DetectorConfig& detector,
-                                     dc::DegradedConfig degraded,
-                                     dt::Precision precision) {
+                                     dc::DegradedConfig degraded) {
   ds::ServeConfig scfg;
   scfg.detector = detector;
   scfg.workers = 2;
   scfg.max_batch = 8;
-  scfg.precision = precision;
   // A budget of one window per tick never blocks ingest.
   scfg.limits.max_pending_windows = series.front().events.size();
   ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
@@ -201,15 +199,13 @@ void expect_same(const std::vector<Verdict>& expected,
 /// one-window detect() the streaming path runs, bit for bit.
 void expect_edge_bleu_matches_per_window(
     const Fixture& f, const std::vector<dx::Corpus>& corpora,
-    const dc::HealthMask* mask, dt::Precision precision,
-    const dc::DetectionResult& batch) {
+    const dc::HealthMask* mask, const dc::DetectionResult& batch) {
   const dc::AnomalyDetector detector(f.framework.graph(), f.cfg.detector);
   for (std::size_t t = 0; t < batch.anomaly_scores.size(); ++t) {
     std::vector<dx::Corpus> one;
     for (const dx::Corpus& c : corpora) one.push_back({c[t]});
     dc::HealthMask one_mask;
     dc::DetectOptions options;
-    options.precision = precision;
     if (mask != nullptr) {
       one_mask.push_back((*mask)[t]);
       options.unhealthy = &one_mask;
@@ -342,12 +338,10 @@ TEST(EdgeScorer, BatchOnlineAndServeAgreeStrict) {
   const std::vector<Verdict> expected = batch_verdicts(batch);
   expect_same(expected, online_verdicts(f, series, f.cfg.detector, {}),
               "online");
-  expect_same(expected,
-              served_verdicts(f, series, f.cfg.detector, {},
-                              dt::Precision::kF32),
+  expect_same(expected, served_verdicts(f, series, f.cfg.detector, {}),
               "serve");
   expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
-                                      nullptr, dt::Precision::kF32, batch);
+                                      nullptr, batch);
 }
 
 TEST(EdgeScorer, BatchOnlineAndServeAgreeDegraded) {
@@ -367,44 +361,13 @@ TEST(EdgeScorer, BatchOnlineAndServeAgreeDegraded) {
   EXPECT_GT(quorum_lost, 0u);
   expect_same(expected, online_verdicts(f, series, f.cfg.detector, degraded),
               "online");
-  expect_same(expected,
-              served_verdicts(f, series, f.cfg.detector, degraded,
-                              dt::Precision::kF32),
+  expect_same(expected, served_verdicts(f, series, f.cfg.detector, degraded),
               "serve");
 
   const dc::HealthMask mask = dc::window_health_mask(
       f.framework.encrypter(), f.cfg.window, series, degraded.health);
   expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
-                                      &mask, dt::Precision::kF32, batch);
-}
-
-TEST(EdgeScorer, BatchAndServeAgreeUnderInt8AndRestorePrecision) {
-  auto& f = fixture();
-  const auto series = make_series(600, 7);
-  const dc::DetectionResult batch =
-      f.framework.detect(series, dt::Precision::kInt8);
-  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
-    if (e.model) {
-      EXPECT_EQ(e.model->decode_precision(), dt::Precision::kF32);
-    }
-  }
-  expect_same(batch_verdicts(batch),
-              served_verdicts(f, series, f.cfg.detector, {},
-                              dt::Precision::kInt8),
-              "serve");
-  expect_edge_bleu_matches_per_window(f, f.framework.to_corpora(series),
-                                      nullptr, dt::Precision::kInt8, batch);
-
-  // A model pinned to int8 keeps that mode across an f32 detect.
-  const dc::MvrEdge* pinned = nullptr;
-  for (const dc::MvrEdge& e : f.framework.graph().edges()) {
-    if (e.model) pinned = &e;
-  }
-  ASSERT_NE(pinned, nullptr);
-  pinned->model->set_decode_precision(dt::Precision::kInt8);
-  (void)f.framework.detect(series);
-  EXPECT_EQ(pinned->model->decode_precision(), dt::Precision::kInt8);
-  pinned->model->set_decode_precision(dt::Precision::kF32);
+                                      &mask, batch);
 }
 
 TEST(EdgeScorer, CountersTrackScoredPairsAndDecodes) {

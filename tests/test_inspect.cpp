@@ -102,6 +102,14 @@ TEST(InspectCli, NoArgumentsIsUsageError) {
   EXPECT_EQ(run_inspect("").first, 2);
 }
 
+TEST(InspectCli, UnknownOptionIsUsageError) {
+  // Rejected before the file is opened, so a misspelling never runs.
+  EXPECT_EQ(run_inspect("--model /tmp/desmine_inspect_no_such_file.bin "
+                        "--edgez 4")
+                .first,
+            2);
+}
+
 TEST(InspectCli, MissingFileIsRuntimeError) {
   EXPECT_EQ(run_inspect("--model /tmp/desmine_inspect_no_such_file.bin").first,
             1);

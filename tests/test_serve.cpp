@@ -375,6 +375,7 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   c.serve.decode_cache = 128;
   c.serve.limits.max_pending_windows = 9;
   c.serve.limits.reject_when_full = true;
+  c.tensor.kernels = "scalar";
 
   const std::string json = dio::run_config_to_json(c);
   const dio::RunConfig back = dio::run_config_from_json(json);
@@ -409,6 +410,7 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   EXPECT_EQ(back.serve.decode_cache, 128u);
   EXPECT_EQ(back.serve.limits.max_pending_windows, 9u);
   EXPECT_TRUE(back.serve.limits.reject_when_full);
+  EXPECT_EQ(back.tensor.kernels, "scalar");
   // ServeConfig mirrors the detector section.
   EXPECT_EQ(back.serve.detector.tolerance, 1.25);
 
@@ -427,6 +429,15 @@ TEST(ConfigJson, RejectsUnknownKeysNamingTheDottedPath) {
   }
   EXPECT_THROW(dio::run_config_from_json(R"({"servee": {}})"),
                desmine::PreconditionError);
+  // The tensor section carries only the backend choice.
+  try {
+    dio::run_config_from_json(R"({"tensor": {"precision": "f32"}})");
+    FAIL() << "expected PreconditionError";
+  } catch (const desmine::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'tensor.precision'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigJson, ValidatesRangesNamingTheBadKey) {
@@ -450,6 +461,14 @@ TEST(ConfigJson, ValidatesRangesNamingTheBadKey) {
       desmine::PreconditionError);
   EXPECT_THROW(dio::run_config_from_json(R"({"serve": {"max_batch": 1.5}})"),
                desmine::PreconditionError);
+  // Backend names are validated at parse time: "blocked" is not one.
+  try {
+    dio::run_config_from_json(R"({"tensor": {"kernels": "blocked"}})");
+    FAIL() << "expected PreconditionError";
+  } catch (const desmine::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("tensor.kernels"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigJson, MalformedJsonNamesTheOffset) {

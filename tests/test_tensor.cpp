@@ -145,21 +145,6 @@ TEST(Matrix, MatmulShapeChecks) {
                desmine::PreconditionError);
 }
 
-TEST(Matrix, DeprecatedMatmulShimStillWorks) {
-  // One release of source compatibility (ISSUE 10): the pre-gemm matmul
-  // name keeps compiling and forwarding. Conformance of all four shims
-  // lives in test_kernels.
-  Rng rng(8);
-  const auto a = random_matrix(3, 4, rng);
-  const auto b = random_matrix(4, 2, rng);
-  dt::Matrix out(3, 2);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  dt::matmul(a, b, out);
-#pragma GCC diagnostic pop
-  expect_near(out, naive_matmul(a, b));
-}
-
 TEST(Matrix, AddRowBias) {
   auto m = dt::Matrix::from_rows({{1, 2}, {3, 4}});
   const auto bias = dt::Matrix::from_rows({{10, 20}});

@@ -29,7 +29,8 @@
 // Exit codes (documented in README.md):
 //   0    success
 //   1    runtime failure (I/O error, corrupt artifact, ...)
-//   2    usage error (unknown command, bad/missing option, precondition)
+//   2    usage error (unknown command, an option the command does not take,
+//        bad/missing option, precondition)
 //   3    training completed but some pairs permanently failed
 //   4    detection completed degraded (some windows below the coverage
 //        quorum emitted no verdict)
@@ -48,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "core/framework.h"
 #include "data/plant.h"
 #include "io/config_json.h"
@@ -64,68 +66,44 @@
 #include "util/table.h"
 
 using namespace desmine;
+using tools::Args;
 
 namespace {
 
-/// Options that take no value; present means true.
-const std::set<std::string>& boolean_flags() {
-  static const std::set<std::string> flags = {"resume", "degraded",
-                                              "dump-config"};
-  return flags;
-}
-
-/// Minimal --key value argument map. Accepts both "--key value" and
-/// "--key=value"; flags listed in boolean_flags() take no value.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw PreconditionError("expected --option, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (boolean_flags().count(key) != 0) {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw PreconditionError("missing value for --" + key);
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw PreconditionError("missing required option --" + key);
-    }
-    return it->second;
-  }
-
-  std::string get_or(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  bool flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+/// What one subcommand reads: options that take a value, and valueless
+/// flags. Anything else on its command line is a usage error.
+struct CommandOptions {
+  std::set<std::string> options;
+  std::set<std::string> flags;
 };
+
+const std::map<std::string, CommandOptions>& command_options() {
+  static const std::map<std::string, CommandOptions> commands = [] {
+    std::map<std::string, CommandOptions> m = {
+        {"generate",
+         {{"out", "days", "minutes", "seed", "components", "anomaly-day"}, {}}},
+        {"train",
+         {{"config", "kernels", "train", "dev", "out", "word", "word-stride",
+           "sentence", "sentence-stride", "embedding", "hidden", "layers",
+           "dropout", "steps", "batch", "lr", "seed", "threads", "checkpoint",
+           "pair-timeout-s", "max-retries", "lo", "hi", "tolerance"},
+          {"dump-config", "resume"}}},
+        {"detect",
+         {{"config", "kernels", "model", "test", "lo", "hi", "tolerance",
+           "min-coverage", "on-bad-row", "max-bad-rows", "quarantine",
+           "health-drop-after", "health-stale-after", "health-unk-rate",
+           "health-unk-window", "health-readmit-after"},
+          {"dump-config", "degraded"}}},
+        {"inspect", {{"model", "lo", "hi"}, {}}},
+    };
+    for (auto& [name, command] : m) {
+      command.options.insert({"log-level", "log-json", "metrics-out",
+                              "metrics-interval-s", "trace-out"});
+    }
+    return m;
+  }();
+  return commands;
+}
 
 /// --config FILE as the option baseline; explicit flags override it.
 io::RunConfig base_config(const Args& args) {
@@ -134,14 +112,13 @@ io::RunConfig base_config(const Args& args) {
   return io::load_run_config(path);
 }
 
-/// Fold --kernels/--precision over the config file's `tensor` section
-/// (explicit flags win, like every other option). The caller applies the
-/// result via tensor::kernels::apply_kernel_config after any --dump-config
-/// exit, so a dump reflects the flags without requiring the backend to be
-/// available on this machine.
+/// Fold --kernels over the config file's `tensor` section (explicit flags
+/// win, like every other option). The caller applies the result via
+/// tensor::kernels::select_backend after any --dump-config exit, so a dump
+/// reflects the flag without requiring the backend to be available on this
+/// machine.
 void merge_tensor_flags(const Args& args, io::RunConfig& run) {
   run.tensor.kernels = args.get_or("kernels", run.tensor.kernels);
-  run.tensor.precision = args.get_or("precision", run.tensor.precision);
 }
 
 core::FrameworkConfig config_from(const Args& args,
@@ -228,8 +205,7 @@ int cmd_train(const Args& args) {
     std::cout << io::run_config_to_json(run);
     return 0;
   }
-  // Training always runs f32; --kernels still picks the backend it runs on.
-  tensor::kernels::apply_kernel_config(run.tensor);
+  tensor::kernels::select_backend(run.tensor.kernels);
   obs::logger().info("compute kernels selected",
                      {obs::kv("backend", tensor::kernels::backend_name(
                                              tensor::kernels::active_backend()))});
@@ -317,13 +293,11 @@ int cmd_detect(const Args& args) {
     std::cout << io::run_config_to_json(run);
     return 0;
   }
-  const tensor::Precision precision =
-      tensor::kernels::apply_kernel_config(run.tensor);
+  tensor::kernels::select_backend(run.tensor.kernels);
   obs::logger().info(
       "compute kernels selected",
       {obs::kv("backend", tensor::kernels::backend_name(
-                              tensor::kernels::active_backend())),
-       obs::kv("precision", tensor::precision_name(precision))});
+                              tensor::kernels::active_backend()))});
 
   const bool degraded_mode = args.flag("degraded");
   io::CsvOptions csv_opts;
@@ -356,9 +330,8 @@ int cmd_detect(const Args& args) {
 
   const auto result =
       degraded_mode
-          ? fw.detect_degraded(test_series, health, report.missing_ticks,
-                               precision)
-          : fw.detect(test_series, precision);
+          ? fw.detect_degraded(test_series, health, report.missing_ticks)
+          : fw.detect(test_series);
 
   std::size_t degraded_windows = 0;
   if (degraded_mode) {
@@ -464,12 +437,10 @@ void usage() {
          "                       flags still win); see --dump-config\n"
          "  --dump-config        print the effective config as JSON and exit\n"
          "                       (also: desmine_cli --dump-config for defaults)\n"
-         "compute kernels (train/detect; config keys tensor.kernels/.precision):\n"
-         "  --kernels auto|scalar|blocked|avx2   backend for the dense kernels\n"
+         "compute kernels (train/detect; config key tensor.kernels):\n"
+         "  --kernels auto|scalar|avx2   backend for the dense kernels\n"
          "                       (default auto: DESMINE_KERNELS env, else best\n"
          "                       available for this CPU)\n"
-         "  --precision f32|int8 decode precision for detect scoring (training\n"
-         "                       always runs f32)\n"
          "observability (any subcommand; --key=value also accepted):\n"
          "  --log-level trace|debug|info|warn|error|off   (default info)\n"
          "  --log-json FILE      JSON-lines log in addition to stderr\n"
@@ -477,7 +448,8 @@ void usage() {
          "  --metrics-interval-s N  also re-write --metrics-out atomically\n"
          "                       every N seconds during the run\n"
          "  --trace-out FILE     dump chrome://tracing span JSON on exit\n"
-         "exit codes: 0 ok | 1 runtime error | 2 usage error |\n"
+         "exit codes: 0 ok | 1 runtime error | 2 usage error (including an\n"
+         "            option the command does not take) |\n"
          "            3 trained with permanently failed pairs |\n"
          "            4 detection completed degraded | 130 interrupted\n";
 }
@@ -573,9 +545,15 @@ int main(int argc, char** argv) {
     std::cout << io::run_config_to_json({});
     return 0;
   }
+  const auto options = command_options().find(command);
+  if (options == command_options().end()) {
+    usage();
+    return 2;
+  }
   std::unique_ptr<Args> args;
   try {
-    args = std::make_unique<Args>(argc, argv, 2);
+    args = std::make_unique<Args>(argc, argv, 2, options->second.options,
+                                  options->second.flags);
     setup_observability(*args);
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
@@ -597,19 +575,10 @@ int main(int argc, char** argv) {
           metrics_out, metrics_interval);
     }
 
-    int rc = 2;
-    if (command == "generate") {
-      rc = cmd_generate(*args);
-    } else if (command == "train") {
-      rc = cmd_train(*args);
-    } else if (command == "detect") {
-      rc = cmd_detect(*args);
-    } else if (command == "inspect") {
-      rc = cmd_inspect(*args);
-    } else {
-      usage();
-      return 2;
-    }
+    const int rc = command == "generate" ? cmd_generate(*args)
+                   : command == "train"  ? cmd_train(*args)
+                   : command == "detect" ? cmd_detect(*args)
+                                         : cmd_inspect(*args);
     dump_observability(*args);
     return rc;
   } catch (const robust::Interrupted& e) {

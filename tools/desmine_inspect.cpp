@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "args.h"
 #include "core/framework.h"
 #include "io/artifact_map.h"
 #include "io/serialize.h"
@@ -33,55 +34,9 @@
 #include "util/version.h"
 
 using namespace desmine;
+using tools::Args;
 
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    static const std::set<std::string> boolean_flags = {"json", "verify"};
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw PreconditionError("expected --option, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (boolean_flags.count(key) != 0) {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw PreconditionError("missing value for --" + key);
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw PreconditionError("missing required option --" + key);
-    }
-    return it->second;
-  }
-
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  bool flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -104,7 +59,7 @@ struct InspectOptions {
   std::size_t max_edges = 16;  // 0 = all
 };
 
-/// "avx2 (scalar blocked avx2 available)" — what this host would decode
+/// "avx2 (scalar avx2 available)" — what this host would decode
 /// with, for ops parity with /statusz.
 std::string kernels_summary() {
   std::string out = tensor::kernels::backend_name(
@@ -294,7 +249,9 @@ void usage() {
 int main(int argc, char** argv) {
   std::unique_ptr<Args> args;
   try {
-    args = std::make_unique<Args>(argc, argv, 1);
+    args = std::make_unique<Args>(argc, argv, 1,
+                                  std::set<std::string>{"model", "edges"},
+                                  std::set<std::string>{"json", "verify"});
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
     usage();

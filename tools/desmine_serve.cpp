@@ -47,12 +47,13 @@
 // --max-pending --reject-when-full), fault-tolerance knobs
 // (--max-global-pending --max-queue-delay-ms --max-consecutive-shed
 // --circuit-open-after --circuit-probe-after), compute-kernel knobs
-// (--kernels --precision, DESIGN.md §16), telemetry knobs
+// (--kernels, DESIGN.md §16), telemetry knobs
 // (--telemetry-port --slow-window-ms --sliding-window-s --sliding-epochs;
 // /metrics serves Prometheus text, /statusz the version/uptime/generation/
 // stage-quantiles document), health knobs as desmine_cli detect, and the
-// shared observability flags. Exit codes match desmine_cli:
-// 0 ok | 1 runtime error | 2 usage error | 130 interrupted.
+// shared observability flags; any other option is a usage error. Exit
+// codes match desmine_cli: 0 ok | 1 runtime error | 2 usage error |
+// 130 interrupted.
 #include <csignal>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -74,6 +75,7 @@
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "desmine.h"
 #include "obs/json.h"
 #include "robust/checkpoint.h"
@@ -82,66 +84,22 @@
 #include "util/version.h"
 
 using namespace desmine;
+using tools::Args;
 
 namespace {
 
-const std::set<std::string>& boolean_flags() {
-  static const std::set<std::string> flags = {
-      "dump-config", "reject-when-full", "force-heap-fallback"};
-  return flags;
-}
-
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw PreconditionError("expected --option, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (boolean_flags().count(key) != 0) {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw PreconditionError("missing value for --" + key);
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw PreconditionError("missing required option --" + key);
-    }
-    return it->second;
-  }
-
-  std::string get_or(const std::string& key,
-                     const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  bool flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+/// Every option the service reads; anything else is a usage error.
+const std::set<std::string> kOptions = {
+    "model", "config", "listen", "lo", "hi", "tolerance", "min-coverage",
+    "health-drop-after", "health-stale-after", "health-unk-rate",
+    "health-unk-window", "health-readmit-after", "workers", "max-batch",
+    "decode-cache", "max-pending", "max-consecutive-shed",
+    "max-global-pending", "max-queue-delay-ms", "circuit-open-after",
+    "circuit-probe-after", "telemetry-port", "resident-bytes",
+    "resident-edges", "kernels", "slow-window-ms", "sliding-window-s",
+    "sliding-epochs", "log-level", "log-json", "metrics-out"};
+const std::set<std::string> kFlags = {"dump-config", "reject-when-full",
+                                      "force-heap-fallback"};
 
 io::RunConfig effective_config(const Args& args) {
   io::RunConfig run;
@@ -199,11 +157,10 @@ io::RunConfig effective_config(const Args& args) {
       "sliding-epochs", static_cast<double>(s.sliding_epochs)));
   s.detector = d;
 
-  // --kernels/--precision override the config file's `tensor` section; the
-  // choice is validated and applied at startup (after any --dump-config
-  // exit), never mid-stream.
+  // --kernels overrides the config file's `tensor` section; the choice is
+  // validated and applied at startup (after any --dump-config exit), never
+  // mid-stream.
   run.tensor.kernels = args.get_or("kernels", run.tensor.kernels);
-  run.tensor.precision = args.get_or("precision", run.tensor.precision);
   return run;
 }
 
@@ -267,8 +224,6 @@ std::string statusz_json(const serve::SessionManager& manager) {
       static_cast<std::uint64_t>(manager.valid_model_count()));
   w.key("kernels").value(
       tensor::kernels::backend_name(tensor::kernels::active_backend()));
-  w.key("precision").value(
-      tensor::precision_name(manager.config().precision));
   lifecycle_fields_json(w, manager);
   stage_quantiles_json(w);
   w.end_object();
@@ -504,8 +459,6 @@ class Protocol {
     w.key("shed").value(static_cast<std::uint64_t>(stats.shed));
     w.key("kernels").value(
         tensor::kernels::backend_name(tensor::kernels::active_backend()));
-    w.key("precision").value(
-        tensor::precision_name(manager_.config().precision));
     lifecycle_fields_json(w, manager_);
     w.key("uptime_s").value(manager_.uptime_s());
     w.key("version").value(util::desmine_version());
@@ -689,10 +642,9 @@ void usage() {
          "  --resident-edges 0   mapped models: cap on materialized edges\n"
          "  --force-heap-fallback  read v4 artifacts into heap memory\n"
          "                       instead of mmap (debug/portability)\n"
-         "  --kernels auto|scalar|blocked|avx2   compute-kernel backend\n"
+         "  --kernels auto|scalar|avx2   compute-kernel backend\n"
          "                       (default auto: DESMINE_KERNELS env, else\n"
          "                       best available for this CPU)\n"
-         "  --precision f32|int8 decode precision for window scoring\n"
          "  --slow-window-ms MS  log span trees of windows slower than MS\n"
          "  --sliding-window-s 60 --sliding-epochs 6\n"
          "  --health-drop-after 3 --health-stale-after 0 --health-unk-rate\n"
@@ -702,7 +654,8 @@ void usage() {
          "lifecycle ops: shadow (arm a candidate), promote (gate-checked\n"
          "hot swap), rollback (discard; serving untouched) — DESIGN.md §14\n"
          "signals: SIGHUP hot-reloads --model; SIGTERM/SIGINT drain and exit\n"
-         "exit codes: 0 ok | 1 runtime error | 2 usage error | 130 interrupted\n";
+         "exit codes: 0 ok | 1 runtime error | 2 usage error (including an\n"
+         "            unknown option) | 130 interrupted\n";
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -716,7 +669,7 @@ void write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   std::unique_ptr<Args> args;
   try {
-    args = std::make_unique<Args>(argc, argv, 1);
+    args = std::make_unique<Args>(argc, argv, 1, kOptions, kFlags);
     obs::logger().set_level(
         obs::parse_level(args->get_or("log-level", "info")));
     const std::string log_json = args->get_or("log-json", "");
@@ -734,12 +687,11 @@ int main(int argc, char** argv) {
       std::cout << io::run_config_to_json(run);
       return 0;
     }
-    run.serve.precision = tensor::kernels::apply_kernel_config(run.tensor);
+    tensor::kernels::select_backend(run.tensor.kernels);
     DESMINE_LOG_INFO(
         "compute kernels selected",
         {obs::kv("backend", tensor::kernels::backend_name(
-                                tensor::kernels::active_backend())),
-         obs::kv("precision", tensor::precision_name(run.serve.precision))});
+                                tensor::kernels::active_backend()))});
 
     const std::string model_path = args->get("model");
     if (args->flag("force-heap-fallback")) {

@@ -37,65 +37,16 @@
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "obs/http_exposition.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 using namespace desmine;
+using tools::Args;
 
 namespace {
-
-const std::set<std::string>& boolean_flags() {
-  static const std::set<std::string> flags = {"no-clear"};
-  return flags;
-}
-
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw PreconditionError("expected --option, got '" + key + "'");
-      }
-      key = key.substr(2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (boolean_flags().count(key) != 0) {
-        values_[key] = "true";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw PreconditionError("missing value for --" + key);
-      }
-      values_[key] = argv[++i];
-    }
-  }
-
-  std::string get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw PreconditionError("missing required option --" + key);
-    }
-    return it->second;
-  }
-
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  bool flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second != "false" && it->second != "0";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// One scrape, parsed: full sample name (with label set) -> value. The
 /// Prometheus text format is line-oriented, so "name{labels} value" parsing
@@ -239,7 +190,9 @@ int main(int argc, char** argv) {
   double interval_s = 2.0;
   std::size_t frames = 0;
   try {
-    args = std::make_unique<Args>(argc, argv, 1);
+    args = std::make_unique<Args>(
+        argc, argv, 1, std::set<std::string>{"port", "interval-s", "frames"},
+        std::set<std::string>{"no-clear"});
     const double p = std::stod(args->get("port"));
     if (p < 1.0 || p > 65535.0) {
       throw PreconditionError("--port must lie in [1, 65535]");
