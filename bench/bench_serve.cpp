@@ -359,7 +359,7 @@ OverloadRun run_overload(const dc::Framework& fw,
 }
 
 // ---------------------------------------------------------------------------
-// Cold start (ISSUE 9): restart-to-first-window, v3 heap vs v4 mmap
+// Cold start: restart-to-first-window from the v4 mapped artifact
 
 std::size_t vm_rss_kb() {
   std::ifstream st("/proc/self/status");
@@ -382,9 +382,8 @@ struct ColdStart {
 };
 
 /// One restart: construct a SessionManager from `path` with detector `det`
-/// and feed ticks until the first window verdict arrives. v3 pays a full
-/// deserialization of every model in the ctor; v4 maps the file and only
-/// materializes the valid-band edges the first window actually touches.
+/// and feed ticks until the first window verdict arrives. The ctor maps the
+/// file; only the valid-band edges the first window touches materialize.
 ColdStart run_cold_start(const std::string& path,
                          const dc::DetectorConfig& det,
                          const dc::MultivariateSeries& series) {
@@ -420,7 +419,7 @@ ColdStart run_cold_start(const std::string& path,
 
 /// Valid band that keeps only the `keep` highest-BLEU edges — the ops
 /// posture a tuned deployment runs with (paper band [80,90) keeps a small
-/// fraction of all pairs). v3 still deserializes every model.
+/// fraction of all pairs).
 dc::DetectorConfig narrow_band(const dc::Framework& fw, std::size_t keep) {
   dc::DetectorConfig det = fw.config().detector;
   std::vector<double> bleus;
@@ -584,134 +583,89 @@ int main() {
                       desmine::util::fixed(0.9 * capacity_wps, 1) + " w/s)",
                   desmine::util::fixed(loaded.accepted_wps, 1) + " w/s");
 
-  // Cold start (ISSUE 9): the same fitted graph published as a v3 stream
-  // and a v4 mapped artifact, restarted to the first window verdict. Two
-  // bands: the bench's keep-everything band (worst case for v4 — the first
-  // window touches every edge) and a narrow top-6 band (the tuned-ops case
-  // the mapped layout is designed for: open is O(header+TOC) and only the
-  // valid-band edges ever materialize).
-  const std::string v3_path = db::artifact_dir() + "/serve_cold_v3.bin";
+  // Cold start: the fitted graph published as a v4 mapped artifact and
+  // restarted to the first window verdict. Two bands: the bench's
+  // keep-everything band (worst case — the first window touches every edge)
+  // and a narrow top-6 band (the tuned-ops case the mapped layout is
+  // designed for: open is O(header+TOC) and only the valid-band edges ever
+  // materialize).
   const std::string v4_path = db::artifact_dir() + "/serve_cold_v4.bin";
-  desmine::io::save_framework(fw, v3_path,
-                              desmine::io::kStreamArtifactVersion);
   desmine::io::save_framework(fw, v4_path);
   const dc::DetectorConfig full_band = fw.config().detector;
   const dc::DetectorConfig top6_band = narrow_band(fw, 6);
 
   constexpr int kColdReps = 3;
-  const auto best_cold = [&](const std::string& path,
-                             const dc::DetectorConfig& det) {
-    ColdStart best = run_cold_start(path, det, plant.series);
+  const auto best_cold = [&](const dc::DetectorConfig& det) {
+    ColdStart best = run_cold_start(v4_path, det, plant.series);
     for (int rep = 1; rep < kColdReps; ++rep) {
-      const ColdStart run = run_cold_start(path, det, plant.series);
+      const ColdStart run = run_cold_start(v4_path, det, plant.series);
       if (run.first_window_ms < best.first_window_ms) best = run;
     }
     return best;
   };
-  const ColdStart v3_full = best_cold(v3_path, full_band);
-  const ColdStart v4_full = best_cold(v4_path, full_band);
-  const ColdStart v3_narrow = best_cold(v3_path, top6_band);
-  const ColdStart v4_narrow = best_cold(v4_path, top6_band);
-  // The acceptance quantity is the restart latency the artifact layout adds
-  // before the server is serveable: v3 parses every model in the ctor, v4
-  // opens in O(header+TOC). End-to-end first-window time additionally
-  // includes ingest + the first window's decode work, which is identical
-  // for both layouts and floors the end-to-end ratio — both are reported.
-  const double open_speedup_full =
-      v3_full.open_ms / std::max(v4_full.open_ms, 1e-9);
-  const double open_speedup_narrow =
-      v3_narrow.open_ms / std::max(v4_narrow.open_ms, 1e-9);
-  const double cold_speedup_full =
-      v3_full.first_window_ms / std::max(v4_full.first_window_ms, 1e-9);
-  const double cold_speedup_narrow =
-      v3_narrow.first_window_ms / std::max(v4_narrow.first_window_ms, 1e-9);
+  const ColdStart v4_full = best_cold(full_band);
+  const ColdStart v4_narrow = best_cold(top6_band);
 
-  // Fleet restart: N managers over the SAME artifact, open cost only. The
-  // v4 maps share one page cache entry per weight page; v3 re-parses the
-  // full stream N times.
+  // Fleet restart: N managers over the SAME artifact, open cost only; the
+  // maps share one page cache entry per weight page.
   constexpr std::size_t kFleet = 8;
-  const auto fleet_open_ms = [&](const std::string& path) {
+  const double fleet_v4_ms = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::unique_ptr<ds::SessionManager>> fleet;
     for (std::size_t i = 0; i < kFleet; ++i) {
       ds::ServeConfig scfg;
       scfg.detector = top6_band;
-      fleet.push_back(std::make_unique<ds::SessionManager>(path, scfg));
+      fleet.push_back(std::make_unique<ds::SessionManager>(v4_path, scfg));
     }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  const double fleet_v3_ms = fleet_open_ms(v3_path);
-  const double fleet_v4_ms = fleet_open_ms(v4_path);
+        .count();  // before the fleet's teardown
+  }();
 
   desmine::util::Table cold({"layout", "band", "open ms", "first window ms",
                              "rss delta kb"});
-  const auto cold_row = [&](const char* layout, const char* band,
-                            const ColdStart& r) {
-    cold.add_row({layout, band, desmine::util::fixed(r.open_ms, 2),
+  const auto cold_row = [&](const char* band, const ColdStart& r) {
+    cold.add_row({"v4 mmap", band, desmine::util::fixed(r.open_ms, 2),
                   desmine::util::fixed(r.first_window_ms, 2),
                   std::to_string(r.rss_delta_kb)});
   };
-  cold_row("v3 heap", "full", v3_full);
-  cold_row("v4 mmap", "full", v4_full);
-  cold_row("v3 heap", "top-6", v3_narrow);
-  cold_row("v4 mmap", "top-6", v4_narrow);
+  cold_row("full", v4_full);
+  cold_row("top-6", v4_narrow);
   std::cout << cold.to_text("cold start: restart to first window verdict");
 
   json.key("cold_start").begin_object();
   json.key("edges").value(
       static_cast<std::uint64_t>(fw.graph().edges().size()));
   json.key("runs").begin_array();
-  const auto cold_json = [&](const char* layout, const char* band,
-                             const ColdStart& r) {
+  const auto cold_json = [&](const char* band, const ColdStart& r) {
     json.begin_object();
-    json.key("layout").value(layout);
+    json.key("layout").value("v4_mmap");
     json.key("band").value(band);
     json.key("open_ms").value(r.open_ms);
     json.key("first_window_ms").value(r.first_window_ms);
     json.key("rss_delta_kb").value(static_cast<double>(r.rss_delta_kb));
     json.end_object();
   };
-  cold_json("v3_heap", "full", v3_full);
-  cold_json("v4_mmap", "full", v4_full);
-  cold_json("v3_heap", "top6", v3_narrow);
-  cold_json("v4_mmap", "top6", v4_narrow);
+  cold_json("full", v4_full);
+  cold_json("top6", v4_narrow);
   json.end_array();
-  json.key("open_speedup_full_band").value(open_speedup_full);
-  json.key("open_speedup_top6_band").value(open_speedup_narrow);
-  json.key("first_window_speedup_full_band").value(cold_speedup_full);
-  json.key("first_window_speedup_top6_band").value(cold_speedup_narrow);
   json.key("fleet_size").value(static_cast<std::uint64_t>(kFleet));
-  json.key("fleet_open_v3_ms").value(fleet_v3_ms);
   json.key("fleet_open_v4_ms").value(fleet_v4_ms);
-  json.key("fleet_open_speedup")
-      .value(fleet_v3_ms / std::max(fleet_v4_ms, 1e-9));
   json.end_object();
   json.end_object();  // root
 
-  db::expectation("restart-to-serveable (open) v4 vs v3", ">= 50x",
-                  desmine::util::fixed(open_speedup_full, 1) + "x full band, " +
-                      desmine::util::fixed(open_speedup_narrow, 1) +
-                      "x top-6 band");
-  db::expectation("restart-to-first-window v4 vs v3", "report",
-                  desmine::util::fixed(cold_speedup_full, 1) + "x full band, " +
-                      desmine::util::fixed(cold_speedup_narrow, 1) +
-                      "x top-6 band (floor: first window decode)");
-  db::expectation(
-      "fleet of 8 opens (top-6 band)", "report",
-      desmine::util::fixed(fleet_v3_ms, 1) + " ms v3 vs " +
-          desmine::util::fixed(fleet_v4_ms, 1) + " ms v4 (" +
-          desmine::util::fixed(fleet_v3_ms / std::max(fleet_v4_ms, 1e-9), 1) +
-          "x)");
+  db::expectation("restart-to-first-window (v4)", "report",
+                  desmine::util::fixed(v4_full.first_window_ms, 1) +
+                      " ms full band, " +
+                      desmine::util::fixed(v4_narrow.first_window_ms, 1) +
+                      " ms top-6 band");
+  db::expectation("fleet of 8 opens (top-6 band)", "report",
+                  desmine::util::fixed(fleet_v4_ms, 1) + " ms v4");
 
   const std::string out_path = db::artifact_dir() + "/BENCH_serve.json";
   std::ofstream out(out_path);
   out << json.str() << "\n";
   std::cout << "wrote " << out_path << "\n";
   db::dump_observability("serve");
-  return all_identical && speedup_at_8 >= 3.0 && overload_sheds &&
-                 open_speedup_full >= 50.0
-             ? 0
-             : 1;
+  return all_identical && speedup_at_8 >= 3.0 && overload_sheds ? 0 : 1;
 }

@@ -24,6 +24,7 @@ namespace desmine::io {
 
 namespace {
 
+using wire::read_count;
 using wire::read_f64;
 using wire::read_string;
 using wire::read_u32;
@@ -77,10 +78,10 @@ const char* ArtifactError::section_name(Section s) {
   return "unknown";
 }
 
-// ---- writer ----------------------------------------------------------------
+// ---- writer (io::save_framework, declared in io/serialize.h) ---------------
 
-void write_framework_v4(const core::Framework& framework,
-                        const std::string& path) {
+void save_framework(const core::Framework& framework,
+                    const std::string& path) {
   DESMINE_EXPECTS(framework.fitted(), "cannot save an unfitted framework");
   const core::MvrGraph& graph = framework.graph();
   const auto& graph_edges = graph.edges();
@@ -103,8 +104,7 @@ void write_framework_v4(const core::Framework& framework,
     std::ostringstream meta(std::ios::binary);
     write_vocabulary(meta, e.model->src_vocab());
     write_vocabulary(meta, e.model->tgt_vocab());
-    write_seq2seq_config(meta, e.model->model().config(),
-                         kStreamArtifactVersion);
+    write_seq2seq_config(meta, e.model->model().config());
     metas[i] = std::move(meta).str();
     entry.meta_off = off;
     entry.meta_len = metas[i].size();
@@ -297,7 +297,8 @@ std::shared_ptr<ArtifactMap> ArtifactMap::open(
   }
 
   // Parse the (CRC-clean) TOC; any framing error past this point means the
-  // writer and reader disagree, which we still surface as a TOC error.
+  // writer and reader disagree, which we still surface as a TOC error. Every
+  // count is checked against the TOC bytes left before it sizes anything.
   try {
     std::istringstream is(
         std::string(reinterpret_cast<const char*>(d + toc_off), toc_len),
@@ -307,12 +308,13 @@ std::shared_ptr<ArtifactMap> ArtifactMap::open(
     map->window_.sentence_length = read_u64(is);
     map->window_.sentence_stride = read_u64(is);
     map->encrypter_ = read_encrypter(is);
-    const std::uint64_t sensor_count = read_u64(is);
+    const std::uint64_t sensor_count = read_count(is, sizeof(std::uint64_t));
     map->sensor_names_.reserve(sensor_count);
     for (std::uint64_t i = 0; i < sensor_count; ++i) {
       map->sensor_names_.push_back(read_string(is));
     }
-    const std::uint64_t toc_edges = read_u64(is);
+    const std::uint64_t toc_edges =
+        read_count(is, 4 * 8 + 4);  // src, dst, bleu, runtime, has_model
     if (toc_edges != edge_count) {
       throw RuntimeError("TOC edge count disagrees with header");
     }
@@ -330,18 +332,15 @@ std::shared_ptr<ArtifactMap> ArtifactMap::open(
       e.weights_off = read_u64(is);
       e.weights_len = read_u64(is);
       e.weights_crc = read_u32(is);
-      const std::uint64_t param_count = read_u64(is);
-      if (param_count > 1024) {
-        throw RuntimeError("implausible parameter count in TOC");
-      }
-      e.params.resize(param_count);
+      e.params.resize(read_count(is, 3 * 8));  // rows, cols, off
       for (ParamExtent& x : e.params) {
         x.rows = read_u64(is);
         x.cols = read_u64(is);
         x.off = read_u64(is);
       }
     }
-    const std::uint64_t failure_count = read_u64(is);
+    const std::uint64_t failure_count =
+        read_count(is, 3 * 8 + 4);  // src, dst, empty reason, attempts
     map->failures_.resize(failure_count);
     for (core::PairFailure& f : map->failures_) {
       f.src = read_u64(is);
@@ -455,7 +454,7 @@ std::shared_ptr<nmt::TranslationModel> ArtifactMap::materialize_edge(
   text::Vocabulary src_vocab = read_vocabulary(is);
   text::Vocabulary tgt_vocab = read_vocabulary(is);
   const nmt::Seq2SeqConfig config =
-      read_seq2seq_config(is, kStreamArtifactVersion);
+      read_seq2seq_config(is);
 
   auto model = std::make_unique<nmt::Seq2SeqModel>(
       src_vocab.size(), tgt_vocab.size(), config, util::Rng(0), nullptr,

@@ -1,16 +1,16 @@
 // Mapped (v4) model store: page-aligned artifacts served without copying.
 //
-// The v1–v3 stream layouts deserialize every tensor into owned heap memory,
-// so restarting a serving process pays a full decode of the whole graph
-// before the first window can score. The v4 layout instead lays the file out
-// so the kernel's page cache IS the weight storage (DESIGN.md §15):
+// v4 is the only framework artifact format; io::save_framework writes it and
+// io::load_framework reads it through this map. Rather than deserializing
+// every tensor into owned heap memory before the first window can score, the
+// layout makes the kernel's page cache the weight storage (DESIGN.md §15):
 //
 //   offset 0    64-byte header (fixed):
 //               "DESM" | u32 version=4 | u64 file_size | u64 toc_off |
 //               u64 toc_len | u64 edge_count | u64 reserved |
 //               u32 toc_crc | u32 header_crc (CRC-32 of bytes [0,52)) | pad
 //   then        per-edge meta blobs, densely packed — vocabularies +
-//               Seq2SeqConfig in the v3 stream encoding
+//               Seq2SeqConfig in the v3 stream encoding (io/serialize.h)
 //   then        per-edge weight regions, each starting on a 4096-byte page
 //               boundary; every parameter tensor inside is raw row-major f32
 //               at 64-byte alignment (cache-line / SIMD friendly)
@@ -46,7 +46,7 @@
 
 namespace desmine::io {
 
-/// The mapped layout's version tag (the current default save format).
+/// The mapped layout's version tag: the only framework artifact version.
 inline constexpr std::uint32_t kMappedArtifactVersion = 4;
 /// Fixed header size; the TOC offset/length live at fixed offsets inside it.
 inline constexpr std::size_t kV4HeaderSize = 64;
@@ -103,13 +103,6 @@ struct EdgeEntry {
   std::uint32_t weights_crc = 0;
   std::vector<ParamExtent> params;  ///< registry order
 };
-
-/// Write a fitted framework as a v4 mapped artifact (crash-safe: staged +
-/// fsync + atomic rename, like every stream artifact). Called by
-/// io::save_framework for version 4; exposed for tests that need the writer
-/// without the dispatch.
-void write_framework_v4(const core::Framework& framework,
-                        const std::string& path);
 
 struct ArtifactMapOptions {
   /// Read the file into heap memory instead of mmap()ing it; every view,
@@ -175,10 +168,10 @@ class ArtifactMap : public std::enable_shared_from_this<ArtifactMap> {
   /// meta+weight extent — the unit serve::ResidencyManager budgets with.
   std::uint64_t edge_cost_bytes(std::size_t index) const;
 
-  /// Materialize every edge into a fitted core::Framework (the v4 arm of
-  /// io::load_framework). Window config comes from the artifact; detector /
-  /// miner settings from `config_overlay`. The returned framework's models
-  /// all pin this map.
+  /// Materialize every edge into a fitted core::Framework (what
+  /// io::load_framework returns). Window config comes from the artifact;
+  /// detector / miner settings from `config_overlay`. The returned
+  /// framework's models all pin this map.
   core::Framework materialize_framework(
       core::FrameworkConfig config_overlay = {});
 

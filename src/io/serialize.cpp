@@ -27,54 +27,50 @@ constexpr char kMagic[4] = {'D', 'E', 'S', 'M'};
 constexpr char kCrcMagic[4] = {'C', 'R', 'C', '1'};
 constexpr std::size_t kCrcTrailerSize = 8;  // magic + u32 crc
 
-using wire::read_f64;
+using wire::expect_fits;
+using wire::read_count;
 using wire::read_string;
 using wire::read_u32;
 using wire::read_u64;
 using wire::write_f32;
-using wire::write_f64;
 using wire::write_string;
 using wire::write_u32;
 using wire::write_u64;
 
-}  // namespace
-
-void write_header(std::ostream& os, std::uint32_t version) {
-  DESMINE_EXPECTS(version >= 1 && version <= kArtifactVersion,
-                  "unknown artifact version to write");
+/// Stream header: magic "DESM" + kStreamArtifactVersion.
+void write_header(std::ostream& os) {
   os.write(kMagic, 4);
-  write_u32(os, version);
+  write_u32(os, kStreamArtifactVersion);
 }
 
-std::uint32_t read_header(std::istream& is) {
+/// Validate the magic and the version: only kStreamArtifactVersion is a
+/// stream.
+void read_header(std::istream& is) {
   char magic[4] = {};
   is.read(magic, 4);
   if (!is || std::string(magic, 4) != std::string(kMagic, 4)) {
     throw RuntimeError("not a desmine artifact (bad magic)");
   }
   const std::uint32_t version = read_u32(is);
-  if (version < 1 || version > kArtifactVersion) {
-    throw RuntimeError("unsupported artifact version " +
+  if (version != kStreamArtifactVersion) {
+    throw RuntimeError("unsupported stream artifact version " +
                        std::to_string(version));
   }
-  return version;
 }
 
-void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c,
-                          std::uint32_t version) {
+}  // namespace
+
+void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c) {
   write_u64(os, c.embedding_dim);
   write_u64(os, c.hidden_dim);
   write_u64(os, c.num_layers);
   write_f32(os, c.dropout);
   write_f32(os, c.init_scale);
   write_u64(os, c.max_decode_length);
-  if (version >= 2) {
-    write_u32(os, static_cast<std::uint32_t>(c.attention));
-  }
+  write_u32(os, static_cast<std::uint32_t>(c.attention));
 }
 
-nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is,
-                                       std::uint32_t version) {
+nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is) {
   nmt::Seq2SeqConfig c;
   c.embedding_dim = read_u64(is);
   c.hidden_dim = read_u64(is);
@@ -83,9 +79,7 @@ nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is,
   is.read(reinterpret_cast<char*>(&c.init_scale), sizeof(float));
   c.max_decode_length = read_u64(is);
   if (!is) throw RuntimeError("unexpected end of stream reading config");
-  if (version >= 2) {
-    c.attention = static_cast<nn::AttentionScore>(read_u32(is));
-  }
+  c.attention = static_cast<nn::AttentionScore>(read_u32(is));
   return c;
 }
 
@@ -99,11 +93,12 @@ void write_matrix(std::ostream& os, tensor::ConstMatrixView m) {
 tensor::Matrix read_matrix(std::istream& is) {
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
-  // Sanity cap: no desmine tensor is anywhere near this large; a corrupt or
-  // foreign stream fails here rather than in the allocator.
-  if (rows > (1u << 24) || cols > (1u << 24) || rows * cols > (1ull << 30)) {
+  // Sanity cap (it also keeps rows * cols from overflowing): no desmine
+  // tensor is anywhere near this large.
+  if (rows > (1u << 24) || cols > (1u << 24)) {
     throw RuntimeError("implausible matrix dimensions in artifact");
   }
+  expect_fits(is, rows * cols, sizeof(float));
   tensor::Matrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
@@ -120,7 +115,7 @@ void write_vocabulary(std::ostream& os, const text::Vocabulary& v) {
 }
 
 text::Vocabulary read_vocabulary(std::istream& is) {
-  const std::uint64_t extra = read_u64(is);
+  const std::uint64_t extra = read_count(is, sizeof(std::uint64_t));
   text::Corpus corpus;
   text::Sentence all;
   all.reserve(extra);
@@ -130,23 +125,21 @@ text::Vocabulary read_vocabulary(std::istream& is) {
 }
 
 void write_translation_model(std::ostream& os, nmt::TranslationModel& model,
-                             const nmt::Seq2SeqConfig& config,
-                             std::uint32_t version) {
+                             const nmt::Seq2SeqConfig& config) {
   write_vocabulary(os, model.src_vocab());
   write_vocabulary(os, model.tgt_vocab());
-  write_seq2seq_config(os, config, version);
+  write_seq2seq_config(os, config);
   const auto& params = model.model().params().params();
   write_u64(os, params.size());
-  // Weights are read through view(), so a mapped (v4) model deep-copies to
-  // an owned stream artifact exactly like a heap model.
+  // Weights are read through view(), so a mapped model deep-copies to an
+  // owned stream exactly like a heap model.
   for (const nn::Param* p : params) write_matrix(os, p->view());
 }
 
-nmt::TranslationModel read_translation_model(std::istream& is,
-                                             std::uint32_t version) {
+nmt::TranslationModel read_translation_model(std::istream& is) {
   text::Vocabulary src_vocab = read_vocabulary(is);
   text::Vocabulary tgt_vocab = read_vocabulary(is);
-  const nmt::Seq2SeqConfig config = read_seq2seq_config(is, version);
+  const nmt::Seq2SeqConfig config = read_seq2seq_config(is);
 
   auto model = std::make_unique<nmt::Seq2SeqModel>(
       src_vocab.size(), tgt_vocab.size(), config, util::Rng(0));
@@ -164,69 +157,6 @@ nmt::TranslationModel read_translation_model(std::istream& is,
   }
   return nmt::TranslationModel(std::move(src_vocab), std::move(tgt_vocab),
                                std::move(model));
-}
-
-void write_mvr_graph(std::ostream& os, const core::MvrGraph& graph,
-                     const nmt::Seq2SeqConfig& config,
-                     std::uint32_t version) {
-  write_u64(os, graph.sensor_count());
-  for (const std::string& name : graph.sensor_names()) {
-    write_string(os, name);
-  }
-  write_u64(os, graph.edges().size());
-  for (const core::MvrEdge& e : graph.edges()) {
-    write_u64(os, e.src);
-    write_u64(os, e.dst);
-    write_f64(os, e.bleu);
-    write_f64(os, e.runtime_seconds);
-    write_u32(os, e.model ? 1 : 0);
-    if (e.model) write_translation_model(os, *e.model, config, version);
-  }
-  if (version >= 3) {
-    // v3: permanently failed pairs (absent edges with a reason).
-    write_u64(os, graph.failures().size());
-    for (const core::PairFailure& f : graph.failures()) {
-      write_u64(os, f.src);
-      write_u64(os, f.dst);
-      write_string(os, f.reason);
-      write_u32(os, f.attempts);
-    }
-  }
-}
-
-core::MvrGraph read_mvr_graph(std::istream& is, std::uint32_t version) {
-  const std::uint64_t n = read_u64(is);
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) names.push_back(read_string(is));
-  core::MvrGraph graph(std::move(names));
-
-  const std::uint64_t edges = read_u64(is);
-  for (std::uint64_t i = 0; i < edges; ++i) {
-    core::MvrEdge e;
-    e.src = read_u64(is);
-    e.dst = read_u64(is);
-    e.bleu = read_f64(is);
-    e.runtime_seconds = read_f64(is);
-    const bool has_model = read_u32(is) != 0;
-    if (has_model) {
-      e.model = std::make_shared<nmt::TranslationModel>(
-          read_translation_model(is, version));
-    }
-    graph.add_edge(std::move(e));
-  }
-  if (version >= 3) {
-    const std::uint64_t failures = read_u64(is);
-    for (std::uint64_t i = 0; i < failures; ++i) {
-      core::PairFailure f;
-      f.src = read_u64(is);
-      f.dst = read_u64(is);
-      f.reason = read_string(is);
-      f.attempts = read_u32(is);
-      graph.add_failure(std::move(f));
-    }
-  }
-  return graph;
 }
 
 void write_encrypter(std::ostream& os, const core::SensorEncrypter& enc) {
@@ -247,13 +177,13 @@ void write_encrypter(std::ostream& os, const core::SensorEncrypter& enc) {
 }
 
 core::SensorEncrypter read_encrypter(std::istream& is) {
-  const std::uint64_t kept = read_u64(is);
+  const std::uint64_t kept = read_count(is, 2 * sizeof(std::uint64_t));
   std::vector<core::SensorEncrypter::Encoding> encodings;
   encodings.reserve(kept);
   for (std::uint64_t i = 0; i < kept; ++i) {
     core::SensorEncrypter::Encoding e;
     e.sensor = read_string(is);
-    const std::uint64_t states = read_u64(is);
+    const std::uint64_t states = read_count(is, sizeof(std::uint64_t) + 1);
     for (std::uint64_t s = 0; s < states; ++s) {
       std::string state = read_string(is);
       const int letter = is.get();
@@ -264,7 +194,7 @@ core::SensorEncrypter read_encrypter(std::istream& is) {
     }
     encodings.push_back(std::move(e));
   }
-  const std::uint64_t dropped = read_u64(is);
+  const std::uint64_t dropped = read_count(is, sizeof(std::uint64_t));
   std::vector<std::string> dropped_names;
   dropped_names.reserve(dropped);
   for (std::uint64_t i = 0; i < dropped; ++i) {
@@ -321,64 +251,37 @@ std::string read_artifact_file(const std::string& path) {
   buf << is.rdbuf();
   std::string bytes = std::move(buf).str();
 
-  // The version field (after the 4-byte magic) decides whether a CRC
-  // trailer is required; the header itself is validated by read_header.
   if (bytes.size() < 8) {
     throw RuntimeError("artifact truncated (no header): " + path);
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (std::memcmp(bytes.data(), kMagic, 4) == 0) {
-    if (version >= 4) {
-      // The mapped layout has internal header/TOC/extent CRCs instead of a
-      // stream trailer; parsing it as a stream would misread the payload.
-      throw ArtifactError(ArtifactError::Section::kHeader,
-                          "version " + std::to_string(version) +
-                              " artifact is mapped, not streamed — open it "
-                              "via io::ArtifactMap or load_framework: " +
-                              path);
-    }
-    if (version == 3) {
-      if (bytes.size() < 8 + kCrcTrailerSize ||
-          std::memcmp(bytes.data() + bytes.size() - kCrcTrailerSize, kCrcMagic,
-                      4) != 0) {
-        throw RuntimeError("artifact truncated (missing CRC trailer): " +
-                           path);
-      }
-      std::uint32_t stored = 0;
-      std::memcpy(&stored, bytes.data() + bytes.size() - 4, sizeof(stored));
-      bytes.resize(bytes.size() - kCrcTrailerSize);
-      const std::uint32_t actual = util::crc32(bytes);
-      if (stored != actual) {
-        throw RuntimeError(
-            "artifact checksum mismatch (corrupt or truncated): " + path);
-      }
-    }
+  if (std::memcmp(bytes.data(), kMagic, 4) == 0 &&
+      version != kStreamArtifactVersion) {
+    throw ArtifactError(ArtifactError::Section::kHeader,
+                        "not a stream (v3) artifact: version " +
+                            std::to_string(version) + ": " + path);
+  }
+  if (bytes.size() < 8 + kCrcTrailerSize ||
+      std::memcmp(bytes.data() + bytes.size() - kCrcTrailerSize, kCrcMagic,
+                  4) != 0) {
+    throw RuntimeError("artifact truncated (missing CRC trailer): " + path);
+  }
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 4, sizeof(stored));
+  bytes.resize(bytes.size() - kCrcTrailerSize);
+  if (stored != util::crc32(bytes)) {
+    throw RuntimeError("artifact checksum mismatch (corrupt or truncated): " +
+                       path);
   }
   return bytes;
-}
-
-std::uint32_t peek_artifact_version(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw RuntimeError("cannot open for reading: " + path);
-  char head[8] = {};
-  is.read(head, sizeof(head));
-  if (is.gcount() != sizeof(head)) {
-    throw RuntimeError("artifact truncated (no header): " + path);
-  }
-  if (std::memcmp(head, kMagic, 4) != 0) {
-    throw RuntimeError("not a desmine artifact (bad magic): " + path);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, head + 4, sizeof(version));
-  return version;
 }
 
 void save_pair_model(const std::string& path, nmt::TranslationModel& model,
                      const nmt::Seq2SeqConfig& config) {
   std::ostringstream os(std::ios::binary);
-  write_header(os, kStreamArtifactVersion);
-  write_translation_model(os, model, config, kStreamArtifactVersion);
+  write_header(os);
+  write_translation_model(os, model, config);
   if (!os) throw RuntimeError("serialization failed for " + path);
   write_artifact_file(path, os.str());
 }
@@ -388,39 +291,8 @@ nmt::TranslationModel load_pair_model(const std::string& path) {
     throw RuntimeError("injected fault at model.load for " + path);
   }
   std::istringstream is(read_artifact_file(path), std::ios::binary);
-  const std::uint32_t version = read_header(is);
-  return read_translation_model(is, version);
-}
-
-void save_framework(const core::Framework& framework, const std::string& path,
-                    std::uint32_t version) {
-  DESMINE_EXPECTS(framework.fitted(), "cannot save an unfitted framework");
-  DESMINE_EXPECTS(version >= 1 && version <= kArtifactVersion,
-                  "unknown artifact version to write");
-  if (version == kMappedArtifactVersion) {
-    write_framework_v4(framework, path);
-    return;
-  }
-
-  std::ostringstream os(std::ios::binary);
-  write_header(os, version);
-
-  const core::WindowConfig& w = framework.config().window;
-  write_u64(os, w.word_length);
-  write_u64(os, w.word_stride);
-  write_u64(os, w.sentence_length);
-  write_u64(os, w.sentence_stride);
-
-  write_encrypter(os, framework.encrypter());
-  write_mvr_graph(os, framework.graph(),
-                  framework.config().miner.translation.model, version);
-  if (!os) throw RuntimeError("serialization failed for " + path);
-  // Only the v3 stream carries the CRC trailer; v1/v2 predate it.
-  if (version >= 3) {
-    write_artifact_file(path, os.str());
-  } else {
-    write_file_atomic(path, os.str());
-  }
+  read_header(is);
+  return read_translation_model(is);
 }
 
 core::Framework load_framework(const std::string& path,
@@ -428,26 +300,10 @@ core::Framework load_framework(const std::string& path,
   if (robust::fire_fault("model.load", 0) == robust::FaultAction::kThrow) {
     throw RuntimeError("injected fault at model.load for " + path);
   }
-  if (peek_artifact_version(path) == kMappedArtifactVersion) {
-    // Mapped open: header + TOC verified eagerly, models bound as zero-copy
-    // views; the returned models pin the map for their lifetime.
-    return ArtifactMap::open(path)->materialize_framework(
-        std::move(config_overlay));
-  }
-  std::istringstream is(read_artifact_file(path), std::ios::binary);
-  const std::uint32_t version = read_header(is);
-
-  config_overlay.window.word_length = read_u64(is);
-  config_overlay.window.word_stride = read_u64(is);
-  config_overlay.window.sentence_length = read_u64(is);
-  config_overlay.window.sentence_stride = read_u64(is);
-
-  core::SensorEncrypter encrypter = read_encrypter(is);
-  core::MvrGraph graph = read_mvr_graph(is, version);
-
-  core::Framework framework(config_overlay);
-  framework.restore(std::move(encrypter), std::move(graph));
-  return framework;
+  // Header + TOC verified eagerly, models bound as zero-copy views; the
+  // returned models pin the map for their lifetime.
+  return ArtifactMap::open(path)->materialize_framework(
+      std::move(config_overlay));
 }
 
 }  // namespace desmine::io

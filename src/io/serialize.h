@@ -5,22 +5,25 @@
 // once while detection, knowledge-discovery and benchmark tooling reload the
 // artifact. Two layouts share the "DESM" magic + u32 version discipline:
 //
-//  * v1–v3 — a simple tagged little-endian stream:
-//      magic "DESM" | u32 version | payload [| "CRC1" u32 crc   (v3)]
+//  * v4 — the framework artifact, the only model file: the mapped,
+//    page-aligned layout (io/artifact_map.h) with a fixed 64-byte header,
+//    per-edge meta blobs, 64-byte-aligned raw f32 weight regions on
+//    4096-byte pages, and a fixed-offset TOC, so serving mmap()s the file
+//    and scores through zero-copy weight views (DESIGN.md §15).
+//  * v3 stream — a tagged little-endian stream kept for exactly two uses,
+//    pair-model checkpoint sidecars and the v4 per-edge meta blobs:
+//      magic "DESM" | u32 version=3 | payload | "CRC1" u32 crc
 //    Matrices are dims + raw f32; vocabularies are token lists; models are
-//    config + parameter tensors in registry order (deterministic). v2 added
-//    the attention kind, v3 the CRC-32 trailer + permanently failed pairs.
-//  * v4 — the mapped, page-aligned layout (io/artifact_map.h): fixed
-//    64-byte header, per-edge meta blobs, 64-byte-aligned raw f32 weight
-//    regions on 4096-byte pages, and a fixed-offset TOC, so serving mmap()s
-//    the file and scores through zero-copy weight views (DESIGN.md §15).
+//    vocabularies + config + parameter tensors in registry order.
 //
 // Artifacts are written crash-safely: the full payload is staged to a temp
 // file in the destination directory, flushed and fsynced, then atomically
 // renamed over the target, so a crash can never leave a half-written
-// artifact under the final name. Corruption never loads silently: v3 streams
-// verify the whole-file CRC trailer eagerly, v4 verifies header + TOC CRCs
-// at open and each edge's meta/weight CRCs on first touch.
+// artifact under the final name. Corruption never loads silently: a
+// sidecar's whole-file CRC trailer is always verified eagerly, v4 verifies
+// header + TOC CRCs at open and each edge's meta/weight CRCs on first touch.
+// Every count or length read from a file is checked against the bytes left
+// before anything is allocated from it (io/wire.h).
 #pragma once
 
 #include <cstdint>
@@ -30,19 +33,14 @@
 
 #include "core/encryption.h"
 #include "core/framework.h"
-#include "core/mvr_graph.h"
 #include "nmt/translation.h"
 #include "tensor/matrix.h"
 #include "text/vocabulary.h"
 
 namespace desmine::io {
 
-/// Current (default) artifact format version: v4, the mapped layout.
-inline constexpr std::uint32_t kArtifactVersion = 4;
-
-/// Newest *stream* layout. Pair-model checkpoint sidecars and the v4 TOC's
-/// per-edge meta blobs are serialized with these semantics; older stream
-/// versions (1, 2) are still readable and writable (cross-version tests).
+/// The stream layout's version tag: pair-model checkpoint sidecars carry it
+/// in their header, and the v4 per-edge meta blobs use its encoding.
 inline constexpr std::uint32_t kStreamArtifactVersion = 3;
 
 // ---- primitive + component (de)serializers, exposed for tests -------------
@@ -53,31 +51,12 @@ tensor::Matrix read_matrix(std::istream& is);
 void write_vocabulary(std::ostream& os, const text::Vocabulary& v);
 text::Vocabulary read_vocabulary(std::istream& is);
 
-void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c,
-                          std::uint32_t version = kStreamArtifactVersion);
-nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is,
-                                       std::uint32_t version);
-
-/// Stream header: magic "DESM" + the format version being written.
-void write_header(std::ostream& os,
-                  std::uint32_t version = kStreamArtifactVersion);
-
-/// Validate the magic and return the stream's version (1..kArtifactVersion).
-/// Every reader takes its version from here — read_translation_model /
-/// read_mvr_graph deliberately have NO defaulted version parameter, so a
-/// caller can never silently skip header parsing.
-std::uint32_t read_header(std::istream& is);
+void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c);
+nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is);
 
 void write_translation_model(std::ostream& os, nmt::TranslationModel& model,
-                             const nmt::Seq2SeqConfig& config,
-                             std::uint32_t version = kStreamArtifactVersion);
-nmt::TranslationModel read_translation_model(std::istream& is,
-                                             std::uint32_t version);
-
-void write_mvr_graph(std::ostream& os, const core::MvrGraph& graph,
-                     const nmt::Seq2SeqConfig& config,
-                     std::uint32_t version = kStreamArtifactVersion);
-core::MvrGraph read_mvr_graph(std::istream& is, std::uint32_t version);
+                             const nmt::Seq2SeqConfig& config);
+nmt::TranslationModel read_translation_model(std::istream& is);
 
 void write_encrypter(std::ostream& os, const core::SensorEncrypter& enc);
 core::SensorEncrypter read_encrypter(std::istream& is);
@@ -95,23 +74,17 @@ void write_file_atomic(const std::string& path, std::string_view payload);
 /// `path` (if any) are untouched.
 void write_artifact_file(const std::string& path, std::string_view payload);
 
-/// Read a whole *stream* artifact file. For v3 payloads (decided by the
-/// version field after the magic) the CRC trailer is verified and stripped;
-/// any truncation or corruption raises RuntimeError. v4 artifacts are
-/// mapped, not streamed — passing one here raises io::ArtifactError (open
-/// them via io::ArtifactMap or load_framework, which dispatches).
+/// Read a whole stream artifact file, verify its CRC trailer and return the
+/// payload with the trailer stripped. Only kStreamArtifactVersion is a
+/// stream: any other version (a v4 framework artifact included) raises
+/// io::ArtifactError kHeader, and truncation or corruption RuntimeError.
 std::string read_artifact_file(const std::string& path);
-
-/// Magic-check `path` and return its artifact version without reading the
-/// payload (first 8 bytes only). Throws RuntimeError when the file is
-/// missing, shorter than a header, or not a desmine artifact.
-std::uint32_t peek_artifact_version(const std::string& path);
 
 // ---- single pair-model artifacts (checkpoint sidecars) --------------------
 
 /// Persist one trained pair model as a standalone crash-safe artifact
-/// (used by the miner's checkpoint journal). Always the newest stream
-/// layout (v3): sidecars are single models, which gain nothing from pages.
+/// (used by the miner's checkpoint journal), in the v3 stream layout:
+/// sidecars are single models, which gain nothing from pages.
 void save_pair_model(const std::string& path, nmt::TranslationModel& model,
                      const nmt::Seq2SeqConfig& config);
 
@@ -121,21 +94,19 @@ nmt::TranslationModel load_pair_model(const std::string& path);
 
 // ---- whole-framework snapshot ----------------------------------------------
 
-/// Persist a fitted framework (window config, encrypter, graph + models) so
-/// detection can resume in another process. `version` selects the layout:
-/// 4 (default) writes the mapped page-aligned artifact, 1–3 the matching
-/// stream layout (cross-version tooling and tests). Throws RuntimeError on
-/// I/O failure and PreconditionError if the framework is not fitted.
-void save_framework(const core::Framework& framework, const std::string& path,
-                    std::uint32_t version = kArtifactVersion);
+/// Persist a fitted framework (window config, encrypter, graph + models) as
+/// a v4 mapped artifact so detection can resume in another process.
+/// Throws RuntimeError on I/O failure and PreconditionError if the framework
+/// is not fitted.
+void save_framework(const core::Framework& framework, const std::string& path);
 
-/// Reload a snapshot of any version. v4 artifacts are opened via
-/// io::ArtifactMap (header + TOC verified, weights mapped and bound as
-/// zero-copy views); v1–v3 deserialize into owned heap tensors. Either way
-/// the returned framework is fitted, ready to detect, and scores
-/// bit-identically. Detector/miner settings not needed for inference are
-/// restored from `config_overlay` (pass the same FrameworkConfig used at
-/// save time, or a default one and adjust the detector band afterwards).
+/// Reload a v4 snapshot via io::ArtifactMap (header + TOC verified, weights
+/// mapped and bound as zero-copy views). The returned framework is fitted,
+/// ready to detect, and scores bit-identically to the one saved. Any other
+/// version raises io::ArtifactError kHeader naming it. Detector/miner
+/// settings not needed for inference are restored from `config_overlay`
+/// (pass the same FrameworkConfig used at save time, or a default one and
+/// adjust the detector band afterwards).
 core::Framework load_framework(const std::string& path,
                                core::FrameworkConfig config_overlay = {});
 

@@ -55,8 +55,8 @@ std::uint32_t retrain_fingerprint(const nmt::TranslationConfig& translation,
 nmt::TranslationModel deep_copy(nmt::TranslationModel& model,
                                 const nmt::Seq2SeqConfig& config) {
   std::stringstream buffer;
-  io::write_translation_model(buffer, model, config, io::kStreamArtifactVersion);
-  return io::read_translation_model(buffer, io::kStreamArtifactVersion);
+  io::write_translation_model(buffer, model, config);
+  return io::read_translation_model(buffer);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ namespace desmine::nn {
 
 /// Where a model's weights live (ISSUE 9, DESIGN.md §15).
 ///  * kOwned    — each Param allocates heap value + grad tensors (training
-///                and v1–v3 stream loads).
+///                and pair-model checkpoint sidecar loads).
 ///  * kDeferred — no allocation at construction; the weight bytes arrive
 ///                later via Param::bind(), typically views into an mmap'd
 ///                v4 artifact. Deferred models are inference-only.

@@ -27,11 +27,11 @@
 
 namespace desmine::serve {
 
-/// One valid edge of a generation. Heap generations (v1–v3 artifacts, or a
-/// graph handed in directly) carry the shared trained model in `model`;
-/// mapped (v4) generations leave `model` null and materialize through the
-/// generation's ResidencyManager on demand. Scorers always go through
-/// acquire(), which hides the difference.
+/// One valid edge of a generation. Heap generations (a graph handed in
+/// directly, e.g. freshly mined) carry the shared trained model in `model`;
+/// mapped generations (every artifact path) leave `model` null and
+/// materialize through the generation's ResidencyManager on demand.
+/// Scorers always go through acquire(), which hides the difference.
 struct EdgeModel {
   std::size_t src = 0;
   std::size_t dst = 0;

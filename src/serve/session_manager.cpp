@@ -4,9 +4,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/framework.h"
 #include "io/artifact_map.h"
-#include "io/serialize.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -31,26 +29,14 @@ SessionManager::SessionManager(const core::MvrGraph& graph,
 SessionManager::SessionManager(const std::string& artifact_path,
                                ServeConfig config)
     : config_(std::move(config)) {
-  if (io::peek_artifact_version(artifact_path) == io::kMappedArtifactVersion) {
-    // Mapped open: O(header + TOC); no weight bytes are read or copied
-    // until an edge actually scores.
-    std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(artifact_path);
-    encrypter_ = map->encrypter();
-    window_ = map->window();
-    registry_ = std::make_unique<ModelRegistry>(make_generation(
-        std::move(map), config_.detector, 1,
-        ResidencyConfig{config_.resident_bytes, config_.resident_edges}));
-  } else {
-    core::FrameworkConfig overlay;
-    overlay.detector = config_.detector;
-    const core::Framework loaded = io::load_framework(artifact_path, overlay);
-    encrypter_ = loaded.encrypter();
-    window_ = loaded.config().window;
-    // The generation shares the graph's model shared_ptrs, so letting the
-    // framework die here releases only the graph scaffolding.
-    registry_ = std::make_unique<ModelRegistry>(
-        make_generation(loaded.graph(), config_.detector, 1));
-  }
+  // Mapped open: O(header + TOC); no weight bytes are read or copied until
+  // an edge actually scores.
+  std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(artifact_path);
+  encrypter_ = map->encrypter();
+  window_ = map->window();
+  registry_ = std::make_unique<ModelRegistry>(make_generation(
+      std::move(map), config_.detector, 1,
+      ResidencyConfig{config_.resident_bytes, config_.resident_edges}));
   start();
 }
 
@@ -275,39 +261,25 @@ std::shared_ptr<const ModelGeneration> SessionManager::load_generation_locked(
   }
   // Integrity-verified load off the worker threads; the detector band/quorum
   // this manager was configured with carries over to the new generation.
-  const auto check_compatible = [this](const core::SensorEncrypter& enc,
-                                       const core::WindowConfig& w) {
-    DESMINE_EXPECTS(enc.kept_sensors() == encrypter_.kept_sensors(),
-                    "artifact serves different sensors than this manager");
-    DESMINE_EXPECTS(w.word_length == window_.word_length &&
-                        w.word_stride == window_.word_stride &&
-                        w.sentence_length == window_.sentence_length &&
-                        w.sentence_stride == window_.sentence_stride,
-                    "artifact was mined with a different window config");
-  };
-  std::shared_ptr<const ModelGeneration> next;
-  if (io::peek_artifact_version(path) == io::kMappedArtifactVersion) {
-    // Mapped promotion is a remap: open + TOC verification + valid-band
-    // filtering, no weight deserialization. Unlike cold start (lazy CRCs
-    // for O(header+TOC) readiness), swapping a LIVE fleet demands the §13
-    // contract — integrity-verified before publication — so every edge CRC
-    // is swept eagerly here; a corrupt candidate keeps the old generation.
-    // The retiring generation's map stays pinned until its last in-flight
-    // window drains.
-    std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(path);
-    check_compatible(map->encrypter(), map->window());
-    map->verify_all();
-    next = make_generation(
-        std::move(map), config_.detector, registry_->generation() + 1,
-        ResidencyConfig{config_.resident_bytes, config_.resident_edges});
-  } else {
-    core::FrameworkConfig overlay;
-    overlay.detector = config_.detector;
-    const core::Framework loaded = io::load_framework(path, overlay);
-    check_compatible(loaded.encrypter(), loaded.config().window);
-    next = make_generation(loaded.graph(), config_.detector,
-                           registry_->generation() + 1);
-  }
+  // Promotion is a remap: open + TOC verification + valid-band filtering, no
+  // weight deserialization. Unlike cold start (lazy CRCs for O(header+TOC)
+  // readiness), swapping a LIVE fleet demands the §13 contract —
+  // integrity-verified before publication — so every edge CRC is swept
+  // eagerly here; a corrupt candidate keeps the old generation. The retiring
+  // generation's map stays pinned until its last in-flight window drains.
+  std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(path);
+  const core::WindowConfig& w = map->window();
+  DESMINE_EXPECTS(map->encrypter().kept_sensors() == encrypter_.kept_sensors(),
+                  "artifact serves different sensors than this manager");
+  DESMINE_EXPECTS(w.word_length == window_.word_length &&
+                      w.word_stride == window_.word_stride &&
+                      w.sentence_length == window_.sentence_length &&
+                      w.sentence_stride == window_.sentence_stride,
+                  "artifact was mined with a different window config");
+  map->verify_all();
+  std::shared_ptr<const ModelGeneration> next = make_generation(
+      std::move(map), config_.detector, registry_->generation() + 1,
+      ResidencyConfig{config_.resident_bytes, config_.resident_edges});
   DESMINE_EXPECTS(!next->edges.empty(),
                   "artifact has no valid-band edges to serve");
   return next;

@@ -118,14 +118,13 @@ class SessionManager {
   SessionManager(const core::MvrGraph& graph, core::SensorEncrypter encrypter,
                  core::WindowConfig window, ServeConfig config = {});
 
-  /// Serve straight from a saved artifact, dispatching on its version:
-  /// a mapped (v4) artifact is opened via io::ArtifactMap — the encrypter,
-  /// window config and edge TOC come from O(header + TOC) work, weights
-  /// stay on disk and edges materialize lazily under the residency budget
-  /// (config.resident_bytes/resident_edges) — while v1–v3 artifacts
-  /// deserialize through io::load_framework exactly as before. Scoring is
-  /// bit-identical either way. Throws io::ArtifactError / RuntimeError on a
-  /// corrupt or unreadable artifact.
+  /// Serve straight from a saved (v4) artifact, opened via io::ArtifactMap:
+  /// the encrypter, window config and edge TOC come from O(header + TOC)
+  /// work, weights stay on disk and edges materialize lazily under the
+  /// residency budget (config.resident_bytes/resident_edges). Scoring is
+  /// bit-identical to a heap generation of the same models. Throws
+  /// io::ArtifactError (section kHeader for a v1–v3 file) / RuntimeError on
+  /// a corrupt, foreign or unreadable artifact.
   explicit SessionManager(const std::string& artifact_path,
                           ServeConfig config = {});
 
@@ -159,10 +158,11 @@ class SessionManager {
   /// Close, drain, and forget `session` (unpolled results are dropped).
   void erase(std::uint64_t session);
 
-  /// Hot-swap the served models from a saved artifact (io::load_framework —
-  /// CRC-verified; the artifact must carry the same kept sensors and window
-  /// config this manager was built with). In-flight windows finish on their
-  /// old generation; windows ingested after the swap score on the new one.
+  /// Hot-swap the served models from a saved (v4) artifact (every edge
+  /// CRC-verified before publication; the artifact must carry the same kept
+  /// sensors and window config this manager was built with). In-flight
+  /// windows finish on their old generation; windows ingested after the
+  /// swap score on the new one.
   /// Returns the new generation id. Throws (RuntimeError/PreconditionError)
   /// and leaves the old generation serving on any failure. Serialized:
   /// concurrent reloads run one at a time. Call from a control thread, not
@@ -226,9 +226,9 @@ class SessionManager {
   /// Requires encrypter_/window_/registry_ to be set.
   void start();
 
-  /// Load + validate a candidate/reload artifact (CRC, kept sensors,
-  /// window config) and build the next generation — mapped for v4
-  /// artifacts, heap for v1–v3. Caller holds reload_mu_.
+  /// Map + validate a candidate/reload artifact (CRC, kept sensors,
+  /// window config) and build the next, mapped generation. Caller holds
+  /// reload_mu_.
   std::shared_ptr<const ModelGeneration> load_generation_locked(
       const std::string& path);
 

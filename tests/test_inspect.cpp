@@ -3,14 +3,15 @@
 //   1    corrupt/unreadable artifact
 //   2    usage error
 // The binary path is injected by CMake as DESMINE_INSPECT_PATH. The tests
-// build real v3/v4 artifacts in-process, then drive the tool as a
-// subprocess — the same way an operator or a CI integrity gate would.
+// build real artifacts in-process, then drive the tool as a subprocess — the
+// same way an operator or a CI integrity gate would.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "data/plant.h"
 #include "io/artifact_map.h"
 #include "io/serialize.h"
+#include "util/crc32.h"
 
 namespace di = desmine::io;
 namespace dc = desmine::core;
@@ -35,11 +37,11 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
-/// Run desmine_inspect with `args`; returns {exit code, stdout}.
+/// Run desmine_inspect with `args`; returns {exit code, stdout + stderr}.
 std::pair<int, std::string> run_inspect(const std::string& args) {
   const TempFile out("stdout.txt");
   const std::string cmd = std::string(DESMINE_INSPECT_PATH) + " " + args +
-                          " >" + out.path + " 2>/dev/null";
+                          " >" + out.path + " 2>&1";
   const int status = std::system(cmd.c_str());
   std::ifstream is(out.path);
   std::ostringstream buf;
@@ -85,15 +87,23 @@ const dc::Framework& fitted_framework() {
   return *fw;
 }
 
-void flip_byte(const std::string& path, std::size_t at) {
+std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream buf;
   buf << is.rdbuf();
-  std::string bytes = buf.str();
-  ASSERT_LT(at, bytes.size());
-  bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+  return buf.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void flip_byte(const std::string& path, std::size_t at) {
+  std::string bytes = slurp(path);
+  ASSERT_LT(at, bytes.size());
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+  write_bytes(path, bytes);
 }
 
 }  // namespace
@@ -134,14 +144,21 @@ TEST(InspectCli, MappedArtifactJsonDump) {
   EXPECT_NE(out.find("\"edge_table\":["), std::string::npos) << out;
 }
 
-TEST(InspectCli, StreamArtifactDump) {
+TEST(InspectCli, StreamArtifactRejectedAtHeader) {
+  // v4 is the only framework format; a v3 stream (here a pair-model
+  // sidecar) is a corrupt artifact as far as the tool is concerned.
   const TempFile file("v3.bin");
-  di::save_framework(fitted_framework(), file.path,
-                     di::kStreamArtifactVersion);
+  const dc::Framework& fw = fitted_framework();
+  for (const dc::MvrEdge& e : fw.graph().edges()) {
+    if (!e.model) continue;
+    di::save_pair_model(file.path, *e.model,
+                        fw.config().miner.translation.model);
+    break;
+  }
   const auto [code, out] = run_inspect("--model " + file.path);
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(out.find("artifact v3 (stream)"), std::string::npos) << out;
-  EXPECT_NE(out.find("CRC trailer OK"), std::string::npos) << out;
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("corrupt artifact [header]"), std::string::npos) << out;
+  EXPECT_NE(out.find("version 3"), std::string::npos) << out;
 }
 
 TEST(InspectCli, CorruptTocFailsWithoutVerify) {
@@ -178,13 +195,32 @@ TEST(InspectCli, WeightFlipCaughtOnlyByVerify) {
 TEST(InspectCli, TruncatedArtifactIsRuntimeError) {
   const TempFile file("v4_trunc.bin");
   di::save_framework(fitted_framework(), file.path);
-  std::ifstream is(file.path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string bytes = buf.str();
-  is.close();
-  std::ofstream os(file.path, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  os.close();
+  const std::string bytes = slurp(file.path);
+  write_bytes(file.path, bytes.substr(0, bytes.size() / 2));
   EXPECT_EQ(run_inspect("--model " + file.path).first, 1);
+}
+
+TEST(InspectCli, HostileTocCountIsCorruptToc) {
+  // A failure count of 2^40 in an otherwise CRC-clean TOC (both checksums
+  // recomputed) is reported as a corrupt TOC, not an allocator error.
+  const TempFile file("v4_hostile.bin");
+  ASSERT_TRUE(fitted_framework().graph().failures().empty());
+  di::save_framework(fitted_framework(), file.path);
+  std::string bytes = slurp(file.path);
+  // With no failures, the failure count is the TOC's (and file's) last u64.
+  const std::uint64_t count = 1ull << 40;
+  std::memcpy(bytes.data() + bytes.size() - 8, &count, sizeof(count));
+  std::uint64_t toc_off = 0, toc_len = 0;
+  std::memcpy(&toc_off, bytes.data() + 16, sizeof(toc_off));
+  std::memcpy(&toc_len, bytes.data() + 24, sizeof(toc_len));
+  const std::uint32_t toc_crc =
+      desmine::util::crc32(bytes.data() + toc_off, toc_len);
+  std::memcpy(bytes.data() + 48, &toc_crc, sizeof(toc_crc));
+  const std::uint32_t header_crc = desmine::util::crc32(bytes.data(), 52);
+  std::memcpy(bytes.data() + 52, &header_crc, sizeof(header_crc));
+  write_bytes(file.path, bytes);
+
+  const auto [code, out] = run_inspect("--model " + file.path);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("corrupt artifact [toc]"), std::string::npos) << out;
 }

@@ -1,9 +1,11 @@
 // Round-trip tests for artifact serialization: matrices, vocabularies,
-// translation models, relationship graphs, and whole-framework snapshots.
+// translation models, encrypters and whole-framework snapshots, plus the
+// typed rejection of corrupt, hostile and legacy-version files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "data/plant.h"
 #include "io/artifact_map.h"
 #include "io/serialize.h"
+#include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -75,7 +78,7 @@ TEST(Serialize, TranslationModelRoundTripSameOutputs) {
 
   std::stringstream ss;
   di::write_translation_model(ss, model, cfg.model);
-  auto back = di::read_translation_model(ss, di::kStreamArtifactVersion);
+  auto back = di::read_translation_model(ss);
 
   for (const auto& sentence : src) {
     EXPECT_EQ(back.translate(sentence), model.translate(sentence));
@@ -86,6 +89,26 @@ TEST(Serialize, TranslationModelRoundTripSameOutputs) {
 TEST(Serialize, CorruptStreamThrows) {
   std::stringstream ss("not an artifact at all");
   EXPECT_THROW(di::read_matrix(ss), desmine::RuntimeError);
+}
+
+TEST(Serialize, HostileCountsThrowBeforeAllocating) {
+  // A count or length larger than the bytes left fails typed, whatever
+  // reader meets it first (vocabulary, string, matrix, encrypter).
+  const auto stream_with = [](std::uint64_t a, std::uint64_t b) {
+    std::string bytes(2 * sizeof(std::uint64_t) + 16, '\0');
+    std::memcpy(bytes.data(), &a, sizeof(a));
+    std::memcpy(bytes.data() + sizeof(a), &b, sizeof(b));
+    return std::stringstream(bytes);
+  };
+  for (const std::uint64_t n : {1ull << 20, 1ull << 40, 1ull << 62}) {
+    auto vocab = stream_with(n, 0);
+    EXPECT_THROW(di::read_vocabulary(vocab), desmine::RuntimeError) << n;
+    auto encrypter = stream_with(n, 0);
+    EXPECT_THROW(di::read_encrypter(encrypter), desmine::RuntimeError) << n;
+  }
+  // Dimensions under the sanity cap, but 2^40 floats in a 32-byte stream.
+  auto matrix = stream_with(1 << 20, 1 << 20);
+  EXPECT_THROW(di::read_matrix(matrix), desmine::RuntimeError);
 }
 
 TEST(Serialize, EncrypterRoundTrip) {
@@ -220,15 +243,11 @@ TEST(Serialize, BitFlippedArtifactAlwaysThrows) {
   const std::string bytes = make_pair_artifact(file.path);
 
   // Flip one random byte per round (fixed seed => reproducible failures).
-  // Offsets 4..7 hold the version field and are excluded: a flip there can
-  // legally downgrade the artifact to the pre-CRC v1/v2 format, which loads
-  // without trailer verification by design.
+  // Every offset counts, the version field included: a sidecar is only ever
+  // v3, so a flip there is rejected like any other.
   Rng rng(2024);
   for (int round = 0; round < 32; ++round) {
-    std::size_t offset = 0;
-    do {
-      offset = rng.index(bytes.size());
-    } while (offset >= 4 && offset < 8);
+    const std::size_t offset = rng.index(bytes.size());
     std::string corrupt = bytes;
     corrupt[offset] = static_cast<char>(
         corrupt[offset] ^ static_cast<char>(rng.uniform_int(1, 255)));
@@ -238,9 +257,31 @@ TEST(Serialize, BitFlippedArtifactAlwaysThrows) {
   }
 }
 
+TEST(Serialize, PairModelRejectsOtherVersions) {
+  const TempFile file("pair_versions.bin");
+  const std::string bytes = make_pair_artifact(file.path);
+  const auto with_version = [](std::string b, std::uint32_t version) {
+    std::memcpy(b.data() + 4, &version, sizeof(version));
+    return b;
+  };
+  for (const std::uint32_t version : {0u, 1u, 2u, 4u, 5u}) {
+    write_bytes(file.path, with_version(bytes, version));
+    EXPECT_THROW(di::load_pair_model(file.path), desmine::RuntimeError)
+        << "version " << version << " sidecar was not rejected";
+  }
+  // A version field reading 2 must not bypass the CRC either: with a byte
+  // of the last weight tensor flipped too (the payload ends just before
+  // the 8-byte CRC trailer), the sidecar must still be refused.
+  std::string corrupt = with_version(bytes, 2);
+  const std::size_t at = corrupt.size() - 8 - 2;
+  corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
+  write_bytes(file.path, corrupt);
+  EXPECT_THROW(di::load_pair_model(file.path), desmine::RuntimeError);
+}
+
 TEST(Serialize, CorruptFrameworkSnapshotThrows) {
-  // The framework loader shares read_artifact_file: a flipped byte in a
-  // saved snapshot must be caught by the CRC before any payload parsing.
+  // A flipped weight byte in a saved snapshot must be caught by the edge's
+  // weight CRC before it can score.
   dd::PlantConfig pcfg;
   pcfg.num_components = 1;
   pcfg.sensors_per_component = 2;
@@ -271,8 +312,8 @@ TEST(Serialize, CorruptFrameworkSnapshotThrows) {
 
   const TempFile file("framework_corrupt.bin");
   di::save_framework(fw, file.path);
-  // Flip a byte inside the first model edge's weight region — a position
-  // guaranteed to be CRC-covered in the (default, v4) layout.
+  // Flip a byte inside the first model edge's weight region, a
+  // CRC-covered position.
   std::size_t flip_at = 0;
   {
     const auto map = di::ArtifactMap::open(file.path);
@@ -317,8 +358,8 @@ TEST(Serialize, LoadMissingFileThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Mapped (v4) model store: cross-version matrix, typed corruption errors,
-// page sharing, heap fallback (DESIGN.md §15).
+// Mapped (v4) model store: round trip, typed corruption errors, hostile
+// TOC counts, page sharing, heap fallback (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -392,24 +433,112 @@ bool forced_heap() {
 
 }  // namespace
 
-TEST(ArtifactV4, CrossVersionMatrixScoresBitIdentically) {
-  // Every writable version must round-trip to bit-identical detection:
-  // v1/v2 (no CRC), v3 (CRC trailer), v4 (mapped). IEEE-754 equality, not
-  // tolerance — the weight bytes are the same bytes.
+TEST(ArtifactV4, OnlyV4RoundTripsBitIdentically) {
+  // The v4 round trip is bit-identical: IEEE-754 equality, not tolerance —
+  // the weight bytes are the same bytes. v1–v3 framework files do not load:
+  // load_framework names the version in a kHeader error, both for the v4
+  // bytes re-labelled v1..v3 and for a genuine v3 stream (a pair sidecar).
   const dc::Framework& fw = fitted_framework();
   const auto test_slice = v4_test_slice();
   const auto expect = fw.detect(test_slice);
-  for (std::uint32_t version = 1; version <= di::kArtifactVersion; ++version) {
-    const TempFile file("xver_v" + std::to_string(version) + ".bin");
-    di::save_framework(fw, file.path, version);
-    EXPECT_EQ(di::peek_artifact_version(file.path), version);
-    dc::Framework loaded = di::load_framework(file.path, fw.config());
-    const auto got = loaded.detect(test_slice);
-    ASSERT_EQ(got.anomaly_scores.size(), expect.anomaly_scores.size())
-        << "version " << version;
-    for (std::size_t t = 0; t < expect.anomaly_scores.size(); ++t) {
-      EXPECT_DOUBLE_EQ(got.anomaly_scores[t], expect.anomaly_scores[t])
-          << "version " << version << " tick " << t;
+  const TempFile file("v4_roundtrip.bin");
+  di::save_framework(fw, file.path);
+  dc::Framework loaded = di::load_framework(file.path, fw.config());
+  const auto got = loaded.detect(test_slice);
+  ASSERT_EQ(got.anomaly_scores.size(), expect.anomaly_scores.size());
+  for (std::size_t t = 0; t < expect.anomaly_scores.size(); ++t) {
+    EXPECT_DOUBLE_EQ(got.anomaly_scores[t], expect.anomaly_scores[t])
+        << "tick " << t;
+  }
+
+  const auto expect_header_error = [&fw](const std::string& path,
+                                         std::uint32_t version) {
+    try {
+      di::load_framework(path, fw.config());
+      FAIL() << "version " << version << " file loaded";
+    } catch (const di::ArtifactError& e) {
+      EXPECT_EQ(e.section(), di::ArtifactError::Section::kHeader);
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string bytes = slurp(file.path);
+  for (std::uint32_t version = 1; version <= 3; ++version) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + 4, &version, sizeof(version));
+    write_bytes(file.path, patched);
+    expect_header_error(file.path, version);
+  }
+  const TempFile sidecar("v4_legacy_sidecar.bin");
+  make_pair_artifact(sidecar.path);
+  expect_header_error(sidecar.path, 3);
+}
+
+namespace {
+
+/// Overwrite the u64 at `at` with `value`, then recompute the TOC and header
+/// CRCs so that only the value itself can fail the open.
+void patch_u64_resealed(std::string& bytes, std::size_t at,
+                        std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  std::uint64_t toc_off = 0, toc_len = 0;
+  std::memcpy(&toc_off, bytes.data() + 16, sizeof(toc_off));
+  std::memcpy(&toc_len, bytes.data() + 24, sizeof(toc_len));
+  const std::uint32_t toc_crc =
+      desmine::util::crc32(bytes.data() + toc_off, toc_len);
+  std::memcpy(bytes.data() + 48, &toc_crc, sizeof(toc_crc));
+  const std::uint32_t header_crc = desmine::util::crc32(bytes.data(), 52);
+  std::memcpy(bytes.data() + 52, &header_crc, sizeof(header_crc));
+}
+
+}  // namespace
+
+TEST(ArtifactV4, HostileTocCountsRaiseTypedTocErrors) {
+  // A CRC-clean TOC can still carry absurd counts. Each must fail the open
+  // as ArtifactError kToc, never as std::bad_alloc / std::length_error.
+  const dc::Framework& fw = fitted_framework();
+  ASSERT_TRUE(fw.graph().failures().empty());
+  const TempFile file("v4_hostile.bin");
+  di::save_framework(fw, file.path);
+  const std::string clean = slurp(file.path);
+
+  // TOC: window (4 u64) | encrypter | sensor count, names | edge count, ...
+  // | failure count (the last 8 bytes when there are no failures).
+  std::uint64_t toc_off = 0;
+  std::memcpy(&toc_off, clean.data() + 16, sizeof(toc_off));
+  std::ostringstream enc;
+  di::write_encrypter(enc, fw.encrypter());
+  const std::size_t sensor_count_at = toc_off + 32 + enc.str().size();
+  std::size_t edge_count_at = sensor_count_at + 8;
+  for (const std::string& name : fw.graph().sensor_names()) {
+    edge_count_at += 8 + name.size();
+  }
+  const std::size_t name_len_at = sensor_count_at + 8;
+  const std::size_t failure_count_at = clean.size() - 8;
+
+  struct Case {
+    const char* what;
+    std::vector<std::size_t> at;
+    std::uint64_t value;
+  };
+  const std::vector<Case> cases = {
+      {"failure count 2^40", {failure_count_at}, 1ull << 40},
+      {"failure count 2^62", {failure_count_at}, 1ull << 62},
+      {"sensor-name length 2^62", {name_len_at}, 1ull << 62},
+      {"header + TOC edge count 2^40", {32, edge_count_at}, 1ull << 40},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = clean;
+    for (const std::size_t at : c.at) patch_u64_resealed(bytes, at, c.value);
+    write_bytes(file.path, bytes);
+    try {
+      di::ArtifactMap::open(file.path);
+      FAIL() << c.what << " was not rejected";
+    } catch (const di::ArtifactError& e) {
+      EXPECT_EQ(e.section(), di::ArtifactError::Section::kToc)
+          << c.what << ": " << e.what();
     }
   }
 }
@@ -570,8 +699,12 @@ TEST(ArtifactV4, MappedModelsRefuseTraining) {
 
 TEST(ArtifactV4, PairModelSidecarsStayStreamV3) {
   const TempFile file("v4_sidecar.bin");
-  make_pair_artifact(file.path);
-  EXPECT_EQ(di::peek_artifact_version(file.path), di::kStreamArtifactVersion);
+  const std::string bytes = make_pair_artifact(file.path);
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(bytes.substr(0, 4), "DESM");
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, di::kStreamArtifactVersion);
 }
 
 #ifdef __linux__

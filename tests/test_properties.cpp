@@ -176,7 +176,7 @@ TEST_P(SerializeSweep, TranslationModelRoundTrips) {
 
   std::stringstream ss;
   di::write_translation_model(ss, model, cfg.model);
-  auto back = di::read_translation_model(ss, di::kStreamArtifactVersion);
+  auto back = di::read_translation_model(ss);
   for (const auto& sentence : src) {
     EXPECT_EQ(back.translate(sentence), model.translate(sentence));
   }

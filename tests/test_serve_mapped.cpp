@@ -91,7 +91,7 @@ struct Fixture {
         }()),
         framework(cfg) {
     framework.fit(make_series(600, 1), make_series(300, 2));
-    dio::save_framework(framework, artifact.path);  // default = v4 mapped
+    dio::save_framework(framework, artifact.path);
   }
 
   ds::ServeConfig serve_config() const {
@@ -335,10 +335,9 @@ TEST(ServeMapped, ReloadOfMappedArtifactSwapsGenerations) {
 
 TEST(ServeMapped, ReloadAcrossLayoutsHeapToMapped) {
   auto& f = fixture();
-  // Start from a v3 stream artifact (heap generation), hot-swap to v4.
-  TempFile v3("serve_mapped_v3.bin");
-  dio::save_framework(f.framework, v3.path, dio::kStreamArtifactVersion);
-  ds::SessionManager manager(v3.path, f.serve_config());
+  // Start from the in-memory graph (heap generation), hot-swap to v4.
+  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
+                             f.cfg.window, f.serve_config());
   EXPECT_EQ(manager.registry().current()->residency, nullptr);
 
   const std::uint64_t id = manager.open();
@@ -388,4 +387,46 @@ TEST(ServeMapped, CorruptMappedReloadKeepsOldGenerationServing) {
   }
   manager.drain();
   EXPECT_EQ(poll_and_check(manager, id, expected), expected.size());
+}
+
+TEST(ServeMapped, LegacyVersionArtifactRejectedAtHeader) {
+  // v4 is the only framework format: a file whose header names v1–v3 is
+  // refused by the path ctor, reload and begin_shadow with a typed kHeader
+  // error naming the version, and the serving generation is untouched.
+  auto& f = fixture();
+  std::string bytes;
+  {
+    std::ifstream is(f.artifact.path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    bytes = buf.str();
+  }
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
+  const std::uint64_t gen_before = manager.generation();
+  for (std::uint32_t version = 1; version <= 3; ++version) {
+    TempFile legacy("serve_mapped_v" + std::to_string(version) + ".bin");
+    std::string patched = bytes;
+    std::memcpy(patched.data() + 4, &version, sizeof(version));
+    {
+      std::ofstream os(legacy.path, std::ios::binary | std::ios::trunc);
+      os.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    const std::string named = "version " + std::to_string(version);
+    const auto expect_header_error = [&](const auto& call, const char* what) {
+      try {
+        call();
+        ADD_FAILURE() << what << " accepted a v" << version << " file";
+      } catch (const dio::ArtifactError& e) {
+        EXPECT_EQ(e.section(), dio::ArtifactError::Section::kHeader) << what;
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    expect_header_error(
+        [&] { ds::SessionManager(legacy.path, f.serve_config()); }, "ctor");
+    expect_header_error([&] { manager.reload(legacy.path); }, "reload");
+    expect_header_error([&] { manager.begin_shadow(legacy.path); },
+                        "begin_shadow");
+    EXPECT_EQ(manager.generation(), gen_before);
+  }
 }

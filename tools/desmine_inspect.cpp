@@ -1,16 +1,16 @@
-// desmine_inspect — dump the layout of any desmine artifact (v1–v4).
+// desmine_inspect — dump the layout of a desmine (v4 mapped) artifact.
 //
 // A debugging/ops companion to the model store: prints the artifact's
-// version, integrity status, and structure without loading any model onto
-// the heap. For mapped (v4) artifacts that means the header, the TOC
-// (edges, blob offsets/sizes, per-parameter shapes) and — with --verify —
-// every edge's meta/weight CRC status; for stream (v1–v3) artifacts the
-// header, window config, sensor list, and per-edge model summary.
+// integrity status and structure without loading any model onto the heap —
+// the header, the TOC (edges, blob offsets/sizes, per-parameter shapes) and,
+// with --verify, every edge's meta/weight CRC status. Any other file,
+// including a v1–v3 stream artifact or a pair-model sidecar, is rejected as
+// corrupt at its header.
 //
 // Usage:
 //   desmine_inspect --model FILE [--json] [--verify] [--edges N]
 //     --json       machine-readable output (one JSON document)
-//     --verify     check every edge's CRCs (v4; touches all weight pages)
+//     --verify     check every edge's CRCs (touches all weight pages)
 //     --edges N    cap per-edge listing at N rows (default 16; 0 = all)
 //
 // Exit codes: 0 ok | 1 corrupt/unreadable artifact | 2 usage error.
@@ -26,9 +26,7 @@
 #include <string>
 
 #include "args.h"
-#include "core/framework.h"
 #include "io/artifact_map.h"
-#include "io/serialize.h"
 #include "tensor/kernels.h"
 #include "util/error.h"
 #include "util/version.h"
@@ -76,9 +74,9 @@ std::string kernels_summary() {
   return out;
 }
 
-/// v4: everything comes from the header + TOC; --verify additionally CRCs
-/// every edge (first materialization-grade touch of the weight pages).
-int inspect_mapped(const std::string& path, const InspectOptions& opt) {
+/// Everything comes from the header + TOC; --verify additionally CRCs every
+/// edge (first materialization-grade touch of the weight pages).
+int inspect(const std::string& path, const InspectOptions& opt) {
   const std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(path);
   const auto& edges = map->edges();
   std::size_t models = 0;
@@ -174,72 +172,10 @@ int inspect_mapped(const std::string& path, const InspectOptions& opt) {
   return 0;
 }
 
-/// v1–v3: the only way to know the structure is to deserialize the stream
-/// (which also verifies the v3 CRC trailer).
-int inspect_stream(const std::string& path, std::uint32_t version,
-                   const InspectOptions& opt) {
-  const core::Framework fw = io::load_framework(path);
-  const core::MvrGraph& graph = fw.graph();
-  std::size_t models = 0;
-  for (const core::MvrEdge& e : graph.edges()) models += e.model != nullptr;
-  const std::size_t shown =
-      opt.max_edges == 0 ? graph.edges().size()
-                         : std::min(graph.edges().size(), opt.max_edges);
-
-  if (opt.json) {
-    std::ostringstream os;
-    os << "{\"path\":\"" << json_escape(path) << "\",\"version\":" << version
-       << ",\"layout\":\"stream\",\"sensors\":" << graph.sensor_count()
-       << ",\"edges\":" << graph.edges().size() << ",\"models\":" << models
-       << ",\"failures\":" << graph.failures().size()
-       << ",\"window\":{\"word_length\":" << fw.config().window.word_length
-       << ",\"word_stride\":" << fw.config().window.word_stride
-       << ",\"sentence_length\":" << fw.config().window.sentence_length
-       << ",\"sentence_stride\":" << fw.config().window.sentence_stride
-       << "},\"kernels\":\""
-       << tensor::kernels::backend_name(tensor::kernels::active_backend())
-       << "\",\"edge_table\":[";
-    for (std::size_t i = 0; i < shown; ++i) {
-      const core::MvrEdge& e = graph.edges()[i];
-      if (i != 0) os << ",";
-      os << "{\"src\":" << e.src << ",\"dst\":" << e.dst
-         << ",\"bleu\":" << e.bleu << ",\"has_model\":"
-         << (e.model != nullptr ? "true" : "false") << "}";
-    }
-    os << "]}";
-    std::cout << os.str() << "\n";
-    return 0;
-  }
-
-  std::cout << path << ": desmine artifact v" << version << " (stream)\n"
-            << "  sensors:    " << graph.sensor_count() << "\n"
-            << "  edges:      " << graph.edges().size() << " (" << models
-            << " with models)\n"
-            << "  failures:   " << graph.failures().size() << "\n"
-            << "  window:     word " << fw.config().window.word_length << "/"
-            << fw.config().window.word_stride << ", sentence "
-            << fw.config().window.sentence_length << "/"
-            << fw.config().window.sentence_stride << "\n"
-            << "  integrity:  "
-            << (version >= 3 ? "CRC trailer OK" : "no CRC (pre-v3 stream)")
-            << "\n"
-            << "  kernels:    " << kernels_summary() << "\n";
-  for (std::size_t i = 0; i < shown; ++i) {
-    const core::MvrEdge& e = graph.edges()[i];
-    std::cout << "  edge " << e.src << "->" << e.dst << " bleu=" << e.bleu
-              << (e.model != nullptr ? "" : " (no model)") << "\n";
-  }
-  if (shown < graph.edges().size()) {
-    std::cout << "  ... " << graph.edges().size() - shown
-              << " more edges (--edges 0 lists all)\n";
-  }
-  return 0;
-}
-
 void usage() {
   std::cerr << "usage: desmine_inspect --model artifact.bin [options]\n"
                "  --json       machine-readable output\n"
-               "  --verify     check every edge CRC (v4)\n"
+               "  --verify     check every edge CRC\n"
                "  --edges N    per-edge rows to print (default 16, 0 = all)\n"
                "exit codes: 0 ok | 1 corrupt/unreadable | 2 usage error\n";
 }
@@ -263,10 +199,7 @@ int main(int argc, char** argv) {
     opt.json = args->flag("json");
     opt.verify = args->flag("verify");
     opt.max_edges = static_cast<std::size_t>(args->number("edges", 16));
-    const std::uint32_t version = io::peek_artifact_version(path);
-    return version == io::kMappedArtifactVersion
-               ? inspect_mapped(path, opt)
-               : inspect_stream(path, version, opt);
+    return inspect(path, opt);
   } catch (const io::ArtifactError& e) {
     std::cerr << "corrupt artifact [" <<
         io::ArtifactError::section_name(e.section()) << "]: " << e.what()

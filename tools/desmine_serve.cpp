@@ -698,9 +698,9 @@ int main(int argc, char** argv) {
       // Honored by io::ArtifactMap::open for this process and any reload.
       ::setenv("DESMINE_FORCE_HEAP_FALLBACK", "1", 1);
     }
-    // Version-dispatching open: a v4 artifact is mmap()ed and served through
-    // zero-copy weight views (restart-to-first-window is O(header + TOC));
-    // v1–v3 deserialize onto the heap as before. Bit-identical either way.
+    // The v4 artifact is mmap()ed and served through zero-copy weight views
+    // (restart-to-first-window is O(header + TOC)); a v1–v3 file is rejected
+    // at its header.
     serve::SessionManager manager(model_path, run.serve);
     core::DegradedConfig degraded;
     degraded.enabled = true;
