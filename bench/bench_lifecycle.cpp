@@ -145,18 +145,19 @@ struct ShadowRun {
   double shadow_alert_rate = 0.0;
 };
 
-/// Serve one plant day through a fresh SessionManager; when `candidate` is
-/// non-empty the candidate shadow is armed first, so every delivered
-/// window is scored twice (active + mirrored candidate).
-ShadowRun run_served_day(const dc::Framework& fw, const ds::ServeConfig& scfg,
+/// Serve one plant day through a fresh SessionManager on the `active`
+/// artifact; when `candidate` is non-empty the candidate shadow is armed
+/// first, so every delivered window is scored twice (active + mirrored
+/// candidate).
+ShadowRun run_served_day(const std::string& active,
+                         const ds::ServeConfig& scfg,
                          const dd::PlantDataset& plant, std::size_t day,
                          const std::string& candidate) {
   const dc::MultivariateSeries traffic = plant.days_slice(day, 1);
   ShadowRun out;
   const auto t0 = std::chrono::steady_clock::now();
   {
-    ds::SessionManager manager(fw.graph(), fw.encrypter(),
-                               fw.config().window, scfg);
+    ds::SessionManager manager(active, scfg);
     if (!candidate.empty()) manager.begin_shadow(candidate);
     const auto id = manager.open();
     const std::size_t ticks = traffic.front().events.size();
@@ -277,19 +278,23 @@ int main() {
   std::cout << recovery.to_text("post-drift recovery vs from-scratch remine");
 
   // Shadow gate: must pass on drifted-normal traffic, must block on the
-  // injected true-fault day.
+  // injected true-fault day. Serving runs from a saved copy of the active
+  // graph.
+  const std::string active_path = db::artifact_dir() + "/lifecycle_active.bin";
+  desmine::io::save_framework(fw, active_path);
   const ds::ServeConfig scfg = serve_config(cfg, lcfg);
   const ShadowRun gate_normal =
-      run_served_day(fw, scfg, plant, 23, candidate_path);
+      run_served_day(active_path, scfg, plant, 23, candidate_path);
   const ShadowRun gate_fault =
-      run_served_day(fw, scfg, plant, kFaultDay, candidate_path);
+      run_served_day(active_path, scfg, plant, kFaultDay, candidate_path);
 
   // Shadow overhead: windows/sec on the same served day with the shadow
   // unarmed vs armed at sample_rate 1.0. Best-of-3, alternating order.
   double off_wps = 0.0, on_wps = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    const ShadowRun off = run_served_day(fw, scfg, plant, 23, "");
-    const ShadowRun on = run_served_day(fw, scfg, plant, 23, candidate_path);
+    const ShadowRun off = run_served_day(active_path, scfg, plant, 23, "");
+    const ShadowRun on =
+        run_served_day(active_path, scfg, plant, 23, candidate_path);
     off_wps = std::max(off_wps, off.windows_per_sec);
     on_wps = std::max(on_wps, on.windows_per_sec);
   }

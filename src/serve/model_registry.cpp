@@ -9,7 +9,6 @@
 namespace desmine::serve {
 
 std::shared_ptr<nmt::TranslationModel> EdgeModel::acquire() const {
-  if (model != nullptr) return model;
   std::shared_ptr<nmt::TranslationModel> m = residency->acquire(map_index);
   if (src_vocab == nullptr || m->src_vocab() != *src_vocab) {
     throw robust::VocabularyMismatch(src, src, dst);
@@ -18,42 +17,6 @@ std::shared_ptr<nmt::TranslationModel> EdgeModel::acquire() const {
     throw robust::VocabularyMismatch(dst, src, dst);
   }
   return m;
-}
-
-namespace {
-
-void bind_vocabularies(ModelGeneration& gen) {
-  for (EdgeModel& edge : gen.edges) {
-    edge.src_vocab = gen.vocabularies[edge.src];
-    edge.dst_vocab = gen.vocabularies[edge.dst];
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<const ModelGeneration> make_generation(
-    const core::MvrGraph& graph, const core::DetectorConfig& detector,
-    std::uint64_t id) {
-  DESMINE_EXPECTS(detector.valid_lo <= detector.valid_hi, "valid band order");
-  auto gen = std::make_shared<ModelGeneration>();
-  gen->id = id;
-  gen->detector = detector;
-  std::vector<core::MvrEdge> valid;
-  for (const core::MvrEdge& e : graph.edges()) {
-    if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
-      DESMINE_EXPECTS(e.model != nullptr, "valid edge lacks a trained model");
-      valid.push_back(e);
-      EdgeModel edge;
-      edge.src = e.src;
-      edge.dst = e.dst;
-      edge.train_bleu = e.bleu;
-      edge.model = e.model;
-      gen->edges.push_back(std::move(edge));
-    }
-  }
-  gen->vocabularies = core::sensor_vocabularies(graph.sensor_count(), valid);
-  bind_vocabularies(*gen);
-  return gen;
 }
 
 std::shared_ptr<const ModelGeneration> make_generation(
@@ -100,7 +63,10 @@ std::shared_ptr<const ModelGeneration> make_generation(
       }
     }
   }
-  bind_vocabularies(*gen);
+  for (EdgeModel& edge : gen->edges) {
+    edge.src_vocab = gen->vocabularies[edge.src];
+    edge.dst_vocab = gen->vocabularies[edge.dst];
+  }
   return gen;
 }
 

@@ -2,8 +2,8 @@
 //
 // Serving must swap in a retrained MVRG artifact without restarting or
 // perturbing in-flight work. The registry holds the *current* generation —
-// an immutable bundle of valid-band edge models plus the detector
-// thresholds — behind one mutex; publishing a new generation is a pointer
+// an immutable bundle of the valid-band edges of one mapped (v4) artifact
+// plus the detector thresholds — behind one mutex; publishing a new generation is a pointer
 // swap. Every window snapshots a shared_ptr to the generation it was
 // ingested under and scores against exactly that state, so a swap never
 // mixes models within a window: windows ingested before the swap finish on
@@ -21,42 +21,37 @@
 
 #include "core/anomaly.h"
 #include "core/edge_scorer.h"
-#include "core/mvr_graph.h"
 #include "nmt/translation.h"
 #include "serve/residency.h"
 
 namespace desmine::serve {
 
-/// One valid edge of a generation. Heap generations (a graph handed in
-/// directly, e.g. freshly mined) carry the shared trained model in `model`;
-/// mapped generations (every artifact path) leave `model` null and
-/// materialize through the generation's ResidencyManager on demand.
-/// Scorers always go through acquire(), which hides the difference.
+/// One valid edge of a generation: its TOC index into the generation's
+/// artifact map. The model materializes through the generation's
+/// ResidencyManager on demand; scorers go through acquire().
 struct EdgeModel {
   std::size_t src = 0;
   std::size_t dst = 0;
   double train_bleu = 0.0;  ///< s(i, j) — the broken threshold baseline
-  std::shared_ptr<nmt::TranslationModel> model;
   /// The generation's vocabularies of sensors src and dst.
   std::shared_ptr<const text::Vocabulary> src_vocab, dst_vocab;
-  /// Mapped generations only: the residency cache and this edge's index
-  /// into the map's TOC.
+  /// The generation's residency cache and this edge's index into the map's
+  /// TOC.
   std::shared_ptr<ResidencyManager> residency;
   std::size_t map_index = 0;
 
-  /// The model to score with: the owned model when present, else the
-  /// residency cache's (materializing on first touch). io::ArtifactError
-  /// surfaces corruption, and robust::VocabularyMismatch a mapped model
-  /// trained on other vocabularies than its sensors'; the scheduler's
-  /// per-edge failure handling treats either like any scoring error.
+  /// The model to score with, from the residency cache (materializing on
+  /// first touch). io::ArtifactError surfaces corruption, and
+  /// robust::VocabularyMismatch a model trained on other vocabularies than
+  /// its sensors'; the scheduler's per-edge failure handling treats either
+  /// like any scoring error.
   std::shared_ptr<nmt::TranslationModel> acquire() const;
 };
 
 /// One immutable published model state. Windows and scheduler edge states
 /// hold shared_ptrs to the generation they score against; nothing mutates a
-/// generation after publication. For mapped generations, `residency` pins
-/// the io::ArtifactMap (and with it the weight pages) for the generation's
-/// whole lifetime.
+/// generation after publication. `residency` pins the io::ArtifactMap (and
+/// with it the weight pages) for the generation's whole lifetime.
 struct ModelGeneration {
   std::uint64_t id = 1;  ///< monotonically increasing across reloads
   std::vector<EdgeModel> edges;
@@ -64,24 +59,17 @@ struct ModelGeneration {
   /// Per sensor node, the vocabulary its valid edges are trained on (null
   /// for sensors no valid edge touches): what windows are encoded with.
   core::SensorVocabularies vocabularies;
-  std::shared_ptr<ResidencyManager> residency;  ///< null for heap generations
+  std::shared_ptr<ResidencyManager> residency;
 };
 
-/// Build a generation from a trained graph: keep the edges whose training
-/// BLEU lies in [detector.valid_lo, detector.valid_hi) — the same valid-band
-/// rule AnomalyDetector applies. Throws PreconditionError when a valid edge
-/// lacks a trained model, and robust::VocabularyMismatch when two valid
-/// edges of a sensor disagree on its vocabulary.
-std::shared_ptr<const ModelGeneration> make_generation(
-    const core::MvrGraph& graph, const core::DetectorConfig& detector,
-    std::uint64_t id);
-
-/// Build a generation over a mapped (v4) artifact: same valid-band rule,
-/// but no model is deserialized — edges materialize lazily through a fresh
-/// ResidencyManager budgeted by `residency`. Each sensor's vocabulary is
-/// read from the meta blob of the first valid edge touching it whose blob
-/// is intact; the open-to-serveable cost stays independent of weight bytes.
-/// Throws PreconditionError when a valid-band TOC entry lacks a model blob.
+/// Build a generation over a mapped (v4) artifact: keep the edges whose
+/// training BLEU lies in [detector.valid_lo, detector.valid_hi) — the same
+/// valid-band rule AnomalyDetector applies. No model is deserialized: edges
+/// materialize lazily through a fresh ResidencyManager budgeted by
+/// `residency`. Each sensor's vocabulary is read from the meta blob of the
+/// first valid edge touching it whose blob is intact; the open-to-serveable
+/// cost stays independent of weight bytes. Throws PreconditionError when a
+/// valid-band TOC entry lacks a model blob.
 std::shared_ptr<const ModelGeneration> make_generation(
     std::shared_ptr<io::ArtifactMap> map, const core::DetectorConfig& detector,
     std::uint64_t id, const ResidencyConfig& residency);

@@ -14,21 +14,12 @@
 
 namespace desmine::serve {
 
-SessionManager::SessionManager(const core::MvrGraph& graph,
-                               core::SensorEncrypter encrypter,
-                               core::WindowConfig window, ServeConfig config)
-    : config_(config), encrypter_(std::move(encrypter)), window_(window) {
-  DESMINE_EXPECTS(
-      graph.sensor_count() == encrypter_.kept_sensors().size(),
-      "graph/encrypter sensor counts disagree");
-  registry_ = std::make_unique<ModelRegistry>(
-      make_generation(graph, config.detector, 1));
-  start();
-}
-
 SessionManager::SessionManager(const std::string& artifact_path,
                                ServeConfig config)
     : config_(std::move(config)) {
+  DESMINE_EXPECTS(config_.detector.min_coverage >= 0.0 &&
+                      config_.detector.min_coverage <= 1.0,
+                  "min_coverage must lie in [0, 1]");
   // Mapped open: O(header + TOC); no weight bytes are read or copied until
   // an edge actually scores.
   std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(artifact_path);
@@ -37,15 +28,7 @@ SessionManager::SessionManager(const std::string& artifact_path,
   registry_ = std::make_unique<ModelRegistry>(make_generation(
       std::move(map), config_.detector, 1,
       ResidencyConfig{config_.resident_bytes, config_.resident_edges}));
-  start();
-}
 
-void SessionManager::start() {
-  DESMINE_EXPECTS(config_.detector.valid_lo <= config_.detector.valid_hi,
-                  "valid band order");
-  DESMINE_EXPECTS(config_.detector.min_coverage >= 0.0 &&
-                      config_.detector.min_coverage <= 1.0,
-                  "min_coverage must lie in [0, 1]");
   // Telemetry plane: shape the sliding windows before any instrument is
   // created, then pre-register the scrape-visible instruments so /metrics
   // carries them (zero-valued) from the first scrape, not the first window.

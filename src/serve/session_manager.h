@@ -3,9 +3,9 @@
 // SessionManager is the serving layer's front door: it owns N independent
 // detection sessions, the generation-counted ModelRegistry, the
 // cross-session BatchScheduler, and the worker pool that drains it. One
-// trained artifact (MvrGraph + SensorEncrypter + WindowConfig — exactly
-// what io::load_framework restores) serves any number of concurrent
-// streams; per-session strict/degraded semantics are chosen at open().
+// saved (v4) artifact — mapped, its edges materialized on demand — serves
+// any number of concurrent streams; per-session strict/degraded semantics
+// are chosen at open().
 // Ingest is thread-safe per session and across sessions; a flooding session
 // exhausts only its own pending-window budget (SessionLimits) and never
 // stalls or degrades its neighbours.
@@ -44,7 +44,6 @@
 #include "core/anomaly.h"
 #include "core/encryption.h"
 #include "core/language.h"
-#include "core/mvr_graph.h"
 #include "serve/batch_scheduler.h"
 #include "serve/model_registry.h"
 #include "serve/session.h"
@@ -98,9 +97,8 @@ struct ServeConfig {
   std::size_t sliding_epochs = 6;
 
   // --- Mapped model store (DESIGN.md §15) ---
-  /// Byte budget for materialized edge decode state when serving a mapped
-  /// (v4) artifact (0 = unlimited). LRU edges evict past the budget;
-  /// in-flight scorers are never interrupted. Ignored for heap generations.
+  /// Byte budget for materialized edge decode state (0 = unlimited). LRU
+  /// edges evict past the budget; in-flight scorers are never interrupted.
   std::uint64_t resident_bytes = 0;
   /// Cap on concurrently materialized mapped edges (0 = unlimited).
   std::size_t resident_edges = 0;
@@ -112,17 +110,11 @@ struct ServeConfig {
 
 class SessionManager {
  public:
-  /// `graph` must carry trained models on its valid-band edges; `encrypter`
-  /// and `window` must be the ones the graph was mined with (the trio an
-  /// io::load_framework artifact restores).
-  SessionManager(const core::MvrGraph& graph, core::SensorEncrypter encrypter,
-                 core::WindowConfig window, ServeConfig config = {});
-
-  /// Serve straight from a saved (v4) artifact, opened via io::ArtifactMap:
-  /// the encrypter, window config and edge TOC come from O(header + TOC)
-  /// work, weights stay on disk and edges materialize lazily under the
-  /// residency budget (config.resident_bytes/resident_edges). Scoring is
-  /// bit-identical to a heap generation of the same models. Throws
+  /// Serve a saved (v4) artifact, opened via io::ArtifactMap: the
+  /// encrypter, window config and edge TOC come from O(header + TOC) work,
+  /// weights stay on disk and edges materialize lazily under the residency
+  /// budget (config.resident_bytes/resident_edges). Scoring is
+  /// bit-identical to an OnlineDetector over the saved graph. Throws
   /// io::ArtifactError (section kHeader for a v1–v3 file) / RuntimeError on
   /// a corrupt, foreign or unreadable artifact.
   explicit SessionManager(const std::string& artifact_path,
@@ -220,11 +212,6 @@ class SessionManager {
 
  private:
   std::shared_ptr<Session> find(std::uint64_t session) const;
-
-  /// Shared tail of both constructors: validates config_, registers the
-  /// telemetry instruments, and brings up the scheduler + worker pool.
-  /// Requires encrypter_/window_/registry_ to be set.
-  void start();
 
   /// Map + validate a candidate/reload artifact (CRC, kept sensors,
   /// window config) and build the next, mapped generation. Caller holds

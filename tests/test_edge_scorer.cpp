@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,6 +25,7 @@
 #include "core/edge_scorer.h"
 #include "core/framework.h"
 #include "core/online.h"
+#include "io/artifact_map.h"
 #include "io/serialize.h"
 #include "nmt/translation.h"
 #include "obs/metrics.h"
@@ -75,6 +75,7 @@ dc::MultivariateSeries make_series(std::size_t ticks, std::uint64_t seed,
 struct Fixture {
   dc::FrameworkConfig cfg;
   dc::Framework framework;
+  const std::string artifact = "/tmp/desmine_test_edge_scorer_model.bin";
 
   Fixture()
       : cfg([] {
@@ -96,7 +97,9 @@ struct Fixture {
         }()),
         framework(cfg) {
     framework.fit(make_series(600, 1), make_series(300, 2));
+    dio::save_framework(framework, artifact);
   }
+  ~Fixture() { std::remove(artifact.c_str()); }
 };
 
 Fixture& fixture() {
@@ -170,8 +173,7 @@ std::vector<Verdict> served_verdicts(const Fixture& f,
   scfg.max_batch = 8;
   // A budget of one window per tick never blocks ingest.
   scfg.limits.max_pending_windows = series.front().events.size();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, scfg);
+  ds::SessionManager manager(f.artifact, scfg);
   const std::uint64_t id = manager.open(degraded);
   for (std::size_t t = 0; t < series.front().events.size(); ++t) {
     manager.ingest(id, tick_states(series, t));
@@ -301,6 +303,14 @@ ForeignEdge foreign_edge_graph() {
     out.graph.add_edge(std::move(e));
   }
   return out;
+}
+
+/// Save `graph` with the fixture's encrypter and config as a v4 artifact.
+void save_graph(const dc::MvrGraph& graph, const std::string& path) {
+  const Fixture& f = fixture();
+  dc::Framework framework(f.cfg);
+  framework.restore(f.framework.encrypter(), graph);
+  dio::save_framework(framework, path);
 }
 
 struct WindowResultLite {
@@ -474,19 +484,14 @@ TEST(EdgeScorer, HeapGraphWithForeignEdgeVocabularyIsRejected) {
     EXPECT_EQ(e.src(), bad.graph.edges()[bad.index].src);
     EXPECT_EQ(e.dst(), bad.graph.edges()[bad.index].dst);
   }
-  EXPECT_THROW(ds::make_generation(bad.graph, f.cfg.detector, 1),
-               desmine::robust::VocabularyMismatch);
 }
 
 TEST(EdgeScorer, MappedForeignEdgeFailsAloneAndTripsItsBreaker) {
   auto& f = fixture();
   const ForeignEdge bad = foreign_edge_graph();
   const dc::MvrEdge& foreign = bad.graph.edges()[bad.index];
-  dc::Framework framework(f.cfg);
-  framework.restore(f.framework.encrypter(), bad.graph);
-  const std::filesystem::path artifact =
-      std::filesystem::temp_directory_path() / "desmine_test_foreign_edge.bin";
-  dio::save_framework(framework, artifact.string());
+  const std::string artifact = "/tmp/desmine_test_edge_scorer_foreign.bin";
+  save_graph(bad.graph, artifact);
 
   const auto series = make_series(600, 5);
   const dc::DetectionResult batch = f.framework.detect(series);
@@ -501,7 +506,7 @@ TEST(EdgeScorer, MappedForeignEdgeFailsAloneAndTripsItsBreaker) {
   scfg.limits.max_pending_windows = series.front().events.size();
   std::vector<WindowResultLite> served;
   {
-    ds::SessionManager manager(artifact.string(), scfg);
+    ds::SessionManager manager(artifact, scfg);
     const std::uint64_t id = manager.open();
     for (std::size_t t = 0; t < series.front().events.size(); ++t) {
       manager.ingest(id, tick_states(series, t));
@@ -511,7 +516,7 @@ TEST(EdgeScorer, MappedForeignEdgeFailsAloneAndTripsItsBreaker) {
       served.push_back({r->anomaly_score, r->broken, r->failed});
     }
   }
-  std::remove(artifact.string().c_str());
+  std::remove(artifact.c_str());
   EXPECT_GT(opened.value(), opened0);
 
   // Every window drops exactly the foreign edge and renormalizes over the
@@ -543,10 +548,13 @@ TEST(EdgeScorer, MappedForeignEdgeFailsAloneAndTripsItsBreaker) {
 TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
   auto& f = fixture();
   const dc::MvrGraph& candidate_graph = reversed_graph();
-  const auto active =
-      ds::make_generation(f.framework.graph(), f.cfg.detector, 1);
-  const auto candidate =
-      ds::make_generation(candidate_graph, f.cfg.detector, 2);
+  const std::string candidate_path =
+      "/tmp/desmine_test_edge_scorer_reversed.bin";
+  save_graph(candidate_graph, candidate_path);
+  const auto active = ds::make_generation(dio::ArtifactMap::open(f.artifact),
+                                          f.cfg.detector, 1, {});
+  const auto candidate = ds::make_generation(
+      dio::ArtifactMap::open(candidate_path), f.cfg.detector, 2, {});
   std::size_t differing = 0;
   for (std::size_t k = 0; k < active->vocabularies.size(); ++k) {
     ASSERT_NE(candidate->vocabularies[k], nullptr);
@@ -574,16 +582,14 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
   EXPECT_EQ(st.candidate_alerts, alerts);
   EXPECT_EQ(bits(st.candidate_mean),
             bits(sum / static_cast<double>(expected.anomaly_scores.size())));
+  std::remove(candidate_path.c_str());
 }
 
 TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {
   auto& f = fixture();
-  const std::filesystem::path artifact =
-      std::filesystem::temp_directory_path() / "desmine_test_edge_scorer.bin";
-  dio::save_framework(f.framework, artifact.string());
   dc::FrameworkConfig overlay = f.cfg;
   overlay.detector.threads = 1;  // score on this thread, on its arena
-  const dc::Framework loaded = dio::load_framework(artifact.string(), overlay);
+  const dc::Framework loaded = dio::load_framework(f.artifact, overlay);
 
   const auto series = make_series(600, 9);
   const dc::DetectionResult first = loaded.detect(series);
@@ -601,5 +607,4 @@ TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {
         << e.src << "->" << e.dst;
   }
   EXPECT_GT(models, 0u);
-  std::remove(artifact.string().c_str());
 }

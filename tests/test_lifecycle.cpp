@@ -65,6 +65,8 @@ constexpr char kMineJournal[] = "/tmp/desmine_test_lifecycle_mine.journal";
 constexpr char kRetrainJournal[] =
     "/tmp/desmine_test_lifecycle_retrain.journal";
 constexpr char kCandidatePath[] = "/tmp/desmine_test_lifecycle_candidate.bin";
+/// The active framework, saved for the serving tests.
+constexpr char kActivePath[] = "/tmp/desmine_test_lifecycle_active.bin";
 
 /// Alert threshold shared by batch alert rates and the shadow gate.
 constexpr double kAlertThreshold = 0.4;
@@ -172,6 +174,7 @@ struct Fixture {
     std::remove(kRetrainJournal);
     std::remove(kCandidatePath);
     active.fit(plant.days_slice(0, 4), plant.days_slice(4, 2));
+    dio::save_framework(active, kActivePath);
     controller = std::make_unique<dl::LifecycleController>(active, lcfg);
     for (std::size_t day = 6; day <= 19; ++day) {
       reports.push_back(controller->observe(plant.days_slice(day, 1)));
@@ -521,8 +524,7 @@ TEST(Lifecycle, FullLoopRecoversFromSlowDrift) {
 // quiet, and the retired generation's models drain to zero.
 TEST(Lifecycle, ShadowGatedPromotionRestoresQuietServing) {
   auto& f = fixture();
-  ds::SessionManager manager(f.active.graph(), f.active.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(kActivePath, f.serve_config());
   const std::uint64_t id = manager.open();
   const auto traffic = f.plant.days_slice(23, 2);  // day 23 then day 24
   const std::size_t day_ticks = f.pcfg.minutes_per_day;
@@ -594,8 +596,7 @@ TEST(Lifecycle, ShadowGatedPromotionRestoresQuietServing) {
 // into masking a live anomaly.
 TEST(Lifecycle, GateBlocksPromotionDuringTrueFault) {
   auto& f = fixture();
-  ds::SessionManager manager(f.active.graph(), f.active.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(kActivePath, f.serve_config());
   const std::uint64_t id = manager.open();
   const auto fault_day = f.plant.days_slice(22, 1);
 
@@ -732,8 +733,7 @@ TEST(Lifecycle, CorruptCandidateArtifactNeverArms) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  ds::SessionManager manager(f.active.graph(), f.active.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(kActivePath, f.serve_config());
   EXPECT_THROW(manager.begin_shadow(corrupt.path), desmine::RuntimeError);
   EXPECT_FALSE(manager.shadow_status().has_value());
   EXPECT_EQ(manager.generation(), 1u);
@@ -758,8 +758,7 @@ TEST(Lifecycle, CorruptCandidateArtifactNeverArms) {
 // injected point sits entirely on the shadow path.
 TEST(Lifecycle, PoisonedCandidateFailsGateAndRollsBack) {
   auto& f = fixture();
-  ds::SessionManager manager(f.active.graph(), f.active.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(kActivePath, f.serve_config());
   const std::uint64_t id = manager.open();
   const auto series = f.plant.days_slice(2, 1);  // clean pre-drift day
 

@@ -1,13 +1,17 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
-// bit-identity, multi-session replay equivalence, session isolation under
-// flooding, backpressure/close semantics, the config JSON round-trip, and
-// the strict default of detect().
+// bit-identity, multi-session replay equivalence, decode sharing across
+// sessions, session isolation under flooding, backpressure/close semantics,
+// the config JSON round-trip, and the strict default of detect(). Managers
+// serve a saved artifact of the fixture's framework; the ground truth is an
+// OnlineDetector replay over the in-memory graph.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/anomaly.h"
@@ -15,7 +19,9 @@
 #include "core/framework.h"
 #include "core/online.h"
 #include "io/config_json.h"
+#include "io/serialize.h"
 #include "nmt/translation.h"
+#include "obs/metrics.h"
 #include "serve/session_manager.h"
 #include "text/bleu.h"
 #include "util/error.h"
@@ -26,6 +32,7 @@ namespace dm = desmine::nmt;
 namespace ds = desmine::serve;
 namespace dx = desmine::text;
 namespace dio = desmine::io;
+namespace dobs = desmine::obs;
 using desmine::util::Rng;
 
 namespace {
@@ -55,6 +62,7 @@ dc::MultivariateSeries make_series(std::size_t ticks, std::uint64_t seed) {
 struct Fixture {
   dc::FrameworkConfig cfg;
   dc::Framework framework;
+  const std::string artifact = "/tmp/desmine_test_serve_model.bin";
 
   Fixture()
       : cfg([] {
@@ -75,7 +83,9 @@ struct Fixture {
         }()),
         framework(cfg) {
     framework.fit(make_series(600, 1), make_series(300, 2));
+    dio::save_framework(framework, artifact);
   }
+  ~Fixture() { std::remove(artifact.c_str()); }
 
   ds::ServeConfig serve_config() const {
     ds::ServeConfig s;
@@ -225,8 +235,7 @@ TEST(ScoreBatch, DuplicateSourcesDecodeOnceAndFanOut) {
 
 TEST(SessionManager, BatchedServeBitIdenticalToSequentialReplay) {
   auto& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact, f.serve_config());
   constexpr std::size_t kSessions = 3;
   constexpr std::size_t kTicks = 120;
   std::vector<dc::MultivariateSeries> series;
@@ -266,13 +275,66 @@ TEST(SessionManager, BatchedServeBitIdenticalToSequentialReplay) {
   }
 }
 
+TEST(SessionManager, SessionsReplayingOneStreamShareDecodes) {
+  // Sessions replaying one stream pend the same sentences on every edge.
+  // Cross-session batches plus the per-edge decode cache must decode each
+  // distinct source once for all of them, so eight sessions cost exactly
+  // the decodes of one. One worker keeps the batch order deterministic.
+  auto& f = fixture();
+  ds::ServeConfig scfg = f.serve_config();
+  scfg.workers = 1;
+  constexpr std::size_t kTicks = 120;
+  const auto series = make_series(kTicks, 25);
+  const std::vector<double> expected = replay_scores(f, series);
+  const dobs::Counter& decoded =
+      dobs::metrics().counter("serve.batch.decoded");
+  const dobs::Counter& cache_hits =
+      dobs::metrics().counter("serve.batch.cache_hits");
+
+  struct Deltas {
+    std::uint64_t decoded = 0;
+    std::uint64_t cache_hits = 0;
+  };
+  const auto serve = [&](std::size_t sessions) {
+    const Deltas before{decoded.value(), cache_hits.value()};
+    ds::SessionManager manager(f.artifact, scfg);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t s = 0; s < sessions; ++s) ids.push_back(manager.open());
+    for (std::size_t t = 0; t < kTicks; ++t) {
+      for (const std::uint64_t id : ids) {
+        EXPECT_EQ(manager.ingest(id, tick_states(series, t)),
+                  ds::IngestStatus::kAccepted);
+      }
+    }
+    manager.drain();
+    for (const std::uint64_t id : ids) {
+      std::vector<double> served;
+      while (const auto r = manager.poll(id)) {
+        served.push_back(r->anomaly_score);
+      }
+      EXPECT_EQ(served.size(), expected.size()) << "session " << id;
+      for (std::size_t w = 0; w < served.size() && w < expected.size(); ++w) {
+        EXPECT_EQ(bits(served[w]), bits(expected[w]))
+            << "session " << id << " window " << w;
+      }
+    }
+    return Deltas{decoded.value() - before.decoded,
+                  cache_hits.value() - before.cache_hits};
+  };
+
+  const Deltas one = serve(1);
+  const Deltas eight = serve(8);
+  EXPECT_GT(one.decoded, 0u);
+  EXPECT_EQ(eight.decoded, one.decoded);
+  EXPECT_GT(eight.cache_hits, one.cache_hits);
+}
+
 TEST(SessionManager, FloodingSessionNeverDegradesNeighbour) {
   auto& f = fixture();
   ds::ServeConfig scfg = f.serve_config();
   scfg.limits.max_pending_windows = 1;
   scfg.limits.reject_when_full = true;
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, scfg);
+  ds::SessionManager manager(f.artifact, scfg);
 
   const auto flood_series = make_series(200, 30);
   const auto good_series = make_series(200, 31);
@@ -309,8 +371,7 @@ TEST(SessionManager, FloodingSessionNeverDegradesNeighbour) {
 
 TEST(SessionManager, CloseRefusesTicksButDeliversInflightWindows) {
   auto& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact, f.serve_config());
   const auto series = make_series(40, 32);
   const std::uint64_t id = manager.open();
   // Window span 7, stride 4: 20 ticks produce windows 0..3.
@@ -337,8 +398,7 @@ TEST(SessionManager, CloseRefusesTicksButDeliversInflightWindows) {
 
 TEST(SessionManager, UnknownSessionThrows) {
   auto& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact, f.serve_config());
   EXPECT_THROW(manager.poll(99), desmine::PreconditionError);
   EXPECT_THROW(manager.close(99), desmine::PreconditionError);
 }

@@ -8,7 +8,8 @@
 // reloads keep the old generation serving, hot reloads under sustained
 // ingest drop or misorder nothing, overload shedding never starves a
 // session, and erase/drain racing concurrent ingest stays typed and clean
-// (the TSan CI job runs this binary).
+// (the TSan CI job runs this binary). Managers serve a saved artifact of the
+// fixture's framework.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -77,6 +78,7 @@ dc::MultivariateSeries make_series(std::size_t ticks, std::uint64_t seed) {
 struct Fixture {
   dc::FrameworkConfig cfg;
   dc::Framework framework;
+  TempFile artifact{"serve_faults_model.bin"};
 
   Fixture()
       : cfg([] {
@@ -97,6 +99,7 @@ struct Fixture {
         }()),
         framework(cfg) {
     framework.fit(make_series(600, 1), make_series(300, 2));
+    dio::save_framework(framework, artifact.path);
   }
 
   ds::ServeConfig serve_config() const {
@@ -162,8 +165,7 @@ TEST(ServeFaults, PoisonedEdgeQuarantinesWhileOthersStayBitIdentical) {
   ds::ServeConfig scfg = f.serve_config();
   scfg.circuit_open_after = 2;
   scfg.circuit_probe_after = 1u << 20;  // never half-open during this test
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, scfg);
+  ds::SessionManager manager(f.artifact.path, scfg);
 
   const auto gen = manager.registry().current();
   const std::size_t total = gen->edges.size();
@@ -250,22 +252,18 @@ TEST(ServeFaults, PoisonedEdgeQuarantinesWhileOthersStayBitIdentical) {
 
 TEST(ServeFaults, FailedReloadKeepsOldGenerationThenRetrySucceeds) {
   auto& f = fixture();
-  TempFile file("serve_faults_reload.bin");
-  dio::save_framework(f.framework, file.path);
-
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
   const std::uint64_t id = manager.open();
   const auto series = make_series(120, 70);
 
   ScopedFaults guard;
   dr::FaultInjector::instance().arm("serve.model.load", std::int64_t{0},
                                     dr::FaultAction::kThrow, 1);
-  EXPECT_THROW(manager.reload(file.path), desmine::RuntimeError);
+  EXPECT_THROW(manager.reload(f.artifact.path), desmine::RuntimeError);
   EXPECT_EQ(manager.generation(), 1u);  // old generation still serving
 
   feed(manager, id, series, 60);
-  const std::uint64_t next = manager.reload(file.path);
+  const std::uint64_t next = manager.reload(f.artifact.path);
   EXPECT_EQ(next, 2u);
   EXPECT_EQ(manager.generation(), 2u);
   feed(manager, id, series, 120, 60);
@@ -292,11 +290,7 @@ TEST(ServeFaults, FailedReloadKeepsOldGenerationThenRetrySucceeds) {
 // (the registry's weak refs all expired).
 TEST(ServeFaults, HotReloadUnderSustainedIngestDropsAndReordersNothing) {
   auto& f = fixture();
-  TempFile file("serve_faults_hot_reload.bin");
-  dio::save_framework(f.framework, file.path);
-
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
   const std::uint64_t id = manager.open();
   constexpr std::size_t kTicks = 240;
   const auto series = make_series(kTicks, 80);
@@ -313,7 +307,7 @@ TEST(ServeFaults, HotReloadUnderSustainedIngestDropsAndReordersNothing) {
     while (manager.stats(id).ticks < gate) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    manager.reload(file.path);
+    manager.reload(f.artifact.path);
   }
   feeder.join();
   manager.drain();
@@ -356,8 +350,7 @@ TEST(ServeFaults, SheddingUnderOverloadNeverStarvesTheSession) {
   scfg.workers = 1;
   scfg.max_queue_delay_ms = 1.0;
   scfg.limits.max_consecutive_shed = 2;
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, scfg);
+  ds::SessionManager manager(f.artifact.path, scfg);
   const std::uint64_t id = manager.open();
   constexpr std::size_t kFloodTicks = 60;
   constexpr std::size_t kTicks = 100;
@@ -424,8 +417,7 @@ TEST(ServeFaults, GlobalBudgetRejectsAtCapacityThenRecovers) {
   scfg.workers = 1;
   scfg.max_global_pending = 1;
   scfg.limits.reject_when_full = true;
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, scfg);
+  ds::SessionManager manager(f.artifact.path, scfg);
 
   // Slow the first batches down so the single-window budget is visibly
   // saturated; cleared as soon as a reject is observed.
@@ -484,8 +476,7 @@ TEST(ServeFaults, GlobalBudgetRejectsAtCapacityThenRecovers) {
 // neighbour session's scores.
 TEST(ServeFaults, EraseAndDrainRaceConcurrentIngest) {
   auto& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
   const std::uint64_t victim = manager.open();
   const std::uint64_t survivor = manager.open();
   const auto victim_series = make_series(40, 100);
@@ -539,8 +530,7 @@ TEST(ServeFaults, EraseAndDrainRaceConcurrentIngest) {
 
 TEST(ServeFaults, IngestFaultIsScopedToOneTick) {
   auto& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact.path, f.serve_config());
   const auto series = make_series(60, 110);
 
   ScopedFaults guard;

@@ -1,10 +1,11 @@
 // Serving from the mapped (v4) model store (DESIGN.md §15).
 //
 // A SessionManager opened on a v4 artifact must score bit-identically
-// (IEEE-754) to one built from the in-memory graph, while keeping weight
-// residency under the configured LRU budget: resident_edges/resident_bytes
-// gauges never exceed the cap after an acquire, evictions are counted, and
-// in-flight batches keep scoring through an eviction (shared_ptr safety).
+// (IEEE-754) to an OnlineDetector replay over the in-memory graph, while
+// keeping weight residency under the configured LRU budget:
+// resident_edges/resident_bytes gauges never exceed the cap after an
+// acquire, evictions are counted, and in-flight batches keep scoring
+// through an eviction (shared_ptr safety).
 // The 32-session soak is the acceptance gate: tight budget, sustained
 // ingest, zero dropped windows. Hot reload of a v4 artifact is a remap —
 // the old generation's map stays pinned until its last window drains.
@@ -150,7 +151,7 @@ std::size_t poll_and_check(ds::SessionManager& manager, std::uint64_t session,
 // ---------------------------------------------------------------------------
 // Bit-identical serving
 
-TEST(ServeMapped, MappedSessionScoresBitIdenticallyToHeapSession) {
+TEST(ServeMapped, MappedSessionScoresBitIdenticallyToOnlineReplay) {
   auto& f = fixture();
   ds::SessionManager manager(f.artifact.path, f.serve_config());
   EXPECT_EQ(manager.registry().current()->edges.size(),
@@ -330,30 +331,6 @@ TEST(ServeMapped, ReloadOfMappedArtifactSwapsGenerations) {
   }
   manager.drain();
   // Same weights on both sides of the swap → every window still bit-matches.
-  EXPECT_EQ(poll_and_check(manager, id, expected), expected.size());
-}
-
-TEST(ServeMapped, ReloadAcrossLayoutsHeapToMapped) {
-  auto& f = fixture();
-  // Start from the in-memory graph (heap generation), hot-swap to v4.
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
-  EXPECT_EQ(manager.registry().current()->residency, nullptr);
-
-  const std::uint64_t id = manager.open();
-  const auto series = make_series(120, 45);
-  const auto expected = replay_windows(f, series);
-  for (std::size_t t = 0; t < 60; ++t) {
-    ASSERT_EQ(manager.ingest(id, tick_states(series, t)),
-              ds::IngestStatus::kAccepted);
-  }
-  manager.reload(f.artifact.path);  // v4: the new generation maps
-  ASSERT_NE(manager.registry().current()->residency, nullptr);
-  for (std::size_t t = 60; t < 120; ++t) {
-    ASSERT_EQ(manager.ingest(id, tick_states(series, t)),
-              ds::IngestStatus::kAccepted);
-  }
-  manager.drain();
   EXPECT_EQ(poll_and_check(manager, id, expected), expected.size());
 }
 

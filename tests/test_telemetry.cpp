@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <limits>
 #include <map>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/framework.h"
+#include "io/serialize.h"
 #include "obs/http_exposition.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -176,9 +178,11 @@ dc::MultivariateSeries make_series(std::size_t ticks, std::uint64_t seed) {
   return {{"lead", lead}, {"follow", follow}, {"noise", noise}};
 }
 
+/// A saved artifact of a framework mined on make_series; the live-manager
+/// tests serve it.
 struct Fixture {
   dc::FrameworkConfig cfg;
-  dc::Framework framework;
+  const std::string artifact = "/tmp/desmine_test_telemetry_model.bin";
 
   Fixture()
       : cfg([] {
@@ -199,10 +203,12 @@ struct Fixture {
           c.detector.tolerance = 10.0;
           c.detector.threads = 1;
           return c;
-        }()),
-        framework(cfg) {
+        }()) {
+    dc::Framework framework(cfg);
     framework.fit(make_series(300, 1), make_series(150, 2));
+    desmine::io::save_framework(framework, artifact);
   }
+  ~Fixture() { std::remove(artifact.c_str()); }
 
   ds::ServeConfig serve_config() const {
     ds::ServeConfig s;
@@ -419,8 +425,7 @@ TEST(Telemetry, ScrapeStaysWellFormedWhileRecording) {
 
 TEST(ServeTelemetry, EndToEndScrapeOverHttp) {
   Fixture& f = fixture();
-  ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                             f.cfg.window, f.serve_config());
+  ds::SessionManager manager(f.artifact, f.serve_config());
   const std::uint64_t id = manager.open();
   const dc::MultivariateSeries series = make_series(60, 7);
   for (std::size_t t = 0; t < series.front().events.size(); ++t) {
@@ -487,8 +492,7 @@ TEST(ServeTelemetry, WindowTraceCoversAllStagesNoOrphans) {
   std::size_t polled = 0;
   {
     Fixture& f = fixture();
-    ds::SessionManager manager(f.framework.graph(), f.framework.encrypter(),
-                               f.cfg.window, f.serve_config());
+    ds::SessionManager manager(f.artifact, f.serve_config());
     const std::uint64_t id = manager.open();
     const dc::MultivariateSeries series = make_series(60, 11);
     for (std::size_t t = 0; t < series.front().events.size(); ++t) {
