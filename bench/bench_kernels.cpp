@@ -83,6 +83,46 @@ BENCHMARK_CAPTURE(BM_Gemm, scalar, dt::kernels::Backend::kScalar)
 BENCHMARK_CAPTURE(BM_Gemm, avx2, dt::kernels::Backend::kAvx2)
     ->Arg(64)->Arg(128)->Arg(256);
 
+/// The five GEMM shapes of a `mine` train step (E = H = 24, B = 16, 4H = 96):
+/// the attention backward's dWa += enc[s]^T dtr and denc[s] += dtr Wa^T, run
+/// 2 S times per target step, and the LSTM's x W_x, dW_x += x^T dz and
+/// dx = dz W_x^T.
+struct TrainShape {
+  dt::Transpose ta, tb;
+  std::size_t m, k, n;
+  const char* label;
+};
+constexpr dt::Transpose kN = dt::Transpose::kNo, kT = dt::Transpose::kTrans;
+constexpr TrainShape kTrainShapes[] = {
+    {kT, kN, 24, 16, 24, "tn 24x24 k=16 dWa"},
+    {kN, kT, 16, 24, 24, "nt 16x24 k=24 denc"},
+    {kN, kN, 16, 24, 96, "nn 16x96 k=24 xW"},
+    {kT, kN, 24, 16, 96, "tn 24x96 k=16 dW"},
+    {kN, kT, 16, 96, 24, "nt 16x24 k=96 dx"},
+};
+
+static void BM_GemmTrainShapes(benchmark::State& state) {
+  // Startup-default backend, accumulating (beta = 1) as training does.
+  const TrainShape& shape = kTrainShapes[state.range(0)];
+  const bool ta = shape.ta == dt::Transpose::kTrans;
+  const bool tb = shape.tb == dt::Transpose::kTrans;
+  Rng rng(10);
+  dt::Matrix a(ta ? shape.k : shape.m, ta ? shape.m : shape.k);
+  dt::Matrix b(tb ? shape.n : shape.k, tb ? shape.k : shape.n);
+  dt::Matrix c(shape.m, shape.n);
+  a.init_uniform(rng, 1.0f);
+  b.init_uniform(rng, 1.0f);
+  for (auto _ : state) {
+    dt::gemm(shape.ta, shape.tb, 1.0f, a.view(), b.view(), 1.0f, c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetLabel(shape.label);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(2 * shape.m * shape.n * shape.k));
+}
+BENCHMARK(BM_GemmTrainShapes)->DenseRange(0, 4);
+
 static void BM_LstmStep(benchmark::State& state) {
   // Forward-only stepping: the greedy-decode / encoder inner loop.
   const auto hidden = static_cast<std::size_t>(state.range(0));
@@ -206,26 +246,29 @@ BENCHMARK(BM_LstmTrainStep);
 
 static void BM_TrainPair(benchmark::State& state) {
   // End to end: vocabulary build + model init + full training run + greedy
-  // BLEU scoring for one sensor pair — the miner's unit of work.
+  // BLEU scoring for one sensor pair — the miner's unit of work, at the
+  // bench/e2e `mine` geometry (E = H = 24, one layer, batch 16, 20-word
+  // sentences) so kernel work can be measured without the e2e harness.
   Rng rng(9);
   dx::Corpus src, dst;
-  for (int s = 0; s < 24; ++s) {
+  for (int s = 0; s < 48; ++s) {
     dx::Sentence a, b;
-    for (int i = 0; i < 6; ++i) {
-      const std::size_t w = rng.index(12);
+    for (int i = 0; i < 20; ++i) {
+      const std::size_t w = rng.index(24);
       a.push_back("s" + std::to_string(w));
-      b.push_back("t" + std::to_string((w + s) % 12));
+      b.push_back("t" + std::to_string((w + s) % 24));
     }
     src.push_back(a);
     dst.push_back(b);
   }
   desmine::nmt::TranslationConfig cfg;
-  cfg.model.embedding_dim = 16;
-  cfg.model.hidden_dim = 16;
+  cfg.model.embedding_dim = 24;
+  cfg.model.hidden_dim = 24;
   cfg.model.num_layers = 1;
   cfg.model.dropout = 0.0f;
+  cfg.model.max_decode_length = 22;
   cfg.trainer.steps = 30;
-  cfg.trainer.batch_size = 8;
+  cfg.trainer.batch_size = 16;
   dt::Workspace ws;
   for (auto _ : state) {
     ws.reset();

@@ -84,25 +84,42 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   cache.h_dec = ws_->alloc(batch_, hidden_);
   cache.h_dec.copy_from(h_dec);
 
-  // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>.
+  // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>. Four source
+  // positions' dot chains run interleaved; each keeps its sequential k order.
   cache.align = ws_->alloc(batch_, S);
   const bool masked = !src_lengths_.empty();
-  for (std::size_t s = 0; s < S; ++s) {
-    const tensor::ConstMatrixView tr = transformed_[s];
-    for (std::size_t b = 0; b < batch_; ++b) {
-      if (masked && s >= src_lengths_[b]) {
-        // Padded position: -inf survives the row max untouched and its
-        // exp() contributes an exact 0.0f to the softmax sum, so the valid
-        // prefix's weights match the compact (unpadded) decode bit for bit.
-        cache.align(b, s) = -std::numeric_limits<float>::infinity();
-        continue;
+  for (std::size_t b = 0; b < batch_; ++b) {
+    const float* hd = h_dec.row(b);
+    float* al = cache.align.row(b);
+    const std::size_t len = masked ? src_lengths_[b] : S;
+    std::size_t s = 0;
+    for (; s + 4 <= len; s += 4) {
+      const float* t0 = transformed_[s].row(b);
+      const float* t1 = transformed_[s + 1].row(b);
+      const float* t2 = transformed_[s + 2].row(b);
+      const float* t3 = transformed_[s + 3].row(b);
+      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
+      for (std::size_t k = 0; k < hidden_; ++k) {
+        d0 += hd[k] * t0[k];
+        d1 += hd[k] * t1[k];
+        d2 += hd[k] * t2[k];
+        d3 += hd[k] * t3[k];
       }
-      const float* hd = h_dec.row(b);
-      const float* tv = tr.row(b);
+      al[s] = d0;
+      al[s + 1] = d1;
+      al[s + 2] = d2;
+      al[s + 3] = d3;
+    }
+    for (; s < len; ++s) {
+      const float* tv = transformed_[s].row(b);
       float dot = 0.0f;
       for (std::size_t k = 0; k < hidden_; ++k) dot += hd[k] * tv[k];
-      cache.align(b, s) = dot;
+      al[s] = dot;
     }
+    // Padded positions: -inf survives the row max untouched and its exp()
+    // contributes an exact 0.0f to the softmax sum, so the valid prefix's
+    // weights match the compact (unpadded) decode bit for bit.
+    for (; s < S; ++s) al[s] = -std::numeric_limits<float>::infinity();
   }
   tensor::softmax_rows(cache.align);
 
@@ -128,7 +145,10 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   cache.attn = ws_->alloc(batch_, hidden_);
   tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
                cache.concat, wc_.view(), 0.0f, cache.attn);
-  cache.attn.apply([](float v) { return std::tanh(v); });
+  float* attn = cache.attn.data();
+  for (std::size_t idx = 0; idx < cache.attn.size(); ++idx) {
+    attn[idx] = std::tanh(attn[idx]);
+  }
 
   steps_.push_back(cache);
   backward_cursor_ = steps_.size();
@@ -174,21 +194,51 @@ tensor::MatrixView LuongAttention::backward_step(
   }
 
   // dalign(b,s) = <dcontext[b], enc[s][b]>; denc[s][b] += align(b,s) dcontext[b].
+  // Four source positions' dot chains run interleaved; each keeps its
+  // sequential k order.
   tensor::MatrixView dalign = ws_->alloc(batch_, S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const tensor::ConstMatrixView e = enc_[s];
-    tensor::MatrixView de = d_encoder_[s];
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const float* dctx = dconcat.row(b);
-      const float* ev = e.row(b);
-      float* dev = de.row(b);
-      const float w = cache.align(b, s);
+  for (std::size_t b = 0; b < batch_; ++b) {
+    const float* dctx = dconcat.row(b);
+    const float* al = cache.align.row(b);
+    float* da = dalign.row(b);
+    std::size_t s = 0;
+    for (; s + 4 <= S; s += 4) {
+      const float* e0 = enc_[s].row(b);
+      const float* e1 = enc_[s + 1].row(b);
+      const float* e2 = enc_[s + 2].row(b);
+      const float* e3 = enc_[s + 3].row(b);
+      float* de0 = d_encoder_[s].row(b);
+      float* de1 = d_encoder_[s + 1].row(b);
+      float* de2 = d_encoder_[s + 2].row(b);
+      float* de3 = d_encoder_[s + 3].row(b);
+      const float w0 = al[s], w1 = al[s + 1], w2 = al[s + 2], w3 = al[s + 3];
+      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
+      for (std::size_t k = 0; k < hidden_; ++k) {
+        const float g = dctx[k];
+        d0 += g * e0[k];
+        d1 += g * e1[k];
+        d2 += g * e2[k];
+        d3 += g * e3[k];
+        de0[k] += w0 * g;
+        de1[k] += w1 * g;
+        de2[k] += w2 * g;
+        de3[k] += w3 * g;
+      }
+      da[s] = d0;
+      da[s + 1] = d1;
+      da[s + 2] = d2;
+      da[s + 3] = d3;
+    }
+    for (; s < S; ++s) {
+      const float* ev = enc_[s].row(b);
+      float* dev = d_encoder_[s].row(b);
+      const float w = al[s];
       float dot = 0.0f;
       for (std::size_t k = 0; k < hidden_; ++k) {
         dot += dctx[k] * ev[k];
         dev[k] += w * dctx[k];
       }
-      dalign(b, s) = dot;
+      da[s] = dot;
     }
   }
 

@@ -8,6 +8,10 @@
 // reference — FMA contraction, register-tiled accumulation, vectorized dot
 // reductions, and polynomial exp/tanh all move final-bit rounding. The
 // conformance suite holds them to tight tolerances plus argmax identity.
+// Their own bits are pinned as well (tests/golden/train_pair_avx2.golden,
+// the bench/e2e digests, and test_kernels' comparison against a frozen copy
+// of these GEMMs): a change may re-tile, but every output element must keep
+// its FMA lane chain, horizontal-sum tree and scalar tail order.
 // axpy and bias_add use lane-parallel mul+add only and remain bit-exact;
 // softmax and argmax reuse the scalar reference outright.
 //
@@ -94,187 +98,166 @@ inline float hsum256_ps(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+// Four horizontal sums at once: lane c of the result is hsum256_ps(v_c),
+// bit for bit. Each step is the same add on the same operands, with the
+// four vectors transposed so one instruction serves all of them:
+// lo+hi halves, then (l0+l4)+(l2+l6) and (l1+l5)+(l3+l7), then their sum.
+inline __m128 hsum4x256_ps(__m256 v0, __m256 v1, __m256 v2, __m256 v3) {
+  // x = [s0 | s1], y = [s2 | s3] with s_c = lo(v_c) + hi(v_c) = (a b c d).
+  const __m256 x = _mm256_add_ps(_mm256_permute2f128_ps(v0, v1, 0x20),
+                                 _mm256_permute2f128_ps(v0, v1, 0x31));
+  const __m256 y = _mm256_add_ps(_mm256_permute2f128_ps(v2, v3, 0x20),
+                                 _mm256_permute2f128_ps(v2, v3, 0x31));
+  // (a0 b0 a2 b2 | a1 b1 a3 b3) + (c0 d0 c2 d2 | c1 d1 c3 d3).
+  const __m256 z = _mm256_add_ps(
+      _mm256_shuffle_ps(x, y, _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm256_shuffle_ps(x, y, _MM_SHUFFLE(3, 2, 3, 2)));
+  // (h0 h2 h0 h2 | h1 h3 h1 h3) -> (h0 h1 h2 h3).
+  const __m256 h = _mm256_hadd_ps(z, z);
+  return _mm_unpacklo_ps(_mm256_castps256_ps128(h),
+                         _mm256_extractf128_ps(h, 1));
+}
+
 // ---------------------------------------------------------------------------
-// out += alpha * A B. Register-tiled: 2 rows of A x 32 columns of out live
-// in 8 accumulators across the whole k loop, so out traffic is one
-// load/store pair per tile and B rows are shared between the two A rows.
-void gemm_nn_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
-                  MatrixView out) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  const std::size_t n32 = n - n % 32;
+// out += alpha * op(A) B with op(A) = A (gemm_nn) or A^T (gemm_tn, A stored
+// k x m). Every vector output element is one FMA chain over p, started
+// from zero, of broadcast(alpha * op(A)(i, p)) * B(p, j), added to out once
+// at the end; the last n % 8 columns are a mul-then-add scalar dot scaled
+// by alpha. The tiling only decides how many of those chains run at once:
+// R rows x NB 8-column blocks, all live in registers across the p loop
+// (the unroll pragmas let the compiler keep acc[][] out of memory).
+template <bool kTransA, int R, int NB>
+[[gnu::always_inline]] inline void gemm_xn_tile(
+    float alpha, ConstMatrixView a, ConstMatrixView b, MatrixView out,
+    std::size_t k, std::size_t i, std::size_t j) {
+  __m256 acc[R][NB];
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 8
+    for (int c = 0; c < NB; ++c) acc[r][c] = _mm256_setzero_ps();
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* brow = b.row(p) + j;
+    __m256 bv[NB];
+    #pragma GCC unroll 8
+    for (int c = 0; c < NB; ++c) bv[c] = _mm256_loadu_ps(brow + 8 * c);
+    #pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const float av = kTransA ? a(p, i + r) : a(i + r, p);
+      const __m256 avv = _mm256_set1_ps(alpha * av);
+      #pragma GCC unroll 8
+      for (int c = 0; c < NB; ++c) {
+        acc[r][c] = _mm256_fmadd_ps(avv, bv[c], acc[r][c]);
+      }
+    }
+  }
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* o = out.row(i + r) + j;
+    #pragma GCC unroll 8
+    for (int c = 0; c < NB; ++c) {
+      _mm256_storeu_ps(o + 8 * c,
+                       _mm256_add_ps(_mm256_loadu_ps(o + 8 * c), acc[r][c]));
+    }
+  }
+}
 
+// R rows starting at i: 32-column tiles, then every remaining 8-column
+// block in one tile, then the scalar columns.
+template <bool kTransA, int R>
+inline void gemm_xn_rows(float alpha, ConstMatrixView a, ConstMatrixView b,
+                         MatrixView out, std::size_t k, std::size_t i) {
+  const std::size_t n = b.cols();
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    gemm_xn_tile<kTransA, R, 4>(alpha, a, b, out, k, i, j);
+  }
+  switch ((n - j) / 8) {
+    case 3:
+      gemm_xn_tile<kTransA, R, 3>(alpha, a, b, out, k, i, j);
+      break;
+    case 2:
+      gemm_xn_tile<kTransA, R, 2>(alpha, a, b, out, k, i, j);
+      break;
+    case 1:
+      gemm_xn_tile<kTransA, R, 1>(alpha, a, b, out, k, i, j);
+      break;
+    default:
+      break;
+  }
+  for (j = n - n % 8; j < n; ++j) {
+    float d[R] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      const float bv = b(p, j);
+      for (int r = 0; r < R; ++r) {
+        d[r] += (kTransA ? a(p, i + r) : a(i + r, p)) * bv;
+      }
+    }
+    for (int r = 0; r < R; ++r) out(i + r, j) += alpha * d[r];
+  }
+}
+
+template <bool kTransA>
+void gemm_xn_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
+                  MatrixView out) {
+  const std::size_t m = kTransA ? a.cols() : a.rows();
+  const std::size_t k = kTransA ? a.rows() : a.cols();
   std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    float* o0 = out.row(i);
-    float* o1 = out.row(i + 1);
-    for (std::size_t j = 0; j < n32; j += 32) {
-      __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-      __m256 acc02 = _mm256_setzero_ps(), acc03 = _mm256_setzero_ps();
-      __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-      __m256 acc12 = _mm256_setzero_ps(), acc13 = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k; ++p) {
-        const float* brow = b.row(p) + j;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 b2 = _mm256_loadu_ps(brow + 16);
-        const __m256 b3 = _mm256_loadu_ps(brow + 24);
-        const __m256 av0 = _mm256_set1_ps(alpha * a0[p]);
-        const __m256 av1 = _mm256_set1_ps(alpha * a1[p]);
-        acc00 = _mm256_fmadd_ps(av0, b0, acc00);
-        acc01 = _mm256_fmadd_ps(av0, b1, acc01);
-        acc02 = _mm256_fmadd_ps(av0, b2, acc02);
-        acc03 = _mm256_fmadd_ps(av0, b3, acc03);
-        acc10 = _mm256_fmadd_ps(av1, b0, acc10);
-        acc11 = _mm256_fmadd_ps(av1, b1, acc11);
-        acc12 = _mm256_fmadd_ps(av1, b2, acc12);
-        acc13 = _mm256_fmadd_ps(av1, b3, acc13);
-      }
-      _mm256_storeu_ps(o0 + j, _mm256_add_ps(_mm256_loadu_ps(o0 + j), acc00));
-      _mm256_storeu_ps(o0 + j + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(o0 + j + 8), acc01));
-      _mm256_storeu_ps(o0 + j + 16,
-                       _mm256_add_ps(_mm256_loadu_ps(o0 + j + 16), acc02));
-      _mm256_storeu_ps(o0 + j + 24,
-                       _mm256_add_ps(_mm256_loadu_ps(o0 + j + 24), acc03));
-      _mm256_storeu_ps(o1 + j, _mm256_add_ps(_mm256_loadu_ps(o1 + j), acc10));
-      _mm256_storeu_ps(o1 + j + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(o1 + j + 8), acc11));
-      _mm256_storeu_ps(o1 + j + 16,
-                       _mm256_add_ps(_mm256_loadu_ps(o1 + j + 16), acc12));
-      _mm256_storeu_ps(o1 + j + 24,
-                       _mm256_add_ps(_mm256_loadu_ps(o1 + j + 24), acc13));
-    }
-    // Column remainder: 8-wide then scalar.
-    for (std::size_t j = n32; j + 8 <= n; j += 8) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_loadu_ps(b.row(p) + j);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(alpha * a0[p]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(alpha * a1[p]), bv, acc1);
-      }
-      _mm256_storeu_ps(o0 + j, _mm256_add_ps(_mm256_loadu_ps(o0 + j), acc0));
-      _mm256_storeu_ps(o1 + j, _mm256_add_ps(_mm256_loadu_ps(o1 + j), acc1));
-    }
-    for (std::size_t j = n - n % 8; j < n; ++j) {
-      float d0 = 0.0f, d1 = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) {
-        d0 += a0[p] * b(p, j);
-        d1 += a1[p] * b(p, j);
-      }
-      o0[j] += alpha * d0;
-      o1[j] += alpha * d1;
-    }
-  }
-  for (; i < m; ++i) {  // odd final row
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(alpha * arow[p]),
-                              _mm256_loadu_ps(b.row(p) + j), acc);
-      }
-      _mm256_storeu_ps(orow + j,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j), acc));
-    }
-    for (; j < n; ++j) {
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) dot += arow[p] * b(p, j);
-      orow[j] += alpha * dot;
-    }
-  }
+  for (; i + 2 <= m; i += 2) gemm_xn_rows<kTransA, 2>(alpha, a, b, out, k, i);
+  if (i < m) gemm_xn_rows<kTransA, 1>(alpha, a, b, out, k, i);
 }
 
-// out += alpha * A^T B, A stored (k x m). Same register tiling as gemm_nn
-// with the A access transposed (a(p, i) is a strided scalar load, which the
-// broadcast hides behind the FMA chain).
-void gemm_tn_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
-                  MatrixView out) {
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    float* orow = out.row(i);
-    std::size_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 av = _mm256_set1_ps(alpha * a(p, i));
-        const float* brow = b.row(p) + j;
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24), acc3);
-      }
-      _mm256_storeu_ps(orow + j,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j), acc0));
-      _mm256_storeu_ps(orow + j + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j + 8), acc1));
-      _mm256_storeu_ps(orow + j + 16,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j + 16), acc2));
-      _mm256_storeu_ps(orow + j + 24,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j + 24), acc3));
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(alpha * a(p, i)),
-                              _mm256_loadu_ps(b.row(p) + j), acc);
-      }
-      _mm256_storeu_ps(orow + j,
-                       _mm256_add_ps(_mm256_loadu_ps(orow + j), acc));
-    }
-    for (; j < n; ++j) {
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) dot += a(p, i) * b(p, j);
-      orow[j] += alpha * dot;
-    }
-  }
-}
-
-// out += alpha * A B^T: contiguous-row dot products, 4 B rows sharing each
-// A load, lane accumulators + horizontal sum (reduction order differs from
-// scalar — tolerance contract).
-void gemm_nt_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
-                  MatrixView out) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+// out += alpha * A B^T: contiguous-row dot products. Each output element is
+// an 8-lane FMA chain over the first k - k % 8 columns, reduced by the
+// hsum256_ps tree, then the scalar mul-then-add tail, then out += alpha *
+// dot. R rows x 4 columns of chains run at once, and hsum4x256_ps reduces
+// each row's four in one pass.
+template <int R>
+inline void gemm_nt_rows(float alpha, ConstMatrixView a, ConstMatrixView b,
+                         MatrixView out, std::size_t i) {
+  const std::size_t k = a.cols(), n = b.rows();
   const std::size_t k8 = k - k % 8;
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b.row(j);
-      const float* b1 = b.row(j + 1);
-      const float* b2 = b.row(j + 2);
-      const float* b3 = b.row(j + 3);
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      for (std::size_t p = 0; p < k8; p += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + p);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + p), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + p), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + p), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + p), acc3);
-      }
-      float d0 = hsum256_ps(acc0), d1 = hsum256_ps(acc1);
-      float d2 = hsum256_ps(acc2), d3 = hsum256_ps(acc3);
-      for (std::size_t p = k8; p < k; ++p) {
-        d0 += arow[p] * b0[p];
-        d1 += arow[p] * b1[p];
-        d2 += arow[p] * b2[p];
-        d3 += arow[p] * b3[p];
-      }
-      orow[j] += alpha * d0;
-      orow[j + 1] += alpha * d1;
-      orow[j + 2] += alpha * d2;
-      orow[j + 3] += alpha * d3;
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const float* bj[4] = {b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3)};
+    __m256 acc[R][4];
+    #pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      #pragma GCC unroll 8
+      for (int c = 0; c < 4; ++c) acc[r][c] = _mm256_setzero_ps();
     }
-    for (; j < n; ++j) {
-      const float* brow = b.row(j);
+    for (std::size_t p = 0; p < k8; p += 8) {
+      __m256 bv[4];
+      #pragma GCC unroll 8
+      for (int c = 0; c < 4; ++c) bv[c] = _mm256_loadu_ps(bj[c] + p);
+      #pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_loadu_ps(a.row(i + r) + p);
+        #pragma GCC unroll 8
+        for (int c = 0; c < 4; ++c) {
+          acc[r][c] = _mm256_fmadd_ps(av, bv[c], acc[r][c]);
+        }
+      }
+    }
+    #pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      // Lane c: dot_c, then dot_c += a[p] * b_c[p] (mul, then add), then
+      // out += alpha * dot_c — the scalar tail's operations, four at once.
+      const float* arow = a.row(i + r);
+      __m128 d = hsum4x256_ps(acc[r][0], acc[r][1], acc[r][2], acc[r][3]);
+      for (std::size_t p = k8; p < k; ++p) {
+        const __m128 bp = _mm_setr_ps(bj[0][p], bj[1][p], bj[2][p], bj[3][p]);
+        d = _mm_add_ps(d, _mm_mul_ps(_mm_set1_ps(arow[p]), bp));
+      }
+      float* o = out.row(i + r) + j;
+      _mm_storeu_ps(o, _mm_add_ps(_mm_loadu_ps(o),
+                                  _mm_mul_ps(_mm_set1_ps(alpha), d)));
+    }
+  }
+  for (; j < n; ++j) {
+    const float* brow = b.row(j);
+    for (int r = 0; r < R; ++r) {
+      const float* arow = a.row(i + r);
       __m256 acc = _mm256_setzero_ps();
       for (std::size_t p = 0; p < k8; p += 8) {
         acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
@@ -282,9 +265,17 @@ void gemm_nt_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
       }
       float dot = hsum256_ps(acc);
       for (std::size_t p = k8; p < k; ++p) dot += arow[p] * brow[p];
-      orow[j] += alpha * dot;
+      out(i + r, j) += alpha * dot;
     }
   }
+}
+
+void gemm_nt_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
+                  MatrixView out) {
+  const std::size_t m = a.rows();
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) gemm_nt_rows<2>(alpha, a, b, out, i);
+  if (i < m) gemm_nt_rows<1>(alpha, a, b, out, i);
 }
 
 // Lane-parallel mul+add (no FMA): bit-exact vs the scalar reference.
@@ -369,8 +360,8 @@ void lstm_gates_avx2(ConstMatrixView z, ConstMatrixView c_prev,
 const Ops* avx2_ops() {
   static const Ops ops = [] {
     Ops ops = scalar_ops();  // softmax + argmax: scalar reference, bit-exact
-    ops.gemm_nn = &gemm_nn_avx2;
-    ops.gemm_tn = &gemm_tn_avx2;
+    ops.gemm_nn = &gemm_xn_avx2<false>;
+    ops.gemm_tn = &gemm_xn_avx2<true>;
     ops.gemm_nt = &gemm_nt_avx2;
     // gemm_tt stays scalar: the fourth variant backs no hot path.
     ops.axpy = &axpy_avx2;

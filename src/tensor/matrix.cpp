@@ -66,10 +66,6 @@ Matrix& Matrix::hadamard(ConstMatrixView other) {
   return *this;
 }
 
-void Matrix::apply(const std::function<float(float)>& f) {
-  for (float& v : data_) v = f(v);
-}
-
 float Matrix::sum() const {
   float s = 0.0f;
   for (float v : data_) s += v;
@@ -119,10 +115,6 @@ const MatrixView& MatrixView::hadamard(ConstMatrixView other) const {
   const float* os = other.data();
   for (std::size_t i = 0; i < size(); ++i) data_[i] *= os[i];
   return *this;
-}
-
-void MatrixView::apply(const std::function<float(float)>& f) const {
-  for (std::size_t i = 0; i < size(); ++i) data_[i] = f(data_[i]);
 }
 
 // The dense kernels (gemm, add_row_bias, axpy, softmax_rows) live in

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -101,9 +100,6 @@ class Matrix {
   /// Elementwise (Hadamard) product into this.
   Matrix& hadamard(ConstMatrixView other);
 
-  /// Apply f to every element in place.
-  void apply(const std::function<float(float)>& f);
-
   /// Sum of all elements.
   float sum() const;
   /// Sum of squared elements (for gradient-norm clipping).
@@ -159,9 +155,6 @@ class MatrixView {
 
   const MatrixView& operator+=(ConstMatrixView other) const;
   const MatrixView& hadamard(ConstMatrixView other) const;
-
-  /// Apply f to every element in place.
-  void apply(const std::function<float(float)>& f) const;
 
   bool same_shape(ConstMatrixView other) const;
 

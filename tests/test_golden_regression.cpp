@@ -3,9 +3,11 @@
 // The zero-allocation workspace refactor (ISSUE 4) must not change a single
 // FP operation: the same seed must reproduce the exact loss trajectory and
 // BLEU bits recorded before the refactor, and a checkpoint journal written
-// before it must resume cleanly after it. The goldens under tests/golden/
-// were generated by the pre-refactor build; regenerate (only when a change
-// is *intended* to alter numerics) with:
+// before it must resume cleanly after it. train_pair_avx2.golden pins the
+// same trajectory on the avx2 backend; it was recorded before that
+// backend's GEMMs were re-tiled. The goldens under tests/golden/ were
+// generated by the pre-refactor build; regenerate (only when a change is
+// *intended* to alter numerics) with:
 //
 //   DESMINE_REGEN_GOLDEN=1 ./tests/test_golden_regression
 #include <gtest/gtest.h>
@@ -33,9 +35,9 @@ using desmine::util::Rng;
 namespace {
 
 // The goldens pin the bit patterns of the *scalar reference* kernel backend
-// (DESIGN.md §16). Startup auto-detection would pick AVX2 here, whose GEMM
-// rounding legitimately differs, so force the reference backend before any
-// kernel runs.
+// (DESIGN.md §16), except train_pair_avx2.golden. Startup auto-detection
+// would pick AVX2 here, whose GEMM rounding legitimately differs, so force
+// the reference backend before any kernel runs.
 const bool kPinScalarBackend = [] {
   desmine::tensor::kernels::set_backend(
       desmine::tensor::kernels::Backend::kScalar);
@@ -121,9 +123,11 @@ dnmt::TranslationConfig small_config() {
   return cfg;
 }
 
-}  // namespace
-
-TEST(GoldenRegression, TrainPairBitIdentical) {
+/// Train the golden pair on `backend`, score its dev set, and compare the
+/// BLEU and per-step loss bit patterns against tests/golden/`file`.
+void check_train_pair_golden(desmine::tensor::kernels::Backend backend,
+                             const std::string& file) {
+  desmine::tensor::kernels::set_backend(backend);
   dx::Corpus train_src, train_tgt, dev_src, dev_tgt;
   make_corpora(train_src, train_tgt, dev_src, dev_tgt);
 
@@ -131,6 +135,8 @@ TEST(GoldenRegression, TrainPairBitIdentical) {
   dnmt::TranslationModel model = dnmt::train_translation_model(
       train_src, train_tgt, small_config(), /*seed=*/1234, &history);
   const dx::BleuBreakdown bleu = model.score(dev_src, dev_tgt);
+  desmine::tensor::kernels::set_backend(
+      desmine::tensor::kernels::Backend::kScalar);
 
   std::vector<std::string> lines;
   lines.push_back("bleu_bits " + bits_of(bleu.score));
@@ -138,7 +144,7 @@ TEST(GoldenRegression, TrainPairBitIdentical) {
     lines.push_back("loss_bits " + bits_of(loss));
   }
 
-  const std::string path = golden_dir() + "/train_pair.golden";
+  const std::string path = golden_dir() + "/" + file;
   if (regen_requested()) {
     write_lines(path, lines);
     GTEST_SKIP() << "regenerated " << path;
@@ -150,6 +156,26 @@ TEST(GoldenRegression, TrainPairBitIdentical) {
   for (std::size_t i = 0; i < golden.size(); ++i) {
     EXPECT_EQ(lines[i], golden[i]) << "FP divergence at golden line " << i;
   }
+}
+
+}  // namespace
+
+TEST(GoldenRegression, TrainPairBitIdentical) {
+  check_train_pair_golden(desmine::tensor::kernels::Backend::kScalar,
+                          "train_pair.golden");
+}
+
+// The avx2 backend is not bit-equal to scalar, but its bits are pinned too
+// (DESIGN.md §16): the mined graphs and serve verdicts of every avx2 host
+// depend on them, so a kernel change must keep each output element's FMA
+// lane chain, horizontal-sum tree and scalar tail order.
+TEST(GoldenRegression, TrainPairAvx2BitIdentical) {
+  if (!desmine::tensor::kernels::backend_available(
+          desmine::tensor::kernels::Backend::kAvx2)) {
+    GTEST_SKIP() << "AVX2 backend unavailable on this CPU/build";
+  }
+  check_train_pair_golden(desmine::tensor::kernels::Backend::kAvx2,
+                          "train_pair_avx2.golden");
 }
 
 TEST(GoldenRegression, CheckpointResumesAcrossRefactor) {

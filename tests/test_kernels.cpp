@@ -10,8 +10,10 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "avx2_reference_kernels.h"
 #include "nn/gradcheck.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -194,6 +196,110 @@ TEST(Gemm, Avx2WithinToleranceOfScalar) {
     expect_close(got, want, 1e-5, 1e-5,
                  "avx2 gemm m=" + std::to_string(c.m) +
                      " k=" + std::to_string(c.k) + " n=" + std::to_string(c.n));
+  }
+}
+
+TEST(Gemm, Avx2BitIdenticalToFrozenKernels) {
+  // The avx2 backend's bits are pinned (tests/golden/train_pair_avx2.golden,
+  // the bench/e2e digests): re-tiling may only change how many accumulator
+  // chains are in flight. Every output element must match the frozen
+  // pre-re-tiling kernels bit for bit, across every vector tail in m, n, k.
+  if (!dk::backend_available(dk::Backend::kAvx2)) {
+    GTEST_SKIP() << "AVX2 backend unavailable on this CPU/build";
+  }
+  const std::size_t ms[] = {1, 2, 3, 15, 16, 17, 320};
+  const std::size_t ns[] = {1, 7, 8, 9, 16, 23, 24, 31, 32, 33, 52, 96};
+  const std::size_t ks[] = {1, 7, 8, 16, 24, 25, 48, 96};
+  // 0.3 is not a power of two, so moving where alpha is applied shows.
+  const float alphas[] = {1.0f, 0.5f, 0.3f};
+  const float betas[] = {0.0f, 1.0f, 0.25f};
+  const std::pair<dt::Transpose, dt::Transpose> variants[] = {
+      {dt::Transpose::kNo, dt::Transpose::kNo},
+      {dt::Transpose::kTrans, dt::Transpose::kNo},
+      {dt::Transpose::kNo, dt::Transpose::kTrans}};
+  const BackendGuard guard(dk::Backend::kAvx2);
+  Rng rng(111);
+  for (const auto& [ta, tb] : variants) {
+    for (const std::size_t m : ms) {
+      for (const std::size_t n : ns) {
+        for (const std::size_t k : ks) {
+          GemmCase c{ta, tb, m, k, n, 1.0f, 0.0f};
+          std::size_t ar, ac, br, bc;
+          operand_shapes(c, &ar, &ac, &br, &bc);
+          const dt::Matrix a = random_matrix(ar, ac, rng);
+          const dt::Matrix b = random_matrix(br, bc, rng);
+          const dt::Matrix prev = random_matrix(m, n, rng);
+          for (const float alpha : alphas) {
+            for (const float beta : betas) {
+              dt::Matrix got = prev;
+              dt::gemm(ta, tb, alpha, a.view(), b.view(), beta, got.view());
+              // The dispatcher's beta handling, then the frozen kernel.
+              dt::Matrix want = prev;
+              if (beta == 0.0f) {
+                want.fill(0.0f);
+              } else if (beta != 1.0f) {
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                  want.data()[i] *= beta;
+                }
+              }
+              ASSERT_TRUE(desmine::reference::frozen_avx2_gemm(
+                  ta, tb, alpha, a.view(), b.view(), want.view()));
+              const std::string what =
+                  std::string(ta == dt::Transpose::kNo ? "n" : "t") +
+                  (tb == dt::Transpose::kNo ? "n" : "t") +
+                  " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                  " k=" + std::to_string(k) +
+                  " alpha=" + std::to_string(alpha) +
+                  " beta=" + std::to_string(beta);
+              expect_bitwise_equal(got, want, what);
+              if (::testing::Test::HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, TallRowsEqualOneRowCalls) {
+  // Rows of op(A) are independent in gemm_nn and gemm_nt: a row computed
+  // inside a tall GEMM must equal, bitwise, the same row computed by a
+  // one-row call, whatever the row's position relative to the kernels' M
+  // tiles. translate_batch's B=1 bit-identity relies on this, and so would
+  // stacking per-step GEMMs over time.
+  Rng rng(112);
+  const std::size_t ms[] = {2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33};
+  const std::size_t ns[] = {7, 24, 33, 96};
+  const std::size_t ks[] = {7, 24};
+  for (const dk::Backend backend : dk::available_backends()) {
+    const BackendGuard guard(backend);
+    for (const dt::Transpose tb : {dt::Transpose::kNo, dt::Transpose::kTrans}) {
+      for (const std::size_t m : ms) {
+        for (const std::size_t n : ns) {
+          for (const std::size_t k : ks) {
+            const dt::Matrix a = random_matrix(m, k, rng);
+            const dt::Matrix b = tb == dt::Transpose::kNo
+                                     ? random_matrix(k, n, rng)
+                                     : random_matrix(n, k, rng);
+            dt::Matrix tall(m, n);
+            dt::gemm(dt::Transpose::kNo, tb, 1.0f, a.view(), b.view(), 0.0f,
+                     tall.view());
+            for (std::size_t i = 0; i < m; ++i) {
+              dt::Matrix one(1, n);
+              dt::gemm(dt::Transpose::kNo, tb, 1.0f,
+                       dt::ConstMatrixView(a.row(i), 1, k), b.view(), 0.0f,
+                       one.view());
+              ASSERT_EQ(std::memcmp(one.data(), tall.row(i),
+                                    n * sizeof(float)),
+                        0)
+                  << dk::backend_name(backend)
+                  << (tb == dt::Transpose::kNo ? " nn" : " nt") << " row " << i
+                  << " of m=" << m << " n=" << n << " k=" << k;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
