@@ -1,7 +1,7 @@
 // Micro-kernel benchmarks (google-benchmark): the numeric primitives the
 // pipeline's cost is built from — GEMM, LSTM forward/BPTT, attention
-// scoring, seq2seq train steps, an end-to-end train-pair, BLEU scoring, and
-// Walktrap.
+// decode and train steps, tanh, seq2seq train steps, an end-to-end
+// train-pair, BLEU scoring, and Walktrap.
 //
 // Results go to bench_artifacts/BENCH_kernels.json (google-benchmark JSON)
 // so successive runs form a perf trajectory; the metrics registry — which
@@ -9,6 +9,7 @@
 // as BENCH_kernels_metrics.json.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "graph/walktrap.h"
 #include "nn/attention.h"
 #include "nn/lstm.h"
+#include "nn/param.h"
 #include "nmt/translation.h"
 #include "tensor/kernels.h"
 #include "tensor/matrix.h"
@@ -191,30 +193,108 @@ static void BM_LstmBptt(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmBptt)->Arg(24)->Arg(64);
 
-static void BM_AttentionScore(benchmark::State& state) {
-  // One attention step (score + softmax + context + h~) against a bound
-  // encoding of `src_len` positions: the decoder's per-token overhead.
-  const auto src_len = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kHidden = 64;
-  constexpr std::size_t kBatch = 8;
-  Rng rng(8);
-  dn::LuongAttention attn("a", kHidden, rng);
-  std::vector<dt::Matrix> enc;
-  for (std::size_t s = 0; s < src_len; ++s) {
-    enc.emplace_back(kBatch, kHidden);
-    enc.back().init_uniform(rng, 0.5f);
+/// The attention geometry of a `mine` train step and of a serve decode:
+/// H = 24, batch 16, 20 source positions, 21 target steps (20 words + </s>).
+constexpr std::size_t kAttnHidden = 24;
+constexpr std::size_t kAttnBatch = 16;
+constexpr std::size_t kAttnSrc = 20;
+constexpr std::size_t kAttnSteps = 21;
+
+/// Random encoder outputs and decoder states for the attention benches.
+struct AttentionInputs {
+  std::vector<dt::Matrix> enc, h_dec;
+  AttentionInputs() {
+    Rng rng(8);
+    for (std::size_t s = 0; s < kAttnSrc; ++s) {
+      enc.emplace_back(kAttnBatch, kAttnHidden);
+      enc.back().init_uniform(rng, 0.5f);
+    }
+    for (std::size_t t = 0; t < kAttnSteps; ++t) {
+      h_dec.emplace_back(kAttnBatch, kAttnHidden);
+      h_dec.back().init_uniform(rng, 0.5f);
+    }
   }
-  dt::Matrix h_dec(kBatch, kHidden, 0.1f);
+};
+
+static void BM_AttentionScore(benchmark::State& state,
+                              dt::kernels::Backend backend) {
+  // One decode's attention: begin() over 20 source positions, then 21 steps
+  // (score + softmax + context + h~). items_per_second is steps per second,
+  // so 1e6 / items_per_second is the per-step cost in µs.
+  if (!dt::kernels::backend_available(backend)) {
+    state.SkipWithError("backend unavailable on this CPU/build");
+    return;
+  }
+  const BackendGuard guard(backend);
+  Rng rng(8);
+  dn::LuongAttention attn("a", kAttnHidden, rng);
+  const AttentionInputs in;
   dt::Workspace ws;
   for (auto _ : state) {
     ws.reset();
-    attn.begin(&enc, kBatch, &ws);
-    benchmark::DoNotOptimize(attn.step(h_dec).data());
+    attn.begin(&in.enc, kAttnBatch, &ws);
+    for (const dt::Matrix& h : in.h_dec) {
+      benchmark::DoNotOptimize(attn.step(h).data());
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(src_len));
+                          static_cast<std::int64_t>(kAttnSteps));
 }
-BENCHMARK(BM_AttentionScore)->Arg(6)->Arg(24);
+BENCHMARK_CAPTURE(BM_AttentionScore, scalar, dt::kernels::Backend::kScalar);
+BENCHMARK_CAPTURE(BM_AttentionScore, avx2, dt::kernels::Backend::kAvx2);
+
+static void BM_AttentionTrainStep(benchmark::State& state,
+                                  dt::kernels::Backend backend) {
+  // The attention share of one teacher-forced train step: 21 forward steps,
+  // then 21 backward steps in reverse order.
+  if (!dt::kernels::backend_available(backend)) {
+    state.SkipWithError("backend unavailable on this CPU/build");
+    return;
+  }
+  const BackendGuard guard(backend);
+  Rng rng(8);
+  dn::LuongAttention attn("a", kAttnHidden, rng);
+  dn::ParamRegistry params;
+  attn.register_params(params);
+  const AttentionInputs in;
+  const dt::Matrix d_attn(kAttnBatch, kAttnHidden, 0.01f);
+  dt::Workspace ws;
+  for (auto _ : state) {
+    ws.reset();
+    params.zero_grad();
+    attn.begin(&in.enc, kAttnBatch, &ws);
+    for (const dt::Matrix& h : in.h_dec) attn.step(h);
+    for (std::size_t t = 0; t < kAttnSteps; ++t) {
+      benchmark::DoNotOptimize(attn.backward_step(d_attn).data());
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_AttentionTrainStep, scalar,
+                  dt::kernels::Backend::kScalar);
+BENCHMARK_CAPTURE(BM_AttentionTrainStep, avx2, dt::kernels::Backend::kAvx2);
+
+static void BM_Tanh(benchmark::State& state, bool kernel) {
+  // h~'s tanh at the decode geometry (batch 16 x H 24): a std::tanh loop
+  // against the dispatched tensor::tanh_inplace (same bits on every
+  // backend). Each iteration restores the pre-activations first.
+  Rng rng(10);
+  dt::Matrix pre(kAttnBatch, kAttnHidden), m(kAttnBatch, kAttnHidden);
+  pre.init_uniform(rng, 3.0f);
+  for (auto _ : state) {
+    m.view().copy_from(pre);
+    if (kernel) {
+      dt::tanh_inplace(m.view());
+    } else {
+      float* p = m.data();
+      for (std::size_t i = 0; i < m.size(); ++i) p[i] = std::tanh(p[i]);
+    }
+    benchmark::DoNotOptimize(m.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m.size()));
+}
+BENCHMARK_CAPTURE(BM_Tanh, libm, false);
+BENCHMARK_CAPTURE(BM_Tanh, kernel, true);
 
 static void BM_LstmTrainStep(benchmark::State& state) {
   // One teacher-forced forward+backward of a small seq2seq batch.

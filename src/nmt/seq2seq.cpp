@@ -4,6 +4,7 @@
 
 #include "nn/loss.h"
 #include "obs/log.h"
+#include "tensor/kernels.h"
 #include "util/error.h"
 
 namespace desmine::nmt {
@@ -73,16 +74,19 @@ void Seq2SeqModel::reserve_workspace(std::size_t max_src_len,
   const std::size_t T = max_tgt_len + 1;  // +1 for the </s> step
   // Per-step LSTM footprint: input copy + mask + 7 gate/cell caches per
   // layer, plus the transient 4H pre-activation. Attention adds transformed
-  // + d_encoder (per source position) and h_dec/align/concat/attn per target
-  // step; the output layer adds dlogits per step. Backward adds dx per step
-  // plus per-layer running gradients. Doubled for slack — over-reserving
-  // only costs address space in one chunk.
+  // + d_encoder (per source position), their two transposed copies (H x S
+  // padded to 8 each), and h_dec/align/concat/attn per target step; the
+  // output layer adds dlogits per step. Backward adds dx per step plus
+  // per-layer running gradients. Doubled for slack — over-reserving only
+  // costs address space in one chunk.
   const std::size_t lstm_step = 2 * (E + (L - 1) * H) + 7 * L * H + 4 * H;
   const std::size_t per_src = lstm_step + 2 * H + E;     // + attention accums, dx
   const std::size_t per_tgt = lstm_step + 5 * H + 2 * S  // + attention caches
                               + 2 * V + E;               // + dlogits/logits, dx
+  const std::size_t transposed = 2 * H * tensor::transposed_cols(S);
   const std::size_t fixed = 8 * L * H + 8 * H;           // running BPTT grads
-  const std::size_t floats = B * (S * per_src + T * per_tgt + fixed);
+  const std::size_t floats =
+      B * (S * per_src + T * per_tgt + transposed + fixed);
   ws_->reserve(2 * floats * sizeof(float));
 }
 

@@ -1,11 +1,30 @@
 #include "nn/attention.h"
 
-#include <cmath>
 #include <limits>
 
+#include "tensor/kernels.h"
 #include "util/error.h"
 
 namespace desmine::nn {
+
+namespace {
+
+// dst(b*H + k, s) = src[s](b, k): the per-position (batch x H) views laid
+// out for tensor::dot_rows_transposed, source positions along each row.
+void transpose_positions(const std::vector<tensor::ConstMatrixView>& src,
+                         tensor::MatrixView dst) {
+  for (std::size_t s = 0; s < src.size(); ++s) {
+    const tensor::ConstMatrixView v = src[s];
+    for (std::size_t b = 0; b < v.rows(); ++b) {
+      const float* row = v.row(b);
+      for (std::size_t k = 0; k < v.cols(); ++k) {
+        dst(b * v.cols() + k, s) = row[k];
+      }
+    }
+  }
+}
+
+}  // namespace
 
 LuongAttention::LuongAttention(const std::string& name, std::size_t hidden,
                                util::Rng& rng, float init_scale,
@@ -55,6 +74,13 @@ void LuongAttention::begin(
       transformed_.push_back(e);  // dot score: transformed == encoder output
     }
   }
+  // The scores read transformed_ transposed; the backward builds enc_'s
+  // transposed copy on its first step, so decoding never pays for it.
+  transformed_t_ = ws_->alloc(batch * hidden_,
+                              tensor::transposed_cols(enc_.size()));
+  transpose_positions(transformed_, transformed_t_);
+  enc_t_ = score_ == AttentionScore::kDot ? transformed_t_
+                                          : tensor::MatrixView();
   d_encoder_.clear();
   d_encoder_.reserve(enc_.size());
   for (std::size_t s = 0; s < enc_.size(); ++s) {
@@ -84,42 +110,19 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   cache.h_dec = ws_->alloc(batch_, hidden_);
   cache.h_dec.copy_from(h_dec);
 
-  // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>. Four source
-  // positions' dot chains run interleaved; each keeps its sequential k order.
+  // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>. Padded positions:
+  // -inf survives the row max untouched and its exp() contributes an exact
+  // 0.0f to the softmax sum, so the valid prefix's weights match the compact
+  // (unpadded) decode bit for bit.
   cache.align = ws_->alloc(batch_, S);
-  const bool masked = !src_lengths_.empty();
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const float* hd = h_dec.row(b);
-    float* al = cache.align.row(b);
-    const std::size_t len = masked ? src_lengths_[b] : S;
-    std::size_t s = 0;
-    for (; s + 4 <= len; s += 4) {
-      const float* t0 = transformed_[s].row(b);
-      const float* t1 = transformed_[s + 1].row(b);
-      const float* t2 = transformed_[s + 2].row(b);
-      const float* t3 = transformed_[s + 3].row(b);
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < hidden_; ++k) {
-        d0 += hd[k] * t0[k];
-        d1 += hd[k] * t1[k];
-        d2 += hd[k] * t2[k];
-        d3 += hd[k] * t3[k];
+  tensor::dot_rows_transposed(h_dec, transformed_t_, cache.align);
+  if (!src_lengths_.empty()) {
+    for (std::size_t b = 0; b < batch_; ++b) {
+      float* al = cache.align.row(b);
+      for (std::size_t s = src_lengths_[b]; s < S; ++s) {
+        al[s] = -std::numeric_limits<float>::infinity();
       }
-      al[s] = d0;
-      al[s + 1] = d1;
-      al[s + 2] = d2;
-      al[s + 3] = d3;
     }
-    for (; s < len; ++s) {
-      const float* tv = transformed_[s].row(b);
-      float dot = 0.0f;
-      for (std::size_t k = 0; k < hidden_; ++k) dot += hd[k] * tv[k];
-      al[s] = dot;
-    }
-    // Padded positions: -inf survives the row max untouched and its exp()
-    // contributes an exact 0.0f to the softmax sum, so the valid prefix's
-    // weights match the compact (unpadded) decode bit for bit.
-    for (; s < S; ++s) al[s] = -std::numeric_limits<float>::infinity();
   }
   tensor::softmax_rows(cache.align);
 
@@ -145,10 +148,7 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   cache.attn = ws_->alloc(batch_, hidden_);
   tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
                cache.concat, wc_.view(), 0.0f, cache.attn);
-  float* attn = cache.attn.data();
-  for (std::size_t idx = 0; idx < cache.attn.size(); ++idx) {
-    attn[idx] = std::tanh(attn[idx]);
-  }
+  tensor::tanh_inplace(cache.attn);
 
   steps_.push_back(cache);
   backward_cursor_ = steps_.size();
@@ -165,6 +165,10 @@ tensor::MatrixView LuongAttention::backward_step(
   DESMINE_EXPECTS(backward_cursor_ > 0, "no forward step left to backprop");
   const StepCache& cache = steps_[--backward_cursor_];
   const std::size_t S = enc_.size();
+  if (enc_t_.empty()) {  // first backward step of this sequence
+    enc_t_ = ws_->alloc(batch_ * hidden_, tensor::transposed_cols(S));
+    transpose_positions(enc_, enc_t_);
+  }
 
   // dh_dec is the step's output and must outlive the rewind below; the rest
   // is scratch reclaimed when this step's backward is done.
@@ -187,58 +191,26 @@ tensor::MatrixView LuongAttention::backward_step(
                wc_.view(), 0.0f, dconcat);
 
   // Split into dcontext (first H) and dh_dec (second H).
+  tensor::MatrixView dctx = ws_->alloc(batch_, hidden_);
   for (std::size_t b = 0; b < batch_; ++b) {
-    const float* src = dconcat.row(b) + hidden_;
+    const float* src = dconcat.row(b);
+    float* dc = dctx.row(b);
     float* dst = dh_dec.row(b);
-    for (std::size_t k = 0; k < hidden_; ++k) dst[k] = src[k];
+    for (std::size_t k = 0; k < hidden_; ++k) {
+      dc[k] = src[k];
+      dst[k] = src[hidden_ + k];
+    }
   }
 
   // dalign(b,s) = <dcontext[b], enc[s][b]>; denc[s][b] += align(b,s) dcontext[b].
-  // Four source positions' dot chains run interleaved; each keeps its
-  // sequential k order.
   tensor::MatrixView dalign = ws_->alloc(batch_, S);
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const float* dctx = dconcat.row(b);
-    const float* al = cache.align.row(b);
-    float* da = dalign.row(b);
-    std::size_t s = 0;
-    for (; s + 4 <= S; s += 4) {
-      const float* e0 = enc_[s].row(b);
-      const float* e1 = enc_[s + 1].row(b);
-      const float* e2 = enc_[s + 2].row(b);
-      const float* e3 = enc_[s + 3].row(b);
-      float* de0 = d_encoder_[s].row(b);
-      float* de1 = d_encoder_[s + 1].row(b);
-      float* de2 = d_encoder_[s + 2].row(b);
-      float* de3 = d_encoder_[s + 3].row(b);
-      const float w0 = al[s], w1 = al[s + 1], w2 = al[s + 2], w3 = al[s + 3];
-      float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-      for (std::size_t k = 0; k < hidden_; ++k) {
-        const float g = dctx[k];
-        d0 += g * e0[k];
-        d1 += g * e1[k];
-        d2 += g * e2[k];
-        d3 += g * e3[k];
-        de0[k] += w0 * g;
-        de1[k] += w1 * g;
-        de2[k] += w2 * g;
-        de3[k] += w3 * g;
-      }
-      da[s] = d0;
-      da[s + 1] = d1;
-      da[s + 2] = d2;
-      da[s + 3] = d3;
-    }
-    for (; s < S; ++s) {
-      const float* ev = enc_[s].row(b);
-      float* dev = d_encoder_[s].row(b);
-      const float w = al[s];
-      float dot = 0.0f;
-      for (std::size_t k = 0; k < hidden_; ++k) {
-        dot += dctx[k] * ev[k];
-        dev[k] += w * dctx[k];
-      }
-      da[s] = dot;
+  tensor::dot_rows_transposed(dctx, enc_t_, dalign);
+  for (std::size_t s = 0; s < S; ++s) {
+    for (std::size_t b = 0; b < batch_; ++b) {
+      const float w = cache.align(b, s);
+      const float* dc = dctx.row(b);
+      float* de = d_encoder_[s].row(b);
+      for (std::size_t k = 0; k < hidden_; ++k) de[k] += w * dc[k];
     }
   }
 

@@ -103,6 +103,11 @@ class LuongAttention {
   tensor::Workspace own_ws_;
   std::vector<tensor::ConstMatrixView> enc_;
   std::vector<tensor::ConstMatrixView> transformed_;  ///< enc[s] * Wa, cached
+  /// transformed_ and enc_ transposed to (batch*H) x transposed_cols(S) for
+  /// tensor::dot_rows_transposed, on the workspace. enc_t_ is built by the
+  /// first backward_step (empty until then); for kDot both are one buffer.
+  tensor::MatrixView transformed_t_;
+  tensor::MatrixView enc_t_;
   std::vector<std::size_t> src_lengths_;  ///< per-row mask; empty = no mask
   std::vector<tensor::MatrixView> d_encoder_;
   std::vector<StepCache> steps_;

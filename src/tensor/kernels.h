@@ -2,8 +2,9 @@
 //
 // Every dense kernel in the numeric stack — GEMM in all four transpose
 // variants (tensor::gemm in matrix.h), axpy, row bias, row softmax, the
-// fused LSTM gate activation, greedy argmax — routes through one dispatch
-// table selected at process startup from two backends:
+// fused LSTM gate activation, greedy argmax, and attention's elementwise
+// tanh and transposed score dots — routes through one dispatch table
+// selected at process startup from two backends:
 //
 //  * kScalar — the reference loops, bit-exact and pinned by the golden-
 //              regression tests. Always available, and the `auto` choice
@@ -13,8 +14,9 @@
 //              every x86-64 toolchain, selected only when CPUID reports
 //              AVX2+FMA. Deterministic, but FMA contraction and vector
 //              reductions change final-bit rounding vs the scalar
-//              reference; axpy, bias, softmax, and argmax remain bit-exact
-//              even here.
+//              reference in GEMM and the gate fusion; axpy, bias, softmax,
+//              argmax, tanh_inplace and dot_rows_transposed remain
+//              bit-exact even here.
 //
 // Selection precedence: explicit set_backend()/select_backend() (config key
 // `tensor.kernels`, `--kernels` flag) > the DESMINE_KERNELS environment
@@ -51,6 +53,26 @@ void lstm_gate_fusion(ConstMatrixView z, ConstMatrixView c_prev,
 /// maximum wins. `out` must hold m.rows() slots. Bit-exact (identical tie
 /// breaking) across every backend.
 void argmax_rows(ConstMatrixView m, std::int32_t* out);
+
+/// m = tanh(m), elementwise. Bit-exact across every backend: kScalar calls
+/// std::tanh; kAvx2 runs a lane-for-lane port of the fdlibm tanhf/expm1f
+/// that glibc ships, checked equal to it on all 2^32 inputs (DESIGN.md §16).
+void tanh_inplace(MatrixView m);
+
+/// Column count of a transposed operand of dot_rows_transposed for `n`
+/// output columns: n rounded up to a multiple of 8.
+constexpr std::size_t transposed_cols(std::size_t n) {
+  return (n + 7) / 8 * 8;
+}
+
+/// out(b, s) = Σ_k x(b, k) · yt(b·H + k, s) with H = x.cols(): per row b,
+/// the dot products of x's row with H-long columns of yt. yt is (B·H) x
+/// transposed_cols(out.cols()); its padding columns are read but never
+/// reach `out`. Every output is one chain started from 0.0f over k
+/// ascending, each term a multiply then an add, so the result is bit-exact
+/// across every backend (kAvx2 puts output columns in the lanes).
+void dot_rows_transposed(ConstMatrixView x, ConstMatrixView yt,
+                         MatrixView out);
 
 namespace kernels {
 

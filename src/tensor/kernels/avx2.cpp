@@ -12,8 +12,9 @@
 // the bench/e2e digests, and test_kernels' comparison against a frozen copy
 // of these GEMMs): a change may re-tile, but every output element must keep
 // its FMA lane chain, horizontal-sum tree and scalar tail order.
-// axpy and bias_add use lane-parallel mul+add only and remain bit-exact;
-// softmax and argmax reuse the scalar reference outright.
+// axpy, bias_add and dot_rows_t use lane-parallel mul+add only and remain
+// bit-exact; tanh is an exact port of glibc's tanhf, so it is bit-exact
+// too; softmax and argmax reuse the scalar reference outright.
 //
 // Workspace arena slices carry no alignment guarantee, so every vector
 // memory access is unaligned (loadu/storeu).
@@ -25,6 +26,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace desmine::tensor::kernels {
 
@@ -278,6 +280,233 @@ void gemm_nt_avx2(float alpha, ConstMatrixView a, ConstMatrixView b,
   if (i < m) gemm_nt_rows<1>(alpha, a, b, out, i);
 }
 
+// ---------------------------------------------------------------------------
+// tanhf, bit-exact: a lane-for-lane transcription of fdlibm's s_tanhf.c and
+// s_expm1f.c as glibc ships them (plain single-precision SSE code, no FMA
+// variant). Only IEEE single mul/add/sub/div appear, in the C sources'
+// order (this TU is -ffp-contract=off); the float -> int conversion
+// truncates like C's (cvttps); 2^k scaling adds k to the exponent field;
+// each `if` of the C code becomes a blend. Checked equal to glibc 2.36's
+// tanhf on all 2^32 inputs (DESIGN.md §16); test_kernels re-checks a
+// sweep against std::tanh on every run.
+inline __m256i set1_epi32(std::uint32_t v) {
+  return _mm256_set1_epi32(static_cast<int>(v));
+}
+
+inline __m256 blend_ps(__m256 if_false, __m256 if_true, __m256i mask) {
+  return _mm256_blendv_ps(if_false, if_true, _mm256_castsi256_ps(mask));
+}
+
+// expm1f(a) for the arguments tanhf passes it: a = 2|x| >= 2 or
+// a = -2|x| with 2^-54 <= |a| < 2 (other lanes are overwritten by the
+// caller), so expm1f's huge/non-finite filter never fires and its k == 1
+// branch (0.5 ln2 < a < 1.5 ln2) is unreachable. `ha` holds |a|'s bits,
+// `neg` is all-ones in lanes where a < 0.
+inline __m256 expm1f_tanh_ps(__m256 a, __m256i ha, __m256i neg) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  // Argument reduction: a = k ln2 + r, r = hi - lo with correction c.
+  //   |a| <= 0.5 ln2:          k = 0 (and hi = a, lo = c = 0 below)
+  //   0.5 ln2 < |a| < 1.5 ln2: k = ±1
+  //   otherwise:               k = (int)(invln2 * a ± 0.5)
+  const __m256 sign_half =
+      _mm256_or_ps(half, _mm256_castsi256_ps(_mm256_slli_epi32(neg, 31)));
+  __m256i k = _mm256_cvttps_epi32(_mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(1.4426950216e+00f), a), sign_half));
+  k = _mm256_blendv_epi8(k, _mm256_or_si256(neg, _mm256_set1_epi32(1)),
+                         _mm256_cmpgt_epi32(set1_epi32(0x3f851592), ha));
+  k = _mm256_and_si256(k, _mm256_cmpgt_epi32(ha, set1_epi32(0x3eb17218)));
+  // t * ln2_hi is exact, and t = ±1 / 0 reproduce the k = ±1 / k = 0
+  // branches' hi and lo bit for bit.
+  const __m256 t = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(
+      a, _mm256_mul_ps(t, _mm256_set1_ps(6.9313812256e-01f)));
+  const __m256 lo = _mm256_mul_ps(t, _mm256_set1_ps(9.0580006145e-06f));
+  const __m256 x = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, x), lo);
+
+  // x is now in the primary range.
+  const __m256 hfx = _mm256_mul_ps(half, x);
+  const __m256 hxs = _mm256_mul_ps(x, hfx);
+  // r1 = one+hxs*(Q1+hxs*(Q2+hxs*(Q3+hxs*(Q4+hxs*Q5)))), innermost first.
+  const float q[] = {-3.3333335072e-02f, 1.5873016091e-03f,
+                     -7.9365076090e-05f, 4.0082177293e-06f};
+  __m256 r1 = _mm256_mul_ps(hxs, _mm256_set1_ps(-2.0109921195e-07f));
+  for (int i = 3; i >= 0; --i) {
+    r1 = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(q[i]), r1));
+  }
+  r1 = _mm256_add_ps(one, r1);
+  const __m256 tt = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(x, tt))));
+  // k == 0: x - (x*e - hxs).
+  const __m256 r_k0 =
+      _mm256_sub_ps(x, _mm256_sub_ps(_mm256_mul_ps(x, e), hxs));
+  e = _mm256_sub_ps(_mm256_mul_ps(x, _mm256_sub_ps(e, c)), c);
+  e = _mm256_sub_ps(e, hxs);
+  // k == -1: 0.5*(x-e) - 0.5.
+  const __m256 r_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(x, e)), half);
+  const __m256i kexp = _mm256_slli_epi32(k, 23);
+  const __m256 emx = _mm256_sub_ps(e, x);
+  // k <= -2 or k > 56: y = one-(e-x) scaled by 2^k, minus one.
+  const __m256 r_far = _mm256_sub_ps(
+      _mm256_castsi256_ps(_mm256_add_epi32(
+          _mm256_castps_si256(_mm256_sub_ps(one, emx)), kexp)),
+      one);
+  // 2 <= k <= 22: t = 1 - 2^-k; y = t-(e-x) scaled by 2^k.
+  const __m256 t_lo = _mm256_castsi256_ps(_mm256_sub_epi32(
+      set1_epi32(0x3f800000), _mm256_srlv_epi32(set1_epi32(0x1000000), k)));
+  const __m256 r_lo = _mm256_castsi256_ps(_mm256_add_epi32(
+      _mm256_castps_si256(_mm256_sub_ps(t_lo, emx)), kexp));
+  // 23 <= k <= 56: t = 2^-k; y = (x-(e+t)) + one scaled by 2^k.
+  const __m256 t_hi = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(set1_epi32(0x7f), k), 23));
+  const __m256 r_hi = _mm256_castsi256_ps(_mm256_add_epi32(
+      _mm256_castps_si256(
+          _mm256_add_ps(_mm256_sub_ps(x, _mm256_add_ps(e, t_hi)), one)),
+      kexp));
+
+  __m256 y = blend_ps(r_hi, r_lo, _mm256_cmpgt_epi32(set1_epi32(23), k));
+  y = blend_ps(y, r_far,
+               _mm256_or_si256(_mm256_cmpgt_epi32(set1_epi32(0xffffffff), k),
+                               _mm256_cmpgt_epi32(k, set1_epi32(56))));
+  y = blend_ps(y, r_km1, _mm256_cmpeq_epi32(k, set1_epi32(0xffffffff)));
+  y = blend_ps(y, r_k0, _mm256_cmpeq_epi32(k, _mm256_setzero_si256()));
+  // |a| < 2^-25: expm1f returns a.
+  return blend_ps(y, a, _mm256_cmpgt_epi32(set1_epi32(0x33000000), ha));
+}
+
+inline __m256 tanhf256_ps(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256i jx = _mm256_castps_si256(x);
+  const __m256i ix = _mm256_and_si256(jx, set1_epi32(0x7fffffff));
+  // |x| >= 1: t = expm1f(2|x|), z = one - two/(t+two).
+  // |x| <  1: t = expm1f(-2|x|), z = -t/(t+two).
+  const __m256i ge1 = _mm256_cmpgt_epi32(ix, set1_epi32(0x3f7fffff));
+  const __m256 two_ax = _mm256_mul_ps(two, _mm256_castsi256_ps(ix));
+  const __m256i neg = _mm256_xor_si256(ge1, set1_epi32(0xffffffff));
+  const __m256 a = _mm256_xor_ps(
+      two_ax, _mm256_castsi256_ps(_mm256_slli_epi32(neg, 31)));
+  const __m256 t =
+      expm1f_tanh_ps(a, _mm256_castps_si256(two_ax), neg);
+  const __m256 den = _mm256_add_ps(t, two);
+  __m256 z = blend_ps(
+      _mm256_div_ps(_mm256_xor_ps(t, _mm256_set1_ps(-0.0f)), den),
+      _mm256_sub_ps(one, _mm256_div_ps(two, den)), ge1);
+  // |x| >= 22: z = one - tiny, which rounds to 1.
+  z = blend_ps(z, one, _mm256_cmpgt_epi32(ix, set1_epi32(0x41afffff)));
+  // tanh is odd: the sign of x onto z.
+  __m256 r = _mm256_xor_ps(
+      z, _mm256_castsi256_ps(_mm256_and_si256(jx, set1_epi32(0x80000000))));
+  // |x| < 2^-55 (±0 included): x*(one+x).
+  r = blend_ps(r, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+               _mm256_cmpgt_epi32(set1_epi32(0x24000000), ix));
+  // inf / NaN: one/x ± one.
+  const __m256i nonfinite = _mm256_cmpgt_epi32(ix, set1_epi32(0x7f7fffff));
+  if (_mm256_movemask_ps(_mm256_castsi256_ps(nonfinite)) != 0) {
+    const __m256 inv = _mm256_div_ps(one, x);
+    const __m256 special =
+        blend_ps(_mm256_add_ps(inv, one), _mm256_sub_ps(inv, one),
+                 _mm256_cmpgt_epi32(_mm256_setzero_si256(), jx));
+    r = blend_ps(r, special, nonfinite);
+  }
+  return r;
+}
+
+void tanh_avx2(MatrixView m) {
+  float* p = m.data();
+  const std::size_t n = m.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(p + i, tanhf256_ps(_mm256_loadu_ps(p + i)));
+  }
+  if (i < n) {  // the tail runs through the same port, zero padded
+    float tail[8] = {};
+    std::copy(p + i, p + n, tail);
+    _mm256_storeu_ps(tail, tanhf256_ps(_mm256_loadu_ps(tail)));
+    std::copy(tail, tail + (n - i), p + i);
+  }
+}
+
+// out(b, s) = sum_k x(b, k) yt(b H + k, s) with output columns in the
+// lanes: each lane's chain is the scalar reference's (0.0f, then mul and
+// add per k ascending). R rows x NB 8-column blocks run at once; the last
+// block's lanes past out.cols() (yt's zero padding) are not stored.
+template <int R, int NB>
+[[gnu::always_inline]] inline void dot_rows_t_tile(ConstMatrixView x,
+                                                   ConstMatrixView yt,
+                                                   MatrixView out,
+                                                   std::size_t b,
+                                                   std::size_t s) {
+  const std::size_t H = x.cols(), S = out.cols();
+  __m256 acc[R][NB];
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    #pragma GCC unroll 8
+    for (int c = 0; c < NB; ++c) acc[r][c] = _mm256_setzero_ps();
+  }
+  for (std::size_t k = 0; k < H; ++k) {
+    #pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 xv = _mm256_set1_ps(x(b + r, k));
+      const float* y = yt.row((b + r) * H + k) + s;
+      #pragma GCC unroll 8
+      for (int c = 0; c < NB; ++c) {
+        acc[r][c] = _mm256_add_ps(
+            acc[r][c], _mm256_mul_ps(xv, _mm256_loadu_ps(y + 8 * c)));
+      }
+    }
+  }
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* o = out.row(b + r) + s;
+    #pragma GCC unroll 8
+    for (int c = 0; c < NB; ++c) {
+      const std::size_t col = s + 8 * c;
+      if (col + 8 <= S) {
+        _mm256_storeu_ps(o + 8 * c, acc[r][c]);
+      } else {
+        const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        const __m256i live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(S - col)), lanes);
+        _mm256_maskstore_ps(o + 8 * c, live, acc[r][c]);
+      }
+    }
+  }
+}
+
+template <int R>
+inline void dot_rows_t_rows(ConstMatrixView x, ConstMatrixView yt,
+                            MatrixView out, std::size_t b) {
+  const std::size_t padded = yt.cols();
+  std::size_t s = 0;
+  for (; s + 32 <= padded; s += 32) dot_rows_t_tile<R, 4>(x, yt, out, b, s);
+  switch ((padded - s) / 8) {
+    case 3:
+      dot_rows_t_tile<R, 3>(x, yt, out, b, s);
+      break;
+    case 2:
+      dot_rows_t_tile<R, 2>(x, yt, out, b, s);
+      break;
+    case 1:
+      dot_rows_t_tile<R, 1>(x, yt, out, b, s);
+      break;
+    default:
+      break;
+  }
+}
+
+void dot_rows_t_avx2(ConstMatrixView x, ConstMatrixView yt, MatrixView out) {
+  const std::size_t m = x.rows();
+  std::size_t b = 0;
+  for (; b + 2 <= m; b += 2) dot_rows_t_rows<2>(x, yt, out, b);
+  if (b < m) dot_rows_t_rows<1>(x, yt, out, b);
+}
+
 // Lane-parallel mul+add (no FMA): bit-exact vs the scalar reference.
 void axpy_avx2(float alpha, ConstMatrixView x, MatrixView y) {
   const float* xs = x.data();
@@ -367,6 +596,8 @@ const Ops* avx2_ops() {
     ops.axpy = &axpy_avx2;
     ops.bias_add = &bias_add_avx2;
     ops.lstm_gates = &lstm_gates_avx2;
+    ops.tanh = &tanh_avx2;
+    ops.dot_rows_t = &dot_rows_t_avx2;
     return ops;
   }();
   return &ops;

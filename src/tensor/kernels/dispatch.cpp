@@ -215,4 +215,15 @@ void argmax_rows(ConstMatrixView m, std::int32_t* out) {
   kernels::active_ops().argmax_rows(m, out);
 }
 
+void tanh_inplace(MatrixView m) { kernels::active_ops().tanh(m); }
+
+void dot_rows_transposed(ConstMatrixView x, ConstMatrixView yt,
+                         MatrixView out) {
+  DESMINE_EXPECTS(out.rows() == x.rows() &&
+                      yt.rows() == x.rows() * x.cols() &&
+                      yt.cols() == transposed_cols(out.cols()),
+                  "dot_rows_transposed: yt must be (B*H) x padded(out cols)");
+  kernels::active_ops().dot_rows_t(x, yt, out);
+}
+
 }  // namespace desmine::tensor

@@ -7,8 +7,11 @@
 //    dispatcher (zeroing for beta == 0), so backends only accumulate. With
 //    alpha == 1 the scalar backend must reproduce the historical loop
 //    bodies bit for bit, including the av == 0 skip and loop order.
-//  * axpy / bias_add / softmax / argmax: bit-exact across all backends
-//    (lane-parallel vectorization only; exp and row sums in scalar order).
+//  * axpy / bias_add / softmax / argmax / dot_rows_t: bit-exact across all
+//    backends (lane-parallel vectorization only; exp, row sums and dot
+//    chains in scalar order).
+//  * tanh: bit-exact across all backends — kScalar is std::tanh, kAvx2 a
+//    lane-for-lane port of glibc's fdlibm tanhf (avx2.cpp).
 //  * lstm_gates: out.c may alias c_prev; kScalar must use libm
 //    transcendentals (bit-exact); kAvx2 may use vector polynomials.
 #pragma once
@@ -34,6 +37,10 @@ struct Ops {
   void (*lstm_gates)(ConstMatrixView z, ConstMatrixView c_prev,
                      const LstmGateViews& out);
   void (*argmax_rows)(ConstMatrixView m, std::int32_t* out);
+  void (*tanh)(MatrixView m);
+  // out(b, s) = sum_k x(b, k) yt(b H + k, s); yt's columns are out's padded
+  // to a multiple of 8.
+  void (*dot_rows_t)(ConstMatrixView x, ConstMatrixView yt, MatrixView out);
 };
 
 const Ops& scalar_ops();

@@ -148,6 +148,27 @@ void argmax_rows_scalar(ConstMatrixView m, std::int32_t* out) {
   }
 }
 
+void tanh_scalar(MatrixView m) {
+  float* p = m.data();
+  for (std::size_t i = 0; i < m.size(); ++i) p[i] = std::tanh(p[i]);
+}
+
+// out's row is the accumulator of every column's chain: 0.0f, then one
+// multiply-then-add per k, ascending.
+void dot_rows_t_scalar(ConstMatrixView x, ConstMatrixView yt,
+                       MatrixView out) {
+  const std::size_t H = x.cols(), S = out.cols();
+  for (std::size_t b = 0; b < x.rows(); ++b) {
+    float* o = out.row(b);
+    for (std::size_t s = 0; s < S; ++s) o[s] = 0.0f;
+    for (std::size_t k = 0; k < H; ++k) {
+      const float xv = x(b, k);
+      const float* y = yt.row(b * H + k);
+      for (std::size_t s = 0; s < S; ++s) o[s] += xv * y[s];
+    }
+  }
+}
+
 }  // namespace
 
 const Ops& scalar_ops() {
@@ -155,6 +176,7 @@ const Ops& scalar_ops() {
       &gemm_nn_scalar, &gemm_tn_scalar,      &gemm_nt_scalar,
       &gemm_tt_scalar, &axpy_scalar,         &bias_add_scalar,
       &softmax_rows_scalar, &lstm_gates_scalar, &argmax_rows_scalar,
+      &tanh_scalar,    &dot_rows_t_scalar,
   };
   return ops;
 }

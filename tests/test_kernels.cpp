@@ -4,7 +4,9 @@
 // staying bit-exact for axpy / row bias / softmax / argmax.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -434,6 +436,161 @@ TEST(Elementwise, ArgmaxRowsIdenticalTieBreaking) {
     dt::argmax_rows(r.view(), out.data());
     EXPECT_EQ(out, ref) << dk::backend_name(backend);
   }
+}
+
+namespace {
+
+float bits_to_float(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+std::uint32_t float_to_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+/// Run the dispatched tanh over `xs` on the active backend and compare every
+/// element bitwise with std::tanh. Returns the number of mismatches (the
+/// first few are reported).
+std::size_t tanh_mismatches(const std::vector<float>& xs,
+                            const std::string& what) {
+  dt::Matrix m(1, xs.size());
+  std::copy(xs.begin(), xs.end(), m.data());
+  dt::tanh_inplace(m.view());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t want = float_to_bits(std::tanh(xs[i]));
+    const std::uint32_t got = float_to_bits(m(0, i));
+    if (got != want && ++bad <= 5) {
+      ADD_FAILURE() << what << ": tanh(0x" << std::hex << float_to_bits(xs[i])
+                    << ") = 0x" << got << ", std::tanh gives 0x" << want;
+    }
+  }
+  return bad;
+}
+
+}  // namespace
+
+TEST(Tanh, BitIdenticalToLibmOnEveryBackend) {
+  // tanh_inplace is std::tanh on scalar and a port of glibc's fdlibm tanhf
+  // on avx2 (h~ in attention runs through it). Sweep every 4093rd bit
+  // pattern, then +-64 ulps around each branch threshold of the port, then
+  // the special values. If a libm update changes tanhf, this names it.
+  std::vector<float> xs;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4093) {
+    xs.push_back(bits_to_float(static_cast<std::uint32_t>(u)));
+  }
+  const double ln2 = std::log(2.0);
+  // tanhf's own cut-offs, then expm1f's seen through its argument 2|x|
+  // (2|x| < 2^-25, <= 0.5 ln2, < 1.5 ln2 — where k >= 2 starts — and
+  // < 27 ln2), then where its reduction's k reaches 23 and 57 (branch
+  // starts): 2|x| = (k - 1/2) ln2.
+  const float thresholds[] = {
+      0x1p-55f,
+      1.0f,
+      22.0f,
+      0x1p-26f,
+      static_cast<float>(0.25 * ln2),
+      static_cast<float>(0.75 * ln2),
+      static_cast<float>(13.5 * ln2),
+      static_cast<float>(11.25 * ln2),
+      static_cast<float>(28.25 * ln2),
+  };
+  for (const float t : thresholds) {
+    const std::uint32_t c = float_to_bits(t);
+    for (std::uint32_t d = c - 64; d <= c + 64; ++d) {
+      xs.push_back(bits_to_float(d));
+      xs.push_back(-bits_to_float(d));
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v :
+       {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::signaling_NaN(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        bits_to_float(0x007fffffu), bits_to_float(0x807fffffu),
+        bits_to_float(0x00400000u), bits_to_float(0x7fc12345u),
+        std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::lowest()}) {
+    xs.push_back(v);
+  }
+  for (const dk::Backend backend : dk::available_backends()) {
+    const BackendGuard guard(backend);
+    EXPECT_EQ(tanh_mismatches(xs, dk::backend_name(backend)), 0u)
+        << dk::backend_name(backend) << " over " << xs.size() << " inputs";
+  }
+}
+
+TEST(Tanh, DISABLED_BitIdenticalToLibmOnAllFloats) {
+  // Exhaustive form of the test above: all 2^32 bit patterns, in slices
+  // whose length is not a multiple of 8 so the kernel's tail runs too.
+  // A few minutes single-threaded; run with --gtest_also_run_disabled_tests.
+  constexpr std::uint64_t kSlice = (std::uint64_t{1} << 20) + 3;
+  for (const dk::Backend backend : dk::available_backends()) {
+    const BackendGuard guard(backend);
+    std::size_t bad = 0;
+    std::vector<float> xs;
+    for (std::uint64_t lo = 0; lo < (std::uint64_t{1} << 32); lo += kSlice) {
+      const std::uint64_t hi =
+          std::min(lo + kSlice, std::uint64_t{1} << 32);
+      xs.clear();
+      for (std::uint64_t u = lo; u < hi; ++u) {
+        xs.push_back(bits_to_float(static_cast<std::uint32_t>(u)));
+      }
+      bad += tanh_mismatches(xs, dk::backend_name(backend));
+    }
+    EXPECT_EQ(bad, 0u) << dk::backend_name(backend);
+  }
+}
+
+TEST(DotRowsTransposed, SequentialChainOnEveryBackend) {
+  // out(b, s) = sum_k x(b, k) yt(b H + k, s), each output one chain from
+  // 0.0f in ascending k with a separate multiply and add, on every backend
+  // and across every lane tail of the output columns.
+  Rng rng(113);
+  for (const std::size_t H : {1u, 7u, 24u, 25u}) {
+    for (const std::size_t B : {1u, 2u, 3u}) {
+      for (std::size_t S = 1; S <= 41; ++S) {
+        const dt::Matrix x = random_matrix(B, H, rng);
+        dt::Matrix yt(B * H, dt::transposed_cols(S));
+        for (std::size_t r = 0; r < yt.rows(); ++r) {
+          for (std::size_t s = 0; s < S; ++s) {
+            yt(r, s) = static_cast<float>(rng.uniform(-1.0, 1.0));
+          }
+        }
+        dt::Matrix want(B, S);
+        for (std::size_t b = 0; b < B; ++b) {
+          for (std::size_t s = 0; s < S; ++s) {
+            float dot = 0.0f;
+            for (std::size_t k = 0; k < H; ++k) {
+              dot += x(b, k) * yt(b * H + k, s);
+            }
+            want(b, s) = dot;
+          }
+        }
+        for (const dk::Backend backend : dk::available_backends()) {
+          const BackendGuard guard(backend);
+          dt::Matrix got(B, S, 7.0f);
+          dt::dot_rows_transposed(x.view(), yt.view(), got.view());
+          expect_bitwise_equal(got, want,
+                               std::string(dk::backend_name(backend)) +
+                                   " H=" + std::to_string(H) +
+                                   " B=" + std::to_string(B) +
+                                   " S=" + std::to_string(S));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  dt::Matrix out(2, 5);
+  const dt::Matrix x(2, 3), short_yt(6, 5);
+  EXPECT_THROW(dt::dot_rows_transposed(x.view(), short_yt.view(), out.view()),
+               PreconditionError);
 }
 
 TEST(LstmGates, FusionContractAcrossBackends) {

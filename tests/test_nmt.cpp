@@ -8,6 +8,7 @@
 #include "nmt/seq2seq.h"
 #include "nmt/trainer.h"
 #include "nmt/translation.h"
+#include "tensor/workspace.h"
 #include "text/bleu.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -143,6 +144,36 @@ TEST(Seq2Seq, TrainingIsDeterministic) {
   const auto out2 = m2.translate(src[0]);
   EXPECT_EQ(out1, out2);
   EXPECT_DOUBLE_EQ(m1.score(src, tgt).score, m2.score(src, tgt).score);
+}
+
+TEST(Seq2Seq, TrainingNeverGrowsTheReservedArena) {
+  // At the bench/e2e `mine` geometry (E = H = 24, one layer, batch 16,
+  // 20-word sentences), reserve_workspace must cover everything a training
+  // step puts on the arena — attention's transposed score copies included —
+  // so a whole train() allocates no new chunk.
+  dx::Corpus src, tgt;
+  make_substitution_corpus(48, 20, src, tgt, 12);
+  const auto sv = dx::Vocabulary::build(src);
+  const auto tv = dx::Vocabulary::build(tgt);
+  const auto pairs = dm::encode_pairs(sv, tv, src, tgt);
+  dm::Seq2SeqConfig cfg = tiny_config();
+  cfg.embedding_dim = 24;
+  cfg.hidden_dim = 24;
+  cfg.max_decode_length = 22;
+  desmine::tensor::Workspace ws;
+  dm::Seq2SeqModel model(sv.size(), tv.size(), cfg, Rng(13), &ws);
+  model.reserve_workspace(20, 20, 16);
+  const auto before = ws.stats();
+  dm::TrainerConfig tc;
+  tc.steps = 20;
+  tc.batch_size = 16;
+  dm::train(model, pairs, tc, Rng(14));
+  const auto after = ws.stats();
+  EXPECT_EQ(after.grows, before.grows);
+  EXPECT_EQ(after.bytes_reserved, before.bytes_reserved);
+  // The count itself, before reserve_workspace doubles it for slack, covers
+  // the peak.
+  EXPECT_LE(after.bytes_peak, after.bytes_reserved / 2);
 }
 
 TEST(Seq2Seq, DifferentSeedsGiveDifferentModels) {

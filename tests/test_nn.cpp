@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "frozen_attention.h"
 #include "nn/adam.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
@@ -11,6 +15,8 @@
 #include "nn/loss.h"
 #include "nn/lstm.h"
 #include "nn/param.h"
+#include "tensor/kernels.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -324,4 +330,106 @@ TEST(Attention, AttendsToMatchingPosition) {
   const auto& align = attn.alignment(0);
   EXPECT_GT(align(0, 1), align(0, 0));
   EXPECT_GT(align(0, 1), align(0, 2));
+}
+
+namespace {
+
+bool bitwise_equal(dt::ConstMatrixView a, dt::ConstMatrixView b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+dt::Matrix uniform_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  dt::Matrix m(rows, cols);
+  m.init_uniform(rng, 1.0f);
+  return m;
+}
+
+/// Drive the live layer and the frozen copy through kSteps forward steps
+/// and (unmasked only) the backward, asserting bit identity throughout.
+void expect_matches_frozen(dn::AttentionScore score, bool masked,
+                           std::size_t H, std::size_t S, std::size_t B,
+                           const std::string& what) {
+  constexpr std::size_t kSteps = 3;
+  Rng rng(1000 + H * 97 + S * 13 + B);
+  dn::LuongAttention live("a", H, rng, 0.3f, score);
+  dn::ParamRegistry reg;
+  live.register_params(reg);
+  const dn::Param* wc = reg.params().back();
+  const dn::Param* wa =
+      score == dn::AttentionScore::kGeneral ? reg.params().front() : nullptr;
+  desmine::reference::FrozenAttention frozen(
+      H, score, wa != nullptr ? wa->view() : dt::ConstMatrixView(),
+      wc->view());
+
+  std::vector<dt::Matrix> enc;
+  for (std::size_t s = 0; s < S; ++s) enc.push_back(uniform_matrix(B, H, rng));
+  const std::vector<dt::ConstMatrixView> enc_views(enc.begin(), enc.end());
+  std::vector<std::size_t> lengths(B, S);
+  for (std::size_t b = 0; masked && b < B; ++b) lengths[b] = 1 + (b * 7) % S;
+  const std::vector<std::size_t>* mask = masked ? &lengths : nullptr;
+
+  dt::Workspace ws;
+  live.begin(enc_views, B, &ws, mask);
+  frozen.begin(enc_views, B, mask);
+  for (std::size_t t = 0; t < kSteps; ++t) {
+    const dt::Matrix h_dec = uniform_matrix(B, H, rng);
+    const dt::ConstMatrixView got = live.step(h_dec);
+    const dt::ConstMatrixView want = frozen.step(h_dec);
+    ASSERT_TRUE(bitwise_equal(live.alignment(t), frozen.alignment(t)))
+        << what << " alignment step " << t;
+    ASSERT_TRUE(bitwise_equal(got, want)) << what << " h~ step " << t;
+  }
+  if (masked) return;  // a masked decode is inference only
+  for (std::size_t t = kSteps; t-- > 0;) {
+    const dt::Matrix d_attn = uniform_matrix(B, H, rng);
+    const dt::ConstMatrixView got = live.backward_step(d_attn);
+    ASSERT_TRUE(bitwise_equal(got, frozen.backward_step(d_attn)))
+        << what << " dh_dec step " << t;
+  }
+  ASSERT_TRUE(bitwise_equal(wc->grad, frozen.dwc())) << what << " dWc";
+  if (wa != nullptr) {
+    ASSERT_TRUE(bitwise_equal(wa->grad, frozen.dwa())) << what << " dWa";
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    ASSERT_TRUE(bitwise_equal(live.encoder_grads()[s],
+                              frozen.encoder_grads()[s]))
+        << what << " d_encoder[" << s << "]";
+  }
+}
+
+}  // namespace
+
+TEST(Attention, BitIdenticalToFrozenLoops) {
+  // The scores and dalign dots run through tensor::dot_rows_transposed over
+  // transposed arena copies, h~'s tanh through tensor::tanh_inplace, and the
+  // d_encoder update is its own loop. On every backend the layer must still
+  // match the frozen pre-kernel loops (tests/frozen_attention.cpp) bit for
+  // bit: alignments and h~ forward; dh_dec, dWa, dWc and the encoder grads
+  // backward.
+  struct RestoreBackend {
+    ~RestoreBackend() { dt::kernels::select_backend("auto"); }
+  } restore;
+  for (const dt::kernels::Backend backend :
+       dt::kernels::available_backends()) {
+    dt::kernels::set_backend(backend);
+    for (const dn::AttentionScore score :
+         {dn::AttentionScore::kGeneral, dn::AttentionScore::kDot}) {
+      for (const bool masked : {false, true}) {
+        for (const std::size_t H : {7u, 24u, 25u}) {
+          for (const std::size_t S : {1u, 5u, 8u, 20u, 33u}) {
+            for (const std::size_t B : {1u, 3u, 16u}) {
+              const std::string what =
+                  std::string(dt::kernels::backend_name(backend)) +
+                  (score == dn::AttentionScore::kDot ? " dot" : " general") +
+                  (masked ? " masked" : "") + " H=" + std::to_string(H) +
+                  " S=" + std::to_string(S) + " B=" + std::to_string(B);
+              expect_matches_frozen(score, masked, H, S, B, what);
+              if (::testing::Test::HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
 }
