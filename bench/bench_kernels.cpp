@@ -1,7 +1,8 @@
 // Micro-kernel benchmarks (google-benchmark): the numeric primitives the
 // pipeline's cost is built from — GEMM, LSTM forward/BPTT, attention
-// decode and train steps, tanh, seq2seq train steps, an end-to-end
-// train-pair, BLEU scoring, and Walktrap.
+// decode and train steps, tanh, exp and softmax, seq2seq train steps,
+// batched greedy decode, an end-to-end train-pair, BLEU scoring, and
+// Walktrap.
 //
 // Results go to bench_artifacts/BENCH_kernels.json (google-benchmark JSON)
 // so successive runs form a perf trajectory; the metrics registry — which
@@ -296,6 +297,111 @@ static void BM_Tanh(benchmark::State& state, bool kernel) {
 BENCHMARK_CAPTURE(BM_Tanh, libm, false);
 BENCHMARK_CAPTURE(BM_Tanh, kernel, true);
 
+static void BM_Exp(benchmark::State& state, bool kernel) {
+  // The softmax's exps at the decode geometry (batch 16 x 20 source
+  // positions, scores minus their row max): a std::exp loop against the
+  // dispatched tensor::exp_inplace (same bits on every backend). Each
+  // iteration restores the inputs first.
+  Rng rng(11);
+  dt::Matrix pre(kAttnBatch, kAttnSrc), m(kAttnBatch, kAttnSrc);
+  pre.init_uniform(rng, 5.0f);
+  for (std::size_t i = 0; i < pre.size(); ++i) {
+    pre.data()[i] -= 5.0f;  // in [-10, 0], as after the max is subtracted
+  }
+  for (auto _ : state) {
+    m.view().copy_from(pre);
+    if (kernel) {
+      dt::exp_inplace(m.view());
+    } else {
+      float* p = m.data();
+      for (std::size_t i = 0; i < m.size(); ++i) p[i] = std::exp(p[i]);
+    }
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m.size()));
+}
+BENCHMARK_CAPTURE(BM_Exp, libm, false);
+BENCHMARK_CAPTURE(BM_Exp, kernel, true);
+
+static void BM_SoftmaxRows(benchmark::State& state,
+                           dt::kernels::Backend backend) {
+  // Attention's alignment softmax at the decode geometry (batch 16 x 20
+  // source positions) per backend; items are rows.
+  if (!dt::kernels::backend_available(backend)) {
+    state.SkipWithError("backend unavailable on this CPU/build");
+    return;
+  }
+  const BackendGuard guard(backend);
+  Rng rng(12);
+  dt::Matrix pre(kAttnBatch, kAttnSrc), m(kAttnBatch, kAttnSrc);
+  pre.init_uniform(rng, 4.0f);
+  for (auto _ : state) {
+    m.view().copy_from(pre);
+    dt::softmax_rows(m.view());
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kAttnBatch));
+}
+BENCHMARK_CAPTURE(BM_SoftmaxRows, scalar, dt::kernels::Backend::kScalar);
+BENCHMARK_CAPTURE(BM_SoftmaxRows, avx2, dt::kernels::Backend::kAvx2);
+
+/// A 48-sentence, 20-word substitution corpus over 24 words per side: the
+/// bench/e2e `mine` geometry's pair languages.
+static void mine_corpus(dx::Corpus& src, dx::Corpus& dst) {
+  Rng rng(9);
+  for (int s = 0; s < 48; ++s) {
+    dx::Sentence a, b;
+    for (int i = 0; i < 20; ++i) {
+      const std::size_t w = rng.index(24);
+      a.push_back("s" + std::to_string(w));
+      b.push_back("t" + std::to_string((w + s) % 24));
+    }
+    src.push_back(a);
+    dst.push_back(b);
+  }
+}
+
+/// The `mine` model configuration (E = H = 24, one layer, no dropout).
+static desmine::nmt::TranslationConfig mine_config() {
+  desmine::nmt::TranslationConfig cfg;
+  cfg.model.embedding_dim = 24;
+  cfg.model.hidden_dim = 24;
+  cfg.model.num_layers = 1;
+  cfg.model.dropout = 0.0f;
+  cfg.model.max_decode_length = 22;
+  cfg.trainer.steps = 30;
+  cfg.trainer.batch_size = 16;
+  return cfg;
+}
+
+static void BM_TranslateBatch(benchmark::State& state) {
+  // Greedy decode of batch B (the arg) with a pair model trained at the
+  // `mine` geometry: the cost detection and serving pay per window and
+  // edge. items are rows, so 1e6 / items_per_second is µs per row.
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  dx::Corpus src, dst;
+  mine_corpus(src, dst);
+  desmine::nmt::TranslationConfig cfg = mine_config();
+  cfg.trainer.steps = 120;
+  auto model = desmine::nmt::train_translation_model(src, dst, cfg, 42);
+  std::vector<std::vector<std::int32_t>> ids;
+  for (std::size_t b = 0; b < batch; ++b) {
+    ids.push_back(model.src_vocab().encode(src[b % src.size()]));
+  }
+  std::vector<const std::vector<std::int32_t>*> sources;
+  for (const auto& v : ids) sources.push_back(&v);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.model().translate_batch(sources).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_TranslateBatch)->Arg(1)->Arg(8)->Arg(32);
+
 static void BM_LstmTrainStep(benchmark::State& state) {
   // One teacher-forced forward+backward of a small seq2seq batch.
   desmine::nmt::Seq2SeqConfig cfg;
@@ -329,26 +435,9 @@ static void BM_TrainPair(benchmark::State& state) {
   // BLEU scoring for one sensor pair — the miner's unit of work, at the
   // bench/e2e `mine` geometry (E = H = 24, one layer, batch 16, 20-word
   // sentences) so kernel work can be measured without the e2e harness.
-  Rng rng(9);
   dx::Corpus src, dst;
-  for (int s = 0; s < 48; ++s) {
-    dx::Sentence a, b;
-    for (int i = 0; i < 20; ++i) {
-      const std::size_t w = rng.index(24);
-      a.push_back("s" + std::to_string(w));
-      b.push_back("t" + std::to_string((w + s) % 24));
-    }
-    src.push_back(a);
-    dst.push_back(b);
-  }
-  desmine::nmt::TranslationConfig cfg;
-  cfg.model.embedding_dim = 24;
-  cfg.model.hidden_dim = 24;
-  cfg.model.num_layers = 1;
-  cfg.model.dropout = 0.0f;
-  cfg.model.max_decode_length = 22;
-  cfg.trainer.steps = 30;
-  cfg.trainer.batch_size = 16;
+  mine_corpus(src, dst);
+  const desmine::nmt::TranslationConfig cfg = mine_config();
   dt::Workspace ws;
   for (auto _ : state) {
     ws.reset();

@@ -73,20 +73,23 @@ void Seq2SeqModel::reserve_workspace(std::size_t max_src_len,
   const std::size_t S = max_src_len;
   const std::size_t T = max_tgt_len + 1;  // +1 for the </s> step
   // Per-step LSTM footprint: input copy + mask + 7 gate/cell caches per
-  // layer, plus the transient 4H pre-activation. Attention adds transformed
-  // + d_encoder (per source position), their two transposed copies (H x S
-  // padded to 8 each), and h_dec/align/concat/attn per target step; the
-  // output layer adds dlogits per step. Backward adds dx per step plus
-  // per-layer running gradients. Doubled for slack — over-reserving only
-  // costs address space in one chunk.
+  // layer, plus the transient 4H pre-activation. Attention adds the stacked
+  // encoder rows, transformed and d_encoder (per source position), their
+  // two transposed copies (H x S padded to 8 each), and h_dec/align/concat/
+  // attn plus the transient context per target step; the output layer adds
+  // dlogits per step. Backward adds dx per step plus per-layer running
+  // gradients. Independent of the batch: the encoder's and decoder's token
+  // tables (each vocabulary's embedding · Wx, V x 4H). Doubled for slack —
+  // over-reserving only costs address space in one chunk.
   const std::size_t lstm_step = 2 * (E + (L - 1) * H) + 7 * L * H + 4 * H;
-  const std::size_t per_src = lstm_step + 2 * H + E;     // + attention accums, dx
-  const std::size_t per_tgt = lstm_step + 5 * H + 2 * S  // + attention caches
+  const std::size_t per_src = lstm_step + 3 * H + E;     // + attention, dx
+  const std::size_t per_tgt = lstm_step + 6 * H + 2 * S  // + attention caches
                               + 2 * V + E;               // + dlogits/logits, dx
   const std::size_t transposed = 2 * H * tensor::transposed_cols(S);
   const std::size_t fixed = 8 * L * H + 8 * H;           // running BPTT grads
+  const std::size_t tables = (src_vocab() + V) * 4 * H;
   const std::size_t floats =
-      B * (S * per_src + T * per_tgt + transposed + fixed);
+      B * (S * per_src + T * per_tgt + transposed + fixed) + tables;
   ws_->reserve(2 * floats * sizeof(float));
 }
 
@@ -105,17 +108,17 @@ double Seq2SeqModel::run_teacher_forced(
 
   // ---- Encoder ----
   encoder_.begin(B, nullptr, train, &rng_, ws_);
+  encoder_.bind_input_table(src_embed_.table().view());
   enc_outputs_.clear();
   enc_outputs_.reserve(S);
   for (std::size_t t = 0; t < S; ++t) {
-    tensor::MatrixView src_emb = ws_->alloc(B, config_.embedding_dim);
-    src_embed_.forward_into(src_steps[t], src_emb);
-    enc_outputs_.push_back(encoder_.step(src_emb));
+    enc_outputs_.push_back(encoder_.step(src_steps[t]));
   }
   const nn::LstmState enc_final = encoder_.state();
 
   // ---- Decoder (teacher forcing: input <s>, w1..wm; predict w1..wm, </s>) --
   decoder_.begin(B, &enc_final, train, &rng_, ws_);
+  decoder_.bind_input_table(tgt_embed_.table().view());
   attention_.begin(enc_outputs_, B, ws_);
 
   std::vector<std::vector<std::int32_t>> dec_inputs(T);
@@ -136,9 +139,7 @@ double Seq2SeqModel::run_teacher_forced(
   attn_states_.assign(T, tensor::ConstMatrixView());
   dlogits_.assign(T, tensor::MatrixView());
   for (std::size_t t = 0; t < T; ++t) {
-    tensor::MatrixView tgt_emb = ws_->alloc(B, config_.embedding_dim);
-    tgt_embed_.forward_into(dec_inputs[t], tgt_emb);
-    const tensor::ConstMatrixView h_dec = decoder_.step(tgt_emb);
+    const tensor::ConstMatrixView h_dec = decoder_.step(dec_inputs[t]);
     attn_states_[t] = attention_.step(h_dec);
     dlogits_[t] = ws_->alloc(B, tgt_vocab());
     // The logits themselves are transient: only their xent gradient is kept.
@@ -210,6 +211,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   // own length steps on <pad> and is immediately rolled back, so its final
   // state is exactly the state at its true length.
   encoder_.begin(B, nullptr, /*train=*/false, nullptr, ws);
+  encoder_.bind_input_table(src_embed_.table().view());
   enc_outputs_.clear();
   enc_outputs_.reserve(max_len);
   std::vector<std::int32_t> step_ids(B);
@@ -226,14 +228,13 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
         any_frozen = true;
       }
     }
-    tensor::MatrixView src_emb = ws->alloc(B, config_.embedding_dim);
-    src_embed_.forward_into(step_ids, src_emb);
-    enc_outputs_.push_back(encoder_.step(src_emb));
+    enc_outputs_.push_back(encoder_.step(step_ids));
     if (any_frozen) encoder_.retain_rows(frozen);
   }
   const nn::LstmState enc_final = encoder_.state();
 
   decoder_.begin(B, &enc_final, /*train=*/false, nullptr, ws);
+  decoder_.bind_input_table(tgt_embed_.table().view());
   attention_.begin(enc_outputs_, B, ws, &lengths);
 
   // Lock-step greedy decode. A finished row keeps stepping (its state no
@@ -241,19 +242,17 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
   // every kernel is row-independent.
   std::vector<std::vector<std::int32_t>> outputs(B);
   std::vector<std::int32_t> prev(B, text::Vocabulary::kBos);
+  std::vector<std::int32_t> next(B);
   std::vector<std::uint8_t> done(B, 0);
   std::size_t done_count = 0;
   for (std::size_t t = 0;
        t < config_.max_decode_length && done_count < B; ++t) {
-    tensor::MatrixView tgt_emb = ws->alloc(B, config_.embedding_dim);
-    tgt_embed_.forward_into(prev, tgt_emb);
-    const tensor::ConstMatrixView h_dec = decoder_.step(tgt_emb);
+    const tensor::ConstMatrixView h_dec = decoder_.step(prev);
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
     const tensor::Workspace::Checkpoint scratch = ws->checkpoint();
     tensor::MatrixView logits = ws->alloc(B, tgt_vocab());
     out_.forward_into(attn, logits);
-    const std::vector<std::int32_t> next =
-        nn::argmax_rows(tensor::ConstMatrixView(logits));
+    tensor::argmax_rows(logits, next.data());
     ws->rewind(scratch);
     for (std::size_t b = 0; b < B; ++b) {
       if (done[b]) continue;

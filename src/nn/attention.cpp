@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "tensor/kernels.h"
@@ -60,19 +61,29 @@ void LuongAttention::begin(
   } else {
     src_lengths_.clear();
   }
-  transformed_.clear();
-  transformed_.reserve(enc_.size());
-  for (const tensor::ConstMatrixView e : enc_) {
+  // The encoder outputs stacked once into (S·B) x H, row s·B + b = enc[s]
+  // row b: the context sum's operand, and for kGeneral the input of one
+  // tall GEMM giving every position's enc[s] Wa (a row of a tall GEMM
+  // equals a one-row call, so each position's transform is unchanged).
+  const std::size_t S = enc_.size();
+  stacked_ = ws_->alloc(S * batch, hidden_);
+  for (std::size_t s = 0; s < S; ++s) {
+    const tensor::ConstMatrixView e = enc_[s];
     DESMINE_EXPECTS(e.rows() == batch && e.cols() == hidden_,
                     "encoder output shape");
-    if (score_ == AttentionScore::kGeneral) {
-      tensor::MatrixView t = ws_->alloc(batch, hidden_);
-      tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, e,
-                   wa_.view(), 0.0f, t);
-      transformed_.push_back(t);
-    } else {
-      transformed_.push_back(e);  // dot score: transformed == encoder output
-    }
+    std::copy(e.data(), e.data() + e.size(), stacked_.row(s * batch));
+  }
+  tensor::ConstMatrixView transformed = stacked_;
+  if (score_ == AttentionScore::kGeneral) {
+    tensor::MatrixView t = ws_->alloc(S * batch, hidden_);
+    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
+                 stacked_, wa_.view(), 0.0f, t);
+    transformed = t;
+  }
+  transformed_.clear();
+  transformed_.reserve(S);
+  for (std::size_t s = 0; s < S; ++s) {
+    transformed_.emplace_back(transformed.row(s * batch), batch, hidden_);
   }
   // The scores read transformed_ transposed; the backward builds enc_'s
   // transposed copy on its first step, so decoding never pays for it.
@@ -126,24 +137,18 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   }
   tensor::softmax_rows(cache.align);
 
-  // Context vector and [context; h_dec] concat (relies on the zeroed alloc
-  // for the skipped zero-weight accumulations).
+  // Context vector (summed from zero on a scratch slice) and the
+  // [context; h_dec] concat.
   cache.concat = ws_->alloc(batch_, 2 * hidden_);
-  for (std::size_t s = 0; s < S; ++s) {
-    const tensor::ConstMatrixView e = enc_[s];
-    for (std::size_t b = 0; b < batch_; ++b) {
-      const float w = cache.align(b, s);
-      if (w == 0.0f) continue;
-      float* ctx = cache.concat.row(b);
-      const float* ev = e.row(b);
-      for (std::size_t k = 0; k < hidden_; ++k) ctx[k] += w * ev[k];
-    }
-  }
+  const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
+  tensor::MatrixView ctx = ws_->alloc(batch_, hidden_);
+  tensor::weighted_rows(cache.align, stacked_, ctx);
   for (std::size_t b = 0; b < batch_; ++b) {
-    float* dst = cache.concat.row(b) + hidden_;
-    const float* hd = h_dec.row(b);
-    for (std::size_t k = 0; k < hidden_; ++k) dst[k] = hd[k];
+    float* dst = cache.concat.row(b);
+    std::copy(ctx.row(b), ctx.row(b) + hidden_, dst);
+    std::copy(h_dec.row(b), h_dec.row(b) + hidden_, dst + hidden_);
   }
+  ws_->rewind(scratch);
 
   cache.attn = ws_->alloc(batch_, hidden_);
   tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,

@@ -102,7 +102,11 @@ class LuongAttention {
   tensor::Workspace* ws_ = nullptr;
   tensor::Workspace own_ws_;
   std::vector<tensor::ConstMatrixView> enc_;
-  std::vector<tensor::ConstMatrixView> transformed_;  ///< enc[s] * Wa, cached
+  /// enc_ stacked into (S·batch) x H on the workspace, row s·batch + b.
+  tensor::MatrixView stacked_;
+  /// enc[s] * Wa per position: views into one tall GEMM's result (kDot:
+  /// into stacked_).
+  std::vector<tensor::ConstMatrixView> transformed_;
   /// transformed_ and enc_ transposed to (batch*H) x transposed_cols(S) for
   /// tensor::dot_rows_transposed, on the workspace. enc_t_ is built by the
   /// first backward_step (empty until then); for kDot both are one buffer.

@@ -17,20 +17,13 @@ Embedding::Embedding(std::size_t vocab_size, std::size_t dim, util::Rng& rng,
 
 tensor::Matrix Embedding::forward(const std::vector<std::int32_t>& ids) const {
   tensor::Matrix out(ids.size(), dim());
-  forward_into(ids, out);
-  return out;
-}
-
-void Embedding::forward_into(const std::vector<std::int32_t>& ids,
-                             tensor::MatrixView out) const {
-  DESMINE_EXPECTS(out.rows() == ids.size() && out.cols() == dim(),
-                  "embedding output shape");
   const tensor::ConstMatrixView table = table_.view();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto id = static_cast<std::size_t>(ids[i]);
     DESMINE_EXPECTS(ids[i] >= 0 && id < vocab_size(), "embedding id range");
     std::copy(table.row(id), table.row(id) + dim(), out.row(i));
   }
+  return out;
 }
 
 void Embedding::backward(const std::vector<std::int32_t>& ids,

@@ -20,10 +20,6 @@ class Embedding {
   /// Look up a batch of ids; returns (batch x dim). Ids must be < vocab.
   tensor::Matrix forward(const std::vector<std::int32_t>& ids) const;
 
-  /// Same lookup into a pre-shaped (batch x dim) buffer (overwritten).
-  void forward_into(const std::vector<std::int32_t>& ids,
-                    tensor::MatrixView out) const;
-
   /// Accumulate gradient for the ids used in the matching forward call.
   void backward(const std::vector<std::int32_t>& ids,
                 tensor::ConstMatrixView grad_out);

@@ -36,14 +36,18 @@ XentResult softmax_xent(tensor::ConstMatrixView logits,
     const float* row = logits.row(r);
     float mx = row[0];
     for (std::size_t c = 1; c < V; ++c) mx = std::max(mx, row[c]);
+    // The float exps run through the dispatched kernel on drow (scratch
+    // until the gradient overwrites it), then sum in double in order.
+    float* drow = dlogits.row(r);
+    for (std::size_t c = 0; c < V; ++c) drow[c] = row[c] - mx;
+    tensor::exp_inplace(tensor::MatrixView(drow, 1, V));
     double denom = 0.0;
-    for (std::size_t c = 0; c < V; ++c) denom += std::exp(row[c] - mx);
+    for (std::size_t c = 0; c < V; ++c) denom += drow[c];
     const double log_denom = std::log(denom);
 
     result.loss_sum += -(row[static_cast<std::size_t>(target)] - mx - log_denom);
     ++result.token_count;
 
-    float* drow = dlogits.row(r);
     for (std::size_t c = 0; c < V; ++c) {
       const auto p =
           static_cast<float>(std::exp(row[c] - mx - log_denom));
@@ -52,14 +56,6 @@ XentResult softmax_xent(tensor::ConstMatrixView logits,
     drow[static_cast<std::size_t>(target)] -= grad_scale;
   }
   return result;
-}
-
-std::vector<std::int32_t> argmax_rows(tensor::ConstMatrixView logits) {
-  // Thin owning wrapper over the dispatched kernel (strict >, first maximum
-  // wins — bit-exact tie breaking in every backend).
-  std::vector<std::int32_t> out(logits.rows());
-  tensor::argmax_rows(logits, out.data());
-  return out;
 }
 
 }  // namespace desmine::nn

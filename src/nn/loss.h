@@ -31,7 +31,4 @@ XentResult softmax_xent(tensor::ConstMatrixView logits,
                         const std::vector<std::int32_t>& targets,
                         tensor::MatrixView dlogits, float grad_scale);
 
-/// Row-wise argmax of logits (greedy decode step).
-std::vector<std::int32_t> argmax_rows(tensor::ConstMatrixView logits);
-
 }  // namespace desmine::nn

@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "tensor/kernels.h"
@@ -55,6 +56,8 @@ void LstmStack::begin(std::size_t batch, const LstmState* init, bool train,
   ws_ = workspace != nullptr ? workspace : &own_ws_;
   if (workspace == nullptr) own_ws_.reset();
   caches_.clear();
+  table_ = tensor::ConstMatrixView();
+  projected_ = tensor::MatrixView();
   if (state0_.h.size() != layers_.size() || state0_.h.empty() ||
       state0_.h[0].rows() != batch) {
     state0_.h.assign(layers_.size(), tensor::Matrix(batch, hidden_dim_));
@@ -77,7 +80,20 @@ void LstmStack::begin(std::size_t batch, const LstmState* init, bool train,
   }
 }
 
+void LstmStack::bind_input_table(tensor::ConstMatrixView table) {
+  DESMINE_EXPECTS(ws_ != nullptr, "bind_input_table() needs begin()");
+  DESMINE_EXPECTS(table.rows() > 0 && table.cols() == input_dim_,
+                  "input table must be n x input_dim");
+  table_ = table;
+  projected_ = tensor::MatrixView();
+  if (train_ && dropout_ > 0.0f) return;
+  projected_ = ws_->alloc(table.rows(), 4 * hidden_dim_);
+  tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, table,
+               layers_[0].wx.view(), 0.0f, projected_);
+}
+
 void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
+                           const std::vector<std::int32_t>* ids,
                            tensor::ConstMatrixView h_prev,
                            tensor::ConstMatrixView c_prev, LayerCache& cache) {
   const std::size_t H = hidden_dim_;
@@ -92,8 +108,15 @@ void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
   // The fused pre-activation is transient: reclaim it once the gates are out.
   const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
   tensor::MatrixView z = ws_->alloc(batch_, 4 * H);
-  tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, input,
-               layers_[l].wx.view(), 1.0f, z);
+  if (ids != nullptr) {
+    for (std::size_t b = 0; b < batch_; ++b) {
+      const float* p = projected_.row(static_cast<std::size_t>((*ids)[b]));
+      std::copy(p, p + 4 * H, z.row(b));
+    }
+  } else {
+    tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, input,
+                 layers_[l].wx.view(), 1.0f, z);
+  }
   tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, h_prev,
                layers_[l].wh.view(), 1.0f, z);
   tensor::add_row_bias(z, layers_[l].b.view());
@@ -107,6 +130,21 @@ void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
 tensor::ConstMatrixView LstmStack::step(tensor::ConstMatrixView x_t) {
   DESMINE_EXPECTS(x_t.rows() == batch_ && x_t.cols() == input_dim_,
                   "lstm step input shape");
+  return advance(x_t, nullptr);
+}
+
+tensor::ConstMatrixView LstmStack::step(const std::vector<std::int32_t>& ids) {
+  DESMINE_EXPECTS(!table_.empty(), "step(ids) needs bind_input_table()");
+  DESMINE_EXPECTS(ids.size() == batch_, "one input id per batch row");
+  for (const std::int32_t id : ids) {
+    DESMINE_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < table_.rows(),
+                    "input table id range");
+  }
+  return advance(tensor::ConstMatrixView(), &ids);
+}
+
+tensor::ConstMatrixView LstmStack::advance(
+    tensor::ConstMatrixView x_t, const std::vector<std::int32_t>* ids) {
   const std::size_t L = layers_.size();
   const std::size_t t = caches_.size() / L;
   caches_.resize(caches_.size() + L);
@@ -114,24 +152,43 @@ tensor::ConstMatrixView LstmStack::step(tensor::ConstMatrixView x_t) {
   tensor::ConstMatrixView layer_in = x_t;
   for (std::size_t l = 0; l < L; ++l) {
     LayerCache& lc = cache_at(t, l);
-    // Inverted dropout on the layer's (non-recurrent) input. The input is
-    // copied into the workspace so it stays valid through backward() even
-    // when the caller's buffer is transient.
-    lc.input = ws_->alloc(layer_in.rows(), layer_in.cols());
-    lc.input.copy_from(layer_in);
-    if (train_ && dropout_ > 0.0f) {
-      lc.mask = ws_->alloc(lc.input.rows(), lc.input.cols());
-      const float keep = 1.0f - dropout_;
-      for (std::size_t idx = 0; idx < lc.mask.size(); ++idx) {
-        lc.mask.data()[idx] = dropout_rng_->bernoulli(keep) ? 1.0f / keep : 0.0f;
+    const std::vector<std::int32_t>* layer_ids = l == 0 ? ids : nullptr;
+    // Backward's dWx reads lc.input. An upper layer's unmasked input is the
+    // layer below's h, already on the workspace. Otherwise the input is
+    // copied into the workspace (it may be a transient caller buffer),
+    // where training applies inverted dropout; a decode fed by id reads
+    // only the projections and keeps no input. (With dropout there are no
+    // projections: the gathered, masked rows take the GEMM path.)
+    const bool masked = train_ && dropout_ > 0.0f;
+    if (l > 0 && !masked) {
+      lc.input = cache_at(t, l - 1).h;
+    } else if (layer_ids == nullptr || train_) {
+      lc.input = ws_->alloc(batch_, l == 0 ? input_dim_ : hidden_dim_);
+      if (layer_ids != nullptr) {
+        for (std::size_t b = 0; b < batch_; ++b) {
+          const float* src = table_.row(static_cast<std::size_t>((*ids)[b]));
+          std::copy(src, src + input_dim_, lc.input.row(b));
+        }
+      } else {
+        lc.input.copy_from(layer_in);
       }
-      lc.input.hadamard(lc.mask);
+      if (masked) {
+        lc.mask = ws_->alloc(lc.input.rows(), lc.input.cols());
+        const float keep = 1.0f - dropout_;
+        for (std::size_t idx = 0; idx < lc.mask.size(); ++idx) {
+          lc.mask.data()[idx] =
+              dropout_rng_->bernoulli(keep) ? 1.0f / keep : 0.0f;
+        }
+        lc.input.hadamard(lc.mask);
+      }
+      layer_in = lc.input;
     }
     const tensor::ConstMatrixView h_prev =
         (t == 0) ? tensor::ConstMatrixView(state0_.h[l]) : cache_at(t - 1, l).h;
     const tensor::ConstMatrixView c_prev =
         (t == 0) ? tensor::ConstMatrixView(state0_.c[l]) : cache_at(t - 1, l).c;
-    step_layer(l, lc.input, h_prev, c_prev, lc);
+    step_layer(l, layer_in, projected_.empty() ? nullptr : layer_ids, h_prev,
+               c_prev, lc);
     layer_in = lc.h;
   }
   return cache_at(t, L - 1).h;
@@ -186,6 +243,10 @@ LstmStack::BackwardResult LstmStack::backward(
   const std::size_t L = layers_.size();
   const std::size_t H = hidden_dim_;
   DESMINE_EXPECTS(dh_top.size() == T, "dh_top must cover every step");
+  for (std::size_t t = 0; t < T; ++t) {
+    DESMINE_EXPECTS(!cache_at(t, 0).input.empty(),
+                    "backward() after step(ids) needs a training begin()");
+  }
 
   BackwardResult result;
   result.dx.assign(T, tensor::MatrixView());

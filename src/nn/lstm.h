@@ -8,6 +8,11 @@
 // Dropout (inverted) is applied to each layer's input during training, i.e.
 // to the non-recurrent connections, following Luong et al.'s setup.
 //
+// A stack fed by token id (bind_input_table + step(ids)) computes layer 0's
+// x·Wx once per sequence for every row of the input table and copies rows
+// of that projection into each step's pre-activation, so a step runs one
+// GEMM per layer instead of two — unless dropout masks the input.
+//
 // Activations and per-timestep caches live in a tensor::Workspace: pass one
 // to begin() (shared with attention/seq2seq and rewound by the owner between
 // sequences) or let the stack fall back to an internal arena. After warm-up
@@ -54,6 +59,20 @@ class LstmStack {
   /// Advance one timestep with input (batch x input_dim); returns the
   /// top-layer hidden output (batch x hidden).
   tensor::ConstMatrixView step(tensor::ConstMatrixView x_t);
+
+  /// Feed layer 0 by id from the rows of `table` (n x input_dim, e.g. an
+  /// embedding) for the rest of this sequence; call after begin(), then
+  /// step(ids). Unless training with dropout (which masks every step's
+  /// input afresh), this computes table · Wx of layer 0 (n x 4H) once, as
+  /// one GEMM on the workspace, and each step copies its rows' projections
+  /// into the pre-activation instead of running that GEMM. The bits do not
+  /// move: a row of a tall GEMM equals a one-row call, and the
+  /// pre-activation is (0 + x·Wx) + h·Wh either way. `table` must outlive
+  /// the sequence.
+  void bind_input_table(tensor::ConstMatrixView table);
+
+  /// step() on rows ids[b] of the bound input table.
+  tensor::ConstMatrixView step(const std::vector<std::int32_t>& ids);
 
   /// Number of steps taken since begin().
   std::size_t steps() const { return caches_.size() / layers_.size(); }
@@ -108,7 +127,8 @@ class LstmStack {
   /// Everything one backward step needs, for one layer at one timestep.
   /// All views point into the sequence workspace.
   struct LayerCache {
-    tensor::MatrixView input;  ///< layer input after dropout (batch x in)
+    /// Layer input after dropout (batch x in); empty in a decode fed by id.
+    tensor::MatrixView input;
     tensor::MatrixView mask;   ///< dropout mask (empty when not training)
     tensor::MatrixView i, f, g, o;  ///< post-activation gates (batch x H)
     tensor::MatrixView c;       ///< new cell state
@@ -124,7 +144,15 @@ class LstmStack {
     return caches_[t * layers_.size() + l];
   }
 
+  /// One step of every layer. Layer 0's input is `x_t`, or with `ids`
+  /// rows of the bound table (x·Wx read from their projections if any).
+  tensor::ConstMatrixView advance(tensor::ConstMatrixView x_t,
+                                  const std::vector<std::int32_t>* ids);
+
+  /// One layer's gates and state; `ids` (layer 0 only) takes x·Wx from
+  /// projected_ instead of multiplying `input`.
   void step_layer(std::size_t l, tensor::ConstMatrixView input,
+                  const std::vector<std::int32_t>* ids,
                   tensor::ConstMatrixView h_prev,
                   tensor::ConstMatrixView c_prev, LayerCache& cache);
 
@@ -141,6 +169,10 @@ class LstmStack {
   tensor::Workspace own_ws_;
   LstmState state0_;
   std::vector<LayerCache> caches_;  ///< flat [t * L + l]
+  tensor::ConstMatrixView table_;   ///< bound input table (n x input_dim)
+  /// table_ · Wx of layer 0 (n x 4H) on the workspace; empty when dropout
+  /// masks the input.
+  tensor::MatrixView projected_;
 };
 
 }  // namespace desmine::nn

@@ -2,9 +2,9 @@
 //
 // Every dense kernel in the numeric stack — GEMM in all four transpose
 // variants (tensor::gemm in matrix.h), axpy, row bias, row softmax, the
-// fused LSTM gate activation, greedy argmax, and attention's elementwise
-// tanh and transposed score dots — routes through one dispatch table
-// selected at process startup from two backends:
+// fused LSTM gate activation, greedy argmax, elementwise exp and tanh, and
+// attention's transposed score dots and context sums — routes through one
+// dispatch table selected at process startup from two backends:
 //
 //  * kScalar — the reference loops, bit-exact and pinned by the golden-
 //              regression tests. Always available, and the `auto` choice
@@ -15,8 +15,9 @@
 //              AVX2+FMA. Deterministic, but FMA contraction and vector
 //              reductions change final-bit rounding vs the scalar
 //              reference in GEMM and the gate fusion; axpy, bias, softmax,
-//              argmax, tanh_inplace and dot_rows_transposed remain
-//              bit-exact even here.
+//              argmax, exp_inplace, tanh_inplace, dot_rows_transposed and
+//              weighted_rows remain bit-exact even here (exp and tanh are
+//              exact ports of the glibc routines std::exp/std::tanh call).
 //
 // Selection precedence: explicit set_backend()/select_backend() (config key
 // `tensor.kernels`, `--kernels` flag) > the DESMINE_KERNELS environment
@@ -50,9 +51,16 @@ void lstm_gate_fusion(ConstMatrixView z, ConstMatrixView c_prev,
                       const LstmGateViews& out);
 
 /// Row-wise argmax (greedy decode step): strict `>` comparison, first
-/// maximum wins. `out` must hold m.rows() slots. Bit-exact (identical tie
-/// breaking) across every backend.
+/// maximum wins; a row holding a NaN gets the scalar scan's answer. `out`
+/// must hold m.rows() slots. Bit-exact (identical tie breaking) across
+/// every backend.
 void argmax_rows(ConstMatrixView m, std::int32_t* out);
+
+/// m = exp(m), elementwise. Bit-exact across every backend: kScalar calls
+/// std::exp (libm expf); kAvx2 runs a lane-for-lane port of glibc's FMA
+/// expf (the variant glibc itself selects on every CPU kAvx2 accepts),
+/// checked equal to it on all 2^32 inputs (DESIGN.md §16).
+void exp_inplace(MatrixView m);
 
 /// m = tanh(m), elementwise. Bit-exact across every backend: kScalar calls
 /// std::tanh; kAvx2 runs a lane-for-lane port of the fdlibm tanhf/expm1f
@@ -73,6 +81,14 @@ constexpr std::size_t transposed_cols(std::size_t n) {
 /// across every backend (kAvx2 puts output columns in the lanes).
 void dot_rows_transposed(ConstMatrixView x, ConstMatrixView yt,
                          MatrixView out);
+
+/// out(b, :) += Σ_s w(b, s) · y(s·B + b, :) with B = w.rows(): per row b,
+/// the w-weighted sum of row b of each of S = w.cols() stacked (B x H)
+/// blocks of y ((S·B) x H, out B x H). Per element the terms are added in
+/// ascending s, each a multiply then an add, and a term whose weight is
+/// 0.0f (either sign) is skipped, so the result is bit-exact across every
+/// backend (kAvx2 puts H in the lanes).
+void weighted_rows(ConstMatrixView w, ConstMatrixView y, MatrixView out);
 
 namespace kernels {
 

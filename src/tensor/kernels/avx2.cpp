@@ -12,9 +12,11 @@
 // the bench/e2e digests, and test_kernels' comparison against a frozen copy
 // of these GEMMs): a change may re-tile, but every output element must keep
 // its FMA lane chain, horizontal-sum tree and scalar tail order.
-// axpy, bias_add and dot_rows_t use lane-parallel mul+add only and remain
-// bit-exact; tanh is an exact port of glibc's tanhf, so it is bit-exact
-// too; softmax and argmax reuse the scalar reference outright.
+// axpy, bias_add, dot_rows_t and weighted_rows use lane-parallel mul+add
+// only and remain bit-exact; exp and tanh are exact ports of glibc's expf
+// (its FMA variant) and tanhf, so they are bit-exact too. softmax keeps the
+// scalar row max and row sum around the exp port; argmax keeps the scalar
+// first-maximum answer (a row holding a NaN runs the scalar scan).
 //
 // Workspace arena slices carry no alignment guarantee, so every vector
 // memory access is unaligned (loadu/storeu).
@@ -417,19 +419,227 @@ inline __m256 tanhf256_ps(__m256 x) {
   return r;
 }
 
-void tanh_avx2(MatrixView m) {
-  float* p = m.data();
-  const std::size_t n = m.size();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(p + i, tanhf256_ps(_mm256_loadu_ps(p + i)));
+// ---------------------------------------------------------------------------
+// expf, bit-exact: a lane-for-lane port of glibc's __expf_fma, the variant
+// its ifunc selects on every CPU this backend accepts (AVX2+FMA). The C
+// source (sysdeps/ieee754/flt-32/e_expf.c) computes in double; built with
+// -mfma its expressions contract as objdump of libm.so.6 shows:
+//   kd = fma(InvLn2N, xd, Shift)            ki = bits(kd)
+//   r  = fma(InvLn2N, xd, -(kd - Shift))    s  = T[ki & 31] + (ki << 47)
+//   y  = fma(fma(C0, r, C1), r * r, fma(C2, r, 1)) * s, rounded to float.
+// The constants are __exp2f_data's (invln2_scaled, shift, poly_scaled and
+// tab), read from that same binary. Lanes with |x| >= 88, inf or NaN take
+// glibc's special-case branches, so they call std::exp. Checked equal to
+// glibc 2.36's expf on all 2^32 inputs (DESIGN.md §16); test_kernels
+// re-checks a sweep against std::exp on every run.
+alignas(32) constexpr std::int64_t kExp2fTab[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+// The main path on four lanes, in double.
+inline __m128 expf_main_ps(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv_ln2_n = _mm256_set1_pd(0x1.71547652b82fep+5);
+  const __m256d shift = _mm256_set1_pd(0x1.8p+52);
+  const __m256d kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  const __m256d r =
+      _mm256_fmsub_pd(inv_ln2_n, xd, _mm256_sub_pd(kd, shift));
+  const __m256i t = _mm256_add_epi64(
+      _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kExp2fTab),
+                             _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
+      _mm256_slli_epi64(ki, 47));
+  const __m256d z = _mm256_fmadd_pd(
+      _mm256_set1_pd(0x1.c6af84b912394p-20), r,
+      _mm256_set1_pd(0x1.ebfce50fac4f3p-13));
+  const __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(0x1.62e42ff0c52d6p-6), r,
+                                    _mm256_set1_pd(1.0));
+  return _mm256_cvtpd_ps(_mm256_mul_pd(
+      _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y), _mm256_castsi256_pd(t)));
+}
+
+inline __m256 expf256_ps(__m256 x) {
+  __m256 r = _mm256_set_m128(expf_main_ps(_mm256_extractf128_ps(x, 1)),
+                             expf_main_ps(_mm256_castps256_ps128(x)));
+  // top12(|x|) >= top12(88.0f): glibc's special-case branches.
+  const __m256i special = _mm256_cmpgt_epi32(
+      _mm256_and_si256(_mm256_castps_si256(x), set1_epi32(0x7fffffff)),
+      set1_epi32(0x42afffff));
+  const int lanes = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+  if (lanes != 0) {
+    alignas(32) float xs[8], rs[8];
+    _mm256_store_ps(xs, x);
+    _mm256_store_ps(rs, r);
+    for (int i = 0; i < 8; ++i) {
+      if ((lanes >> i) & 1) rs[i] = std::exp(xs[i]);
+    }
+    r = _mm256_load_ps(rs);
   }
-  if (i < n) {  // the tail runs through the same port, zero padded
+  return r;
+}
+
+// p[i] = f(p[i]) for a lane-parallel f; the tail runs through the same f,
+// zero padded.
+template <typename F>
+inline void map_inplace(float* p, std::size_t n, F f) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(p + i, f(_mm256_loadu_ps(p + i)));
+  if (i < n) {
     float tail[8] = {};
     std::copy(p + i, p + n, tail);
-    _mm256_storeu_ps(tail, tanhf256_ps(_mm256_loadu_ps(tail)));
+    _mm256_storeu_ps(tail, f(_mm256_loadu_ps(tail)));
     std::copy(tail, tail + (n - i), p + i);
   }
+}
+
+void tanh_avx2(MatrixView m) {
+  map_inplace(m.data(), m.size(), [](__m256 v) { return tanhf256_ps(v); });
+}
+
+void exp_avx2(MatrixView m) {
+  map_inplace(m.data(), m.size(), [](__m256 v) { return expf256_ps(v); });
+}
+
+// The scalar reference's row max, exps and row sum, in its order; only the
+// exps (x - max, then the expf port) and the final scaling run in lanes.
+void softmax_rows_avx2(MatrixView m) {
+  const std::size_t n = m.cols();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    float* row = m.row(r);
+    float mx = row[0];
+    for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+    const __m256 mxv = _mm256_set1_ps(mx);
+    map_inplace(row, n, [mxv](__m256 v) {
+      return expf256_ps(_mm256_sub_ps(v, mxv));
+    });
+    float sum = 0.0f;
+    for (std::size_t c = 0; c < n; ++c) sum += row[c];
+    const float inv = 1.0f / sum;
+    const __m256 invv = _mm256_set1_ps(inv);
+    std::size_t c = 0;
+    for (; c + 8 <= n; c += 8) {
+      _mm256_storeu_ps(row + c, _mm256_mul_ps(_mm256_loadu_ps(row + c), invv));
+    }
+    for (; c < n; ++c) row[c] *= inv;
+  }
+}
+
+// The scalar reference's scan: strict `>`, the first maximum wins.
+inline std::size_t argmax_scan(const float* row, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t c = 1; c < n; ++c) {
+    if (row[c] > row[best]) best = c;
+  }
+  return best;
+}
+
+// The scan's answer for a row of n >= 8 columns. Strict `>` per lane keeps
+// each lane's first maximum (lane l sees the columns l, l + 8, ...); the
+// smallest column among the lanes equal to the overall maximum is then the
+// row's first maximum, and the scalar tail columns come after every lane's.
+// A NaN anywhere defeats that argument, so such a row runs the scan.
+inline std::size_t argmax_lanes(const float* row, std::size_t n) {
+  const std::size_t n8 = n - n % 8;
+  __m256 bv = _mm256_loadu_ps(row);
+  __m256i bi = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256i ci = bi;
+  __m256 nan = _mm256_cmp_ps(bv, bv, _CMP_UNORD_Q);
+  for (std::size_t c = 8; c < n8; c += 8) {
+    const __m256 v = _mm256_loadu_ps(row + c);
+    ci = _mm256_add_epi32(ci, _mm256_set1_epi32(8));
+    const __m256 gt = _mm256_cmp_ps(v, bv, _CMP_GT_OQ);
+    bv = _mm256_blendv_ps(bv, v, gt);
+    bi = _mm256_blendv_epi8(bi, ci, _mm256_castps_si256(gt));
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+  }
+  bool has_nan = _mm256_movemask_ps(nan) != 0;
+  for (std::size_t c = n8; c < n; ++c) has_nan = has_nan || std::isnan(row[c]);
+  if (has_nan) return argmax_scan(row, n);
+
+  // The maximum in every lane, then the smallest column holding it.
+  __m256 mx = _mm256_max_ps(bv, _mm256_permute2f128_ps(bv, bv, 1));
+  mx = _mm256_max_ps(mx, _mm256_permute_ps(mx, _MM_SHUFFLE(1, 0, 3, 2)));
+  mx = _mm256_max_ps(mx, _mm256_permute_ps(mx, _MM_SHUFFLE(2, 3, 0, 1)));
+  __m256i idx = _mm256_blendv_epi8(
+      set1_epi32(0x7fffffff), bi,
+      _mm256_castps_si256(_mm256_cmp_ps(bv, mx, _CMP_EQ_OQ)));
+  idx = _mm256_min_epi32(idx, _mm256_permute2x128_si256(idx, idx, 1));
+  idx = _mm256_min_epi32(idx, _mm256_shuffle_epi32(idx, 0x4e));  // (1,0,3,2)
+  idx = _mm256_min_epi32(idx, _mm256_shuffle_epi32(idx, 0xb1));  // (2,3,0,1)
+  std::size_t best = static_cast<std::size_t>(_mm256_cvtsi256_si32(idx));
+  for (std::size_t c = n8; c < n; ++c) {
+    if (row[c] > row[best]) best = c;
+  }
+  return best;
+}
+
+void argmax_rows_avx2(ConstMatrixView m, std::int32_t* out) {
+  const std::size_t n = m.cols();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const float* row = m.row(r);
+    out[r] = static_cast<std::int32_t>(n < 8 ? argmax_scan(row, n)
+                                             : argmax_lanes(row, n));
+  }
+}
+
+// out(b, :) += sum_s w(b, s) y(s B + b, :) with H in the lanes: each lane's
+// chain is the scalar reference's (terms in ascending s, mul then add, zero
+// weights skipped). R rows run at once per 8-column block; the last block's
+// lanes past H are neither loaded nor stored.
+template <int R>
+inline void weighted_rows_block(ConstMatrixView w, ConstMatrixView y,
+                                MatrixView out, std::size_t b, std::size_t j,
+                                __m256i live) {
+  const std::size_t B = w.rows(), S = w.cols();
+  __m256 acc[R];
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    acc[r] = _mm256_maskload_ps(out.row(b + r) + j, live);
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    const float* ys = y.row(s * B + b) + j;
+    #pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const float ws = w(b + r, s);
+      if (ws == 0.0f) continue;
+      const __m256 yv = _mm256_maskload_ps(ys + r * y.cols(), live);
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(ws), yv));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    _mm256_maskstore_ps(out.row(b + r) + j, live, acc[r]);
+  }
+}
+
+template <int R>
+inline void weighted_rows_rows(ConstMatrixView w, ConstMatrixView y,
+                               MatrixView out, std::size_t b) {
+  const std::size_t H = out.cols();
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t j = 0; j < H; j += 8) {
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::min<std::size_t>(H - j, 8))),
+        lanes);
+    weighted_rows_block<R>(w, y, out, b, j, live);
+  }
+}
+
+void weighted_rows_avx2(ConstMatrixView w, ConstMatrixView y, MatrixView out) {
+  const std::size_t m = w.rows();
+  std::size_t b = 0;
+  for (; b + 4 <= m; b += 4) weighted_rows_rows<4>(w, y, out, b);
+  for (; b < m; ++b) weighted_rows_rows<1>(w, y, out, b);
 }
 
 // out(b, s) = sum_k x(b, k) yt(b H + k, s) with output columns in the
@@ -588,7 +798,7 @@ void lstm_gates_avx2(ConstMatrixView z, ConstMatrixView c_prev,
 
 const Ops* avx2_ops() {
   static const Ops ops = [] {
-    Ops ops = scalar_ops();  // softmax + argmax: scalar reference, bit-exact
+    Ops ops = scalar_ops();
     ops.gemm_nn = &gemm_xn_avx2<false>;
     ops.gemm_tn = &gemm_xn_avx2<true>;
     ops.gemm_nt = &gemm_nt_avx2;
@@ -598,6 +808,10 @@ const Ops* avx2_ops() {
     ops.lstm_gates = &lstm_gates_avx2;
     ops.tanh = &tanh_avx2;
     ops.dot_rows_t = &dot_rows_t_avx2;
+    ops.exp = &exp_avx2;
+    ops.softmax_rows = &softmax_rows_avx2;
+    ops.argmax_rows = &argmax_rows_avx2;
+    ops.weighted_rows = &weighted_rows_avx2;
     return ops;
   }();
   return &ops;

@@ -215,6 +215,8 @@ void argmax_rows(ConstMatrixView m, std::int32_t* out) {
   kernels::active_ops().argmax_rows(m, out);
 }
 
+void exp_inplace(MatrixView m) { kernels::active_ops().exp(m); }
+
 void tanh_inplace(MatrixView m) { kernels::active_ops().tanh(m); }
 
 void dot_rows_transposed(ConstMatrixView x, ConstMatrixView yt,
@@ -224,6 +226,14 @@ void dot_rows_transposed(ConstMatrixView x, ConstMatrixView yt,
                       yt.cols() == transposed_cols(out.cols()),
                   "dot_rows_transposed: yt must be (B*H) x padded(out cols)");
   kernels::active_ops().dot_rows_t(x, yt, out);
+}
+
+void weighted_rows(ConstMatrixView w, ConstMatrixView y, MatrixView out) {
+  DESMINE_EXPECTS(out.rows() == w.rows() && y.cols() == out.cols() &&
+                      y.rows() == w.rows() * w.cols(),
+                  "weighted_rows: y must be (S*B) x H for w (B x S), "
+                  "out B x H");
+  kernels::active_ops().weighted_rows(w, y, out);
 }
 
 }  // namespace desmine::tensor

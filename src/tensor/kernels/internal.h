@@ -7,11 +7,13 @@
 //    dispatcher (zeroing for beta == 0), so backends only accumulate. With
 //    alpha == 1 the scalar backend must reproduce the historical loop
 //    bodies bit for bit, including the av == 0 skip and loop order.
-//  * axpy / bias_add / softmax / argmax / dot_rows_t: bit-exact across all
-//    backends (lane-parallel vectorization only; exp, row sums and dot
-//    chains in scalar order).
-//  * tanh: bit-exact across all backends — kScalar is std::tanh, kAvx2 a
-//    lane-for-lane port of glibc's fdlibm tanhf (avx2.cpp).
+//  * axpy / bias_add / softmax / argmax / dot_rows_t / weighted_rows:
+//    bit-exact across all backends (lane-parallel vectorization only; row
+//    maxima, row sums, dot and context chains in scalar order; softmax's
+//    exp is the `exp` entry's).
+//  * exp / tanh: bit-exact across all backends — kScalar is std::exp /
+//    std::tanh, kAvx2 lane-for-lane ports of glibc's FMA expf and fdlibm
+//    tanhf (avx2.cpp).
 //  * lstm_gates: out.c may alias c_prev; kScalar must use libm
 //    transcendentals (bit-exact); kAvx2 may use vector polynomials.
 #pragma once
@@ -41,6 +43,9 @@ struct Ops {
   // out(b, s) = sum_k x(b, k) yt(b H + k, s); yt's columns are out's padded
   // to a multiple of 8.
   void (*dot_rows_t)(ConstMatrixView x, ConstMatrixView yt, MatrixView out);
+  void (*exp)(MatrixView m);
+  // out(b, :) += sum_s w(b, s) y(s B + b, :), s ascending, w == 0 skipped.
+  void (*weighted_rows)(ConstMatrixView w, ConstMatrixView y, MatrixView out);
 };
 
 const Ops& scalar_ops();

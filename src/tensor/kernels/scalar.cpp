@@ -148,6 +148,11 @@ void argmax_rows_scalar(ConstMatrixView m, std::int32_t* out) {
   }
 }
 
+void exp_scalar(MatrixView m) {
+  float* p = m.data();
+  for (std::size_t i = 0; i < m.size(); ++i) p[i] = std::exp(p[i]);
+}
+
 void tanh_scalar(MatrixView m) {
   float* p = m.data();
   for (std::size_t i = 0; i < m.size(); ++i) p[i] = std::tanh(p[i]);
@@ -169,14 +174,31 @@ void dot_rows_t_scalar(ConstMatrixView x, ConstMatrixView yt,
   }
 }
 
+// Attention's context loop: per (b, k), the terms in ascending s, each a
+// multiply then an add, zero weights skipped.
+void weighted_rows_scalar(ConstMatrixView w, ConstMatrixView y,
+                          MatrixView out) {
+  const std::size_t B = w.rows(), S = w.cols(), H = out.cols();
+  for (std::size_t s = 0; s < S; ++s) {
+    for (std::size_t b = 0; b < B; ++b) {
+      const float ws = w(b, s);
+      if (ws == 0.0f) continue;
+      float* o = out.row(b);
+      const float* yr = y.row(s * B + b);
+      for (std::size_t k = 0; k < H; ++k) o[k] += ws * yr[k];
+    }
+  }
+}
+
 }  // namespace
 
 const Ops& scalar_ops() {
   static const Ops ops = {
-      &gemm_nn_scalar, &gemm_tn_scalar,      &gemm_nt_scalar,
-      &gemm_tt_scalar, &axpy_scalar,         &bias_add_scalar,
+      &gemm_nn_scalar,      &gemm_tn_scalar,    &gemm_nt_scalar,
+      &gemm_tt_scalar,      &axpy_scalar,       &bias_add_scalar,
       &softmax_rows_scalar, &lstm_gates_scalar, &argmax_rows_scalar,
-      &tanh_scalar,    &dot_rows_t_scalar,
+      &tanh_scalar,         &dot_rows_t_scalar, &exp_scalar,
+      &weighted_rows_scalar,
   };
   return ops;
 }

@@ -1,7 +1,8 @@
 // Conformance suite for the dispatched compute-kernel backends (DESIGN.md
 // §16). AVX2 is checked against the scalar reference: it satisfies the
 // documented tolerance contract for GEMM and the LSTM gate fusion while
-// staying bit-exact for axpy / row bias / softmax / argmax.
+// staying bit-exact for axpy / row bias / softmax / argmax / exp / tanh /
+// the attention dots and context sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -438,6 +439,49 @@ TEST(Elementwise, ArgmaxRowsIdenticalTieBreaking) {
   }
 }
 
+TEST(Elementwise, ArgmaxRowsNanAndTiesMatchScalarScan) {
+  // The avx2 argmax keeps a first maximum per lane; a row holding a NaN
+  // must still get the scalar scan's answer (NaN never compares greater,
+  // and a NaN in column 0 pins the result there), and so must ties of
+  // +0/-0, all -inf rows and equal maxima in different lanes and the tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::nanf("");
+  auto scan = [](const dt::Matrix& m, std::size_t r) {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < m.cols(); ++c) {
+      if (m(r, c) > m(r, best)) best = c;
+    }
+    return static_cast<std::int32_t>(best);
+  };
+  Rng rng(118);
+  for (std::size_t n = 1; n <= 41; ++n) {
+    dt::Matrix m = random_matrix(10, n, rng);
+    m(0, 0) = nan;                          // NaN first
+    m(1, n / 2) = nan;                      // NaN inside
+    m(2, n - 1) = nan;                      // NaN in the tail
+    for (std::size_t c = 0; c < n; ++c) {
+      m(3, c) = -inf;                       // all -inf
+      m(4, c) = c % 2 == 0 ? -0.0f : 0.0f;  // signed-zero ties
+      m(5, c) = 1.0f;                       // all equal
+    }
+    m(6, n - 1) = 3.0f;                     // maximum in the last column
+    m(6, n / 3) = 3.0f;                     // ... tied earlier
+    m(7, n / 2) = inf;
+    m(8, 0) = -inf;
+    m(9, n - 1) = nan;
+    m(9, 0) = 5.0f;
+    for (const dk::Backend backend : dk::available_backends()) {
+      const BackendGuard guard(backend);
+      std::vector<std::int32_t> out(m.rows(), -1);
+      dt::argmax_rows(m.view(), out.data());
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        EXPECT_EQ(out[r], scan(m, r)) << dk::backend_name(backend)
+                                      << " n=" << n << " row " << r;
+      }
+    }
+  }
+}
+
 namespace {
 
 float bits_to_float(std::uint32_t u) {
@@ -546,6 +590,182 @@ TEST(Tanh, DISABLED_BitIdenticalToLibmOnAllFloats) {
     }
     EXPECT_EQ(bad, 0u) << dk::backend_name(backend);
   }
+}
+
+namespace {
+
+/// Run the dispatched exp over `xs` on the active backend and compare every
+/// element bitwise with std::exp. With `tails`, the kernel runs on slices
+/// of 1, 2, ..., 17 elements so every tail length of the vector loop runs;
+/// otherwise on all of `xs` at once. Returns the number of mismatches (the
+/// first few are reported).
+std::size_t exp_mismatches(const std::vector<float>& xs, bool tails,
+                           const std::string& what) {
+  dt::Matrix m(1, xs.size());
+  std::copy(xs.begin(), xs.end(), m.data());
+  if (tails) {
+    std::size_t len = 1;
+    for (std::size_t i = 0; i < xs.size(); i += len, len = len % 17 + 1) {
+      const std::size_t n = std::min(len, xs.size() - i);
+      dt::exp_inplace(dt::MatrixView(m.data() + i, 1, n));
+    }
+  } else {
+    dt::exp_inplace(m.view());
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t want = float_to_bits(std::exp(xs[i]));
+    const std::uint32_t got = float_to_bits(m(0, i));
+    if (got != want && ++bad <= 5) {
+      ADD_FAILURE() << what << ": exp(0x" << std::hex << float_to_bits(xs[i])
+                    << ") = 0x" << got << ", std::exp gives 0x" << want;
+    }
+  }
+  return bad;
+}
+
+}  // namespace
+
+TEST(Exp, BitIdenticalToLibmOnEveryBackend) {
+  // exp_inplace is std::exp on scalar and a port of glibc's FMA expf on
+  // avx2 (the softmaxes run through it). Sweep every 4093rd bit pattern,
+  // then +-64 ulps around the cut-offs (|x| = 88, where the special-case
+  // branch starts; -87.34, where results turn subnormal; -103.28 and
+  // -103.97, where they round to the smallest subnormal and to zero), then
+  // the special values. If a libm update changes expf, this names it.
+  std::vector<float> xs;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4093) {
+    xs.push_back(bits_to_float(static_cast<std::uint32_t>(u)));
+  }
+  for (const float t : {88.0f, -88.0f, -87.34f, -0x1.9d1d9ep6f,
+                        -0x1.9fe368p6f, 0x1.62e42ep6f}) {
+    const std::uint32_t c = float_to_bits(t);
+    for (std::uint32_t d = c - 64; d <= c + 64; ++d) {
+      xs.push_back(bits_to_float(d));
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v :
+       {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::signaling_NaN(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        bits_to_float(0x007fffffu), bits_to_float(0x807fffffu),
+        bits_to_float(0x7fc12345u), std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::lowest()}) {
+    xs.push_back(v);
+  }
+  for (const dk::Backend backend : dk::available_backends()) {
+    const BackendGuard guard(backend);
+    EXPECT_EQ(exp_mismatches(xs, /*tails=*/true, dk::backend_name(backend)),
+              0u)
+        << dk::backend_name(backend) << " over " << xs.size() << " inputs";
+  }
+}
+
+TEST(Exp, DISABLED_BitIdenticalToLibmOnAllFloats) {
+  // Exhaustive form of the test above: all 2^32 bit patterns, in slices
+  // whose length is not a multiple of 8 so the kernel's tail runs too.
+  // Run with --gtest_also_run_disabled_tests.
+  constexpr std::uint64_t kSlice = (std::uint64_t{1} << 20) + 3;
+  for (const dk::Backend backend : dk::available_backends()) {
+    const BackendGuard guard(backend);
+    std::size_t bad = 0;
+    std::vector<float> xs;
+    for (std::uint64_t lo = 0; lo < (std::uint64_t{1} << 32); lo += kSlice) {
+      const std::uint64_t hi =
+          std::min(lo + kSlice, std::uint64_t{1} << 32);
+      xs.clear();
+      for (std::uint64_t u = lo; u < hi; ++u) {
+        xs.push_back(bits_to_float(static_cast<std::uint32_t>(u)));
+      }
+      bad += exp_mismatches(xs, /*tails=*/false, dk::backend_name(backend));
+    }
+    EXPECT_EQ(bad, 0u) << dk::backend_name(backend);
+  }
+}
+
+TEST(Softmax, BitIdenticalToScalarLoopOnEveryBackend) {
+  // Row max and row sum in column order, std::exp per element, then one
+  // multiply by 1/sum: every backend must give the scalar loop's bits,
+  // across lane tails, masked (-inf) columns and scores far below the max.
+  Rng rng(117);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t S = 1; S <= 41; ++S) {
+    dt::Matrix x = random_matrix(3, S, rng, 8.0f);
+    for (std::size_t s = S / 2 + 1; s < S; ++s) x(1, s) = -inf;
+    if (S > 2) x(2, S - 1) = -120.0f;
+    dt::Matrix want = x;
+    for (std::size_t r = 0; r < want.rows(); ++r) {
+      float* row = want.row(r);
+      float mx = row[0];
+      for (std::size_t c = 1; c < S; ++c) mx = std::max(mx, row[c]);
+      float sum = 0.0f;
+      for (std::size_t c = 0; c < S; ++c) {
+        row[c] = std::exp(row[c] - mx);
+        sum += row[c];
+      }
+      const float inv = 1.0f / sum;
+      for (std::size_t c = 0; c < S; ++c) row[c] *= inv;
+    }
+    for (const dk::Backend backend : dk::available_backends()) {
+      const BackendGuard guard(backend);
+      dt::Matrix got = x;
+      dt::softmax_rows(got.view());
+      expect_bitwise_equal(got, want,
+                           std::string(dk::backend_name(backend)) +
+                               " S=" + std::to_string(S));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(WeightedRows, SequentialChainOnEveryBackend) {
+  // out(b, :) += sum_s w(b, s) y(s B + b, :): per element the terms in
+  // ascending s, each a multiply then an add, zero weights (either sign)
+  // skipped, on every backend, across H lane tails and B row tails. The
+  // skip is visible: a skipped term's y is inf or NaN here.
+  Rng rng(119);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t H : {1u, 7u, 8u, 24u, 25u}) {
+    for (std::size_t B = 1; B <= 9; ++B) {
+      for (const std::size_t S : {1u, 3u, 20u}) {
+        dt::Matrix w = random_matrix(B, S, rng);
+        dt::Matrix y = random_matrix(S * B, H, rng);
+        for (std::size_t b = 0; b < B; ++b) {
+          const std::size_t s = (b * 7) % S;
+          w(b, s) = b % 2 == 0 ? 0.0f : -0.0f;
+          y(s * B + b, 0) = b % 3 == 0 ? inf : std::nanf("");
+        }
+        dt::Matrix out0 = random_matrix(B, H, rng);
+        out0(0, 0) = -0.0f;
+        dt::Matrix want = out0;
+        for (std::size_t s = 0; s < S; ++s) {
+          for (std::size_t b = 0; b < B; ++b) {
+            if (w(b, s) == 0.0f) continue;
+            for (std::size_t k = 0; k < H; ++k) {
+              want(b, k) += w(b, s) * y(s * B + b, k);
+            }
+          }
+        }
+        for (const dk::Backend backend : dk::available_backends()) {
+          const BackendGuard guard(backend);
+          dt::Matrix got = out0;
+          dt::weighted_rows(w.view(), y.view(), got.view());
+          expect_bitwise_equal(got, want,
+                               std::string(dk::backend_name(backend)) +
+                                   " H=" + std::to_string(H) +
+                                   " B=" + std::to_string(B) +
+                                   " S=" + std::to_string(S));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  dt::Matrix w(2, 3), short_y(5, 4), out(2, 4);
+  EXPECT_THROW(dt::weighted_rows(w.view(), short_y.view(), out.view()),
+               PreconditionError);
 }
 
 TEST(DotRowsTransposed, SequentialChainOnEveryBackend) {

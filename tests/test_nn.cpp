@@ -145,13 +145,6 @@ TEST(Loss, GradScaleApplied) {
   EXPECT_NEAR(dlogits(0, 0), 0.5 * (0.5 - 1.0), 1e-6);
 }
 
-TEST(Loss, ArgmaxRows) {
-  const auto logits = dt::Matrix::from_rows({{0, 5, 1}, {9, 2, 3}});
-  const auto ids = dn::argmax_rows(logits);
-  EXPECT_EQ(ids[0], 1);
-  EXPECT_EQ(ids[1], 0);
-}
-
 // ----------------------------------------------------------- adam ----------
 
 TEST(Adam, DescendsQuadratic) {
@@ -427,6 +420,101 @@ TEST(Attention, BitIdenticalToFrozenLoops) {
               expect_matches_frozen(score, masked, H, S, B, what);
               if (::testing::Test::HasFatalFailure()) return;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Run two same-seed stacks over the same token sequence, one fed gathered
+/// table rows through step(x), the other bound to the table and fed ids,
+/// and assert bit identity of every output, the final state and (when
+/// training) every gradient.
+void expect_projected_matches_gemm(std::size_t B, std::size_t L, bool train,
+                                   float dropout, const std::string& what) {
+  constexpr std::size_t kE = 6, kH = 5, kV = 11, kT = 4;
+  Rng init(500 + B * 10 + L);
+  const dt::Matrix table = uniform_matrix(kV, kE, init);
+  std::vector<std::vector<std::int32_t>> ids(kT, std::vector<std::int32_t>(B));
+  for (std::size_t t = 0; t < kT; ++t) {
+    for (std::size_t b = 0; b < B; ++b) {
+      ids[t][b] = static_cast<std::int32_t>((t * 5 + b * 3) % kV);
+    }
+  }
+  Rng rng_a(77), rng_b(77), drop_a(78), drop_b(78);
+  dn::LstmStack a("l", kE, kH, L, rng_a, dropout);
+  dn::LstmStack b("l", kE, kH, L, rng_b, dropout);
+  dt::Workspace ws_a, ws_b;
+  a.begin(B, nullptr, train, &drop_a, &ws_a);
+  b.begin(B, nullptr, train, &drop_b, &ws_b);
+  b.bind_input_table(table);
+  for (std::size_t t = 0; t < kT; ++t) {
+    dt::Matrix x(B, kE);
+    for (std::size_t r = 0; r < B; ++r) {
+      const auto id = static_cast<std::size_t>(ids[t][r]);
+      std::copy(table.row(id), table.row(id) + kE, x.row(r));
+    }
+    const dt::ConstMatrixView ha = a.step(x);
+    const dt::ConstMatrixView hb = b.step(ids[t]);
+    ASSERT_TRUE(bitwise_equal(ha, hb)) << what << " h step " << t;
+  }
+  const dn::LstmState sa = a.state(), sb = b.state();
+  for (std::size_t l = 0; l < L; ++l) {
+    ASSERT_TRUE(bitwise_equal(sa.h[l], sb.h[l])) << what << " h layer " << l;
+    ASSERT_TRUE(bitwise_equal(sa.c[l], sb.c[l])) << what << " c layer " << l;
+  }
+  if (!train) {
+    std::vector<dt::Matrix> dh(kT);
+    EXPECT_THROW(b.backward(dh), desmine::PreconditionError) << what;
+    return;
+  }
+  std::vector<dt::Matrix> dh;
+  Rng grads(79);
+  for (std::size_t t = 0; t < kT; ++t) {
+    dh.push_back(uniform_matrix(B, kH, grads));
+  }
+  const auto ba = a.backward(dh);
+  const auto bb = b.backward(dh);
+  for (std::size_t t = 0; t < kT; ++t) {
+    ASSERT_TRUE(bitwise_equal(ba.dx[t], bb.dx[t])) << what << " dx " << t;
+  }
+  dn::ParamRegistry ra, rb;
+  a.register_params(ra);
+  b.register_params(rb);
+  for (std::size_t p = 0; p < ra.params().size(); ++p) {
+    ASSERT_TRUE(bitwise_equal(ra.params()[p]->grad, rb.params()[p]->grad))
+        << what << " " << ra.params()[p]->name;
+  }
+}
+
+}  // namespace
+
+TEST(Lstm, ProjectedInputStepBitIdenticalToGemmStep) {
+  // Layer 0's x·Wx read from the table's one-GEMM projection must give the
+  // per-step GEMM's bits on every backend: decoding, training without
+  // dropout (which also keeps the gathered input for dWx) and training with
+  // dropout (no projection; the masked rows take the GEMM path). A stack
+  // fed by id at inference keeps no input, so its backward is refused.
+  struct RestoreBackend {
+    ~RestoreBackend() { dt::kernels::select_backend("auto"); }
+  } restore;
+  for (const dt::kernels::Backend backend :
+       dt::kernels::available_backends()) {
+    dt::kernels::set_backend(backend);
+    for (const std::size_t B : {1u, 3u, 16u}) {
+      for (const std::size_t L : {1u, 2u}) {
+        for (const bool train : {false, true}) {
+          for (const float dropout : {0.0f, 0.3f}) {
+            const std::string what =
+                std::string(dt::kernels::backend_name(backend)) +
+                " B=" + std::to_string(B) + " L=" + std::to_string(L) +
+                (train ? " train" : " decode") +
+                " dropout=" + std::to_string(dropout);
+            expect_projected_matches_gemm(B, L, train, dropout, what);
+            if (::testing::Test::HasFatalFailure()) return;
           }
         }
       }
