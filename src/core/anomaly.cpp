@@ -10,13 +10,46 @@
 
 namespace desmine::core {
 
-AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
-    : config_(config), names_(graph.sensor_names()) {
+void validate(const DetectorConfig& config) {
   DESMINE_EXPECTS(config.valid_lo <= config.valid_hi, "valid band order");
   DESMINE_EXPECTS(config.min_coverage >= 0.0 && config.min_coverage <= 1.0,
                   "min_coverage must lie in [0, 1]");
+}
+
+std::vector<std::uint8_t> unhealthy_flags(
+    const std::vector<std::size_t>& unhealthy, std::size_t sensors) {
+  std::vector<std::uint8_t> flags;
+  if (!unhealthy.empty()) flags.assign(sensors, 0);
+  for (const std::size_t n : unhealthy) {
+    DESMINE_EXPECTS(n < sensors,
+                    "health mask names a sensor outside the graph");
+    flags[n] = 1;
+  }
+  return flags;
+}
+
+WindowVerdict window_verdict(const DetectorConfig& config, std::size_t total,
+                             std::size_t surviving, std::size_t broken,
+                             bool quorum) {
+  WindowVerdict v;
+  const double valid = static_cast<double>(total);
+  v.coverage = valid == 0.0 ? 0.0 : static_cast<double>(surviving) / valid;
+  if (quorum && v.coverage < config.min_coverage) {
+    // Below quorum: no verdict. The placeholder 0.0 keeps score series
+    // NaN-free; `degraded` tells consumers to ignore it.
+    v.degraded = true;
+  } else if (surviving > 0) {
+    v.anomaly_score =
+        static_cast<double>(broken) / static_cast<double>(surviving);
+  }
+  return v;
+}
+
+AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
+    : config_(config), names_(graph.sensor_names()) {
+  validate(config_);
   for (const MvrEdge& e : graph.edges()) {
-    if (e.bleu >= config_.valid_lo && e.bleu < config_.valid_hi) {
+    if (in_valid_band(config_, e.bleu)) {
       DESMINE_EXPECTS(e.model != nullptr,
                       "valid edge lacks a trained model");
       valid_edges_.push_back(e);
@@ -61,32 +94,20 @@ DetectionResult AnomalyDetector::detect(
                           std::vector<double>(windows, 0.0));
   result.anomaly_scores.assign(windows, 0.0);
   result.broken_edges.assign(windows, {});
-  result.coverage.assign(windows, valid_edges_.empty() ? 0.0 : 1.0);
+  result.coverage.assign(windows, 0.0);
   result.degraded.assign(windows, 0);
 
-  // Per-window excluded-edge bitmap from the health mask: an edge leaves a
-  // window's valid set when either endpoint is unhealthy there.
-  std::vector<std::vector<std::uint8_t>> excluded;
+  // Per-window health flags: an edge leaves a window's valid set when
+  // either endpoint is unhealthy there.
+  std::vector<std::vector<std::uint8_t>> bad;
   if (unhealthy != nullptr && !valid_edges_.empty()) {
-    excluded.assign(windows,
-                    std::vector<std::uint8_t>(valid_edges_.size(), 0));
-    std::vector<std::uint8_t> bad(names_.size(), 0);
-    for (std::size_t t = 0; t < windows; ++t) {
-      const std::vector<std::size_t>& nodes = (*unhealthy)[t];
-      if (nodes.empty()) continue;
-      for (std::size_t n : nodes) {
-        DESMINE_EXPECTS(n < names_.size(),
-                        "health mask names a sensor outside the graph");
-        bad[n] = 1;
-      }
-      for (std::size_t e = 0; e < valid_edges_.size(); ++e) {
-        if (bad[valid_edges_[e].src] || bad[valid_edges_[e].dst]) {
-          excluded[t][e] = 1;
-        }
-      }
-      for (std::size_t n : nodes) bad[n] = 0;
+    for (const std::vector<std::size_t>& nodes : *unhealthy) {
+      bad.push_back(unhealthy_flags(nodes, names_.size()));
     }
   }
+  const auto excluded = [&bad](std::size_t t, const MvrEdge& edge) {
+    return !bad.empty() && is_excluded(bad[t], edge.src, edge.dst);
+  };
 
   // Each sensor's corpus is encoded once against its vocabulary; every
   // valid edge out of or into the sensor scores on those ids.
@@ -116,7 +137,7 @@ DetectionResult AnomalyDetector::detect(
     std::vector<std::size_t> at;
     std::vector<const EncodedSentence*> sources, references;
     for (std::size_t t = 0; t < windows; ++t) {
-      if (!excluded.empty() && excluded[t][e]) continue;
+      if (excluded(t, edge)) continue;
       at.push_back(t);
       sources.push_back(&encoded[edge.src][t]);
       references.push_back(&encoded[edge.dst][t]);
@@ -139,34 +160,25 @@ DetectionResult AnomalyDetector::detect(
     pool_->parallel_for(valid_edges_.size(), score_edge);
   }
 
-  const double total = static_cast<double>(valid_edges_.size());
   for (std::size_t t = 0; t < windows; ++t) {
     std::size_t surviving = 0;
     std::size_t broken = 0;
     for (std::size_t e = 0; e < valid_edges_.size(); ++e) {
-      if (!excluded.empty() && excluded[t][e]) continue;
+      if (excluded(t, valid_edges_[e])) continue;
       ++surviving;
-      if (result.edge_bleu[e][t] <
-          valid_edges_[e].bleu - config_.tolerance) {
+      if (is_broken(config_, result.edge_bleu[e][t], valid_edges_[e].bleu)) {
         ++broken;
         result.broken_edges[t].push_back(e);
       }
     }
-    result.coverage[t] =
-        total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
-    if (unhealthy != nullptr && result.coverage[t] < config_.min_coverage) {
-      // Below quorum: no verdict. The placeholder 0.0 keeps the series
-      // NaN-free; `degraded` tells consumers to ignore it. Broken edges of
-      // the surviving (genuinely scored) models are kept for diagnosis.
-      result.degraded[t] = 1;
-      result.anomaly_scores[t] = 0.0;
-      degraded_windows.inc();
-    } else {
-      result.anomaly_scores[t] =
-          surviving == 0 ? 0.0
-                         : static_cast<double>(broken) /
-                               static_cast<double>(surviving);
-    }
+    // A degraded window keeps the broken edges of its surviving (genuinely
+    // scored) models for diagnosis.
+    const WindowVerdict v = window_verdict(
+        config_, valid_edges_.size(), surviving, broken, unhealthy != nullptr);
+    result.anomaly_scores[t] = v.anomaly_score;
+    result.coverage[t] = v.coverage;
+    result.degraded[t] = v.degraded;
+    if (v.degraded) degraded_windows.inc();
   }
 
   obs::metrics().counter("detector.windows_scored").inc(windows);

@@ -16,6 +16,12 @@
 // (surviving / total valid edges); when coverage falls below the
 // min_coverage quorum the window is flagged degraded and emits a
 // no-verdict score of 0.0 that consumers must gate on the flag.
+//
+// The decisions themselves — config validation, the valid band, the health
+// exclusion, the broken rule and the window verdict (a_t, coverage, quorum)
+// — are the free functions below. AnomalyDetector (batch and online),
+// serve::Session, serve::ShadowScorer, serve::make_generation and
+// lifecycle::DriftMonitor all decide through them; none keeps a copy.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +52,49 @@ struct DetectorConfig {
   /// once per AnomalyDetector, not per detect() call.
   std::size_t threads = 0;
 };
+
+/// Throws PreconditionError unless valid_lo <= valid_hi and min_coverage
+/// lies in [0, 1].
+void validate(const DetectorConfig& config);
+
+/// Algorithm 2's valid-model predicate: s(i,j) in [valid_lo, valid_hi).
+inline bool in_valid_band(const DetectorConfig& config, double s) {
+  return s >= config.valid_lo && s < config.valid_hi;
+}
+
+/// Algorithm 2's broken rule: f(i,j) < s(i,j) - tolerance.
+inline bool is_broken(const DetectorConfig& config, double f, double s) {
+  return f < s - config.tolerance;
+}
+
+/// The health exclusion as per-sensor flags: `sensors` entries, 1 for every
+/// node listed in `unhealthy` (empty when none is). Throws
+/// PreconditionError when a node is >= sensors.
+std::vector<std::uint8_t> unhealthy_flags(
+    const std::vector<std::size_t>& unhealthy, std::size_t sensors);
+
+/// True when edge src -> dst leaves the window's valid set: an endpoint is
+/// flagged unhealthy. Empty flags exclude nothing.
+inline bool is_excluded(const std::vector<std::uint8_t>& flags,
+                        std::size_t src, std::size_t dst) {
+  return !flags.empty() && (flags[src] != 0 || flags[dst] != 0);
+}
+
+/// Algorithm 2's decision on one window.
+struct WindowVerdict {
+  double anomaly_score = 0.0;  ///< a_t; placeholder 0.0 when degraded
+  double coverage = 0.0;       ///< surviving / total valid edges
+  bool degraded = false;       ///< below the min_coverage quorum: no verdict
+};
+
+/// The verdict on a window with `total` valid edges, of which `surviving`
+/// were scored (neither excluded nor failed) and `broken` of those broke
+/// (is_broken). The quorum applies only when `quorum` is set — a health mask
+/// is in force or an edge failed to score; strict windows always get a
+/// verdict. With no valid or no surviving edges coverage / a_t are 0.
+WindowVerdict window_verdict(const DetectorConfig& config, std::size_t total,
+                             std::size_t surviving, std::size_t broken,
+                             bool quorum);
 
 /// Per-window exclusion mask for degraded-mode detection: mask[t] holds the
 /// sensor node indices (graph indexing) considered unhealthy at window t.

@@ -30,9 +30,7 @@ DriftMonitor::DriftMonitor(const core::MvrGraph& graph,
   DESMINE_EXPECTS(config_.drifting_drop <= config_.drifted_drop,
                   "drifting_drop must not exceed drifted_drop");
   for (const core::MvrEdge& edge : graph.edges()) {
-    if (edge.bleu < detector.valid_lo || edge.bleu >= detector.valid_hi) {
-      continue;  // same band rule as AnomalyDetector / make_generation
-    }
+    if (!core::in_valid_band(detector, edge.bleu)) continue;
     EdgeDrift e;
     e.src = edge.src;
     e.dst = edge.dst;

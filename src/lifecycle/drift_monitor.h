@@ -18,9 +18,9 @@
 // EWMAs absorb the spike and the streak counter resets when the signal
 // clears. Drift, by contrast, is monotone and keeps the deficit pinned.
 //
-// The monitor watches exactly the valid-band edges an AnomalyDetector (and
-// serve::make_generation) would score, in the same order, so observations
-// can be lifted directly from a DetectionResult's valid_edges arrays.
+// The monitor watches exactly the valid-band edges (core::in_valid_band) an
+// AnomalyDetector and serve::make_generation score, in the same order, so
+// observations can be lifted directly from a DetectionResult's valid_edges.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +87,8 @@ struct EdgeObservation {
 
 class DriftMonitor {
  public:
-  /// Monitors the edges of `graph` whose training BLEU lies in
-  /// [detector.valid_lo, detector.valid_hi) — the same valid-band rule
-  /// AnomalyDetector applies, in the same order.
+  /// Monitors the valid-band edges of `graph` (core::in_valid_band), in
+  /// graph order like AnomalyDetector.
   DriftMonitor(const core::MvrGraph& graph,
                const core::DetectorConfig& detector, DriftConfig config);
 

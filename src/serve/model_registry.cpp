@@ -22,7 +22,7 @@ std::shared_ptr<nmt::TranslationModel> EdgeModel::acquire() const {
 std::shared_ptr<const ModelGeneration> make_generation(
     std::shared_ptr<io::ArtifactMap> map, const core::DetectorConfig& detector,
     std::uint64_t id, const ResidencyConfig& residency) {
-  DESMINE_EXPECTS(detector.valid_lo <= detector.valid_hi, "valid band order");
+  core::validate(detector);
   auto gen = std::make_shared<ModelGeneration>();
   gen->id = id;
   gen->detector = detector;
@@ -34,7 +34,7 @@ std::shared_ptr<const ModelGeneration> make_generation(
   const auto& entries = m.edges();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const io::EdgeEntry& e = entries[i];
-    if (e.bleu >= detector.valid_lo && e.bleu < detector.valid_hi) {
+    if (core::in_valid_band(detector, e.bleu)) {
       DESMINE_EXPECTS(e.has_model, "valid edge lacks a trained model");
       DESMINE_EXPECTS(e.src < sensors && e.dst < sensors,
                       "edge endpoint out of range");

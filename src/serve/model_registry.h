@@ -62,9 +62,8 @@ struct ModelGeneration {
   std::shared_ptr<ResidencyManager> residency;
 };
 
-/// Build a generation over a mapped (v4) artifact: keep the edges whose
-/// training BLEU lies in [detector.valid_lo, detector.valid_hi) — the same
-/// valid-band rule AnomalyDetector applies. No model is deserialized: edges
+/// Build a generation over a mapped (v4) artifact: keep the valid-band edges
+/// (core::in_valid_band, after core::validate). No model is deserialized: edges
 /// materialize lazily through a fresh ResidencyManager budgeted by
 /// `residency`. Each sensor's vocabulary is read from the meta blob of the
 /// first valid edge touching it whose blob is intact; the open-to-serveable

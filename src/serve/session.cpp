@@ -103,20 +103,12 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
       {obs::kv("session", id_), obs::kv("window", pending->window_index)});
 
   // The per-window valid set: every generation edge, minus edges incident
-  // to an unhealthy sensor — the same exclusion rule AnomalyDetector
-  // applies.
-  std::vector<std::uint8_t> bad;
-  if (!pending->unhealthy.empty()) {
-    bad.assign(pending->corpora.size(), 0);
-    for (const std::size_t n : pending->unhealthy) {
-      DESMINE_EXPECTS(n < bad.size(),
-                      "health mask names a sensor outside the graph");
-      bad[n] = 1;
-    }
-  }
+  // to an unhealthy sensor (core::is_excluded).
+  const std::vector<std::uint8_t> bad =
+      core::unhealthy_flags(pending->unhealthy, pending->corpora.size());
   for (std::size_t e = 0; e < gen->edges.size(); ++e) {
     const EdgeModel& edge = gen->edges[e];
-    if (!bad.empty() && (bad[edge.src] || bad[edge.dst])) continue;
+    if (core::is_excluded(bad, edge.src, edge.dst)) continue;
     pending->edges.push_back(e);
   }
   pending->edge_bleu.assign(pending->edges.size(), 0.0);
@@ -135,25 +127,22 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
   return IngestStatus::kAccepted;
 }
 
-void Session::finalize(std::unique_ptr<PendingWindow> window) {
+core::WindowVerdict Session::finalize(std::unique_ptr<PendingWindow> window) {
   static obs::Counter& windows_scored =
       obs::metrics().counter("serve.windows_scored");
   // The resolved window is exclusively ours here; compute the result before
-  // taking the session lock. The math mirrors AnomalyDetector::detect()
-  // operation for operation so served scores are bit-identical to replay.
+  // taking the session lock.
   const ModelGeneration& gen = *window->generation;
   WindowResult out;
   out.window_index = window->window_index;
   out.end_tick = window->end_tick;
   out.unhealthy = std::move(window->unhealthy);
+  core::WindowVerdict verdict;
   if (window->shed) {
     // Dropped by deadline shedding: a counted no-verdict placeholder keeps
     // the stream's window indices contiguous.
     out.shed = true;
-    out.anomaly_score = 0.0;
-    out.coverage = 0.0;
   } else {
-    const double total = static_cast<double>(gen.edges.size());
     std::size_t surviving = 0;
     std::size_t broken = 0;
     for (std::size_t i = 0; i < window->edges.size(); ++i) {
@@ -166,29 +155,26 @@ void Session::finalize(std::unique_ptr<PendingWindow> window) {
         continue;
       }
       ++surviving;
-      if (window->edge_bleu[i] < edge.train_bleu - gen.detector.tolerance) {
+      if (core::is_broken(gen.detector, window->edge_bleu[i],
+                          edge.train_bleu)) {
         ++broken;
         out.broken.emplace_back(edge.src, edge.dst);
       }
     }
-    out.coverage =
-        total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
-    if ((window->masked || !out.failed.empty()) &&
-        out.coverage < gen.detector.min_coverage) {
-      out.degraded = true;
-      out.anomaly_score = 0.0;
+    verdict = core::window_verdict(gen.detector, gen.edges.size(), surviving,
+                                   broken,
+                                   window->masked || !out.failed.empty());
+    if (verdict.degraded) {
       obs::metrics().counter("detect.window.degraded").inc();
-    } else {
-      out.anomaly_score = surviving == 0
-                              ? 0.0
-                              : static_cast<double>(broken) /
-                                    static_cast<double>(surviving);
     }
     if (!out.failed.empty()) {
       obs::metrics().counter("serve.window.failed_edges")
           .inc(out.failed.size());
     }
   }
+  out.anomaly_score = verdict.anomaly_score;
+  out.coverage = verdict.coverage;
+  out.degraded = verdict.degraded;
 
   windows_scored.inc();
 
@@ -211,6 +197,7 @@ void Session::finalize(std::unique_ptr<PendingWindow> window) {
     enqueue_result_locked(index, std::move(delivery));
   }
   cv_.notify_all();
+  return verdict;
 }
 
 void Session::enqueue_result_locked(std::size_t window_index,

@@ -6,8 +6,8 @@
 // needs: a bounded pending-window budget with block-or-reject backpressure,
 // a reorder buffer so results are delivered in window order regardless of
 // which edge batch finishes last, and a completed queue the client polls.
-// Finalization replicates AnomalyDetector::detect()'s per-window math
-// exactly (same order of operations), so a served stream's scores are
+// Finalization decides each window with core::window_verdict, the verdict
+// AnomalyDetector::detect() uses, so a served stream's scores are
 // bit-identical to replaying it through an OnlineDetector.
 //
 // Fault tolerance (DESIGN.md §13): every window snapshots the current
@@ -89,8 +89,9 @@ class Session {
                       std::unique_ptr<PendingWindow>* to_schedule);
 
   /// Deliver a fully resolved window (BatchScheduler::on_scored). Computes
-  /// the WindowResult, reorders, and wakes pollers/blocked ingests.
-  void finalize(std::unique_ptr<PendingWindow> window);
+  /// the WindowResult, reorders, and wakes pollers/blocked ingests. Returns
+  /// the delivered verdict (all zero for a shed window).
+  core::WindowVerdict finalize(std::unique_ptr<PendingWindow> window);
 
   /// Pop the next completed window result, in window order.
   std::optional<WindowResult> poll();

@@ -17,9 +17,6 @@ namespace desmine::serve {
 SessionManager::SessionManager(const std::string& artifact_path,
                                ServeConfig config)
     : config_(std::move(config)) {
-  DESMINE_EXPECTS(config_.detector.min_coverage >= 0.0 &&
-                      config_.detector.min_coverage <= 1.0,
-                  "min_coverage must lie in [0, 1]");
   // Mapped open: O(header + TOC); no weight bytes are read or copied until
   // an edge actually scores.
   std::shared_ptr<io::ArtifactMap> map = io::ArtifactMap::open(artifact_path);
@@ -82,23 +79,28 @@ SessionManager::SessionManager(const std::string& artifact_path,
   scheduler_ = std::make_unique<BatchScheduler>(
       registry_->current(), sched,
       [this](std::unique_ptr<PendingWindow> window) {
-        // Shadow mirroring: lift what candidate scoring needs out of the
-        // window BEFORE finalize() consumes it. Candidate decoding itself
-        // runs after delivery and accounting, so shadow load never delays
-        // the client-visible result or backpressure release.
-        std::shared_ptr<ShadowScorer> shadow;
-        {
-          std::lock_guard slock(shadow_mu_);
-          shadow = shadow_;
-        }
-        std::optional<ShadowSample> sample;
-        if (shadow && shadow->admit(*window)) {
-          sample = ShadowScorer::capture(*window);
-        }
-        // The session may already be erased; its in-flight windows are then
-        // dropped on the floor by design.
+        // A window whose session was already erased is dropped on the floor
+        // by design, and never mirrored. Otherwise the shadow copies what it
+        // needs before finalize() consumes the window and takes the active
+        // score finalize delivered; candidate decoding runs after delivery
+        // and accounting, so it never delays the client-visible result or
+        // backpressure release.
         const std::shared_ptr<Session> session = find(window->session_id);
-        if (session) session->finalize(std::move(window));
+        std::shared_ptr<ShadowScorer> shadow;
+        std::optional<ShadowSample> sample;
+        if (session) {
+          {
+            std::lock_guard slock(shadow_mu_);
+            shadow = shadow_;
+          }
+          if (shadow && shadow->admit(*window)) {
+            sample = ShadowSample{window->corpora, window->unhealthy,
+                                  window->masked};
+          }
+          const core::WindowVerdict verdict =
+              session->finalize(std::move(window));
+          if (sample) sample->active_score = verdict.anomaly_score;
+        }
         window.reset();  // drop the generation reference before accounting
         if (config_.max_global_pending > 0) {
           {

@@ -47,65 +47,26 @@ bool ShadowScorer::admit(const PendingWindow& window) {
   return take;
 }
 
-std::optional<ShadowSample> ShadowScorer::capture(const PendingWindow& w) {
-  if (w.shed) return std::nullopt;
-  // Replicate Session::finalize operation for operation so the mirrored
-  // active score is bit-identical to the delivered result.
-  const ModelGeneration& gen = *w.generation;
-  const double total = static_cast<double>(gen.edges.size());
-  std::size_t surviving = 0;
-  std::size_t broken = 0;
-  std::size_t failed = 0;
-  for (std::size_t i = 0; i < w.edges.size(); ++i) {
-    const EdgeModel& edge = gen.edges[w.edges[i]];
-    if (w.edge_status[i] != static_cast<std::uint8_t>(SlotStatus::kScored)) {
-      ++failed;
-      continue;
-    }
-    ++surviving;
-    if (w.edge_bleu[i] < edge.train_bleu - gen.detector.tolerance) ++broken;
-  }
-  const double coverage =
-      total == 0.0 ? 0.0 : static_cast<double>(surviving) / total;
-  ShadowSample sample;
-  sample.corpora = w.corpora;
-  sample.unhealthy = w.unhealthy;
-  sample.masked = w.masked;
-  if ((w.masked || failed > 0) && coverage < gen.detector.min_coverage) {
-    sample.active_score = 0.0;  // degraded: no verdict
-  } else {
-    sample.active_score = surviving == 0
-                              ? 0.0
-                              : static_cast<double>(broken) /
-                                    static_cast<double>(surviving);
-  }
-  return sample;
-}
-
 void ShadowScorer::observe(ShadowSample sample) {
   std::lock_guard lock(mu_);
   if (sealed_) return;
 
-  // Candidate scoring with the same semantics the candidate would serve
-  // with: health-masked edges excluded, failed decodes excluded and the
-  // score renormalized over the survivors.
-  std::vector<char> bad(sample.corpora.size(), 0);
-  for (std::size_t node : sample.unhealthy) {
-    if (node < bad.size()) bad[node] = 1;
-  }
-  const auto is_bad = [&bad](std::size_t node) {
-    return node < bad.size() && bad[node] != 0;
-  };
+  // Candidate scoring with the semantics the candidate would serve with:
+  // health-masked edges excluded, failed decodes excluded, and the verdict
+  // (renormalization and quorum) of core::window_verdict.
+  const core::DetectorConfig& detector = candidate_->detector;
+  const std::vector<std::uint8_t> bad =
+      core::unhealthy_flags(sample.unhealthy, sample.corpora.size());
   // The candidate scores on its own vocabularies, which a retrain may have
   // left different from the active generation's.
   const std::vector<core::EncodedSentence> encoded =
       encode_window(*candidate_, sample.corpora);
-  const core::EdgeScorer scorer({candidate_->detector.bleu});
+  const core::EdgeScorer scorer({detector.bleu});
   std::size_t surviving = 0;
   std::size_t broken = 0;
   bool any_failed = false;
   for (const EdgeModel& edge : candidate_->edges) {
-    if (is_bad(edge.src) || is_bad(edge.dst)) continue;
+    if (core::is_excluded(bad, edge.src, edge.dst)) continue;
     try {
       switch (robust::fire_fault("serve.shadow", edge_name(edge.src,
                                                            edge.dst))) {
@@ -128,7 +89,7 @@ void ShadowScorer::observe(ShadowSample sample) {
                      {&encoded[edge.src]}, {&encoded[edge.dst]})
               .bleu.front();
       ++surviving;
-      if (f < edge.train_bleu - candidate_->detector.tolerance) ++broken;
+      if (core::is_broken(detector, f, edge.train_bleu)) ++broken;
     } catch (const std::exception& e) {
       any_failed = true;
       obs::metrics().counter("serve.shadow.edge_failures").inc();
@@ -138,9 +99,9 @@ void ShadowScorer::observe(ShadowSample sample) {
     }
   }
   const double candidate_score =
-      surviving == 0
-          ? 0.0
-          : static_cast<double>(broken) / static_cast<double>(surviving);
+      core::window_verdict(detector, candidate_->edges.size(), surviving,
+                           broken, sample.masked || any_failed)
+          .anomaly_score;
 
   ++sampled_;
   if (any_failed) ++failures_;
@@ -191,29 +152,16 @@ ShadowScorer::Status ShadowScorer::status() const {
 
 bool ShadowScorer::gate_passed() const {
   std::lock_guard lock(mu_);
-  return gate_passed_locked();
+  return gate_failure_locked().empty();
 }
 
 std::string ShadowScorer::gate_reason() const {
   std::lock_guard lock(mu_);
-  return gate_reason_locked();
+  std::string failure = gate_failure_locked();
+  return failure.empty() ? "gate passed" : failure;
 }
 
-bool ShadowScorer::gate_passed_locked() const {
-  if (sampled_ < config_.min_windows) return false;
-  if (failures_ > config_.max_failures) return false;
-  const double alert_rate = static_cast<double>(candidate_alerts_) /
-                            static_cast<double>(sampled_);
-  if (alert_rate > config_.max_alert_rate) return false;
-  if (config_.min_agreement > 0.0) {
-    const double agreement = static_cast<double>(agreements_) /
-                             static_cast<double>(sampled_);
-    if (agreement < config_.min_agreement) return false;
-  }
-  return true;
-}
-
-std::string ShadowScorer::gate_reason_locked() const {
+std::string ShadowScorer::gate_failure_locked() const {
   if (sampled_ < config_.min_windows) {
     return "insufficient shadow volume (" + std::to_string(sampled_) + "/" +
            std::to_string(config_.min_windows) + " windows)";
@@ -236,7 +184,7 @@ std::string ShadowScorer::gate_reason_locked() const {
              " below min_agreement " + std::to_string(config_.min_agreement);
     }
   }
-  return "gate passed";
+  return {};
 }
 
 }  // namespace desmine::serve

@@ -4,9 +4,9 @@
 // prove itself on live traffic without any client-visible effect. The
 // ShadowScorer holds the candidate ModelGeneration and mirrors a sampled
 // slice of delivered live windows: for each sampled window it re-scores the
-// window's corpora against the candidate's edge models (same health-mask
-// exclusions, same broken rule f < s - tolerance) and accumulates a
-// promotion gate:
+// window's corpora against the candidate's edge models and decides the
+// window with the verdict serving uses (core::is_excluded, core::is_broken,
+// core::window_verdict — quorum included), and accumulates a promotion gate:
 //  * quietness — the fraction of sampled windows where the candidate's
 //    anomaly score reaches `alert_threshold` must stay at or below
 //    `max_alert_rate`. This is the core precision gate: a good candidate is
@@ -23,7 +23,10 @@
 // Client-visible output is untouched: sampling and candidate decoding run
 // after the window's result was finalized and delivered, on the scoring
 // worker that delivered it, serialized by the scorer's mutex (the candidate
-// models are not thread-safe). `sample_rate` bounds the added decode load.
+// models are not thread-safe). The active side of each sample is the score
+// Session::finalize delivered; a window whose session was already erased is
+// never delivered and so never mirrored. `sample_rate` bounds the added
+// decode load.
 //
 // Fault injection: point "serve.shadow" keyed by edge name "src->dst"
 // (throw = candidate decode failure, drop = edge silently excluded,
@@ -34,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +62,9 @@ struct ShadowConfig {
   std::size_t max_failures = 0;
 };
 
-/// What capture() lifts out of a PendingWindow before finalize() consumes
-/// it: the corpora, the health mask, and the ACTIVE generation's anomaly
-/// score computed with Session::finalize's exact math.
+/// One mirrored window: the corpora and health mask copied out of the
+/// PendingWindow before Session::finalize consumes it, and the ACTIVE
+/// generation's anomaly score that finalize delivered.
 struct ShadowSample {
   std::vector<text::Corpus> corpora;    ///< per sensor node
   std::vector<std::size_t> unhealthy;   ///< node indices excluded
@@ -78,15 +80,10 @@ class ShadowScorer {
   ShadowScorer(std::shared_ptr<const ModelGeneration> candidate,
                ShadowConfig config, std::string source_path);
 
-  /// Sampling decision for one delivered window. Returns true when the
-  /// window should be mirrored (capture + observe); shed windows and
-  /// windows arriving after seal() never sample. Thread-safe.
+  /// Sampling decision for one window about to be delivered. Returns true
+  /// when the window should be mirrored (observe); shed windows and windows
+  /// arriving after seal() never sample. Thread-safe.
   bool admit(const PendingWindow& window);
-
-  /// Replicate Session::finalize's scoring math on a resolved window and
-  /// copy out what candidate scoring needs. Call before finalize() (which
-  /// consumes the window). Returns nullopt for shed windows.
-  static std::optional<ShadowSample> capture(const PendingWindow& window);
 
   /// Score one admitted sample against the candidate generation and fold it
   /// into the gate. Never throws (a failing candidate edge is recorded, not
@@ -124,7 +121,8 @@ class ShadowScorer {
 
   /// True when every gate criterion currently holds.
   bool gate_passed() const;
-  /// Human-readable reason the gate is (not) passing, for statusz/ops.
+  /// Human-readable reason the gate is (not) passing, for statusz/ops:
+  /// the first failing criterion, or "gate passed".
   std::string gate_reason() const;
 
   const std::shared_ptr<const ModelGeneration>& candidate() const {
@@ -133,8 +131,8 @@ class ShadowScorer {
   const ShadowConfig& config() const { return config_; }
 
  private:
-  bool gate_passed_locked() const;
-  std::string gate_reason_locked() const;
+  /// The first failing gate criterion, empty when the gate passes.
+  std::string gate_failure_locked() const;
 
   const std::shared_ptr<const ModelGeneration> candidate_;
   const ShadowConfig config_;

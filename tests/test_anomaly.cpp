@@ -1,8 +1,12 @@
 // Tests for Algorithm 2 (anomaly detection): valid-model banding, broken
-// relationships, anomaly scores, alert matrices.
+// relationships, anomaly scores, alert matrices, and the boundaries of the
+// shared decision functions (validate, in_valid_band, unhealthy_flags,
+// is_broken, window_verdict) every detection path decides through.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/anomaly.h"
 #include "core/mvr_graph.h"
@@ -99,6 +103,19 @@ TEST(AnomalyDetector, ValidBandSelectsEdges) {
   outside.valid_lo = 0.0;
   outside.valid_hi = 1.0;
   EXPECT_EQ(dc::AnomalyDetector(f.graph, outside).valid_model_count(), 0u);
+
+  // The band is [valid_lo, valid_hi): s == valid_lo is valid, s == valid_hi
+  // is not.
+  dc::DetectorConfig at_lo;
+  at_lo.valid_lo = f.dev_bleu;
+  at_lo.valid_hi = f.dev_bleu + 1.0;
+  EXPECT_TRUE(dc::in_valid_band(at_lo, f.dev_bleu));
+  EXPECT_EQ(dc::AnomalyDetector(f.graph, at_lo).valid_model_count(), 1u);
+  dc::DetectorConfig at_hi;
+  at_hi.valid_lo = f.dev_bleu - 1.0;
+  at_hi.valid_hi = f.dev_bleu;
+  EXPECT_FALSE(dc::in_valid_band(at_hi, f.dev_bleu));
+  EXPECT_EQ(dc::AnomalyDetector(f.graph, at_hi).valid_model_count(), 0u);
 }
 
 TEST(AnomalyDetector, EdgeWithoutModelInBandThrows) {
@@ -180,6 +197,11 @@ TEST(AnomalyDetector, ToleranceSuppressesMarginalBreaks) {
   for (double s : lenient_result.anomaly_scores) lenient_sum += s;
   EXPECT_DOUBLE_EQ(lenient_sum, 0.0);
   EXPECT_GE(strict_sum, lenient_sum);
+
+  // Broken means strictly below s - tolerance: f == s - tolerance holds.
+  lenient.tolerance = 10.0;
+  EXPECT_FALSE(dc::is_broken(lenient, 70.0, 80.0));
+  EXPECT_TRUE(dc::is_broken(lenient, 69.5, 80.0));
 }
 
 TEST(AnomalyDetector, MisalignedTestCorporaThrow) {
@@ -319,6 +341,14 @@ TEST(AnomalyDetector, CoverageQuorumGatesVerdicts) {
   // No verdict: a NaN-free placeholder, not a claim of "no anomaly".
   EXPECT_DOUBLE_EQ(result.anomaly_scores[1], 0.0);
   EXPECT_DOUBLE_EQ(result.coverage[1], 0.5);
+
+  // Coverage exactly at the quorum still gets a verdict.
+  cfg.min_coverage = 0.5;
+  const auto at_quorum = dc::AnomalyDetector(f.graph, cfg).detect(
+      {src, aligned, garbage}, dc::DetectOptions{.unhealthy = &mask});
+  EXPECT_EQ(at_quorum.degraded[1], 0);
+  EXPECT_DOUBLE_EQ(at_quorum.coverage[1], 0.5);
+  EXPECT_DOUBLE_EQ(at_quorum.anomaly_scores[1], 0.0);  // 0 of 1 broken
 }
 
 TEST(AnomalyDetector, HealthMaskValidation) {
@@ -330,9 +360,21 @@ TEST(AnomalyDetector, HealthMaskValidation) {
   const dc::HealthMask wrong_size = {{}};  // 1 entry for 2 windows
   EXPECT_THROW(detector.detect({src, aligned, garbage}, dc::DetectOptions{.unhealthy = &wrong_size}),
                desmine::PreconditionError);
-  const dc::HealthMask bad_node = {{}, {7}};
-  EXPECT_THROW(detector.detect({src, aligned, garbage}, dc::DetectOptions{.unhealthy = &bad_node}),
-               desmine::PreconditionError);
+  // Nodes 0..2 exist: node 3 is the first out of range.
+  for (const std::size_t node : {std::size_t{7}, std::size_t{3}}) {
+    const dc::HealthMask bad_node = {{}, {node}};
+    EXPECT_THROW(detector.detect({src, aligned, garbage},
+                                 dc::DetectOptions{.unhealthy = &bad_node}),
+                 desmine::PreconditionError)
+        << node;
+  }
+  EXPECT_THROW(dc::unhealthy_flags({3}, 3), desmine::PreconditionError);
+  EXPECT_TRUE(dc::unhealthy_flags({}, 3).empty());
+  const std::vector<std::uint8_t> flags = dc::unhealthy_flags({2}, 3);
+  EXPECT_EQ(flags, (std::vector<std::uint8_t>{0, 0, 1}));
+  EXPECT_TRUE(dc::is_excluded(flags, 0, 2));
+  EXPECT_FALSE(dc::is_excluded(flags, 0, 1));
+  EXPECT_FALSE(dc::is_excluded({}, 0, 2));  // no mask excludes nothing
 }
 
 TEST(AnomalyDetector, NoMaskLeavesCoverageFullAndVerdictsUngated) {
@@ -357,6 +399,17 @@ TEST(AnomalyDetector, RejectsInvalidMinCoverage) {
   EXPECT_THROW(dc::AnomalyDetector(f.graph, cfg), desmine::PreconditionError);
   cfg.min_coverage = -0.1;
   EXPECT_THROW(dc::AnomalyDetector(f.graph, cfg), desmine::PreconditionError);
+
+  // The closed interval's ends and an empty band are accepted; an inverted
+  // band is not.
+  for (const double quorum : {0.0, 1.0}) {
+    cfg.min_coverage = quorum;
+    EXPECT_NO_THROW(dc::validate(cfg)) << quorum;
+  }
+  cfg.valid_lo = cfg.valid_hi;
+  EXPECT_NO_THROW(dc::validate(cfg));
+  cfg.valid_lo = cfg.valid_hi + 1.0;
+  EXPECT_THROW(dc::validate(cfg), desmine::PreconditionError);
 }
 
 TEST(AnomalyDetector, NoValidModelsGivesZeroScores) {
@@ -368,5 +421,9 @@ TEST(AnomalyDetector, NoValidModelsGivesZeroScores) {
   dx::Corpus src, tgt;
   make_corpus(2, 5, src, tgt, 8);
   const auto result = detector.detect({src, tgt});
-  for (double s : result.anomaly_scores) EXPECT_DOUBLE_EQ(s, 0.0);
+  for (std::size_t t = 0; t < result.anomaly_scores.size(); ++t) {
+    EXPECT_DOUBLE_EQ(result.anomaly_scores[t], 0.0);
+    EXPECT_DOUBLE_EQ(result.coverage[t], 0.0);
+    EXPECT_EQ(result.degraded[t], 0);  // strict mode never loses quorum
+  }
 }

@@ -562,26 +562,60 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
   }
   EXPECT_GT(differing, 0u);
 
+  // Strict samples, and masked samples without `noise`: 2 of the 6 edges
+  // survive, below the default quorum, under a tolerance that breaks every
+  // surviving edge — the candidate must give those windows no verdict, as
+  // serving would.
+  const auto& kept = f.framework.encrypter().kept_sensors();
+  const std::size_t noise = static_cast<std::size_t>(
+      std::find(kept.begin(), kept.end(), "noise") - kept.begin());
+  ASSERT_LT(noise, kept.size());
+  dc::DetectorConfig breaking = f.cfg.detector;
+  breaking.tolerance = -101.0;  // f < s + 101 holds for every scored edge
+  struct Case {
+    const char* name;
+    dc::DetectorConfig detector;
+    std::vector<std::size_t> unhealthy;  ///< every window's; masked if set
+  };
+  const std::vector<Case> cases = {{"strict", f.cfg.detector, {}},
+                                   {"masked", breaking, {noise}}};
+  const auto corpora = f.framework.to_corpora(make_series(300, 4));
   ds::ShadowConfig scfg;
   scfg.sample_rate = 1.0;
-  ds::ShadowScorer shadow(candidate, scfg, "reversed");
-  const auto corpora = f.framework.to_corpora(make_series(300, 4));
-  const dc::DetectionResult expected =
-      dc::AnomalyDetector(candidate_graph, f.cfg.detector).detect(corpora);
-  double sum = 0.0;
-  std::size_t alerts = 0;
-  for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {
-    ds::ShadowSample sample;
-    for (const dx::Corpus& c : corpora) sample.corpora.push_back({c[t]});
-    shadow.observe(std::move(sample));
-    sum += expected.anomaly_scores[t];
-    alerts += expected.anomaly_scores[t] >= scfg.alert_threshold;
+  for (const Case& c : cases) {
+    ds::ShadowScorer shadow(
+        ds::make_generation(dio::ArtifactMap::open(candidate_path),
+                            c.detector, 2, {}),
+        scfg, "reversed");
+    const dc::HealthMask mask(corpora.front().size(), c.unhealthy);
+    dc::DetectOptions options;
+    if (!c.unhealthy.empty()) options.unhealthy = &mask;
+    const dc::DetectionResult expected =
+        dc::AnomalyDetector(candidate_graph, c.detector)
+            .detect(corpora, options);
+    double sum = 0.0;
+    std::size_t alerts = 0, degraded = 0;
+    for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {
+      ds::ShadowSample sample;
+      for (const dx::Corpus& corpus : corpora) {
+        sample.corpora.push_back({corpus[t]});
+      }
+      sample.unhealthy = c.unhealthy;
+      sample.masked = !c.unhealthy.empty();
+      shadow.observe(std::move(sample));
+      sum += expected.anomaly_scores[t];
+      alerts += expected.anomaly_scores[t] >= scfg.alert_threshold;
+      degraded += expected.degraded[t];
+    }
+    EXPECT_EQ(degraded, c.unhealthy.empty() ? 0u : corpora.front().size())
+        << c.name;
+    const ds::ShadowScorer::Status st = shadow.status();
+    EXPECT_EQ(st.failures, 0u) << c.name;
+    EXPECT_EQ(st.candidate_alerts, alerts) << c.name;
+    EXPECT_EQ(bits(st.candidate_mean),
+              bits(sum / static_cast<double>(expected.anomaly_scores.size())))
+        << c.name;
   }
-  const ds::ShadowScorer::Status st = shadow.status();
-  EXPECT_EQ(st.failures, 0u);
-  EXPECT_EQ(st.candidate_alerts, alerts);
-  EXPECT_EQ(bits(st.candidate_mean),
-            bits(sum / static_cast<double>(expected.anomaly_scores.size())));
   std::remove(candidate_path.c_str());
 }
 

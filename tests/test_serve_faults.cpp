@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,6 +246,64 @@ TEST(ServeFaults, PoisonedEdgeQuarantinesWhileOthersStayBitIdentical) {
     ++delivered;
   }
   EXPECT_EQ(delivered, replay_windows(f, late_series).size());
+}
+
+// The shadow's active side is the verdict the session delivered, not a
+// recomputation of it: on a degraded session where a dropped sensor takes
+// windows below quorum and a poisoned edge fails in every window, the
+// shadow's active mean and alert count match the polled results bit for bit.
+TEST(ServeFaults, ShadowActiveSideIsTheDeliveredVerdict) {
+  auto& f = fixture();
+  ds::ServeConfig scfg = f.serve_config();
+  // One worker and one window in flight: the shadow sums active scores in
+  // delivery order, which is then window order, as the sum below is.
+  scfg.workers = 1;
+  scfg.shadow.sample_rate = 1.0;
+  ds::SessionManager manager(f.artifact.path, scfg);
+  const ds::EdgeModel& faulted = manager.registry().current()->edges.front();
+  ScopedFaults guard;
+  dr::FaultInjector::instance().arm(
+      "serve.decode",
+      std::to_string(faulted.src) + "->" + std::to_string(faulted.dst),
+      dr::FaultAction::kThrow);
+  ASSERT_EQ(manager.begin_shadow(f.artifact.path), 2u);
+
+  dc::DegradedConfig degraded;
+  degraded.enabled = true;
+  const std::uint64_t id = manager.open(degraded);
+  constexpr std::size_t kTicks = 120;
+  const auto series = make_series(kTicks, 70);
+  std::vector<double> delivered;
+  std::size_t alerts = 0, below_quorum = 0, with_failed = 0;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    auto states = tick_states(series, t);
+    if (t >= 40 && t < 70) states.erase("noise");
+    ASSERT_EQ(manager.ingest(id, states), ds::IngestStatus::kAccepted);
+    manager.drain(id);
+    while (const auto r = manager.poll(id)) {
+      delivered.push_back(r->anomaly_score);
+      alerts += r->anomaly_score >= scfg.shadow.alert_threshold;
+      below_quorum += r->degraded;
+      with_failed += !r->failed.empty();
+    }
+  }
+  ASSERT_FALSE(delivered.empty());
+  EXPECT_GT(below_quorum, 0u);
+  EXPECT_GT(with_failed, 0u);
+  double sum = 0.0;
+  for (const double score : delivered) sum += score;
+
+  // The shadow observes after delivery; wait for the last sample to land.
+  std::optional<ds::ShadowScorer::Status> st = manager.shadow_status();
+  for (int i = 0; i < 5000 && st && st->sampled < delivered.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    st = manager.shadow_status();
+  }
+  ASSERT_TRUE(st.has_value());
+  ASSERT_EQ(st->sampled, delivered.size());
+  EXPECT_EQ(st->active_alerts, alerts);
+  EXPECT_EQ(bits(st->active_mean),
+            bits(sum / static_cast<double>(delivered.size())));
 }
 
 // ---------------------------------------------------------------------------
