@@ -1,5 +1,8 @@
 #include "core/anomaly.h"
 
+#include <functional>
+#include <unordered_map>
+
 #include "core/edge_scorer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -9,6 +12,26 @@
 #include "util/thread_pool.h"
 
 namespace desmine::core {
+
+namespace {
+
+struct SentenceHash {
+  std::size_t operator()(const text::Sentence* s) const noexcept {
+    std::size_t h = s->size();
+    for (const std::string& word : *s) {
+      h = (h ^ std::hash<std::string>{}(word)) * 0x100000001b3ull;
+    }
+    return h;
+  }
+};
+
+struct SentenceEqual {
+  bool operator()(const text::Sentence* a, const text::Sentence* b) const {
+    return *a == *b;
+  }
+};
+
+}  // namespace
 
 void validate(const DetectorConfig& config) {
   DESMINE_EXPECTS(config.valid_lo <= config.valid_hi, "valid band order");
@@ -109,14 +132,30 @@ DetectionResult AnomalyDetector::detect(
     return !bad.empty() && is_excluded(bad[t], edge.src, edge.dst);
   };
 
-  // Each sensor's corpus is encoded once against its vocabulary; every
-  // valid edge out of or into the sensor scores on those ids.
+  // Each sensor's distinct sentences are encoded once against its
+  // vocabulary (periodic sensors repeat them from window to window);
+  // sentence[k][t] is window t's. Every valid edge out of or into the
+  // sensor scores on those ids.
   const std::size_t max_order = config_.bleu.max_order;
   std::vector<std::vector<EncodedSentence>> encoded(test_sentences.size());
+  std::vector<std::vector<const EncodedSentence*>> sentence(
+      test_sentences.size());
   auto encode = [&](std::size_t k) {
-    if (k < vocabs_.size() && vocabs_[k] != nullptr) {
-      encoded[k] = encode_corpus(*vocabs_[k], test_sentences[k], max_order);
+    if (k >= vocabs_.size() || vocabs_[k] == nullptr) return;
+    const text::Corpus& corpus = test_sentences[k];
+    std::unordered_map<const text::Sentence*, std::size_t, SentenceHash,
+                       SentenceEqual>
+        first;
+    std::vector<std::size_t> slot(windows);
+    for (std::size_t t = 0; t < windows; ++t) {
+      const auto [it, inserted] = first.emplace(&corpus[t], encoded[k].size());
+      if (inserted) {
+        encoded[k].push_back(encode_sentence(*vocabs_[k], corpus[t], max_order));
+      }
+      slot[t] = it->second;
     }
+    sentence[k].reserve(windows);
+    for (const std::size_t i : slot) sentence[k].push_back(&encoded[k][i]);
   };
 
   // Edges are independent units of work: one edge's model is touched by
@@ -139,8 +178,8 @@ DetectionResult AnomalyDetector::detect(
     for (std::size_t t = 0; t < windows; ++t) {
       if (excluded(t, edge)) continue;
       at.push_back(t);
-      sources.push_back(&encoded[edge.src][t]);
-      references.push_back(&encoded[edge.dst][t]);
+      sources.push_back(sentence[edge.src][t]);
+      references.push_back(sentence[edge.dst][t]);
     }
     if (at.empty()) return;
     const EdgeScorer::Result r =

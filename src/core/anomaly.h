@@ -151,11 +151,15 @@ class AnomalyDetector {
   /// As above, honouring `options`: with DetectOptions::unhealthy set, edges
   /// incident to a listed sensor are excluded from that window and a_t is
   /// renormalized over the survivors (see DetectionResult::coverage).
+  /// Decoding runs the graph's models in place, so calls that share a
+  /// model must not overlap (Framework::detect takes turns for its own).
   DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
                          const DetectOptions& options) const;
 
   std::size_t valid_model_count() const { return valid_edges_.size(); }
   const std::vector<MvrEdge>& valid_edges() const { return valid_edges_; }
+  /// The scoring pool (null when scoring runs on the calling thread).
+  util::ThreadPool* pool() const { return pool_.get(); }
 
  private:
   DetectorConfig config_;

@@ -8,17 +8,45 @@ namespace desmine::core {
 
 namespace {
 
-struct IdsPtrHash {
-  std::size_t operator()(const std::vector<std::int32_t>* ids) const noexcept {
-    return IdsHash{}(*ids);
-  }
-};
+/// FNV-1a over a profile's ids (which alone decide its sentence BLEU).
+std::uint64_t ids_hash(const std::vector<std::uint32_t>& ids) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint32_t id : ids) h = (h ^ id) * 0x100000001b3ull;
+  return h;
+}
 
-struct IdsPtrEqual {
-  bool operator()(const std::vector<std::int32_t>* a,
-                  const std::vector<std::int32_t>* b) const {
-    return *a == *b;
+/// Finds the first of the items that are equal by content, through their
+/// 64-bit content keys: an open-addressing table, at most half full.
+class FirstEqual {
+ public:
+  explicit FirstEqual(std::size_t items) {
+    std::size_t capacity = 8;
+    while (capacity < 2 * items) capacity *= 2;
+    slots_.assign(capacity, Slot{0, kNone});
   }
+
+  /// The earliest item j added with `key` for which same(j) holds; when
+  /// there is none, adds item k and returns k.
+  template <typename Same>
+  std::size_t find_or_add(std::uint64_t key, std::size_t k, const Same& same) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> 32;; ++i) {
+      Slot& slot = slots_[i & mask];
+      if (slot.item == kNone) {
+        slot = {key, k};
+        return k;
+      }
+      if (slot.key == key && same(slot.item)) return slot.item;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  struct Slot {
+    std::uint64_t key;
+    std::size_t item;
+  };
+  std::vector<Slot> slots_;
 };
 
 /// A decoded row as a candidate profile: the structural specials dropped,
@@ -48,6 +76,8 @@ EncodedSentence encode_sentence(const text::Vocabulary& vocab,
                                           : text::Vocabulary::kUnk);
   }
   out.profile = text::ngram_profile(std::move(exact), max_order);
+  out.input_hash = IdsHash{}(out.input);
+  out.profile_hash = ids_hash(out.profile.ids);
   return out;
 }
 
@@ -86,10 +116,8 @@ EdgeScorer::Result EdgeScorer::score(
   // until the inserts in step 4.
   std::vector<const text::NgramProfile*> cached(sources.size(), nullptr);
   std::vector<std::size_t> miss_of(sources.size(), 0);
-  std::unordered_map<const std::vector<std::int32_t>*, std::size_t,
-                     IdsPtrHash, IdsPtrEqual>
-      seen;
   std::vector<const std::vector<std::int32_t>*> misses;
+  FirstEqual first_source(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
     DESMINE_EXPECTS(sources[k] != nullptr && references[k] != nullptr,
                     "null sentence");
@@ -102,9 +130,15 @@ EdgeScorer::Result EdgeScorer::score(
         continue;
       }
     }
-    const auto [it, inserted] = seen.emplace(&input, misses.size());
-    if (inserted) misses.push_back(&input);
-    miss_of[k] = it->second;
+    const std::size_t first = first_source.find_or_add(
+        sources[k]->input_hash, k,
+        [&](std::size_t j) { return sources[j]->input == input; });
+    if (first == k) {
+      miss_of[k] = misses.size();
+      misses.push_back(&input);
+    } else {
+      miss_of[k] = miss_of[first];
+    }
   }
 
   // 2. Decode the misses and profile each candidate once.
@@ -121,13 +155,32 @@ EdgeScorer::Result EdgeScorer::score(
     out.decoded = misses.size();
   }
 
-  // 3. Sentence BLEU per item.
+  // 3. Sentence BLEU once per distinct (candidate, reference) pair, both
+  // compared by their ids: distinct sources may decode alike, and each
+  // window's sentence is encoded on its own.
+  const auto candidate = [&](std::size_t k) -> const text::NgramProfile& {
+    return cached[k] != nullptr ? *cached[k] : fresh[miss_of[k]];
+  };
+  std::vector<std::uint64_t> fresh_hash(fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    fresh_hash[i] = ids_hash(fresh[i].ids);
+  }
+  FirstEqual first_pair(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
-    const text::NgramProfile& candidate =
-        cached[k] != nullptr ? *cached[k] : fresh[miss_of[k]];
+    const text::NgramProfile& cand = candidate(k);
+    const EncodedSentence& ref = *references[k];
+    const std::uint64_t cand_hash =
+        cached[k] != nullptr ? ids_hash(cand.ids) : fresh_hash[miss_of[k]];
+    const std::size_t first = first_pair.find_or_add(
+        cand_hash ^ (ref.profile_hash * 0xbf58476d1ce4e5b9ull), k,
+        [&](std::size_t j) {
+          return candidate(j).ids == cand.ids &&
+                 references[j]->profile.ids == ref.profile.ids;
+        });
     out.bleu[k] =
-        text::sentence_bleu(candidate, references[k]->profile, options_.bleu)
-            .score;
+        first == k
+            ? text::sentence_bleu(cand, ref.profile, options_.bleu).score
+            : out.bleu[first];
   }
 
   // 4. Memoize the fresh candidates.

@@ -17,11 +17,14 @@
 //      TranslationModel::translate_ids (stacked rows, at most
 //      nmt::kMaxDecodeRows per pass, on the scoring thread's
 //      tensor::thread_workspace) and profiles each candidate once;
-//   3. runs sentence BLEU per item: one sorted merge per n-gram order.
+//   3. runs sentence BLEU once per distinct (candidate, reference) pair,
+//      both compared by content (one sorted merge per n-gram order), and
+//      hands the result to every item of the pair.
 // Greedy decoding is a pure, row-independent function of the input ids, so
 // a deduplicated item, a cache hit and a B=1 decode give the same bits; the
-// profiles count exactly what the string sentence_bleu counts, so f(i,j) is
-// bit-identical to scoring the decoded strings.
+// profiles count exactly what the string sentence_bleu counts, and sentence
+// BLEU is a function of the two profiles' ids, so f(i,j) is bit-identical to
+// scoring the decoded strings item by item.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +46,10 @@ struct EncodedSentence {
   /// Exact n-gram profile: unknown tokens numbered past the vocabulary, so
   /// distinct tokens never collide.
   text::NgramProfile profile;
+  /// Content hashes of `input` and `profile.ids`, taken once here so every
+  /// edge that scores the sentence keys it by content without rehashing.
+  std::uint64_t input_hash = 0;
+  std::uint64_t profile_hash = 0;
 };
 
 EncodedSentence encode_sentence(const text::Vocabulary& vocab,

@@ -1,14 +1,28 @@
 #include "core/framework.h"
 
+#include <algorithm>
+#include <mutex>
+
 #include "core/online.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace desmine::core {
 
+struct Framework::DetectorSlot {
+  std::mutex build;  ///< guards `detector`
+  std::shared_ptr<const AnomalyDetector> detector;
+  /// Held while a detect call scores: an edge model decodes in place, so
+  /// two calls must not run the same model at once.
+  std::mutex scoring;
+};
+
 Framework::Framework(FrameworkConfig config)
-    : config_(std::move(config)), language_(config_.window) {}
+    : config_(std::move(config)),
+      language_(config_.window),
+      slot_(std::make_shared<DetectorSlot>()) {}
 
 void Framework::fit(const MultivariateSeries& train,
                     const MultivariateSeries& dev) {
@@ -46,23 +60,57 @@ void Framework::fit(const MultivariateSeries& train,
 
   const RelationshipMiner miner(config_.miner);
   graph_ = miner.mine(languages);  // times itself as phase "mine"
+  slot_ = std::make_shared<DetectorSlot>();
 }
 
 std::vector<text::Corpus> Framework::to_corpora(
     const MultivariateSeries& series) const {
   DESMINE_EXPECTS(fitted(), "fit() must run first");
   const obs::ScopedTimer timer("encode");
-  const std::vector<std::string> chars = encrypter_->encode_all(series);
-  std::vector<text::Corpus> corpora;
-  corpora.reserve(chars.size());
-  for (const std::string& c : chars) corpora.push_back(language_.generate(c));
+  const std::vector<std::string>& kept = encrypter_->kept_sensors();
+  std::vector<const EventSequence*> events;
+  events.reserve(kept.size());
+  for (const std::string& name : kept) {
+    const auto it =
+        std::find_if(series.begin(), series.end(),
+                     [&](const SensorSeries& s) { return s.name == name; });
+    DESMINE_EXPECTS(it != series.end(), "series missing kept sensor " + name);
+    events.push_back(&it->events);
+  }
+  std::vector<text::Corpus> corpora(kept.size());
+  const auto build = [&](std::size_t k) {
+    corpora[k] = language_.generate(encrypter_->encode(kept[k], *events[k]));
+  };
+  const std::shared_ptr<const AnomalyDetector> d = detector(false);
+  if (d != nullptr && d->pool() != nullptr) {
+    d->pool()->parallel_for(kept.size(), build);
+  } else {
+    for (std::size_t k = 0; k < kept.size(); ++k) build(k);
+  }
   return corpora;
+}
+
+std::shared_ptr<const AnomalyDetector> Framework::detector(bool build) const {
+  DESMINE_EXPECTS(slot_ != nullptr, "moved-from Framework");
+  const std::lock_guard lock(slot_->build);
+  if (build && slot_->detector == nullptr) {
+    slot_->detector =
+        std::make_shared<const AnomalyDetector>(*graph_, config_.detector);
+  }
+  return slot_->detector;
+}
+
+DetectionResult Framework::detect(const MultivariateSeries& test,
+                                  const DetectOptions& options) const {
+  const std::shared_ptr<const AnomalyDetector> d = detector(true);
+  const std::vector<text::Corpus> corpora = to_corpora(test);
+  const std::lock_guard lock(slot_->scoring);
+  return d->detect(corpora, options);
 }
 
 DetectionResult Framework::detect(const MultivariateSeries& test) const {
   DESMINE_EXPECTS(fitted(), "fit() must run first");
-  const AnomalyDetector detector(*graph_, config_.detector);
-  return detector.detect(to_corpora(test));
+  return detect(test, DetectOptions{});
 }
 
 DetectionResult Framework::detect_degraded(
@@ -71,10 +119,9 @@ DetectionResult Framework::detect_degraded(
   DESMINE_EXPECTS(fitted(), "fit() must run first");
   const HealthMask mask = window_health_mask(*encrypter_, config_.window,
                                              test, health, missing_ticks);
-  const AnomalyDetector detector(*graph_, config_.detector);
   DetectOptions options;
   options.unhealthy = &mask;
-  return detector.detect(to_corpora(test), options);
+  return detect(test, options);
 }
 
 void Framework::restore(SensorEncrypter encrypter, MvrGraph graph) {
@@ -82,6 +129,7 @@ void Framework::restore(SensorEncrypter encrypter, MvrGraph graph) {
                   "graph/encrypter sensor counts disagree");
   encrypter_ = std::move(encrypter);
   graph_ = std::move(graph);
+  slot_ = std::make_shared<DetectorSlot>();
 }
 
 const SensorEncrypter& Framework::encrypter() const {

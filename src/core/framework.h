@@ -5,10 +5,11 @@
 // Typical use:
 //   Framework fw(config);
 //   fw.fit(train_series, dev_series);           // offline (Algorithm 1)
-//   auto result = fw.detect(test_series);       // online  (Algorithm 2)
+//   auto result = fw.detect(test_series);       // batch   (Algorithm 2)
 //   const MvrGraph& g = fw.graph();             // knowledge discovery
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "core/anomaly.h"
@@ -36,7 +37,17 @@ class Framework {
   /// scores s(i,j) are measured on `dev` (both from normal operation).
   void fit(const MultivariateSeries& train, const MultivariateSeries& dev);
 
-  /// Online detection over a test series (must contain every kept sensor).
+  /// Batch detection over a test series (must contain every kept sensor):
+  /// Algorithm 2 on every window of the series.
+  ///
+  /// Both detect calls score on one AnomalyDetector per fitted graph, built
+  /// by the first of them (a Framework that never detects starts no
+  /// threads) and shared by copies until fit() or restore() replaces the
+  /// graph. Its pool threads keep their decode arenas from call to call.
+  /// Building it validates the graph: a graph with an edge off its sensors'
+  /// vocabularies throws robust::VocabularyMismatch from every call.
+  /// Concurrent calls are safe and take turns scoring, since the graph's
+  /// models decode in place.
   DetectionResult detect(const MultivariateSeries& test) const;
 
   /// Degraded-mode batch detection (DESIGN.md §8): replay the test series
@@ -49,7 +60,9 @@ class Framework {
       const std::vector<std::size_t>& missing_ticks = {}) const;
 
   /// Aligned sentence corpora for the kept sensors, indexed like the graph's
-  /// nodes. Exposed for benches that score custom windows.
+  /// nodes. Exposed for benches that score custom windows. Once a detect
+  /// call has built the detector, the sensors are encoded in parallel on
+  /// its pool.
   std::vector<text::Corpus> to_corpora(const MultivariateSeries& series) const;
 
   /// Restore a previously fitted state (used by io::load_framework). The
@@ -63,10 +76,21 @@ class Framework {
   const FrameworkConfig& config() const { return config_; }
 
  private:
+  struct DetectorSlot;
+
+  /// The graph's detector, built first if `build`; null when not built.
+  std::shared_ptr<const AnomalyDetector> detector(bool build) const;
+
+  DetectionResult detect(const MultivariateSeries& test,
+                         const DetectOptions& options) const;
+
   FrameworkConfig config_;
   LanguageGenerator language_;
   std::optional<SensorEncrypter> encrypter_;
   std::optional<MvrGraph> graph_;
+  /// The lazily built detector of graph_; fit() and restore() start a new
+  /// slot, so a copy holding the old graph keeps the old detector.
+  std::shared_ptr<DetectorSlot> slot_;
 };
 
 }  // namespace desmine::core

@@ -144,7 +144,7 @@ double Seq2SeqModel::run_teacher_forced(
     dlogits_[t] = ws_->alloc(B, tgt_vocab());
     // The logits themselves are transient: only their xent gradient is kept.
     const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
-    tensor::MatrixView logits = ws_->alloc(B, tgt_vocab());
+    tensor::MatrixView logits = ws_->alloc_for_overwrite(B, tgt_vocab());
     out_.forward_into(attn_states_[t], logits);
     const nn::XentResult res =
         nn::softmax_xent(tensor::ConstMatrixView(logits), dec_targets[t],
@@ -250,7 +250,7 @@ std::vector<std::vector<std::int32_t>> Seq2SeqModel::translate_batch(
     const tensor::ConstMatrixView h_dec = decoder_.step(prev);
     const tensor::ConstMatrixView attn = attention_.step(h_dec);
     const tensor::Workspace::Checkpoint scratch = ws->checkpoint();
-    tensor::MatrixView logits = ws->alloc(B, tgt_vocab());
+    tensor::MatrixView logits = ws->alloc_for_overwrite(B, tgt_vocab());
     out_.forward_into(attn, logits);
     tensor::argmax_rows(logits, next.data());
     ws->rewind(scratch);

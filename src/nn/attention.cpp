@@ -66,7 +66,7 @@ void LuongAttention::begin(
   // tall GEMM giving every position's enc[s] Wa (a row of a tall GEMM
   // equals a one-row call, so each position's transform is unchanged).
   const std::size_t S = enc_.size();
-  stacked_ = ws_->alloc(S * batch, hidden_);
+  stacked_ = ws_->alloc_for_overwrite(S * batch, hidden_);
   for (std::size_t s = 0; s < S; ++s) {
     const tensor::ConstMatrixView e = enc_[s];
     DESMINE_EXPECTS(e.rows() == batch && e.cols() == hidden_,
@@ -75,7 +75,7 @@ void LuongAttention::begin(
   }
   tensor::ConstMatrixView transformed = stacked_;
   if (score_ == AttentionScore::kGeneral) {
-    tensor::MatrixView t = ws_->alloc(S * batch, hidden_);
+    tensor::MatrixView t = ws_->alloc_for_overwrite(S * batch, hidden_);
     tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
                  stacked_, wa_.view(), 0.0f, t);
     transformed = t;
@@ -85,18 +85,15 @@ void LuongAttention::begin(
   for (std::size_t s = 0; s < S; ++s) {
     transformed_.emplace_back(transformed.row(s * batch), batch, hidden_);
   }
-  // The scores read transformed_ transposed; the backward builds enc_'s
-  // transposed copy on its first step, so decoding never pays for it.
+  // The scores read transformed_ transposed (zeroed: the padding columns
+  // are read); the backward builds enc_'s transposed copy and the encoder
+  // gradients on its first step, so decoding never pays for them.
   transformed_t_ = ws_->alloc(batch * hidden_,
                               tensor::transposed_cols(enc_.size()));
   transpose_positions(transformed_, transformed_t_);
   enc_t_ = score_ == AttentionScore::kDot ? transformed_t_
                                           : tensor::MatrixView();
   d_encoder_.clear();
-  d_encoder_.reserve(enc_.size());
-  for (std::size_t s = 0; s < enc_.size(); ++s) {
-    d_encoder_.push_back(ws_->alloc(batch, hidden_));
-  }
   steps_.clear();
   backward_cursor_ = 0;
 }
@@ -118,14 +115,14 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
 
   StepCache cache;
   // h_dec is copied so the cache survives transient caller buffers.
-  cache.h_dec = ws_->alloc(batch_, hidden_);
+  cache.h_dec = ws_->alloc_for_overwrite(batch_, hidden_);
   cache.h_dec.copy_from(h_dec);
 
   // Scores: score(b, s) = <h_dec[b], (enc[s] Wa)[b]>. Padded positions:
   // -inf survives the row max untouched and its exp() contributes an exact
   // 0.0f to the softmax sum, so the valid prefix's weights match the compact
   // (unpadded) decode bit for bit.
-  cache.align = ws_->alloc(batch_, S);
+  cache.align = ws_->alloc_for_overwrite(batch_, S);
   tensor::dot_rows_transposed(h_dec, transformed_t_, cache.align);
   if (!src_lengths_.empty()) {
     for (std::size_t b = 0; b < batch_; ++b) {
@@ -139,7 +136,7 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
 
   // Context vector (summed from zero on a scratch slice) and the
   // [context; h_dec] concat.
-  cache.concat = ws_->alloc(batch_, 2 * hidden_);
+  cache.concat = ws_->alloc_for_overwrite(batch_, 2 * hidden_);
   const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
   tensor::MatrixView ctx = ws_->alloc(batch_, hidden_);
   tensor::weighted_rows(cache.align, stacked_, ctx);
@@ -150,7 +147,7 @@ tensor::ConstMatrixView LuongAttention::step(tensor::ConstMatrixView h_dec) {
   }
   ws_->rewind(scratch);
 
-  cache.attn = ws_->alloc(batch_, hidden_);
+  cache.attn = ws_->alloc_for_overwrite(batch_, hidden_);
   tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
                cache.concat, wc_.view(), 0.0f, cache.attn);
   tensor::tanh_inplace(cache.attn);
@@ -170,7 +167,12 @@ tensor::MatrixView LuongAttention::backward_step(
   DESMINE_EXPECTS(backward_cursor_ > 0, "no forward step left to backprop");
   const StepCache& cache = steps_[--backward_cursor_];
   const std::size_t S = enc_.size();
-  if (enc_t_.empty()) {  // first backward step of this sequence
+  if (d_encoder_.empty()) {  // first backward step of this sequence
+    for (std::size_t s = 0; s < S; ++s) {
+      d_encoder_.push_back(ws_->alloc(batch_, hidden_));
+    }
+  }
+  if (enc_t_.empty()) {
     enc_t_ = ws_->alloc(batch_ * hidden_, tensor::transposed_cols(S));
     transpose_positions(enc_, enc_t_);
   }

@@ -87,7 +87,7 @@ void LstmStack::bind_input_table(tensor::ConstMatrixView table) {
   table_ = table;
   projected_ = tensor::MatrixView();
   if (train_ && dropout_ > 0.0f) return;
-  projected_ = ws_->alloc(table.rows(), 4 * hidden_dim_);
+  projected_ = ws_->alloc_for_overwrite(table.rows(), 4 * hidden_dim_);
   tensor::gemm(Transpose::kNo, Transpose::kNo, 1.0f, table,
                layers_[0].wx.view(), 0.0f, projected_);
 }
@@ -97,17 +97,22 @@ void LstmStack::step_layer(std::size_t l, tensor::ConstMatrixView input,
                            tensor::ConstMatrixView h_prev,
                            tensor::ConstMatrixView c_prev, LayerCache& cache) {
   const std::size_t H = hidden_dim_;
-  cache.i = ws_->alloc(batch_, H);
-  cache.f = ws_->alloc(batch_, H);
-  cache.g = ws_->alloc(batch_, H);
-  cache.o = ws_->alloc(batch_, H);
-  cache.c = ws_->alloc(batch_, H);
-  cache.tanh_c = ws_->alloc(batch_, H);
-  cache.h = ws_->alloc(batch_, H);
+  // lstm_gate_fusion writes every element of the seven caches.
+  cache.i = ws_->alloc_for_overwrite(batch_, H);
+  cache.f = ws_->alloc_for_overwrite(batch_, H);
+  cache.g = ws_->alloc_for_overwrite(batch_, H);
+  cache.o = ws_->alloc_for_overwrite(batch_, H);
+  cache.c = ws_->alloc_for_overwrite(batch_, H);
+  cache.tanh_c = ws_->alloc_for_overwrite(batch_, H);
+  cache.h = ws_->alloc_for_overwrite(batch_, H);
 
   // The fused pre-activation is transient: reclaim it once the gates are out.
+  // Fed by id it starts as a copy of projected rows; otherwise the x·Wx GEMM
+  // accumulates into it from zero.
   const tensor::Workspace::Checkpoint scratch = ws_->checkpoint();
-  tensor::MatrixView z = ws_->alloc(batch_, 4 * H);
+  tensor::MatrixView z = ids != nullptr
+                             ? ws_->alloc_for_overwrite(batch_, 4 * H)
+                             : ws_->alloc(batch_, 4 * H);
   if (ids != nullptr) {
     for (std::size_t b = 0; b < batch_; ++b) {
       const float* p = projected_.row(static_cast<std::size_t>((*ids)[b]));
@@ -163,7 +168,8 @@ tensor::ConstMatrixView LstmStack::advance(
     if (l > 0 && !masked) {
       lc.input = cache_at(t, l - 1).h;
     } else if (layer_ids == nullptr || train_) {
-      lc.input = ws_->alloc(batch_, l == 0 ? input_dim_ : hidden_dim_);
+      lc.input =
+          ws_->alloc_for_overwrite(batch_, l == 0 ? input_dim_ : hidden_dim_);
       if (layer_ids != nullptr) {
         for (std::size_t b = 0; b < batch_; ++b) {
           const float* src = table_.row(static_cast<std::size_t>((*ids)[b]));
@@ -173,7 +179,7 @@ tensor::ConstMatrixView LstmStack::advance(
         lc.input.copy_from(layer_in);
       }
       if (masked) {
-        lc.mask = ws_->alloc(lc.input.rows(), lc.input.cols());
+        lc.mask = ws_->alloc_for_overwrite(lc.input.rows(), lc.input.cols());
         const float keep = 1.0f - dropout_;
         for (std::size_t idx = 0; idx < lc.mask.size(); ++idx) {
           lc.mask.data()[idx] =

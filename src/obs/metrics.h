@@ -27,6 +27,7 @@
 //                               workspaces (a flat value across training
 //                               steps is the zero-steady-state-growth claim)
 //   tensor.workspace.rewinds    counter: arena rewinds/resets (reuse events)
+//   tensor.workspace.grows      counter: arena chunk allocations (0 when warm)
 #pragma once
 
 #include <array>

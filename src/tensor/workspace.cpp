@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -29,6 +30,11 @@ obs::Gauge& peak_gauge() {
 
 obs::Counter& rewind_counter() {
   static obs::Counter& c = obs::metrics().counter("tensor.workspace.rewinds");
+  return c;
+}
+
+obs::Counter& grow_counter() {
+  static obs::Counter& c = obs::metrics().counter("tensor.workspace.grows");
   return c;
 }
 
@@ -62,6 +68,7 @@ float* Workspace::bump(std::size_t count) {
     chunks_.push_back(Chunk{std::make_unique<float[]>(cap), cap});
     used_ = 0;
     ++stats_.grows;
+    grow_counter().inc();
     stats_.bytes_reserved += cap * sizeof(float);
   }
   float* out = chunks_[chunk_].data.get() + used_;
@@ -83,6 +90,15 @@ float* Workspace::alloc_floats(std::size_t count) {
   float* data = bump(count);
   std::fill(data, data + count, 0.0f);
   return data;
+}
+
+MatrixView Workspace::alloc_for_overwrite(std::size_t rows, std::size_t cols) {
+  float* data = bump(rows * cols);
+  if constexpr (kPoisonsOverwriteSlices) {
+    std::fill(data, data + rows * cols,
+              std::numeric_limits<float>::quiet_NaN());
+  }
+  return MatrixView(data, rows, cols);
 }
 
 void Workspace::rewind(Checkpoint cp) {
@@ -109,6 +125,7 @@ void Workspace::reserve(std::size_t bytes) {
   const std::size_t cap = std::max(missing_floats, kMinChunkFloats);
   chunks_.push_back(Chunk{std::make_unique<float[]>(cap), cap});
   ++stats_.grows;
+  grow_counter().inc();
   stats_.bytes_reserved += cap * sizeof(float);
 }
 

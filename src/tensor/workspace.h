@@ -1,11 +1,15 @@
 // Bump-pointer arena for hot-path scratch and per-timestep caches.
 //
-// A Workspace hands out zero-initialized MatrixViews from a list of large
-// chunks. Allocation is a pointer bump (plus a memset of the slice, which
-// preserves the zero-init semantics owned Matrix buffers had before the
-// ISSUE 4 refactor); deallocation is wholesale via checkpoint/rewind, which
-// never returns memory to the OS. After a warm-up pass has grown the arena
-// to its high-water mark, training and inference allocate nothing.
+// A Workspace hands out MatrixViews from a list of large chunks.
+// Allocation is a pointer bump; alloc() also zero-fills the slice (the
+// zero-init semantics owned Matrix buffers have), alloc_for_overwrite()
+// does not, for slices the caller writes in full before any read (β = 0
+// GEMM outputs, gate-fusion outputs, copies). Checking builds (no NDEBUG,
+// or ASan) fill those slices with NaN instead, so a read before the write
+// shows up in every test that runs the layer. Deallocation is wholesale via
+// checkpoint/rewind, which never returns memory to the OS. After a warm-up
+// pass has grown the arena to its high-water mark, training and inference
+// allocate nothing.
 //
 // Lifetime rule: a view is valid until the first rewind()/reset() to a
 // checkpoint at or before its allocation. Layers that interleave persistent
@@ -19,7 +23,7 @@
 // miner trains its pairs on that same per-thread arena. Process-wide
 // traffic is reported through obs::metrics() as the
 // `tensor.workspace.bytes_peak` gauge (max over all workspaces ever) and the
-// `tensor.workspace.rewinds` counter.
+// `tensor.workspace.rewinds` and `tensor.workspace.grows` counters.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +34,13 @@
 #include "tensor/matrix.h"
 
 namespace desmine::tensor {
+
+/// Whether alloc_for_overwrite() fills its slices with NaN (checking builds).
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kPoisonsOverwriteSlices = true;
+#else
+inline constexpr bool kPoisonsOverwriteSlices = false;
+#endif
 
 class Workspace {
  public:
@@ -61,6 +72,11 @@ class Workspace {
 
   /// Zero-initialized flat slice of `count` floats.
   float* alloc_floats(std::size_t count);
+
+  /// Uninitialized rows x cols slice (NaN-filled in checking builds, see
+  /// kPoisonsOverwriteSlices): only for slices written in full before any
+  /// element is read. Accumulators take alloc().
+  MatrixView alloc_for_overwrite(std::size_t rows, std::size_t cols);
 
   Checkpoint checkpoint() const { return Checkpoint{chunk_, used_}; }
 

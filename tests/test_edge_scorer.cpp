@@ -6,7 +6,10 @@
 // sentences than one stacked decode holds (nmt::kMaxDecodeRows). Scoring
 // runs on ids encoded once per sensor, so f(i,j) must also match the string
 // sentence_bleu of the decoded strings, and every edge must share its
-// sensors' vocabularies. Greedy decodes run on the scoring thread's arena:
+// sensors' vocabularies (a Framework restored on a graph that breaks this
+// still saves, and its detect rejects the graph on every call). Repeated
+// (candidate, reference) pairs share one sentence BLEU with the same bits
+// per item. Greedy decodes run on the scoring thread's arena:
 // a model's own arena stays empty outside training, and a warm thread arena
 // does not grow again.
 #include <gtest/gtest.h>
@@ -405,9 +408,16 @@ TEST(EdgeScorer, CountersTrackScoredPairsAndDecodes) {
 
 TEST(EdgeScorer, CacheHitsMatchFreshDecodesAndEvict) {
   auto& f = fixture();
-  const auto corpora = f.framework.to_corpora(make_series(300, 8));
+  auto corpora = f.framework.to_corpora(make_series(300, 8));
   const dc::MvrEdge* edge = widest_edge(f, corpora).first;
   ASSERT_NE(edge, nullptr);
+  // Every window twice, each occurrence encoded on its own: the repeated
+  // (candidate, reference) pairs, with equal references in distinct
+  // objects, share one sentence BLEU.
+  for (dx::Corpus& c : corpora) {
+    const dx::Corpus once = c;
+    c.insert(c.end(), once.begin(), once.end());
+  }
   const Items items(*edge->model, corpora[edge->src], corpora[edge->dst]);
   const auto model = [edge] { return edge->model; };
   const dc::EdgeScorer uncached({});
@@ -428,14 +438,32 @@ TEST(EdgeScorer, CacheHitsMatchFreshDecodesAndEvict) {
   EXPECT_LE(cache.size(), small.cache_capacity);
   EXPECT_GT(second.cache_hits, 0u);
   EXPECT_LT(second.decoded, fresh.decoded);
+  std::set<std::pair<std::vector<std::int32_t>, std::vector<std::uint32_t>>>
+      pairs;
   for (std::size_t k = 0; k < items.sources.size(); ++k) {
+    pairs.emplace(items.sources[k]->input, items.references[k]->profile.ids);
+    // Per item: the profile of its own decode against its own reference.
+    const std::vector<std::vector<std::int32_t>> decoded =
+        edge->model->translate_ids({&items.sources[k]->input});
+    std::vector<std::uint32_t> candidate;
+    for (const std::int32_t id : decoded.front()) {
+      if (!dx::Vocabulary::structural(id)) {
+        candidate.push_back(static_cast<std::uint32_t>(id));
+      }
+    }
+    const double profiles =
+        dx::sentence_bleu(dx::ngram_profile(std::move(candidate), 4),
+                          items.references[k]->profile)
+            .score;
     const double strings = dx::sentence_bleu(
         edge->model->translate(corpora[edge->src][k]),
         corpora[edge->dst][k]).score;
+    EXPECT_EQ(bits(fresh.bleu[k]), bits(profiles)) << k;
     EXPECT_EQ(bits(fresh.bleu[k]), bits(strings)) << k;
     EXPECT_EQ(bits(first.bleu[k]), bits(fresh.bleu[k])) << k;
     EXPECT_EQ(bits(second.bleu[k]), bits(fresh.bleu[k])) << k;
   }
+  EXPECT_LE(2 * pairs.size(), items.sources.size());
 }
 
 TEST(EdgeScorer, SourcesDifferingOnlyInUnknownTokensShareOneCacheEntry) {
@@ -483,6 +511,20 @@ TEST(EdgeScorer, HeapGraphWithForeignEdgeVocabularyIsRejected) {
     EXPECT_EQ(e.sensor(), sensor);
     EXPECT_EQ(e.src(), bad.graph.edges()[bad.index].src);
     EXPECT_EQ(e.dst(), bad.graph.edges()[bad.index].dst);
+  }
+
+  // A Framework restored on the graph still saves it (serve then fails the
+  // edge alone, below); its detector is built by detect, which rejects the
+  // graph on every call.
+  dc::Framework restored(f.cfg);
+  restored.restore(f.framework.encrypter(), bad.graph);
+  const std::string artifact = "/tmp/desmine_test_edge_scorer_restored.bin";
+  EXPECT_NO_THROW(dio::save_framework(restored, artifact));
+  std::remove(artifact.c_str());
+  const auto series = make_series(300, 5);
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW(restored.detect(series), desmine::robust::VocabularyMismatch)
+        << "call " << call;
   }
 }
 

@@ -1,15 +1,62 @@
 // End-to-end tests of the Framework facade on a small synthetic plant:
-// fit -> graph -> detect, plus corpus alignment plumbing.
+// fit -> graph -> detect, plus corpus alignment plumbing. A Framework keeps
+// one detector across detect calls, so repeated, concurrent and degraded
+// calls must match a fresh AnomalyDetector bit for bit, and a warm call
+// must not grow any decode arena.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "core/framework.h"
+#include "core/online.h"
 #include "data/plant.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 
 namespace dc = desmine::core;
 namespace dd = desmine::data;
+namespace dt = desmine::tensor;
 
 namespace {
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Every double of two detection results compared by its bit pattern.
+void expect_bitwise_equal(const dc::DetectionResult& expected,
+                          const dc::DetectionResult& actual,
+                          const char* what) {
+  ASSERT_EQ(expected.anomaly_scores.size(), actual.anomaly_scores.size())
+      << what;
+  ASSERT_EQ(expected.valid_edges.size(), actual.valid_edges.size()) << what;
+  for (std::size_t e = 0; e < expected.valid_edges.size(); ++e) {
+    EXPECT_EQ(expected.valid_edges[e].src, actual.valid_edges[e].src) << what;
+    EXPECT_EQ(expected.valid_edges[e].dst, actual.valid_edges[e].dst) << what;
+  }
+  for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {
+    EXPECT_EQ(bits(expected.anomaly_scores[t]), bits(actual.anomaly_scores[t]))
+        << what << " window " << t;
+    EXPECT_EQ(bits(expected.coverage[t]), bits(actual.coverage[t]))
+        << what << " window " << t;
+    EXPECT_EQ(expected.degraded[t], actual.degraded[t])
+        << what << " window " << t;
+    EXPECT_EQ(expected.broken_edges[t], actual.broken_edges[t])
+        << what << " window " << t;
+    for (std::size_t e = 0; e < expected.edge_bleu.size(); ++e) {
+      EXPECT_EQ(bits(expected.edge_bleu[e][t]), bits(actual.edge_bleu[e][t]))
+          << what << " edge " << e << " window " << t;
+    }
+  }
+}
 
 /// Small-but-real pipeline settings: tiny NMT models, short sentences.
 dc::FrameworkConfig fast_config() {
@@ -159,4 +206,103 @@ TEST(Framework, FitRequiresTwoInformativeSensors) {
   };
   EXPECT_THROW(fw.fit(only_constant, only_constant),
                desmine::PreconditionError);
+}
+
+TEST(Framework, RepeatedAndConcurrentDetectMatchAFreshDetector) {
+  auto& p = shared_pipeline();
+  dc::Framework fw = p.framework;
+  const dc::MultivariateSeries series = p.plant.days_slice(4, 2);
+  const dc::DetectorConfig& cfg = fw.config().detector;
+  const dc::DetectionResult fresh =
+      dc::AnomalyDetector(fw.graph(), cfg).detect(fw.to_corpora(series));
+  ASSERT_GT(fresh.valid_edges.size(), 1u);
+
+  for (int call = 0; call < 3; ++call) {
+    expect_bitwise_equal(fresh, fw.detect(series), "sequential call");
+  }
+  std::vector<dc::DetectionResult> concurrent(2);
+  {
+    std::thread a([&] { concurrent[0] = fw.detect(series); });
+    std::thread b([&] { concurrent[1] = fw.detect(series); });
+    a.join();
+    b.join();
+  }
+  expect_bitwise_equal(fresh, concurrent[0], "concurrent call 0");
+  expect_bitwise_equal(fresh, concurrent[1], "concurrent call 1");
+
+  const desmine::robust::HealthConfig health;
+  const dc::HealthMask mask = dc::window_health_mask(
+      fw.encrypter(), fw.config().window, series, health);
+  dc::DetectOptions options;
+  options.unhealthy = &mask;
+  expect_bitwise_equal(
+      dc::AnomalyDetector(fw.graph(), cfg).detect(fw.to_corpora(series),
+                                                  options),
+      fw.detect_degraded(series, health), "degraded call");
+
+  // restore() replaces the detector with one of the new graph, here a
+  // single edge. With one valid edge there is no pool: concurrent calls
+  // score on their own threads, through the one model. The copy the
+  // framework came from keeps its own detector.
+  dc::MvrGraph reduced(fw.graph().sensor_names());
+  reduced.add_edge(fw.graph().edges().front());
+  fw.restore(fw.encrypter(), reduced);
+  const dc::DetectionResult single =
+      dc::AnomalyDetector(reduced, cfg).detect(fw.to_corpora(series));
+  ASSERT_EQ(single.valid_edges.size(), 1u);
+  expect_bitwise_equal(single, fw.detect(series), "restored graph");
+  {
+    std::thread a([&] { concurrent[0] = fw.detect(series); });
+    std::thread b([&] { concurrent[1] = fw.detect(series); });
+    a.join();
+    b.join();
+  }
+  expect_bitwise_equal(single, concurrent[0], "restored, concurrent call 0");
+  expect_bitwise_equal(single, concurrent[1], "restored, concurrent call 1");
+  expect_bitwise_equal(fresh, p.framework.detect(series), "original copy");
+}
+
+TEST(Framework, SecondDetectOnTheSameChunkGrowsNoArena) {
+  auto& p = shared_pipeline();
+  // A fresh detector on two pool threads: the first calls start the pool
+  // and warm its threads' arenas.
+  dc::FrameworkConfig cfg = fast_config();
+  cfg.detector.threads = 2;
+  dc::Framework fw(cfg);
+  fw.restore(p.framework.encrypter(), p.framework.graph());
+  const dc::MultivariateSeries chunk = p.plant.days_slice(4, 2);
+
+  // Every edge's decode fits one arena chunk: scored one after another on
+  // a fresh thread, they grow its arena once. So a pool thread grows its
+  // arena on its first decode only, whichever edges it is handed.
+  std::uint64_t one_thread_grows = 0;
+  std::thread([&] {
+    dc::DetectorConfig serial = cfg.detector;
+    serial.threads = 1;
+    (void)dc::AnomalyDetector(fw.graph(), serial).detect(fw.to_corpora(chunk));
+    one_thread_grows = dt::thread_workspace().stats().grows;
+  }).join();
+  ASSERT_EQ(one_thread_grows, 1u);
+
+  // Which pool thread scores which edge is up to the scheduler: call until
+  // both threads have scored one (their score-edge spans name them).
+  desmine::obs::Tracer& tracer = desmine::obs::tracer();
+  std::set<std::uint64_t> warm;
+  tracer.enable();
+  for (int call = 0; call < 100 && warm.size() < 2; ++call) {
+    tracer.reset();
+    (void)fw.detect(chunk);
+    for (const desmine::obs::SpanRecord& r : tracer.records()) {
+      if (r.name == "score-edge") warm.insert(r.thread_id);
+    }
+  }
+  tracer.disable();
+  tracer.reset();
+  ASSERT_EQ(warm.size(), 2u);
+
+  desmine::obs::Counter& grows =
+      desmine::obs::metrics().counter("tensor.workspace.grows");
+  const std::uint64_t before = grows.value();
+  (void)fw.detect(chunk);
+  EXPECT_EQ(grows.value(), before);
 }

@@ -1,9 +1,13 @@
 // Unit tests for the matrix kernel, including property tests that check the
-// transpose-variant GEMMs against the naive definition.
+// transpose-variant GEMMs against the naive definition, and for the
+// workspace arena.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "obs/metrics.h"
 #include "tensor/matrix.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
@@ -306,6 +310,40 @@ TEST(Workspace, ReservePreventsGrowthInLoop) {
   for (int i = 0; i < 4; ++i) ws.alloc(100, 100);
   EXPECT_EQ(ws.stats().grows, before.grows);  // capacity was enough
   EXPECT_GE(before.bytes_reserved, 4 * 100 * 100 * sizeof(float));
+}
+
+TEST(Workspace, OverwriteSlicesArePoisonedInCheckingBuilds) {
+  dt::Workspace ws;
+  dt::MatrixView raw = ws.alloc_for_overwrite(3, 5);
+  EXPECT_EQ(raw.rows(), 3u);
+  EXPECT_EQ(raw.cols(), 5u);
+  if (dt::kPoisonsOverwriteSlices) {
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      EXPECT_TRUE(std::isnan(raw.data()[i])) << "at flat index " << i;
+    }
+  }
+  // alloc() over poisoned memory after a rewind still reads 0.
+  raw.fill(std::numeric_limits<float>::quiet_NaN());
+  ws.reset();
+  const dt::MatrixView zeroed = ws.alloc(3, 5);
+  EXPECT_EQ(zeroed.data(), raw.data());
+  for (std::size_t i = 0; i < zeroed.size(); ++i) {
+    EXPECT_EQ(zeroed.data()[i], 0.0f) << "at flat index " << i;
+  }
+}
+
+TEST(Workspace, GrowthIsCountedProcessWide) {
+  desmine::obs::Counter& grows =
+      desmine::obs::metrics().counter("tensor.workspace.grows");
+  const std::uint64_t before = grows.value();
+  dt::Workspace ws;
+  for (int i = 0; i < 4; ++i) ws.alloc(300, 300);
+  ws.reserve(ws.stats().bytes_reserved + 1);
+  EXPECT_GE(ws.stats().grows, 2u);
+  EXPECT_EQ(grows.value() - before, ws.stats().grows);
+  ws.reset();
+  for (int i = 0; i < 4; ++i) ws.alloc(300, 300);
+  EXPECT_EQ(grows.value() - before, ws.stats().grows);
 }
 
 TEST(Workspace, RewindForeignOrForwardCheckpointRejected) {
