@@ -33,6 +33,14 @@ struct SentenceEqual {
 
 }  // namespace
 
+struct AnomalyDetector::Memos {
+  explicit Memos(std::size_t edges) : edges(edges) {}
+
+  std::vector<DecodeCache> edges;
+  MemoGauges gauges{obs::metrics().gauge("detector.memo.entries"),
+                    obs::metrics().gauge("detector.memo.bytes")};
+};
+
 void validate(const DetectorConfig& config) {
   DESMINE_EXPECTS(config.valid_lo <= config.valid_hi, "valid band order");
   DESMINE_EXPECTS(config.min_coverage >= 0.0 && config.min_coverage <= 1.0,
@@ -79,6 +87,7 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
     }
   }
   vocabs_ = sensor_vocabularies(names_.size(), valid_edges_);
+  memos_ = std::make_shared<Memos>(valid_edges_.size());
   if (config_.threads != 1 && valid_edges_.size() > 1) {
     pool_ = std::make_shared<util::ThreadPool>(config_.threads);
   }
@@ -158,21 +167,23 @@ DetectionResult AnomalyDetector::detect(
     for (const std::size_t i : slot) sentence[k].push_back(&encoded[k][i]);
   };
 
-  // Edges are independent units of work: one edge's model is touched by
-  // one thread, which decodes on its own thread arena. Each edge scores all
-  // of its windows in one EdgeScorer call, so repeated sentences decode
-  // once. Excluded (edge, window) pairs are skipped entirely: an unhealthy
+  // Edges are independent units of work: one edge's model and memo are
+  // touched by one thread, which decodes on its own thread arena. Each edge
+  // scores all of its windows in one EdgeScorer call against its memo, so a
+  // sentence decodes once per detector, not once per window or call.
+  // Excluded (edge, window) pairs are skipped entirely: an unhealthy
   // sensor's sentences are plumbing artifacts, not data worth scoring.
   const EdgeScorer scorer({config_.bleu});
   obs::Counter& edge_windows =
       obs::metrics().counter("detector.edge_windows_scored");
   obs::Counter& decoded = obs::metrics().counter("detector.decoded");
+  obs::Counter& memo_hits = obs::metrics().counter("detector.memo.hits");
   auto score_edge = [&](std::size_t e) {
     const MvrEdge& edge = valid_edges_[e];
     DESMINE_EXPECTS(edge.src < test_sentences.size() &&
                         edge.dst < test_sentences.size(),
                     "edge endpoint missing from test data");
-    const obs::ScopedTimer timer("score-edge", edge_ms);
+    obs::ScopedTimer timer("score-edge", edge_ms);
     std::vector<std::size_t> at;
     std::vector<const EncodedSentence*> sources, references;
     for (std::size_t t = 0; t < windows; ++t) {
@@ -183,12 +194,15 @@ DetectionResult AnomalyDetector::detect(
     }
     if (at.empty()) return;
     const EdgeScorer::Result r =
-        scorer.score([&edge] { return edge.model; }, sources, references);
+        scorer.score([&edge] { return edge.model; }, sources, references,
+                     &memos_->edges[e]);
     for (std::size_t i = 0; i < at.size(); ++i) {
       result.edge_bleu[e][at[i]] = r.bleu[i];
     }
+    timer.annotate(obs::kv("decoded", r.decoded));
     edge_windows.inc(at.size());
     decoded.inc(r.decoded);
+    memo_hits.inc(r.cache_hits);
   };
 
   if (pool_ == nullptr) {
@@ -198,6 +212,13 @@ DetectionResult AnomalyDetector::detect(
     pool_->parallel_for(test_sentences.size(), encode);
     pool_->parallel_for(valid_edges_.size(), score_edge);
   }
+  std::size_t memo_entries = 0;
+  std::size_t memo_bytes = 0;
+  for (const DecodeCache& memo : memos_->edges) {
+    memo_entries += memo.size();
+    memo_bytes += memo.bytes();
+  }
+  memos_->gauges.update(memo_entries, memo_bytes);
 
   for (std::size_t t = 0; t < windows; ++t) {
     std::size_t surviving = 0;

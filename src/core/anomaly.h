@@ -17,6 +17,17 @@
 // min_coverage quorum the window is flagged degraded and emits a
 // no-verdict score of 0.0 that consumers must gate on the flag.
 //
+// Decode memo: a detector keeps one DecodeCache (edge_scorer.h) per valid
+// edge for as long as it lives — empty until the first detect() fills it,
+// bounded by EdgeScorer::Options::cache_capacity sources per edge — so
+// repeated calls, and OnlineDetector's one call per window, decode only
+// sources the edge has never seen. Greedy decoding is a pure function of
+// the input ids, so a memo hit gives the bits of a fresh decode.
+//
+// detect() is not reentrant: it decodes with the graph's models in place
+// and updates the memos from its pool threads, so calls on one detector (or
+// on copies, which share both) must take turns.
+//
 // The decisions themselves — config validation, the valid band, the health
 // exclusion, the broken rule and the window verdict (a_t, coverage, quorum)
 // — are the free functions below. AnomalyDetector (batch and online),
@@ -151,8 +162,9 @@ class AnomalyDetector {
   /// As above, honouring `options`: with DetectOptions::unhealthy set, edges
   /// incident to a listed sensor are excluded from that window and a_t is
   /// renormalized over the survivors (see DetectionResult::coverage).
-  /// Decoding runs the graph's models in place, so calls that share a
-  /// model must not overlap (Framework::detect takes turns for its own).
+  /// Decoding runs the graph's models in place and fills the decode memos,
+  /// so calls that share a model or a memo must not overlap
+  /// (Framework::detect takes turns for its own).
   DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
                          const DetectOptions& options) const;
 
@@ -162,6 +174,8 @@ class AnomalyDetector {
   util::ThreadPool* pool() const { return pool_.get(); }
 
  private:
+  struct Memos;
+
   DetectorConfig config_;
   std::vector<MvrEdge> valid_edges_;  ///< edges within the valid band
   std::vector<std::string> names_;    ///< sensor names, graph node indexing
@@ -169,6 +183,9 @@ class AnomalyDetector {
   /// Edge-scoring pool (null = score on the calling thread). Shared by
   /// copies; ThreadPool::parallel_for is safe for concurrent callers.
   std::shared_ptr<util::ThreadPool> pool_;
+  /// One decode memo per valid edge, for the detector's life. Shared by
+  /// copies, like the models it memoises.
+  std::shared_ptr<Memos> memos_;
 };
 
 }  // namespace desmine::core

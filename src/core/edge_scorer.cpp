@@ -1,18 +1,111 @@
 #include "core/edge_scorer.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace desmine::core {
 
 namespace {
 
-/// FNV-1a over a profile's ids (which alone decide its sentence BLEU).
-std::uint64_t ids_hash(const std::vector<std::uint32_t>& ids) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::uint32_t id : ids) h = (h ^ id) * 0x100000001b3ull;
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// One FNV-1a step over an id.
+std::uint64_t fnv_step(std::uint64_t h, std::uint32_t id) {
+  return (h ^ id) * 0x100000001b3ull;
+}
+
+/// FNV-1a over ids: the content hash of a sentence's ids.
+template <typename Id>
+std::uint64_t ids_hash(const std::vector<Id>& ids) {
+  std::uint64_t h = kFnvBasis;
+  for (const Id id : ids) h = fnv_step(h, static_cast<std::uint32_t>(id));
   return h;
+}
+
+/// Slot of an open-addressing table of index + 1 (0 = empty) holding the
+/// entry `same` accepts, or the empty slot where it belongs. The table is
+/// a power of two in size and at most half full.
+template <typename Same>
+std::size_t probe(const std::vector<std::uint32_t>& slots, std::uint64_t hash,
+                  const Same& same) {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = (hash * 0x9e3779b97f4a7c15ull) >> 32;; ++i) {
+    const std::uint32_t slot = slots[i & mask];
+    if (slot == 0 || same(slot - 1)) return i & mask;
+  }
+}
+
+/// `ids` packed as [width][ids] at the narrowest width of 1, 2 or 4 bytes
+/// that holds them all (equal ids, equal bytes) into `out`, which must hold
+/// 1 + 4 * ids.size() bytes. Returns the packed length.
+std::size_t pack(const std::vector<std::int32_t>& ids, std::uint8_t* out) {
+  std::uint32_t all = 0;
+  for (const std::int32_t id : ids) all |= static_cast<std::uint32_t>(id);
+  const std::uint8_t width = all < 0x100 ? 1 : all < 0x10000 ? 2 : 4;
+  out[0] = width;
+  std::uint8_t* at = out + 1;
+  for (const std::int32_t id : ids) {
+    if (width == 1) {
+      *at = static_cast<std::uint8_t>(id);
+    } else if (width == 2) {
+      const auto narrow = static_cast<std::uint16_t>(id);
+      std::memcpy(at, &narrow, 2);
+    } else {
+      std::memcpy(at, &id, 4);
+    }
+    at += width;
+  }
+  return static_cast<std::size_t>(at - out);
+}
+
+/// ids_hash of the ids `length` packed bytes hold.
+std::uint64_t packed_hash(const std::uint8_t* packed, std::size_t length) {
+  const std::uint8_t width = packed[0];
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t at = 1; at < length; at += width) {
+    std::uint32_t id = packed[at];
+    if (width == 2) {
+      std::uint16_t narrow;
+      std::memcpy(&narrow, packed + at, 2);
+      id = narrow;
+    } else if (width == 4) {
+      std::memcpy(&id, packed + at, 4);
+    }
+    h = fnv_step(h, id);
+  }
+  return h;
+}
+
+/// The packing of `ids` in a per-thread buffer.
+const std::uint8_t* packed(const std::vector<std::int32_t>& ids,
+                           std::size_t* length) {
+  thread_local std::vector<std::uint8_t> buffer;
+  buffer.resize(1 + 4 * ids.size());
+  *length = pack(ids, buffer.data());
+  return buffer.data();
+}
+
+/// Heap bytes of a profile's lists.
+std::size_t heap_bytes(const text::NgramProfile& p) {
+  return p.ids.capacity() * sizeof(std::uint32_t) +
+         p.heads.capacity() * sizeof(std::uint64_t) +
+         p.grams.capacity() * sizeof(std::uint32_t);
+}
+
+/// A slot table of twice the size (at least 16) holding `count` entries,
+/// entry i placed by hash(i).
+template <typename Hash>
+void regrow(std::vector<std::uint32_t>& slots, std::size_t count,
+            const Hash& hash) {
+  slots.assign(std::max<std::size_t>(16, 2 * slots.size()), 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    slots[probe(slots, hash(i), [](std::uint32_t) { return false; })] =
+        static_cast<std::uint32_t>(i + 1);
+  }
 }
 
 /// Finds the first of the items that are equal by content, through their
@@ -76,7 +169,7 @@ EncodedSentence encode_sentence(const text::Vocabulary& vocab,
                                           : text::Vocabulary::kUnk);
   }
   out.profile = text::ngram_profile(std::move(exact), max_order);
-  out.input_hash = IdsHash{}(out.input);
+  out.input_hash = ids_hash(out.input);
   out.profile_hash = ids_hash(out.profile.ids);
   return out;
 }
@@ -92,13 +185,94 @@ std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,
   return out;
 }
 
-std::size_t IdsHash::operator()(
-    const std::vector<std::int32_t>& ids) const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the ids
-  for (const std::int32_t id : ids) {
-    h = (h ^ static_cast<std::uint32_t>(id)) * 0x100000001b3ull;
+std::uint32_t DecodeCache::find(const EncodedSentence& source) const {
+  if (sources_.empty()) return kMiss;
+  std::size_t length = 0;
+  const std::uint8_t* ids = packed(source.input, &length);
+  const std::uint32_t slot = source_slots_[probe(
+      source_slots_, source.input_hash, [&](std::uint32_t i) {
+        std::size_t stored = 0;
+        const std::uint8_t* k = key(i, &stored);
+        return stored == length && std::memcmp(k, ids, length) == 0;
+      })];
+  return slot == 0 ? kMiss : sources_[slot - 1].candidate;
+}
+
+void DecodeCache::insert(const EncodedSentence& source,
+                         text::NgramProfile candidate) {
+  const std::uint64_t hash = ids_hash(candidate.ids);
+  if (2 * (candidates_.size() + 1) > candidate_slots_.size()) {
+    grow_candidates();
   }
-  return static_cast<std::size_t>(h ^ (h >> 29));
+  std::uint32_t& c = candidate_slots_[probe(
+      candidate_slots_, hash, [&](std::uint32_t i) {
+        return candidates_[i].hash == hash &&
+               candidates_[i].profile.ids == candidate.ids;
+      })];
+  if (c == 0) {
+    candidate_bytes_ += heap_bytes(candidate);
+    candidates_.push_back({std::move(candidate), hash});
+    c = static_cast<std::uint32_t>(candidates_.size());
+  }
+  const std::uint32_t index = c - 1;
+
+  if (2 * (sources_.size() + 1) > source_slots_.size()) grow_sources();
+  std::size_t length = 0;
+  const std::uint8_t* ids = packed(source.input, &length);
+  DESMINE_EXPECTS(keys_.size() + length <= 0xFFFFFFFFu,
+                  "decode cache keys past 4 GiB");
+  const auto offset = static_cast<std::uint32_t>(keys_.size());
+  keys_.insert(keys_.end(), ids, ids + length);
+  sources_.push_back({offset, index});
+  source_slots_[probe(source_slots_, source.input_hash,
+                      [](std::uint32_t) { return false; })] =
+      static_cast<std::uint32_t>(sources_.size());
+}
+
+const std::uint8_t* DecodeCache::key(std::size_t i, std::size_t* length) const {
+  const std::size_t end =
+      i + 1 < sources_.size() ? sources_[i + 1].key : keys_.size();
+  *length = end - sources_[i].key;
+  return keys_.data() + sources_[i].key;
+}
+
+void DecodeCache::grow_sources() {
+  regrow(source_slots_, sources_.size(), [this](std::size_t i) {
+    std::size_t length = 0;
+    const std::uint8_t* k = key(i, &length);
+    return packed_hash(k, length);
+  });
+}
+
+void DecodeCache::grow_candidates() {
+  regrow(candidate_slots_, candidates_.size(),
+         [this](std::size_t i) { return candidates_[i].hash; });
+}
+
+std::size_t DecodeCache::bytes() const {
+  return keys_.capacity() + sources_.capacity() * sizeof(Source) +
+         source_slots_.capacity() * sizeof(std::uint32_t) +
+         candidates_.capacity() * sizeof(Candidate) +
+         candidate_slots_.capacity() * sizeof(std::uint32_t) +
+         candidate_bytes_;
+}
+
+void DecodeCache::clear() {
+  keys_.clear();
+  sources_.clear();
+  std::fill(source_slots_.begin(), source_slots_.end(), 0);
+  candidates_.clear();
+  std::fill(candidate_slots_.begin(), candidate_slots_.end(), 0);
+  candidate_bytes_ = 0;
+}
+
+void MemoGauges::update(std::size_t entries, std::size_t bytes) {
+  entries_.add(static_cast<double>(entries) -
+               static_cast<double>(entries_reported_));
+  bytes_.add(static_cast<double>(bytes) -
+             static_cast<double>(bytes_reported_));
+  entries_reported_ = entries;
+  bytes_reported_ = bytes;
 }
 
 EdgeScorer::Result EdgeScorer::score(
@@ -111,76 +285,84 @@ EdgeScorer::Result EdgeScorer::score(
   Result out;
   out.bleu.resize(sources.size());
 
-  // 1. Cache lookups and dedup of the misses: item k's candidate is
-  // *cached[k] on a hit, else fresh[miss_of[k]]. Hit pointers stay valid
-  // until the inserts in step 4.
-  std::vector<const text::NgramProfile*> cached(sources.size(), nullptr);
-  std::vector<std::size_t> miss_of(sources.size(), 0);
-  std::vector<const std::vector<std::int32_t>*> misses;
+  // 1. Each item's candidate number: a hit's memo index, or past the memo's
+  // candidates, its distinct miss's. Memo indices stay valid until the
+  // inserts in step 4.
+  const std::size_t memoised = cache != nullptr ? cache->candidates() : 0;
+  std::vector<std::size_t> candidate(sources.size());
+  std::vector<const EncodedSentence*> misses;
   FirstEqual first_source(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
     DESMINE_EXPECTS(sources[k] != nullptr && references[k] != nullptr,
                     "null sentence");
-    const std::vector<std::int32_t>& input = sources[k]->input;
+    const EncodedSentence& source = *sources[k];
     if (cache != nullptr) {
-      const auto hit = cache->find(input);
-      if (hit != cache->end()) {
-        cached[k] = &hit->second;
+      const std::uint32_t hit = cache->find(source);
+      if (hit != DecodeCache::kMiss) {
+        candidate[k] = hit;
         ++out.cache_hits;
         continue;
       }
     }
     const std::size_t first = first_source.find_or_add(
-        sources[k]->input_hash, k,
-        [&](std::size_t j) { return sources[j]->input == input; });
+        source.input_hash, k,
+        [&](std::size_t j) { return sources[j]->input == source.input; });
     if (first == k) {
-      miss_of[k] = misses.size();
-      misses.push_back(&input);
+      candidate[k] = memoised + misses.size();
+      misses.push_back(&source);
     } else {
-      miss_of[k] = miss_of[first];
+      candidate[k] = candidate[first];
     }
   }
 
-  // 2. Decode the misses and profile each candidate once.
+  // 2. Decode the misses, profile each candidate once, and number the
+  // misses that decode alike as their first.
   std::vector<text::NgramProfile> fresh;
   if (!misses.empty()) {
     const std::shared_ptr<nmt::TranslationModel> m = model();
     DESMINE_EXPECTS(m != nullptr, "edge has no model to decode with");
+    std::vector<const std::vector<std::int32_t>*> inputs;
+    inputs.reserve(misses.size());
+    for (const EncodedSentence* miss : misses) inputs.push_back(&miss->input);
     const std::vector<std::vector<std::int32_t>> decoded =
-        m->translate_ids(misses);
+        m->translate_ids(inputs);
     fresh.reserve(decoded.size());
-    for (const std::vector<std::int32_t>& ids : decoded) {
-      fresh.push_back(candidate_profile(ids, options_.bleu.max_order));
+    std::vector<std::size_t> alike(decoded.size());
+    FirstEqual first_candidate(decoded.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      fresh.push_back(candidate_profile(decoded[i], options_.bleu.max_order));
+      alike[i] = first_candidate.find_or_add(
+          ids_hash(fresh[i].ids), i,
+          [&](std::size_t j) { return fresh[j].ids == fresh[i].ids; });
+    }
+    for (std::size_t& c : candidate) {
+      if (c >= memoised) c = memoised + alike[c - memoised];
     }
     out.decoded = misses.size();
   }
 
-  // 3. Sentence BLEU once per distinct (candidate, reference) pair, both
-  // compared by their ids: distinct sources may decode alike, and each
-  // window's sentence is encoded on its own.
-  const auto candidate = [&](std::size_t k) -> const text::NgramProfile& {
-    return cached[k] != nullptr ? *cached[k] : fresh[miss_of[k]];
-  };
-  std::vector<std::uint64_t> fresh_hash(fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    fresh_hash[i] = ids_hash(fresh[i].ids);
-  }
+  // 3. Sentence BLEU once per distinct (candidate, reference) pair: equal
+  // candidates share a number, and references are compared by their ids,
+  // since each window's sentence is encoded on its own.
   FirstEqual first_pair(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
-    const text::NgramProfile& cand = candidate(k);
+    const std::size_t c = candidate[k];
     const EncodedSentence& ref = *references[k];
-    const std::uint64_t cand_hash =
-        cached[k] != nullptr ? ids_hash(cand.ids) : fresh_hash[miss_of[k]];
     const std::size_t first = first_pair.find_or_add(
-        cand_hash ^ (ref.profile_hash * 0xbf58476d1ce4e5b9ull), k,
+        (c * 0xbf58476d1ce4e5b9ull) ^ ref.profile_hash, k,
         [&](std::size_t j) {
-          return candidate(j).ids == cand.ids &&
+          return candidate[j] == c &&
                  references[j]->profile.ids == ref.profile.ids;
         });
-    out.bleu[k] =
-        first == k
-            ? text::sentence_bleu(cand, ref.profile, options_.bleu).score
-            : out.bleu[first];
+    if (first != k) {
+      out.bleu[k] = out.bleu[first];
+      continue;
+    }
+    const text::NgramProfile& cand = c < memoised
+                                         ? cache->candidate(
+                                               static_cast<std::uint32_t>(c))
+                                         : fresh[c - memoised];
+    out.bleu[k] = text::sentence_bleu(cand, ref.profile, options_.bleu).score;
   }
 
   // 4. Memoize the fresh candidates.
@@ -190,7 +372,7 @@ EdgeScorer::Result EdgeScorer::score(
         cache->clear();
         ++out.cache_evictions;
       }
-      cache->emplace(*misses[i], std::move(fresh[i]));
+      cache->insert(*misses[i], std::move(fresh[i]));
     }
   }
   return out;

@@ -43,11 +43,15 @@ class Framework {
   /// Both detect calls score on one AnomalyDetector per fitted graph, built
   /// by the first of them (a Framework that never detects starts no
   /// threads) and shared by copies until fit() or restore() replaces the
-  /// graph. Its pool threads keep their decode arenas from call to call.
+  /// graph. Its pool threads keep their decode arenas from call to call,
+  /// and its edges keep one decode memo each (AnomalyDetector): a call
+  /// decodes only sentences no earlier call on this detector decoded, with
+  /// the same bits as decoding them afresh. fit() and restore() drop the
+  /// memos with the detector; copies share them.
   /// Building it validates the graph: a graph with an edge off its sensors'
   /// vocabularies throws robust::VocabularyMismatch from every call.
   /// Concurrent calls are safe and take turns scoring, since the graph's
-  /// models decode in place.
+  /// models decode in place and the memos fill in place.
   DetectionResult detect(const MultivariateSeries& test) const;
 
   /// Degraded-mode batch detection (DESIGN.md §8): replay the test series
@@ -88,8 +92,9 @@ class Framework {
   LanguageGenerator language_;
   std::optional<SensorEncrypter> encrypter_;
   std::optional<MvrGraph> graph_;
-  /// The lazily built detector of graph_; fit() and restore() start a new
-  /// slot, so a copy holding the old graph keeps the old detector.
+  /// The lazily built detector of graph_, with its decode memos; fit() and
+  /// restore() start a new slot, so a copy holding the old graph keeps the
+  /// old detector and memos.
   std::shared_ptr<DetectorSlot> slot_;
 };
 

@@ -8,7 +8,10 @@
 // window (one sentence per sensor, §II-A2), it scores that window
 // immediately and emits its anomaly score and alert set. Detection latency
 // therefore equals the sentence stride — exactly the granularity trade-off
-// the paper discusses. For many concurrent streams sharing one model set,
+// the paper discusses. The detector keeps one decode memo per edge for the
+// OnlineDetector's life, so a window decodes only source sentences its edge
+// has not seen before (periodic streams repeat theirs), with the bits of a
+// fresh decode. For many concurrent streams sharing one model set,
 // use serve::SessionManager instead, which defers scoring to a cross-session
 // batch scheduler with identical semantics.
 //

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/log.h"      // Field / kv
@@ -156,6 +157,9 @@ class ScopedTimer {
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+  /// Attach a field to the span's record when it closes (Span::annotate).
+  void annotate(Field field) { span_.annotate(std::move(field)); }
 
   double elapsed_ms() const {
     return std::chrono::duration<double, std::milli>(

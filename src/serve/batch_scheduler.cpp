@@ -282,6 +282,7 @@ void BatchScheduler::score_batch(EdgeState& state,
   }
   cache_hits.inc(r.cache_hits);
   decoded.inc(r.decoded);
+  state.memo_gauges.update(state.cache.size(), state.cache.bytes());
   if (r.cache_evictions > 0) {
     obs::metrics()
         .counter("serve.batch.cache_evictions")

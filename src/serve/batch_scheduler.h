@@ -9,8 +9,8 @@
 // A window's sentences are encoded to ids once, by the first worker that
 // scores any of its edges (PendingWindow::encoded); duplicate sources
 // decode once, the rest go through Seq2SeqModel::translate_batch's stacked
-// GEMMs on the worker's thread arena, and a per-edge decode cache of
-// candidate n-gram profiles carries results across batches. All
+// GEMMs on the worker's thread arena, and a per-edge core::DecodeCache (the
+// memo batch detection keeps too) carries candidates across batches. All
 // three layers preserve IEEE-754 bit-identity with the sequential path
 // because greedy decoding is deterministic and every kernel is
 // row-independent (see seq2seq.h).
@@ -191,10 +191,14 @@ class BatchScheduler {
     bool in_ready = false;
     /// Generation superseded; erase this state once its queue drains.
     bool retired = false;
-    /// Per-edge source->translation memo. Greedy decoding is deterministic,
+    /// Per-edge source->candidate memo. Greedy decoding is deterministic,
     /// so a hit is bit-identical to a fresh decode. Touched only by the
     /// worker currently holding the busy flag.
     core::DecodeCache cache;
+    /// Reports `cache` to the serve.memo.* gauges, and takes it back out
+    /// when the state is erased.
+    core::MemoGauges memo_gauges{obs::metrics().gauge("serve.memo.entries"),
+                                 obs::metrics().gauge("serve.memo.bytes")};
     Breaker breaker = Breaker::kClosed;
     std::size_t consecutive_failures = 0;  ///< failed batches since a success
     std::size_t skipped_since_open = 0;    ///< quarantined items since open

@@ -41,6 +41,21 @@ int run_tool(const std::string& tool, const std::string& args,
   return WEXITSTATUS(status);
 }
 
+/// Exit code of `tool` with `args`; its stderr lands in `*err`.
+int run_tool_stderr(const std::string& tool, const std::string& args,
+                    std::string* err) {
+  const TempFile log("stderr.txt");
+  const int status = std::system(
+      (tool + " " + args + " >/dev/null 2>" + log.path + " </dev/null")
+          .c_str());
+  std::ifstream in(log.path);
+  std::stringstream text;
+  text << in.rdbuf();
+  *err = text.str();
+  if (status < 0 || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
 int run_cli(const std::string& args, const std::string& faults = "") {
   return run_tool(DESMINE_CLI_PATH, args, faults);
 }
@@ -104,6 +119,42 @@ TEST(ServeExitCodes, UnknownOptionIsUsageError) {
                      "--model /tmp/desmine_cli_no_such_model.bin "
                      "--precision int8"),
             2);
+}
+
+TEST(ServeExitCodes, MalformedNumbersAreUsageErrorsNamingTheFlag) {
+  // Each is rejected before --dump-config prints: a negative or junk
+  // integer, a fraction out of its range, and a non-number.
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {{"--max-batch -3", "--max-batch"},
+               {"--min-coverage 7", "--min-coverage"},
+               {"--workers 4x", "--workers"},
+               {"--workers abc", "--workers"},
+               {"--decode-cache 2.5", "--decode-cache"},
+               {"--lo 1e999", "--lo"}};
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(run_tool_stderr(DESMINE_SERVE_PATH,
+                              std::string(c.args) + " --dump-config", &err),
+              2)
+        << c.args;
+    EXPECT_NE(err.find(c.flag), std::string::npos) << c.args << ": " << err;
+  }
+}
+
+TEST(CliExitCodes, MalformedNumbersAreUsageErrors) {
+  std::string err;
+  EXPECT_EQ(run_tool_stderr(DESMINE_CLI_PATH,
+                            "detect --min-coverage 7 --dump-config", &err),
+            2);
+  EXPECT_NE(err.find("--min-coverage"), std::string::npos) << err;
+  const TempFile csv("bad_days.csv");
+  EXPECT_EQ(run_tool_stderr(DESMINE_CLI_PATH,
+                            "generate --out " + csv.path + " --days 3x", &err),
+            2);
+  EXPECT_NE(err.find("--days"), std::string::npos) << err;
+  EXPECT_FALSE(std::ifstream(csv.path).good());
 }
 
 TEST(CliExitCodes, MissingRequiredOptionIsUsageError) {

@@ -11,7 +11,10 @@
 // (candidate, reference) pairs share one sentence BLEU with the same bits
 // per item. Greedy decodes run on the scoring thread's arena:
 // a model's own arena stays empty outside training, and a warm thread arena
-// does not grow again.
+// does not grow again. The DecodeCache memo compares sources by content at
+// 8-, 16- and 32-bit key widths, stores one candidate for the sources that
+// decode alike, and holds a full epoch in under 64 B per source; a
+// detector's memos answer a repeated call without decoding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -385,12 +388,15 @@ TEST(EdgeScorer, BatchOnlineAndServeAgreeDegraded) {
 
 TEST(EdgeScorer, CountersTrackScoredPairsAndDecodes) {
   auto& f = fixture();
+  // A cold detector: the fixture's own has memoised these sentences.
+  dc::Framework cold(f.cfg);
+  cold.restore(f.framework.encrypter(), f.framework.graph());
   const auto series = make_series(600, 6, 200, 360);
   desmine::obs::MetricsRegistry& m = desmine::obs::metrics();
   const auto scored0 = m.counter("detector.edge_windows_scored").value();
   const auto decoded0 = m.counter("detector.decoded").value();
   const dc::DetectionResult r =
-      f.framework.detect_degraded(series, dc::DegradedConfig{}.health);
+      cold.detect_degraded(series, dc::DegradedConfig{}.health);
 
   std::uint64_t pairs = 0;
   for (std::size_t t = 0; t < r.coverage.size(); ++t) {
@@ -404,6 +410,13 @@ TEST(EdgeScorer, CountersTrackScoredPairsAndDecodes) {
   EXPECT_LT(scored, r.coverage.size() * r.valid_edges.size());
   EXPECT_GT(decoded, 0u);
   EXPECT_LT(decoded, scored);  // periodic sensors repeat sentences
+
+  // The second call answers every scored pair from the edges' memos.
+  const auto hits0 = m.counter("detector.memo.hits").value();
+  const auto decoded1 = m.counter("detector.decoded").value();
+  (void)cold.detect_degraded(series, dc::DegradedConfig{}.health);
+  EXPECT_EQ(m.counter("detector.decoded").value(), decoded1);
+  EXPECT_EQ(m.counter("detector.memo.hits").value() - hits0, pairs);
 }
 
 TEST(EdgeScorer, CacheHitsMatchFreshDecodesAndEvict) {
@@ -498,6 +511,94 @@ TEST(EdgeScorer, SourcesDifferingOnlyInUnknownTokensShareOneCacheEntry) {
   EXPECT_EQ(cand_a, edge->model->translate(b));
   EXPECT_EQ(bits(r.bleu[0]), bits(dx::sentence_bleu(cand_a, ref_a).score));
   EXPECT_EQ(bits(r.bleu[1]), bits(dx::sentence_bleu(cand_a, ref_b).score));
+}
+
+TEST(DecodeCache, SourcesThatDecodeAlikeShareOneCandidate) {
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(600, 5));
+  const dc::MvrEdge* edge = widest_edge(f, corpora).first;
+  ASSERT_NE(edge, nullptr);
+  const Items items(*edge->model, corpora[edge->src], corpora[edge->dst]);
+  dc::DecodeCache cache;
+  const dc::EdgeScorer::Result r = dc::EdgeScorer({}).score(
+      [edge] { return edge->model; }, items.sources, items.references,
+      &cache);
+  ASSERT_EQ(cache.size(), r.decoded);
+  std::set<std::vector<std::uint32_t>> candidates;
+  for (const dc::EncodedSentence* source : items.sources) {
+    const std::uint32_t c = cache.find(*source);
+    ASSERT_NE(c, dc::DecodeCache::kMiss);
+    candidates.insert(cache.candidate(c).ids);
+  }
+  // One stored candidate per distinct decode, fewer than the sources.
+  EXPECT_EQ(cache.candidates(), candidates.size());
+  EXPECT_LT(cache.candidates(), cache.size());
+}
+
+TEST(DecodeCache, ComparesSourcesByContentAtEveryKeyWidth) {
+  // A vocabulary past 16-bit ids: sources pack at 8, 16 and 32 bits.
+  dx::Sentence words;
+  for (int i = 0; i < 70000; ++i) words.push_back("w" + std::to_string(i));
+  const dx::Vocabulary vocab = dx::Vocabulary::build({words});
+  const std::vector<dx::Sentence> sentences = {
+      {"w1", "w2"},  {"w2", "w1"},    {"w1", "w2", "w1"}, {"w300", "w1"},
+      {"w69990"},    {"w69990", "w5"}, {"w5", "w69990"}};
+  std::vector<dc::EncodedSentence> sources;
+  for (const dx::Sentence& s : sentences) {
+    sources.push_back(dc::encode_sentence(vocab, s, 4));
+  }
+  ASSERT_GT(sources[4].input.front(), 0xFFFF);
+  // Two sources on one hash: only their ids tell them apart.
+  dc::EncodedSentence twin = dc::encode_sentence(vocab, {"w7", "w8"}, 4);
+  twin.input_hash = sources[0].input_hash;
+
+  dc::DecodeCache cache;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(cache.find(sources[i]), dc::DecodeCache::kMiss) << i;
+    // Candidate i repeats id i + 4, so every source has its own.
+    cache.insert(sources[i],
+                 dx::ngram_profile(std::vector<std::uint32_t>(
+                                       3, static_cast<std::uint32_t>(i + 4)),
+                                   4));
+  }
+  EXPECT_EQ(cache.find(twin), dc::DecodeCache::kMiss);
+  cache.insert(twin, dx::ngram_profile({70001}, 4));
+  ASSERT_EQ(cache.size(), sources.size() + 1);
+  ASSERT_EQ(cache.candidates(), sources.size() + 1);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const std::uint32_t c = cache.find(sources[i]);
+    ASSERT_NE(c, dc::DecodeCache::kMiss) << i;
+    EXPECT_EQ(cache.candidate(c).ids,
+              std::vector<std::uint32_t>(3, static_cast<std::uint32_t>(i + 4)))
+        << i;
+  }
+  EXPECT_EQ(cache.candidate(cache.find(twin)).ids,
+            std::vector<std::uint32_t>{70001});
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.candidates(), 0u);
+  EXPECT_EQ(cache.find(sources[4]), dc::DecodeCache::kMiss);
+}
+
+TEST(DecodeCache, StoresAFullEpochInUnder64BytesPerSource) {
+  // 4096 distinct 20-word sentences over a 200-word vocabulary, decoding
+  // to 16 candidates: the shape of a sensor edge's memo at capacity.
+  dx::Sentence words;
+  for (int i = 0; i < 200; ++i) words.push_back("w" + std::to_string(i));
+  const dx::Vocabulary vocab = dx::Vocabulary::build({words});
+  Rng rng(17);
+  dc::DecodeCache cache;
+  std::set<std::vector<std::int32_t>> seen;
+  while (cache.size() < 4096) {
+    dx::Sentence s;
+    for (int w = 0; w < 20; ++w) s.push_back(words[rng.uniform_int(0, 199)]);
+    const dc::EncodedSentence source = dc::encode_sentence(vocab, s, 4);
+    if (!seen.insert(source.input).second) continue;
+    std::vector<std::uint32_t> candidate(20, 4 + cache.size() % 16);
+    cache.insert(source, dx::ngram_profile(std::move(candidate), 4));
+  }
+  EXPECT_EQ(cache.candidates(), 16u);
+  EXPECT_LE(cache.bytes(), 64u * cache.size());
 }
 
 TEST(EdgeScorer, HeapGraphWithForeignEdgeVocabularyIsRejected) {
@@ -670,10 +771,17 @@ TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {
   const auto series = make_series(600, 9);
   const dc::DetectionResult first = loaded.detect(series);
   const std::uint64_t grows = dt::thread_workspace().stats().grows;
-  const dc::DetectionResult second = loaded.detect(series);
+  // The edges' memos hold the first series' decodes: a series with new
+  // noise-sensor sentences still decodes, on the warm arena.
+  desmine::obs::Counter& decoded =
+      desmine::obs::metrics().counter("detector.decoded");
+  const std::uint64_t decoded0 = decoded.value();
+  (void)loaded.detect(make_series(600, 10));
+  EXPECT_GT(decoded.value(), decoded0);
   EXPECT_EQ(dt::thread_workspace().stats().grows, grows);
   EXPECT_GT(dt::thread_workspace().stats().bytes_reserved, 0u);
-  expect_same(batch_verdicts(first), batch_verdicts(second), "second call");
+  expect_same(batch_verdicts(first), batch_verdicts(loaded.detect(series)),
+              "memoised call");
 
   std::size_t models = 0;
   for (const dc::MvrEdge& e : loaded.graph().edges()) {

@@ -1,8 +1,10 @@
 // End-to-end tests of the Framework facade on a small synthetic plant:
 // fit -> graph -> detect, plus corpus alignment plumbing. A Framework keeps
-// one detector across detect calls, so repeated, concurrent and degraded
-// calls must match a fresh AnomalyDetector bit for bit, and a warm call
-// must not grow any decode arena.
+// one detector, and with it one decode memo per edge, across detect calls:
+// repeated, concurrent and degraded calls must match a fresh AnomalyDetector
+// bit for bit, a second call on a chunk must decode nothing, copies must
+// share the memos and fit()/restore() drop them, and a warm pool must
+// decode a fresh chunk without growing any arena.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -262,7 +264,94 @@ TEST(Framework, RepeatedAndConcurrentDetectMatchAFreshDetector) {
   expect_bitwise_equal(fresh, p.framework.detect(series), "original copy");
 }
 
-TEST(Framework, SecondDetectOnTheSameChunkGrowsNoArena) {
+TEST(Framework, SecondDetectOnTheSameChunkDecodesNothing) {
+  auto& p = shared_pipeline();
+  dc::Framework fw(fast_config());
+  fw.restore(p.framework.encrypter(), p.framework.graph());  // cold memos
+  const dc::MultivariateSeries chunk = p.plant.days_slice(4, 2);
+  desmine::obs::MetricsRegistry& m = desmine::obs::metrics();
+  desmine::obs::Counter& decoded = m.counter("detector.decoded");
+  desmine::obs::Counter& hits = m.counter("detector.memo.hits");
+
+  const std::uint64_t decoded0 = decoded.value();
+  const dc::DetectionResult first = fw.detect(chunk);
+  const std::uint64_t decoded1 = decoded.value();
+  EXPECT_GT(decoded1, decoded0);
+  const std::uint64_t hits1 = hits.value();
+  const dc::DetectionResult second = fw.detect(chunk);
+  EXPECT_EQ(decoded.value(), decoded1);
+  EXPECT_EQ(hits.value() - hits1,
+            first.valid_edges.size() * first.anomaly_scores.size());
+  expect_bitwise_equal(first, second, "memoised call");
+  expect_bitwise_equal(
+      dc::AnomalyDetector(fw.graph(), fw.config().detector)
+          .detect(fw.to_corpora(chunk)),
+      second, "fresh detector");
+
+  // Degraded calls score a subset of the same pairs: nothing to decode.
+  const desmine::robust::HealthConfig health;
+  const dc::HealthMask mask = dc::window_health_mask(
+      fw.encrypter(), fw.config().window, chunk, health);
+  dc::DetectOptions options;
+  options.unhealthy = &mask;
+  const std::uint64_t decoded2 = decoded.value();
+  const dc::DetectionResult degraded = fw.detect_degraded(chunk, health);
+  EXPECT_EQ(decoded.value(), decoded2);
+  expect_bitwise_equal(
+      dc::AnomalyDetector(fw.graph(), fw.config().detector)
+          .detect(fw.to_corpora(chunk), options),
+      degraded, "memoised degraded call");
+}
+
+TEST(Framework, MemosAreSharedByCopiesAndDroppedByFitAndRestore) {
+  auto& p = shared_pipeline();
+  dc::Framework fw(fast_config());
+  fw.restore(p.framework.encrypter(), p.framework.graph());
+  const dc::MultivariateSeries chunk = p.plant.days_slice(4, 2);
+  desmine::obs::Counter& decoded =
+      desmine::obs::metrics().counter("detector.decoded");
+  const auto decodes = [&](const dc::Framework& f) {
+    const std::uint64_t before = decoded.value();
+    (void)f.detect(chunk);
+    return decoded.value() - before;
+  };
+
+  const std::uint64_t cold = decodes(fw);
+  ASSERT_GT(cold, 0u);
+  const dc::Framework copy = fw;
+  EXPECT_EQ(decodes(copy), 0u);  // one detector, one set of memos
+  dc::Framework restored = fw;
+  restored.restore(p.framework.encrypter(), p.framework.graph());
+  EXPECT_EQ(decodes(restored), cold);
+  dc::Framework refit = fw;
+  refit.fit(p.plant.days_slice(0, 3), p.plant.days_slice(3, 1));
+  EXPECT_EQ(decodes(refit), cold);
+  EXPECT_EQ(decodes(fw), 0u);  // the original keeps its memos
+}
+
+TEST(Framework, MemoGaugesSumTheLiveDetectors) {
+  auto& p = shared_pipeline();
+  desmine::obs::Gauge& entries =
+      desmine::obs::metrics().gauge("detector.memo.entries");
+  desmine::obs::Gauge& bytes =
+      desmine::obs::metrics().gauge("detector.memo.bytes");
+  const double entries0 = entries.value();
+  const double bytes0 = bytes.value();
+  {
+    dc::Framework fw(fast_config());
+    fw.restore(p.framework.encrypter(), p.framework.graph());
+    (void)fw.detect(p.plant.days_slice(4, 1));
+    const double one = entries.value() - entries0;
+    EXPECT_GT(one, 0.0);
+    EXPECT_GT(bytes.value(), bytes0);
+    (void)fw.detect(p.plant.days_slice(5, 1));
+    EXPECT_GT(entries.value() - entries0, one);
+  }
+  EXPECT_EQ(entries.value(), entries0);
+  EXPECT_EQ(bytes.value(), bytes0);
+}
+
+TEST(Framework, WarmPoolDecodesAFreshChunkWithoutGrowingAnArena) {
   auto& p = shared_pipeline();
   // A fresh detector on two pool threads: the first calls start the pool
   // and warm its threads' arenas.
@@ -285,24 +374,36 @@ TEST(Framework, SecondDetectOnTheSameChunkGrowsNoArena) {
   ASSERT_EQ(one_thread_grows, 1u);
 
   // Which pool thread scores which edge is up to the scheduler: call until
-  // both threads have scored one (their score-edge spans name them).
+  // both threads have decoded (their score-edge spans name them and count
+  // the edge's decodes). The edges memoise their decodes, so each call
+  // scores a training-day slice the memos have not seen: a new start tick
+  // shifts every window.
   desmine::obs::Tracer& tracer = desmine::obs::tracer();
   std::set<std::uint64_t> warm;
   tracer.enable();
-  for (int call = 0; call < 100 && warm.size() < 2; ++call) {
+  const dc::MultivariateSeries train = p.plant.days_slice(0, 4);
+  for (std::size_t call = 0; call < 100 && warm.size() < 2; ++call) {
     tracer.reset();
-    (void)fw.detect(chunk);
+    const std::size_t from = call * 7 % 840;
+    (void)fw.detect(dc::slice(train, from, from + 120));
     for (const desmine::obs::SpanRecord& r : tracer.records()) {
-      if (r.name == "score-edge") warm.insert(r.thread_id);
+      if (r.name != "score-edge") continue;
+      for (const desmine::obs::Field& a : r.attrs) {
+        if (a.key == "decoded" && a.value != "0") warm.insert(r.thread_id);
+      }
     }
   }
   tracer.disable();
   tracer.reset();
   ASSERT_EQ(warm.size(), 2u);
 
-  desmine::obs::Counter& grows =
-      desmine::obs::metrics().counter("tensor.workspace.grows");
+  // The test days still decode, on warm arenas only.
+  desmine::obs::MetricsRegistry& m = desmine::obs::metrics();
+  desmine::obs::Counter& grows = m.counter("tensor.workspace.grows");
+  desmine::obs::Counter& decoded = m.counter("detector.decoded");
   const std::uint64_t before = grows.value();
+  const std::uint64_t decoded0 = decoded.value();
   (void)fw.detect(chunk);
+  EXPECT_GT(decoded.value(), decoded0);
   EXPECT_EQ(grows.value(), before);
 }

@@ -1,10 +1,16 @@
 // The --option parser shared by the desmine command-line tools.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
+#include "core/anomaly.h"
 #include "util/error.h"
 
 namespace desmine::tools {
@@ -59,9 +65,40 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// A finite number: the whole token, else PreconditionError naming the
+  /// option.
   double number(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    double out = 0.0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size() ||
+        !std::isfinite(out)) {
+      throw PreconditionError("--" + key + " expects a number, got '" + v +
+                              "'");
+    }
+    return out;
+  }
+
+  /// A non-negative integer: the whole token in decimal digits, within T's
+  /// range. A sign, a fraction, trailing characters or too many digits
+  /// throw PreconditionError naming the option.
+  template <typename T = std::size_t>
+  T count(const std::string& key, T fallback) const {
+    static_assert(std::is_unsigned_v<T>);
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& v = it->second;
+    T out = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size()) {
+      throw PreconditionError(
+          "--" + key + " expects an integer in [0, " +
+          std::to_string(std::numeric_limits<T>::max()) + "], got '" + v +
+          "'");
+    }
+    return out;
   }
 
   bool flag(const std::string& key) const {
@@ -72,5 +109,18 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// core::validate on a detector section after --lo, --hi and
+/// --min-coverage overrode it; a PreconditionError names those options.
+inline void validate_detector(const core::DetectorConfig& detector) {
+  try {
+    core::validate(detector);
+  } catch (const PreconditionError& e) {
+    throw PreconditionError(
+        std::string("detector options (--lo, --hi, --min-coverage or the "
+                    "config's detector section): ") +
+        e.what());
+  }
+}
 
 }  // namespace desmine::tools

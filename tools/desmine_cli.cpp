@@ -67,6 +67,7 @@
 
 using namespace desmine;
 using tools::Args;
+using tools::validate_detector;
 
 namespace {
 
@@ -123,46 +124,37 @@ void merge_tensor_flags(const Args& args, io::RunConfig& run) {
 
 core::FrameworkConfig config_from(const Args& args,
                                   core::FrameworkConfig cfg) {
-  cfg.window.word_length = static_cast<std::size_t>(
-      args.number("word", static_cast<double>(cfg.window.word_length)));
-  cfg.window.word_stride = static_cast<std::size_t>(
-      args.number("word-stride", static_cast<double>(cfg.window.word_stride)));
-  cfg.window.sentence_length = static_cast<std::size_t>(args.number(
-      "sentence", static_cast<double>(cfg.window.sentence_length)));
-  cfg.window.sentence_stride = static_cast<std::size_t>(args.number(
-      "sentence-stride", static_cast<double>(cfg.window.sentence_stride)));
+  cfg.window.word_length = args.count("word", cfg.window.word_length);
+  cfg.window.word_stride = args.count("word-stride", cfg.window.word_stride);
+  cfg.window.sentence_length =
+      args.count("sentence", cfg.window.sentence_length);
+  cfg.window.sentence_stride =
+      args.count("sentence-stride", cfg.window.sentence_stride);
 
   auto& model = cfg.miner.translation.model;
-  model.embedding_dim = static_cast<std::size_t>(
-      args.number("embedding", static_cast<double>(model.embedding_dim)));
-  model.hidden_dim = static_cast<std::size_t>(
-      args.number("hidden", static_cast<double>(model.hidden_dim)));
-  model.num_layers = static_cast<std::size_t>(
-      args.number("layers", static_cast<double>(model.num_layers)));
+  model.embedding_dim = args.count("embedding", model.embedding_dim);
+  model.hidden_dim = args.count("hidden", model.hidden_dim);
+  model.num_layers = args.count("layers", model.num_layers);
   model.dropout = static_cast<float>(
       args.number("dropout", static_cast<double>(model.dropout)));
   model.max_decode_length = cfg.window.sentence_length + 2;
 
   auto& trainer = cfg.miner.translation.trainer;
-  trainer.steps = static_cast<std::size_t>(
-      args.number("steps", static_cast<double>(trainer.steps)));
-  trainer.batch_size = static_cast<std::size_t>(
-      args.number("batch", static_cast<double>(trainer.batch_size)));
+  trainer.steps = args.count("steps", trainer.steps);
+  trainer.batch_size = args.count("batch", trainer.batch_size);
   trainer.lr =
       static_cast<float>(args.number("lr", static_cast<double>(trainer.lr)));
 
-  cfg.miner.seed = static_cast<std::uint64_t>(
-      args.number("seed", static_cast<double>(cfg.miner.seed)));
-  cfg.miner.threads = static_cast<std::size_t>(
-      args.number("threads", static_cast<double>(cfg.miner.threads)));
+  cfg.miner.seed = args.count<std::uint64_t>("seed", cfg.miner.seed);
+  cfg.miner.threads = args.count("threads", cfg.miner.threads);
 
   cfg.miner.checkpoint_path =
       args.get_or("checkpoint", cfg.miner.checkpoint_path);
   cfg.miner.resume = cfg.miner.resume || args.flag("resume");
   cfg.miner.pair_timeout_s =
       args.number("pair-timeout-s", cfg.miner.pair_timeout_s);
-  cfg.miner.retry.max_retries = static_cast<std::size_t>(args.number(
-      "max-retries", static_cast<double>(cfg.miner.retry.max_retries)));
+  cfg.miner.retry.max_retries =
+      args.count("max-retries", cfg.miner.retry.max_retries);
   if (cfg.miner.resume && cfg.miner.checkpoint_path.empty()) {
     throw PreconditionError("--resume requires --checkpoint FILE");
   }
@@ -170,24 +162,24 @@ core::FrameworkConfig config_from(const Args& args,
   cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
   cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
   cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
+  validate_detector(cfg.detector);
   return cfg;
 }
 
 int cmd_generate(const Args& args) {
   data::PlantConfig cfg;
-  cfg.days = static_cast<std::size_t>(args.number("days", 10));
+  cfg.days = args.count("days", std::size_t{10});
   cfg.minutes_per_day =
-      static_cast<std::size_t>(args.number("minutes", 240));
-  cfg.seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  cfg.num_components = static_cast<std::size_t>(args.number("components", 3));
+      args.count("minutes", std::size_t{240});
+  cfg.seed = args.count<std::uint64_t>("seed", 7);
+  cfg.num_components = args.count("components", std::size_t{3});
   cfg.sensors_per_component = 3;
   cfg.num_popular = 1;
   cfg.num_lazy = 2;
   cfg.num_constant = 1;
   cfg.anomalies.clear();
-  const double anomaly_day = args.number("anomaly-day", -1);
-  if (anomaly_day >= 0) {
-    cfg.anomalies.push_back({static_cast<std::size_t>(anomaly_day), {}});
+  if (!args.get_or("anomaly-day", "").empty()) {
+    cfg.anomalies.push_back({args.count("anomaly-day", std::size_t{0}), {}});
   }
   const auto plant = data::generate_plant(cfg);
   io::write_series_csv(args.get("out"), plant.series);
@@ -264,15 +256,11 @@ io::OnBadRow parse_on_bad_row(const std::string& v) {
 }
 
 robust::HealthConfig health_from(const Args& args, robust::HealthConfig h) {
-  h.drop_after_missing = static_cast<std::size_t>(args.number(
-      "health-drop-after", static_cast<double>(h.drop_after_missing)));
-  h.stale_after = static_cast<std::size_t>(
-      args.number("health-stale-after", static_cast<double>(h.stale_after)));
+  h.drop_after_missing = args.count("health-drop-after", h.drop_after_missing);
+  h.stale_after = args.count("health-stale-after", h.stale_after);
   h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = static_cast<std::size_t>(
-      args.number("health-unk-window", static_cast<double>(h.unk_window)));
-  h.readmit_after = static_cast<std::size_t>(args.number(
-      "health-readmit-after", static_cast<double>(h.readmit_after)));
+  h.unk_window = args.count("health-unk-window", h.unk_window);
+  h.readmit_after = args.count("health-readmit-after", h.readmit_after);
   return h;
 }
 
@@ -285,6 +273,7 @@ int cmd_detect(const Args& args) {
   cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
   cfg.detector.min_coverage =
       args.number("min-coverage", cfg.detector.min_coverage);
+  validate_detector(cfg.detector);
   const robust::HealthConfig health = health_from(args, run.health);
   merge_tensor_flags(args, run);
   if (args.flag("dump-config")) {
@@ -303,7 +292,7 @@ int cmd_detect(const Args& args) {
   io::CsvOptions csv_opts;
   csv_opts.on_bad_row = parse_on_bad_row(args.get_or("on-bad-row", "throw"));
   csv_opts.max_bad_rows =
-      static_cast<std::size_t>(args.number("max-bad-rows", 1000));
+      args.count("max-bad-rows", std::size_t{1000});
   if (csv_opts.on_bad_row == io::OnBadRow::kQuarantine) {
     csv_opts.quarantine_path =
         args.get_or("quarantine", args.get("test") + ".quarantine.jsonl");

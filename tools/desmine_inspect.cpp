@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     InspectOptions opt;
     opt.json = args->flag("json");
     opt.verify = args->flag("verify");
-    opt.max_edges = static_cast<std::size_t>(args->number("edges", 16));
+    opt.max_edges = args->count("edges", std::size_t{16});
     return inspect(path, opt);
   } catch (const io::ArtifactError& e) {
     std::cerr << "corrupt artifact [" <<

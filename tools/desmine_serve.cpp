@@ -85,6 +85,7 @@
 
 using namespace desmine;
 using tools::Args;
+using tools::validate_detector;
 
 namespace {
 
@@ -113,48 +114,37 @@ io::RunConfig effective_config(const Args& args) {
   d.min_coverage = args.number("min-coverage", d.min_coverage);
 
   auto& h = run.health;
-  h.drop_after_missing = static_cast<std::size_t>(args.number(
-      "health-drop-after", static_cast<double>(h.drop_after_missing)));
-  h.stale_after = static_cast<std::size_t>(
-      args.number("health-stale-after", static_cast<double>(h.stale_after)));
+  h.drop_after_missing = args.count("health-drop-after", h.drop_after_missing);
+  h.stale_after = args.count("health-stale-after", h.stale_after);
   h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = static_cast<std::size_t>(
-      args.number("health-unk-window", static_cast<double>(h.unk_window)));
-  h.readmit_after = static_cast<std::size_t>(args.number(
-      "health-readmit-after", static_cast<double>(h.readmit_after)));
+  h.unk_window = args.count("health-unk-window", h.unk_window);
+  h.readmit_after = args.count("health-readmit-after", h.readmit_after);
 
   auto& s = run.serve;
-  s.workers = static_cast<std::size_t>(
-      args.number("workers", static_cast<double>(s.workers)));
-  s.max_batch = static_cast<std::size_t>(
-      args.number("max-batch", static_cast<double>(s.max_batch)));
-  s.decode_cache = static_cast<std::size_t>(
-      args.number("decode-cache", static_cast<double>(s.decode_cache)));
-  s.limits.max_pending_windows = static_cast<std::size_t>(args.number(
-      "max-pending", static_cast<double>(s.limits.max_pending_windows)));
+  s.workers = args.count("workers", s.workers);
+  s.max_batch = args.count("max-batch", s.max_batch);
+  s.decode_cache = args.count("decode-cache", s.decode_cache);
+  s.limits.max_pending_windows =
+      args.count("max-pending", s.limits.max_pending_windows);
   s.limits.reject_when_full =
       s.limits.reject_when_full || args.flag("reject-when-full");
-  s.limits.max_consecutive_shed = static_cast<std::size_t>(
-      args.number("max-consecutive-shed",
-                  static_cast<double>(s.limits.max_consecutive_shed)));
-  s.max_global_pending = static_cast<std::size_t>(args.number(
-      "max-global-pending", static_cast<double>(s.max_global_pending)));
+  s.limits.max_consecutive_shed =
+      args.count("max-consecutive-shed", s.limits.max_consecutive_shed);
+  s.max_global_pending = args.count("max-global-pending", s.max_global_pending);
   s.max_queue_delay_ms = args.number("max-queue-delay-ms",
                                      s.max_queue_delay_ms);
-  s.circuit_open_after = static_cast<std::size_t>(args.number(
-      "circuit-open-after", static_cast<double>(s.circuit_open_after)));
-  s.circuit_probe_after = static_cast<std::size_t>(args.number(
-      "circuit-probe-after", static_cast<double>(s.circuit_probe_after)));
-  s.telemetry_port = static_cast<std::size_t>(
-      args.number("telemetry-port", static_cast<double>(s.telemetry_port)));
-  s.resident_bytes = static_cast<std::uint64_t>(args.number(
-      "resident-bytes", static_cast<double>(s.resident_bytes)));
-  s.resident_edges = static_cast<std::size_t>(args.number(
-      "resident-edges", static_cast<double>(s.resident_edges)));
+  s.circuit_open_after = args.count("circuit-open-after", s.circuit_open_after);
+  s.circuit_probe_after =
+      args.count("circuit-probe-after", s.circuit_probe_after);
+  s.telemetry_port = args.count<std::uint16_t>(
+      "telemetry-port", static_cast<std::uint16_t>(s.telemetry_port));
+  s.resident_bytes =
+      args.count<std::uint64_t>("resident-bytes", s.resident_bytes);
+  s.resident_edges = args.count("resident-edges", s.resident_edges);
   s.slow_window_ms = args.number("slow-window-ms", s.slow_window_ms);
   s.sliding_window_s = args.number("sliding-window-s", s.sliding_window_s);
-  s.sliding_epochs = static_cast<std::size_t>(args.number(
-      "sliding-epochs", static_cast<double>(s.sliding_epochs)));
+  s.sliding_epochs = args.count("sliding-epochs", s.sliding_epochs);
+  validate_detector(d);
   s.detector = d;
 
   // --kernels overrides the config file's `tensor` section; the choice is
@@ -683,6 +673,8 @@ int main(int argc, char** argv) {
   }
   try {
     io::RunConfig run = effective_config(*args);
+    const std::string listen = args->get_or("listen", "");
+    const std::uint16_t port = args->count<std::uint16_t>("listen", 0);
     if (args->flag("dump-config")) {
       std::cout << io::run_config_to_json(run);
       return 0;
@@ -738,12 +730,9 @@ int main(int argc, char** argv) {
     });
 
     robust::install_signal_flag();
-    const std::string listen = args->get_or("listen", "");
-    const int rc =
-        listen.empty()
-            ? run_stdin(manager, degraded, model_path)
-            : run_tcp(manager, degraded, model_path,
-                      static_cast<int>(std::stod(listen)));
+    const int rc = listen.empty()
+                       ? run_stdin(manager, degraded, model_path)
+                       : run_tcp(manager, degraded, model_path, port);
 
     watcher_stop.store(true, std::memory_order_relaxed);
     reload_watcher.join();

@@ -193,16 +193,14 @@ int main(int argc, char** argv) {
     args = std::make_unique<Args>(
         argc, argv, 1, std::set<std::string>{"port", "interval-s", "frames"},
         std::set<std::string>{"no-clear"});
-    const double p = std::stod(args->get("port"));
-    if (p < 1.0 || p > 65535.0) {
-      throw PreconditionError("--port must lie in [1, 65535]");
-    }
-    port = static_cast<std::uint16_t>(p);
+    (void)args->get("port");  // required
+    port = args->count<std::uint16_t>("port", 0);
+    if (port == 0) throw PreconditionError("--port must lie in [1, 65535]");
     interval_s = args->number("interval-s", interval_s);
     if (interval_s <= 0.0) {
       throw PreconditionError("--interval-s must be > 0");
     }
-    frames = static_cast<std::size_t>(args->number("frames", 0.0));
+    frames = args->count("frames", std::size_t{0});
   } catch (const std::exception& e) {
     std::cerr << "usage error: " << e.what() << "\n";
     usage();
