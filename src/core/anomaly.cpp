@@ -1,5 +1,6 @@
 #include "core/anomaly.h"
 
+#include <algorithm>
 #include <functional>
 #include <unordered_map>
 
@@ -9,6 +10,7 @@
 #include "obs/trace.h"
 #include "robust/errors.h"
 #include "util/error.h"
+#include "util/first_equal.h"
 #include "util/thread_pool.h"
 
 namespace desmine::core {
@@ -30,6 +32,8 @@ struct SentenceEqual {
     return *a == *b;
   }
 };
+
+constexpr std::uint32_t kNoPair = 0xFFFFFFFFu;
 
 }  // namespace
 
@@ -96,15 +100,48 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
 DetectionResult AnomalyDetector::detect(
     const std::vector<text::Corpus>& test_sentences,
     const DetectOptions& options) const {
+  // Each sensor's distinct sentences are encoded once against its
+  // vocabulary (periodic sensors repeat them from window to window).
+  const std::size_t max_order = config_.bleu.max_order;
+  std::vector<EncodedCorpus> encoded(test_sentences.size());
+  auto encode = [&](std::size_t k) {
+    const text::Corpus& corpus = test_sentences[k];
+    EncodedCorpus& out = encoded[k];
+    out.windows.assign(corpus.size(), 0);
+    const text::Vocabulary* vocab = vocabulary(k);
+    if (vocab == nullptr) return;
+    std::unordered_map<const text::Sentence*, std::uint32_t, SentenceHash,
+                       SentenceEqual>
+        first;
+    for (std::size_t t = 0; t < corpus.size(); ++t) {
+      const auto [it, inserted] = first.emplace(
+          &corpus[t], static_cast<std::uint32_t>(out.sentences.size()));
+      if (inserted) {
+        out.sentences.push_back(encode_sentence(*vocab, corpus[t], max_order));
+      }
+      out.windows[t] = it->second;
+    }
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t k = 0; k < test_sentences.size(); ++k) encode(k);
+  } else {
+    pool_->parallel_for(test_sentences.size(), encode);
+  }
+  return detect(encoded, options);
+}
+
+DetectionResult AnomalyDetector::detect(
+    const std::vector<EncodedCorpus>& corpora,
+    const DetectOptions& options) const {
   const HealthMask* unhealthy = options.unhealthy;
-  DESMINE_EXPECTS(!test_sentences.empty(), "no test sentences");
-  const std::size_t windows = test_sentences.front().size();
-  for (std::size_t k = 0; k < test_sentences.size(); ++k) {
-    if (test_sentences[k].size() != windows) {
+  DESMINE_EXPECTS(!corpora.empty(), "no test sentences");
+  const std::size_t windows = corpora.front().windows.size();
+  for (std::size_t k = 0; k < corpora.size(); ++k) {
+    if (corpora[k].windows.size() != windows) {
       throw robust::MisalignedCorpus(
           k < names_.size() ? names_[k]
                             : "sensor[" + std::to_string(k) + "]",
-          windows, test_sentences[k].size());
+          windows, corpora[k].windows.size());
     }
   }
   if (unhealthy != nullptr) {
@@ -140,39 +177,29 @@ DetectionResult AnomalyDetector::detect(
   const auto excluded = [&bad](std::size_t t, const MvrEdge& edge) {
     return !bad.empty() && is_excluded(bad[t], edge.src, edge.dst);
   };
-
-  // Each sensor's distinct sentences are encoded once against its
-  // vocabulary (periodic sensors repeat them from window to window);
-  // sentence[k][t] is window t's. Every valid edge out of or into the
-  // sensor scores on those ids.
-  const std::size_t max_order = config_.bleu.max_order;
-  std::vector<std::vector<EncodedSentence>> encoded(test_sentences.size());
-  std::vector<std::vector<const EncodedSentence*>> sentence(
-      test_sentences.size());
-  auto encode = [&](std::size_t k) {
-    if (k >= vocabs_.size() || vocabs_[k] == nullptr) return;
-    const text::Corpus& corpus = test_sentences[k];
-    std::unordered_map<const text::Sentence*, std::size_t, SentenceHash,
-                       SentenceEqual>
-        first;
-    std::vector<std::size_t> slot(windows);
-    for (std::size_t t = 0; t < windows; ++t) {
-      const auto [it, inserted] = first.emplace(&corpus[t], encoded[k].size());
-      if (inserted) {
-        encoded[k].push_back(encode_sentence(*vocabs_[k], corpus[t], max_order));
-      }
-      slot[t] = it->second;
-    }
-    sentence[k].reserve(windows);
-    for (const std::size_t i : slot) sentence[k].push_back(&encoded[k][i]);
-  };
+  for (const MvrEdge& edge : valid_edges_) {
+    DESMINE_EXPECTS(edge.src < corpora.size() && edge.dst < corpora.size(),
+                    "edge endpoint missing from test data");
+  }
+  for (std::size_t k = 0; k < corpora.size(); ++k) {
+    const EncodedCorpus& c = corpora[k];
+    DESMINE_EXPECTS(vocabulary(k) == nullptr ||
+                        std::all_of(c.windows.begin(), c.windows.end(),
+                                    [&c](std::uint32_t i) {
+                                      return i < c.sentences.size();
+                                    }),
+                    "window points past its corpus's sentences");
+  }
 
   // Edges are independent units of work: one edge's model and memo are
   // touched by one thread, which decodes on its own thread arena. Each edge
-  // scores all of its windows in one EdgeScorer call against its memo, so a
-  // sentence decodes once per detector, not once per window or call.
-  // Excluded (edge, window) pairs are skipped entirely: an unhealthy
-  // sensor's sentences are plumbing artifacts, not data worth scoring.
+  // scores its distinct (source, reference) pairs over all of its windows
+  // in one EdgeScorer call against its memo, so a sentence decodes once per
+  // detector, not once per window or call, and a pair is looked up and
+  // scored once per call, not once per window. Excluded (edge, window)
+  // pairs are skipped entirely: an unhealthy sensor's sentences are
+  // plumbing artifacts, not data worth scoring. The counters count
+  // (edge, window) items.
   const EdgeScorer scorer({config_.bleu});
   obs::Counter& edge_windows =
       obs::metrics().counter("detector.edge_windows_scored");
@@ -180,36 +207,48 @@ DetectionResult AnomalyDetector::detect(
   obs::Counter& memo_hits = obs::metrics().counter("detector.memo.hits");
   auto score_edge = [&](std::size_t e) {
     const MvrEdge& edge = valid_edges_[e];
-    DESMINE_EXPECTS(edge.src < test_sentences.size() &&
-                        edge.dst < test_sentences.size(),
-                    "edge endpoint missing from test data");
+    const EncodedCorpus& src = corpora[edge.src];
+    const EncodedCorpus& dst = corpora[edge.dst];
     obs::ScopedTimer timer("score-edge", edge_ms);
-    std::vector<std::size_t> at;
+    std::vector<std::uint32_t> pair(windows, kNoPair);  // window -> pair
     std::vector<const EncodedSentence*> sources, references;
+    util::FirstEqual first_window(windows);
+    std::size_t scored = 0;
     for (std::size_t t = 0; t < windows; ++t) {
       if (excluded(t, edge)) continue;
-      at.push_back(t);
-      sources.push_back(sentence[edge.src][t]);
-      references.push_back(sentence[edge.dst][t]);
+      ++scored;
+      const std::uint32_t s = src.windows[t];
+      const std::uint32_t r = dst.windows[t];
+      // The key is the pair itself: equal keys are equal pairs.
+      const std::size_t first = first_window.find_or_add(
+          std::uint64_t{s} << 32 | r, t, [](std::size_t) { return true; });
+      if (first != t) {
+        pair[t] = pair[first];
+        continue;
+      }
+      pair[t] = static_cast<std::uint32_t>(sources.size());
+      sources.push_back(&src.sentences[s]);
+      references.push_back(&dst.sentences[r]);
     }
-    if (at.empty()) return;
-    const EdgeScorer::Result r =
+    if (scored == 0) return;
+    const EdgeScorer::Result res =
         scorer.score([&edge] { return edge.model; }, sources, references,
                      &memos_->edges[e]);
-    for (std::size_t i = 0; i < at.size(); ++i) {
-      result.edge_bleu[e][at[i]] = r.bleu[i];
+    std::size_t hits = 0;
+    for (std::size_t t = 0; t < windows; ++t) {
+      if (pair[t] == kNoPair) continue;
+      result.edge_bleu[e][t] = res.bleu[pair[t]];
+      hits += res.hit[pair[t]];
     }
-    timer.annotate(obs::kv("decoded", r.decoded));
-    edge_windows.inc(at.size());
-    decoded.inc(r.decoded);
-    memo_hits.inc(r.cache_hits);
+    timer.annotate(obs::kv("decoded", res.decoded));
+    edge_windows.inc(scored);
+    decoded.inc(res.decoded);
+    memo_hits.inc(hits);
   };
 
   if (pool_ == nullptr) {
-    for (std::size_t k = 0; k < test_sentences.size(); ++k) encode(k);
     for (std::size_t e = 0; e < valid_edges_.size(); ++e) score_edge(e);
   } else {
-    pool_->parallel_for(test_sentences.size(), encode);
     pool_->parallel_for(valid_edges_.size(), score_edge);
   }
   std::size_t memo_entries = 0;

@@ -24,6 +24,13 @@
 // sources the edge has never seen. Greedy decoding is a pure function of
 // the input ids, so a memo hit gives the bits of a fresh decode.
 //
+// Work follows the distinct sentences, not the windows: detect() scores
+// EncodedCorpus inputs (each sensor's distinct sentences, encoded once, and
+// per window an index into them), and each edge scores each distinct
+// (source, reference) pair of its windows once. The text::Corpus overload
+// encodes and delegates; Framework::detect encodes straight from the
+// character streams.
+//
 // detect() is not reentrant: it decodes with the graph's models in place
 // and updates the memos from its pool threads, so calls on one detector (or
 // on copies, which share both) must take turns.
@@ -41,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "core/edge_scorer.h"
 #include "core/mvr_graph.h"
 #include "text/bleu.h"
 
@@ -162,12 +170,29 @@ class AnomalyDetector {
   /// As above, honouring `options`: with DetectOptions::unhealthy set, edges
   /// incident to a listed sensor are excluded from that window and a_t is
   /// renormalized over the survivors (see DetectionResult::coverage).
-  /// Decoding runs the graph's models in place and fills the decode memos,
-  /// so calls that share a model or a memo must not overlap
-  /// (Framework::detect takes turns for its own).
+  /// Encodes each sensor's distinct sentences once against its vocabulary
+  /// and scores them through the EncodedCorpus overload.
   DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
                          const DetectOptions& options) const;
 
+  /// Algorithm 2 on already encoded windows: `corpora[k]` holds sensor node
+  /// k's sentences, encoded against vocabulary(k) at a max_order of at
+  /// least config().bleu.max_order, and every corpus one entry per window
+  /// (robust::MisalignedCorpus otherwise). Each edge scores each of its
+  /// distinct (source, reference) sentence pairs once, over the windows
+  /// the health mask leaves it, and hands f(i,j) to every such window.
+  /// Decoding runs the graph's models in place and fills the decode memos,
+  /// so calls that share a model or a memo must not overlap
+  /// (Framework::detect takes turns for its own).
+  DetectionResult detect(const std::vector<EncodedCorpus>& corpora,
+                         const DetectOptions& options) const;
+
+  /// The vocabulary sensor node k's sentences are encoded against; null
+  /// when no valid edge touches k (its sentences are never scored).
+  const text::Vocabulary* vocabulary(std::size_t k) const {
+    return k < vocabs_.size() ? vocabs_[k].get() : nullptr;
+  }
+  const DetectorConfig& config() const { return config_; }
   std::size_t valid_model_count() const { return valid_edges_.size(); }
   const std::vector<MvrEdge>& valid_edges() const { return valid_edges_; }
   /// The scoring pool (null when scoring runs on the calling thread).

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/first_equal.h"
 
 namespace desmine::core {
 
@@ -107,40 +108,6 @@ void regrow(std::vector<std::uint32_t>& slots, std::size_t count,
         static_cast<std::uint32_t>(i + 1);
   }
 }
-
-/// Finds the first of the items that are equal by content, through their
-/// 64-bit content keys: an open-addressing table, at most half full.
-class FirstEqual {
- public:
-  explicit FirstEqual(std::size_t items) {
-    std::size_t capacity = 8;
-    while (capacity < 2 * items) capacity *= 2;
-    slots_.assign(capacity, Slot{0, kNone});
-  }
-
-  /// The earliest item j added with `key` for which same(j) holds; when
-  /// there is none, adds item k and returns k.
-  template <typename Same>
-  std::size_t find_or_add(std::uint64_t key, std::size_t k, const Same& same) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> 32;; ++i) {
-      Slot& slot = slots_[i & mask];
-      if (slot.item == kNone) {
-        slot = {key, k};
-        return k;
-      }
-      if (slot.key == key && same(slot.item)) return slot.item;
-    }
-  }
-
- private:
-  static constexpr std::size_t kNone = ~std::size_t{0};
-  struct Slot {
-    std::uint64_t key;
-    std::size_t item;
-  };
-  std::vector<Slot> slots_;
-};
 
 /// A decoded row as a candidate profile: the structural specials dropped,
 /// exactly as Vocabulary::decode drops them from the candidate string.
@@ -284,6 +251,7 @@ EdgeScorer::Result EdgeScorer::score(
                   "source/reference items must align");
   Result out;
   out.bleu.resize(sources.size());
+  out.hit.assign(sources.size(), 0);
 
   // 1. Each item's candidate number: a hit's memo index, or past the memo's
   // candidates, its distinct miss's. Memo indices stay valid until the
@@ -291,7 +259,7 @@ EdgeScorer::Result EdgeScorer::score(
   const std::size_t memoised = cache != nullptr ? cache->candidates() : 0;
   std::vector<std::size_t> candidate(sources.size());
   std::vector<const EncodedSentence*> misses;
-  FirstEqual first_source(sources.size());
+  util::FirstEqual first_source(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
     DESMINE_EXPECTS(sources[k] != nullptr && references[k] != nullptr,
                     "null sentence");
@@ -300,6 +268,7 @@ EdgeScorer::Result EdgeScorer::score(
       const std::uint32_t hit = cache->find(source);
       if (hit != DecodeCache::kMiss) {
         candidate[k] = hit;
+        out.hit[k] = 1;
         ++out.cache_hits;
         continue;
       }
@@ -328,7 +297,7 @@ EdgeScorer::Result EdgeScorer::score(
         m->translate_ids(inputs);
     fresh.reserve(decoded.size());
     std::vector<std::size_t> alike(decoded.size());
-    FirstEqual first_candidate(decoded.size());
+    util::FirstEqual first_candidate(decoded.size());
     for (std::size_t i = 0; i < decoded.size(); ++i) {
       fresh.push_back(candidate_profile(decoded[i], options_.bleu.max_order));
       alike[i] = first_candidate.find_or_add(
@@ -344,7 +313,7 @@ EdgeScorer::Result EdgeScorer::score(
   // 3. Sentence BLEU once per distinct (candidate, reference) pair: equal
   // candidates share a number, and references are compared by their ids,
   // since each window's sentence is encoded on its own.
-  FirstEqual first_pair(sources.size());
+  util::FirstEqual first_pair(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
     const std::size_t c = candidate[k];
     const EncodedSentence& ref = *references[k];
@@ -362,7 +331,7 @@ EdgeScorer::Result EdgeScorer::score(
                                          ? cache->candidate(
                                                static_cast<std::uint32_t>(c))
                                          : fresh[c - memoised];
-    out.bleu[k] = text::sentence_bleu(cand, ref.profile, options_.bleu).score;
+    out.bleu[k] = text::sentence_bleu_score(cand, ref.profile, options_.bleu);
   }
 
   // 4. Memoize the fresh candidates.

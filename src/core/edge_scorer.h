@@ -2,7 +2,8 @@
 //
 // At window t, f(i,j) is the sentence BLEU of g(i,j)'s greedy translation of
 // sensor i's sentence against sensor j's sentence. Batch detection
-// (AnomalyDetector::detect, and through it OnlineDetector) and the serving
+// (AnomalyDetector::detect, one call per edge over its distinct sentence
+// pairs, and through it OnlineDetector and Framework::detect) and the serving
 // layer (serve::BatchScheduler, serve::ShadowScorer) all compute it here.
 //
 // Scoring runs on token ids, never on strings. Every edge out of or into a
@@ -17,10 +18,10 @@
 //      TranslationModel::translate_ids (stacked rows, at most
 //      nmt::kMaxDecodeRows per pass, on the scoring thread's
 //      tensor::thread_workspace) and profiles each candidate once;
-//   3. runs sentence BLEU once per distinct (candidate, reference) pair — a
-//      candidate by its number (a memo index, or a fresh candidate's), a
-//      reference by its ids — and hands the result to every item of the
-//      pair;
+//   3. runs sentence BLEU (the allocation-free text::sentence_bleu_score)
+//      once per distinct (candidate, reference) pair — a candidate by its
+//      number (a memo index, or a fresh candidate's), a reference by its
+//      ids — and hands the result to every item of the pair;
 //   4. memoises the fresh candidates in the cache.
 // Greedy decoding is a pure, row-independent function of the input ids, so
 // a deduplicated item, a cache hit and a B=1 decode give the same bits; the
@@ -73,6 +74,15 @@ EncodedSentence encode_sentence(const text::Vocabulary& vocab,
 std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,
                                            const text::Corpus& corpus,
                                            std::size_t max_order);
+
+/// One sensor's sentences over a run of windows, as batch detection scores
+/// them: each distinct sentence encoded once, and per window the index of
+/// its sentence. A sensor no valid edge touches may leave `sentences`
+/// empty; `windows` still holds one entry per window.
+struct EncodedCorpus {
+  std::vector<EncodedSentence> sentences;
+  std::vector<std::uint32_t> windows;  ///< window t's index into sentences
+};
 
 /// Model-input ids -> greedy candidate memo for one edge model, owned by
 /// the caller. Not thread-safe: one scorer at a time.
@@ -162,6 +172,7 @@ class EdgeScorer {
 
   struct Result {
     std::vector<double> bleu;        ///< f(i,j) per item, in item order
+    std::vector<std::uint8_t> hit;   ///< per item: 1 when a cache hit
     std::size_t cache_hits = 0;      ///< items answered from the cache
     std::size_t decoded = 0;         ///< distinct sources decoded
     std::size_t cache_evictions = 0;  ///< cache clears

@@ -69,10 +69,18 @@ std::string SensorEncrypter::encode(const std::string& sensor,
   DESMINE_EXPECTS(it != encodings_.end(), "unknown or dropped sensor");
   std::string out;
   out.reserve(events.size());
+  // States persist for many ticks: a state equal to the previous one
+  // reuses its letter instead of searching the table again.
+  const std::string* previous = nullptr;
   for (const std::string& state : events) {
-    const auto sit = it->second.to_char.find(state);
-    out.push_back(sit == it->second.to_char.end() ? kUnknownChar
-                                                  : sit->second);
+    if (previous == nullptr || state != *previous) {
+      const auto sit = it->second.to_char.find(state);
+      out.push_back(sit == it->second.to_char.end() ? kUnknownChar
+                                                    : sit->second);
+      previous = &state;
+    } else {
+      out.push_back(out.back());
+    }
   }
   return out;
 }

@@ -1,7 +1,10 @@
 #include "core/framework.h"
 
 #include <algorithm>
+#include <functional>
 #include <mutex>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/online.h"
 #include "obs/log.h"
@@ -63,11 +66,11 @@ void Framework::fit(const MultivariateSeries& train,
   slot_ = std::make_shared<DetectorSlot>();
 }
 
-std::vector<text::Corpus> Framework::to_corpora(
-    const MultivariateSeries& series) const {
-  DESMINE_EXPECTS(fitted(), "fit() must run first");
-  const obs::ScopedTimer timer("encode");
-  const std::vector<std::string>& kept = encrypter_->kept_sensors();
+namespace {
+
+/// The events of each kept sensor, in kept order.
+std::vector<const EventSequence*> kept_events(
+    const std::vector<std::string>& kept, const MultivariateSeries& series) {
   std::vector<const EventSequence*> events;
   events.reserve(kept.size());
   for (const std::string& name : kept) {
@@ -77,16 +80,66 @@ std::vector<text::Corpus> Framework::to_corpora(
     DESMINE_EXPECTS(it != series.end(), "series missing kept sensor " + name);
     events.push_back(&it->events);
   }
-  std::vector<text::Corpus> corpora(kept.size());
-  const auto build = [&](std::size_t k) {
-    corpora[k] = language_.generate(encrypter_->encode(kept[k], *events[k]));
-  };
-  const std::shared_ptr<const AnomalyDetector> d = detector(false);
-  if (d != nullptr && d->pool() != nullptr) {
-    d->pool()->parallel_for(kept.size(), build);
+  return events;
+}
+
+/// build(k) for every sensor k, on the pool when there is one.
+void for_each_sensor(util::ThreadPool* pool, std::size_t sensors,
+                     const std::function<void(std::size_t)>& build) {
+  if (pool != nullptr) {
+    pool->parallel_for(sensors, build);
   } else {
-    for (std::size_t k = 0; k < kept.size(); ++k) build(k);
+    for (std::size_t k = 0; k < sensors; ++k) build(k);
   }
+}
+
+}  // namespace
+
+std::vector<text::Corpus> Framework::to_corpora(
+    const MultivariateSeries& series) const {
+  DESMINE_EXPECTS(fitted(), "fit() must run first");
+  const obs::ScopedTimer timer("encode");
+  const std::vector<std::string>& kept = encrypter_->kept_sensors();
+  const std::vector<const EventSequence*> events = kept_events(kept, series);
+  std::vector<text::Corpus> corpora(kept.size());
+  const std::shared_ptr<const AnomalyDetector> d = detector(false);
+  for_each_sensor(d != nullptr ? d->pool() : nullptr, kept.size(),
+                  [&](std::size_t k) {
+                    corpora[k] = language_.generate(
+                        encrypter_->encode(kept[k], *events[k]));
+                  });
+  return corpora;
+}
+
+std::vector<EncodedCorpus> Framework::encode(
+    const MultivariateSeries& series, const AnomalyDetector& d) const {
+  const obs::ScopedTimer timer("encode");
+  const std::vector<std::string>& kept = encrypter_->kept_sensors();
+  const std::vector<const EventSequence*> events = kept_events(kept, series);
+  const std::size_t max_order = d.config().bleu.max_order;
+  const std::size_t span = language_.sentence_span();
+  std::vector<EncodedCorpus> corpora(kept.size());
+  for_each_sensor(d.pool(), kept.size(), [&](std::size_t k) {
+    const std::string chars = encrypter_->encode(kept[k], *events[k]);
+    EncodedCorpus& out = corpora[k];
+    out.windows.assign(language_.sentence_count(chars.size()), 0);
+    const text::Vocabulary* vocab = d.vocabulary(k);
+    if (vocab == nullptr) return;
+    // Sentence t is a function of its characters alone, and sensors repeat
+    // theirs: words are cut and encoded once per distinct span.
+    std::unordered_map<std::string_view, std::uint32_t> first;
+    for (std::size_t t = 0; t < out.windows.size(); ++t) {
+      const std::string_view chars_t =
+          std::string_view(chars).substr(language_.sentence_start(t), span);
+      const auto [it, inserted] = first.emplace(
+          chars_t, static_cast<std::uint32_t>(out.sentences.size()));
+      if (inserted) {
+        out.sentences.push_back(encode_sentence(
+            *vocab, language_.to_words(std::string(chars_t)), max_order));
+      }
+      out.windows[t] = it->second;
+    }
+  });
   return corpora;
 }
 
@@ -103,7 +156,7 @@ std::shared_ptr<const AnomalyDetector> Framework::detector(bool build) const {
 DetectionResult Framework::detect(const MultivariateSeries& test,
                                   const DetectOptions& options) const {
   const std::shared_ptr<const AnomalyDetector> d = detector(true);
-  const std::vector<text::Corpus> corpora = to_corpora(test);
+  const std::vector<EncodedCorpus> corpora = encode(test, *d);
   const std::lock_guard lock(slot_->scoring);
   return d->detect(corpora, options);
 }

@@ -40,6 +40,12 @@ class Framework {
   /// Batch detection over a test series (must contain every kept sensor):
   /// Algorithm 2 on every window of the series.
   ///
+  /// Builds no string corpora: each kept sensor is encrypted to its
+  /// character stream, window t's sentence is the words of its characters
+  /// [sentence_start(t), + sentence_span()) (LanguageGenerator), and each
+  /// distinct span is cut into words and encoded once, on the detector's
+  /// pool. The bits are those of AnomalyDetector::detect(to_corpora(test)).
+  ///
   /// Both detect calls score on one AnomalyDetector per fitted graph, built
   /// by the first of them (a Framework that never detects starts no
   /// threads) and shared by copies until fit() or restore() replaces the
@@ -64,9 +70,10 @@ class Framework {
       const std::vector<std::size_t>& missing_ticks = {}) const;
 
   /// Aligned sentence corpora for the kept sensors, indexed like the graph's
-  /// nodes. Exposed for benches that score custom windows. Once a detect
-  /// call has built the detector, the sensors are encoded in parallel on
-  /// its pool.
+  /// nodes: one string sentence per window. detect() does not go through
+  /// them; they are for lifecycle code, tests and benches that score custom
+  /// windows. Once a detect call has built the detector, the sensors are
+  /// encoded in parallel on its pool.
   std::vector<text::Corpus> to_corpora(const MultivariateSeries& series) const;
 
   /// Restore a previously fitted state (used by io::load_framework). The
@@ -87,6 +94,11 @@ class Framework {
 
   DetectionResult detect(const MultivariateSeries& test,
                          const DetectOptions& options) const;
+
+  /// The kept sensors' windows of `series`, encoded for `d`'s vocabularies
+  /// straight from each sensor's character stream, on d's pool.
+  std::vector<EncodedCorpus> encode(const MultivariateSeries& series,
+                                    const AnomalyDetector& d) const;
 
   FrameworkConfig config_;
   LanguageGenerator language_;

@@ -41,6 +41,19 @@ class LanguageGenerator {
   /// `chars` (0 when the stream is too short).
   std::size_t sentence_count(std::size_t chars) const;
 
+  /// Sentence t of a stream depends only on the sentence_span() characters
+  /// from sentence_start(t): generate(chars)[t] is
+  /// to_words(chars.substr(sentence_start(t), sentence_span())).
+  /// sentence_start(t) = t·n·j.
+  std::size_t sentence_start(std::size_t t) const {
+    return t * config_.sentence_stride * config_.word_stride;
+  }
+  /// (m − 1)·j + i characters.
+  std::size_t sentence_span() const {
+    return (config_.sentence_length - 1) * config_.word_stride +
+           config_.word_length;
+  }
+
   /// Number of distinct words in a character stream (the sensor's
   /// vocabulary size, Fig. 3b).
   std::size_t vocabulary_size(const std::string& chars) const;

@@ -87,14 +87,11 @@ HealthMask window_health_mask(const SensorEncrypter& encrypter,
     }
   }
 
-  const std::size_t span =
-      (window.sentence_length - 1) * window.word_stride + window.word_length;
-  const std::size_t stride = window.sentence_stride * window.word_stride;
-  const std::size_t windows = ticks < span ? 0 : (ticks - span) / stride + 1;
-
-  HealthMask mask(windows);
-  for (std::size_t w = 0; w < windows; ++w) {
-    const std::size_t start = w * stride;
+  const LanguageGenerator language(window);
+  const std::size_t span = language.sentence_span();
+  HealthMask mask(language.sentence_count(ticks));
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    const std::size_t start = language.sentence_start(w);
     for (std::size_t k = 0; k < chars.size(); ++k) {
       const auto& taint = taints[k];
       for (std::size_t i = start; i < start + span; ++i) {

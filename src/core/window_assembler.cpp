@@ -18,16 +18,6 @@ WindowAssembler::WindowAssembler(SensorEncrypter encrypter,
   taints_.resize(encrypter_.kept_sensors().size());
 }
 
-std::size_t WindowAssembler::window_span() const {
-  const WindowConfig& w = language_.config();
-  return (w.sentence_length - 1) * w.word_stride + w.word_length;
-}
-
-std::size_t WindowAssembler::window_start(std::size_t w) const {
-  const WindowConfig& cfg = language_.config();
-  return w * cfg.sentence_stride * cfg.word_stride;
-}
-
 std::optional<WindowAssembler::Window> WindowAssembler::push(
     const std::map<std::string, std::string>& states) {
   const auto& kept = encrypter_.kept_sensors();
@@ -66,14 +56,14 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
   ++ticks_;
 
   // Does the stream now cover the next window?
-  const std::size_t needed = window_start(next_window_) + window_span();
-  if (ticks_ < needed) return std::nullopt;
+  const std::size_t first = language_.sentence_start(next_window_);
+  const std::size_t span = language_.sentence_span();
+  if (ticks_ < first + span) return std::nullopt;
 
   // Slice the window's characters per sensor and build one-sentence corpora.
   Window out;
   out.corpora.resize(buffers_.size());
-  const std::size_t start = window_start(next_window_) - trimmed_;
-  const std::size_t span = window_span();
+  const std::size_t start = first - trimmed_;
   for (std::size_t k = 0; k < buffers_.size(); ++k) {
     const std::string window_chars = buffers_[k].substr(start, span);
     text::Corpus sentences = language_.generate(window_chars);
@@ -101,7 +91,7 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
   // Characters before the next window's start are never needed again;
   // trimming in bulk keeps memory bounded on unbounded streams without
   // quadratic erase churn.
-  const std::size_t keep_from = window_start(next_window_);
+  const std::size_t keep_from = language_.sentence_start(next_window_);
   if (keep_from > trimmed_ + 4096) {
     const std::size_t drop = keep_from - trimmed_;
     for (std::string& buffer : buffers_) buffer.erase(0, drop);

@@ -67,10 +67,6 @@ class WindowAssembler {
   const robust::SensorHealthTracker& health() const { return health_; }
 
  private:
-  /// First stream position (char index) of window w and its char span.
-  std::size_t window_start(std::size_t w) const;
-  std::size_t window_span() const;
-
   SensorEncrypter encrypter_;
   LanguageGenerator language_;
   DegradedConfig degraded_;

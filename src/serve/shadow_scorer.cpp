@@ -36,6 +36,7 @@ ShadowScorer::ShadowScorer(std::shared_ptr<const ModelGeneration> candidate,
   DESMINE_EXPECTS(config_.sample_rate > 0.0, "sample_rate must be positive");
   DESMINE_EXPECTS(!candidate_->edges.empty(),
                   "candidate generation has no valid-band edges");
+  memos_.resize(candidate_->edges.size());
 }
 
 bool ShadowScorer::admit(const PendingWindow& window) {
@@ -65,7 +66,9 @@ void ShadowScorer::observe(ShadowSample sample) {
   std::size_t surviving = 0;
   std::size_t broken = 0;
   bool any_failed = false;
-  for (const EdgeModel& edge : candidate_->edges) {
+  obs::Counter& decoded = obs::metrics().counter("serve.shadow.decoded");
+  for (std::size_t i = 0; i < candidate_->edges.size(); ++i) {
+    const EdgeModel& edge = candidate_->edges[i];
     if (core::is_excluded(bad, edge.src, edge.dst)) continue;
     try {
       switch (robust::fire_fault("serve.shadow", edge_name(edge.src,
@@ -83,11 +86,12 @@ void ShadowScorer::observe(ShadowSample sample) {
         default:
           break;
       }
-      const double f =
-          scorer
-              .score([&edge] { return edge.acquire(); },
-                     {&encoded[edge.src]}, {&encoded[edge.dst]})
-              .bleu.front();
+      const core::EdgeScorer::Result r =
+          scorer.score([&edge] { return edge.acquire(); },
+                       {&encoded[edge.src]}, {&encoded[edge.dst]},
+                       &memos_[i]);
+      decoded.inc(r.decoded);
+      const double f = r.bleu.front();
       ++surviving;
       if (core::is_broken(detector, f, edge.train_bleu)) ++broken;
     } catch (const std::exception& e) {

@@ -26,7 +26,10 @@
 // models are not thread-safe). The active side of each sample is the score
 // Session::finalize delivered; a window whose session was already erased is
 // never delivered and so never mirrored. `sample_rate` bounds the added
-// decode load.
+// decode load, and each candidate edge keeps a decode memo
+// (core::DecodeCache) for the scorer's life, so a sample decodes only
+// sources its edge has not seen — with the bits of a fresh decode.
+// `serve.shadow.decoded` counts the decodes.
 //
 // Fault injection: point "serve.shadow" keyed by edge name "src->dst"
 // (throw = candidate decode failure, drop = edge silently excluded,
@@ -40,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "core/edge_scorer.h"
 #include "serve/batch_scheduler.h"
 #include "serve/model_registry.h"
 
@@ -149,6 +153,9 @@ class ShadowScorer {
   std::size_t failures_ = 0;
   double candidate_sum_ = 0.0;
   double active_sum_ = 0.0;
+  /// One decode memo per candidate edge, for the candidate's life: a
+  /// sample decodes only the sources its edge has not seen.
+  std::vector<core::DecodeCache> memos_;
 };
 
 }  // namespace desmine::serve

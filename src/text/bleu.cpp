@@ -237,16 +237,11 @@ double brevity_penalty(std::size_t c, std::size_t r) {
 
 /// Shared scoring tail: turn accumulated clipped counts + lengths into the
 /// smoothed geometric-mean BLEU. Identical arithmetic for every entry point.
-BleuBreakdown finalize(const std::size_t* matched, const std::size_t* total,
-                       std::size_t candidate_length,
-                       std::size_t reference_length,
-                       const BleuOptions& options) {
-  BleuBreakdown out;
-  out.precisions.assign(options.max_order, 0.0);
-  out.candidate_length = candidate_length;
-  out.reference_length = reference_length;
-  out.brevity_penalty = brevity_penalty(candidate_length, reference_length);
-
+/// Writes each order's precision to `precisions` when it is not null; past
+/// an unsmoothed zero precision it writes nothing more.
+double finalize(const std::size_t* matched, const std::size_t* total,
+                std::size_t candidate_length, std::size_t reference_length,
+                const BleuOptions& options, double* precisions) {
   double log_precision_sum = 0.0;
   for (std::size_t order = 0; order < options.max_order; ++order) {
     double num = static_cast<double>(matched[order]);
@@ -255,20 +250,58 @@ BleuBreakdown finalize(const std::size_t* matched, const std::size_t* total,
       num += 1.0;
       den += 1.0;
     }
-    if (num == 0.0 || den == 0.0) {
-      // Unsmoothed zero precision: BLEU is exactly 0.
-      out.precisions[order] = 0.0;
-      out.score = 0.0;
-      return out;
-    }
-    out.precisions[order] = num / den;
+    // Unsmoothed zero precision: BLEU is exactly 0.
+    if (num == 0.0 || den == 0.0) return 0.0;
+    if (precisions != nullptr) precisions[order] = num / den;
     log_precision_sum += std::log(num / den);
   }
 
   const double geo_mean =
       std::exp(log_precision_sum / static_cast<double>(options.max_order));
-  out.score = 100.0 * geo_mean * out.brevity_penalty;
+  return 100.0 * geo_mean *
+         brevity_penalty(candidate_length, reference_length);
+}
+
+/// finalize() with its inputs and every precision in a BleuBreakdown.
+BleuBreakdown breakdown(const std::size_t* matched, const std::size_t* total,
+                        std::size_t candidate_length,
+                        std::size_t reference_length,
+                        const BleuOptions& options) {
+  BleuBreakdown out;
+  out.precisions.assign(options.max_order, 0.0);
+  out.candidate_length = candidate_length;
+  out.reference_length = reference_length;
+  out.brevity_penalty = brevity_penalty(candidate_length, reference_length);
+  out.score = finalize(matched, total, candidate_length, reference_length,
+                       options, out.precisions.data());
   return out;
+}
+
+/// Zeroed clipped-match and n-gram counts for max_order orders: on the
+/// stack up to kStackOrders orders, on the heap past them.
+class Counts {
+ public:
+  explicit Counts(std::size_t max_order) : max_order_(max_order) {
+    if (max_order > kStackOrders) heap_.assign(2 * max_order, 0);
+  }
+  std::size_t* matched() { return heap_.empty() ? stack_ : heap_.data(); }
+  std::size_t* total() { return matched() + max_order_; }
+
+ private:
+  static constexpr std::size_t kStackOrders = 8;
+  std::size_t max_order_;
+  std::size_t stack_[2 * kStackOrders] = {};
+  std::vector<std::size_t> heap_;
+};
+
+/// The checks of the profile entry points.
+void expect_profiles(const NgramProfile& candidate,
+                     const NgramProfile& reference,
+                     const BleuOptions& options) {
+  DESMINE_EXPECTS(options.max_order >= 1, "max_order >= 1");
+  DESMINE_EXPECTS(candidate.max_order >= options.max_order &&
+                      reference.max_order >= options.max_order,
+                  "n-gram profile built for a lower max_order");
 }
 
 }  // namespace
@@ -286,16 +319,23 @@ NgramProfile ngram_profile(std::vector<std::uint32_t> ids,
 BleuBreakdown sentence_bleu(const NgramProfile& candidate,
                             const NgramProfile& reference,
                             const BleuOptions& options) {
-  DESMINE_EXPECTS(options.max_order >= 1, "max_order >= 1");
-  DESMINE_EXPECTS(candidate.max_order >= options.max_order &&
-                      reference.max_order >= options.max_order,
-                  "n-gram profile built for a lower max_order");
-  std::vector<std::size_t> counts(2 * options.max_order, 0);
-  std::size_t* matched = counts.data();
-  std::size_t* total = matched + options.max_order;
-  accumulate_pair(candidate, reference, options.max_order, matched, total);
-  return finalize(matched, total, candidate.ids.size(), reference.ids.size(),
-                  options);
+  expect_profiles(candidate, reference, options);
+  Counts counts(options.max_order);
+  accumulate_pair(candidate, reference, options.max_order, counts.matched(),
+                  counts.total());
+  return breakdown(counts.matched(), counts.total(), candidate.ids.size(),
+                   reference.ids.size(), options);
+}
+
+double sentence_bleu_score(const NgramProfile& candidate,
+                           const NgramProfile& reference,
+                           const BleuOptions& options) {
+  expect_profiles(candidate, reference, options);
+  Counts counts(options.max_order);
+  accumulate_pair(candidate, reference, options.max_order, counts.matched(),
+                  counts.total());
+  return finalize(counts.matched(), counts.total(), candidate.ids.size(),
+                  reference.ids.size(), options, nullptr);
 }
 
 BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
@@ -310,18 +350,18 @@ BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,
     return out;
   }
 
-  std::vector<std::size_t> counts(2 * options.max_order, 0);
-  std::size_t* matched = counts.data();
-  std::size_t* total = matched + options.max_order;
+  Counts counts(options.max_order);
   std::size_t candidate_length = 0, reference_length = 0;
   PairProfiles pair;
   for (std::size_t s = 0; s < candidates.size(); ++s) {
     candidate_length += candidates[s].size();
     reference_length += references[s].size();
     pair.build(candidates[s], references[s], options.max_order);
-    accumulate_pair(pair.cand, pair.ref, options.max_order, matched, total);
+    accumulate_pair(pair.cand, pair.ref, options.max_order, counts.matched(),
+                    counts.total());
   }
-  return finalize(matched, total, candidate_length, reference_length, options);
+  return breakdown(counts.matched(), counts.total(), candidate_length,
+                   reference_length, options);
 }
 
 BleuBreakdown sentence_bleu(const Sentence& candidate,

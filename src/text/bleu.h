@@ -62,6 +62,13 @@ BleuBreakdown sentence_bleu(const NgramProfile& candidate,
                             const NgramProfile& reference,
                             const BleuOptions& options = {});
 
+/// sentence_bleu(candidate, reference, options).score, bit for bit, without
+/// the breakdown: the per-pair scorers' entry point, which allocates nothing
+/// for any realistic max_order.
+double sentence_bleu_score(const NgramProfile& candidate,
+                           const NgramProfile& reference,
+                           const BleuOptions& options = {});
+
 /// Corpus-level BLEU between aligned candidate/reference sentence lists.
 /// Requires equal list sizes; empty corpora score 0.
 BleuBreakdown corpus_bleu(const Corpus& candidates, const Corpus& references,

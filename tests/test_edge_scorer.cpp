@@ -762,6 +762,36 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
   std::remove(candidate_path.c_str());
 }
 
+TEST(EdgeScorer, ShadowMemoDecodesARepeatedSampleNoMore) {
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(300, 4));
+  ds::ShadowConfig scfg;
+  scfg.sample_rate = 1.0;
+  ds::ShadowScorer shadow(
+      ds::make_generation(dio::ArtifactMap::open(f.artifact), f.cfg.detector,
+                          2, {}),
+      scfg, "own");
+  const auto sample = [&corpora] {
+    ds::ShadowSample s;
+    for (const dx::Corpus& corpus : corpora) s.corpora.push_back({corpus[0]});
+    return s;
+  };
+  desmine::obs::Counter& decoded =
+      desmine::obs::metrics().counter("serve.shadow.decoded");
+  const std::uint64_t before = decoded.value();
+  shadow.observe(sample());
+  const std::uint64_t first = decoded.value() - before;
+  EXPECT_GT(first, 0u);
+  const double mean = shadow.status().candidate_mean;
+
+  // The candidate's edges memoised the first sample's decodes: the same
+  // sample again decodes nothing and scores the same bits.
+  shadow.observe(sample());
+  EXPECT_EQ(decoded.value() - before, first);
+  EXPECT_EQ(shadow.status().sampled, 2u);
+  EXPECT_EQ(bits(shadow.status().candidate_mean), bits(mean));
+}
+
 TEST(EdgeScorer, DecodeLeavesModelArenasEmptyAndThreadArenaWarm) {
   auto& f = fixture();
   dc::FrameworkConfig overlay = f.cfg;

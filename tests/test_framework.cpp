@@ -7,9 +7,12 @@
 // decode a fresh chunk without growing any arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "data/plant.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "robust/errors.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
 
@@ -114,6 +118,28 @@ struct Pipeline {
 Pipeline& shared_pipeline() {
   static Pipeline p;  // fit once; reused across tests (read-only)
   return p;
+}
+
+/// The events of `sensor` in `series`.
+dc::EventSequence& events_of(dc::MultivariateSeries& series,
+                             const std::string& sensor) {
+  const auto it =
+      std::find_if(series.begin(), series.end(),
+                   [&](const dc::SensorSeries& s) { return s.name == sensor; });
+  EXPECT_NE(it, series.end()) << sensor;
+  return it->events;
+}
+
+/// What a MisalignedCorpus thrown by `call` says; nullopt when none is.
+template <typename Call>
+std::optional<std::string> misaligned(const Call& call) {
+  try {
+    (void)call();
+  } catch (const desmine::robust::MisalignedCorpus& e) {
+    return e.sensor() + "|" + std::to_string(e.expected()) + "|" +
+           std::to_string(e.got()) + "|" + e.what();
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -406,4 +432,77 @@ TEST(Framework, WarmPoolDecodesAFreshChunkWithoutGrowingAnArena) {
   (void)fw.detect(chunk);
   EXPECT_GT(decoded.value(), decoded0);
   EXPECT_EQ(grows.value(), before);
+}
+
+TEST(Framework, DetectFromCharacterSpansMatchesStringCorpora) {
+  auto& p = shared_pipeline();
+  // The test days with states the encrypter never saw: a long stretch of
+  // one sensor (unknown words that flood its health tracker) and scattered
+  // ticks of another (unknown words amid known ones).
+  dc::MultivariateSeries series = p.plant.days_slice(4, 2);
+  const std::vector<std::string>& kept = p.framework.encrypter().kept_sensors();
+  dc::EventSequence& flooded = events_of(series, kept[0]);
+  std::fill(flooded.begin() + 100, flooded.begin() + 220, "never-seen");
+  dc::EventSequence& sprinkled = events_of(series, kept[1]);
+  for (std::size_t t = 5; t < sprinkled.size(); t += 37) {
+    sprinkled[t] = "also-never-seen";
+  }
+
+  // Each window configuration cuts the stream differently; word_length
+  // stays 5, the graph's words.
+  struct Case {
+    const char* name;
+    std::size_t word_stride, sentence_stride;
+  };
+  const Case cases[] = {{"default", 1, 6},
+                        {"word stride 2", 2, 6},
+                        {"overlapping sentences", 1, 3},
+                        {"gaps between sentences", 1, 9}};
+  const desmine::robust::HealthConfig health;
+  for (const Case& c : cases) {
+    dc::FrameworkConfig cfg = fast_config();
+    cfg.window.word_stride = c.word_stride;
+    cfg.window.sentence_stride = c.sentence_stride;
+    dc::Framework fw(cfg);
+    fw.restore(p.framework.encrypter(), p.framework.graph());
+    const std::vector<desmine::text::Corpus> corpora = fw.to_corpora(series);
+    ASSERT_GT(corpora.front().size(), 10u) << c.name;
+    std::size_t unknown_words = 0;
+    for (const desmine::text::Sentence& s : corpora[1]) {
+      for (const std::string& w : s) {
+        unknown_words += w.find(dc::SensorEncrypter::kUnknownChar) !=
+                         std::string::npos;
+      }
+    }
+    EXPECT_GT(unknown_words, 0u) << c.name;
+
+    const dc::AnomalyDetector reference(fw.graph(), cfg.detector);
+    expect_bitwise_equal(reference.detect(corpora), fw.detect(series), c.name);
+
+    const dc::HealthMask mask =
+        dc::window_health_mask(fw.encrypter(), cfg.window, series, health);
+    EXPECT_TRUE(std::any_of(mask.begin(), mask.end(),
+                            [](const auto& w) { return !w.empty(); }))
+        << c.name;
+    dc::DetectOptions options;
+    options.unhealthy = &mask;
+    expect_bitwise_equal(reference.detect(corpora, options),
+                         fw.detect_degraded(series, health), c.name);
+  }
+}
+
+TEST(Framework, RaggedSensorThrowsTheSameMisalignedCorpus) {
+  auto& p = shared_pipeline();
+  dc::MultivariateSeries series = p.plant.days_slice(4, 2);
+  const std::string& short_sensor = p.framework.encrypter().kept_sensors()[2];
+  dc::EventSequence& events = events_of(series, short_sensor);
+  events.resize(events.size() - 40);
+
+  const dc::AnomalyDetector reference(p.framework.graph(),
+                                      p.framework.config().detector);
+  const std::optional<std::string> expected = misaligned(
+      [&] { return reference.detect(p.framework.to_corpora(series)); });
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_NE(expected->find(short_sensor), std::string::npos);
+  EXPECT_EQ(misaligned([&] { return p.framework.detect(series); }), expected);
 }

@@ -155,6 +155,38 @@ TEST_P(WindowSweep, SentencesAreTimeAlignedSlicesOfTheStream) {
   }
 }
 
+TEST_P(WindowSweep, SentenceIsTheWordsOfItsCharacterSpan) {
+  // Sentence k is a function of its span alone: the words of the
+  // sentence_span() characters from sentence_start(k), which is what lets
+  // batch detection encode each distinct span once.
+  const WindowCase& wc = GetParam();
+  dc::WindowConfig cfg;
+  cfg.word_length = wc.word_len;
+  cfg.word_stride = wc.word_stride;
+  cfg.sentence_length = wc.sent_len;
+  cfg.sentence_stride = wc.sent_stride;
+  const dc::LanguageGenerator gen(cfg);
+
+  desmine::util::Rng rng(wc.chars + 1);
+  std::string chars;
+  for (std::size_t i = 0; i < wc.chars; ++i) {
+    chars.push_back(static_cast<char>('a' + rng.index(4)));
+  }
+  const auto sentences = gen.generate(chars);
+  ASSERT_FALSE(sentences.empty());
+  for (std::size_t k = 0; k < sentences.size(); ++k) {
+    const std::size_t start = gen.sentence_start(k);
+    EXPECT_EQ(start, k * wc.sent_stride * wc.word_stride);
+    ASSERT_LE(start + gen.sentence_span(), chars.size());
+    EXPECT_EQ(gen.to_words(chars.substr(start, gen.sentence_span())),
+              sentences[k])
+        << k;
+  }
+  // The stream holds no character past the last span for another sentence.
+  EXPECT_GT(gen.sentence_start(sentences.size()) + gen.sentence_span(),
+            chars.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Windows, WindowSweep,
     ::testing::Values(WindowCase{10, 1, 20, 20, 1440},

@@ -345,3 +345,68 @@ TEST(BleuDifferential, ProfileIdsBeyond16BitsMatchSmallIds) {
     EXPECT_GT(small, 0.0);
   }
 }
+
+TEST(BleuDifferential, ScoreOnlyEntryPointMatchesTheBreakdownBitForBit) {
+  // sentence_bleu_score keeps its counts on the stack up to a fixed order
+  // and on the heap past it: every order from 1 to well past any such
+  // limit, smoothing on and off, profiles built at or above the scored
+  // order, with small ids and with ids at and past 0xFFFF.
+  desmine::util::Rng rng(4242);
+  const auto random_ids = [&rng] {
+    std::vector<std::uint32_t> ids;
+    const std::size_t length = rng.index(26);
+    while (ids.size() < length) {
+      const auto id = static_cast<std::uint32_t>(rng.index(5));
+      const std::size_t run = rng.bernoulli(0.3) ? 1 + rng.index(4) : 1;
+      for (std::size_t k = 0; k < run && ids.size() < length; ++k) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+  const auto wide = [](std::vector<std::uint32_t> ids) {
+    for (std::uint32_t& id : ids) {
+      if (id == 0) {
+        id = 0xFFFF;
+      } else if (id % 2 == 1) {
+        id = 70001 + id * 4099;
+      }
+    }
+    return ids;
+  };
+  std::size_t checked = 0, positive = 0;
+  for (std::size_t max_order = 1; max_order <= 24; ++max_order) {
+    for (const bool smooth : {true, false}) {
+      const dx::BleuOptions opts{max_order, smooth};
+      for (int trial = 0; trial < 30; ++trial) {
+        // A reference and a candidate that copies it with a few edits, so
+        // long n-grams match and unsmoothed high orders can score.
+        const std::vector<std::uint32_t> ref = random_ids();
+        std::vector<std::uint32_t> cand = ref;
+        for (std::uint32_t& id : cand) {
+          if (rng.bernoulli(0.05)) {
+            id = static_cast<std::uint32_t>(rng.index(5));
+          }
+        }
+        if (rng.bernoulli(0.2)) cand.resize(rng.index(cand.size() + 1));
+        const std::size_t profile_order = max_order + (trial % 3 == 0 ? 2 : 0);
+        for (const bool widen : {false, true}) {
+          const dx::NgramProfile c =
+              dx::ngram_profile(widen ? wide(cand) : cand, profile_order);
+          const dx::NgramProfile r =
+              dx::ngram_profile(widen ? wide(ref) : ref, profile_order);
+          const double expected = dx::sentence_bleu(c, r, opts).score;
+          EXPECT_EQ(bits(dx::sentence_bleu_score(c, r, opts)), bits(expected))
+              << "max_order " << max_order << " smooth " << smooth;
+          positive += expected > 0.0;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 24u * 2u * 30u * 2u);
+  EXPECT_GT(positive, checked / 2);
+  const dx::NgramProfile low = dx::ngram_profile({1, 2, 3}, 2);
+  EXPECT_THROW(dx::sentence_bleu_score(low, low, {3, true}),
+               desmine::PreconditionError);
+}
