@@ -123,12 +123,11 @@ text::NgramProfile candidate_profile(const std::vector<std::int32_t>& decoded,
   return text::ngram_profile(std::move(ids), max_order);
 }
 
-}  // namespace
-
-EncodedSentence encode_sentence(const text::Vocabulary& vocab,
-                                const text::Sentence& sentence,
-                                std::size_t max_order) {
-  std::vector<std::uint32_t> exact = vocab.encode_exact(sentence);
+/// encode_exact's ids of a sentence as model input, exact profile and
+/// hashes.
+EncodedSentence encoded(const text::Vocabulary& vocab,
+                        std::vector<std::uint32_t> exact,
+                        std::size_t max_order) {
   EncodedSentence out;
   out.input.reserve(exact.size());
   for (const std::uint32_t id : exact) {
@@ -139,6 +138,24 @@ EncodedSentence encode_sentence(const text::Vocabulary& vocab,
   out.input_hash = ids_hash(out.input);
   out.profile_hash = ids_hash(out.profile.ids);
   return out;
+}
+
+}  // namespace
+
+EncodedSentence encode_sentence(const text::Vocabulary& vocab,
+                                const text::Sentence& sentence,
+                                std::size_t max_order) {
+  return encoded(vocab, vocab.encode_exact(sentence), max_order);
+}
+
+EncodedSentence encode_span(const text::Vocabulary& vocab,
+                            const LanguageGenerator& language,
+                            std::string_view chars, std::size_t max_order) {
+  std::vector<std::string_view> words(language.word_count(chars.size()));
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    words[w] = language.word(chars, w);
+  }
+  return encoded(vocab, vocab.encode_exact(words), max_order);
 }
 
 std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,

@@ -42,8 +42,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "core/language.h"
 #include "nmt/translation.h"
 #include "text/bleu.h"
 
@@ -69,6 +71,16 @@ struct EncodedSentence {
 EncodedSentence encode_sentence(const text::Vocabulary& vocab,
                                 const text::Sentence& sentence,
                                 std::size_t max_order);
+
+/// The span encoder: the sentence `language` cuts from the character span
+/// `chars`, encoded with the bits of
+/// encode_sentence(vocab, language.to_words(chars), max_order) but with no
+/// word string built — words are views into `chars`, looked up by view.
+/// Every path that scores windows from characters (Framework::detect,
+/// OnlineDetector, serve::encode_window) encodes through it.
+EncodedSentence encode_span(const text::Vocabulary& vocab,
+                            const LanguageGenerator& language,
+                            std::string_view chars, std::size_t max_order);
 
 /// encode_sentence over a whole corpus.
 std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,

@@ -27,7 +27,8 @@ SensorEncrypter SensorEncrypter::fit(const MultivariateSeries& train) {
     for (const std::string& state : states) {
       encoding.to_char.emplace(state, letter++);
     }
-    enc.encodings_.emplace(sensor.name, std::move(encoding));
+    enc.index_.emplace(sensor.name, enc.encodings_.size());
+    enc.encodings_.push_back(std::move(encoding));
     enc.kept_.push_back(sensor.name);
   }
   return enc;
@@ -38,35 +39,44 @@ SensorEncrypter SensorEncrypter::from_encodings(
   SensorEncrypter enc;
   for (Encoding& e : encodings) {
     DESMINE_EXPECTS(!e.to_char.empty(), "empty encoding table");
+    const bool fresh =
+        enc.index_.emplace(e.sensor, enc.encodings_.size()).second;
+    DESMINE_EXPECTS(fresh, "duplicate sensor in the encoding tables");
     enc.kept_.push_back(e.sensor);
-    std::string name = e.sensor;
-    enc.encodings_.emplace(std::move(name), std::move(e));
+    enc.encodings_.push_back(std::move(e));
   }
   enc.dropped_ = std::move(dropped);
   return enc;
 }
 
-const SensorEncrypter::Encoding& SensorEncrypter::encoding(
-    const std::string& sensor) const {
-  const auto it = encodings_.find(sensor);
-  DESMINE_EXPECTS(it != encodings_.end(), "unknown or dropped sensor");
+std::size_t SensorEncrypter::index(const std::string& name) const {
+  const auto it = index_.find(name);
+  DESMINE_EXPECTS(it != index_.end(), "unknown or dropped sensor");
   return it->second;
 }
 
+const SensorEncrypter::Encoding& SensorEncrypter::encoding(
+    const std::string& sensor) const {
+  return encodings_[index(sensor)];
+}
+
 bool SensorEncrypter::keeps(const std::string& sensor) const {
-  return encodings_.count(sensor) > 0;
+  return index_.count(sensor) > 0;
 }
 
 std::size_t SensorEncrypter::cardinality(const std::string& sensor) const {
-  const auto it = encodings_.find(sensor);
-  DESMINE_EXPECTS(it != encodings_.end(), "unknown or dropped sensor");
-  return it->second.to_char.size();
+  return encoding(sensor).to_char.size();
+}
+
+char SensorEncrypter::letter(std::size_t k, const std::string& state) const {
+  const std::map<std::string, char>& table = encodings_[k].to_char;
+  const auto it = table.find(state);
+  return it == table.end() ? kUnknownChar : it->second;
 }
 
 std::string SensorEncrypter::encode(const std::string& sensor,
                                     const EventSequence& events) const {
-  const auto it = encodings_.find(sensor);
-  DESMINE_EXPECTS(it != encodings_.end(), "unknown or dropped sensor");
+  const std::size_t k = index(sensor);
   std::string out;
   out.reserve(events.size());
   // States persist for many ticks: a state equal to the previous one
@@ -74,9 +84,7 @@ std::string SensorEncrypter::encode(const std::string& sensor,
   const std::string* previous = nullptr;
   for (const std::string& state : events) {
     if (previous == nullptr || state != *previous) {
-      const auto sit = it->second.to_char.find(state);
-      out.push_back(sit == it->second.to_char.end() ? kUnknownChar
-                                                    : sit->second);
+      out.push_back(letter(k, state));
       previous = &state;
     } else {
       out.push_back(out.back());
@@ -87,12 +95,7 @@ std::string SensorEncrypter::encode(const std::string& sensor,
 
 std::string SensorEncrypter::token(const std::string& sensor,
                                    const std::string& state) const {
-  const auto it = encodings_.find(sensor);
-  DESMINE_EXPECTS(it != encodings_.end(), "unknown or dropped sensor");
-  const auto sit = it->second.to_char.find(state);
-  const char c =
-      sit == it->second.to_char.end() ? kUnknownChar : sit->second;
-  return sensor + "." + std::string(1, c);
+  return sensor + "." + std::string(1, letter(index(sensor), state));
 }
 
 std::vector<std::string> SensorEncrypter::encode_all(

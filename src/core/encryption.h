@@ -53,6 +53,11 @@ class SensorEncrypter {
   /// Distinct training states of a kept sensor (its cardinality).
   std::size_t cardinality(const std::string& sensor) const;
 
+  /// Letter of `state` for kept sensor `k` (kept_sensors() order), or
+  /// kUnknownChar for a state unseen in training. No sensor-name search:
+  /// what streaming ingest calls when a sensor's state changes.
+  char letter(std::size_t k, const std::string& state) const;
+
   /// Encode one kept sensor's events into a character string; unseen states
   /// become kUnknownChar. Throws for dropped/unknown sensors.
   std::string encode(const std::string& sensor,
@@ -66,7 +71,12 @@ class SensorEncrypter {
   std::vector<std::string> encode_all(const MultivariateSeries& series) const;
 
  private:
-  std::map<std::string, Encoding> encodings_;
+  /// Index into encodings_ (kept order) of the kept sensor `name`, or
+  /// throws PreconditionError for a dropped or unknown sensor.
+  std::size_t index(const std::string& name) const;
+
+  std::vector<Encoding> encodings_;        ///< kept order
+  std::map<std::string, std::size_t> index_;  ///< name -> encodings_ index
   std::vector<std::string> kept_;
   std::vector<std::string> dropped_;
 };

@@ -134,8 +134,8 @@ std::vector<EncodedCorpus> Framework::encode(
       const auto [it, inserted] = first.emplace(
           chars_t, static_cast<std::uint32_t>(out.sentences.size()));
       if (inserted) {
-        out.sentences.push_back(encode_sentence(
-            *vocab, language_.to_words(std::string(chars_t)), max_order));
+        out.sentences.push_back(
+            encode_span(*vocab, language_, chars_t, max_order));
       }
       out.windows[t] = it->second;
     }

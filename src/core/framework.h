@@ -43,7 +43,7 @@ class Framework {
   /// Builds no string corpora: each kept sensor is encrypted to its
   /// character stream, window t's sentence is the words of its characters
   /// [sentence_start(t), + sentence_span()) (LanguageGenerator), and each
-  /// distinct span is cut into words and encoded once, on the detector's
+  /// distinct span is encoded once by core::encode_span, on the detector's
   /// pool. The bits are those of AnomalyDetector::detect(to_corpora(test)).
   ///
   /// Both detect calls score on one AnomalyDetector per fitted graph, built

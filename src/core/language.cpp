@@ -14,13 +14,9 @@ LanguageGenerator::LanguageGenerator(WindowConfig config) : config_(config) {
 }
 
 std::vector<std::string> LanguageGenerator::to_words(
-    const std::string& chars) const {
-  std::vector<std::string> words;
-  if (chars.size() < config_.word_length) return words;
-  for (std::size_t start = 0; start + config_.word_length <= chars.size();
-       start += config_.word_stride) {
-    words.push_back(chars.substr(start, config_.word_length));
-  }
+    std::string_view chars) const {
+  std::vector<std::string> words(word_count(chars.size()));
+  for (std::size_t w = 0; w < words.size(); ++w) words[w] = word(chars, w);
   return words;
 }
 
@@ -43,9 +39,7 @@ text::Corpus LanguageGenerator::generate(const std::string& chars) const {
 }
 
 std::size_t LanguageGenerator::sentence_count(std::size_t chars) const {
-  if (chars < config_.word_length) return 0;
-  const std::size_t words =
-      (chars - config_.word_length) / config_.word_stride + 1;
+  const std::size_t words = word_count(chars);
   if (words < config_.sentence_length) return 0;
   return (words - config_.sentence_length) / config_.sentence_stride + 1;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "text/vocabulary.h"
 
@@ -29,7 +30,19 @@ class LanguageGenerator {
 
   /// Slide a word window over the character stream. Characters that do not
   /// fill a complete window are dropped (sequences are long relative to i).
-  std::vector<std::string> to_words(const std::string& chars) const;
+  /// Word w is word(chars, w), for w < word_count(chars.size()).
+  std::vector<std::string> to_words(std::string_view chars) const;
+
+  /// Number of complete word windows in a stream of `chars` characters.
+  std::size_t word_count(std::size_t chars) const {
+    return chars < config_.word_length
+               ? 0
+               : (chars - config_.word_length) / config_.word_stride + 1;
+  }
+  /// Word w of a character stream: its i characters from w·j, as a view.
+  std::string_view word(std::string_view chars, std::size_t w) const {
+    return chars.substr(w * config_.word_stride, config_.word_length);
+  }
 
   /// Slide a sentence window over a word stream; incomplete tails dropped.
   text::Corpus to_sentences(const std::vector<std::string>& words) const;

@@ -28,11 +28,20 @@ std::optional<OnlineDetector::WindowResult> OnlineDetector::push(
   ticks.inc();
   if (!window) return std::nullopt;
 
+  const std::size_t max_order = detector_.config().bleu.max_order;
+  std::vector<EncodedCorpus> corpora(window->spans.sensors());
+  for (std::size_t k = 0; k < corpora.size(); ++k) {
+    corpora[k].windows.assign(1, 0);
+    if (const text::Vocabulary* vocab = detector_.vocabulary(k)) {
+      corpora[k].sentences.push_back(encode_span(
+          *vocab, assembler_.language(), window->spans.sensor(k), max_order));
+    }
+  }
   HealthMask mask(1);
   mask[0] = window->unhealthy;
   DetectOptions options;
   if (assembler_.degraded_enabled()) options.unhealthy = &mask;
-  const DetectionResult result = detector_.detect(window->corpora, options);
+  const DetectionResult result = detector_.detect(corpora, options);
 
   WindowResult out;
   out.window_index = window->window_index;

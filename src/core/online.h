@@ -5,8 +5,10 @@
 // OnlineDetector layers a WindowAssembler (per-sensor buffering + window
 // slicing + strict/degraded health semantics, see window_assembler.h) over
 // an AnomalyDetector: whenever the stream completes the next detection
-// window (one sentence per sensor, §II-A2), it scores that window
-// immediately and emits its anomaly score and alert set. Detection latency
+// window (one sentence per sensor, §II-A2), it encodes each sensor's
+// character span (encode_span), scores the window immediately through
+// AnomalyDetector::detect(EncodedCorpus…) and emits its anomaly score and
+// alert set. Detection latency
 // therefore equals the sentence stride — exactly the granularity trade-off
 // the paper discusses. The detector keeps one decode memo per edge for the
 // OnlineDetector's life, so a window decodes only source sentences its edge

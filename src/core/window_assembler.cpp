@@ -1,6 +1,7 @@
 #include "core/window_assembler.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "robust/errors.h"
 #include "robust/fault_injector.h"
@@ -14,16 +15,32 @@ WindowAssembler::WindowAssembler(SensorEncrypter encrypter,
       language_(window),
       degraded_(degraded),
       health_(encrypter_.kept_sensors(), degraded.health) {
-  buffers_.resize(encrypter_.kept_sensors().size());
-  taints_.resize(encrypter_.kept_sensors().size());
+  const std::vector<std::string>& kept = encrypter_.kept_sensors();
+  by_name_.resize(kept.size());
+  std::iota(by_name_.begin(), by_name_.end(), std::size_t{0});
+  std::sort(by_name_.begin(), by_name_.end(),
+            [&](std::size_t a, std::size_t b) { return kept[a] < kept[b]; });
+  last_.resize(kept.size());
+  found_.resize(kept.size());
+  buffers_.resize(kept.size());
+  taints_.resize(kept.size());
 }
 
 std::optional<WindowAssembler::Window> WindowAssembler::push(
     const std::map<std::string, std::string>& states) {
   const auto& kept = encrypter_.kept_sensors();
+  // The tick's map and by_name_ are both in name order: one walk finds
+  // every kept sensor's state.
+  auto it = states.begin();
+  for (const std::size_t k : by_name_) {
+    int order = 1;
+    while (it != states.end() && (order = it->first.compare(kept[k])) < 0) {
+      ++it;
+    }
+    found_[k] = it != states.end() && order == 0 ? &it->second : nullptr;
+  }
   for (std::size_t k = 0; k < kept.size(); ++k) {
-    const auto it = states.find(kept[k]);
-    bool present = it != states.end();
+    bool present = found_[k] != nullptr;
     switch (robust::fire_fault("detect.push",
                                static_cast<std::int64_t>(k))) {
       case robust::FaultAction::kThrow:
@@ -41,9 +58,17 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
     // A missing tick still occupies one buffer slot so the kept sensors'
     // streams stay tick-aligned; the filler never reaches a verdict
     // because the taint flag excludes every window covering it.
-    const char ch = present
-                        ? encrypter_.encode(kept[k], {it->second}).front()
-                        : SensorEncrypter::kUnknownChar;
+    char ch = SensorEncrypter::kUnknownChar;
+    if (present) {
+      // States persist for many ticks: the encrypter is asked only when
+      // the state differs from this sensor's last one.
+      LastLetter& last = last_[k];
+      if (last.letter == 0 || *found_[k] != last.state) {
+        last.letter = encrypter_.letter(k, *found_[k]);
+        last.state = *found_[k];
+      }
+      ch = last.letter;
+    }
     buffers_[k] += ch;
     bool tainted = false;
     if (degraded_.enabled) {
@@ -60,16 +85,12 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
   const std::size_t span = language_.sentence_span();
   if (ticks_ < first + span) return std::nullopt;
 
-  // Slice the window's characters per sensor and build one-sentence corpora.
   Window out;
-  out.corpora.resize(buffers_.size());
+  out.spans.span = span;
+  out.spans.chars.reserve(buffers_.size() * span);
   const std::size_t start = first - trimmed_;
-  for (std::size_t k = 0; k < buffers_.size(); ++k) {
-    const std::string window_chars = buffers_[k].substr(start, span);
-    text::Corpus sentences = language_.generate(window_chars);
-    DESMINE_ENSURES(sentences.size() == 1,
-                    "window slice must yield exactly one sentence");
-    out.corpora[k] = std::move(sentences);
+  for (const std::string& buffer : buffers_) {
+    out.spans.chars.append(buffer, start, span);
   }
 
   // Degraded mode: a sensor leaves this window's valid set when any tick
@@ -90,8 +111,10 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
 
   // Characters before the next window's start are never needed again;
   // trimming in bulk keeps memory bounded on unbounded streams without
-  // quadratic erase churn.
-  const std::size_t keep_from = language_.sentence_start(next_window_);
+  // quadratic erase churn. With gapped sentences (n·j > span) that start
+  // lies past the last tick, and only the ticks that arrived can go.
+  const std::size_t keep_from =
+      std::min(language_.sentence_start(next_window_), ticks_);
   if (keep_from > trimmed_ + 4096) {
     const std::size_t drop = keep_from - trimmed_;
     for (std::string& buffer : buffers_) buffer.erase(0, drop);

@@ -9,18 +9,25 @@
 // trimming. What happens to a completed window (immediate detect() vs
 // deferred batched scoring) is the caller's business, which keeps the two
 // consumers bit-identical by construction.
+//
+// A tick costs no string work: the kept sensors are found in the tick's
+// map by one in-order walk over both name-sorted lists, and each sensor
+// keeps its last state and letter, so the encrypter is asked for a letter
+// only when the sensor's state changes. A window leaves as its sensors'
+// character spans in one buffer (WindowSpans); its words are cut and
+// encoded later, by whoever scores it (core::encode_span).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/encryption.h"
 #include "core/language.h"
 #include "robust/sensor_health.h"
-#include "text/bleu.h"
 
 namespace desmine::core {
 
@@ -31,14 +38,27 @@ struct DegradedConfig {
   robust::HealthConfig health{};
 };
 
+/// One window's sentence characters, kept sensor after kept sensor in one
+/// buffer: sensor k's sentence is the words LanguageGenerator cuts from
+/// sensor(k), the `span` = sentence_span() characters at k·span.
+struct WindowSpans {
+  std::string chars;
+  std::size_t span = 0;
+
+  std::size_t sensors() const { return span == 0 ? 0 : chars.size() / span; }
+  std::string_view sensor(std::size_t k) const {
+    return std::string_view(chars).substr(k * span, span);
+  }
+};
+
 class WindowAssembler {
  public:
   /// One completed detection window, ready for scoring.
   struct Window {
     std::size_t window_index = 0;  ///< 0-based, in sentence-stride units
     std::size_t end_tick = 0;      ///< tick just past the window's last char
-    /// One single-sentence corpus per kept sensor (graph node indexing).
-    std::vector<text::Corpus> corpora;
+    /// Every kept sensor's span (graph node indexing).
+    WindowSpans spans;
     /// Node indices excluded from this window (degraded mode only): sensors
     /// with a missing or unhealthy tick anywhere in the window's span.
     std::vector<std::size_t> unhealthy;
@@ -61,16 +81,27 @@ class WindowAssembler {
   /// Windows emitted so far.
   std::size_t windows_emitted() const { return next_window_; }
   const SensorEncrypter& encrypter() const { return encrypter_; }
+  const LanguageGenerator& language() const { return language_; }
   const WindowConfig& window_config() const { return language_.config(); }
   bool degraded_enabled() const { return degraded_.enabled; }
   /// Health states (degraded mode; all-healthy in strict mode).
   const robust::SensorHealthTracker& health() const { return health_; }
 
  private:
+  /// A kept sensor's last state and its letter (0 before its first tick).
+  struct LastLetter {
+    std::string state;
+    char letter = 0;
+  };
+
   SensorEncrypter encrypter_;
   LanguageGenerator language_;
   DegradedConfig degraded_;
   robust::SensorHealthTracker health_;
+  std::vector<std::size_t> by_name_;  ///< kept indices, names ascending
+  std::vector<LastLetter> last_;      ///< per kept sensor
+  /// Per kept sensor, its state in the tick being pushed (null: missing).
+  std::vector<const std::string*> found_;
   std::vector<std::string> buffers_;  ///< encrypted chars per kept sensor
   /// Per kept sensor, one flag per buffered tick: 1 when the tick must not
   /// contribute to a verdict (missing sample, or sensor unhealthy after

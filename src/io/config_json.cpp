@@ -266,29 +266,12 @@ JsonValue lifecycle_to_json(const lifecycle::LifecycleConfig& l) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing. Every reader names the full dotted path of the key it rejects.
+// Parsing. The readers check each value's type; the section validators
+// below check its range. Every error names the full dotted path.
 
 double number_at(const JsonValue& v, const std::string& path) {
   if (!v.is_number()) bad("key '" + path + "' must be a number");
   return v.number;
-}
-
-double positive_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d > 0.0)) bad("key '" + path + "' must be > 0");
-  return d;
-}
-
-double nonneg_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d >= 0.0)) bad("key '" + path + "' must be >= 0");
-  return d;
-}
-
-double fraction_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (!(d >= 0.0 && d <= 1.0)) bad("key '" + path + "' must lie in [0, 1]");
-  return d;
 }
 
 std::size_t uint_at(const JsonValue& v, const std::string& path) {
@@ -297,12 +280,6 @@ std::size_t uint_at(const JsonValue& v, const std::string& path) {
     bad("key '" + path + "' must be a non-negative integer");
   }
   return static_cast<std::size_t>(d);
-}
-
-std::size_t positive_uint_at(const JsonValue& v, const std::string& path) {
-  const std::size_t n = uint_at(v, path);
-  if (n == 0) bad("key '" + path + "' must be > 0");
-  return n;
 }
 
 bool bool_at(const JsonValue& v, const std::string& path) {
@@ -325,7 +302,7 @@ void parse_bleu(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "max_order") {
-      out->max_order = positive_uint_at(value, path);
+      out->max_order = uint_at(value, path);
     } else if (key == "smooth") {
       out->smooth = bool_at(value, path);
     } else {
@@ -340,13 +317,13 @@ void parse_window(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "word_length") {
-      out->word_length = positive_uint_at(value, path);
+      out->word_length = uint_at(value, path);
     } else if (key == "word_stride") {
-      out->word_stride = positive_uint_at(value, path);
+      out->word_stride = uint_at(value, path);
     } else if (key == "sentence_length") {
-      out->sentence_length = positive_uint_at(value, path);
+      out->sentence_length = uint_at(value, path);
     } else if (key == "sentence_stride") {
-      out->sentence_stride = positive_uint_at(value, path);
+      out->sentence_stride = uint_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -359,19 +336,17 @@ void parse_model(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "embedding_dim") {
-      out->embedding_dim = positive_uint_at(value, path);
+      out->embedding_dim = uint_at(value, path);
     } else if (key == "hidden_dim") {
-      out->hidden_dim = positive_uint_at(value, path);
+      out->hidden_dim = uint_at(value, path);
     } else if (key == "num_layers") {
-      out->num_layers = positive_uint_at(value, path);
+      out->num_layers = uint_at(value, path);
     } else if (key == "dropout") {
-      const double d = fraction_at(value, path);
-      if (d >= 1.0) bad("key '" + path + "' must lie in [0, 1)");
-      out->dropout = static_cast<float>(d);
+      out->dropout = static_cast<float>(number_at(value, path));
     } else if (key == "init_scale") {
-      out->init_scale = static_cast<float>(positive_at(value, path));
+      out->init_scale = static_cast<float>(number_at(value, path));
     } else if (key == "max_decode_length") {
-      out->max_decode_length = positive_uint_at(value, path);
+      out->max_decode_length = uint_at(value, path);
     } else if (key == "attention") {
       const std::string name = string_at(value, path);
       if (name == "general") {
@@ -393,13 +368,13 @@ void parse_trainer(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "steps") {
-      out->steps = positive_uint_at(value, path);
+      out->steps = uint_at(value, path);
     } else if (key == "batch_size") {
-      out->batch_size = positive_uint_at(value, path);
+      out->batch_size = uint_at(value, path);
     } else if (key == "lr") {
-      out->lr = static_cast<float>(positive_at(value, path));
+      out->lr = static_cast<float>(number_at(value, path));
     } else if (key == "clip_norm") {
-      out->clip_norm = static_cast<float>(nonneg_at(value, path));
+      out->clip_norm = static_cast<float>(number_at(value, path));
     } else if (key == "lr_decay_start") {
       out->lr_decay_start = uint_at(value, path);
     } else if (key == "lr_decay_every") {
@@ -407,9 +382,9 @@ void parse_trainer(const JsonValue& v, const std::string& prefix,
     } else if (key == "eval_every") {
       out->eval_every = uint_at(value, path);
     } else if (key == "patience") {
-      out->patience = positive_uint_at(value, path);
+      out->patience = uint_at(value, path);
     } else if (key == "divergence_factor") {
-      out->divergence_factor = nonneg_at(value, path);
+      out->divergence_factor = number_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -424,15 +399,13 @@ void parse_retry(const JsonValue& v, const std::string& prefix,
     if (key == "max_retries") {
       out->max_retries = uint_at(value, path);
     } else if (key == "base_delay_ms") {
-      out->base_delay_ms = nonneg_at(value, path);
+      out->base_delay_ms = number_at(value, path);
     } else if (key == "multiplier") {
-      const double d = number_at(value, path);
-      if (!(d >= 1.0)) bad("key '" + path + "' must be >= 1");
-      out->multiplier = d;
+      out->multiplier = number_at(value, path);
     } else if (key == "max_delay_ms") {
-      out->max_delay_ms = nonneg_at(value, path);
+      out->max_delay_ms = number_at(value, path);
     } else if (key == "jitter") {
-      out->jitter = fraction_at(value, path);
+      out->jitter = number_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -449,7 +422,7 @@ void parse_miner(const JsonValue& v, const std::string& prefix,
     } else if (key == "seed") {
       out->seed = static_cast<std::uint64_t>(uint_at(value, path));
     } else if (key == "pair_timeout_s") {
-      out->pair_timeout_s = nonneg_at(value, path);
+      out->pair_timeout_s = number_at(value, path);
     } else if (key == "checkpoint_path") {
       out->checkpoint_path = string_at(value, path);
     } else if (key == "resume") {
@@ -478,9 +451,9 @@ void parse_detector(const JsonValue& v, const std::string& prefix,
     } else if (key == "valid_hi") {
       out->valid_hi = number_at(value, path);
     } else if (key == "tolerance") {
-      out->tolerance = nonneg_at(value, path);
+      out->tolerance = number_at(value, path);
     } else if (key == "min_coverage") {
-      out->min_coverage = fraction_at(value, path);
+      out->min_coverage = number_at(value, path);
     } else if (key == "threads") {
       out->threads = uint_at(value, path);
     } else if (key == "bleu") {
@@ -488,9 +461,6 @@ void parse_detector(const JsonValue& v, const std::string& prefix,
     } else {
       bad("unknown key '" + path + "'");
     }
-  }
-  if (out->valid_lo > out->valid_hi) {
-    bad("key '" + prefix + ".valid_lo' must be <= '" + prefix + ".valid_hi'");
   }
 }
 
@@ -500,17 +470,17 @@ void parse_health(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "drop_after_missing") {
-      out->drop_after_missing = positive_uint_at(value, path);
+      out->drop_after_missing = uint_at(value, path);
     } else if (key == "stale_after") {
       out->stale_after = uint_at(value, path);
     } else if (key == "max_unk_rate") {
-      out->max_unk_rate = fraction_at(value, path);
+      out->max_unk_rate = number_at(value, path);
     } else if (key == "unk_window") {
-      out->unk_window = positive_uint_at(value, path);
+      out->unk_window = uint_at(value, path);
     } else if (key == "min_unk_samples") {
-      out->min_unk_samples = positive_uint_at(value, path);
+      out->min_unk_samples = uint_at(value, path);
     } else if (key == "readmit_after") {
-      out->readmit_after = positive_uint_at(value, path);
+      out->readmit_after = uint_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -525,36 +495,35 @@ void parse_serve(const JsonValue& v, const std::string& prefix,
     if (key == "workers") {
       out->workers = uint_at(value, path);
     } else if (key == "max_batch") {
-      out->max_batch = positive_uint_at(value, path);
+      out->max_batch = uint_at(value, path);
     } else if (key == "decode_cache") {
       out->decode_cache = uint_at(value, path);
     } else if (key == "max_pending_windows") {
-      out->limits.max_pending_windows = positive_uint_at(value, path);
+      out->limits.max_pending_windows = uint_at(value, path);
     } else if (key == "reject_when_full") {
       out->limits.reject_when_full = bool_at(value, path);
     } else if (key == "max_consecutive_shed") {
-      out->limits.max_consecutive_shed = positive_uint_at(value, path);
+      out->limits.max_consecutive_shed = uint_at(value, path);
     } else if (key == "max_global_pending") {
       out->max_global_pending = uint_at(value, path);
     } else if (key == "max_queue_delay_ms") {
-      out->max_queue_delay_ms = nonneg_at(value, path);
+      out->max_queue_delay_ms = number_at(value, path);
     } else if (key == "circuit_open_after") {
       out->circuit_open_after = uint_at(value, path);
     } else if (key == "circuit_probe_after") {
-      out->circuit_probe_after = positive_uint_at(value, path);
+      out->circuit_probe_after = uint_at(value, path);
     } else if (key == "telemetry_port") {
       out->telemetry_port = uint_at(value, path);
-      if (out->telemetry_port > 65535) bad("key '" + path + "' must be <= 65535");
     } else if (key == "resident_bytes") {
       out->resident_bytes = uint_at(value, path);
     } else if (key == "resident_edges") {
       out->resident_edges = uint_at(value, path);
     } else if (key == "slow_window_ms") {
-      out->slow_window_ms = nonneg_at(value, path);
+      out->slow_window_ms = number_at(value, path);
     } else if (key == "sliding_window_s") {
-      out->sliding_window_s = positive_at(value, path);
+      out->sliding_window_s = number_at(value, path);
     } else if (key == "sliding_epochs") {
-      out->sliding_epochs = positive_uint_at(value, path);
+      out->sliding_epochs = uint_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
@@ -567,28 +536,22 @@ void parse_drift(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "ewma_alpha") {
-      const double d = fraction_at(value, path);
-      if (!(d > 0.0)) bad("key '" + path + "' must lie in (0, 1]");
-      out->ewma_alpha = d;
+      out->ewma_alpha = number_at(value, path);
     } else if (key == "min_observations") {
-      out->min_observations = positive_uint_at(value, path);
+      out->min_observations = uint_at(value, path);
     } else if (key == "hysteresis") {
-      out->hysteresis = positive_uint_at(value, path);
+      out->hysteresis = uint_at(value, path);
     } else if (key == "drifting_drop") {
-      out->drifting_drop = nonneg_at(value, path);
+      out->drifting_drop = number_at(value, path);
     } else if (key == "drifted_drop") {
-      out->drifted_drop = nonneg_at(value, path);
+      out->drifted_drop = number_at(value, path);
     } else if (key == "break_rate") {
-      out->break_rate = fraction_at(value, path);
+      out->break_rate = number_at(value, path);
     } else if (key == "max_unk_rate") {
-      out->max_unk_rate = fraction_at(value, path);
+      out->max_unk_rate = number_at(value, path);
     } else {
       bad("unknown key '" + path + "'");
     }
-  }
-  if (out->drifting_drop > out->drifted_drop) {
-    bad("key '" + prefix + ".drifting_drop' must be <= '" + prefix +
-        ".drifted_drop'");
   }
 }
 
@@ -598,7 +561,7 @@ void parse_retrain(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "lr_factor") {
-      out->lr_factor = positive_at(value, path);
+      out->lr_factor = number_at(value, path);
     } else if (key == "steps") {
       out->steps = uint_at(value, path);
     } else if (key == "journal_path") {
@@ -617,15 +580,15 @@ void parse_shadow(const JsonValue& v, const std::string& prefix,
   for (const auto& [key, value] : v.object) {
     const std::string path = prefix + "." + key;
     if (key == "sample_rate") {
-      out->sample_rate = positive_at(value, path);
+      out->sample_rate = number_at(value, path);
     } else if (key == "min_windows") {
-      out->min_windows = positive_uint_at(value, path);
+      out->min_windows = uint_at(value, path);
     } else if (key == "alert_threshold") {
-      out->alert_threshold = fraction_at(value, path);
+      out->alert_threshold = number_at(value, path);
     } else if (key == "max_alert_rate") {
-      out->max_alert_rate = fraction_at(value, path);
+      out->max_alert_rate = number_at(value, path);
     } else if (key == "min_agreement") {
-      out->min_agreement = fraction_at(value, path);
+      out->min_agreement = number_at(value, path);
     } else if (key == "max_failures") {
       out->max_failures = uint_at(value, path);
     } else {
@@ -669,7 +632,127 @@ void parse_lifecycle(const JsonValue& v, const std::string& prefix,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Range checks, one validator per section. `require` throws ConfigKeyError
+// naming the key (and, for a cross-key rule, the key it is compared with).
+
+void require(bool ok, const std::string& key, const std::string& rule,
+             const std::string& other = "") {
+  if (ok) return;
+  std::vector<std::string> keys = {key};
+  if (!other.empty()) keys.push_back(other);
+  throw ConfigKeyError(std::move(keys),
+                       "config: key '" + key + "' must " + rule +
+                           (other.empty() ? "" : " '" + other + "'"));
+}
+
+template <typename T>
+void positive(T v, const std::string& key) {
+  require(v > T{0}, key, "be > 0");
+}
+template <typename T>
+void nonneg(T v, const std::string& key) {
+  require(v >= T{0}, key, "be >= 0");
+}
+void fraction(double d, const std::string& key) {
+  require(d >= 0.0 && d <= 1.0, key, "lie in [0, 1]");
+}
+
+void validate_bleu(const text::BleuOptions& b, const std::string& prefix) {
+  positive(b.max_order, prefix + ".max_order");
+}
+
+void validate_model(const nmt::Seq2SeqConfig& m, const std::string& prefix) {
+  positive(m.embedding_dim, prefix + ".embedding_dim");
+  positive(m.hidden_dim, prefix + ".hidden_dim");
+  positive(m.num_layers, prefix + ".num_layers");
+  require(m.dropout >= 0.0f && m.dropout < 1.0f, prefix + ".dropout",
+          "lie in [0, 1)");
+  positive(m.init_scale, prefix + ".init_scale");
+  positive(m.max_decode_length, prefix + ".max_decode_length");
+}
+
+void validate_trainer(const nmt::TrainerConfig& t, const std::string& prefix) {
+  positive(t.steps, prefix + ".steps");
+  positive(t.batch_size, prefix + ".batch_size");
+  positive(t.lr, prefix + ".lr");
+  nonneg(t.clip_norm, prefix + ".clip_norm");
+  positive(t.patience, prefix + ".patience");
+  nonneg(t.divergence_factor, prefix + ".divergence_factor");
+}
+
+void validate_retry(const robust::RetryPolicy& r, const std::string& prefix) {
+  nonneg(r.base_delay_ms, prefix + ".base_delay_ms");
+  require(r.multiplier >= 1.0, prefix + ".multiplier", "be >= 1");
+  nonneg(r.max_delay_ms, prefix + ".max_delay_ms");
+  fraction(r.jitter, prefix + ".jitter");
+}
+
 }  // namespace
+
+void validate_window(const core::WindowConfig& w) {
+  positive(w.word_length, "window.word_length");
+  positive(w.word_stride, "window.word_stride");
+  positive(w.sentence_length, "window.sentence_length");
+  positive(w.sentence_stride, "window.sentence_stride");
+}
+
+void validate_miner(const core::MinerConfig& m) {
+  nonneg(m.pair_timeout_s, "miner.pair_timeout_s");
+  validate_retry(m.retry, "miner.retry");
+  validate_model(m.translation.model, "miner.model");
+  validate_trainer(m.translation.trainer, "miner.trainer");
+  validate_bleu(m.translation.bleu, "miner.bleu");
+}
+
+void validate_detector(const core::DetectorConfig& d) {
+  nonneg(d.tolerance, "detector.tolerance");
+  fraction(d.min_coverage, "detector.min_coverage");
+  validate_bleu(d.bleu, "detector.bleu");
+  require(d.valid_lo <= d.valid_hi, "detector.valid_lo", "be <=",
+          "detector.valid_hi");
+}
+
+void validate_health(const robust::HealthConfig& h) {
+  positive(h.drop_after_missing, "health.drop_after_missing");
+  fraction(h.max_unk_rate, "health.max_unk_rate");
+  positive(h.unk_window, "health.unk_window");
+  positive(h.min_unk_samples, "health.min_unk_samples");
+  positive(h.readmit_after, "health.readmit_after");
+}
+
+void validate_serve(const serve::ServeConfig& s) {
+  positive(s.max_batch, "serve.max_batch");
+  positive(s.limits.max_pending_windows, "serve.max_pending_windows");
+  positive(s.limits.max_consecutive_shed, "serve.max_consecutive_shed");
+  nonneg(s.max_queue_delay_ms, "serve.max_queue_delay_ms");
+  positive(s.circuit_probe_after, "serve.circuit_probe_after");
+  require(s.telemetry_port <= 65535, "serve.telemetry_port", "be <= 65535");
+  nonneg(s.slow_window_ms, "serve.slow_window_ms");
+  positive(s.sliding_window_s, "serve.sliding_window_s");
+  positive(s.sliding_epochs, "serve.sliding_epochs");
+}
+
+void validate_lifecycle(const lifecycle::LifecycleConfig& l) {
+  const lifecycle::DriftConfig& d = l.drift;
+  require(d.ewma_alpha > 0.0 && d.ewma_alpha <= 1.0,
+          "lifecycle.drift.ewma_alpha", "lie in (0, 1]");
+  positive(d.min_observations, "lifecycle.drift.min_observations");
+  positive(d.hysteresis, "lifecycle.drift.hysteresis");
+  nonneg(d.drifting_drop, "lifecycle.drift.drifting_drop");
+  nonneg(d.drifted_drop, "lifecycle.drift.drifted_drop");
+  fraction(d.break_rate, "lifecycle.drift.break_rate");
+  fraction(d.max_unk_rate, "lifecycle.drift.max_unk_rate");
+  require(d.drifting_drop <= d.drifted_drop, "lifecycle.drift.drifting_drop",
+          "be <=", "lifecycle.drift.drifted_drop");
+  positive(l.retrain.lr_factor, "lifecycle.retrain.lr_factor");
+  const serve::ShadowConfig& s = l.shadow;
+  positive(s.sample_rate, "lifecycle.shadow.sample_rate");
+  positive(s.min_windows, "lifecycle.shadow.min_windows");
+  fraction(s.alert_threshold, "lifecycle.shadow.alert_threshold");
+  fraction(s.max_alert_rate, "lifecycle.shadow.max_alert_rate");
+  fraction(s.min_agreement, "lifecycle.shadow.min_agreement");
+}
 
 std::string run_config_to_json(const RunConfig& config) {
   JsonValue doc = make_object();
@@ -693,18 +776,24 @@ RunConfig run_config_from_json(std::string_view text) {
   for (const auto& [key, value] : doc.object) {
     if (key == "window") {
       parse_window(value, key, &config.framework.window);
+      validate_window(config.framework.window);
     } else if (key == "miner") {
       parse_miner(value, key, &config.framework.miner);
+      validate_miner(config.framework.miner);
     } else if (key == "detector") {
       parse_detector(value, key, &config.framework.detector);
+      validate_detector(config.framework.detector);
     } else if (key == "health") {
       parse_health(value, key, &config.health);
+      validate_health(config.health);
     } else if (key == "tensor") {
       parse_tensor(value, key, &config.tensor);
     } else if (key == "serve") {
       parse_serve(value, key, &config.serve);
+      validate_serve(config.serve);
     } else if (key == "lifecycle") {
       parse_lifecycle(value, key, &config.lifecycle);
+      validate_lifecycle(config.lifecycle);
     } else {
       bad("unknown key '" + key + "'");
     }

@@ -6,8 +6,9 @@
 // instead keeps one FIFO of (window, edge) work items per edge model, and a
 // worker drains up to SchedulerConfig::max_batch items of ONE edge in a
 // single core::EdgeScorer pass — the scoring step batch detection shares.
-// A window's sentences are encoded to ids once, by the first worker that
-// scores any of its edges (PendingWindow::encoded); duplicate sources
+// A window arrives as its sensors' character spans; the first worker that
+// scores any of its edges cuts their words and encodes them to ids, once
+// (PendingWindow::encoded, through core::encode_span); duplicate sources
 // decode once, the rest go through Seq2SeqModel::translate_batch's stacked
 // GEMMs on the worker's thread arena, and a per-edge core::DecodeCache (the
 // memo batch detection keeps too) carries candidates across batches. All
@@ -78,14 +79,15 @@ struct PendingWindow {
   /// The model generation this window scores against (snapshotted at
   /// ingest; never mixed within a window).
   std::shared_ptr<const ModelGeneration> generation;
-  /// One single-sentence corpus per sensor node (WindowAssembler output).
-  std::vector<text::Corpus> corpora;
-  /// `corpora` encoded against the generation's vocabularies (encode_window),
-  /// once, by the first scoring worker that needs the window; the others
-  /// wait on the once-flag, which also publishes the result to them.
+  /// Each sensor node's sentence characters (WindowAssembler output).
+  core::WindowSpans spans;
+  /// `spans` cut into words and encoded against the generation's
+  /// vocabularies (encode_window), once, by the first scoring worker that
+  /// needs the window; the others wait on the once-flag, which also
+  /// publishes the result to them.
   const std::vector<core::EncodedSentence>& encoded() {
     std::call_once(encode_once_,
-                   [this] { encoded_ = encode_window(*generation, corpora); });
+                   [this] { encoded_ = encode_window(*generation, spans); });
     return encoded_;
   }
   /// Node indices excluded from this window (degraded sessions only).

@@ -29,6 +29,7 @@ std::shared_ptr<const ModelGeneration> make_generation(
   gen->residency =
       std::make_shared<ResidencyManager>(std::move(map), residency);
   const io::ArtifactMap& m = *gen->residency->map();
+  gen->window = m.window();
   const std::size_t sensors = m.sensor_names().size();
   gen->vocabularies.assign(sensors, nullptr);
   const auto& entries = m.edges();
@@ -71,13 +72,16 @@ std::shared_ptr<const ModelGeneration> make_generation(
 }
 
 std::vector<core::EncodedSentence> encode_window(
-    const ModelGeneration& gen, const std::vector<text::Corpus>& corpora) {
-  std::vector<core::EncodedSentence> out(corpora.size());
+    const ModelGeneration& gen, const core::WindowSpans& spans) {
+  const core::LanguageGenerator language(gen.window);
+  DESMINE_EXPECTS(spans.span == language.sentence_span(),
+                  "window spans do not match the generation's windows");
+  std::vector<core::EncodedSentence> out(spans.sensors());
   const std::size_t max_order = gen.detector.bleu.max_order;
-  for (std::size_t k = 0; k < corpora.size(); ++k) {
+  for (std::size_t k = 0; k < out.size(); ++k) {
     if (k < gen.vocabularies.size() && gen.vocabularies[k] != nullptr) {
-      out[k] = core::encode_sentence(*gen.vocabularies[k],
-                                     corpora[k].front(), max_order);
+      out[k] = core::encode_span(*gen.vocabularies[k], language,
+                                 spans.sensor(k), max_order);
     }
   }
   return out;

@@ -21,6 +21,7 @@
 
 #include "core/anomaly.h"
 #include "core/edge_scorer.h"
+#include "core/window_assembler.h"
 #include "nmt/translation.h"
 #include "serve/residency.h"
 
@@ -56,6 +57,8 @@ struct ModelGeneration {
   std::uint64_t id = 1;  ///< monotonically increasing across reloads
   std::vector<EdgeModel> edges;
   core::DetectorConfig detector;
+  /// The artifact's language windows: how a window's words are cut.
+  core::WindowConfig window;
   /// Per sensor node, the vocabulary its valid edges are trained on (null
   /// for sensors no valid edge touches): what windows are encoded with.
   core::SensorVocabularies vocabularies;
@@ -73,10 +76,11 @@ std::shared_ptr<const ModelGeneration> make_generation(
     std::shared_ptr<io::ArtifactMap> map, const core::DetectorConfig& detector,
     std::uint64_t id, const ResidencyConfig& residency);
 
-/// A window's sentences (one single-sentence corpus per sensor node)
-/// encoded against `gen`'s vocabularies; sensors without one stay empty.
+/// A window's sentences — one character span per sensor node, cut into
+/// words and encoded by core::encode_span — against `gen`'s vocabularies;
+/// sensors without one stay empty.
 std::vector<core::EncodedSentence> encode_window(
-    const ModelGeneration& gen, const std::vector<text::Corpus>& corpora);
+    const ModelGeneration& gen, const core::WindowSpans& spans);
 
 class ModelRegistry {
  public:

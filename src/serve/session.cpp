@@ -90,7 +90,7 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
   pending->window_index = window->window_index;
   pending->end_tick = window->end_tick;
   pending->generation = gen;
-  pending->corpora = std::move(window->corpora);
+  pending->spans = std::move(window->spans);
   pending->unhealthy = std::move(window->unhealthy);
   pending->masked = degraded_enabled_;
   pending->sheddable = sheds_in_row_ < limits_.max_consecutive_shed;
@@ -105,7 +105,7 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
   // The per-window valid set: every generation edge, minus edges incident
   // to an unhealthy sensor (core::is_excluded).
   const std::vector<std::uint8_t> bad =
-      core::unhealthy_flags(pending->unhealthy, pending->corpora.size());
+      core::unhealthy_flags(pending->unhealthy, pending->spans.sensors());
   for (std::size_t e = 0; e < gen->edges.size(); ++e) {
     const EdgeModel& edge = gen->edges[e];
     if (core::is_excluded(bad, edge.src, edge.dst)) continue;

@@ -10,6 +10,12 @@
 // AnomalyDetector::detect() uses, so a served stream's scores are
 // bit-identical to replaying it through an OnlineDetector.
 //
+// A tick does no string work on the ingesting thread: the assembler
+// appends one cached letter per kept sensor, and a completed window leaves
+// as its sensors' character spans (core::WindowSpans). Cutting them into
+// words and encoding the words happens once per window, on the scoring
+// worker that first needs it (PendingWindow::encoded).
+//
 // Fault tolerance (DESIGN.md §13): every window snapshots the current
 // ModelGeneration at ingest and scores against exactly that state, so hot
 // reloads never mix models within a window. Slots a worker could not score

@@ -94,7 +94,7 @@ SessionManager::SessionManager(const std::string& artifact_path,
             shadow = shadow_;
           }
           if (shadow && shadow->admit(*window)) {
-            sample = ShadowSample{window->corpora, window->unhealthy,
+            sample = ShadowSample{window->spans, window->unhealthy,
                                   window->masked};
           }
           const core::WindowVerdict verdict =

@@ -57,11 +57,11 @@ void ShadowScorer::observe(ShadowSample sample) {
   // (renormalization and quorum) of core::window_verdict.
   const core::DetectorConfig& detector = candidate_->detector;
   const std::vector<std::uint8_t> bad =
-      core::unhealthy_flags(sample.unhealthy, sample.corpora.size());
+      core::unhealthy_flags(sample.unhealthy, sample.spans.sensors());
   // The candidate scores on its own vocabularies, which a retrain may have
   // left different from the active generation's.
   const std::vector<core::EncodedSentence> encoded =
-      encode_window(*candidate_, sample.corpora);
+      encode_window(*candidate_, sample.spans);
   const core::EdgeScorer scorer({detector.bleu});
   std::size_t surviving = 0;
   std::size_t broken = 0;

@@ -3,10 +3,12 @@
 // Before a retrained candidate graph is promoted into serving, it must
 // prove itself on live traffic without any client-visible effect. The
 // ShadowScorer holds the candidate ModelGeneration and mirrors a sampled
-// slice of delivered live windows: for each sampled window it re-scores the
-// window's corpora against the candidate's edge models and decides the
-// window with the verdict serving uses (core::is_excluded, core::is_broken,
-// core::window_verdict — quorum included), and accumulates a promotion gate:
+// slice of delivered live windows: for each sampled window it encodes the
+// window's character spans against the candidate's vocabularies
+// (encode_window), scores them with the candidate's edge models, decides
+// the window with the verdict serving uses (core::is_excluded,
+// core::is_broken, core::window_verdict — quorum included), and
+// accumulates a promotion gate:
 //  * quietness — the fraction of sampled windows where the candidate's
 //    anomaly score reaches `alert_threshold` must stay at or below
 //    `max_alert_rate`. This is the core precision gate: a good candidate is
@@ -66,11 +68,11 @@ struct ShadowConfig {
   std::size_t max_failures = 0;
 };
 
-/// One mirrored window: the corpora and health mask copied out of the
-/// PendingWindow before Session::finalize consumes it, and the ACTIVE
+/// One mirrored window: the sentence characters and health mask copied out
+/// of the PendingWindow before Session::finalize consumes it, and the ACTIVE
 /// generation's anomaly score that finalize delivered.
 struct ShadowSample {
-  std::vector<text::Corpus> corpora;    ///< per sensor node
+  core::WindowSpans spans;              ///< per sensor node
   std::vector<std::size_t> unhealthy;   ///< node indices excluded
   bool masked = false;                  ///< degraded-mode semantics
   double active_score = 0.0;

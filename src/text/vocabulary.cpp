@@ -50,18 +50,24 @@ std::vector<std::int32_t> Vocabulary::encode(const Sentence& sentence) const {
 
 std::vector<std::uint32_t> Vocabulary::encode_exact(
     const Sentence& sentence) const {
+  const std::vector<std::string_view> words(sentence.begin(), sentence.end());
+  return encode_exact(words);
+}
+
+std::vector<std::uint32_t> Vocabulary::encode_exact(
+    std::span<const std::string_view> words) const {
   std::vector<std::uint32_t> out;
-  out.reserve(sentence.size());
-  std::vector<const std::string*> unknown;  // this sentence's, in order
-  for (const std::string& word : sentence) {
+  out.reserve(words.size());
+  std::vector<std::string_view> unknown;  // these words', in order
+  for (const std::string_view word : words) {
     const auto it = index_.find(word);
     if (it != index_.end()) {
       out.push_back(static_cast<std::uint32_t>(it->second));
       continue;
     }
     std::size_t k = 0;
-    while (k < unknown.size() && *unknown[k] != word) ++k;
-    if (k == unknown.size()) unknown.push_back(&word);
+    while (k < unknown.size() && unknown[k] != word) ++k;
+    if (k == unknown.size()) unknown.push_back(word);
     out.push_back(static_cast<std::uint32_t>(tokens_.size() + k));
   }
   return out;

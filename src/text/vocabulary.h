@@ -2,7 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +50,10 @@ class Vocabulary {
   /// distinct unknown token of this sentence gets size() + k. Ids below
   /// size() are exactly encode()'s; the rest are encode()'s kUnk.
   std::vector<std::uint32_t> encode_exact(const Sentence& sentence) const;
+  /// The same numbering over words that view someone else's characters
+  /// (core::encode_span cuts them straight from a character span).
+  std::vector<std::uint32_t> encode_exact(
+      std::span<const std::string_view> words) const;
 
   /// Decode ids to tokens, skipping the structural specials.
   Sentence decode(const std::vector<std::int32_t>& ids) const;
@@ -63,7 +70,17 @@ class Vocabulary {
  private:
   void add(const std::string& token);
 
-  std::unordered_map<std::string, std::int32_t> index_;
+  /// Hashes a std::string and a std::string_view alike, so the index is
+  /// searched by view without building a key string.
+  struct TokenHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view token) const {
+      return std::hash<std::string_view>{}(token);
+    }
+  };
+
+  std::unordered_map<std::string, std::int32_t, TokenHash, std::equal_to<>>
+      index_;
   std::vector<std::string> tokens_;
 };
 

@@ -157,6 +157,152 @@ TEST(CliExitCodes, MalformedNumbersAreUsageErrors) {
   EXPECT_FALSE(std::ifstream(csv.path).good());
 }
 
+/// Exit code of `tool` with `args`; its stdout lands in `*out`.
+int run_tool_stdout(const std::string& tool, const std::string& args,
+                    std::string* out) {
+  const TempFile log("stdout.txt");
+  const int status = std::system(
+      (tool + " " + args + " >" + log.path + " 2>/dev/null </dev/null")
+          .c_str());
+  std::ifstream in(log.path);
+  std::stringstream text;
+  text << in.rdbuf();
+  *out = text.str();
+  if (status < 0 || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(ToolConfig, OutOfRangeFlagsAreUsageErrorsNamingFlagAndKey) {
+  // Each value parses as a number but lies outside its key's range, which
+  // a config file holding it would fail: the tool must refuse it before
+  // --dump-config prints, naming the flag and the dotted key.
+  const std::string cli = DESMINE_CLI_PATH;
+  const std::string serve = DESMINE_SERVE_PATH;
+  const struct {
+    const std::string* tool;
+    const char* args;
+    const char* flag;
+    const char* key;
+  } cases[] = {
+      {&cli, "train --word 0", "--word", "window.word_length"},
+      {&cli, "train --word-stride 0", "--word-stride", "window.word_stride"},
+      {&cli, "train --sentence 0", "--sentence", "window.sentence_length"},
+      {&cli, "train --sentence-stride 0", "--sentence-stride",
+       "window.sentence_stride"},
+      {&cli, "train --embedding 0", "--embedding", "miner.model.embedding_dim"},
+      {&cli, "train --hidden 0", "--hidden", "miner.model.hidden_dim"},
+      {&cli, "train --layers 0", "--layers", "miner.model.num_layers"},
+      {&cli, "train --dropout 1.5", "--dropout", "miner.model.dropout"},
+      {&cli, "train --dropout 1", "--dropout", "miner.model.dropout"},
+      {&cli, "train --steps 0", "--steps", "miner.trainer.steps"},
+      {&cli, "train --batch 0", "--batch", "miner.trainer.batch_size"},
+      {&cli, "train --lr 0", "--lr", "miner.trainer.lr"},
+      {&cli, "train --pair-timeout-s -1", "--pair-timeout-s",
+       "miner.pair_timeout_s"},
+      {&cli, "train --tolerance -1", "--tolerance", "detector.tolerance"},
+      {&cli, "train --lo 95 --hi 90", "--lo", "detector.valid_hi"},
+      {&cli, "detect --min-coverage 1.5", "--min-coverage",
+       "detector.min_coverage"},
+      {&cli, "detect --tolerance -1", "--tolerance", "detector.tolerance"},
+      {&cli, "detect --hi 10", "--hi", "detector.valid_lo"},
+      {&cli, "detect --health-drop-after 0", "--health-drop-after",
+       "health.drop_after_missing"},
+      {&cli, "detect --health-unk-rate 1.5", "--health-unk-rate",
+       "health.max_unk_rate"},
+      {&cli, "detect --health-unk-window 0", "--health-unk-window",
+       "health.unk_window"},
+      {&cli, "detect --health-readmit-after 0", "--health-readmit-after",
+       "health.readmit_after"},
+      {&serve, "--min-coverage 1.5", "--min-coverage",
+       "detector.min_coverage"},
+      {&serve, "--tolerance -1", "--tolerance", "detector.tolerance"},
+      {&serve, "--lo 95 --hi 90", "--hi", "detector.valid_lo"},
+      {&serve, "--health-drop-after 0", "--health-drop-after",
+       "health.drop_after_missing"},
+      {&serve, "--health-unk-rate 1.5", "--health-unk-rate",
+       "health.max_unk_rate"},
+      {&serve, "--health-unk-window 0", "--health-unk-window",
+       "health.unk_window"},
+      {&serve, "--health-readmit-after 0", "--health-readmit-after",
+       "health.readmit_after"},
+      {&serve, "--max-batch 0", "--max-batch", "serve.max_batch"},
+      {&serve, "--max-pending 0", "--max-pending",
+       "serve.max_pending_windows"},
+      {&serve, "--max-consecutive-shed 0", "--max-consecutive-shed",
+       "serve.max_consecutive_shed"},
+      {&serve, "--max-queue-delay-ms -1", "--max-queue-delay-ms",
+       "serve.max_queue_delay_ms"},
+      {&serve, "--circuit-probe-after 0", "--circuit-probe-after",
+       "serve.circuit_probe_after"},
+      {&serve, "--slow-window-ms -1", "--slow-window-ms",
+       "serve.slow_window_ms"},
+      {&serve, "--sliding-window-s 0", "--sliding-window-s",
+       "serve.sliding_window_s"},
+      {&serve, "--sliding-epochs 0", "--sliding-epochs",
+       "serve.sliding_epochs"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(run_tool_stderr(*c.tool, std::string(c.args) + " --dump-config",
+                              &err),
+              2)
+        << c.args;
+    EXPECT_NE(err.find(c.flag), std::string::npos) << c.args << ": " << err;
+    EXPECT_NE(err.find(c.key), std::string::npos) << c.args << ": " << err;
+  }
+}
+
+TEST(ToolConfig, DumpUnderValidFlagsReparsesToTheSameBytes) {
+  // What --dump-config prints under any accepted flags is a config file
+  // the tool takes back unchanged.
+  const std::string cli = DESMINE_CLI_PATH;
+  const std::string serve = DESMINE_SERVE_PATH;
+  const struct {
+    const std::string* tool;
+    const char* args;
+  } cases[] = {
+      {&cli, "train --word 3 --word-stride 2 --sentence 4 "
+             "--sentence-stride 3 --embedding 6 --hidden 5 --layers 2 "
+             "--dropout 0.25 --steps 7 --batch 3 --lr 0.5 "
+             "--pair-timeout-s 1.5 --max-retries 4 --lo 40 --hi 60 "
+             "--tolerance 2"},
+      {&cli, "detect --lo 70 --hi 95 --tolerance 1 --min-coverage 0.75 "
+             "--health-drop-after 2 --health-stale-after 9 "
+             "--health-unk-rate 0.25 --health-unk-window 16 "
+             "--health-readmit-after 3"},
+      {&serve, "--lo 70 --hi 95 --min-coverage 0.25 --health-unk-rate 1 "
+               "--workers 2 --max-batch 1 --decode-cache 0 --max-pending 1 "
+               "--max-consecutive-shed 2 --max-global-pending 5 "
+               "--max-queue-delay-ms 2.5 --circuit-open-after 0 "
+               "--circuit-probe-after 1 --telemetry-port 65535 "
+               "--resident-bytes 1024 --resident-edges 3 "
+               "--slow-window-ms 0 --sliding-window-s 0.5 "
+               "--sliding-epochs 1 --reject-when-full"},
+  };
+  const TempFile dumped("dumped.json");
+  for (const auto& c : cases) {
+    std::string first;
+    ASSERT_EQ(run_tool_stdout(*c.tool, std::string(c.args) + " --dump-config",
+                              &first),
+              0)
+        << c.args;
+    ASSERT_FALSE(first.empty()) << c.args;
+    std::ofstream(dumped.path) << first;
+    // The subcommand (if any) leads; flags are dropped on the way back.
+    const std::string args = c.args;
+    const std::string command =
+        args.rfind("--", 0) == 0 ? "" : args.substr(0, args.find(' ')) + " ";
+    std::string second;
+    EXPECT_EQ(run_tool_stdout(*c.tool,
+                              command + "--config " + dumped.path +
+                                  " --dump-config",
+                              &second),
+              0)
+        << c.args;
+    EXPECT_EQ(second, first) << c.args;
+  }
+}
+
 TEST(CliExitCodes, MissingRequiredOptionIsUsageError) {
   EXPECT_EQ(run_cli("generate"), 2);
 }

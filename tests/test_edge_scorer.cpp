@@ -226,6 +226,19 @@ void expect_edge_bleu_matches_per_window(
   }
 }
 
+/// Window t of `series` as serving hands it on: every kept sensor's
+/// sentence characters, in one buffer.
+dc::WindowSpans window_spans(const dc::Framework& fw,
+                             const dc::MultivariateSeries& series,
+                             std::size_t t) {
+  dc::WindowSpans w;
+  w.span = fw.language().sentence_span();
+  for (const std::string& chars : fw.encrypter().encode_all(series)) {
+    w.chars.append(chars, fw.language().sentence_start(t), w.span);
+  }
+  return w;
+}
+
 /// The model edge whose source sensor has the most distinct sentences in
 /// `corpora`, with that count.
 std::pair<const dc::MvrEdge*, std::size_t> widest_edge(
@@ -722,7 +735,8 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
   };
   const std::vector<Case> cases = {{"strict", f.cfg.detector, {}},
                                    {"masked", breaking, {noise}}};
-  const auto corpora = f.framework.to_corpora(make_series(300, 4));
+  const dc::MultivariateSeries series = make_series(300, 4);
+  const auto corpora = f.framework.to_corpora(series);
   ds::ShadowConfig scfg;
   scfg.sample_rate = 1.0;
   for (const Case& c : cases) {
@@ -740,9 +754,7 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
     std::size_t alerts = 0, degraded = 0;
     for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {
       ds::ShadowSample sample;
-      for (const dx::Corpus& corpus : corpora) {
-        sample.corpora.push_back({corpus[t]});
-      }
+      sample.spans = window_spans(f.framework, series, t);
       sample.unhealthy = c.unhealthy;
       sample.masked = !c.unhealthy.empty();
       shadow.observe(std::move(sample));
@@ -764,16 +776,16 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
 
 TEST(EdgeScorer, ShadowMemoDecodesARepeatedSampleNoMore) {
   auto& f = fixture();
-  const auto corpora = f.framework.to_corpora(make_series(300, 4));
+  const dc::MultivariateSeries series = make_series(300, 4);
   ds::ShadowConfig scfg;
   scfg.sample_rate = 1.0;
   ds::ShadowScorer shadow(
       ds::make_generation(dio::ArtifactMap::open(f.artifact), f.cfg.detector,
                           2, {}),
       scfg, "own");
-  const auto sample = [&corpora] {
+  const auto sample = [&] {
     ds::ShadowSample s;
-    for (const dx::Corpus& corpus : corpora) s.corpora.push_back({corpus[0]});
+    s.spans = window_spans(f.framework, series, 0);
     return s;
   };
   desmine::obs::Counter& decoded =

@@ -1,6 +1,10 @@
 // Tests for sensor encryption (§II-A1): sequence filtering, alphanumeric
-// letter assignment, unknown-state handling.
+// letter assignment, unknown-state handling, and the per-kept-index letter
+// lookup streaming ingest uses.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/encryption.h"
 #include "core/event.h"
@@ -92,6 +96,35 @@ TEST(Encryption, EmptySeriesDropsEverything) {
   const auto enc = dc::SensorEncrypter::fit({{"e", {}}});
   EXPECT_TRUE(enc.kept_sensors().empty());
   EXPECT_EQ(enc.dropped_sensors().size(), 1u);
+}
+
+TEST(Encryption, LetterByKeptIndexMatchesEncode) {
+  const auto enc = dc::SensorEncrypter::fit(sample_series());
+  ASSERT_EQ(enc.kept_sensors(), (std::vector<std::string>{"s1", "s3"}));
+  for (std::size_t k = 0; k < enc.kept_sensors().size(); ++k) {
+    const std::string& name = enc.kept_sensors()[k];
+    for (const std::string state :
+         {"ON", "OFF", "status 1", "status 3", "idle", "", "BROKEN"}) {
+      EXPECT_EQ(enc.letter(k, state), enc.encode(name, {state}).front())
+          << name << " " << state;
+    }
+  }
+  EXPECT_EQ(enc.letter(0, "BROKEN"), dc::SensorEncrypter::kUnknownChar);
+  EXPECT_EQ(enc.letter(1, "status 2"), 'b');
+}
+
+TEST(Encryption, RebuiltEncrypterKeepsOrderAndRejectsARepeatedSensor) {
+  const auto enc = dc::SensorEncrypter::fit(sample_series());
+  std::vector<dc::SensorEncrypter::Encoding> tables = {enc.encoding("s3"),
+                                                       enc.encoding("s1")};
+  const auto rebuilt = dc::SensorEncrypter::from_encodings(tables, {"s2"});
+  EXPECT_EQ(rebuilt.kept_sensors(), (std::vector<std::string>{"s3", "s1"}));
+  EXPECT_EQ(rebuilt.letter(0, "status 3"), 'c');
+  EXPECT_EQ(rebuilt.letter(1, "ON"), 'b');
+  EXPECT_EQ(rebuilt.encode("s1", {"OFF", "ON"}), "ab");
+  tables.push_back(enc.encoding("s1"));
+  EXPECT_THROW(dc::SensorEncrypter::from_encodings(tables, {}),
+               desmine::PreconditionError);
 }
 
 // --------------------------------------------------------- event helpers ---

@@ -67,7 +67,7 @@
 
 using namespace desmine;
 using tools::Args;
-using tools::validate_detector;
+using tools::validate_overrides;
 
 namespace {
 
@@ -162,7 +162,6 @@ core::FrameworkConfig config_from(const Args& args,
   cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
   cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
   cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
-  validate_detector(cfg.detector);
   return cfg;
 }
 
@@ -193,6 +192,7 @@ int cmd_train(const Args& args) {
   io::RunConfig run = base_config(args);
   run.framework = config_from(args, run.framework);
   merge_tensor_flags(args, run);
+  validate_overrides(args, run);
   if (args.flag("dump-config")) {
     std::cout << io::run_config_to_json(run);
     return 0;
@@ -266,22 +266,21 @@ robust::HealthConfig health_from(const Args& args, robust::HealthConfig h) {
 
 int cmd_detect(const Args& args) {
   io::RunConfig run = base_config(args);
-  core::FrameworkConfig cfg;
-  cfg.detector = run.framework.detector;
-  cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
-  cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
-  cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
-  cfg.detector.min_coverage =
-      args.number("min-coverage", cfg.detector.min_coverage);
-  validate_detector(cfg.detector);
-  const robust::HealthConfig health = health_from(args, run.health);
+  core::DetectorConfig& detector = run.framework.detector;
+  detector.valid_lo = args.number("lo", detector.valid_lo);
+  detector.valid_hi = args.number("hi", detector.valid_hi);
+  detector.tolerance = args.number("tolerance", detector.tolerance);
+  detector.min_coverage = args.number("min-coverage", detector.min_coverage);
+  run.health = health_from(args, run.health);
   merge_tensor_flags(args, run);
+  validate_overrides(args, run);
   if (args.flag("dump-config")) {
-    run.framework.detector = cfg.detector;
-    run.health = health;
     std::cout << io::run_config_to_json(run);
     return 0;
   }
+  core::FrameworkConfig cfg;
+  cfg.detector = detector;
+  const robust::HealthConfig& health = run.health;
   tensor::kernels::select_backend(run.tensor.kernels);
   obs::logger().info(
       "compute kernels selected",

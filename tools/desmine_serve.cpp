@@ -85,7 +85,7 @@
 
 using namespace desmine;
 using tools::Args;
-using tools::validate_detector;
+using tools::validate_overrides;
 
 namespace {
 
@@ -144,7 +144,7 @@ io::RunConfig effective_config(const Args& args) {
   s.slow_window_ms = args.number("slow-window-ms", s.slow_window_ms);
   s.sliding_window_s = args.number("sliding-window-s", s.sliding_window_s);
   s.sliding_epochs = args.count("sliding-epochs", s.sliding_epochs);
-  validate_detector(d);
+  validate_overrides(args, run);
   s.detector = d;
 
   // --kernels overrides the config file's `tensor` section; the choice is
