@@ -1,5 +1,7 @@
 #include "serve/batch_scheduler.h"
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -22,7 +24,112 @@ std::string edge_name(const EdgeModel& edge) {
   return std::to_string(edge.src) + "->" + std::to_string(edge.dst);
 }
 
+/// One multiply-xorshift step over a word.
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0xbf58476d1ce4e5b9ull;
+  return h ^ (h >> 31);
+}
+
+/// Content hash of one sensor's sentence characters.
+std::uint64_t span_hash(std::string_view chars) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ chars.size();
+  std::size_t at = 0;
+  for (; at + 8 <= chars.size(); at += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, chars.data() + at, 8);
+    h = mix(h, word);
+  }
+  if (at < chars.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, chars.data() + at, chars.size() - at);
+    h = mix(h, word);
+  }
+  return h;
+}
+
+/// The span memo's key hash of a (source, reference) pair.
+std::uint64_t pair_hash(std::uint64_t source_hash,
+                        std::uint64_t reference_hash) {
+  return mix(source_hash, reference_hash * 0x9e3779b97f4a7c15ull);
+}
+
 }  // namespace
+
+const std::vector<std::uint64_t>& PendingWindow::span_hashes() {
+  std::call_once(hash_once_, [this] {
+    span_hashes_.resize(spans.sensors());
+    for (std::size_t k = 0; k < span_hashes_.size(); ++k) {
+      span_hashes_[k] = span_hash(spans.sensor(k));
+    }
+  });
+  return span_hashes_;
+}
+
+const std::vector<core::EncodedSentence>& PendingWindow::encoded() {
+  std::call_once(encode_once_, [this] {
+    static obs::Counter& windows_encoded =
+        obs::metrics().counter("serve.windows_encoded");
+    encoded_ = encode_window(*generation, spans);
+    windows_encoded.inc();
+  });
+  return encoded_;
+}
+
+std::size_t SpanMemo::slot(std::string_view source,
+                           std::string_view reference,
+                           std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash;; ++i) {
+    const std::uint16_t s = slots_[i & mask];
+    if (s == 0) return i & mask;
+    const Entry& e = entries_[s - 1];
+    if (e.source_length == source.size() &&
+        e.reference_length == reference.size() &&
+        std::memcmp(keys_.data() + e.key, source.data(), source.size()) ==
+            0 &&
+        std::memcmp(keys_.data() + e.key + source.size(), reference.data(),
+                    reference.size()) == 0) {
+      return i & mask;
+    }
+  }
+}
+
+const double* SpanMemo::find(std::string_view source,
+                             std::uint64_t source_hash,
+                             std::string_view reference,
+                             std::uint64_t reference_hash) const {
+  if (entries_.empty()) return nullptr;
+  const std::uint16_t s =
+      slots_[slot(source, reference, pair_hash(source_hash, reference_hash))];
+  return s == 0 ? nullptr : &entries_[s - 1].f;
+}
+
+void SpanMemo::insert(std::string_view source, std::uint64_t source_hash,
+                      std::string_view reference,
+                      std::uint64_t reference_hash, double f) {
+  if (source.size() > 0xFFFF || reference.size() > 0xFFFF) return;
+  const std::uint64_t hash = pair_hash(source_hash, reference_hash);
+  if (slots_.empty()) slots_.assign(2 * kSpanMemoPairs, 0);
+  std::size_t at = slot(source, reference, hash);
+  if (slots_[at] != 0) return;  // a batch's repeated miss
+  if (entries_.size() == kSpanMemoPairs) {
+    keys_.clear();
+    entries_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+    at = slot(source, reference, hash);
+  }
+  entries_.push_back({f, static_cast<std::uint32_t>(keys_.size()),
+                      static_cast<std::uint16_t>(source.size()),
+                      static_cast<std::uint16_t>(reference.size())});
+  keys_.insert(keys_.end(), source.begin(), source.end());
+  keys_.insert(keys_.end(), reference.begin(), reference.end());
+  slots_[at] = static_cast<std::uint16_t>(entries_.size());
+}
+
+std::size_t SpanMemo::bytes() const {
+  return keys_.capacity() + entries_.capacity() * sizeof(Entry) +
+         slots_.capacity() * sizeof(std::uint16_t);
+}
 
 BatchScheduler::BatchScheduler(
     const std::shared_ptr<const ModelGeneration>& initial,
@@ -40,6 +147,16 @@ BatchScheduler::BatchScheduler(
   current_generation_ = initial->id;
 }
 
+BatchScheduler::~BatchScheduler() {
+  for (const std::unique_ptr<Generation>& g : generations_) {
+    for (EdgeState& state : g->states) {
+      for (const Item& item : state.queue) {
+        if (--item.window->remaining == 0) delete item.window;
+      }
+    }
+  }
+}
+
 void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
   DESMINE_EXPECTS(window != nullptr && !window->edges.empty(),
                   "submit needs at least one edge to score");
@@ -49,69 +166,88 @@ void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
                       window->edge_bleu.size() == window->edges.size() &&
                       window->edge_status.size() == window->edges.size(),
                   "window score bookkeeping not initialized");
-  PendingWindow* raw = window.get();
+  const std::size_t edge_count = window->generation->edges.size();
+  for (const std::size_t edge_id : window->edges) {
+    DESMINE_EXPECTS(edge_id < edge_count, "edge id out of range");
+  }
+  bool wake = false;
   {
     std::lock_guard lock(mu_);
     DESMINE_EXPECTS(!stopping_, "submit after stop()");
-    owned_.emplace(raw, std::move(window));
+    PendingWindow* raw = window.release();
     const std::uint64_t gen_id = raw->generation->id;
-    for (std::size_t slot = 0; slot < raw->edges.size(); ++slot) {
-      const std::size_t edge_id = raw->edges[slot];
-      DESMINE_EXPECTS(edge_id < raw->generation->edges.size(),
-                      "edge id out of range");
-      const Key key{gen_id, edge_id};
-      auto [it, inserted] = states_.try_emplace(key);
-      EdgeState& state = it->second;
-      if (inserted) {
-        state.generation = raw->generation;
-        state.edge_id = edge_id;
-        state.retired = gen_id != current_generation_;
+    Generation* g = nullptr;
+    for (const std::unique_ptr<Generation>& live : generations_) {
+      if (live->generation->id == gen_id) g = live.get();
+    }
+    if (g == nullptr) {
+      // The generation's first window: its dense table, retired at birth
+      // when a reload already superseded it.
+      g = generations_.emplace_back(std::make_unique<Generation>(
+                                        raw->generation))
+              .get();
+      g->retired = gen_id != current_generation_;
+      for (std::size_t e = 0; e < g->states.size(); ++e) {
+        g->states[e].owner = g;
+        g->states[e].edge_id = e;
       }
+    }
+    g->items += raw->edges.size();
+    queued_items_ += raw->edges.size();
+    for (std::size_t slot = 0; slot < raw->edges.size(); ++slot) {
+      EdgeState& state = g->states[raw->edges[slot]];
       state.queue.push_back({raw, slot});
-      ++queued_items_;
       if (!state.busy && !state.in_ready) {
-        ready_.push_back(key);
+        ready_.push_back(&state);
         state.in_ready = true;
       }
     }
+    wake = waiting_ > 0;
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_one();
 }
 
 void BatchScheduler::resolve_locked(
-    const Item& item, SlotStatus status,
+    EdgeState& state, const Item& item, SlotStatus status,
     std::vector<std::unique_ptr<PendingWindow>>* completed) {
+  --state.owner->items;
   item.window->edge_status[item.slot] = static_cast<std::uint8_t>(status);
   if (--item.window->remaining == 0) {
     item.window->scored_done = std::chrono::steady_clock::now();
-    const auto it = owned_.find(item.window);
-    completed->push_back(std::move(it->second));
-    owned_.erase(it);
+    completed->emplace_back(item.window);
   }
+}
+
+void BatchScheduler::erase_if_drained_locked(Generation* g) {
+  if (!g->retired || g->items != 0 || g->busy != 0) return;
+  // Nothing queued means none of its states is on the ready list, so no
+  // pointer into the table outlives it.
+  generations_.erase(std::find_if(
+      generations_.begin(), generations_.end(),
+      [g](const std::unique_ptr<Generation>& live) {
+        return live.get() == g;
+      }));
 }
 
 bool BatchScheduler::run_one() {
   std::vector<Item> batch;
-  Key key{};
   EdgeState* state = nullptr;
   bool probing = false;
+  bool wake = false;
   std::vector<std::unique_ptr<PendingWindow>> completed;
   {
     std::unique_lock lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [&] {
-        return !ready_.empty() || (stopping_ && queued_items_ == 0);
-      });
-      if (ready_.empty()) return false;  // stopping and fully drained
-      key = ready_.front();
-      ready_.pop_front();
-      const auto it = states_.find(key);
-      if (it == states_.end()) continue;  // state erased while enqueued
-      state = &it->second;
-      state->in_ready = false;
-      break;
+    while (ready_.empty()) {
+      if (stopping_ && queued_items_ == 0) return false;  // fully drained
+      ++waiting_;
+      cv_.wait(lock);
+      --waiting_;
     }
+    state = ready_.front();
+    ready_.pop_front();
+    state->in_ready = false;
     state->busy = true;
+    ++state->owner->busy;
 
     // Form the batch, dispositioning each popped item: already-shed or
     // stale windows resolve as kShed, an open breaker quarantines, and the
@@ -135,18 +271,18 @@ bool BatchScheduler::run_one() {
       if (++w->dequeued == w->edges.size()) w->last_dequeue = now;
 
       if (w->shed) {
-        resolve_locked(item, SlotStatus::kShed, &completed);
+        resolve_locked(*state, item, SlotStatus::kShed, &completed);
         continue;
       }
       if (config_.max_queue_delay_ms > 0.0 && w->sheddable &&
           age_ms(w->enqueued, now) > config_.max_queue_delay_ms) {
         w->shed = true;
         obs::metrics().counter("serve.shed.windows").inc();
-        resolve_locked(item, SlotStatus::kShed, &completed);
+        resolve_locked(*state, item, SlotStatus::kShed, &completed);
         continue;
       }
       if (state->breaker == Breaker::kOpen) {
-        resolve_locked(item, SlotStatus::kQuarantined, &completed);
+        resolve_locked(*state, item, SlotStatus::kQuarantined, &completed);
         obs::metrics().counter("serve.circuit.quarantined").inc();
         if (++state->skipped_since_open >= config_.circuit_probe_after) {
           state->breaker = Breaker::kHalfOpen;
@@ -157,8 +293,12 @@ bool BatchScheduler::run_one() {
       }
       batch.push_back(item);
     }
+    // More ready edges than this worker: pass the wake-up on. Draining the
+    // last queued item while stopping lets every waiter return.
+    wake = !ready_.empty() && waiting_ > 0;
+    if (stopping_ && queued_items_ == 0) cv_.notify_all();
   }
-  if (!completed.empty()) cv_.notify_all();
+  if (wake) cv_.notify_one();
   for (std::unique_ptr<PendingWindow>& window : completed) {
     on_scored_(std::move(window));
   }
@@ -167,6 +307,7 @@ bool BatchScheduler::run_one() {
   // Worker supervision: a throwing decode resolves the batch as error
   // results instead of killing the worker (the session delivers them as
   // typed failed-edge windows through its reorder buffer).
+  const ModelGeneration& gen = *state->owner->generation;
   bool scored_ok = true;
   if (!batch.empty()) {
     if (probing) obs::metrics().counter("serve.circuit.probes").inc();
@@ -175,17 +316,18 @@ bool BatchScheduler::run_one() {
     } catch (const std::exception& e) {
       scored_ok = false;
       obs::metrics().counter("serve.batch.failures").inc();
-      DESMINE_LOG_WARN(
-          "batch scoring failed",
-          {obs::kv("edge", edge_name(state->generation->edges[state->edge_id])),
-           obs::kv("generation", state->generation->id),
-           obs::kv("batch", batch.size()), obs::kv("error", e.what())});
+      DESMINE_LOG_WARN("batch scoring failed",
+                       {obs::kv("edge", edge_name(gen.edges[state->edge_id])),
+                        obs::kv("generation", gen.id),
+                        obs::kv("batch", batch.size()),
+                        obs::kv("error", e.what())});
     }
   }
 
   {
     std::lock_guard lock(mu_);
     state->busy = false;
+    --state->owner->busy;
     if (!batch.empty()) {
       if (scored_ok) {
         state->consecutive_failures = 0;
@@ -194,8 +336,7 @@ bool BatchScheduler::run_one() {
           obs::metrics().counter("serve.circuit.closed").inc();
           DESMINE_LOG_INFO(
               "circuit closed",
-              {obs::kv("edge",
-                       edge_name(state->generation->edges[state->edge_id]))});
+              {obs::kv("edge", edge_name(gen.edges[state->edge_id]))});
         }
       } else if (config_.circuit_open_after > 0) {
         state->skipped_since_open = 0;
@@ -205,8 +346,7 @@ bool BatchScheduler::run_one() {
             obs::metrics().counter("serve.circuit.opened").inc();
             DESMINE_LOG_WARN(
                 "circuit opened",
-                {obs::kv("edge",
-                         edge_name(state->generation->edges[state->edge_id])),
+                {obs::kv("edge", edge_name(gen.edges[state->edge_id])),
                  obs::kv("failures", state->consecutive_failures)});
           }
           state->breaker = Breaker::kOpen;
@@ -214,25 +354,24 @@ bool BatchScheduler::run_one() {
         }
       }
       for (const Item& item : batch) {
-        resolve_locked(item,
+        resolve_locked(*state, item,
                        scored_ok ? SlotStatus::kScored : SlotStatus::kFailed,
                        &completed);
       }
     }
+    wake = false;
     if (!state->queue.empty()) {
-      if (!state->in_ready) {
-        // Re-queue at the tail: round-robin fairness across hot edges.
-        ready_.push_back(key);
-        state->in_ready = true;
-      }
-    } else if (state->retired) {
-      // Last work of a superseded generation: drop the state (and with it
-      // the generation reference) so the old models can free themselves.
-      states_.erase(key);
-      state = nullptr;
+      // Re-queue at the tail: round-robin fairness across hot edges.
+      ready_.push_back(state);
+      state->in_ready = true;
+      wake = waiting_ > 0;
+    } else {
+      // The last work of a superseded generation drops its table, and with
+      // it the generation reference, so the old models free themselves.
+      erase_if_drained_locked(state->owner);
     }
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_one();
   for (std::unique_ptr<PendingWindow>& window : completed) {
     on_scored_(std::move(window));
   }
@@ -247,12 +386,14 @@ void BatchScheduler::score_batch(EdgeState& state,
       obs::metrics().histogram("serve.batch.score_ms");
   static obs::Counter& cache_hits =
       obs::metrics().counter("serve.batch.cache_hits");
+  static obs::Counter& pair_hits =
+      obs::metrics().counter("serve.batch.pair_hits");
   static obs::Counter& decoded = obs::metrics().counter("serve.batch.decoded");
 
   const obs::ScopedTimer timer("serve.score-batch", score_ms);
   batch_size.record(static_cast<double>(batch.size()));
 
-  const EdgeModel& edge = state.generation->edges[state.edge_id];
+  const EdgeModel& edge = state.owner->generation->edges[state.edge_id];
   switch (robust::fire_fault("serve.decode", edge_name(edge))) {
     case robust::FaultAction::kThrow:
       throw RuntimeError("injected serve.decode fault on edge " +
@@ -265,53 +406,75 @@ void BatchScheduler::score_batch(EdgeState& state,
       break;
   }
 
-  std::vector<const core::EncodedSentence*> sources, references;
-  sources.reserve(batch.size());
-  references.reserve(batch.size());
+  // The span memo answers what it can; only its misses are encoded and
+  // scored, and their f values join it.
+  const bool memo = config_.decode_cache > 0;
+  std::vector<const Item*> misses;
+  misses.reserve(batch.size());
+  std::size_t hits = 0;
   for (const Item& item : batch) {
-    const std::vector<core::EncodedSentence>& encoded =
-        item.window->encoded();
-    sources.push_back(&encoded[edge.src]);
-    references.push_back(&encoded[edge.dst]);
+    PendingWindow& w = *item.window;
+    const double* f = nullptr;
+    if (memo) {
+      const std::vector<std::uint64_t>& hashes = w.span_hashes();
+      f = state.spans.find(w.spans.sensor(edge.src), hashes[edge.src],
+                           w.spans.sensor(edge.dst), hashes[edge.dst]);
+    }
+    if (f != nullptr) {
+      w.edge_bleu[item.slot] = *f;
+      ++hits;
+    } else {
+      misses.push_back(&item);
+    }
   }
-  const core::EdgeScorer::Result r =
-      scorer_.score([&edge] { return edge.acquire(); }, sources, references,
-                    config_.decode_cache > 0 ? &state.cache : nullptr);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].window->edge_bleu[batch[i].slot] = r.bleu[i];
+  if (!misses.empty()) {
+    std::vector<const core::EncodedSentence*> sources, references;
+    sources.reserve(misses.size());
+    references.reserve(misses.size());
+    for (const Item* item : misses) {
+      const std::vector<core::EncodedSentence>& encoded =
+          item->window->encoded();
+      sources.push_back(&encoded[edge.src]);
+      references.push_back(&encoded[edge.dst]);
+    }
+    const core::EdgeScorer::Result r =
+        scorer_.score([&edge] { return edge.acquire(); }, sources, references,
+                      memo ? &state.cache : nullptr);
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+      PendingWindow& w = *misses[i]->window;
+      w.edge_bleu[misses[i]->slot] = r.bleu[i];
+      if (memo) {
+        const std::vector<std::uint64_t>& hashes = w.span_hashes();
+        state.spans.insert(w.spans.sensor(edge.src), hashes[edge.src],
+                           w.spans.sensor(edge.dst), hashes[edge.dst],
+                           r.bleu[i]);
+      }
+    }
+    hits += r.cache_hits;
+    decoded.inc(r.decoded);
+    if (r.cache_evictions > 0) {
+      obs::metrics()
+          .counter("serve.batch.cache_evictions")
+          .inc(r.cache_evictions);
+    }
   }
-  cache_hits.inc(r.cache_hits);
-  decoded.inc(r.decoded);
-  state.memo_gauges.update(state.cache.size(), state.cache.bytes());
-  if (r.cache_evictions > 0) {
-    obs::metrics()
-        .counter("serve.batch.cache_evictions")
-        .inc(r.cache_evictions);
-  }
+  pair_hits.inc(batch.size() - misses.size());
+  cache_hits.inc(hits);
+  state.memo_gauges.update(state.cache.size() + state.spans.size(),
+                           state.cache.bytes() + state.spans.bytes());
 }
 
 void BatchScheduler::set_current_generation(std::uint64_t id) {
-  {
-    std::lock_guard lock(mu_);
-    current_generation_ = id;
-    for (auto it = states_.begin(); it != states_.end();) {
-      EdgeState& state = it->second;
-      if (state.generation->id == id) {
-        ++it;
-        continue;
-      }
-      if (state.queue.empty() && !state.busy) {
-        // Idle old-generation state: queue empty implies not in ready_, so
-        // erasing here leaves no dangling key behind (run_one tolerates
-        // stale keys regardless).
-        it = states_.erase(it);
-      } else {
-        state.retired = true;
-        ++it;
-      }
-    }
+  std::lock_guard lock(mu_);
+  current_generation_ = id;
+  std::vector<Generation*> superseded;
+  for (const std::unique_ptr<Generation>& g : generations_) {
+    if (g->generation->id != id) superseded.push_back(g.get());
   }
-  cv_.notify_all();
+  for (Generation* g : superseded) {
+    g->retired = true;
+    erase_if_drained_locked(g);
+  }
 }
 
 void BatchScheduler::stop() {

@@ -104,12 +104,19 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
 
   // The per-window valid set: every generation edge, minus edges incident
   // to an unhealthy sensor (core::is_excluded).
+  // A window with every sensor healthy skips the flags (empty flags exclude
+  // nothing).
   const std::vector<std::uint8_t> bad =
-      core::unhealthy_flags(pending->unhealthy, pending->spans.sensors());
+      pending->unhealthy.empty()
+          ? std::vector<std::uint8_t>{}
+          : core::unhealthy_flags(pending->unhealthy,
+                                  pending->spans.sensors());
+  pending->edges.reserve(gen->edges.size());
   for (std::size_t e = 0; e < gen->edges.size(); ++e) {
     const EdgeModel& edge = gen->edges[e];
-    if (core::is_excluded(bad, edge.src, edge.dst)) continue;
-    pending->edges.push_back(e);
+    if (!core::is_excluded(bad, edge.src, edge.dst)) {
+      pending->edges.push_back(e);
+    }
   }
   pending->edge_bleu.assign(pending->edges.size(), 0.0);
   pending->edge_status.assign(pending->edges.size(), 0);

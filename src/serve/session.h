@@ -12,9 +12,10 @@
 //
 // A tick does no string work on the ingesting thread: the assembler
 // appends one cached letter per kept sensor, and a completed window leaves
-// as its sensors' character spans (core::WindowSpans). Cutting them into
-// words and encoding the words happens once per window, on the scoring
-// worker that first needs it (PendingWindow::encoded).
+// as its sensors' character spans (core::WindowSpans). Hashing them for the
+// scheduler's span memos, and cutting them into words and encoding the
+// words, happen at most once per window, on the scoring workers
+// (PendingWindow::span_hashes, PendingWindow::encoded).
 //
 // Fault tolerance (DESIGN.md §13): every window snapshots the current
 // ModelGeneration at ingest and scores against exactly that state, so hot

@@ -1,27 +1,40 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, decode sharing across
 // sessions, session isolation under flooding, backpressure/close semantics,
-// the config JSON round-trip, and the strict default of detect(). Managers
+// the scheduler's span memo (replays, faults and breakers, epochs, reload)
+// and its wake-ups, the config JSON round-trip, and the strict default of
+// detect(). Managers
 // serve a saved artifact of the fixture's framework; the ground truth is an
 // OnlineDetector replay over the in-memory graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/anomaly.h"
 #include "core/edge_scorer.h"
 #include "core/framework.h"
 #include "core/online.h"
+#include "core/window_assembler.h"
+#include "io/artifact_map.h"
 #include "io/config_json.h"
 #include "io/serialize.h"
 #include "nmt/translation.h"
 #include "obs/metrics.h"
+#include "robust/fault_injector.h"
+#include "serve/batch_scheduler.h"
 #include "serve/session_manager.h"
 #include "text/bleu.h"
 #include "util/error.h"
@@ -36,6 +49,13 @@ namespace dobs = desmine::obs;
 using desmine::util::Rng;
 
 namespace {
+
+/// The process-wide fault injector is shared state: disarmed on entry and
+/// exit.
+struct ScopedDecodeFaults {
+  ScopedDecodeFaults() { desmine::robust::FaultInjector::instance().clear(); }
+  ~ScopedDecodeFaults() { desmine::robust::FaultInjector::instance().clear(); }
+};
 
 std::uint64_t bits(double d) {
   std::uint64_t u;
@@ -401,6 +421,306 @@ TEST(SessionManager, UnknownSessionThrows) {
   ds::SessionManager manager(f.artifact, f.serve_config());
   EXPECT_THROW(manager.poll(99), desmine::PreconditionError);
   EXPECT_THROW(manager.close(99), desmine::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Batch scheduler: span memo, dense edge states, wake-ups
+
+namespace {
+
+/// The fixture artifact's generation `id`, as a SessionManager builds it.
+std::shared_ptr<const ds::ModelGeneration> fixture_generation(
+    const Fixture& f, std::uint64_t id = 1) {
+  return ds::make_generation(dio::ArtifactMap::open(f.artifact),
+                             f.cfg.detector, id, {});
+}
+
+/// The windows a strict session would submit for `series`, every edge of
+/// `gen` to score.
+std::vector<std::unique_ptr<ds::PendingWindow>> pending_windows(
+    const Fixture& f, const std::shared_ptr<const ds::ModelGeneration>& gen,
+    const dc::MultivariateSeries& series) {
+  dc::WindowAssembler assembler(f.framework.encrypter(), f.cfg.window);
+  std::vector<std::unique_ptr<ds::PendingWindow>> out;
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    auto window = assembler.push(tick_states(series, t));
+    if (!window) continue;
+    auto p = std::make_unique<ds::PendingWindow>();
+    p->window_index = window->window_index;
+    p->generation = gen;
+    p->spans = std::move(window->spans);
+    for (std::size_t e = 0; e < gen->edges.size(); ++e) p->edges.push_back(e);
+    p->edge_bleu.assign(p->edges.size(), 0.0);
+    p->edge_status.assign(p->edges.size(), 0);
+    p->remaining = p->edges.size();
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+/// Submit `windows` and run the scheduler on this thread until every one
+/// is back; returns them in window order.
+std::vector<std::unique_ptr<ds::PendingWindow>> score_inline(
+    ds::BatchScheduler& scheduler,
+    std::vector<std::unique_ptr<ds::PendingWindow>>* delivered,
+    std::vector<std::unique_ptr<ds::PendingWindow>> windows) {
+  const std::size_t count = windows.size();
+  delivered->clear();
+  for (auto& w : windows) scheduler.submit(std::move(w));
+  while (delivered->size() < count) scheduler.run_one();
+  std::vector<std::unique_ptr<ds::PendingWindow>> out(count);
+  for (auto& w : *delivered) out[w->window_index] = std::move(w);
+  delivered->clear();
+  return out;
+}
+
+struct Verdicts {
+  std::vector<double> scores;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> broken;
+};
+
+/// Serve `series` through one strict session of `manager` and poll it all.
+Verdicts serve_one(ds::SessionManager& manager,
+                   const dc::MultivariateSeries& series) {
+  const std::uint64_t id = manager.open();
+  Verdicts out;
+  const auto poll = [&] {
+    while (const auto r = manager.poll(id)) {
+      EXPECT_EQ(r->window_index, out.scores.size());
+      out.scores.push_back(r->anomaly_score);
+      out.broken.push_back(r->broken);
+    }
+  };
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    // A long series outgrows the pending-window budget: results wait for a
+    // poll, and a full budget blocks ingest.
+    if (manager.stats(id).pending >= 32) {
+      manager.drain(id);
+      poll();
+    }
+    EXPECT_EQ(manager.ingest(id, tick_states(series, t)),
+              ds::IngestStatus::kAccepted);
+  }
+  manager.drain(id);
+  poll();
+  return out;
+}
+
+}  // namespace
+
+TEST(BatchScheduler, ReplayedStreamIsAnsweredFromTheSpanMemo) {
+  // A second session replaying a stream meets only pairs the first one's
+  // windows put in the edges' span memos: nothing is encoded, every item
+  // is a pair hit, and both sessions match the sequential replay bit for
+  // bit.
+  auto& f = fixture();
+  ds::SessionManager manager(f.artifact, f.serve_config());
+  const auto series = make_series(120, 40);
+  const std::vector<double> expected = replay_scores(f, series);
+  dobs::MetricsRegistry& m = dobs::metrics();
+
+  const Verdicts first = serve_one(manager, series);
+  const std::uint64_t encoded0 = m.counter("serve.windows_encoded").value();
+  const std::uint64_t pairs0 = m.counter("serve.batch.pair_hits").value();
+  const std::uint64_t hits0 = m.counter("serve.batch.cache_hits").value();
+  const std::uint64_t decoded0 = m.counter("serve.batch.decoded").value();
+  const Verdicts replayed = serve_one(manager, series);
+  const std::uint64_t items = expected.size() * manager.valid_model_count();
+  EXPECT_EQ(m.counter("serve.windows_encoded").value() - encoded0, 0u);
+  EXPECT_EQ(m.counter("serve.batch.pair_hits").value() - pairs0, items);
+  EXPECT_EQ(m.counter("serve.batch.cache_hits").value() - hits0, items);
+  EXPECT_EQ(m.counter("serve.batch.decoded").value() - decoded0, 0u);
+
+  for (const Verdicts* v : {&first, &replayed}) {
+    ASSERT_EQ(v->scores.size(), expected.size());
+    for (std::size_t w = 0; w < expected.size(); ++w) {
+      EXPECT_EQ(bits(v->scores[w]), bits(expected[w])) << "window " << w;
+    }
+  }
+}
+
+TEST(BatchScheduler, FaultAndBreakerComeBeforeTheSpanMemo) {
+  // Every item of edge 0 is memo-answerable on the second pass, yet an
+  // armed serve.decode throw fails its first batch, and the breaker that
+  // then opens quarantines the rest. The other edges still answer from
+  // their memos with the first pass's bits.
+  auto& f = fixture();
+  ScopedDecodeFaults guard;
+  const auto gen = fixture_generation(f);
+  ASSERT_GE(gen->edges.size(), 2u);
+  ds::SchedulerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.circuit_open_after = 1;
+  cfg.circuit_probe_after = 1u << 20;  // stays open for the whole pass
+  cfg.bleu = f.cfg.detector.bleu;
+  std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
+  ds::BatchScheduler scheduler(
+      gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
+        delivered.push_back(std::move(w));
+      });
+  const auto series = make_series(120, 41);
+  const auto warm =
+      score_inline(scheduler, &delivered, pending_windows(f, gen, series));
+  ASSERT_GT(warm.size(), cfg.max_batch);
+
+  const ds::EdgeModel& faulted = gen->edges.front();
+  desmine::robust::FaultInjector::instance().arm(
+      "serve.decode",
+      std::to_string(faulted.src) + "->" + std::to_string(faulted.dst),
+      desmine::robust::FaultAction::kThrow);
+  const std::uint64_t pairs0 =
+      dobs::metrics().counter("serve.batch.pair_hits").value();
+  const auto hot =
+      score_inline(scheduler, &delivered, pending_windows(f, gen, series));
+  ASSERT_EQ(hot.size(), warm.size());
+  std::size_t failed = 0;
+  std::size_t quarantined = 0;
+  for (std::size_t w = 0; w < hot.size(); ++w) {
+    const auto status = static_cast<ds::SlotStatus>(hot[w]->edge_status[0]);
+    if (status == ds::SlotStatus::kFailed) ++failed;
+    if (status == ds::SlotStatus::kQuarantined) ++quarantined;
+    for (std::size_t e = 1; e < gen->edges.size(); ++e) {
+      ASSERT_EQ(static_cast<ds::SlotStatus>(hot[w]->edge_status[e]),
+                ds::SlotStatus::kScored);
+      EXPECT_EQ(bits(hot[w]->edge_bleu[e]), bits(warm[w]->edge_bleu[e]))
+          << "window " << w << " edge " << e;
+    }
+  }
+  EXPECT_EQ(failed, cfg.max_batch);
+  EXPECT_EQ(quarantined, hot.size() - cfg.max_batch);
+  EXPECT_EQ(dobs::metrics().counter("serve.batch.pair_hits").value() - pairs0,
+            hot.size() * (gen->edges.size() - 1));
+  scheduler.stop();
+}
+
+TEST(BatchScheduler, MoreThanAMemoOfPairsMatchesAMemolessManager) {
+  // A noisy stream puts more distinct pairs on an edge than its span memo
+  // holds, so the memo clears itself mid-stream. The verdicts stay bitwise
+  // those of a manager without memos, which (one item per batch, no decode
+  // cache) decodes every item it is given.
+  auto& f = fixture();
+  const auto series = make_series(4000, 42);
+  const auto gen = fixture_generation(f);
+  std::size_t most_pairs = 0;
+  {
+    const auto windows = pending_windows(f, gen, series);
+    for (const ds::EdgeModel& edge : gen->edges) {
+      std::set<std::pair<std::string, std::string>> pairs;
+      for (const auto& w : windows) {
+        pairs.emplace(w->spans.sensor(edge.src), w->spans.sensor(edge.dst));
+      }
+      most_pairs = std::max(most_pairs, pairs.size());
+    }
+  }
+  ASSERT_GT(most_pairs, ds::kSpanMemoPairs);
+
+  ds::SessionManager memo(f.artifact, f.serve_config());
+  const Verdicts with_memo = serve_one(memo, series);
+
+  ds::ServeConfig plain = f.serve_config();
+  plain.decode_cache = 0;
+  plain.max_batch = 1;
+  ds::SessionManager memoless(f.artifact, plain);
+  dobs::MetricsRegistry& m = dobs::metrics();
+  const std::uint64_t decoded0 = m.counter("serve.batch.decoded").value();
+  const std::uint64_t pairs0 = m.counter("serve.batch.pair_hits").value();
+  const Verdicts without = serve_one(memoless, series);
+  EXPECT_EQ(m.counter("serve.batch.decoded").value() - decoded0,
+            without.scores.size() * memoless.valid_model_count());
+  EXPECT_EQ(m.counter("serve.batch.pair_hits").value() - pairs0, 0u);
+
+  ASSERT_EQ(with_memo.scores.size(), without.scores.size());
+  for (std::size_t w = 0; w < without.scores.size(); ++w) {
+    EXPECT_EQ(bits(with_memo.scores[w]), bits(without.scores[w]))
+        << "window " << w;
+    EXPECT_EQ(with_memo.broken[w], without.broken[w]) << "window " << w;
+  }
+}
+
+TEST(BatchScheduler, DrainedReloadReleasesTheOldGenerationsMemos) {
+  auto& f = fixture();
+  dobs::Gauge& entries = dobs::metrics().gauge("serve.memo.entries");
+  dobs::Gauge& bytes = dobs::metrics().gauge("serve.memo.bytes");
+  const double entries0 = entries.value();
+  const double bytes0 = bytes.value();
+  ds::SessionManager manager(f.artifact, f.serve_config());
+  const auto series = make_series(120, 43);
+  serve_one(manager, series);
+  EXPECT_GT(entries.value(), entries0);
+  EXPECT_GT(bytes.value(), bytes0);
+
+  EXPECT_EQ(manager.reload(f.artifact), 2u);
+  for (int i = 0; i < 200 && manager.registry().retired_live() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(manager.registry().retired_live(), 0u);
+  EXPECT_EQ(entries.value(), entries0);
+  EXPECT_EQ(bytes.value(), bytes0);
+
+  // The new generation builds memos of its own, with the same bits.
+  const Verdicts after = serve_one(manager, series);
+  EXPECT_GT(entries.value(), entries0);
+  const std::vector<double> expected = replay_scores(f, series);
+  ASSERT_EQ(after.scores.size(), expected.size());
+  for (std::size_t w = 0; w < expected.size(); ++w) {
+    EXPECT_EQ(bits(after.scores[w]), bits(expected[w])) << "window " << w;
+  }
+}
+
+TEST(BatchScheduler, ManyWorkersOnSingleItemBatchesLoseNoWakeUp) {
+  // Four workers, one item per batch and sixteen sessions fed from four
+  // threads: the most hand-overs between submit and the workers. A lost
+  // wake-up leaves items queued with every worker asleep, and the drain
+  // below never returns; the deadline turns that hang into a failure.
+  auto& f = fixture();
+  ds::ServeConfig scfg = f.serve_config();
+  scfg.workers = 4;
+  scfg.max_batch = 1;
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kFeeders = 4;
+  constexpr std::size_t kTicks = 120;
+  std::vector<dc::MultivariateSeries> series;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    series.push_back(make_series(kTicks, 70 + s % 5));
+  }
+
+  std::vector<std::vector<double>> served(kSessions);
+  auto run = std::async(std::launch::async, [&] {
+    ds::SessionManager manager(f.artifact, scfg);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t s = 0; s < kSessions; ++s) ids.push_back(manager.open());
+    std::vector<std::thread> feeders;
+    for (std::size_t k = 0; k < kFeeders; ++k) {
+      feeders.emplace_back([&, k] {
+        for (std::size_t t = 0; t < kTicks; ++t) {
+          for (std::size_t s = k; s < kSessions; s += kFeeders) {
+            EXPECT_EQ(manager.ingest(ids[s], tick_states(series[s], t)),
+                      ds::IngestStatus::kAccepted);
+          }
+        }
+      });
+    }
+    for (std::thread& t : feeders) t.join();
+    manager.drain();
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      while (const auto r = manager.poll(ids[s])) {
+        served[s].push_back(r->anomaly_score);
+      }
+    }
+  });
+  if (run.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    std::fprintf(stderr, "serving 16 sessions did not finish in 120 s\n");
+    std::abort();
+  }
+  run.get();
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const std::vector<double> expected = replay_scores(f, series[s]);
+    ASSERT_EQ(served[s].size(), expected.size()) << "session " << s;
+    for (std::size_t w = 0; w < expected.size(); ++w) {
+      EXPECT_EQ(bits(served[s][w]), bits(expected[w]))
+          << "session " << s << " window " << w;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
