@@ -1,12 +1,18 @@
 #include "io/config_json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <sstream>
-#include <utility>
+#include <system_error>
+#include <type_traits>
+#include <variant>
 
 #include "obs/json.h"
 #include "util/error.h"
@@ -16,791 +22,550 @@ namespace {
 
 using obs::JsonValue;
 
-[[noreturn]] void bad(const std::string& what) {
-  throw PreconditionError("config: " + what);
+// ---------------------------------------------------------------------------
+// The field tables. Each config struct has one table that lists its keys in
+// document order. A key that holds a struct points at that struct's table.
+// Emit, parse, validate and the flag overrides are each one walk over them.
+
+struct Table;
+
+/// A key whose value is a JSON object: the struct and its table.
+struct Object {
+  void* base;
+  const Table* table;
+};
+
+/// Where a key's value lives. Integer members (std::size_t, std::uint64_t)
+/// are one of the two unsigned 64-bit types.
+using Ref = std::variant<unsigned long*, unsigned long long*, double*, float*,
+                         bool*, std::string*, nn::AttentionScore*, Object>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The values a key accepts. Numbers lie in [lo, hi] (an open side excludes
+/// its bound, an infinite side is not checked); `backend` asks a string for
+/// a compute-kernel backend name.
+struct Rule {
+  double lo = -kInf;
+  bool lo_open = false;
+  double hi = kInf;
+  bool hi_open = false;
+  bool backend = false;
+};
+
+constexpr Rule kAny{};
+constexpr Rule kPositive{.lo = 0, .lo_open = true};
+constexpr Rule kNonNegative{.lo = 0};
+constexpr Rule kFraction{.lo = 0, .hi = 1};
+constexpr Rule kBackendName{.backend = true};
+
+struct Field {
+  const char* key;
+  Ref (*at)(void* base);
+  Rule rule = kAny;
+  const char* flag = nullptr;  ///< the tool option that overrides the key
+};
+
+struct Table {
+  std::span<const Field> fields;
+  /// A cross-key rule, when set: the double at key `le` must be <= the one
+  /// at key `ge`.
+  const char* le = nullptr;
+  const char* ge = nullptr;
+};
+
+// The member `m` of the struct S at `base`, and the same for a member that
+// is a struct described by `table`.
+#define DESMINE_AT(S, m) \
+  [](void* base) -> Ref { return &static_cast<S*>(base)->m; }
+#define DESMINE_OBJECT(S, m, table) \
+  [](void* base) -> Ref { return Object{&static_cast<S*>(base)->m, &table}; }
+
+using Bleu = text::BleuOptions;
+using Window = core::WindowConfig;
+using Retry = robust::RetryPolicy;
+using Model = nmt::Seq2SeqConfig;
+using Trainer = nmt::TrainerConfig;
+using Miner = core::MinerConfig;
+using Detector = core::DetectorConfig;
+using Health = robust::HealthConfig;
+using Kernels = tensor::kernels::KernelConfig;
+using Serve = serve::ServeConfig;
+using Drift = lifecycle::DriftConfig;
+using Retrain = lifecycle::RetrainConfig;
+using Shadow = serve::ShadowConfig;
+using Lifecycle = lifecycle::LifecycleConfig;
+
+const Field kBleuFields[] = {
+    {"max_order", DESMINE_AT(Bleu, max_order), kPositive},
+    {"smooth", DESMINE_AT(Bleu, smooth)},
+};
+const Table kBleu{kBleuFields};
+
+const Field kWindowFields[] = {
+    {"word_length", DESMINE_AT(Window, word_length), kPositive, "word"},
+    {"word_stride", DESMINE_AT(Window, word_stride), kPositive, "word-stride"},
+    {"sentence_length", DESMINE_AT(Window, sentence_length), kPositive,
+     "sentence"},
+    {"sentence_stride", DESMINE_AT(Window, sentence_stride), kPositive,
+     "sentence-stride"},
+};
+const Table kWindow{kWindowFields};
+
+const Field kRetryFields[] = {
+    {"max_retries", DESMINE_AT(Retry, max_retries), kAny, "max-retries"},
+    {"base_delay_ms", DESMINE_AT(Retry, base_delay_ms), kNonNegative},
+    {"multiplier", DESMINE_AT(Retry, multiplier), {.lo = 1}},
+    {"max_delay_ms", DESMINE_AT(Retry, max_delay_ms), kNonNegative},
+    {"jitter", DESMINE_AT(Retry, jitter), kFraction},
+};
+const Table kRetry{kRetryFields};
+
+const Field kModelFields[] = {
+    {"embedding_dim", DESMINE_AT(Model, embedding_dim), kPositive, "embedding"},
+    {"hidden_dim", DESMINE_AT(Model, hidden_dim), kPositive, "hidden"},
+    {"num_layers", DESMINE_AT(Model, num_layers), kPositive, "layers"},
+    {"dropout", DESMINE_AT(Model, dropout), {.lo = 0, .hi = 1, .hi_open = true},
+     "dropout"},
+    {"init_scale", DESMINE_AT(Model, init_scale), kPositive},
+    {"max_decode_length", DESMINE_AT(Model, max_decode_length), kPositive},
+    {"attention", DESMINE_AT(Model, attention)},
+};
+const Table kModel{kModelFields};
+
+const Field kTrainerFields[] = {
+    {"steps", DESMINE_AT(Trainer, steps), kPositive, "steps"},
+    {"batch_size", DESMINE_AT(Trainer, batch_size), kPositive, "batch"},
+    {"lr", DESMINE_AT(Trainer, lr), kPositive, "lr"},
+    {"clip_norm", DESMINE_AT(Trainer, clip_norm), kNonNegative},
+    {"lr_decay_start", DESMINE_AT(Trainer, lr_decay_start)},
+    {"lr_decay_every", DESMINE_AT(Trainer, lr_decay_every)},
+    {"eval_every", DESMINE_AT(Trainer, eval_every)},
+    {"patience", DESMINE_AT(Trainer, patience), kPositive},
+    {"divergence_factor", DESMINE_AT(Trainer, divergence_factor),
+     kNonNegative},
+};
+const Table kTrainer{kTrainerFields};
+
+const Field kMinerFields[] = {
+    {"threads", DESMINE_AT(Miner, threads), kAny, "threads"},
+    {"seed", DESMINE_AT(Miner, seed), kAny, "seed"},
+    {"pair_timeout_s", DESMINE_AT(Miner, pair_timeout_s), kNonNegative,
+     "pair-timeout-s"},
+    {"checkpoint_path", DESMINE_AT(Miner, checkpoint_path), kAny, "checkpoint"},
+    {"resume", DESMINE_AT(Miner, resume), kAny, "resume"},
+    {"retry", DESMINE_OBJECT(Miner, retry, kRetry)},
+    {"model", DESMINE_OBJECT(Miner, translation.model, kModel)},
+    {"trainer", DESMINE_OBJECT(Miner, translation.trainer, kTrainer)},
+    {"bleu", DESMINE_OBJECT(Miner, translation.bleu, kBleu)},
+};
+const Table kMiner{kMinerFields};
+
+const Field kDetectorFields[] = {
+    {"valid_lo", DESMINE_AT(Detector, valid_lo), kAny, "lo"},
+    {"valid_hi", DESMINE_AT(Detector, valid_hi), kAny, "hi"},
+    {"tolerance", DESMINE_AT(Detector, tolerance), kNonNegative, "tolerance"},
+    {"min_coverage", DESMINE_AT(Detector, min_coverage), kFraction,
+     "min-coverage"},
+    {"threads", DESMINE_AT(Detector, threads)},
+    {"bleu", DESMINE_OBJECT(Detector, bleu, kBleu)},
+};
+const Table kDetector{kDetectorFields, "valid_lo", "valid_hi"};
+
+const Field kHealthFields[] = {
+    {"drop_after_missing", DESMINE_AT(Health, drop_after_missing), kPositive,
+     "health-drop-after"},
+    {"stale_after", DESMINE_AT(Health, stale_after), kAny,
+     "health-stale-after"},
+    {"max_unk_rate", DESMINE_AT(Health, max_unk_rate), kFraction,
+     "health-unk-rate"},
+    {"unk_window", DESMINE_AT(Health, unk_window), kPositive,
+     "health-unk-window"},
+    {"min_unk_samples", DESMINE_AT(Health, min_unk_samples), kPositive},
+    {"readmit_after", DESMINE_AT(Health, readmit_after), kPositive,
+     "health-readmit-after"},
+};
+const Table kHealth{kHealthFields};
+
+const Field kKernelsFields[] = {
+    {"kernels", DESMINE_AT(Kernels, kernels), kBackendName, "kernels"},
+};
+const Table kKernels{kKernelsFields};
+
+const Field kServeFields[] = {
+    {"workers", DESMINE_AT(Serve, workers), kAny, "workers"},
+    {"max_batch", DESMINE_AT(Serve, max_batch), kPositive, "max-batch"},
+    {"decode_cache", DESMINE_AT(Serve, decode_cache), kAny, "decode-cache"},
+    {"max_pending_windows", DESMINE_AT(Serve, limits.max_pending_windows),
+     kPositive, "max-pending"},
+    {"reject_when_full", DESMINE_AT(Serve, limits.reject_when_full), kAny,
+     "reject-when-full"},
+    {"max_consecutive_shed", DESMINE_AT(Serve, limits.max_consecutive_shed),
+     kPositive, "max-consecutive-shed"},
+    {"max_global_pending", DESMINE_AT(Serve, max_global_pending), kAny,
+     "max-global-pending"},
+    {"max_queue_delay_ms", DESMINE_AT(Serve, max_queue_delay_ms), kNonNegative,
+     "max-queue-delay-ms"},
+    {"circuit_open_after", DESMINE_AT(Serve, circuit_open_after), kAny,
+     "circuit-open-after"},
+    {"circuit_probe_after", DESMINE_AT(Serve, circuit_probe_after), kPositive,
+     "circuit-probe-after"},
+    {"telemetry_port", DESMINE_AT(Serve, telemetry_port), {.hi = 65535},
+     "telemetry-port"},
+    {"resident_bytes", DESMINE_AT(Serve, resident_bytes), kAny,
+     "resident-bytes"},
+    {"resident_edges", DESMINE_AT(Serve, resident_edges), kAny,
+     "resident-edges"},
+    {"slow_window_ms", DESMINE_AT(Serve, slow_window_ms), kNonNegative,
+     "slow-window-ms"},
+    {"sliding_window_s", DESMINE_AT(Serve, sliding_window_s), kPositive,
+     "sliding-window-s"},
+    {"sliding_epochs", DESMINE_AT(Serve, sliding_epochs), kPositive,
+     "sliding-epochs"},
+};
+const Table kServe{kServeFields};
+
+const Field kDriftFields[] = {
+    {"ewma_alpha", DESMINE_AT(Drift, ewma_alpha),
+     {.lo = 0, .lo_open = true, .hi = 1}},
+    {"min_observations", DESMINE_AT(Drift, min_observations), kPositive},
+    {"hysteresis", DESMINE_AT(Drift, hysteresis), kPositive},
+    {"drifting_drop", DESMINE_AT(Drift, drifting_drop), kNonNegative},
+    {"drifted_drop", DESMINE_AT(Drift, drifted_drop), kNonNegative},
+    {"break_rate", DESMINE_AT(Drift, break_rate), kFraction},
+    {"max_unk_rate", DESMINE_AT(Drift, max_unk_rate), kFraction},
+};
+const Table kDrift{kDriftFields, "drifting_drop", "drifted_drop"};
+
+const Field kRetrainFields[] = {
+    {"lr_factor", DESMINE_AT(Retrain, lr_factor), kPositive},
+    {"steps", DESMINE_AT(Retrain, steps)},
+    {"journal_path", DESMINE_AT(Retrain, journal_path)},
+    {"warm_start_journal", DESMINE_AT(Retrain, warm_start_journal)},
+};
+const Table kRetrain{kRetrainFields};
+
+const Field kShadowFields[] = {
+    {"sample_rate", DESMINE_AT(Shadow, sample_rate), kPositive},
+    {"min_windows", DESMINE_AT(Shadow, min_windows), kPositive},
+    {"alert_threshold", DESMINE_AT(Shadow, alert_threshold), kFraction},
+    {"max_alert_rate", DESMINE_AT(Shadow, max_alert_rate), kFraction},
+    {"min_agreement", DESMINE_AT(Shadow, min_agreement), kFraction},
+    {"max_failures", DESMINE_AT(Shadow, max_failures)},
+};
+const Table kShadow{kShadowFields};
+
+const Field kLifecycleFields[] = {
+    {"drift", DESMINE_OBJECT(Lifecycle, drift, kDrift)},
+    {"retrain", DESMINE_OBJECT(Lifecycle, retrain, kRetrain)},
+    {"shadow", DESMINE_OBJECT(Lifecycle, shadow, kShadow)},
+};
+const Table kLifecycle{kLifecycleFields};
+
+const Field kRunFields[] = {
+    {"window", DESMINE_OBJECT(RunConfig, framework.window, kWindow)},
+    {"miner", DESMINE_OBJECT(RunConfig, framework.miner, kMiner)},
+    {"detector", DESMINE_OBJECT(RunConfig, framework.detector, kDetector)},
+    {"health", DESMINE_OBJECT(RunConfig, health, kHealth)},
+    {"tensor", DESMINE_OBJECT(RunConfig, tensor, kKernels)},
+    {"serve", DESMINE_OBJECT(RunConfig, serve, kServe)},
+    {"lifecycle", DESMINE_OBJECT(RunConfig, lifecycle, kLifecycle)},
+};
+const Table kRun{kRunFields};
+
+#undef DESMINE_AT
+#undef DESMINE_OBJECT
+
+/// The whole config as the root object. Emit and validate only read
+/// through it.
+Object root(const RunConfig& config) {
+  return {const_cast<RunConfig*>(&config), &kRun};
+}
+
+/// nn::AttentionScore names, by enumerator value.
+constexpr const char* kAttentionNames[] = {"general", "dot"};
+
+/// JSON numbers are doubles: integers above 2^53 do not survive them.
+constexpr std::uint64_t kMaxInt = std::uint64_t{1} << 53;
+
+template <typename T>
+constexpr bool kIsInt = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+
+std::string join(const std::string& prefix, const char* key) {
+  return prefix.empty() ? std::string(key) : prefix + "." + key;
+}
+
+/// "config: key 'path' must <rule>", led by the flags that set the key.
+[[noreturn]] void bad_key(const std::string& flags, const std::string& path,
+                          const std::string& rule) {
+  throw PreconditionError((flags.empty() ? "" : flags + ": ") +
+                          "config: key '" + path + "' must " + rule);
 }
 
 // ---------------------------------------------------------------------------
-// Emission. The tree is built as a JsonValue and pretty-printed so that
-// --dump-config output is directly editable; parse_json reads it back.
+// Emit. Integers print whole, doubles as the shortest text that reads back
+// to the same double, floats with 12 significant digits (enough for a float
+// to read back).
 
-JsonValue make_object() {
-  JsonValue v;
-  v.type = JsonValue::Type::kObject;
-  return v;
-}
-
-void put_number(JsonValue& obj, const char* key, double value) {
-  JsonValue v;
-  v.type = JsonValue::Type::kNumber;
-  v.number = value;
-  obj.object.emplace_back(key, std::move(v));
-}
-
-void put_bool(JsonValue& obj, const char* key, bool value) {
-  JsonValue v;
-  v.type = JsonValue::Type::kBool;
-  v.boolean = value;
-  obj.object.emplace_back(key, std::move(v));
-}
-
-void put_string(JsonValue& obj, const char* key, std::string value) {
-  JsonValue v;
-  v.type = JsonValue::Type::kString;
-  v.string = std::move(value);
-  obj.object.emplace_back(key, std::move(v));
-}
-
-void put_object(JsonValue& obj, const char* key, JsonValue child) {
-  obj.object.emplace_back(key, std::move(child));
-}
-
-void dump(const JsonValue& v, std::string& out, int depth) {
-  const auto indent = [&](int d) { out.append(static_cast<std::size_t>(d) * 2, ' '); };
-  switch (v.type) {
-    case JsonValue::Type::kNull: out += "null"; break;
-    case JsonValue::Type::kBool: out += v.boolean ? "true" : "false"; break;
-    case JsonValue::Type::kNumber: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.12g", v.number);
-      out += buf;
-      break;
-    }
-    case JsonValue::Type::kString: out += obs::JsonWriter::quote(v.string); break;
-    case JsonValue::Type::kObject: {
-      if (v.object.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        indent(depth + 1);
-        out += obs::JsonWriter::quote(v.object[i].first);
-        out += ": ";
-        dump(v.object[i].second, out, depth + 1);
-        if (i + 1 < v.object.size()) out += ',';
-        out += '\n';
-      }
-      indent(depth);
-      out += '}';
-      break;
-    }
-    case JsonValue::Type::kArray: {
-      if (v.array.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        indent(depth + 1);
-        dump(v.array[i], out, depth + 1);
-        if (i + 1 < v.array.size()) out += ',';
-        out += '\n';
-      }
-      indent(depth);
-      out += ']';
-      break;
-    }
+template <typename T>
+std::string value_text(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return obs::JsonWriter::quote(v);
+  } else if constexpr (std::is_same_v<T, nn::AttentionScore>) {
+    return obs::JsonWriter::quote(kAttentionNames[static_cast<int>(v)]);
+  } else if constexpr (std::is_same_v<T, float>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.12g", static_cast<double>(v));
+    return buf;
+  } else {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
 }
 
-JsonValue bleu_to_json(const text::BleuOptions& bleu) {
-  JsonValue v = make_object();
-  put_number(v, "max_order", static_cast<double>(bleu.max_order));
-  put_bool(v, "smooth", bleu.smooth);
-  return v;
-}
-
-JsonValue window_to_json(const core::WindowConfig& w) {
-  JsonValue v = make_object();
-  put_number(v, "word_length", static_cast<double>(w.word_length));
-  put_number(v, "word_stride", static_cast<double>(w.word_stride));
-  put_number(v, "sentence_length", static_cast<double>(w.sentence_length));
-  put_number(v, "sentence_stride", static_cast<double>(w.sentence_stride));
-  return v;
-}
-
-JsonValue model_to_json(const nmt::Seq2SeqConfig& m) {
-  JsonValue v = make_object();
-  put_number(v, "embedding_dim", static_cast<double>(m.embedding_dim));
-  put_number(v, "hidden_dim", static_cast<double>(m.hidden_dim));
-  put_number(v, "num_layers", static_cast<double>(m.num_layers));
-  put_number(v, "dropout", static_cast<double>(m.dropout));
-  put_number(v, "init_scale", static_cast<double>(m.init_scale));
-  put_number(v, "max_decode_length", static_cast<double>(m.max_decode_length));
-  put_string(v, "attention",
-             m.attention == nn::AttentionScore::kDot ? "dot" : "general");
-  return v;
-}
-
-JsonValue trainer_to_json(const nmt::TrainerConfig& t) {
-  JsonValue v = make_object();
-  put_number(v, "steps", static_cast<double>(t.steps));
-  put_number(v, "batch_size", static_cast<double>(t.batch_size));
-  put_number(v, "lr", static_cast<double>(t.lr));
-  put_number(v, "clip_norm", static_cast<double>(t.clip_norm));
-  put_number(v, "lr_decay_start", static_cast<double>(t.lr_decay_start));
-  put_number(v, "lr_decay_every", static_cast<double>(t.lr_decay_every));
-  put_number(v, "eval_every", static_cast<double>(t.eval_every));
-  put_number(v, "patience", static_cast<double>(t.patience));
-  put_number(v, "divergence_factor", t.divergence_factor);
-  return v;
-}
-
-JsonValue retry_to_json(const robust::RetryPolicy& r) {
-  JsonValue v = make_object();
-  put_number(v, "max_retries", static_cast<double>(r.max_retries));
-  put_number(v, "base_delay_ms", r.base_delay_ms);
-  put_number(v, "multiplier", r.multiplier);
-  put_number(v, "max_delay_ms", r.max_delay_ms);
-  put_number(v, "jitter", r.jitter);
-  return v;
-}
-
-JsonValue miner_to_json(const core::MinerConfig& m) {
-  JsonValue v = make_object();
-  put_number(v, "threads", static_cast<double>(m.threads));
-  put_number(v, "seed", static_cast<double>(m.seed));
-  put_number(v, "pair_timeout_s", m.pair_timeout_s);
-  put_string(v, "checkpoint_path", m.checkpoint_path);
-  put_bool(v, "resume", m.resume);
-  put_object(v, "retry", retry_to_json(m.retry));
-  put_object(v, "model", model_to_json(m.translation.model));
-  put_object(v, "trainer", trainer_to_json(m.translation.trainer));
-  put_object(v, "bleu", bleu_to_json(m.translation.bleu));
-  return v;
-}
-
-JsonValue detector_to_json(const core::DetectorConfig& d) {
-  JsonValue v = make_object();
-  put_number(v, "valid_lo", d.valid_lo);
-  put_number(v, "valid_hi", d.valid_hi);
-  put_number(v, "tolerance", d.tolerance);
-  put_number(v, "min_coverage", d.min_coverage);
-  put_number(v, "threads", static_cast<double>(d.threads));
-  put_object(v, "bleu", bleu_to_json(d.bleu));
-  return v;
-}
-
-JsonValue health_to_json(const robust::HealthConfig& h) {
-  JsonValue v = make_object();
-  put_number(v, "drop_after_missing", static_cast<double>(h.drop_after_missing));
-  put_number(v, "stale_after", static_cast<double>(h.stale_after));
-  put_number(v, "max_unk_rate", h.max_unk_rate);
-  put_number(v, "unk_window", static_cast<double>(h.unk_window));
-  put_number(v, "min_unk_samples", static_cast<double>(h.min_unk_samples));
-  put_number(v, "readmit_after", static_cast<double>(h.readmit_after));
-  return v;
-}
-
-JsonValue serve_to_json(const serve::ServeConfig& s) {
-  JsonValue v = make_object();
-  put_number(v, "workers", static_cast<double>(s.workers));
-  put_number(v, "max_batch", static_cast<double>(s.max_batch));
-  put_number(v, "decode_cache", static_cast<double>(s.decode_cache));
-  put_number(v, "max_pending_windows",
-             static_cast<double>(s.limits.max_pending_windows));
-  put_bool(v, "reject_when_full", s.limits.reject_when_full);
-  put_number(v, "max_consecutive_shed",
-             static_cast<double>(s.limits.max_consecutive_shed));
-  put_number(v, "max_global_pending",
-             static_cast<double>(s.max_global_pending));
-  put_number(v, "max_queue_delay_ms", s.max_queue_delay_ms);
-  put_number(v, "circuit_open_after",
-             static_cast<double>(s.circuit_open_after));
-  put_number(v, "circuit_probe_after",
-             static_cast<double>(s.circuit_probe_after));
-  put_number(v, "telemetry_port", static_cast<double>(s.telemetry_port));
-  put_number(v, "resident_bytes", static_cast<double>(s.resident_bytes));
-  put_number(v, "resident_edges", static_cast<double>(s.resident_edges));
-  put_number(v, "slow_window_ms", s.slow_window_ms);
-  put_number(v, "sliding_window_s", s.sliding_window_s);
-  put_number(v, "sliding_epochs", static_cast<double>(s.sliding_epochs));
-  return v;
-}
-
-JsonValue drift_to_json(const lifecycle::DriftConfig& d) {
-  JsonValue v = make_object();
-  put_number(v, "ewma_alpha", d.ewma_alpha);
-  put_number(v, "min_observations", static_cast<double>(d.min_observations));
-  put_number(v, "hysteresis", static_cast<double>(d.hysteresis));
-  put_number(v, "drifting_drop", d.drifting_drop);
-  put_number(v, "drifted_drop", d.drifted_drop);
-  put_number(v, "break_rate", d.break_rate);
-  put_number(v, "max_unk_rate", d.max_unk_rate);
-  return v;
-}
-
-JsonValue retrain_to_json(const lifecycle::RetrainConfig& r) {
-  JsonValue v = make_object();
-  put_number(v, "lr_factor", r.lr_factor);
-  put_number(v, "steps", static_cast<double>(r.steps));
-  put_string(v, "journal_path", r.journal_path);
-  put_string(v, "warm_start_journal", r.warm_start_journal);
-  return v;
-}
-
-JsonValue shadow_to_json(const serve::ShadowConfig& s) {
-  JsonValue v = make_object();
-  put_number(v, "sample_rate", s.sample_rate);
-  put_number(v, "min_windows", static_cast<double>(s.min_windows));
-  put_number(v, "alert_threshold", s.alert_threshold);
-  put_number(v, "max_alert_rate", s.max_alert_rate);
-  put_number(v, "min_agreement", s.min_agreement);
-  put_number(v, "max_failures", static_cast<double>(s.max_failures));
-  return v;
-}
-
-JsonValue tensor_to_json(const tensor::kernels::KernelConfig& t) {
-  JsonValue v = make_object();
-  put_string(v, "kernels", t.kernels);
-  return v;
-}
-
-JsonValue lifecycle_to_json(const lifecycle::LifecycleConfig& l) {
-  JsonValue v = make_object();
-  put_object(v, "drift", drift_to_json(l.drift));
-  put_object(v, "retrain", retrain_to_json(l.retrain));
-  put_object(v, "shadow", shadow_to_json(l.shadow));
-  return v;
+void emit(const Object& object, int depth, std::string& out) {
+  const std::span<const Field> fields = object.table->fields;
+  out += "{\n";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    out.append(static_cast<std::size_t>(depth + 1) * 2, ' ');
+    out += obs::JsonWriter::quote(fields[i].key);
+    out += ": ";
+    std::visit(
+        [&](auto p) {
+          if constexpr (std::is_same_v<decltype(p), Object>) {
+            emit(p, depth + 1, out);
+          } else {
+            out += value_text(*p);
+          }
+        },
+        fields[i].at(object.base));
+    out += i + 1 < fields.size() ? ",\n" : "\n";
+  }
+  out.append(static_cast<std::size_t>(depth) * 2, ' ');
+  out += '}';
 }
 
 // ---------------------------------------------------------------------------
-// Parsing. The readers check each value's type; the section validators
-// below check its range. Every error names the full dotted path.
+// Validate: each key's rule, then the table's cross-key rule. A failing key
+// that one of `flags` set is named by its flag too.
 
-double number_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_number()) bad("key '" + path + "' must be a number");
-  return v.number;
-}
-
-std::size_t uint_at(const JsonValue& v, const std::string& path) {
-  const double d = number_at(v, path);
-  if (d < 0.0 || d != std::floor(d) || d > 9007199254740992.0) {
-    bad("key '" + path + "' must be a non-negative integer");
+std::string flags_of(std::initializer_list<const Field*> fields,
+                     const FlagValues& flags) {
+  std::string out;
+  for (const Field* f : fields) {
+    if (f->flag == nullptr || flags.count(f->flag) == 0) continue;
+    out += (out.empty() ? "--" : ", --") + std::string(f->flag);
   }
-  return static_cast<std::size_t>(d);
+  return out;
 }
 
-bool bool_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_bool()) bad("key '" + path + "' must be a boolean");
-  return v.boolean;
+bool holds(const Rule& r, double v) {
+  return (r.lo == -kInf || (r.lo_open ? v > r.lo : v >= r.lo)) &&
+         (r.hi == kInf || (r.hi_open ? v < r.hi : v <= r.hi));
 }
 
-std::string string_at(const JsonValue& v, const std::string& path) {
-  if (!v.is_string()) bad("key '" + path + "' must be a string");
-  return v.string;
+std::string rule_text(const Rule& r) {
+  const auto num = [](double d) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", d);
+    return std::string(buf);
+  };
+  if (r.hi == kInf) return (r.lo_open ? "be > " : "be >= ") + num(r.lo);
+  if (r.lo == -kInf) return (r.hi_open ? "be < " : "be <= ") + num(r.hi);
+  return std::string("lie in ") + (r.lo_open ? "(" : "[") + num(r.lo) + ", " +
+         num(r.hi) + (r.hi_open ? ")" : "]");
 }
 
-void expect_object(const JsonValue& v, const std::string& path) {
-  if (!v.is_object()) bad("key '" + path + "' must be an object");
-}
-
-void parse_bleu(const JsonValue& v, const std::string& prefix,
-                text::BleuOptions* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "max_order") {
-      out->max_order = uint_at(value, path);
-    } else if (key == "smooth") {
-      out->smooth = bool_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
+const Field* find_field(const Table& table, std::string_view key) {
+  for (const Field& f : table.fields) {
+    if (key == f.key) return &f;
   }
+  return nullptr;
 }
 
-void parse_window(const JsonValue& v, const std::string& prefix,
-                  core::WindowConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "word_length") {
-      out->word_length = uint_at(value, path);
-    } else if (key == "word_stride") {
-      out->word_stride = uint_at(value, path);
-    } else if (key == "sentence_length") {
-      out->sentence_length = uint_at(value, path);
-    } else if (key == "sentence_stride") {
-      out->sentence_stride = uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
+void validate(const Object& object, const std::string& prefix,
+              const FlagValues& flags) {
+  const Table& table = *object.table;
+  for (const Field& f : table.fields) {
+    const std::string path = join(prefix, f.key);
+    const auto fail = [&](const std::string& rule) {
+      bad_key(flags_of({&f}, flags), path, rule);
+    };
+    std::visit(
+        [&](auto p) {
+          using T = std::remove_pointer_t<decltype(p)>;
+          if constexpr (std::is_same_v<T, Object>) {
+            validate(p, path, flags);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            tensor::kernels::Backend backend{};
+            if (f.rule.backend && *p != "auto" &&
+                !tensor::kernels::parse_backend(*p, &backend)) {
+              fail("be \"auto\", \"scalar\", or \"avx2\"");
+            }
+          } else if constexpr (kIsInt<T> || std::is_floating_point_v<T>) {
+            if constexpr (kIsInt<T>) {
+              if (*p > kMaxInt) fail("be <= " + std::to_string(kMaxInt));
+            }
+            if (!holds(f.rule, static_cast<double>(*p))) {
+              fail(rule_text(f.rule));
+            }
+          }
+        },
+        f.at(object.base));
   }
-}
-
-void parse_model(const JsonValue& v, const std::string& prefix,
-                 nmt::Seq2SeqConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "embedding_dim") {
-      out->embedding_dim = uint_at(value, path);
-    } else if (key == "hidden_dim") {
-      out->hidden_dim = uint_at(value, path);
-    } else if (key == "num_layers") {
-      out->num_layers = uint_at(value, path);
-    } else if (key == "dropout") {
-      out->dropout = static_cast<float>(number_at(value, path));
-    } else if (key == "init_scale") {
-      out->init_scale = static_cast<float>(number_at(value, path));
-    } else if (key == "max_decode_length") {
-      out->max_decode_length = uint_at(value, path);
-    } else if (key == "attention") {
-      const std::string name = string_at(value, path);
-      if (name == "general") {
-        out->attention = nn::AttentionScore::kGeneral;
-      } else if (name == "dot") {
-        out->attention = nn::AttentionScore::kDot;
-      } else {
-        bad("key '" + path + "' must be \"general\" or \"dot\"");
-      }
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_trainer(const JsonValue& v, const std::string& prefix,
-                   nmt::TrainerConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "steps") {
-      out->steps = uint_at(value, path);
-    } else if (key == "batch_size") {
-      out->batch_size = uint_at(value, path);
-    } else if (key == "lr") {
-      out->lr = static_cast<float>(number_at(value, path));
-    } else if (key == "clip_norm") {
-      out->clip_norm = static_cast<float>(number_at(value, path));
-    } else if (key == "lr_decay_start") {
-      out->lr_decay_start = uint_at(value, path);
-    } else if (key == "lr_decay_every") {
-      out->lr_decay_every = uint_at(value, path);
-    } else if (key == "eval_every") {
-      out->eval_every = uint_at(value, path);
-    } else if (key == "patience") {
-      out->patience = uint_at(value, path);
-    } else if (key == "divergence_factor") {
-      out->divergence_factor = number_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_retry(const JsonValue& v, const std::string& prefix,
-                 robust::RetryPolicy* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "max_retries") {
-      out->max_retries = uint_at(value, path);
-    } else if (key == "base_delay_ms") {
-      out->base_delay_ms = number_at(value, path);
-    } else if (key == "multiplier") {
-      out->multiplier = number_at(value, path);
-    } else if (key == "max_delay_ms") {
-      out->max_delay_ms = number_at(value, path);
-    } else if (key == "jitter") {
-      out->jitter = number_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_miner(const JsonValue& v, const std::string& prefix,
-                 core::MinerConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "threads") {
-      out->threads = uint_at(value, path);
-    } else if (key == "seed") {
-      out->seed = static_cast<std::uint64_t>(uint_at(value, path));
-    } else if (key == "pair_timeout_s") {
-      out->pair_timeout_s = number_at(value, path);
-    } else if (key == "checkpoint_path") {
-      out->checkpoint_path = string_at(value, path);
-    } else if (key == "resume") {
-      out->resume = bool_at(value, path);
-    } else if (key == "retry") {
-      parse_retry(value, path, &out->retry);
-    } else if (key == "model") {
-      parse_model(value, path, &out->translation.model);
-    } else if (key == "trainer") {
-      parse_trainer(value, path, &out->translation.trainer);
-    } else if (key == "bleu") {
-      parse_bleu(value, path, &out->translation.bleu);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_detector(const JsonValue& v, const std::string& prefix,
-                    core::DetectorConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "valid_lo") {
-      out->valid_lo = number_at(value, path);
-    } else if (key == "valid_hi") {
-      out->valid_hi = number_at(value, path);
-    } else if (key == "tolerance") {
-      out->tolerance = number_at(value, path);
-    } else if (key == "min_coverage") {
-      out->min_coverage = number_at(value, path);
-    } else if (key == "threads") {
-      out->threads = uint_at(value, path);
-    } else if (key == "bleu") {
-      parse_bleu(value, path, &out->bleu);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_health(const JsonValue& v, const std::string& prefix,
-                  robust::HealthConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "drop_after_missing") {
-      out->drop_after_missing = uint_at(value, path);
-    } else if (key == "stale_after") {
-      out->stale_after = uint_at(value, path);
-    } else if (key == "max_unk_rate") {
-      out->max_unk_rate = number_at(value, path);
-    } else if (key == "unk_window") {
-      out->unk_window = uint_at(value, path);
-    } else if (key == "min_unk_samples") {
-      out->min_unk_samples = uint_at(value, path);
-    } else if (key == "readmit_after") {
-      out->readmit_after = uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_serve(const JsonValue& v, const std::string& prefix,
-                 serve::ServeConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "workers") {
-      out->workers = uint_at(value, path);
-    } else if (key == "max_batch") {
-      out->max_batch = uint_at(value, path);
-    } else if (key == "decode_cache") {
-      out->decode_cache = uint_at(value, path);
-    } else if (key == "max_pending_windows") {
-      out->limits.max_pending_windows = uint_at(value, path);
-    } else if (key == "reject_when_full") {
-      out->limits.reject_when_full = bool_at(value, path);
-    } else if (key == "max_consecutive_shed") {
-      out->limits.max_consecutive_shed = uint_at(value, path);
-    } else if (key == "max_global_pending") {
-      out->max_global_pending = uint_at(value, path);
-    } else if (key == "max_queue_delay_ms") {
-      out->max_queue_delay_ms = number_at(value, path);
-    } else if (key == "circuit_open_after") {
-      out->circuit_open_after = uint_at(value, path);
-    } else if (key == "circuit_probe_after") {
-      out->circuit_probe_after = uint_at(value, path);
-    } else if (key == "telemetry_port") {
-      out->telemetry_port = uint_at(value, path);
-    } else if (key == "resident_bytes") {
-      out->resident_bytes = uint_at(value, path);
-    } else if (key == "resident_edges") {
-      out->resident_edges = uint_at(value, path);
-    } else if (key == "slow_window_ms") {
-      out->slow_window_ms = number_at(value, path);
-    } else if (key == "sliding_window_s") {
-      out->sliding_window_s = number_at(value, path);
-    } else if (key == "sliding_epochs") {
-      out->sliding_epochs = uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_drift(const JsonValue& v, const std::string& prefix,
-                 lifecycle::DriftConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "ewma_alpha") {
-      out->ewma_alpha = number_at(value, path);
-    } else if (key == "min_observations") {
-      out->min_observations = uint_at(value, path);
-    } else if (key == "hysteresis") {
-      out->hysteresis = uint_at(value, path);
-    } else if (key == "drifting_drop") {
-      out->drifting_drop = number_at(value, path);
-    } else if (key == "drifted_drop") {
-      out->drifted_drop = number_at(value, path);
-    } else if (key == "break_rate") {
-      out->break_rate = number_at(value, path);
-    } else if (key == "max_unk_rate") {
-      out->max_unk_rate = number_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_retrain(const JsonValue& v, const std::string& prefix,
-                   lifecycle::RetrainConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "lr_factor") {
-      out->lr_factor = number_at(value, path);
-    } else if (key == "steps") {
-      out->steps = uint_at(value, path);
-    } else if (key == "journal_path") {
-      out->journal_path = string_at(value, path);
-    } else if (key == "warm_start_journal") {
-      out->warm_start_journal = string_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_shadow(const JsonValue& v, const std::string& prefix,
-                  serve::ShadowConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "sample_rate") {
-      out->sample_rate = number_at(value, path);
-    } else if (key == "min_windows") {
-      out->min_windows = uint_at(value, path);
-    } else if (key == "alert_threshold") {
-      out->alert_threshold = number_at(value, path);
-    } else if (key == "max_alert_rate") {
-      out->max_alert_rate = number_at(value, path);
-    } else if (key == "min_agreement") {
-      out->min_agreement = number_at(value, path);
-    } else if (key == "max_failures") {
-      out->max_failures = uint_at(value, path);
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_tensor(const JsonValue& v, const std::string& prefix,
-                  tensor::kernels::KernelConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "kernels") {
-      const std::string name = string_at(value, path);
-      tensor::kernels::Backend backend;
-      if (name != "auto" && !tensor::kernels::parse_backend(name, &backend)) {
-        bad("key '" + path + "' must be \"auto\", \"scalar\", or \"avx2\"");
-      }
-      out->kernels = name;
-    } else {
-      bad("unknown key '" + path + "'");
-    }
-  }
-}
-
-void parse_lifecycle(const JsonValue& v, const std::string& prefix,
-                     lifecycle::LifecycleConfig* out) {
-  expect_object(v, prefix);
-  for (const auto& [key, value] : v.object) {
-    const std::string path = prefix + "." + key;
-    if (key == "drift") {
-      parse_drift(value, path, &out->drift);
-    } else if (key == "retrain") {
-      parse_retrain(value, path, &out->retrain);
-    } else if (key == "shadow") {
-      parse_shadow(value, path, &out->shadow);
-    } else {
-      bad("unknown key '" + path + "'");
+  if (table.le != nullptr) {
+    const Field& le = *find_field(table, table.le);
+    const Field& ge = *find_field(table, table.ge);
+    if (!(*std::get<double*>(le.at(object.base)) <=
+          *std::get<double*>(ge.at(object.base)))) {
+      bad_key(flags_of({&le, &ge}, flags), join(prefix, le.key),
+              "be <= '" + join(prefix, ge.key) + "'");
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Range checks, one validator per section. `require` throws ConfigKeyError
-// naming the key (and, for a cross-key rule, the key it is compared with).
+// Parse. Each value's type is checked as it is read; each top-level section
+// is range-checked once it is read. Every error names the full dotted path.
 
-void require(bool ok, const std::string& key, const std::string& rule,
-             const std::string& other = "") {
-  if (ok) return;
-  std::vector<std::string> keys = {key};
-  if (!other.empty()) keys.push_back(other);
-  throw ConfigKeyError(std::move(keys),
-                       "config: key '" + key + "' must " + rule +
-                           (other.empty() ? "" : " '" + other + "'"));
+nn::AttentionScore attention_named(const std::string& name,
+                                   const std::string& flags,
+                                   const std::string& path) {
+  for (std::size_t i = 0; i < std::size(kAttentionNames); ++i) {
+    if (name == kAttentionNames[i]) return static_cast<nn::AttentionScore>(i);
+  }
+  bad_key(flags, path, "be \"general\" or \"dot\"");
 }
 
 template <typename T>
-void positive(T v, const std::string& key) {
-  require(v > T{0}, key, "be > 0");
+void read_json(const JsonValue& v, const std::string& path, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) bad_key("", path, "be a boolean");
+    *out = v.boolean;
+  } else if constexpr (std::is_same_v<T, std::string> ||
+                       std::is_same_v<T, nn::AttentionScore>) {
+    if (!v.is_string()) bad_key("", path, "be a string");
+    if constexpr (std::is_same_v<T, std::string>) {
+      *out = v.string;
+    } else {
+      *out = attention_named(v.string, "", path);
+    }
+  } else {
+    if (!v.is_number()) bad_key("", path, "be a number");
+    if constexpr (kIsInt<T>) {
+      const double d = v.number;
+      if (d < 0.0 || d != std::floor(d) || d > static_cast<double>(kMaxInt)) {
+        bad_key("", path, "be a non-negative integer");
+      }
+    }
+    *out = static_cast<T>(v.number);
+  }
 }
+
+void parse(const JsonValue& v, const Object& object,
+           const std::string& prefix) {
+  if (!v.is_object()) {
+    if (prefix.empty()) {
+      throw PreconditionError("config: document must be a JSON object");
+    }
+    bad_key("", prefix, "be an object");
+  }
+  for (const auto& [key, value] : v.object) {
+    const std::string path = join(prefix, key.c_str());
+    const Field* f = find_field(*object.table, key);
+    if (f == nullptr) {
+      throw PreconditionError("config: unknown key '" + path + "'");
+    }
+    std::visit(
+        [&](auto p) {
+          if constexpr (std::is_same_v<decltype(p), Object>) {
+            parse(value, p, path);
+            if (prefix.empty()) validate(p, path, {});
+          } else {
+            read_json(value, path, p);
+          }
+        },
+        f->at(object.base));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Flags. Each value is the whole option text; integers take the range a
+// config file does, [0, 2^53].
+
 template <typename T>
-void nonneg(T v, const std::string& key) {
-  require(v >= T{0}, key, "be >= 0");
-}
-void fraction(double d, const std::string& key) {
-  require(d >= 0.0 && d <= 1.0, key, "lie in [0, 1]");
+void read_flag(const std::string& text, const std::string& flag,
+               const std::string& path, T* out) {
+  const char* first = text.data();
+  const char* last = text.data() + text.size();
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = text != "false" && text != "0";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = text;
+  } else if constexpr (std::is_same_v<T, nn::AttentionScore>) {
+    *out = attention_named(text, flag, path);
+  } else if constexpr (kIsInt<T>) {
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(first, last, n);
+    if (ec != std::errc{} || end != last || n > kMaxInt) {
+      bad_key(flag, path,
+              "be an integer in [0, " + std::to_string(kMaxInt) + "], got '" +
+                  text + "'");
+    }
+    *out = static_cast<T>(n);
+  } else {
+    double d = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, d);
+    if (ec != std::errc{} || end != last || !std::isfinite(d)) {
+      throw PreconditionError(flag + " expects a number, got '" + text + "'");
+    }
+    *out = static_cast<T>(d);
+  }
 }
 
-void validate_bleu(const text::BleuOptions& b, const std::string& prefix) {
-  positive(b.max_order, prefix + ".max_order");
-}
-
-void validate_model(const nmt::Seq2SeqConfig& m, const std::string& prefix) {
-  positive(m.embedding_dim, prefix + ".embedding_dim");
-  positive(m.hidden_dim, prefix + ".hidden_dim");
-  positive(m.num_layers, prefix + ".num_layers");
-  require(m.dropout >= 0.0f && m.dropout < 1.0f, prefix + ".dropout",
-          "lie in [0, 1)");
-  positive(m.init_scale, prefix + ".init_scale");
-  positive(m.max_decode_length, prefix + ".max_decode_length");
-}
-
-void validate_trainer(const nmt::TrainerConfig& t, const std::string& prefix) {
-  positive(t.steps, prefix + ".steps");
-  positive(t.batch_size, prefix + ".batch_size");
-  positive(t.lr, prefix + ".lr");
-  nonneg(t.clip_norm, prefix + ".clip_norm");
-  positive(t.patience, prefix + ".patience");
-  nonneg(t.divergence_factor, prefix + ".divergence_factor");
-}
-
-void validate_retry(const robust::RetryPolicy& r, const std::string& prefix) {
-  nonneg(r.base_delay_ms, prefix + ".base_delay_ms");
-  require(r.multiplier >= 1.0, prefix + ".multiplier", "be >= 1");
-  nonneg(r.max_delay_ms, prefix + ".max_delay_ms");
-  fraction(r.jitter, prefix + ".jitter");
+void apply(const Object& object, const FlagValues& flags,
+           const std::string& prefix) {
+  for (const Field& f : object.table->fields) {
+    const std::string path = join(prefix, f.key);
+    const auto given = f.flag == nullptr ? flags.end() : flags.find(f.flag);
+    std::visit(
+        [&](auto p) {
+          if constexpr (std::is_same_v<decltype(p), Object>) {
+            apply(p, flags, path);
+          } else if (given != flags.end()) {
+            read_flag(given->second, "--" + given->first, path, p);
+          }
+        },
+        f.at(object.base));
+  }
 }
 
 }  // namespace
 
-void validate_window(const core::WindowConfig& w) {
-  positive(w.word_length, "window.word_length");
-  positive(w.word_stride, "window.word_stride");
-  positive(w.sentence_length, "window.sentence_length");
-  positive(w.sentence_stride, "window.sentence_stride");
-}
-
-void validate_miner(const core::MinerConfig& m) {
-  nonneg(m.pair_timeout_s, "miner.pair_timeout_s");
-  validate_retry(m.retry, "miner.retry");
-  validate_model(m.translation.model, "miner.model");
-  validate_trainer(m.translation.trainer, "miner.trainer");
-  validate_bleu(m.translation.bleu, "miner.bleu");
-}
-
-void validate_detector(const core::DetectorConfig& d) {
-  nonneg(d.tolerance, "detector.tolerance");
-  fraction(d.min_coverage, "detector.min_coverage");
-  validate_bleu(d.bleu, "detector.bleu");
-  require(d.valid_lo <= d.valid_hi, "detector.valid_lo", "be <=",
-          "detector.valid_hi");
-}
-
-void validate_health(const robust::HealthConfig& h) {
-  positive(h.drop_after_missing, "health.drop_after_missing");
-  fraction(h.max_unk_rate, "health.max_unk_rate");
-  positive(h.unk_window, "health.unk_window");
-  positive(h.min_unk_samples, "health.min_unk_samples");
-  positive(h.readmit_after, "health.readmit_after");
-}
-
-void validate_serve(const serve::ServeConfig& s) {
-  positive(s.max_batch, "serve.max_batch");
-  positive(s.limits.max_pending_windows, "serve.max_pending_windows");
-  positive(s.limits.max_consecutive_shed, "serve.max_consecutive_shed");
-  nonneg(s.max_queue_delay_ms, "serve.max_queue_delay_ms");
-  positive(s.circuit_probe_after, "serve.circuit_probe_after");
-  require(s.telemetry_port <= 65535, "serve.telemetry_port", "be <= 65535");
-  nonneg(s.slow_window_ms, "serve.slow_window_ms");
-  positive(s.sliding_window_s, "serve.sliding_window_s");
-  positive(s.sliding_epochs, "serve.sliding_epochs");
-}
-
-void validate_lifecycle(const lifecycle::LifecycleConfig& l) {
-  const lifecycle::DriftConfig& d = l.drift;
-  require(d.ewma_alpha > 0.0 && d.ewma_alpha <= 1.0,
-          "lifecycle.drift.ewma_alpha", "lie in (0, 1]");
-  positive(d.min_observations, "lifecycle.drift.min_observations");
-  positive(d.hysteresis, "lifecycle.drift.hysteresis");
-  nonneg(d.drifting_drop, "lifecycle.drift.drifting_drop");
-  nonneg(d.drifted_drop, "lifecycle.drift.drifted_drop");
-  fraction(d.break_rate, "lifecycle.drift.break_rate");
-  fraction(d.max_unk_rate, "lifecycle.drift.max_unk_rate");
-  require(d.drifting_drop <= d.drifted_drop, "lifecycle.drift.drifting_drop",
-          "be <=", "lifecycle.drift.drifted_drop");
-  positive(l.retrain.lr_factor, "lifecycle.retrain.lr_factor");
-  const serve::ShadowConfig& s = l.shadow;
-  positive(s.sample_rate, "lifecycle.shadow.sample_rate");
-  positive(s.min_windows, "lifecycle.shadow.min_windows");
-  fraction(s.alert_threshold, "lifecycle.shadow.alert_threshold");
-  fraction(s.max_alert_rate, "lifecycle.shadow.max_alert_rate");
-  fraction(s.min_agreement, "lifecycle.shadow.min_agreement");
-}
-
 std::string run_config_to_json(const RunConfig& config) {
-  JsonValue doc = make_object();
-  put_object(doc, "window", window_to_json(config.framework.window));
-  put_object(doc, "miner", miner_to_json(config.framework.miner));
-  put_object(doc, "detector", detector_to_json(config.framework.detector));
-  put_object(doc, "health", health_to_json(config.health));
-  put_object(doc, "tensor", tensor_to_json(config.tensor));
-  put_object(doc, "serve", serve_to_json(config.serve));
-  put_object(doc, "lifecycle", lifecycle_to_json(config.lifecycle));
   std::string out;
-  dump(doc, out, 0);
+  emit(root(config), 0, out);
   out += '\n';
   return out;
 }
 
 RunConfig run_config_from_json(std::string_view text) {
   const JsonValue doc = obs::parse_json(text);
-  if (!doc.is_object()) bad("document must be a JSON object");
   RunConfig config;
-  for (const auto& [key, value] : doc.object) {
-    if (key == "window") {
-      parse_window(value, key, &config.framework.window);
-      validate_window(config.framework.window);
-    } else if (key == "miner") {
-      parse_miner(value, key, &config.framework.miner);
-      validate_miner(config.framework.miner);
-    } else if (key == "detector") {
-      parse_detector(value, key, &config.framework.detector);
-      validate_detector(config.framework.detector);
-    } else if (key == "health") {
-      parse_health(value, key, &config.health);
-      validate_health(config.health);
-    } else if (key == "tensor") {
-      parse_tensor(value, key, &config.tensor);
-    } else if (key == "serve") {
-      parse_serve(value, key, &config.serve);
-      validate_serve(config.serve);
-    } else if (key == "lifecycle") {
-      parse_lifecycle(value, key, &config.lifecycle);
-      validate_lifecycle(config.lifecycle);
-    } else {
-      bad("unknown key '" + key + "'");
-    }
-  }
+  parse(doc, {&config, &kRun}, "");
   config.serve.detector = config.framework.detector;
   config.serve.shadow = config.lifecycle.shadow;
   return config;
+}
+
+void apply_flags(RunConfig& config, const FlagValues& flags) {
+  apply({&config, &kRun}, flags, "");
+}
+
+void validate_run_config(const RunConfig& config, const FlagValues& flags) {
+  validate(root(config), "", flags);
 }
 
 RunConfig load_run_config(const std::string& path) {

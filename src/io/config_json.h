@@ -1,4 +1,4 @@
-// JSON round-trip for the run configuration (ISSUE 5 satellite).
+// JSON round-trip for the run configuration.
 //
 // RunConfig bundles everything a tool run is parameterised by: the
 // FrameworkConfig (window / miner / detector), the degraded-mode
@@ -6,13 +6,18 @@
 // LifecycleConfig (DESIGN.md §14). run_config_to_json
 // emits a pretty-printed document with every knob at its current value —
 // `desmine_cli --dump-config` uses it to print a complete, editable
-// starting point. run_config_from_json parses and validates strictly:
-// unknown keys and out-of-range values throw PreconditionError
-// naming the offending dotted key (e.g. "miner.trainer.stepz"), so a typo
-// never silently falls back to a default. Types are checked as a key is
-// read, ranges by one validator per section (validate_window, ...), which
-// the tools also run after their flags override a section. Keys that are simply absent keep
-// their defaults, which makes partial override files work.
+// starting point; every value reads back exactly. run_config_from_json
+// parses and validates strictly: unknown keys and out-of-range values
+// throw PreconditionError naming the offending dotted key (e.g.
+// "miner.trainer.stepz"), so a typo never silently falls back to a
+// default. Keys that are simply absent keep their defaults, which makes
+// partial override files work.
+//
+// Each config struct is declared once, as a field table in config_json.cpp:
+// per key its name, the member it sets, its type and range rule, and the
+// tool option that overrides it. Emit, parse, validate_run_config and
+// apply_flags are each one walk over those tables, so a key's type, range
+// and flag cannot drift apart between a config file and the command line.
 //
 // Deliberately NOT covered: callback hooks (MinerConfig::on_pair,
 // should_abort), ServeConfig::detector (the detector section is the
@@ -22,17 +27,15 @@
 // determinism knob, not an operator-facing one).
 #pragma once
 
+#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "core/framework.h"
 #include "lifecycle/controller.h"
 #include "robust/sensor_health.h"
 #include "serve/session_manager.h"
 #include "tensor/kernels.h"
-#include "util/error.h"
 
 namespace desmine::io {
 
@@ -50,29 +53,9 @@ struct RunConfig {
   tensor::kernels::KernelConfig tensor{};
 };
 
-/// A value outside its key's range. The message names the dotted key;
-/// keys() lists it, and for a cross-key rule (valid_lo <= valid_hi) the key
-/// it is compared with, so a tool can name the flags that set them.
-class ConfigKeyError : public PreconditionError {
- public:
-  ConfigKeyError(std::vector<std::string> keys, const std::string& message)
-      : PreconditionError(message), keys_(std::move(keys)) {}
-  const std::vector<std::string>& keys() const { return keys_; }
-
- private:
-  std::vector<std::string> keys_;
-};
-
-/// The range checks of one section, as run_config_from_json applies them
-/// after reading the section. The tools run them again on every section
-/// their flags override. Each throws ConfigKeyError for the first value
-/// out of range.
-void validate_window(const core::WindowConfig& window);
-void validate_miner(const core::MinerConfig& miner);
-void validate_detector(const core::DetectorConfig& detector);
-void validate_health(const robust::HealthConfig& health);
-void validate_serve(const serve::ServeConfig& serve);
-void validate_lifecycle(const lifecycle::LifecycleConfig& lifecycle);
+/// Command-line overrides as the tools collect them: option name (without
+/// the leading "--") -> the text given for it.
+using FlagValues = std::map<std::string, std::string>;
 
 /// Pretty-printed JSON document covering every RunConfig knob.
 std::string run_config_to_json(const RunConfig& config);
@@ -82,6 +65,22 @@ std::string run_config_to_json(const RunConfig& config);
 /// keys, type mismatches, and out-of-range values; RuntimeError for
 /// malformed JSON.
 RunConfig run_config_from_json(std::string_view text);
+
+/// Set each key whose tool option appears in `flags` from the option's
+/// text: integers in [0, 2^53] (the range a config file holds), finite
+/// numbers, strings as given, and for a bool `true` unless the text is
+/// "false" or "0". Throws PreconditionError naming the option (and, for an
+/// integer, the key) when the text is not such a value. Ranges are left to
+/// validate_run_config.
+void apply_flags(RunConfig& config, const FlagValues& flags);
+
+/// The range checks run_config_from_json applies to each section it reads,
+/// over every section of `config`. Throws PreconditionError for the first
+/// value out of range, naming the key and, before it, the options among
+/// `flags` that set it: "--word: config: key 'window.word_length' must be
+/// > 0". For the cross-key rules (detector.valid_lo <= valid_hi,
+/// lifecycle.drift.drifting_drop <= drifted_drop) both keys count.
+void validate_run_config(const RunConfig& config, const FlagValues& flags = {});
 
 /// Read `path` and run_config_from_json its contents; errors mention the
 /// file path.

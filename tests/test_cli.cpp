@@ -12,11 +12,20 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "obs/json.h"
 
 namespace {
 
@@ -240,6 +249,9 @@ TEST(ToolConfig, OutOfRangeFlagsAreUsageErrorsNamingFlagAndKey) {
        "serve.sliding_window_s"},
       {&serve, "--sliding-epochs 0", "--sliding-epochs",
        "serve.sliding_epochs"},
+      {&cli, "train --kernels bogus", "--kernels", "tensor.kernels"},
+      {&cli, "detect --kernels bogus", "--kernels", "tensor.kernels"},
+      {&serve, "--kernels bogus", "--kernels", "tensor.kernels"},
   };
   for (const auto& c : cases) {
     std::string err;
@@ -300,6 +312,284 @@ TEST(ToolConfig, DumpUnderValidFlagsReparsesToTheSameBytes) {
               0)
         << c.args;
     EXPECT_EQ(second, first) << c.args;
+  }
+}
+
+TEST(ToolConfig, CliBoolFlagWinsOverTheConfigFile) {
+  const TempFile file("resume.json");
+  std::ofstream(file.path)
+      << R"({"miner": {"resume": true, "checkpoint_path": "ckpt.jsonl"}})";
+  std::string out;
+  ASSERT_EQ(run_tool_stdout(DESMINE_CLI_PATH,
+                            "train --config " + file.path +
+                                " --resume=false --dump-config",
+                            &out),
+            0);
+  EXPECT_NE(out.find("\"resume\": false"), std::string::npos) << out;
+  // A bare flag still means true.
+  std::ofstream(file.path) << R"({"miner": {"checkpoint_path": "c.jsonl"}})";
+  ASSERT_EQ(run_tool_stdout(DESMINE_CLI_PATH,
+                            "train --config " + file.path +
+                                " --resume --dump-config",
+                            &out),
+            0);
+  EXPECT_NE(out.find("\"resume\": true"), std::string::npos) << out;
+}
+
+TEST(ToolConfig, ServeBoolFlagWinsOverTheConfigFile) {
+  const TempFile file("reject.json");
+  std::ofstream(file.path) << R"({"serve": {"reject_when_full": true}})";
+  std::string out;
+  ASSERT_EQ(run_tool_stdout(DESMINE_SERVE_PATH,
+                            "--config " + file.path +
+                                " --reject-when-full=false --dump-config",
+                            &out),
+            0);
+  EXPECT_NE(out.find("\"reject_when_full\": false"), std::string::npos)
+      << out;
+  ASSERT_EQ(run_tool_stdout(DESMINE_SERVE_PATH,
+                            "--reject-when-full --dump-config", &out),
+            0);
+  EXPECT_NE(out.find("\"reject_when_full\": true"), std::string::npos)
+      << out;
+}
+
+namespace {
+
+/// An option that overrides a config key: the dotted key it sets, its kind,
+/// and the values the key accepts, [lo, hi] with the open sides excluded.
+struct Knob {
+  const char* flag;
+  const char* key;
+  enum Kind { kInt, kDouble, kFloat, kBool, kText, kBackend } kind;
+  double lo = 0.0;
+  double hi = 0.0;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+
+constexpr double kMaxInt = 9007199254740992.0;  // 2^53
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+constexpr double kMaxFloat = std::numeric_limits<float>::max();
+
+bool in_range(const Knob& k, double v) {
+  return (k.lo_open ? v > k.lo : v >= k.lo) &&
+         (k.hi_open ? v < k.hi : v <= k.hi);
+}
+
+/// The value the tool should store for `text` (floats are read as doubles
+/// and narrowed, like the tools do).
+double number_of(const Knob& k, const std::string& text) {
+  const double d = std::strtod(text.c_str(), nullptr);
+  return k.kind == Knob::kFloat ? static_cast<float>(d) : d;
+}
+
+/// One random in-range value as option text: a bound, a large integer
+/// (>= 10^12 where the range allows), a number with 17 significant digits
+/// on a log scale, or a small one.
+std::string draw(const Knob& k, std::mt19937_64& rng) {
+  const int mode = std::uniform_int_distribution<int>(0, 3)(rng);
+  switch (k.kind) {
+    case Knob::kBool:
+      return mode % 2 == 0 ? "false" : "true";
+    case Knob::kBackend: {
+      const char* names[] = {"auto", "scalar", "avx2"};
+      return names[mode % 3];
+    }
+    case Knob::kText:
+      return "ckpt_" + std::to_string(rng() % 100000) + ".jsonl";
+    case Knob::kInt: {
+      const auto lo = static_cast<std::uint64_t>(k.lo);
+      const auto hi = static_cast<std::uint64_t>(k.hi);
+      const auto uniform = [&](std::uint64_t a, std::uint64_t b) {
+        return std::uniform_int_distribution<std::uint64_t>(a, b)(rng);
+      };
+      const std::uint64_t big = 1000000000000ull;
+      const std::uint64_t v =
+          mode == 0   ? lo
+          : mode == 1 ? hi
+          : mode == 2 && hi >= big ? uniform(std::max(lo, big), hi)
+                                   : uniform(lo, std::min(hi, lo + 1000));
+      return std::to_string(v);
+    }
+    case Knob::kDouble:
+    case Knob::kFloat:
+      break;
+  }
+  const bool narrow = k.kind == Knob::kFloat;
+  const auto step = [&](double from, double to) {
+    return narrow ? static_cast<double>(std::nextafter(
+                        static_cast<float>(from), static_cast<float>(to)))
+                  : std::nextafter(from, to);
+  };
+  double v = 0.0;
+  if (mode == 0) {
+    v = k.lo_open ? step(k.lo, k.hi) : k.lo;
+  } else if (mode == 1) {
+    v = k.hi_open ? step(k.hi, k.lo) : k.hi;
+  } else if (mode == 2) {
+    v = std::uniform_real_distribution<double>(1.0, 10.0)(rng) *
+        std::pow(10.0, std::uniform_int_distribution<int>(-30, 30)(rng));
+    if (k.lo < 0.0 && rng() % 2 == 0) v = -v;
+  } else {
+    v = std::uniform_real_distribution<double>(std::max(k.lo, -1000.0),
+                                               std::min(k.hi, 1000.0))(rng);
+  }
+  char text[40];
+  std::snprintf(text, sizeof(text), narrow ? "%.9g" : "%.17g",
+                narrow ? static_cast<double>(static_cast<float>(v)) : v);
+  if (!in_range(k, number_of(k, text))) {
+    std::snprintf(text, sizeof(text), "%.17g",
+                  k.lo_open ? step(k.lo, k.hi) : k.lo);
+  }
+  return text;
+}
+
+/// The member at a dotted path of a parsed dump, or null.
+const desmine::obs::JsonValue* at_path(const desmine::obs::JsonValue& doc,
+                                       const std::string& path) {
+  const desmine::obs::JsonValue* v = &doc;
+  std::size_t start = 0;
+  while (v != nullptr) {
+    const std::size_t dot = path.find('.', start);
+    v = v->find(path.substr(start, dot - start));
+    if (dot == std::string::npos) break;
+    start = dot + 1;
+  }
+  return v;
+}
+
+/// The options all three commands take; the band comes first.
+const Knob kSharedKnobs[] = {
+    {"lo", "detector.valid_lo", Knob::kDouble, -kMaxDouble, kMaxDouble},
+    {"hi", "detector.valid_hi", Knob::kDouble, -kMaxDouble, kMaxDouble},
+    {"tolerance", "detector.tolerance", Knob::kDouble, 0, kMaxDouble},
+    {"kernels", "tensor.kernels", Knob::kBackend},
+};
+
+/// detect and serve only: the coverage quorum and sensor health.
+const Knob kHealthKnobs[] = {
+    {"min-coverage", "detector.min_coverage", Knob::kDouble, 0, 1},
+    {"health-drop-after", "health.drop_after_missing", Knob::kInt, 1, kMaxInt},
+    {"health-stale-after", "health.stale_after", Knob::kInt, 0, kMaxInt},
+    {"health-unk-rate", "health.max_unk_rate", Knob::kDouble, 0, 1},
+    {"health-unk-window", "health.unk_window", Knob::kInt, 1, kMaxInt},
+    {"health-readmit-after", "health.readmit_after", Knob::kInt, 1, kMaxInt},
+};
+
+const Knob kTrainKnobs[] = {
+    {"word", "window.word_length", Knob::kInt, 1, kMaxInt},
+    {"word-stride", "window.word_stride", Knob::kInt, 1, kMaxInt},
+    // train sets miner.model.max_decode_length to sentence + 2, which must
+    // stay within 2^53 too.
+    {"sentence", "window.sentence_length", Knob::kInt, 1, kMaxInt - 2},
+    {"sentence-stride", "window.sentence_stride", Knob::kInt, 1, kMaxInt},
+    {"embedding", "miner.model.embedding_dim", Knob::kInt, 1, kMaxInt},
+    {"hidden", "miner.model.hidden_dim", Knob::kInt, 1, kMaxInt},
+    {"layers", "miner.model.num_layers", Knob::kInt, 1, kMaxInt},
+    {"dropout", "miner.model.dropout", Knob::kFloat, 0, 1, false, true},
+    {"steps", "miner.trainer.steps", Knob::kInt, 1, kMaxInt},
+    {"batch", "miner.trainer.batch_size", Knob::kInt, 1, kMaxInt},
+    {"lr", "miner.trainer.lr", Knob::kFloat, 0, kMaxFloat, true},
+    {"seed", "miner.seed", Knob::kInt, 0, kMaxInt},
+    {"threads", "miner.threads", Knob::kInt, 0, kMaxInt},
+    {"checkpoint", "miner.checkpoint_path", Knob::kText},
+    {"resume", "miner.resume", Knob::kBool},
+    {"pair-timeout-s", "miner.pair_timeout_s", Knob::kDouble, 0, kMaxDouble},
+    {"max-retries", "miner.retry.max_retries", Knob::kInt, 0, kMaxInt},
+};
+
+const Knob kServeKnobs[] = {
+    {"workers", "serve.workers", Knob::kInt, 0, kMaxInt},
+    {"max-batch", "serve.max_batch", Knob::kInt, 1, kMaxInt},
+    {"decode-cache", "serve.decode_cache", Knob::kInt, 0, kMaxInt},
+    {"max-pending", "serve.max_pending_windows", Knob::kInt, 1, kMaxInt},
+    {"reject-when-full", "serve.reject_when_full", Knob::kBool},
+    {"max-consecutive-shed", "serve.max_consecutive_shed", Knob::kInt, 1,
+     kMaxInt},
+    {"max-global-pending", "serve.max_global_pending", Knob::kInt, 0, kMaxInt},
+    {"max-queue-delay-ms", "serve.max_queue_delay_ms", Knob::kDouble, 0,
+     kMaxDouble},
+    {"circuit-open-after", "serve.circuit_open_after", Knob::kInt, 0, kMaxInt},
+    {"circuit-probe-after", "serve.circuit_probe_after", Knob::kInt, 1,
+     kMaxInt},
+    {"telemetry-port", "serve.telemetry_port", Knob::kInt, 0, 65535},
+    {"resident-bytes", "serve.resident_bytes", Knob::kInt, 0, kMaxInt},
+    {"resident-edges", "serve.resident_edges", Knob::kInt, 0, kMaxInt},
+    {"slow-window-ms", "serve.slow_window_ms", Knob::kDouble, 0, kMaxDouble},
+    {"sliding-window-s", "serve.sliding_window_s", Knob::kDouble, 0,
+     kMaxDouble, true},
+    {"sliding-epochs", "serve.sliding_epochs", Knob::kInt, 1, kMaxInt},
+};
+
+}  // namespace
+
+TEST(ToolConfig, DumpUnderRandomFlagsIsLosslessAndReparsesToTheSameBytes) {
+  // Every option a command takes that overrides a config key, drawn at
+  // random within the key's range: the dump must hold each value exactly
+  // and read back to the same bytes.
+  const std::string cli = DESMINE_CLI_PATH;
+  const std::string serve = DESMINE_SERVE_PATH;
+  std::vector<Knob> train(std::begin(kSharedKnobs), std::end(kSharedKnobs));
+  train.insert(train.end(), std::begin(kTrainKnobs), std::end(kTrainKnobs));
+  std::vector<Knob> detect(std::begin(kSharedKnobs), std::end(kSharedKnobs));
+  detect.insert(detect.end(), std::begin(kHealthKnobs), std::end(kHealthKnobs));
+  std::vector<Knob> served = detect;
+  served.insert(served.end(), std::begin(kServeKnobs), std::end(kServeKnobs));
+  const struct {
+    const std::string* tool;
+    const char* command;
+    const std::vector<Knob>* knobs;
+  } commands[] = {{&cli, "train ", &train},
+                  {&cli, "detect ", &detect},
+                  {&serve, "", &served}};
+  std::mt19937_64 rng(20261019);
+  const TempFile dumped("random_dump.json");
+  for (const auto& c : commands) {
+    for (int round = 0; round < 12; ++round) {
+      std::vector<std::string> texts;
+      for (const Knob& k : *c.knobs) texts.push_back(draw(k, rng));
+      // The band needs valid_lo <= valid_hi.
+      if (std::strtod(texts[0].c_str(), nullptr) >
+          std::strtod(texts[1].c_str(), nullptr)) {
+        std::swap(texts[0], texts[1]);
+      }
+      std::string args = c.command;
+      for (std::size_t i = 0; i < texts.size(); ++i) {
+        args += "--" + std::string((*c.knobs)[i].flag) + "=" + texts[i] + " ";
+      }
+      std::string first;
+      ASSERT_EQ(run_tool_stdout(*c.tool, args + "--dump-config", &first), 0)
+          << args;
+      const desmine::obs::JsonValue doc = desmine::obs::parse_json(first);
+      for (std::size_t i = 0; i < texts.size(); ++i) {
+        const Knob& k = (*c.knobs)[i];
+        const desmine::obs::JsonValue* v = at_path(doc, k.key);
+        ASSERT_NE(v, nullptr) << k.key;
+        if (k.kind == Knob::kBool) {
+          EXPECT_EQ(v->boolean, texts[i] == "true") << k.flag;
+        } else if (k.kind == Knob::kText || k.kind == Knob::kBackend) {
+          EXPECT_EQ(v->string, texts[i]) << k.flag;
+        } else {
+          // Floats print with 12 digits: read back, they narrow exactly.
+          const double back = k.kind == Knob::kFloat
+                                  ? static_cast<float>(v->number)
+                                  : v->number;
+          EXPECT_EQ(back, number_of(k, texts[i]))
+              << "--" << k.flag << "=" << texts[i] << " dumped as "
+              << v->number;
+        }
+      }
+      std::ofstream(dumped.path) << first;
+      std::string second;
+      EXPECT_EQ(run_tool_stdout(*c.tool,
+                                std::string(c.command) + "--config " +
+                                    dumped.path + " --dump-config",
+                                &second),
+                0)
+          << args;
+      EXPECT_EQ(second, first) << args;
+    }
   }
 }
 

@@ -101,7 +101,8 @@ class Args {
     return out;
   }
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  /// Every option given, by name: the text after it, "true" for a bare flag.
+  const std::map<std::string, std::string>& values() const { return values_; }
 
   bool flag(const std::string& key) const {
     const auto it = values_.find(key);
@@ -112,58 +113,15 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// Runs every section of `run` through io/config_json's validators, the
-/// checks a config file gets, after the options overrode it. A value out of
-/// range is a PreconditionError naming the option that set it as well as
-/// the key: "--word: config: key 'window.word_length' must be > 0".
-inline void validate_overrides(const Args& args, const io::RunConfig& run) {
-  // Dotted key -> the option that overrides it, in either tool.
-  static const std::map<std::string, std::string> option_of = {
-      {"window.word_length", "word"},
-      {"window.word_stride", "word-stride"},
-      {"window.sentence_length", "sentence"},
-      {"window.sentence_stride", "sentence-stride"},
-      {"miner.model.embedding_dim", "embedding"},
-      {"miner.model.hidden_dim", "hidden"},
-      {"miner.model.num_layers", "layers"},
-      {"miner.model.dropout", "dropout"},
-      {"miner.trainer.steps", "steps"},
-      {"miner.trainer.batch_size", "batch"},
-      {"miner.trainer.lr", "lr"},
-      {"miner.pair_timeout_s", "pair-timeout-s"},
-      {"detector.valid_lo", "lo"},
-      {"detector.valid_hi", "hi"},
-      {"detector.tolerance", "tolerance"},
-      {"detector.min_coverage", "min-coverage"},
-      {"health.drop_after_missing", "health-drop-after"},
-      {"health.max_unk_rate", "health-unk-rate"},
-      {"health.unk_window", "health-unk-window"},
-      {"health.readmit_after", "health-readmit-after"},
-      {"serve.max_batch", "max-batch"},
-      {"serve.max_pending_windows", "max-pending"},
-      {"serve.max_consecutive_shed", "max-consecutive-shed"},
-      {"serve.max_queue_delay_ms", "max-queue-delay-ms"},
-      {"serve.circuit_probe_after", "circuit-probe-after"},
-      {"serve.slow_window_ms", "slow-window-ms"},
-      {"serve.sliding_window_s", "sliding-window-s"},
-      {"serve.sliding_epochs", "sliding-epochs"}};
-  try {
-    io::validate_window(run.framework.window);
-    io::validate_miner(run.framework.miner);
-    io::validate_detector(run.framework.detector);
-    io::validate_health(run.health);
-    io::validate_serve(run.serve);
-    io::validate_lifecycle(run.lifecycle);
-  } catch (const io::ConfigKeyError& e) {
-    std::string options;
-    for (const std::string& key : e.keys()) {
-      const auto it = option_of.find(key);
-      if (it == option_of.end() || !args.has(it->second)) continue;
-      options += (options.empty() ? "--" : ", --") + it->second;
-    }
-    if (options.empty()) throw;
-    throw PreconditionError(options + ": " + e.what());
-  }
+/// --config FILE (when given) as the baseline, then every option the
+/// command was given that overrides a config key. Ranges are checked
+/// separately, by io::validate_run_config(run, args.values()).
+inline io::RunConfig run_config(const Args& args) {
+  io::RunConfig run;
+  const std::string path = args.get_or("config", "");
+  if (!path.empty()) run = io::load_run_config(path);
+  io::apply_flags(run, args.values());
+  return run;
 }
 
 }  // namespace desmine::tools

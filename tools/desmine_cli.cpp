@@ -67,7 +67,6 @@
 
 using namespace desmine;
 using tools::Args;
-using tools::validate_overrides;
 
 namespace {
 
@@ -106,65 +105,6 @@ const std::map<std::string, CommandOptions>& command_options() {
   return commands;
 }
 
-/// --config FILE as the option baseline; explicit flags override it.
-io::RunConfig base_config(const Args& args) {
-  const std::string path = args.get_or("config", "");
-  if (path.empty()) return {};
-  return io::load_run_config(path);
-}
-
-/// Fold --kernels over the config file's `tensor` section (explicit flags
-/// win, like every other option). The caller applies the result via
-/// tensor::kernels::select_backend after any --dump-config exit, so a dump
-/// reflects the flag without requiring the backend to be available on this
-/// machine.
-void merge_tensor_flags(const Args& args, io::RunConfig& run) {
-  run.tensor.kernels = args.get_or("kernels", run.tensor.kernels);
-}
-
-core::FrameworkConfig config_from(const Args& args,
-                                  core::FrameworkConfig cfg) {
-  cfg.window.word_length = args.count("word", cfg.window.word_length);
-  cfg.window.word_stride = args.count("word-stride", cfg.window.word_stride);
-  cfg.window.sentence_length =
-      args.count("sentence", cfg.window.sentence_length);
-  cfg.window.sentence_stride =
-      args.count("sentence-stride", cfg.window.sentence_stride);
-
-  auto& model = cfg.miner.translation.model;
-  model.embedding_dim = args.count("embedding", model.embedding_dim);
-  model.hidden_dim = args.count("hidden", model.hidden_dim);
-  model.num_layers = args.count("layers", model.num_layers);
-  model.dropout = static_cast<float>(
-      args.number("dropout", static_cast<double>(model.dropout)));
-  model.max_decode_length = cfg.window.sentence_length + 2;
-
-  auto& trainer = cfg.miner.translation.trainer;
-  trainer.steps = args.count("steps", trainer.steps);
-  trainer.batch_size = args.count("batch", trainer.batch_size);
-  trainer.lr =
-      static_cast<float>(args.number("lr", static_cast<double>(trainer.lr)));
-
-  cfg.miner.seed = args.count<std::uint64_t>("seed", cfg.miner.seed);
-  cfg.miner.threads = args.count("threads", cfg.miner.threads);
-
-  cfg.miner.checkpoint_path =
-      args.get_or("checkpoint", cfg.miner.checkpoint_path);
-  cfg.miner.resume = cfg.miner.resume || args.flag("resume");
-  cfg.miner.pair_timeout_s =
-      args.number("pair-timeout-s", cfg.miner.pair_timeout_s);
-  cfg.miner.retry.max_retries =
-      args.count("max-retries", cfg.miner.retry.max_retries);
-  if (cfg.miner.resume && cfg.miner.checkpoint_path.empty()) {
-    throw PreconditionError("--resume requires --checkpoint FILE");
-  }
-
-  cfg.detector.valid_lo = args.number("lo", cfg.detector.valid_lo);
-  cfg.detector.valid_hi = args.number("hi", cfg.detector.valid_hi);
-  cfg.detector.tolerance = args.number("tolerance", cfg.detector.tolerance);
-  return cfg;
-}
-
 int cmd_generate(const Args& args) {
   data::PlantConfig cfg;
   cfg.days = args.count("days", std::size_t{10});
@@ -189,10 +129,14 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  io::RunConfig run = base_config(args);
-  run.framework = config_from(args, run.framework);
-  merge_tensor_flags(args, run);
-  validate_overrides(args, run);
+  io::RunConfig run = tools::run_config(args);
+  core::MinerConfig& miner = run.framework.miner;
+  miner.translation.model.max_decode_length =
+      run.framework.window.sentence_length + 2;
+  if (miner.resume && miner.checkpoint_path.empty()) {
+    throw PreconditionError("--resume requires --checkpoint FILE");
+  }
+  io::validate_run_config(run, args.values());
   if (args.flag("dump-config")) {
     std::cout << io::run_config_to_json(run);
     return 0;
@@ -255,31 +199,15 @@ io::OnBadRow parse_on_bad_row(const std::string& v) {
                           v + "'");
 }
 
-robust::HealthConfig health_from(const Args& args, robust::HealthConfig h) {
-  h.drop_after_missing = args.count("health-drop-after", h.drop_after_missing);
-  h.stale_after = args.count("health-stale-after", h.stale_after);
-  h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = args.count("health-unk-window", h.unk_window);
-  h.readmit_after = args.count("health-readmit-after", h.readmit_after);
-  return h;
-}
-
 int cmd_detect(const Args& args) {
-  io::RunConfig run = base_config(args);
-  core::DetectorConfig& detector = run.framework.detector;
-  detector.valid_lo = args.number("lo", detector.valid_lo);
-  detector.valid_hi = args.number("hi", detector.valid_hi);
-  detector.tolerance = args.number("tolerance", detector.tolerance);
-  detector.min_coverage = args.number("min-coverage", detector.min_coverage);
-  run.health = health_from(args, run.health);
-  merge_tensor_flags(args, run);
-  validate_overrides(args, run);
+  io::RunConfig run = tools::run_config(args);
+  io::validate_run_config(run, args.values());
   if (args.flag("dump-config")) {
     std::cout << io::run_config_to_json(run);
     return 0;
   }
   core::FrameworkConfig cfg;
-  cfg.detector = detector;
+  cfg.detector = run.framework.detector;
   const robust::HealthConfig& health = run.health;
   tensor::kernels::select_backend(run.tensor.kernels);
   obs::logger().info(

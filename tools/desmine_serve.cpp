@@ -85,7 +85,6 @@
 
 using namespace desmine;
 using tools::Args;
-using tools::validate_overrides;
 
 namespace {
 
@@ -103,54 +102,9 @@ const std::set<std::string> kFlags = {"dump-config", "reject-when-full",
                                       "force-heap-fallback"};
 
 io::RunConfig effective_config(const Args& args) {
-  io::RunConfig run;
-  const std::string path = args.get_or("config", "");
-  if (!path.empty()) run = io::load_run_config(path);
-
-  auto& d = run.framework.detector;
-  d.valid_lo = args.number("lo", d.valid_lo);
-  d.valid_hi = args.number("hi", d.valid_hi);
-  d.tolerance = args.number("tolerance", d.tolerance);
-  d.min_coverage = args.number("min-coverage", d.min_coverage);
-
-  auto& h = run.health;
-  h.drop_after_missing = args.count("health-drop-after", h.drop_after_missing);
-  h.stale_after = args.count("health-stale-after", h.stale_after);
-  h.max_unk_rate = args.number("health-unk-rate", h.max_unk_rate);
-  h.unk_window = args.count("health-unk-window", h.unk_window);
-  h.readmit_after = args.count("health-readmit-after", h.readmit_after);
-
-  auto& s = run.serve;
-  s.workers = args.count("workers", s.workers);
-  s.max_batch = args.count("max-batch", s.max_batch);
-  s.decode_cache = args.count("decode-cache", s.decode_cache);
-  s.limits.max_pending_windows =
-      args.count("max-pending", s.limits.max_pending_windows);
-  s.limits.reject_when_full =
-      s.limits.reject_when_full || args.flag("reject-when-full");
-  s.limits.max_consecutive_shed =
-      args.count("max-consecutive-shed", s.limits.max_consecutive_shed);
-  s.max_global_pending = args.count("max-global-pending", s.max_global_pending);
-  s.max_queue_delay_ms = args.number("max-queue-delay-ms",
-                                     s.max_queue_delay_ms);
-  s.circuit_open_after = args.count("circuit-open-after", s.circuit_open_after);
-  s.circuit_probe_after =
-      args.count("circuit-probe-after", s.circuit_probe_after);
-  s.telemetry_port = args.count<std::uint16_t>(
-      "telemetry-port", static_cast<std::uint16_t>(s.telemetry_port));
-  s.resident_bytes =
-      args.count<std::uint64_t>("resident-bytes", s.resident_bytes);
-  s.resident_edges = args.count("resident-edges", s.resident_edges);
-  s.slow_window_ms = args.number("slow-window-ms", s.slow_window_ms);
-  s.sliding_window_s = args.number("sliding-window-s", s.sliding_window_s);
-  s.sliding_epochs = args.count("sliding-epochs", s.sliding_epochs);
-  validate_overrides(args, run);
-  s.detector = d;
-
-  // --kernels overrides the config file's `tensor` section; the choice is
-  // validated and applied at startup (after any --dump-config exit), never
-  // mid-stream.
-  run.tensor.kernels = args.get_or("kernels", run.tensor.kernels);
+  io::RunConfig run = tools::run_config(args);
+  io::validate_run_config(run, args.values());
+  run.serve.detector = run.framework.detector;
   return run;
 }
 
