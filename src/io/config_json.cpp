@@ -454,6 +454,9 @@ void read_json(const JsonValue& v, const std::string& path, T* out) {
     }
   } else {
     if (!v.is_number()) bad_key("", path, "be a number");
+    // A literal like 1e999 parses as infinity, which no key accepts and
+    // no JSON can print back.
+    if (!std::isfinite(v.number)) bad_key("", path, "be a finite number");
     if constexpr (kIsInt<T>) {
       const double d = v.number;
       if (d < 0.0 || d != std::floor(d) || d > static_cast<double>(kMaxInt)) {
@@ -519,7 +522,7 @@ void read_flag(const std::string& text, const std::string& flag,
     double d = 0.0;
     const auto [end, ec] = std::from_chars(first, last, d);
     if (ec != std::errc{} || end != last || !std::isfinite(d)) {
-      throw PreconditionError(flag + " expects a number, got '" + text + "'");
+      bad_key(flag, path, "be a finite number, got '" + text + "'");
     }
     *out = static_cast<T>(d);
   }

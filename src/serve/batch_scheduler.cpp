@@ -149,10 +149,8 @@ BatchScheduler::BatchScheduler(
 
 BatchScheduler::~BatchScheduler() {
   for (const std::unique_ptr<Generation>& g : generations_) {
-    for (EdgeState& state : g->states) {
-      for (const Item& item : state.queue) {
-        if (--item.window->remaining == 0) delete item.window;
-      }
+    for (const Queued& q : g->windows) {
+      if (q.unclaimed > 0) delete q.window;
     }
   }
 }
@@ -162,14 +160,17 @@ void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
                   "submit needs at least one edge to score");
   DESMINE_EXPECTS(window->generation != nullptr,
                   "window lacks a model generation");
-  DESMINE_EXPECTS(window->remaining == window->edges.size() &&
+  DESMINE_EXPECTS(window->remaining.load(std::memory_order_relaxed) ==
+                          window->edges.size() &&
                       window->edge_bleu.size() == window->edges.size() &&
                       window->edge_status.size() == window->edges.size(),
                   "window score bookkeeping not initialized");
-  const std::size_t edge_count = window->generation->edges.size();
-  for (const std::size_t edge_id : window->edges) {
-    DESMINE_EXPECTS(edge_id < edge_count, "edge id out of range");
-  }
+  const std::vector<std::size_t>& edges = window->edges;
+  DESMINE_EXPECTS(std::is_sorted(edges.begin(), edges.end()) &&
+                      std::adjacent_find(edges.begin(), edges.end()) ==
+                          edges.end() &&
+                      edges.back() < window->generation->edges.size(),
+                  "edge ids must ascend within the generation's edges");
   bool wake = false;
   {
     std::lock_guard lock(mu_);
@@ -192,36 +193,151 @@ void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
         g->states[e].edge_id = e;
       }
     }
-    g->items += raw->edges.size();
-    queued_items_ += raw->edges.size();
-    for (std::size_t slot = 0; slot < raw->edges.size(); ++slot) {
-      EdgeState& state = g->states[raw->edges[slot]];
-      state.queue.push_back({raw, slot});
-      if (!state.busy && !state.in_ready) {
-        ready_.push_back(&state);
-        state.in_ready = true;
-      }
-    }
+    g->windows.push_back({raw, raw->edges.size()});
     wake = waiting_ > 0;
   }
   if (wake) cv_.notify_one();
 }
 
-void BatchScheduler::resolve_locked(
-    EdgeState& state, const Item& item, SlotStatus status,
-    std::vector<std::unique_ptr<PendingWindow>>* completed) {
-  --state.owner->items;
-  item.window->edge_status[item.slot] = static_cast<std::uint8_t>(status);
-  if (--item.window->remaining == 0) {
-    item.window->scored_done = std::chrono::steady_clock::now();
-    completed->emplace_back(item.window);
+bool BatchScheduler::take_locked(Generation& g, EdgeState& state,
+                                 Worker& worker) {
+  // Each claimed window is dispositioned: already-shed or stale windows
+  // settle as kShed, an open breaker quarantines, and the rest join the
+  // decode batch (a single window when half-open probing).
+  const auto now = std::chrono::steady_clock::now();
+  const std::size_t edge_count = g.states.size();
+  const bool probing = state.breaker == Breaker::kHalfOpen;
+  const std::size_t limit = probing ? 1 : config_.max_batch;
+  const std::size_t end = g.base + g.windows.size();
+  std::size_t at = std::max(state.cursor, g.base);
+  while (at < end && worker.batch.size() < limit) {
+    Queued& q = g.windows[at++ - g.base];
+    // Every edge a window includes claims it before its count reaches
+    // zero, so a zero-count window excludes this edge.
+    if (q.unclaimed == 0) continue;
+    PendingWindow* w = q.window;
+    std::size_t slot = state.edge_id;
+    if (w->edges.size() != edge_count) {
+      const auto it =
+          std::lower_bound(w->edges.begin(), w->edges.end(), state.edge_id);
+      if (it == w->edges.end() || *it != state.edge_id) continue;
+      slot = static_cast<std::size_t>(it - w->edges.begin());
+    }
+    // Stage stamps: the first claim ends the queue wait, the last claim
+    // ends batch formation.
+    if (q.unclaimed == w->edges.size()) w->first_dequeue = now;
+    if (--q.unclaimed == 0) w->last_dequeue = now;
+
+    if (w->shed) {
+      worker.settled.push_back({w, slot, SlotStatus::kShed});
+      continue;
+    }
+    if (config_.max_queue_delay_ms > 0.0 && w->sheddable &&
+        age_ms(w->enqueued, now) > config_.max_queue_delay_ms) {
+      w->shed = true;
+      obs::metrics().counter("serve.shed.windows").inc();
+      worker.settled.push_back({w, slot, SlotStatus::kShed});
+      continue;
+    }
+    if (state.breaker == Breaker::kOpen) {
+      worker.settled.push_back({w, slot, SlotStatus::kQuarantined});
+      obs::metrics().counter("serve.circuit.quarantined").inc();
+      if (++state.skipped_since_open >= config_.circuit_probe_after) {
+        state.breaker = Breaker::kHalfOpen;
+        state.skipped_since_open = 0;
+        break;  // the next claim probes with a single window
+      }
+      continue;
+    }
+    worker.batch.push_back({w, slot});
   }
+  state.cursor = at;
+  while (!g.windows.empty() && g.windows.front().unclaimed == 0) {
+    g.windows.pop_front();
+    ++g.base;
+  }
+  if (worker.batch.empty() && worker.settled.empty()) return false;
+  state.busy = true;
+  ++g.busy;
+  worker.held = &state;
+  worker.probing = probing;
+  return true;
+}
+
+bool BatchScheduler::claim_locked(Worker& worker) {
+  worker.batch.clear();
+  worker.settled.clear();
+  for (const std::unique_ptr<Generation>& g : generations_) {
+    const std::size_t n = g->states.size();
+    const std::size_t end = g->base + g->windows.size();
+    for (std::size_t k = 0, e = g->next_state; k < n; ++k) {
+      EdgeState& state = g->states[e];
+      e = e + 1 == n ? 0 : e + 1;
+      if (state.busy || state.cursor >= end) continue;
+      if (take_locked(*g, state, worker)) {
+        g->next_state = e;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool BatchScheduler::claimable_locked() const {
+  for (const std::unique_ptr<Generation>& g : generations_) {
+    const std::size_t end = g->base + g->windows.size();
+    for (const EdgeState& state : g->states) {
+      if (!state.busy && state.cursor < end) return true;
+    }
+  }
+  return false;
+}
+
+bool BatchScheduler::drained_locked() const {
+  return std::all_of(generations_.begin(), generations_.end(),
+                     [](const std::unique_ptr<Generation>& g) {
+                       return g->windows.empty();
+                     });
+}
+
+void BatchScheduler::release_locked(Worker& worker) {
+  EdgeState& state = *worker.held;
+  worker.held = nullptr;
+  state.busy = false;
+  --state.owner->busy;
+  if (!worker.batch.empty()) {
+    const ModelGeneration& gen = *state.owner->generation;
+    if (worker.scored_ok) {
+      state.consecutive_failures = 0;
+      if (state.breaker != Breaker::kClosed) {
+        state.breaker = Breaker::kClosed;
+        obs::metrics().counter("serve.circuit.closed").inc();
+        DESMINE_LOG_INFO("circuit closed",
+                         {obs::kv("edge", edge_name(gen.edges[state.edge_id]))});
+      }
+    } else if (config_.circuit_open_after > 0) {
+      state.skipped_since_open = 0;
+      if (worker.probing ||
+          ++state.consecutive_failures >= config_.circuit_open_after) {
+        if (state.breaker != Breaker::kOpen) {
+          obs::metrics().counter("serve.circuit.opened").inc();
+          DESMINE_LOG_WARN(
+              "circuit opened",
+              {obs::kv("edge", edge_name(gen.edges[state.edge_id])),
+               obs::kv("failures", state.consecutive_failures)});
+        }
+        state.breaker = Breaker::kOpen;
+        state.consecutive_failures = 0;
+      }
+    }
+  }
+  // The last work of a superseded generation drops its table, and with it
+  // the generation reference, so the old models free themselves.
+  erase_if_drained_locked(state.owner);
 }
 
 void BatchScheduler::erase_if_drained_locked(Generation* g) {
-  if (!g->retired || g->items != 0 || g->busy != 0) return;
-  // Nothing queued means none of its states is on the ready list, so no
-  // pointer into the table outlives it.
+  if (!g->retired || !g->windows.empty() || g->busy != 0) return;
   generations_.erase(std::find_if(
       generations_.begin(), generations_.end(),
       [g](const std::unique_ptr<Generation>& live) {
@@ -229,157 +345,87 @@ void BatchScheduler::erase_if_drained_locked(Generation* g) {
       }));
 }
 
-bool BatchScheduler::run_one() {
-  std::vector<Item> batch;
-  EdgeState* state = nullptr;
-  bool probing = false;
+void BatchScheduler::resolve(const Item& item, SlotStatus status,
+                             Worker& worker) {
+  PendingWindow* w = item.window;
+  w->edge_status[item.slot] = static_cast<std::uint8_t>(status);
+  if (w->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    w->scored_done = std::chrono::steady_clock::now();
+    worker.completed.push_back(w);
+  }
+}
+
+bool BatchScheduler::run_one(Worker& worker) {
   bool wake = false;
-  std::vector<std::unique_ptr<PendingWindow>> completed;
   {
     std::unique_lock lock(mu_);
-    while (ready_.empty()) {
-      if (stopping_ && queued_items_ == 0) return false;  // fully drained
+    if (worker.held != nullptr) release_locked(worker);
+    while (!claim_locked(worker)) {
+      if (stopping_ && drained_locked()) return false;
       ++waiting_;
       cv_.wait(lock);
       --waiting_;
     }
-    state = ready_.front();
-    ready_.pop_front();
-    state->in_ready = false;
-    state->busy = true;
-    ++state->owner->busy;
-
-    // Form the batch, dispositioning each popped item: already-shed or
-    // stale windows resolve as kShed, an open breaker quarantines, and the
-    // rest join the decode batch (a single item when half-open probing).
-    const auto now = std::chrono::steady_clock::now();
-    std::size_t limit = config_.max_batch;
-    if (state->breaker == Breaker::kHalfOpen) {
-      limit = 1;
-      probing = true;
-    }
-    std::deque<Item>& queue = state->queue;
-    while (batch.size() < limit && !queue.empty()) {
-      const Item item = queue.front();
-      queue.pop_front();
-      --queued_items_;
-      // Stage stamps: the first pop ends the queue wait, the last pop ends
-      // batch formation (a window contributes one item per edge, so these
-      // land across run_one() calls of different workers — all under mu_).
-      PendingWindow* w = item.window;
-      if (w->dequeued == 0) w->first_dequeue = now;
-      if (++w->dequeued == w->edges.size()) w->last_dequeue = now;
-
-      if (w->shed) {
-        resolve_locked(*state, item, SlotStatus::kShed, &completed);
-        continue;
-      }
-      if (config_.max_queue_delay_ms > 0.0 && w->sheddable &&
-          age_ms(w->enqueued, now) > config_.max_queue_delay_ms) {
-        w->shed = true;
-        obs::metrics().counter("serve.shed.windows").inc();
-        resolve_locked(*state, item, SlotStatus::kShed, &completed);
-        continue;
-      }
-      if (state->breaker == Breaker::kOpen) {
-        resolve_locked(*state, item, SlotStatus::kQuarantined, &completed);
-        obs::metrics().counter("serve.circuit.quarantined").inc();
-        if (++state->skipped_since_open >= config_.circuit_probe_after) {
-          state->breaker = Breaker::kHalfOpen;
-          state->skipped_since_open = 0;
-          break;  // the next visit probes with a single item
-        }
-        continue;
-      }
-      batch.push_back(item);
-    }
-    // More ready edges than this worker: pass the wake-up on. Draining the
-    // last queued item while stopping lets every waiter return.
-    wake = !ready_.empty() && waiting_ > 0;
-    if (stopping_ && queued_items_ == 0) cv_.notify_all();
+    // Another claimable edge: pass the wake-up on. Claiming the last queued
+    // window while stopping lets every waiter return.
+    wake = waiting_ > 0 && claimable_locked();
+    if (stopping_ && drained_locked()) cv_.notify_all();
   }
   if (wake) cv_.notify_one();
-  for (std::unique_ptr<PendingWindow>& window : completed) {
-    on_scored_(std::move(window));
-  }
-  completed.clear();
+
+  EdgeState& state = *worker.held;
+  for (const Item& item : worker.settled) resolve(item, item.status, worker);
+  deliver(worker);
 
   // Worker supervision: a throwing decode resolves the batch as error
   // results instead of killing the worker (the session delivers them as
   // typed failed-edge windows through its reorder buffer).
-  const ModelGeneration& gen = *state->owner->generation;
-  bool scored_ok = true;
-  if (!batch.empty()) {
-    if (probing) obs::metrics().counter("serve.circuit.probes").inc();
+  worker.scored_ok = true;
+  if (!worker.batch.empty()) {
+    if (worker.probing) obs::metrics().counter("serve.circuit.probes").inc();
     try {
-      score_batch(*state, batch);
+      score_batch(state, worker);
     } catch (const std::exception& e) {
-      scored_ok = false;
+      worker.scored_ok = false;
+      const ModelGeneration& gen = *state.owner->generation;
       obs::metrics().counter("serve.batch.failures").inc();
       DESMINE_LOG_WARN("batch scoring failed",
-                       {obs::kv("edge", edge_name(gen.edges[state->edge_id])),
+                       {obs::kv("edge", edge_name(gen.edges[state.edge_id])),
                         obs::kv("generation", gen.id),
-                        obs::kv("batch", batch.size()),
+                        obs::kv("batch", worker.batch.size()),
                         obs::kv("error", e.what())});
     }
+    const SlotStatus status =
+        worker.scored_ok ? SlotStatus::kScored : SlotStatus::kFailed;
+    for (const Item& item : worker.batch) resolve(item, status, worker);
   }
 
-  {
-    std::lock_guard lock(mu_);
-    state->busy = false;
-    --state->owner->busy;
-    if (!batch.empty()) {
-      if (scored_ok) {
-        state->consecutive_failures = 0;
-        if (state->breaker != Breaker::kClosed) {
-          state->breaker = Breaker::kClosed;
-          obs::metrics().counter("serve.circuit.closed").inc();
-          DESMINE_LOG_INFO(
-              "circuit closed",
-              {obs::kv("edge", edge_name(gen.edges[state->edge_id]))});
-        }
-      } else if (config_.circuit_open_after > 0) {
-        state->skipped_since_open = 0;
-        if (probing || ++state->consecutive_failures >=
-                           config_.circuit_open_after) {
-          if (state->breaker != Breaker::kOpen) {
-            obs::metrics().counter("serve.circuit.opened").inc();
-            DESMINE_LOG_WARN(
-                "circuit opened",
-                {obs::kv("edge", edge_name(gen.edges[state->edge_id])),
-                 obs::kv("failures", state->consecutive_failures)});
-          }
-          state->breaker = Breaker::kOpen;
-          state->consecutive_failures = 0;
-        }
-      }
-      for (const Item& item : batch) {
-        resolve_locked(*state, item,
-                       scored_ok ? SlotStatus::kScored : SlotStatus::kFailed,
-                       &completed);
-      }
-    }
-    wake = false;
-    if (!state->queue.empty()) {
-      // Re-queue at the tail: round-robin fairness across hot edges.
-      ready_.push_back(state);
-      state->in_ready = true;
-      wake = waiting_ > 0;
-    } else {
-      // The last work of a superseded generation drops its table, and with
-      // it the generation reference, so the old models free themselves.
-      erase_if_drained_locked(state->owner);
-    }
-  }
-  if (wake) cv_.notify_one();
-  for (std::unique_ptr<PendingWindow>& window : completed) {
-    on_scored_(std::move(window));
-  }
+  deliver(worker);
   return true;
 }
 
-void BatchScheduler::score_batch(EdgeState& state,
-                                 const std::vector<Item>& batch) {
+void BatchScheduler::deliver(Worker& worker) {
+  for (PendingWindow* window : worker.completed) {
+    on_scored_(std::unique_ptr<PendingWindow>(window));
+  }
+  worker.completed.clear();
+}
+
+bool BatchScheduler::run_one() {
+  Worker worker;
+  const bool more = run_one(worker);
+  if (worker.held == nullptr) return more;
+  bool wake = false;
+  {
+    std::lock_guard lock(mu_);
+    release_locked(worker);
+    wake = waiting_ > 0 && claimable_locked();
+  }
+  if (wake) cv_.notify_one();
+  return more;
+}
+
+void BatchScheduler::score_batch(EdgeState& state, Worker& worker) {
   static obs::Histogram& batch_size =
       obs::metrics().histogram("serve.batch.size");
   static obs::Histogram& score_ms =
@@ -390,27 +436,30 @@ void BatchScheduler::score_batch(EdgeState& state,
       obs::metrics().counter("serve.batch.pair_hits");
   static obs::Counter& decoded = obs::metrics().counter("serve.batch.decoded");
 
+  const std::vector<Item>& batch = worker.batch;
   const obs::ScopedTimer timer("serve.score-batch", score_ms);
   batch_size.record(static_cast<double>(batch.size()));
 
   const EdgeModel& edge = state.owner->generation->edges[state.edge_id];
-  switch (robust::fire_fault("serve.decode", edge_name(edge))) {
-    case robust::FaultAction::kThrow:
-      throw RuntimeError("injected serve.decode fault on edge " +
-                         edge_name(edge));
-    case robust::FaultAction::kDelay:
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(robust::kDelayMillis));
-      break;
-    default:
-      break;
+  if (robust::FaultInjector::instance().any_armed()) {
+    const std::string name = edge_name(edge);
+    switch (robust::fire_fault("serve.decode", name)) {
+      case robust::FaultAction::kThrow:
+        throw RuntimeError("injected serve.decode fault on edge " + name);
+      case robust::FaultAction::kDelay:
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(robust::kDelayMillis));
+        break;
+      default:
+        break;
+    }
   }
 
   // The span memo answers what it can; only its misses are encoded and
   // scored, and their f values join it.
   const bool memo = config_.decode_cache > 0;
-  std::vector<const Item*> misses;
-  misses.reserve(batch.size());
+  std::vector<const Item*>& misses = worker.misses;
+  misses.clear();
   std::size_t hits = 0;
   for (const Item& item : batch) {
     PendingWindow& w = *item.window;
@@ -428,9 +477,10 @@ void BatchScheduler::score_batch(EdgeState& state,
     }
   }
   if (!misses.empty()) {
-    std::vector<const core::EncodedSentence*> sources, references;
-    sources.reserve(misses.size());
-    references.reserve(misses.size());
+    std::vector<const core::EncodedSentence*>& sources = worker.sources;
+    std::vector<const core::EncodedSentence*>& references = worker.references;
+    sources.clear();
+    references.clear();
     for (const Item* item : misses) {
       const std::vector<core::EncodedSentence>& encoded =
           item->window->encoded();

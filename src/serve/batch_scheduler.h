@@ -3,9 +3,10 @@
 // Detection sessions emit sentence-windows; each window must be scored by
 // every valid edge model f(i, j). Scoring one window at a time (what
 // OnlineDetector does) decodes each source sentence alone. The scheduler
-// instead keeps one FIFO of (window, edge) work items per edge model, and a
-// worker drains up to SchedulerConfig::max_batch items of ONE edge in one
-// score_batch pass. Each item is answered by the cheapest layer that can:
+// instead queues each window once, and a worker claims up to
+// SchedulerConfig::max_batch queued windows for ONE edge and scores their
+// (window, edge) items in one score_batch pass. Each item is answered by
+// the cheapest layer that can:
 //  1. the edge's span memo (SpanMemo): f(i, j) by the two sensors' raw
 //     sentence characters. Within one (generation, edge) state f is a pure
 //     function of the two spans, so a hit is the stored bits. Fleets that
@@ -28,47 +29,58 @@
 // and as serve.batch.pair_hits, and serve.windows_encoded counts the
 // windows some miss had to encode.
 //
-// Edge state: one dense table per generation, indexed by edge id, created
-// when the generation's first window arrives. The ready list holds pointers
-// to the states with queued work. An in-flight window owns itself: submit
-// releases it, and the item that resolves its last slot hands it to
-// on_scored.
+// Queueing: one queue of windows per generation, appended once per window.
+// Each edge state keeps a cursor into its generation's queue; a worker
+// claims an edge's next <= max_batch windows that include it, skipping the
+// windows that exclude it (degraded sessions), and the queue drops windows
+// from its front once every edge they include has claimed them. A window
+// owns itself in flight: submit releases it, and the worker whose slot
+// resolution counts its `remaining` down to zero hands it to on_scored.
 //
 // Fault tolerance (DESIGN.md §13):
 //  * A window carries a shared_ptr to the ModelGeneration it was ingested
 //    under and scores against exactly those models (and that generation's
 //    memos); set_current_generation() retires the other generations'
 //    tables, which are erased — releasing their models and memos — once no
-//    item of theirs is queued or being scored.
+//    window of theirs is unclaimed and no worker holds one of their edges.
 //  * The shed and breaker dispositions and the serve.decode fault point come
 //    before the memo, so they act on memo-answerable items exactly as on
 //    the others. A throwing decode never kills a worker: the batch's slots
 //    resolve as kFailed error results and flow through the session's
 //    reorder buffer like any score. After `circuit_open_after` consecutive
-//    failed batches the edge's circuit breaker opens — its queued items
+//    failed batches the edge's circuit breaker opens — its claimed windows
 //    resolve as kQuarantined without touching the model — and after
-//    `circuit_probe_after` quarantined items the breaker goes half-open and
-//    probes with a single-item batch (success closes it, failure reopens).
+//    `circuit_probe_after` quarantined windows the breaker goes half-open
+//    and probes with a single-window batch (success closes it, failure
+//    reopens).
 //  * Deadline shedding: when `max_queue_delay_ms` > 0, a sheddable window
-//    older than the deadline at item-pop time is marked shed; all its slots
-//    resolve as kShed and the session emits a counted `shed` result instead
-//    of scoring stale data.
+//    older than the deadline when an edge claims it is marked shed; all its
+//    slots resolve as kShed and the session emits a counted `shed` result
+//    instead of scoring stale data.
 //
 // Concurrency contract (TSan-clean by construction):
-//  * All queue, table and breaker bookkeeping happens under one mutex.
+//  * The queues, cursors, busy flags, breakers and the generation tables
+//    are guarded by one mutex. A batch costs one critical section: a worker
+//    hands back the edge it held for its previous batch (breaker
+//    bookkeeping included) and claims the next edge's batch in the same
+//    lock round (run_one(Worker&)). Per-window work under the mutex is one
+//    queue append in submit and one claim per (window, edge).
 //  * An edge state is scored by at most one worker at a time (busy flag,
-//    handed over under the mutex), so its model, decode cache and span memo
-//    need no own locks.
-//  * A window's edge_bleu/edge_status slots are disjoint per work item; the
-//    finalize handoff happens only after the last slot's count-down under
-//    the mutex.
-//  * Wake-up rule: a worker waits on the condition variable only while the
-//    ready list is empty. Whoever makes an edge ready (submit, or a worker
-//    re-queueing a state) wakes one worker, and only when one is waiting; a
-//    worker that takes a state and leaves more ready wakes the next. stop()
-//    and the last drained item while stopping wake them all.
+//    held from its claim to the worker's next critical section), so its
+//    model, decode cache and span memo need no own locks.
+//  * Slots resolve without the mutex. A window's edge_bleu/edge_status
+//    slots are disjoint per edge; `remaining` is an atomic count-down, and
+//    the acq_rel decrement that reaches zero sees every other slot's writes
+//    and the claim-time fields (shed, stage stamps) before the window is
+//    handed on.
+//  * Wake-up rule: a worker waits on the condition variable only while no
+//    edge is claimable (free, with unclaimed windows past its cursor).
+//    submit wakes one worker when one is waiting; a worker that claims and
+//    leaves another edge claimable wakes the next. stop() and the claim of
+//    the last unclaimed window while stopping wake them all.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -129,19 +141,19 @@ struct PendingWindow {
   /// False once the session's consecutive-shed guard kicked in: the window
   /// must be scored even when older than the shedding deadline.
   bool sheddable = true;
-  /// Set (under the scheduler mutex) when the deadline shed this window.
+  /// Set under the scheduler mutex when the deadline shed this window.
   bool shed = false;
-  /// Outstanding slots; guarded by the scheduler mutex.
-  std::size_t remaining = 0;
-  /// Work items already popped by workers; guarded by the scheduler mutex.
-  std::size_t dequeued = 0;
+  /// Unresolved slots: starts at edges.size(), counted down once per slot
+  /// without the scheduler mutex; the worker that reaches zero delivers.
+  std::atomic<std::size_t> remaining{0};
 
   /// End-to-end trace handle: the "serve.window" root span opened at
   /// ingest, carried across the scheduler's thread handoffs and closed at
   /// delivery (invalid while tracing is disabled).
   obs::SpanContext span;
   /// Stage timeline, stamped as the window flows through the scheduler:
-  /// enqueued <= first_dequeue <= last_dequeue <= scored_done. Session
+  /// enqueued <= first_dequeue (its first edge claim) <= last_dequeue (its
+  /// last edge claim) <= scored_done (its last slot resolved). Session
   /// finalization turns the gaps into the serve.stage.* histograms and the
   /// per-stage child spans.
   std::chrono::steady_clock::time_point enqueued{};
@@ -212,12 +224,18 @@ struct SchedulerConfig {
   std::size_t circuit_open_after = 5;
   /// Quarantined items before an open breaker goes half-open and probes.
   std::size_t circuit_probe_after = 16;
-  /// Shed sheddable windows older than this at item-pop time (0 disables).
+  /// Shed sheddable windows older than this when an edge claims them (0
+  /// disables).
   double max_queue_delay_ms = 0.0;
 };
 
 class BatchScheduler {
  public:
+  /// One scoring thread's side of the scheduler: the edge it holds from one
+  /// batch to its next critical section, and scratch buffers reused across
+  /// batches. Used by one thread at a time.
+  class Worker;
+
   /// `initial` pins the starting generation id; a generation's edge states
   /// are created when its first window arrives. `on_scored` receives each
   /// fully resolved window, called from a worker thread with no scheduler
@@ -225,21 +243,28 @@ class BatchScheduler {
   BatchScheduler(const std::shared_ptr<const ModelGeneration>& initial,
                  SchedulerConfig config,
                  std::function<void(std::unique_ptr<PendingWindow>)> on_scored);
-  /// Frees the windows still queued (none once stop() has drained).
+  /// Frees the windows still queued (none once stop() has drained). No
+  /// worker may be running.
   ~BatchScheduler();
 
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  /// Queue every edge score of `window` (window->edges must be non-empty;
-  /// remaining must equal edges.size()). The window owns itself until its
-  /// last slot resolves.
+  /// Queue `window` for every edge it lists (window->edges must be
+  /// non-empty and ascending; remaining must equal edges.size()). The
+  /// window owns itself until its last slot resolves.
   void submit(std::unique_ptr<PendingWindow> window);
 
-  /// Worker loop body: wait for a ready edge, score one batch of its queue.
-  /// Returns false once stop() was called and every queued item is done —
-  /// run as `while (run_one()) {}` on pool threads. Never throws on decode
+  /// Worker loop body: hand back the edge `worker` held, wait for a
+  /// claimable edge, and score one batch of its windows, all in one lock
+  /// round. Returns false once stop() was called and every queued window is
+  /// claimed (`worker` then holds nothing) — run as
+  /// `while (run_one(worker)) {}` on pool threads. Never throws on decode
   /// failure (worker supervision).
+  bool run_one(Worker& worker);
+  /// run_one on a worker of its own, whose edge is handed back before
+  /// returning (a second lock round): drives the scheduler from a thread
+  /// that does not loop.
   bool run_one();
 
   /// Retire every generation other than `id`: idle tables are erased
@@ -252,22 +277,26 @@ class BatchScheduler {
   void stop();
 
  private:
+  /// One claimed (window, edge) slot.
   struct Item {
     PendingWindow* window = nullptr;
     std::size_t slot = 0;  ///< index into window->edges / edge_bleu / status
+    SlotStatus status = SlotStatus::kScored;  ///< set when settled at claim
   };
 
   enum class Breaker : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
   struct Generation;
 
-  /// One (generation, edge): the unit of queueing, caching and breaking.
+  /// One (generation, edge): the unit of claiming, caching and breaking.
   struct EdgeState {
     Generation* owner = nullptr;
     std::size_t edge_id = 0;
-    std::deque<Item> queue;
+    /// Sequence number of the next queued window of `owner` to look at;
+    /// below owner->base means owner->base (every window before it is
+    /// claimed by each edge it includes).
+    std::size_t cursor = 0;
     bool busy = false;
-    bool in_ready = false;
     /// Per-edge source->candidate memo. Greedy decoding is deterministic,
     /// so a hit is bit-identical to a fresh decode. Touched only by the
     /// worker currently holding the busy flag, like `spans`.
@@ -282,30 +311,61 @@ class BatchScheduler {
     std::size_t skipped_since_open = 0;    ///< quarantined items since open
   };
 
-  /// Every edge state of one generation, indexed by edge id.
+  /// One queued window and the number of its edges yet to claim it. A
+  /// window whose count is zero may already be delivered and freed, so its
+  /// pointer is never read again.
+  struct Queued {
+    PendingWindow* window = nullptr;
+    std::size_t unclaimed = 0;
+  };
+
+  /// Every edge state of one generation, indexed by edge id, and the
+  /// generation's window queue.
   struct Generation {
     explicit Generation(std::shared_ptr<const ModelGeneration> g)
         : generation(std::move(g)), states(generation->edges.size()) {}
     std::shared_ptr<const ModelGeneration> generation;
     std::vector<EdgeState> states;
-    /// Superseded; erase the table once `items` and `busy` reach zero.
+    /// Windows in submit order; windows.front() has sequence number `base`.
+    std::deque<Queued> windows;
+    std::size_t base = 0;
+    std::size_t next_state = 0;  ///< where the claim scan starts (round-robin)
+    /// Superseded; erase the table once `windows` is empty and `busy` is 0.
     bool retired = false;
-    std::size_t items = 0;  ///< submitted, not yet resolved
-    std::size_t busy = 0;   ///< states a worker holds
+    std::size_t busy = 0;  ///< states a worker holds
   };
 
-  /// Resolve one popped slot under mu_: record its status, count it down,
-  /// and move the window to `completed` when it was the last slot.
-  void resolve_locked(EdgeState& state, const Item& item, SlotStatus status,
-                      std::vector<std::unique_ptr<PendingWindow>>* completed);
+  /// Claim a batch from the first claimable edge, round-robin over each
+  /// live generation's edges; false when no edge has work.
+  bool claim_locked(Worker& worker);
+  /// Claim `state`'s next windows into `worker`: up to max_batch (one when
+  /// half-open) join its batch, and the shed and quarantined ones settle
+  /// with their status. False, with the cursor at the queue's end, when no
+  /// queued window includes the edge.
+  bool take_locked(Generation& g, EdgeState& state, Worker& worker);
+  /// True when some free edge has queued windows past its cursor.
+  bool claimable_locked() const;
+  /// True when no window is queued in any generation.
+  bool drained_locked() const;
+  /// Hand back the edge `worker` holds: breaker bookkeeping for its scored
+  /// batch, then the busy flag, and the table of a drained retired
+  /// generation.
+  void release_locked(Worker& worker);
 
   /// Erase `g` when it is retired and nothing of it is queued or held.
   void erase_if_drained_locked(Generation* g);
 
-  /// Score `batch` against `state`'s edge model. Runs without the scheduler
-  /// lock; exclusive state access is guaranteed by the busy flag. Throws on
-  /// decode failure (including injected serve.decode faults).
-  void score_batch(EdgeState& state, const std::vector<Item>& batch);
+  /// Record `item`'s status and count its window down; the window that
+  /// reaches zero joins `worker`'s completed list. No lock needed.
+  static void resolve(const Item& item, SlotStatus status, Worker& worker);
+
+  /// Hand `worker`'s completed windows to on_scored.
+  void deliver(Worker& worker);
+
+  /// Score `worker`'s batch against `state`'s edge model. Runs without the
+  /// scheduler lock; exclusive state access is guaranteed by the busy flag.
+  /// Throws on decode failure (including injected serve.decode faults).
+  void score_batch(EdgeState& state, Worker& worker);
 
   const SchedulerConfig config_;
   const core::EdgeScorer scorer_;
@@ -316,10 +376,31 @@ class BatchScheduler {
   std::uint64_t current_generation_ = 0;
   /// Live generations' tables, oldest first (one, or a few across reloads).
   std::vector<std::unique_ptr<Generation>> generations_;
-  std::deque<EdgeState*> ready_;  ///< states with work, round-robin
-  std::size_t queued_items_ = 0;
   std::size_t waiting_ = 0;  ///< workers blocked in cv_.wait
   bool stopping_ = false;
+};
+
+class BatchScheduler::Worker {
+ public:
+  Worker() = default;
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+ private:
+  friend class BatchScheduler;
+  /// The edge claimed for the last batch, handed back in the next critical
+  /// section; null when the worker holds none.
+  EdgeState* held = nullptr;
+  bool probing = false;    ///< the held edge's batch is a half-open probe
+  bool scored_ok = true;   ///< the held edge's batch scored without throwing
+  /// Claimed items to score; kept until the edge is handed back, which
+  /// needs only its size.
+  std::vector<Item> batch;
+  std::vector<Item> settled;  ///< claimed items shed or quarantined
+  std::vector<PendingWindow*> completed;  ///< windows to hand to on_scored
+  std::vector<const Item*> misses;        ///< batch items the memo missed
+  std::vector<const core::EncodedSentence*> sources;
+  std::vector<const core::EncodedSentence*> references;
 };
 
 }  // namespace desmine::serve

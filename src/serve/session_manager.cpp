@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <shared_mutex>
 #include <thread>
 #include <utility>
 
@@ -119,7 +120,8 @@ SessionManager::SessionManager(const std::string& artifact_path,
   pool_ = std::make_unique<util::ThreadPool>(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool_->submit([this] {
-      while (scheduler_->run_one()) {
+      BatchScheduler::Worker worker;
+      while (scheduler_->run_one(worker)) {
       }
     });
   }
@@ -156,7 +158,7 @@ std::uint64_t SessionManager::open(core::DegradedConfig degraded) {
 }
 
 std::shared_ptr<Session> SessionManager::find(std::uint64_t session) const {
-  std::lock_guard lock(mu_);
+  std::shared_lock lock(mu_);
   const auto it = sessions_.find(session);
   return it == sessions_.end() ? nullptr : it->second;
 }
@@ -437,7 +439,7 @@ Session::Stats SessionManager::stats(std::uint64_t session) const {
 }
 
 std::size_t SessionManager::session_count() const {
-  std::lock_guard lock(mu_);
+  std::shared_lock lock(mu_);
   return sessions_.size();
 }
 

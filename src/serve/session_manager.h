@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,8 @@ struct ServeConfig {
   /// sessions (0 = unlimited). Full-budget policy follows
   /// limits.reject_when_full (block vs reject the tick).
   std::size_t max_global_pending = 0;
-  /// Shed sheddable windows older than this at item-pop time instead of
-  /// scoring them late (0 disables shedding).
+  /// Shed sheddable windows older than this when an edge claims them,
+  /// instead of scoring them late (0 disables shedding).
   double max_queue_delay_ms = 0.0;
   /// Consecutive failed batches before an edge's circuit breaker opens
   /// (0 disables the breaker; failures still yield typed error results).
@@ -244,7 +245,10 @@ class SessionManager {
   std::condition_variable global_cv_;
   std::size_t global_inflight_ = 0;
 
-  mutable std::mutex mu_;
+  /// Guards sessions_ and next_id_: shared for find() — every tick and
+  /// poll — and session_count(), exclusive for open, erase, drain-all and
+  /// teardown.
+  mutable std::shared_mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_id_ = 1;
 };

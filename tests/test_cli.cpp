@@ -354,6 +354,30 @@ TEST(ToolConfig, ServeBoolFlagWinsOverTheConfigFile) {
       << out;
 }
 
+TEST(ToolConfig, NonFiniteConfigNumberIsAUsageErrorNamingTheKey) {
+  // 1e999 parses as infinity: both tools must refuse the file before
+  // --dump-config could print an `inf`, which is not JSON.
+  const TempFile file("infinite.json");
+  std::ofstream(file.path) << R"({"detector": {"valid_hi": 1e999}})";
+  const struct {
+    const char* tool;
+    const char* command;
+  } cases[] = {{DESMINE_CLI_PATH, "detect "}, {DESMINE_SERVE_PATH, ""}};
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(run_tool_stderr(c.tool,
+                              std::string(c.command) + "--config " +
+                                  file.path + " --dump-config",
+                              &err),
+              2)
+        << c.tool;
+    EXPECT_NE(err.find("detector.valid_hi"), std::string::npos)
+        << c.tool << ": " << err;
+    EXPECT_NE(err.find("finite number"), std::string::npos)
+        << c.tool << ": " << err;
+  }
+}
+
 namespace {
 
 /// An option that overrides a config key: the dotted key it sets, its kind,

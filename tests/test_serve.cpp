@@ -1,8 +1,9 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, decode sharing across
 // sessions, session isolation under flooding, backpressure/close semantics,
-// the scheduler's span memo (replays, faults and breakers, epochs, reload)
-// and its wake-ups, the config JSON round-trip, and the strict default of
+// the scheduler's span memo (replays, faults and breakers, epochs, reload),
+// its wake-ups, its window queue (degraded windows, reload mid-queue,
+// half-open probes, shedding at claim), the config JSON round-trip, and the strict default of
 // detect(). Managers
 // serve a saved artifact of the fixture's framework; the ground truth is an
 // OnlineDetector replay over the in-memory graph.
@@ -17,6 +18,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -721,6 +723,290 @@ TEST(BatchScheduler, ManyWorkersOnSingleItemBatchesLoseNoWakeUp) {
           << "session " << s << " window " << w;
     }
   }
+}
+
+namespace {
+
+/// The fixture's plant mined again under another seed and saved beside it:
+/// a generation whose models, and so whose f values, differ from the
+/// fixture's.
+const std::string& reseeded_artifact() {
+  static const struct Reseeded {
+    const std::string path = "/tmp/desmine_test_serve_model_reseeded.bin";
+    Reseeded() {
+      dc::FrameworkConfig cfg = fixture().cfg;
+      cfg.miner.seed = 11;
+      dc::Framework framework(cfg);
+      framework.fit(make_series(600, 1), make_series(300, 2));
+      dio::save_framework(framework, path);
+    }
+    ~Reseeded() { std::remove(path.c_str()); }
+  } reseeded;
+  return reseeded.path;
+}
+
+/// f(i, j) per window and edge slot of `windows`, scored alone on a fresh
+/// scheduler over their generation.
+std::vector<std::vector<double>> reference_scores(
+    const std::shared_ptr<const ds::ModelGeneration>& gen,
+    const ds::SchedulerConfig& cfg,
+    std::vector<std::unique_ptr<ds::PendingWindow>> windows) {
+  std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
+  ds::BatchScheduler scheduler(
+      gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
+        delivered.push_back(std::move(w));
+      });
+  std::vector<std::vector<double>> out;
+  for (const auto& w :
+       score_inline(scheduler, &delivered, std::move(windows))) {
+    out.push_back(w->edge_bleu);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(BatchScheduler, DegradedWindowsExcludingDifferentEdgesMatchOnlineDetectors) {
+  // Three degraded sessions each lose a different sensor for a stretch, so
+  // their windows exclude different edges, and a strict session's full
+  // windows sit between them in the one queue. Each edge's cursor skips the
+  // windows that exclude it; every session still matches its own
+  // OnlineDetector bit for bit.
+  auto& f = fixture();
+  ds::ServeConfig scfg = f.serve_config();
+  scfg.max_batch = 3;  // many claims, each across sessions
+  ds::SessionManager manager(f.artifact, scfg);
+  const struct {
+    const char* dropped;
+    std::size_t from, to;
+  } streams[] = {{"noise", 20, 50}, {"lead", 40, 70}, {"follow", 60, 90},
+                 {nullptr, 0, 0}};
+  constexpr std::size_t kTicks = 120;
+  std::vector<dc::MultivariateSeries> series;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::unique_ptr<dc::OnlineDetector>> online;
+  for (std::size_t s = 0; s < std::size(streams); ++s) {
+    dc::DegradedConfig degraded;
+    degraded.enabled = streams[s].dropped != nullptr;
+    series.push_back(make_series(kTicks, 90 + s));
+    ids.push_back(manager.open(degraded));
+    online.push_back(std::make_unique<dc::OnlineDetector>(
+        f.framework.graph(), f.framework.encrypter(), f.cfg.window,
+        f.cfg.detector, degraded));
+  }
+  std::vector<std::vector<dc::OnlineDetector::WindowResult>> expected(
+      std::size(streams));
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    for (std::size_t s = 0; s < std::size(streams); ++s) {
+      auto states = tick_states(series[s], t);
+      if (t >= streams[s].from && t < streams[s].to) {
+        states.erase(streams[s].dropped);
+      }
+      ASSERT_EQ(manager.ingest(ids[s], states), ds::IngestStatus::kAccepted);
+      if (auto r = online[s]->push(states)) expected[s].push_back(*r);
+    }
+  }
+  manager.drain();
+
+  for (std::size_t s = 0; s < std::size(streams); ++s) {
+    std::size_t w = 0;
+    std::size_t partial = 0;
+    while (const auto r = manager.poll(ids[s])) {
+      ASSERT_LT(w, expected[s].size()) << "session " << s;
+      const auto& e = expected[s][w];
+      EXPECT_EQ(r->window_index, e.window_index);
+      EXPECT_EQ(bits(r->anomaly_score), bits(e.anomaly_score))
+          << "session " << s << " window " << w;
+      EXPECT_EQ(bits(r->coverage), bits(e.coverage))
+          << "session " << s << " window " << w;
+      EXPECT_EQ(r->degraded, e.degraded);
+      EXPECT_EQ(r->unhealthy, e.unhealthy);
+      EXPECT_EQ(r->broken, e.broken) << "session " << s << " window " << w;
+      EXPECT_TRUE(r->failed.empty());
+      partial += r->coverage < 1.0;
+      ++w;
+    }
+    EXPECT_EQ(w, expected[s].size()) << "session " << s;
+    // The degraded sessions really excluded edges; the strict one did not.
+    if (streams[s].dropped != nullptr) {
+      EXPECT_GT(partial, 0u) << "session " << s;
+    } else {
+      EXPECT_EQ(partial, 0u);
+    }
+  }
+}
+
+TEST(BatchScheduler, ReloadWithCursorsMidQueueScoresOldWindowsOnOldModels) {
+  // Two workers claim two-window batches of a generation's queue, so edge
+  // cursors stand mid-queue (and one edge is held) when a reload retires
+  // it. The rest of the old queue still scores on the old models, the new
+  // windows on the new ones (each bitwise a fresh scheduler's scores for
+  // that generation), and once drained the old generation is released.
+  auto& f = fixture();
+  ds::ModelRegistry registry(fixture_generation(f, 1));
+  ds::SchedulerConfig cfg;
+  cfg.max_batch = 2;
+  cfg.bleu = f.cfg.detector.bleu;
+  const auto old_series = make_series(80, 44);
+  const auto new_series = make_series(80, 45);
+  const auto next = ds::make_generation(
+      dio::ArtifactMap::open(reseeded_artifact()), f.cfg.detector, 2, {});
+  const auto old_expected = reference_scores(
+      registry.current(), cfg,
+      pending_windows(f, registry.current(), old_series));
+  const auto new_expected =
+      reference_scores(next, cfg, pending_windows(f, next, new_series));
+  // The reseeded models score the old windows differently, so matching
+  // old_expected below means the old models scored them.
+  ASSERT_NE(reference_scores(next, cfg, pending_windows(f, next, old_series)),
+            old_expected);
+
+  std::mutex sink_mu;
+  std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
+  ds::BatchScheduler scheduler(
+      registry.current(), cfg,
+      [&](std::unique_ptr<ds::PendingWindow> w) {
+        std::lock_guard lock(sink_mu);
+        delivered.push_back(std::move(w));
+      });
+  auto old_windows = pending_windows(f, registry.current(), old_series);
+  const std::size_t old_count = old_windows.size();
+  ASSERT_GT(old_count, 4 * cfg.max_batch);
+  for (auto& w : old_windows) scheduler.submit(std::move(w));
+  ds::BatchScheduler::Worker workers[2];
+  for (int round = 0; round < 3; ++round) {
+    for (auto& worker : workers) ASSERT_TRUE(scheduler.run_one(worker));
+  }
+  ASSERT_LT(delivered.size(), old_count);
+
+  registry.publish(next);
+  scheduler.set_current_generation(next->id);
+  EXPECT_EQ(registry.retired_live(), 1u);
+  auto new_windows = pending_windows(f, next, new_series);
+  const std::size_t new_count = new_windows.size();
+  for (auto& w : new_windows) {
+    w->window_index += old_count;  // one index space for the sink
+    scheduler.submit(std::move(w));
+  }
+  // The same two workers, each on a thread of its own, drain both queues;
+  // each hands back its last edge before its loop ends.
+  scheduler.stop();
+  std::vector<std::thread> threads;
+  for (auto& worker : workers) {
+    threads.emplace_back([&scheduler, &worker] {
+      while (scheduler.run_one(worker)) {
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(delivered.size(), old_count + new_count);
+  std::vector<std::unique_ptr<ds::PendingWindow>> ordered(old_count +
+                                                          new_count);
+  for (auto& w : delivered) ordered[w->window_index] = std::move(w);
+  delivered.clear();
+
+  for (std::size_t w = 0; w < ordered.size(); ++w) {
+    const bool old = w < old_count;
+    EXPECT_EQ(ordered[w]->generation->id, old ? 1u : 2u);
+    const auto& want = old ? old_expected[w] : new_expected[w - old_count];
+    ASSERT_EQ(ordered[w]->edge_bleu.size(), want.size());
+    for (std::size_t e = 0; e < want.size(); ++e) {
+      ASSERT_EQ(static_cast<ds::SlotStatus>(ordered[w]->edge_status[e]),
+                ds::SlotStatus::kScored);
+      EXPECT_EQ(bits(ordered[w]->edge_bleu[e]), bits(want[e]))
+          << "window " << w << " edge " << e;
+    }
+  }
+
+  // With the delivered windows gone, nothing holds the old generation: the
+  // drained table went when the last of its edges was handed back.
+  ordered.clear();
+  EXPECT_EQ(registry.retired_live(), 0u);
+}
+
+TEST(BatchScheduler, HalfOpenBreakerProbesWithExactlyOneWindow) {
+  // Edge 0 fails its first batch and its first probe. The breaker opens on
+  // the batch, quarantines two windows, probes with one window (which
+  // fails, reopening it), quarantines two more, and closes on a second
+  // single-window probe. Exactly one window per probe fails or scores.
+  auto& f = fixture();
+  ScopedDecodeFaults guard;
+  const auto gen = fixture_generation(f);
+  ds::SchedulerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.circuit_open_after = 1;
+  cfg.circuit_probe_after = 2;
+  cfg.bleu = f.cfg.detector.bleu;
+  std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
+  ds::BatchScheduler scheduler(
+      gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
+        delivered.push_back(std::move(w));
+      });
+  const ds::EdgeModel& faulted = gen->edges.front();
+  desmine::robust::FaultInjector::instance().arm(
+      "serve.decode",
+      std::to_string(faulted.src) + "->" + std::to_string(faulted.dst),
+      desmine::robust::FaultAction::kThrow, 2);
+  const std::uint64_t probes0 =
+      dobs::metrics().counter("serve.circuit.probes").value();
+  const auto windows = score_inline(scheduler, &delivered,
+                                    pending_windows(f, gen, make_series(80, 46)));
+  ASSERT_GE(windows.size(), 12u);
+
+  using S = ds::SlotStatus;
+  const S expected[] = {S::kFailed,      S::kFailed,      S::kFailed,
+                        S::kFailed,      S::kQuarantined, S::kQuarantined,
+                        S::kFailed,      S::kQuarantined, S::kQuarantined,
+                        S::kScored};
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const S want = w < std::size(expected) ? expected[w] : S::kScored;
+    EXPECT_EQ(static_cast<S>(windows[w]->edge_status[0]), want)
+        << "window " << w;
+    for (std::size_t e = 1; e < gen->edges.size(); ++e) {
+      EXPECT_EQ(static_cast<S>(windows[w]->edge_status[e]), S::kScored);
+    }
+  }
+  EXPECT_EQ(dobs::metrics().counter("serve.circuit.probes").value() - probes0,
+            2u);
+  scheduler.stop();
+}
+
+TEST(BatchScheduler, StaleSheddableWindowIsShedAtClaim) {
+  // Past the queueing deadline a sheddable window is shed by the first edge
+  // that claims it, and every slot resolves as shed; an unsheddable window
+  // of the same age and a fresh one are scored.
+  auto& f = fixture();
+  const auto gen = fixture_generation(f);
+  ds::SchedulerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_queue_delay_ms = 50.0;
+  cfg.bleu = f.cfg.detector.bleu;
+  std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
+  ds::BatchScheduler scheduler(
+      gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
+        delivered.push_back(std::move(w));
+      });
+  auto windows = pending_windows(f, gen, make_series(40, 47));
+  ASSERT_GE(windows.size(), 3u);
+  windows.resize(3);
+  const auto now = std::chrono::steady_clock::now();
+  windows[0]->enqueued = now - std::chrono::seconds(10);
+  windows[1]->enqueued = now - std::chrono::seconds(10);
+  windows[1]->sheddable = false;
+  windows[2]->enqueued = now + std::chrono::hours(1);  // never stale here
+  const std::uint64_t shed0 =
+      dobs::metrics().counter("serve.shed.windows").value();
+  const auto out = score_inline(scheduler, &delivered, std::move(windows));
+
+  EXPECT_EQ(dobs::metrics().counter("serve.shed.windows").value() - shed0, 1u);
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    EXPECT_EQ(out[w]->shed, w == 0) << "window " << w;
+    const auto want = w == 0 ? ds::SlotStatus::kShed : ds::SlotStatus::kScored;
+    for (const std::uint8_t status : out[w]->edge_status) {
+      EXPECT_EQ(static_cast<ds::SlotStatus>(status), want) << "window " << w;
+    }
+  }
+  scheduler.stop();
 }
 
 // ---------------------------------------------------------------------------
