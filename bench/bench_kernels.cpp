@@ -26,6 +26,7 @@
 #include "tensor/matrix.h"
 #include "tensor/workspace.h"
 #include "text/bleu.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dt = desmine::tensor;
@@ -466,6 +467,24 @@ static void BM_CorpusBleu(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
 }
 BENCHMARK(BM_CorpusBleu);
+
+// CRC-32 over 4 MiB, about the size of the bench/e2e fixture's weights.
+// Arg 0: the dispatched crc32 (folded where PCLMULQDQ is available);
+// arg 1: the byte-at-a-time table loop. ns/byte = 1e9 / bytes_per_second.
+static void BM_Crc32(benchmark::State& state) {
+  Rng rng(6);
+  std::vector<unsigned char> buf(std::size_t{4} << 20);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.index(256));
+  const bool table = state.range(0) == 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table ? desmine::util::detail::crc32_table(buf.data(), buf.size())
+              : desmine::util::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
 
 static void BM_Walktrap(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

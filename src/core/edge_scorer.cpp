@@ -251,6 +251,8 @@ void DecodeCache::clear() {
 }
 
 void MemoGauges::update(std::size_t entries, std::size_t bytes) {
+  // Steady-state batches change neither: skip the two contended adds.
+  if (entries == entries_reported_ && bytes == bytes_reported_) return;
   entries_.add(static_cast<double>(entries) -
                static_cast<double>(entries_reported_));
   bytes_.add(static_cast<double>(bytes) -

@@ -596,7 +596,7 @@ TEST(ArtifactV4, BitFlipsRaiseSectionTypedErrors) {
   const std::string clean = slurp(file.path);
 
   // Locate each section with a clean map, then corrupt them one at a time.
-  std::size_t meta_at = 0, weights_at = 0, toc_at = 0;
+  std::size_t meta_at = 0, weights_at = 0, weights_last = 0, toc_at = 0;
   std::size_t flip_edge = 0;
   {
     const auto map = di::ArtifactMap::open(file.path);
@@ -606,6 +606,9 @@ TEST(ArtifactV4, BitFlipsRaiseSectionTypedErrors) {
         flip_edge = i;
         meta_at = e.meta_off + e.meta_len / 2;
         weights_at = e.weights_off + 64;  // inside the first parameter
+        // The region's last byte: where CRC folding hands off to the
+        // byte-at-a-time tail.
+        weights_last = e.weights_off + e.weights_len - 1;
         break;
       }
     }
@@ -658,6 +661,19 @@ TEST(ArtifactV4, BitFlipsRaiseSectionTypedErrors) {
     try {
       map->materialize_edge(flip_edge);
       FAIL() << "weight flip not rejected";
+    } catch (const di::ArtifactError& e) {
+      EXPECT_EQ(e.section(), di::ArtifactError::Section::kWeights);
+    }
+  }
+
+  // Flip of the weight region's last byte: kWeights as well.
+  ASSERT_GT(weights_last, weights_at);
+  write_bytes(file.path, flipped(weights_last));
+  {
+    const auto map = di::ArtifactMap::open(file.path);
+    try {
+      map->materialize_edge(flip_edge);
+      FAIL() << "flip of the last weight byte not rejected";
     } catch (const di::ArtifactError& e) {
       EXPECT_EQ(e.section(), di::ArtifactError::Section::kWeights);
     }

@@ -113,10 +113,28 @@ class RobustMiner : public ::testing::Test {
 
 // ------------------------------------------------------------------ crc32 --
 
+namespace {
+
+std::vector<unsigned char> random_bytes(std::size_t n, Rng& rng) {
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.index(256));
+  return out;
+}
+
+std::uint32_t random_seed(Rng& rng) {
+  return static_cast<std::uint32_t>((rng.index(65536) << 16) |
+                                    rng.index(65536));
+}
+
+}  // namespace
+
 TEST(Crc32, KnownVector) {
-  // The canonical IEEE 802.3 check value.
+  // The canonical IEEE 802.3 check value, on the dispatched and the table
+  // path.
   EXPECT_EQ(du::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(du::detail::crc32_table("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(du::crc32(""), 0u);
+  EXPECT_EQ(du::detail::crc32_table("", 0), 0u);
 }
 
 TEST(Crc32, DetectsSingleByteChange) {
@@ -124,6 +142,59 @@ TEST(Crc32, DetectsSingleByteChange) {
   std::string b = a;
   b[5] ^= 0x01;
   EXPECT_NE(du::crc32(a), du::crc32(b));
+}
+
+TEST(Crc32, FoldsOnCpusWithCarrylessMultiply) {
+  // The comparisons below test the folded path only where it runs; make
+  // sure it does run wherever the CPU offers it.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  EXPECT_EQ(du::detail::crc32_folds(),
+            __builtin_cpu_supports("pclmul") &&
+                __builtin_cpu_supports("sse4.1"));
+#else
+  EXPECT_FALSE(du::detail::crc32_folds());
+#endif
+}
+
+TEST(Crc32, DispatchedEqualsTableOnRandomDraws) {
+  // Offsets 0-63 vary the alignment of the 16-byte loads; every other
+  // length is 64 + 64k + t, so each tail t = 0..63 past the four-lane
+  // folds (and so each mix of 16-byte blocks and table bytes) occurs.
+  Rng rng(0xC3C32);
+  const std::size_t kMaxLen = 9000, kMaxOffset = 63;
+  std::vector<unsigned char> buf;
+  for (std::size_t draw = 0; draw < 12000; ++draw) {
+    if (draw % 1000 == 0) buf = random_bytes(kMaxOffset + kMaxLen, rng);
+    const std::size_t offset = rng.index(kMaxOffset + 1);
+    const std::size_t len = draw % 2 == 0
+                                ? 64 + 64 * rng.index(139) + (draw / 2) % 64
+                                : rng.index(kMaxLen + 1);
+    const std::uint32_t seed = random_seed(rng);
+    const unsigned char* p = buf.data() + offset;
+    ASSERT_EQ(du::crc32(p, len, seed), du::detail::crc32_table(p, len, seed))
+        << "draw " << draw << ": offset " << offset << ", length " << len
+        << ", seed " << seed;
+  }
+}
+
+TEST(Crc32, ContinuesAcrossEverySplit) {
+  Rng rng(300);
+  const std::vector<unsigned char> buf = random_bytes(300, rng);
+  const std::uint32_t whole = du::crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, du::detail::crc32_table(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = du::crc32(buf.data(), split);
+    EXPECT_EQ(du::crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32, DispatchedEqualsTableOnFourMebibytes) {
+  Rng rng(4);
+  const std::vector<unsigned char> buf =
+      random_bytes(std::size_t{4} << 20, rng);
+  EXPECT_EQ(du::crc32(buf.data(), buf.size()),
+            du::detail::crc32_table(buf.data(), buf.size()));
 }
 
 // ------------------------------------------------------------ retry policy --
