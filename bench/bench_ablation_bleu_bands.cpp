@@ -24,8 +24,7 @@ int main() {
 
   const std::size_t first_test_day = db::kPlantTrainDays + db::kPlantDevDays;
   const std::size_t test_days = plant.days - first_test_day;
-  const auto corpora =
-      fw.to_corpora(plant.days_slice(first_test_day, test_days));
+  const auto test = plant.days_slice(first_test_day, test_days);
 
   struct Band {
     double lo, hi;
@@ -47,7 +46,7 @@ int main() {
       t.add_row({band.label, "0", "-", "-", "-", "-"});
       continue;
     }
-    const auto result = detector.detect(corpora);
+    const auto result = detector.detect(fw.encode(test, detector), {});
     const std::size_t windows_per_day =
         result.anomaly_scores.size() / test_days;
 

@@ -37,7 +37,7 @@ void run_band(const dc::Framework& fw, const dd::PlantDataset& plant,
   const std::size_t first_test_day = db::kPlantTrainDays + db::kPlantDevDays;
   const std::size_t test_days = plant.days - first_test_day;
   const auto result = detector.detect(
-      fw.to_corpora(plant.days_slice(first_test_day, test_days)));
+      fw.encode(plant.days_slice(first_test_day, test_days), detector), {});
 
   const std::size_t windows_per_day = result.anomaly_scores.size() / test_days;
   du::Table t({"day", "mean score", "max score", "label"});
@@ -116,8 +116,8 @@ void run_dropout(const dc::Framework& fw, const dd::PlantDataset& plant,
     }
   }
 
-  const auto corpora = fw.to_corpora(test);
-  const auto plain = detector.detect(corpora);
+  const auto corpora = fw.encode(test, detector);
+  const auto plain = detector.detect(corpora, {});
   const dc::HealthMask mask = dc::window_health_mask(
       fw.encrypter(), fw.config().window, test, desmine::robust::HealthConfig{});
   const auto degraded =

@@ -32,7 +32,7 @@ int main() {
   const std::size_t first_test_day = db::kPlantTrainDays + db::kPlantDevDays;
   const std::size_t test_days = plant.days - first_test_day;
   const auto result = detector.detect(
-      fw.to_corpora(plant.days_slice(first_test_day, test_days)));
+      fw.encode(plant.days_slice(first_test_day, test_days), detector), {});
   const std::size_t windows_per_day = result.anomaly_scores.size() / test_days;
 
   // Local subgraph for clustering: same band minus popular sensors.

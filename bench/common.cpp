@@ -221,27 +221,17 @@ core::Framework smart_framework(const data::SmartDataset& smart) {
   return fw;
 }
 
-std::vector<text::Corpus> smart_drive_corpora(const core::Framework& fw,
-                                              const data::SmartDataset& smart,
-                                              const data::DriveRecord& drive,
-                                              std::size_t from_day) {
-  const auto discretizers = data::fit_discretizers(smart, kSmartTrainDays);
-  const auto series = data::drive_to_series(smart, drive, discretizers);
-  const auto window =
-      core::slice(series, from_day, drive.observed_days());
-  return fw.to_corpora(window);
-}
-
 std::vector<double> smart_drive_scores(const core::Framework& fw,
                                        const data::SmartDataset& smart,
                                        const data::DriveRecord& drive,
                                        std::size_t from_day,
                                        const core::DetectorConfig& detector) {
-  const auto corpora = smart_drive_corpora(fw, smart, drive, from_day);
-  if (corpora.empty() || corpora.front().empty()) return {};
   const core::AnomalyDetector det(fw.graph(), detector);
   if (det.valid_model_count() == 0) return {};
-  return det.detect(corpora).anomaly_scores;
+  const auto discretizers = data::fit_discretizers(smart, kSmartTrainDays);
+  const auto series = data::drive_to_series(smart, drive, discretizers);
+  const auto window = core::slice(series, from_day, drive.observed_days());
+  return det.detect(fw.encode(window, det), {}).anomaly_scores;
 }
 
 bool sharp_increase(const std::vector<double>& scores, double jump) {

@@ -65,13 +65,6 @@ core::Framework plant_framework(const data::PlantDataset& plant);
 /// Fitted SMART framework over per-feature languages pooled across drives.
 core::Framework smart_framework(const data::SmartDataset& smart);
 
-/// Per-drive aligned test corpora (last month) for the SMART pipeline,
-/// indexed like the framework's graph nodes.
-std::vector<text::Corpus> smart_drive_corpora(const core::Framework& fw,
-                                              const data::SmartDataset& smart,
-                                              const data::DriveRecord& drive,
-                                              std::size_t from_day);
-
 /// Per-window anomaly scores of one drive from `from_day` to its last
 /// observed day, using the given valid-model band.
 std::vector<double> smart_drive_scores(const core::Framework& fw,

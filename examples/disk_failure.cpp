@@ -6,7 +6,6 @@
 //   $ ./disk_failure
 #include <iostream>
 
-#include "core/anomaly.h"
 #include "core/framework.h"
 #include "data/smart.h"
 #include "util/strings.h"
@@ -90,13 +89,12 @@ int main() {
 
   // Per-drive detection over the final month.
   std::cout << "per-drive anomaly trajectories (final month):\n";
-  const core::AnomalyDetector detector(framework.graph(), cfg.detector);
   std::size_t detected = 0, failures = 0;
   for (const auto& drive : smart.drives) {
     const auto series = data::drive_to_series(smart, drive, selected);
     const auto tail =
         core::slice(series, train_days + dev_days, drive.observed_days());
-    const auto result = detector.detect(framework.to_corpora(tail));
+    const auto result = framework.detect(tail);
     bool sharp = false;
     for (std::size_t t = 1; t < result.anomaly_scores.size(); ++t) {
       sharp |= result.anomaly_scores[t] - result.anomaly_scores[t - 1] >= 0.3;

@@ -1,8 +1,6 @@
 #include "core/anomaly.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
 
 #include "core/edge_scorer.h"
 #include "obs/log.h"
@@ -16,22 +14,6 @@
 namespace desmine::core {
 
 namespace {
-
-struct SentenceHash {
-  std::size_t operator()(const text::Sentence* s) const noexcept {
-    std::size_t h = s->size();
-    for (const std::string& word : *s) {
-      h = (h ^ std::hash<std::string>{}(word)) * 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
-struct SentenceEqual {
-  bool operator()(const text::Sentence* a, const text::Sentence* b) const {
-    return *a == *b;
-  }
-};
 
 constexpr std::uint32_t kNoPair = 0xFFFFFFFFu;
 
@@ -95,39 +77,6 @@ AnomalyDetector::AnomalyDetector(const MvrGraph& graph, DetectorConfig config)
   if (config_.threads != 1 && valid_edges_.size() > 1) {
     pool_ = std::make_shared<util::ThreadPool>(config_.threads);
   }
-}
-
-DetectionResult AnomalyDetector::detect(
-    const std::vector<text::Corpus>& test_sentences,
-    const DetectOptions& options) const {
-  // Each sensor's distinct sentences are encoded once against its
-  // vocabulary (periodic sensors repeat them from window to window).
-  const std::size_t max_order = config_.bleu.max_order;
-  std::vector<EncodedCorpus> encoded(test_sentences.size());
-  auto encode = [&](std::size_t k) {
-    const text::Corpus& corpus = test_sentences[k];
-    EncodedCorpus& out = encoded[k];
-    out.windows.assign(corpus.size(), 0);
-    const text::Vocabulary* vocab = vocabulary(k);
-    if (vocab == nullptr) return;
-    std::unordered_map<const text::Sentence*, std::uint32_t, SentenceHash,
-                       SentenceEqual>
-        first;
-    for (std::size_t t = 0; t < corpus.size(); ++t) {
-      const auto [it, inserted] = first.emplace(
-          &corpus[t], static_cast<std::uint32_t>(out.sentences.size()));
-      if (inserted) {
-        out.sentences.push_back(encode_sentence(*vocab, corpus[t], max_order));
-      }
-      out.windows[t] = it->second;
-    }
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t k = 0; k < test_sentences.size(); ++k) encode(k);
-  } else {
-    pool_->parallel_for(test_sentences.size(), encode);
-  }
-  return detect(encoded, options);
 }
 
 DetectionResult AnomalyDetector::detect(

@@ -27,9 +27,10 @@
 // Work follows the distinct sentences, not the windows: detect() scores
 // EncodedCorpus inputs (each sensor's distinct sentences, encoded once, and
 // per window an index into them), and each edge scores each distinct
-// (source, reference) pair of its windows once. The text::Corpus overload
-// encodes and delegates; Framework::detect encodes straight from the
-// character streams.
+// (source, reference) pair of its windows once. Encoded windows are its only
+// input: Framework::encode cuts them from a series' character streams with
+// core::encode_span, for the framework's own detector or for one built with
+// another valid band.
 //
 // detect() is not reentrant: it decodes with the graph's models in place
 // and updates the memos from its pool threads, so calls on one detector (or
@@ -159,26 +160,14 @@ class AnomalyDetector {
   /// most one edge is valid.
   AnomalyDetector(const MvrGraph& graph, DetectorConfig config);
 
-  /// `test_sentences[k]` is the aligned test corpus of sensor node k (same
-  /// node indexing as the graph; all corpora equal length — a ragged input
-  /// raises robust::MisalignedCorpus naming the offending sensor). Strict
-  /// scoring; see the DetectOptions overload for degraded mode.
-  DetectionResult detect(const std::vector<text::Corpus>& test_sentences) const {
-    return detect(test_sentences, DetectOptions{});
-  }
-
-  /// As above, honouring `options`: with DetectOptions::unhealthy set, edges
-  /// incident to a listed sensor are excluded from that window and a_t is
-  /// renormalized over the survivors (see DetectionResult::coverage).
-  /// Encodes each sensor's distinct sentences once against its vocabulary
-  /// and scores them through the EncodedCorpus overload.
-  DetectionResult detect(const std::vector<text::Corpus>& test_sentences,
-                         const DetectOptions& options) const;
-
-  /// Algorithm 2 on already encoded windows: `corpora[k]` holds sensor node
-  /// k's sentences, encoded against vocabulary(k) at a max_order of at
-  /// least config().bleu.max_order, and every corpus one entry per window
-  /// (robust::MisalignedCorpus otherwise). Each edge scores each of its
+  /// Algorithm 2 on encoded windows: `corpora[k]` holds sensor node k's
+  /// sentences (same node indexing as the graph), encoded against
+  /// vocabulary(k) at a max_order of at least config().bleu.max_order, and
+  /// every corpus one entry per window (robust::MisalignedCorpus naming the
+  /// offending sensor otherwise). Zero windows give an empty result. With
+  /// DetectOptions::unhealthy set, edges incident to a listed sensor are
+  /// excluded from that window and a_t is renormalized over the survivors
+  /// (see DetectionResult::coverage). Each edge scores each of its
   /// distinct (source, reference) sentence pairs once, over the windows
   /// the health mask leaves it, and hands f(i,j) to every such window.
   /// Decoding runs the graph's models in place and fills the decode memos,
@@ -192,6 +181,8 @@ class AnomalyDetector {
   const text::Vocabulary* vocabulary(std::size_t k) const {
     return k < vocabs_.size() ? vocabs_[k].get() : nullptr;
   }
+  /// Sensor nodes of the graph the detector was built over.
+  std::size_t sensor_count() const { return names_.size(); }
   const DetectorConfig& config() const { return config_; }
   std::size_t valid_model_count() const { return valid_edges_.size(); }
   const std::vector<MvrEdge>& valid_edges() const { return valid_edges_; }

@@ -158,17 +158,6 @@ EncodedSentence encode_span(const text::Vocabulary& vocab,
   return encoded(vocab, vocab.encode_exact(words), max_order);
 }
 
-std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,
-                                           const text::Corpus& corpus,
-                                           std::size_t max_order) {
-  std::vector<EncodedSentence> out;
-  out.reserve(corpus.size());
-  for (const text::Sentence& s : corpus) {
-    out.push_back(encode_sentence(vocab, s, max_order));
-  }
-  return out;
-}
-
 std::uint32_t DecodeCache::find(const EncodedSentence& source) const {
   if (sources_.empty()) return kMiss;
   std::size_t length = 0;

@@ -9,7 +9,7 @@
 // Scoring runs on token ids, never on strings. Every edge out of or into a
 // sensor is trained on that sensor's one vocabulary (see
 // sensor_vocabularies), so each window's sentence is encoded once per sensor
-// (encode_sentence): model-input ids for the edges it is the source of, an
+// (encode_span): model-input ids for the edges it is the source of, an
 // exact n-gram profile for the edges it is the reference of. score() takes
 // one edge's encoded (source, reference) items and
 //   1. looks each source's input ids up in an optional caller-owned
@@ -68,6 +68,9 @@ struct EncodedSentence {
   std::uint64_t profile_hash = 0;
 };
 
+/// `sentence` encoded against `vocab`. No detection path encodes word
+/// strings: this is the reference encode_span is tested against, word for
+/// word, and the tests' way to score hand-built sentences.
 EncodedSentence encode_sentence(const text::Vocabulary& vocab,
                                 const text::Sentence& sentence,
                                 std::size_t max_order);
@@ -81,11 +84,6 @@ EncodedSentence encode_sentence(const text::Vocabulary& vocab,
 EncodedSentence encode_span(const text::Vocabulary& vocab,
                             const LanguageGenerator& language,
                             std::string_view chars, std::size_t max_order);
-
-/// encode_sentence over a whole corpus.
-std::vector<EncodedSentence> encode_corpus(const text::Vocabulary& vocab,
-                                           const text::Corpus& corpus,
-                                           std::size_t max_order);
 
 /// One sensor's sentences over a run of windows, as batch detection scores
 /// them: each distinct sentence encoded once, and per window the index of
@@ -109,7 +107,8 @@ class DecodeCache {
   static constexpr std::uint32_t kMiss = 0xFFFFFFFFu;
 
   /// The index of `source`'s memoised candidate, or kMiss. `source` must
-  /// come from encode_sentence, which takes the input hash looked up here.
+  /// come from encode_span or encode_sentence, which take the input hash
+  /// looked up here.
   std::uint32_t find(const EncodedSentence& source) const;
 
   /// Memoise `source` (not yet memoised) -> `candidate`, sharing the

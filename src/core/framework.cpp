@@ -113,8 +113,13 @@ std::vector<text::Corpus> Framework::to_corpora(
 
 std::vector<EncodedCorpus> Framework::encode(
     const MultivariateSeries& series, const AnomalyDetector& d) const {
-  const obs::ScopedTimer timer("encode");
+  DESMINE_EXPECTS(fitted(), "fit() must run first");
   const std::vector<std::string>& kept = encrypter_->kept_sensors();
+  DESMINE_EXPECTS(d.sensor_count() == kept.size(),
+                  "detector's graph has " + std::to_string(d.sensor_count()) +
+                      " sensors, the framework keeps " +
+                      std::to_string(kept.size()));
+  const obs::ScopedTimer timer("encode");
   const std::vector<const EventSequence*> events = kept_events(kept, series);
   const std::size_t max_order = d.config().bleu.max_order;
   const std::size_t span = language_.sentence_span();

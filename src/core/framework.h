@@ -44,7 +44,8 @@ class Framework {
   /// character stream, window t's sentence is the words of its characters
   /// [sentence_start(t), + sentence_span()) (LanguageGenerator), and each
   /// distinct span is encoded once by core::encode_span, on the detector's
-  /// pool. The bits are those of AnomalyDetector::detect(to_corpora(test)).
+  /// pool (encode() below). The bits are those of scoring each window's
+  /// string words encoded by core::encode_sentence, which the tests check.
   ///
   /// Both detect calls score on one AnomalyDetector per fitted graph, built
   /// by the first of them (a Framework that never detects starts no
@@ -69,11 +70,29 @@ class Framework {
       const MultivariateSeries& test, const robust::HealthConfig& health,
       const std::vector<std::size_t>& missing_ticks = {}) const;
 
-  /// Aligned sentence corpora for the kept sensors, indexed like the graph's
-  /// nodes: one string sentence per window. detect() does not go through
-  /// them; they are for lifecycle code, tests and benches that score custom
-  /// windows. Once a detect call has built the detector, the sensors are
-  /// encoded in parallel on its pool.
+  /// The kept sensors' windows of `series`, encoded for `detector`'s
+  /// vocabularies straight from each sensor's character stream, on its
+  /// pool: the one input AnomalyDetector::detect takes. detect() scores
+  /// through it with the framework's own detector; a caller that wants
+  /// another valid band builds its own AnomalyDetector over graph() and
+  /// runs `detector.detect(fw.encode(series, detector), options)`. That
+  /// detector shares the graph's models, so its calls must not overlap
+  /// this framework's detect calls.
+  ///
+  /// Throws PreconditionError before fit() or restore(), when `detector`
+  /// was built over a graph with another sensor count than the kept
+  /// sensors, or when `series` lacks a kept sensor. A series shorter than
+  /// one sentence span gives corpora of zero windows, which detect()
+  /// scores to an empty result.
+  std::vector<EncodedCorpus> encode(const MultivariateSeries& series,
+                                    const AnomalyDetector& detector) const;
+
+  /// Aligned string corpora for the kept sensors, indexed like the graph's
+  /// nodes: one sentence per window. No detection path goes through them;
+  /// outside the tests, their callers are the lifecycle retrainer, which
+  /// mines its training corpora from them, and bench/e2e's layer probes.
+  /// Once a detect call has built the detector, the sensors are encoded in
+  /// parallel on its pool.
   std::vector<text::Corpus> to_corpora(const MultivariateSeries& series) const;
 
   /// Restore a previously fitted state (used by io::load_framework). The
@@ -94,11 +113,6 @@ class Framework {
 
   DetectionResult detect(const MultivariateSeries& test,
                          const DetectOptions& options) const;
-
-  /// The kept sensors' windows of `series`, encoded for `d`'s vocabularies
-  /// straight from each sensor's character stream, on d's pool.
-  std::vector<EncodedCorpus> encode(const MultivariateSeries& series,
-                                    const AnomalyDetector& d) const;
 
   FrameworkConfig config_;
   LanguageGenerator language_;

@@ -12,6 +12,7 @@
 #include "core/mvr_graph.h"
 #include "nmt/translation.h"
 #include "robust/errors.h"
+#include "string_oracle.h"
 #include "tensor/kernels.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -19,6 +20,7 @@
 namespace dc = desmine::core;
 namespace dm = desmine::nmt;
 namespace dx = desmine::text;
+namespace dor = desmine::oracle;
 using desmine::util::Rng;
 
 namespace {
@@ -161,7 +163,7 @@ TEST(AnomalyDetector, NormalWindowsScoreLowBrokenWindowsScoreHigh) {
   win_tgt[1] = dx::Sentence(5, "tc");  // degenerate target
   if (win_src[1] == dx::Sentence(5, "sc")) win_src[1][0] = "sa";
 
-  const auto result = detector.detect({win_src, win_tgt});
+  const auto result = dor::detect_strings(detector, {win_src, win_tgt});
   ASSERT_EQ(result.anomaly_scores.size(), 2u);
   EXPECT_DOUBLE_EQ(result.anomaly_scores[0], 0.0);
   EXPECT_DOUBLE_EQ(result.anomaly_scores[1], 1.0);
@@ -179,7 +181,7 @@ TEST(AnomalyDetector, EdgeBleuMatrixShape) {
   const dc::AnomalyDetector detector(f.graph, cfg);
   dx::Corpus src, tgt;
   make_corpus(4, 5, src, tgt, 5);
-  const auto result = detector.detect({src, tgt});
+  const auto result = dor::detect_strings(detector, {src, tgt});
   ASSERT_EQ(result.edge_bleu.size(), 1u);
   EXPECT_EQ(result.edge_bleu[0].size(), 4u);
   for (double b : result.edge_bleu[0]) {
@@ -201,12 +203,12 @@ TEST(AnomalyDetector, ToleranceSuppressesMarginalBreaks) {
   strict.tolerance = 0.0;
   strict.threads = 1;
   const auto strict_result =
-      dc::AnomalyDetector(f.graph, strict).detect({src, tgt});
+      dor::detect_strings(dc::AnomalyDetector(f.graph, strict), {src, tgt});
 
   dc::DetectorConfig lenient = strict;
   lenient.tolerance = 100.0;  // nothing can fall 100 BLEU below training
   const auto lenient_result =
-      dc::AnomalyDetector(f.graph, lenient).detect({src, tgt});
+      dor::detect_strings(dc::AnomalyDetector(f.graph, lenient), {src, tgt});
 
   double strict_sum = 0.0, lenient_sum = 0.0;
   for (double s : strict_result.anomaly_scores) strict_sum += s;
@@ -229,8 +231,9 @@ TEST(AnomalyDetector, MisalignedTestCorporaThrow) {
   dx::Corpus a, b;
   make_corpus(3, 5, a, b, 7);
   b.pop_back();
-  EXPECT_THROW(detector.detect({a, b}), desmine::PreconditionError);
-  EXPECT_THROW(detector.detect({}), desmine::PreconditionError);
+  EXPECT_THROW(dor::detect_strings(detector, {a, b}),
+               desmine::PreconditionError);
+  EXPECT_THROW(dor::detect_strings(detector, {}), desmine::PreconditionError);
 }
 
 TEST(AnomalyDetector, MisalignedCorpusCarriesTypedFields) {
@@ -243,7 +246,7 @@ TEST(AnomalyDetector, MisalignedCorpusCarriesTypedFields) {
   make_corpus(3, 5, a, b, 9);
   b.pop_back();
   try {
-    detector.detect({a, b});
+    dor::detect_strings(detector, {a, b});
     FAIL() << "expected robust::MisalignedCorpus";
   } catch (const desmine::robust::MisalignedCorpus& e) {
     EXPECT_EQ(e.sensor(), "dst");  // graph node 1's name
@@ -313,7 +316,7 @@ TEST(AnomalyDetector, HealthMaskExcludesAndRenormalizes) {
   fanout_corpora(src, aligned, garbage);
 
   // Unmasked: a->c is broken everywhere, a->b nowhere; a_t = 1/2.
-  const auto plain = detector.detect({src, aligned, garbage});
+  const auto plain = dor::detect_strings(detector, {src, aligned, garbage});
   ASSERT_EQ(plain.anomaly_scores.size(), 2u);
   EXPECT_DOUBLE_EQ(plain.anomaly_scores[0], 0.5);
   EXPECT_DOUBLE_EQ(plain.anomaly_scores[1], 0.5);
@@ -324,7 +327,9 @@ TEST(AnomalyDetector, HealthMaskExcludesAndRenormalizes) {
   // set: the broken plumbing no longer masquerades as an anomaly and the
   // score renormalizes over the single survivor.
   const dc::HealthMask mask = {{}, {2}};
-  const auto masked = detector.detect({src, aligned, garbage}, dc::DetectOptions{.unhealthy = &mask});
+  const auto masked =
+      dor::detect_strings(detector, {src, aligned, garbage},
+                          dc::DetectOptions{.unhealthy = &mask});
   EXPECT_DOUBLE_EQ(masked.anomaly_scores[0], 0.5);  // untouched window
   EXPECT_DOUBLE_EQ(masked.coverage[0], 1.0);
   EXPECT_DOUBLE_EQ(masked.anomaly_scores[1], 0.0);  // 0 broken / 1 surviving
@@ -345,7 +350,9 @@ TEST(AnomalyDetector, CoverageQuorumGatesVerdicts) {
   dx::Corpus src, aligned, garbage;
   fanout_corpora(src, aligned, garbage);
   const dc::HealthMask mask = {{}, {2}};
-  const auto result = detector.detect({src, aligned, garbage}, dc::DetectOptions{.unhealthy = &mask});
+  const auto result =
+      dor::detect_strings(detector, {src, aligned, garbage},
+                          dc::DetectOptions{.unhealthy = &mask});
   EXPECT_EQ(result.degraded[0], 0);
   EXPECT_EQ(result.degraded[1], 1);
   // No verdict: a NaN-free placeholder, not a claim of "no anomaly".
@@ -354,8 +361,10 @@ TEST(AnomalyDetector, CoverageQuorumGatesVerdicts) {
 
   // Coverage exactly at the quorum still gets a verdict.
   cfg.min_coverage = 0.5;
-  const auto at_quorum = dc::AnomalyDetector(f.graph, cfg).detect(
-      {src, aligned, garbage}, dc::DetectOptions{.unhealthy = &mask});
+  const auto at_quorum =
+      dor::detect_strings(dc::AnomalyDetector(f.graph, cfg),
+                          {src, aligned, garbage},
+                          dc::DetectOptions{.unhealthy = &mask});
   EXPECT_EQ(at_quorum.degraded[1], 0);
   EXPECT_DOUBLE_EQ(at_quorum.coverage[1], 0.5);
   EXPECT_DOUBLE_EQ(at_quorum.anomaly_scores[1], 0.0);  // 0 of 1 broken
@@ -368,12 +377,14 @@ TEST(AnomalyDetector, HealthMaskValidation) {
   fanout_corpora(src, aligned, garbage);
 
   const dc::HealthMask wrong_size = {{}};  // 1 entry for 2 windows
-  EXPECT_THROW(detector.detect({src, aligned, garbage}, dc::DetectOptions{.unhealthy = &wrong_size}),
-               desmine::PreconditionError);
+  EXPECT_THROW(
+      dor::detect_strings(detector, {src, aligned, garbage},
+                          dc::DetectOptions{.unhealthy = &wrong_size}),
+      desmine::PreconditionError);
   // Nodes 0..2 exist: node 3 is the first out of range.
   for (const std::size_t node : {std::size_t{7}, std::size_t{3}}) {
     const dc::HealthMask bad_node = {{}, {node}};
-    EXPECT_THROW(detector.detect({src, aligned, garbage},
+    EXPECT_THROW(dor::detect_strings(detector, {src, aligned, garbage},
                                  dc::DetectOptions{.unhealthy = &bad_node}),
                  desmine::PreconditionError)
         << node;
@@ -394,7 +405,7 @@ TEST(AnomalyDetector, NoMaskLeavesCoverageFullAndVerdictsUngated) {
   const dc::AnomalyDetector detector(f.graph, cfg);
   dx::Corpus src, aligned, garbage;
   fanout_corpora(src, aligned, garbage);
-  const auto result = detector.detect({src, aligned, garbage});
+  const auto result = dor::detect_strings(detector, {src, aligned, garbage});
   for (std::size_t t = 0; t < result.anomaly_scores.size(); ++t) {
     EXPECT_DOUBLE_EQ(result.coverage[t], 1.0);
     EXPECT_EQ(result.degraded[t], 0);
@@ -430,7 +441,7 @@ TEST(AnomalyDetector, NoValidModelsGivesZeroScores) {
   const dc::AnomalyDetector detector(f.graph, cfg);
   dx::Corpus src, tgt;
   make_corpus(2, 5, src, tgt, 8);
-  const auto result = detector.detect({src, tgt});
+  const auto result = dor::detect_strings(detector, {src, tgt});
   for (std::size_t t = 0; t < result.anomaly_scores.size(); ++t) {
     EXPECT_DOUBLE_EQ(result.anomaly_scores[t], 0.0);
     EXPECT_DOUBLE_EQ(result.coverage[t], 0.0);

@@ -39,6 +39,7 @@
 #include "serve/model_registry.h"
 #include "serve/session_manager.h"
 #include "serve/shadow_scorer.h"
+#include "string_oracle.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -48,6 +49,7 @@ namespace ds = desmine::serve;
 namespace dt = desmine::tensor;
 namespace dx = desmine::text;
 namespace dio = desmine::io;
+namespace dor = desmine::oracle;
 using desmine::util::Rng;
 
 namespace {
@@ -218,7 +220,7 @@ void expect_edge_bleu_matches_per_window(
       one_mask.push_back((*mask)[t]);
       options.unhealthy = &one_mask;
     }
-    const dc::DetectionResult r = detector.detect(one, options);
+    const dc::DetectionResult r = dor::detect_strings(detector, one, options);
     for (std::size_t e = 0; e < batch.edge_bleu.size(); ++e) {
       EXPECT_EQ(bits(batch.edge_bleu[e][t]), bits(r.edge_bleu[e][0]))
           << "edge " << e << " window " << t;
@@ -260,8 +262,8 @@ struct Items {
 
   Items(const dm::TranslationModel& model, const dx::Corpus& src,
         const dx::Corpus& ref)
-      : encoded_sources(dc::encode_corpus(model.src_vocab(), src, 4)),
-        encoded_references(dc::encode_corpus(model.tgt_vocab(), ref, 4)) {
+      : encoded_sources(dor::encode_sentences(model.src_vocab(), src, 4)),
+        encoded_references(dor::encode_sentences(model.tgt_vocab(), ref, 4)) {
     for (std::size_t k = 0; k < src.size(); ++k) {
       sources.push_back(&encoded_sources[k]);
       references.push_back(&encoded_references[k]);
@@ -747,9 +749,8 @@ TEST(EdgeScorer, ShadowCandidateScoresWithItsOwnVocabularies) {
     const dc::HealthMask mask(corpora.front().size(), c.unhealthy);
     dc::DetectOptions options;
     if (!c.unhealthy.empty()) options.unhealthy = &mask;
-    const dc::DetectionResult expected =
-        dc::AnomalyDetector(candidate_graph, c.detector)
-            .detect(corpora, options);
+    const dc::DetectionResult expected = dor::detect_strings(
+        dc::AnomalyDetector(candidate_graph, c.detector), corpora, options);
     double sum = 0.0;
     std::size_t alerts = 0, degraded = 0;
     for (std::size_t t = 0; t < expected.anomaly_scores.size(); ++t) {

@@ -22,12 +22,14 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/errors.h"
+#include "string_oracle.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
 
 namespace dc = desmine::core;
 namespace dd = desmine::data;
 namespace dt = desmine::tensor;
+namespace dor = desmine::oracle;
 
 namespace {
 
@@ -242,7 +244,8 @@ TEST(Framework, RepeatedAndConcurrentDetectMatchAFreshDetector) {
   const dc::MultivariateSeries series = p.plant.days_slice(4, 2);
   const dc::DetectorConfig& cfg = fw.config().detector;
   const dc::DetectionResult fresh =
-      dc::AnomalyDetector(fw.graph(), cfg).detect(fw.to_corpora(series));
+      dor::detect_strings(dc::AnomalyDetector(fw.graph(), cfg),
+                          fw.to_corpora(series));
   ASSERT_GT(fresh.valid_edges.size(), 1u);
 
   for (int call = 0; call < 3; ++call) {
@@ -264,8 +267,8 @@ TEST(Framework, RepeatedAndConcurrentDetectMatchAFreshDetector) {
   dc::DetectOptions options;
   options.unhealthy = &mask;
   expect_bitwise_equal(
-      dc::AnomalyDetector(fw.graph(), cfg).detect(fw.to_corpora(series),
-                                                  options),
+      dor::detect_strings(dc::AnomalyDetector(fw.graph(), cfg),
+                          fw.to_corpora(series), options),
       fw.detect_degraded(series, health), "degraded call");
 
   // restore() replaces the detector with one of the new graph, here a
@@ -276,7 +279,8 @@ TEST(Framework, RepeatedAndConcurrentDetectMatchAFreshDetector) {
   reduced.add_edge(fw.graph().edges().front());
   fw.restore(fw.encrypter(), reduced);
   const dc::DetectionResult single =
-      dc::AnomalyDetector(reduced, cfg).detect(fw.to_corpora(series));
+      dor::detect_strings(dc::AnomalyDetector(reduced, cfg),
+                          fw.to_corpora(series));
   ASSERT_EQ(single.valid_edges.size(), 1u);
   expect_bitwise_equal(single, fw.detect(series), "restored graph");
   {
@@ -310,8 +314,9 @@ TEST(Framework, SecondDetectOnTheSameChunkDecodesNothing) {
             first.valid_edges.size() * first.anomaly_scores.size());
   expect_bitwise_equal(first, second, "memoised call");
   expect_bitwise_equal(
-      dc::AnomalyDetector(fw.graph(), fw.config().detector)
-          .detect(fw.to_corpora(chunk)),
+      dor::detect_strings(
+          dc::AnomalyDetector(fw.graph(), fw.config().detector),
+          fw.to_corpora(chunk)),
       second, "fresh detector");
 
   // Degraded calls score a subset of the same pairs: nothing to decode.
@@ -324,8 +329,9 @@ TEST(Framework, SecondDetectOnTheSameChunkDecodesNothing) {
   const dc::DetectionResult degraded = fw.detect_degraded(chunk, health);
   EXPECT_EQ(decoded.value(), decoded2);
   expect_bitwise_equal(
-      dc::AnomalyDetector(fw.graph(), fw.config().detector)
-          .detect(fw.to_corpora(chunk), options),
+      dor::detect_strings(
+          dc::AnomalyDetector(fw.graph(), fw.config().detector),
+          fw.to_corpora(chunk), options),
       degraded, "memoised degraded call");
 }
 
@@ -394,7 +400,8 @@ TEST(Framework, WarmPoolDecodesAFreshChunkWithoutGrowingAnArena) {
   std::thread([&] {
     dc::DetectorConfig serial = cfg.detector;
     serial.threads = 1;
-    (void)dc::AnomalyDetector(fw.graph(), serial).detect(fw.to_corpora(chunk));
+    (void)dor::detect_strings(dc::AnomalyDetector(fw.graph(), serial),
+                              fw.to_corpora(chunk));
     one_thread_grows = dt::thread_workspace().stats().grows;
   }).join();
   ASSERT_EQ(one_thread_grows, 1u);
@@ -477,7 +484,8 @@ TEST(Framework, DetectFromCharacterSpansMatchesStringCorpora) {
     EXPECT_GT(unknown_words, 0u) << c.name;
 
     const dc::AnomalyDetector reference(fw.graph(), cfg.detector);
-    expect_bitwise_equal(reference.detect(corpora), fw.detect(series), c.name);
+    expect_bitwise_equal(dor::detect_strings(reference, corpora),
+                         fw.detect(series), c.name);
 
     const dc::HealthMask mask =
         dc::window_health_mask(fw.encrypter(), cfg.window, series, health);
@@ -486,7 +494,7 @@ TEST(Framework, DetectFromCharacterSpansMatchesStringCorpora) {
         << c.name;
     dc::DetectOptions options;
     options.unhealthy = &mask;
-    expect_bitwise_equal(reference.detect(corpora, options),
+    expect_bitwise_equal(dor::detect_strings(reference, corpora, options),
                          fw.detect_degraded(series, health), c.name);
   }
 }
@@ -501,8 +509,90 @@ TEST(Framework, RaggedSensorThrowsTheSameMisalignedCorpus) {
   const dc::AnomalyDetector reference(p.framework.graph(),
                                       p.framework.config().detector);
   const std::optional<std::string> expected = misaligned(
-      [&] { return reference.detect(p.framework.to_corpora(series)); });
+      [&] {
+        return dor::detect_strings(reference, p.framework.to_corpora(series));
+      });
   ASSERT_TRUE(expected.has_value());
   EXPECT_NE(expected->find(short_sensor), std::string::npos);
   EXPECT_EQ(misaligned([&] { return p.framework.detect(series); }), expected);
+}
+
+TEST(Framework, EncodeChecksItsInputs) {
+  auto& p = shared_pipeline();
+  const dc::MultivariateSeries series = p.plant.days_slice(4, 1);
+  const dc::AnomalyDetector own(p.framework.graph(),
+                                p.framework.config().detector);
+
+  const dc::Framework unfitted(fast_config());
+  try {
+    (void)unfitted.encode(series, own);
+    FAIL() << "expected PreconditionError";
+  } catch (const desmine::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("fit() must run first"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A detector over a graph of other sensors cannot take these windows.
+  std::vector<std::string> names = p.framework.graph().sensor_names();
+  names.push_back("extra");
+  const dc::AnomalyDetector foreign(dc::MvrGraph(names),
+                                    p.framework.config().detector);
+  EXPECT_THROW((void)p.framework.encode(series, foreign),
+               desmine::PreconditionError);
+
+  // Shorter than one sentence span: every kept sensor, zero windows, and
+  // detect scores them to an empty result.
+  const dc::MultivariateSeries short_series =
+      dc::slice(series, 0, p.framework.language().sentence_span() - 1);
+  const std::vector<dc::EncodedCorpus> corpora =
+      p.framework.encode(short_series, own);
+  ASSERT_EQ(corpora.size(), p.framework.encrypter().kept_sensors().size());
+  for (const dc::EncodedCorpus& c : corpora) {
+    EXPECT_TRUE(c.windows.empty());
+    EXPECT_TRUE(c.sentences.empty());
+  }
+  const dc::DetectionResult empty = own.detect(corpora, {});
+  EXPECT_TRUE(empty.anomaly_scores.empty());
+  EXPECT_TRUE(empty.broken_edges.empty());
+  EXPECT_EQ(empty.edge_bleu.size(), own.valid_model_count());
+  for (const std::vector<double>& f : empty.edge_bleu) {
+    EXPECT_TRUE(f.empty());
+  }
+  EXPECT_TRUE(p.framework.detect(short_series).anomaly_scores.empty());
+}
+
+TEST(Framework, EncodeFeedsADetectorWithAnotherBand) {
+  auto& p = shared_pipeline();
+  // The upper half of the graph's edges by training BLEU: a band other
+  // than the framework's, as the figure benches build.
+  std::vector<double> bleu;
+  for (const dc::MvrEdge& e : p.framework.graph().edges()) {
+    bleu.push_back(e.bleu);
+  }
+  std::sort(bleu.begin(), bleu.end());
+  dc::DetectorConfig cfg = p.framework.config().detector;
+  cfg.valid_lo = bleu[bleu.size() / 2];
+  cfg.valid_hi = 100.5;
+  const dc::AnomalyDetector banded(p.framework.graph(), cfg);
+  ASSERT_GT(banded.valid_model_count(), 0u);
+  ASSERT_LT(banded.valid_model_count(), p.framework.graph().edges().size());
+
+  const dc::MultivariateSeries series = p.plant.days_slice(4, 2);
+  const std::vector<desmine::text::Corpus> strings =
+      p.framework.to_corpora(series);
+  expect_bitwise_equal(
+      dor::detect_strings(dc::AnomalyDetector(p.framework.graph(), cfg),
+                          strings),
+      banded.detect(p.framework.encode(series, banded), {}), "strict");
+
+  const dc::HealthMask mask = dc::window_health_mask(
+      p.framework.encrypter(), p.framework.config().window, series,
+      desmine::robust::HealthConfig{});
+  dc::DetectOptions options;
+  options.unhealthy = &mask;
+  expect_bitwise_equal(
+      dor::detect_strings(dc::AnomalyDetector(p.framework.graph(), cfg),
+                          strings, options),
+      banded.detect(p.framework.encode(series, banded), options), "masked");
 }

@@ -3,10 +3,9 @@
 // sessions, session isolation under flooding, backpressure/close semantics,
 // the scheduler's span memo (replays, faults and breakers, epochs, reload),
 // its wake-ups, its window queue (degraded windows, reload mid-queue,
-// half-open probes, shedding at claim), the config JSON round-trip, and the strict default of
-// detect(). Managers
-// serve a saved artifact of the fixture's framework; the ground truth is an
-// OnlineDetector replay over the in-memory graph.
+// half-open probes, shedding at claim) and the config JSON round-trip.
+// Managers serve a saved artifact of the fixture's framework; the ground
+// truth is an OnlineDetector replay over the in-memory graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +37,7 @@
 #include "robust/fault_injector.h"
 #include "serve/batch_scheduler.h"
 #include "serve/session_manager.h"
+#include "string_oracle.h"
 #include "text/bleu.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -48,6 +48,7 @@ namespace ds = desmine::serve;
 namespace dx = desmine::text;
 namespace dio = desmine::io;
 namespace dobs = desmine::obs;
+namespace dor = desmine::oracle;
 using desmine::util::Rng;
 
 namespace {
@@ -199,9 +200,9 @@ TEST(ScoreBatch, BitIdenticalToSequentialAcrossRaggedLengths) {
   }
   const std::vector<dx::Sentence> batch_out = model->translate_batch(sources);
   const std::vector<dc::EncodedSentence> enc_src =
-      dc::encode_corpus(model->src_vocab(), test_src, 4);
+      dor::encode_sentences(model->src_vocab(), test_src, 4);
   const std::vector<dc::EncodedSentence> enc_ref =
-      dc::encode_corpus(model->tgt_vocab(), test_ref, 4);
+      dor::encode_sentences(model->tgt_vocab(), test_ref, 4);
   std::vector<const dc::EncodedSentence*> enc_sources, enc_references;
   for (std::size_t i = 0; i < test_src.size(); ++i) {
     enc_sources.push_back(&enc_src[i]);
@@ -1146,25 +1147,4 @@ TEST(ConfigJson, MalformedJsonNamesTheOffset) {
   }
   // Trailing garbage after the document is rejected too.
   EXPECT_THROW(dio::run_config_from_json("{} x"), desmine::RuntimeError);
-}
-
-// ---------------------------------------------------------------------------
-// DetectOptions defaults
-
-TEST(DetectOptions, DefaultOverloadIsStrict) {
-  auto& f = fixture();
-  const auto series = make_series(80, 40);
-  const auto corpora = f.framework.to_corpora(series);
-  dc::AnomalyDetector detector(f.framework.graph(), f.cfg.detector);
-
-  // The one-argument form is strict detection (no mask).
-  const dc::DetectionResult strict_default = detector.detect(corpora);
-  const dc::DetectionResult strict_options =
-      detector.detect(corpora, dc::DetectOptions{});
-  ASSERT_EQ(strict_default.anomaly_scores.size(),
-            strict_options.anomaly_scores.size());
-  for (std::size_t w = 0; w < strict_default.anomaly_scores.size(); ++w) {
-    EXPECT_EQ(bits(strict_default.anomaly_scores[w]),
-              bits(strict_options.anomaly_scores[w]));
-  }
 }
