@@ -23,7 +23,7 @@ WindowAssembler::WindowAssembler(SensorEncrypter encrypter,
   last_.resize(kept.size());
   found_.resize(kept.size());
   buffers_.resize(kept.size());
-  taints_.resize(kept.size());
+  if (degraded_.enabled) taints_.resize(kept.size());
 }
 
 std::optional<WindowAssembler::Window> WindowAssembler::push(
@@ -39,18 +39,21 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
     }
     found_[k] = it != states.end() && order == 0 ? &it->second : nullptr;
   }
+  const bool faults = robust::FaultInjector::instance().any_armed();
   for (std::size_t k = 0; k < kept.size(); ++k) {
     bool present = found_[k] != nullptr;
-    switch (robust::fire_fault("detect.push",
-                               static_cast<std::int64_t>(k))) {
-      case robust::FaultAction::kThrow:
-        throw RuntimeError("injected fault at detect.push for sensor " +
-                           kept[k]);
-      case robust::FaultAction::kDrop:
-        present = false;  // simulated sensor dropout for this tick
-        break;
-      default:
-        break;
+    if (faults) {
+      switch (robust::fire_fault("detect.push",
+                                 static_cast<std::int64_t>(k))) {
+        case robust::FaultAction::kThrow:
+          throw RuntimeError("injected fault at detect.push for sensor " +
+                             kept[k]);
+        case robust::FaultAction::kDrop:
+          present = false;  // simulated sensor dropout for this tick
+          break;
+        default:
+          break;
+      }
     }
     if (!present && !degraded_.enabled) {
       throw robust::MissingSensor(kept[k], ticks_);
@@ -70,13 +73,12 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
       ch = last.letter;
     }
     buffers_[k] += ch;
-    bool tainted = false;
     if (degraded_.enabled) {
       const robust::SensorState state = health_.observe(
           k, {present, ch == SensorEncrypter::kUnknownChar, ch});
-      tainted = !present || state != robust::SensorState::kHealthy;
+      const bool tainted = !present || state != robust::SensorState::kHealthy;
+      taints_[k].push_back(tainted ? 1 : 0);
     }
-    taints_[k].push_back(tainted ? 1 : 0);
   }
   ++ticks_;
 
@@ -95,14 +97,13 @@ std::optional<WindowAssembler::Window> WindowAssembler::push(
 
   // Degraded mode: a sensor leaves this window's valid set when any tick
   // the window covers is tainted (missing sample or unhealthy state).
-  if (degraded_.enabled) {
-    for (std::size_t k = 0; k < taints_.size(); ++k) {
-      const auto& taint = taints_[k];
-      const bool bad = std::any_of(taint.begin() + static_cast<long>(start),
-                                   taint.begin() + static_cast<long>(start + span),
-                                   [](std::uint8_t t) { return t != 0; });
-      if (bad) out.unhealthy.push_back(k);
-    }
+  // Strict mode keeps no taints: taints_ is empty.
+  for (std::size_t k = 0; k < taints_.size(); ++k) {
+    const auto& taint = taints_[k];
+    const bool bad = std::any_of(taint.begin() + static_cast<long>(start),
+                                 taint.begin() + static_cast<long>(start + span),
+                                 [](std::uint8_t t) { return t != 0; });
+    if (bad) out.unhealthy.push_back(k);
   }
 
   out.window_index = next_window_;

@@ -16,6 +16,11 @@
 // only when the sensor's state changes. A window leaves as its sensors'
 // character spans in one buffer (WindowSpans); its words are cut and
 // encoded later, by whoever scores it (core::encode_span).
+//
+// Taint flags (one byte per sensor and buffered tick) are kept in degraded
+// mode only: strict mode throws on a missing sensor and never excludes
+// one, so it has nothing to record. The fault injector is asked once per
+// tick whether any fault is armed, and polled per sensor only then.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +108,10 @@ class WindowAssembler {
   /// Per kept sensor, its state in the tick being pushed (null: missing).
   std::vector<const std::string*> found_;
   std::vector<std::string> buffers_;  ///< encrypted chars per kept sensor
-  /// Per kept sensor, one flag per buffered tick: 1 when the tick must not
-  /// contribute to a verdict (missing sample, or sensor unhealthy after
-  /// observing it). Trimmed in lockstep with buffers_.
+  /// Degraded mode only (empty in strict mode): per kept sensor, one flag
+  /// per buffered tick, 1 when the tick must not contribute to a verdict
+  /// (missing sample, or sensor unhealthy after observing it). Trimmed in
+  /// lockstep with buffers_.
   std::vector<std::vector<std::uint8_t>> taints_;
   std::size_t ticks_ = 0;
   std::size_t next_window_ = 0;

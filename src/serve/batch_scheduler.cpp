@@ -165,12 +165,14 @@ void BatchScheduler::submit(std::unique_ptr<PendingWindow> window) {
                       window->edge_bleu.size() == window->edges.size() &&
                       window->edge_status.size() == window->edges.size(),
                   "window score bookkeeping not initialized");
-  const std::vector<std::size_t>& edges = window->edges;
-  DESMINE_EXPECTS(std::is_sorted(edges.begin(), edges.end()) &&
-                      std::adjacent_find(edges.begin(), edges.end()) ==
-                          edges.end() &&
-                      edges.back() < window->generation->edges.size(),
-                  "edge ids must ascend within the generation's edges");
+  const std::span<const std::size_t> edges = window->edges;
+  if (edges.data() != window->generation->edge_plan.data()) {
+    DESMINE_EXPECTS(std::is_sorted(edges.begin(), edges.end()) &&
+                        std::adjacent_find(edges.begin(), edges.end()) ==
+                            edges.end() &&
+                        edges.back() < window->generation->edges.size(),
+                    "edge ids must ascend within the generation's edges");
+  }
   bool wake = false;
   {
     std::lock_guard lock(mu_);

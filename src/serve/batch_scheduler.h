@@ -88,6 +88,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -132,8 +133,12 @@ struct PendingWindow {
   /// Node indices excluded from this window (degraded sessions only).
   std::vector<std::size_t> unhealthy;
   bool masked = false;  ///< session runs degraded-mode semantics
-  /// Indices into generation->edges to score (ascending; excluded absent).
-  std::vector<std::size_t> edges;
+  /// Indices into generation->edges to score (ascending; excluded absent):
+  /// the generation's edge_plan when every sensor is healthy, else
+  /// `own_edges`.
+  std::span<const std::size_t> edges;
+  /// The window's own edge list, when some sensor's edges are excluded.
+  std::vector<std::size_t> own_edges;
   /// f(i, j) per entry of `edges`, filled by workers (disjoint slots).
   std::vector<double> edge_bleu;
   /// SlotStatus per entry of `edges` (disjoint slots, like edge_bleu).
@@ -251,8 +256,10 @@ class BatchScheduler {
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
   /// Queue `window` for every edge it lists (window->edges must be
-  /// non-empty and ascending; remaining must equal edges.size()). The
-  /// window owns itself until its last slot resolves.
+  /// non-empty and ascending; remaining must equal edges.size()). A window
+  /// on its generation's edge_plan skips the order check, which the plan
+  /// meets by construction. The window owns itself until its last slot
+  /// resolves.
   void submit(std::unique_ptr<PendingWindow> window);
 
   /// Worker loop body: hand back the edge `worker` held, wait for a

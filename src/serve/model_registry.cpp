@@ -1,6 +1,7 @@
 #include "serve/model_registry.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "robust/errors.h"
@@ -68,6 +69,10 @@ std::shared_ptr<const ModelGeneration> make_generation(
     edge.src_vocab = gen->vocabularies[edge.src];
     edge.dst_vocab = gen->vocabularies[edge.dst];
   }
+  // Ascending and unique by construction: the order and uniqueness submit
+  // would check per window hold here once.
+  gen->edge_plan.resize(gen->edges.size());
+  std::iota(gen->edge_plan.begin(), gen->edge_plan.end(), std::size_t{0});
   return gen;
 }
 

@@ -56,6 +56,11 @@ struct EdgeModel {
 struct ModelGeneration {
   std::uint64_t id = 1;  ///< monotonically increasing across reloads
   std::vector<EdgeModel> edges;
+  /// Every index into `edges`, ascending: the edge list of each window
+  /// whose sensors are all healthy. Built once per generation, so such a
+  /// window neither filters the edges nor has its list checked again
+  /// (PendingWindow::edges, BatchScheduler::submit).
+  std::vector<std::size_t> edge_plan;
   core::DetectorConfig detector;
   /// The artifact's language windows: how a window's words are cut.
   core::WindowConfig window;

@@ -102,21 +102,21 @@ IngestStatus Session::ingest(const std::map<std::string, std::string>& states,
       "serve.window", {},
       {obs::kv("session", id_), obs::kv("window", pending->window_index)});
 
-  // The per-window valid set: every generation edge, minus edges incident
-  // to an unhealthy sensor (core::is_excluded).
-  // A window with every sensor healthy skips the flags (empty flags exclude
-  // nothing).
-  const std::vector<std::uint8_t> bad =
-      pending->unhealthy.empty()
-          ? std::vector<std::uint8_t>{}
-          : core::unhealthy_flags(pending->unhealthy,
-                                  pending->spans.sensors());
-  pending->edges.reserve(gen->edges.size());
-  for (std::size_t e = 0; e < gen->edges.size(); ++e) {
-    const EdgeModel& edge = gen->edges[e];
-    if (!core::is_excluded(bad, edge.src, edge.dst)) {
-      pending->edges.push_back(e);
+  // The per-window valid set: the generation's edge plan when every sensor
+  // is healthy, else the plan minus the edges incident to an unhealthy
+  // sensor (core::is_excluded), in a list of the window's own.
+  if (pending->unhealthy.empty()) {
+    pending->edges = gen->edge_plan;
+  } else {
+    const std::vector<std::uint8_t> bad =
+        core::unhealthy_flags(pending->unhealthy, pending->spans.sensors());
+    for (const std::size_t e : gen->edge_plan) {
+      const EdgeModel& edge = gen->edges[e];
+      if (!core::is_excluded(bad, edge.src, edge.dst)) {
+        pending->own_edges.push_back(e);
+      }
     }
+    pending->edges = pending->own_edges;
   }
   pending->edge_bleu.assign(pending->edges.size(), 0.0);
   pending->edge_status.assign(pending->edges.size(), 0);

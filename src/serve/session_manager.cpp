@@ -1,7 +1,6 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
-#include <shared_mutex>
 #include <thread>
 #include <utility>
 
@@ -133,34 +132,45 @@ SessionManager::SessionManager(const std::string& artifact_path,
 
 SessionManager::~SessionManager() {
   // Refuse new ticks, let workers drain every queued score, then join.
-  {
-    std::lock_guard lock(mu_);
-    for (auto& [id, session] : sessions_) session->close();
-  }
+  for (const std::shared_ptr<Session>& s : all_sessions()) s->close();
   scheduler_->stop();
   pool_.reset();  // ThreadPool dtor drains the worker loops
   obs::metrics().gauge("serve.sessions").set(0.0);
 }
 
 std::uint64_t SessionManager::open(core::DegradedConfig degraded) {
-  std::lock_guard lock(mu_);
-  const std::uint64_t id = next_id_++;
+  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   TelemetryPolicy telemetry;
   telemetry.slow_window_ms = config_.slow_window_ms;
-  sessions_.emplace(id, std::make_shared<Session>(id, *registry_, encrypter_,
-                                                  window_, degraded,
-                                                  config_.limits, telemetry));
-  obs::metrics().gauge("serve.sessions").set(
-      static_cast<double>(sessions_.size()));
+  auto session = std::make_shared<Session>(id, *registry_, encrypter_, window_,
+                                           degraded, config_.limits, telemetry);
+  Shard& sh = shard(id);
+  {
+    std::lock_guard lock(sh.mu);
+    sh.sessions.emplace(id, std::move(session));
+    std::lock_guard count_lock(count_mu_);
+    obs::metrics().gauge("serve.sessions").set(
+        static_cast<double>(++session_count_));
+  }
   DESMINE_LOG_DEBUG("session opened", {obs::kv("session", id),
                                        obs::kv("degraded", degraded.enabled)});
   return id;
 }
 
 std::shared_ptr<Session> SessionManager::find(std::uint64_t session) const {
-  std::shared_lock lock(mu_);
-  const auto it = sessions_.find(session);
-  return it == sessions_.end() ? nullptr : it->second;
+  Shard& sh = shard(session);
+  std::lock_guard lock(sh.mu);
+  const auto it = sh.sessions.find(session);
+  return it == sh.sessions.end() ? nullptr : it->second;
+}
+
+std::vector<std::shared_ptr<Session>> SessionManager::all_sessions() const {
+  std::vector<std::shared_ptr<Session>> all;
+  for (Shard& sh : shards_) {
+    std::lock_guard lock(sh.mu);
+    for (const auto& [id, session] : sh.sessions) all.push_back(session);
+  }
+  return all;
 }
 
 IngestStatus SessionManager::ingest(
@@ -211,13 +221,7 @@ void SessionManager::drain(std::uint64_t session) {
 }
 
 void SessionManager::drain() {
-  std::vector<std::shared_ptr<Session>> all;
-  {
-    std::lock_guard lock(mu_);
-    all.reserve(sessions_.size());
-    for (auto& [id, session] : sessions_) all.push_back(session);
-  }
-  for (const std::shared_ptr<Session>& s : all) s->drain();
+  for (const std::shared_ptr<Session>& s : all_sessions()) s->drain();
 }
 
 void SessionManager::erase(std::uint64_t session) {
@@ -225,11 +229,15 @@ void SessionManager::erase(std::uint64_t session) {
   DESMINE_EXPECTS(s != nullptr, "unknown session id");
   s->close();
   s->drain();
+  Shard& sh = shard(session);
   {
-    std::lock_guard lock(mu_);
-    sessions_.erase(session);
-    obs::metrics().gauge("serve.sessions").set(
-        static_cast<double>(sessions_.size()));
+    std::lock_guard lock(sh.mu);
+    // A racing erase of the same id may have removed it already.
+    if (sh.sessions.erase(session) != 0) {
+      std::lock_guard count_lock(count_mu_);
+      obs::metrics().gauge("serve.sessions").set(
+          static_cast<double>(--session_count_));
+    }
   }
   DESMINE_LOG_DEBUG("session erased", {obs::kv("session", session)});
 }
@@ -439,8 +447,8 @@ Session::Stats SessionManager::stats(std::uint64_t session) const {
 }
 
 std::size_t SessionManager::session_count() const {
-  std::shared_lock lock(mu_);
-  return sessions_.size();
+  std::lock_guard lock(count_mu_);
+  return session_count_;
 }
 
 double SessionManager::uptime_s() const {

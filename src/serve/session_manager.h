@@ -32,13 +32,14 @@
 // serve.window.latency_ms, so its p99 tracks accepted windows only.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -245,12 +246,29 @@ class SessionManager {
   std::condition_variable global_cv_;
   std::size_t global_inflight_ = 0;
 
-  /// Guards sessions_ and next_id_: shared for find() — every tick and
-  /// poll — and session_count(), exclusive for open, erase, drain-all and
-  /// teardown.
-  mutable std::shared_mutex mu_;
-  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
-  std::uint64_t next_id_ = 1;
+  /// The session table: kSessionShards shards, session id modulo the
+  /// count picks one. Each shard's mutex and map sit on cache lines of
+  /// their own, so find() — every tick, poll and delivery — writes only its
+  /// session's shard (and the session's refcount), never a line that
+  /// threads serving other sessions write. Sequential ids give the first
+  /// kSessionShards sessions a shard each.
+  static constexpr std::size_t kSessionShards = 64;
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::map<std::uint64_t, std::shared_ptr<Session>> sessions;
+  };
+  Shard& shard(std::uint64_t session) const {
+    return shards_[session % kSessionShards];
+  }
+  /// Every live session, shard by shard (each shard locked in turn).
+  std::vector<std::shared_ptr<Session>> all_sessions() const;
+
+  mutable std::array<Shard, kSessionShards> shards_;
+  std::atomic<std::uint64_t> next_id_{1};
+  /// Guards session_count_ and the serve.sessions gauge it sets; taken by
+  /// open and erase inside their shard's lock, never on a tick.
+  mutable std::mutex count_mu_;
+  std::size_t session_count_ = 0;
 };
 
 }  // namespace desmine::serve

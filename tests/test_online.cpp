@@ -1,12 +1,14 @@
 // Tests for the streaming OnlineDetector: window arithmetic, equivalence
 // with batch detection (also on a replayed stream, whose repeated windows
 // its detector's edge memos answer without decoding), broken-edge
-// reporting, and buffer trimming.
+// reporting, and buffer trimming, strict and degraded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -393,4 +395,99 @@ TEST(OnlineDetector, LongStreamStaysConsistentAcrossTrim) {
   // span 7, stride 4: windows = floor((9000 - 7) / 4) + 1 = 2249.
   EXPECT_EQ(windows, 2249u);
   EXPECT_EQ(last_index, 2248u);
+}
+
+TEST(OnlineDetector, DegradedStreamStaysConsistentAcrossTrim) {
+  // A degraded stream past the assembler's 4096-tick bulk trim. Windows
+  // start every 4 ticks and span 7, so the first trim runs as window 1024
+  // (ticks [4096, 4103)) is emitted: the next window's start, 4100, is then
+  // more than 4096 ticks past the buffer front. One sensor drops out well
+  // before that trim, one across it, and one (briefly) and another after
+  // it. Each window's unhealthy list must name exactly the sensors whose
+  // taint, derived from where the drops were injected, it covers, and its
+  // a_t, coverage and quorum flag must be a batch detect's under that mask.
+  auto& f = fixture();
+  constexpr std::size_t kTicks = 4800;
+  constexpr std::size_t kStride = 4;
+  constexpr std::size_t kSpan = 7;
+  const auto series = make_series(kTicks, false, 14);
+  const auto& kept = f.framework.encrypter().kept_sensors();
+  const auto index_of = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(kept.begin(), kept.end(), name) - kept.begin());
+  };
+  dc::DetectorConfig lax = f.cfg.detector;
+  lax.min_coverage = 0.2;  // one lost sensor leaves 2 of 6 edges a verdict
+  dc::DegradedConfig degraded;
+  degraded.enabled = true;
+  const desmine::robust::HealthConfig& health = degraded.health;
+
+  const struct {
+    const char* sensor;
+    std::size_t from, to;
+  } drops[] = {{"noise", 1000, 1020},
+               {"lead", 4090, 4110},
+               {"follow", 4400, 4402},
+               {"noise", 4600, 4630}};
+  ASSERT_LT(2u, health.drop_after_missing);  // the follow drop stays healthy
+  // A missing tick is tainted. A drop of drop_after_missing or more ticks
+  // also drops the sensor, which stays unhealthy until readmit_after clean
+  // ticks re-admit it; the tick that re-admits it is healthy again.
+  std::vector<std::vector<std::uint8_t>> taint(
+      kept.size(), std::vector<std::uint8_t>(kTicks, 0));
+  for (const auto& d : drops) {
+    const std::size_t k = index_of(d.sensor);
+    ASSERT_LT(k, kept.size()) << d.sensor;
+    const std::size_t end = d.to - d.from >= health.drop_after_missing
+                                ? d.to + health.readmit_after - 1
+                                : d.to;
+    for (std::size_t t = d.from; t < end; ++t) taint[k][t] = 1;
+  }
+  const std::size_t windows = (kTicks - kSpan) / kStride + 1;
+  dc::HealthMask mask(windows);
+  for (std::size_t w = 0; w < windows; ++w) {
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      for (std::size_t t = w * kStride; t < w * kStride + kSpan; ++t) {
+        if (taint[k][t]) {
+          mask[w].push_back(k);
+          break;
+        }
+      }
+    }
+  }
+  dc::AnomalyDetector detector(f.framework.graph(), lax);
+  dc::DetectOptions options;
+  options.unhealthy = &mask;
+  const dc::DetectionResult batch =
+      detector.detect(f.framework.encode(series, detector), options);
+  ASSERT_EQ(batch.anomaly_scores.size(), windows);
+
+  dc::OnlineDetector online(f.framework.graph(), f.framework.encrypter(),
+                            f.cfg.window, lax, degraded);
+  std::size_t w = 0;
+  std::size_t partial = 0;
+  std::size_t partial_after_trim = 0;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    auto states = tick_states(series, t);
+    for (const auto& d : drops) {
+      if (t >= d.from && t < d.to) states.erase(d.sensor);
+    }
+    const auto r = online.push(states);
+    if (!r) continue;
+    ASSERT_LT(w, windows);
+    EXPECT_EQ(r->window_index, w);
+    EXPECT_EQ(r->unhealthy, mask[w]) << "window " << w;
+    EXPECT_EQ(bits(r->anomaly_score), bits(batch.anomaly_scores[w]))
+        << "window " << w;
+    EXPECT_EQ(bits(r->coverage), bits(batch.coverage[w])) << "window " << w;
+    EXPECT_EQ(r->degraded, batch.degraded[w] != 0) << "window " << w;
+    if (!mask[w].empty()) {
+      ++partial;
+      partial_after_trim += w >= 1024;
+    }
+    ++w;
+  }
+  EXPECT_EQ(w, windows);
+  EXPECT_GT(partial_after_trim, 0u);
+  EXPECT_GT(partial, partial_after_trim);
 }

@@ -1,6 +1,7 @@
 // Tests for the serving layer (DESIGN.md §11): batched-vs-sequential
 // bit-identity, multi-session replay equivalence, decode sharing across
 // sessions, session isolation under flooding, backpressure/close semantics,
+// open/erase racing ingest and poll on the sharded session table,
 // the scheduler's span memo (replays, faults and breakers, epochs, reload),
 // its wake-ups, its window queue (degraded windows, reload mid-queue,
 // half-open probes, shedding at claim) and the config JSON round-trip.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -426,6 +428,128 @@ TEST(SessionManager, UnknownSessionThrows) {
   EXPECT_THROW(manager.close(99), desmine::PreconditionError);
 }
 
+TEST(SessionManager, OpenEraseRacesIngestAndPoll) {
+  // Two churn threads open a session, feed and poll it for a few ticks and
+  // erase it, over and over. A prober ingests into and polls the churned
+  // session it last saw opened and the last id whose erase returned; two
+  // feeders stream two surviving sessions, which a poller drains. A live
+  // id may answer anything, or be gone already; an erased id must raise
+  // the typed unknown-session error, never crash or reach a freed session.
+  // The survivors' verdicts stay bitwise an OnlineDetector replay's.
+  auto& f = fixture();
+  ds::ServeConfig scfg = f.serve_config();
+  scfg.limits.reject_when_full = true;  // no ingest waits for a poll
+  ds::SessionManager manager(f.artifact, scfg);
+  constexpr std::size_t kSurvivors = 2;
+  constexpr std::size_t kTicks = 120;
+  constexpr std::size_t kChurners = 2;
+  constexpr std::size_t kRounds = 12;
+  constexpr std::size_t kChurnTicks = 24;
+  std::vector<dc::MultivariateSeries> series;
+  std::vector<std::vector<double>> expected;
+  std::vector<std::uint64_t> survivors;
+  for (std::size_t s = 0; s < kSurvivors; ++s) {
+    series.push_back(make_series(kTicks, 60 + s));
+    expected.push_back(replay_scores(f, series.back()));
+    survivors.push_back(manager.open());
+  }
+  const auto churn_series = make_series(kChurnTicks, 62);
+
+  const auto is_unknown = [](const auto& call) {
+    try {
+      call();
+    } catch (const desmine::PreconditionError& e) {
+      return std::string(e.what()).find("unknown session id") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  std::atomic<std::uint64_t> live{0};
+  std::atomic<std::uint64_t> erased{0};
+  std::atomic<std::size_t> churners_left{kChurners};
+  std::atomic<std::size_t> erased_probes{0};
+
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kChurners; ++c) {
+    threads.emplace_back([&] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const std::uint64_t id = manager.open();
+        live.store(id);
+        for (std::size_t t = 0; t < kChurnTicks; ++t) {
+          manager.ingest(id, tick_states(churn_series, t));
+          while (manager.poll(id)) {
+          }
+        }
+        manager.erase(id);
+        erased.store(id);
+        EXPECT_TRUE(is_unknown(
+            [&] { manager.ingest(id, tick_states(churn_series, 0)); }));
+        EXPECT_TRUE(is_unknown([&] { manager.poll(id); }));
+      }
+      churners_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    std::size_t t = 0;
+    // Until the churn ends, and at least once on an erased id.
+    while (churners_left.load() > 0 || erased_probes.load() == 0) {
+      const std::uint64_t l = live.load();
+      if (l != 0) {
+        try {
+          manager.ingest(l, tick_states(churn_series, t++ % kChurnTicks));
+          manager.poll(l);
+        } catch (const desmine::PreconditionError& e) {
+          EXPECT_NE(std::string(e.what()).find("unknown session id"),
+                    std::string::npos);
+        }
+      }
+      const std::uint64_t e = erased.load();
+      if (e != 0) {
+        EXPECT_TRUE(is_unknown(
+            [&] { manager.ingest(e, tick_states(churn_series, 0)); }));
+        EXPECT_TRUE(is_unknown([&] { manager.poll(e); }));
+        erased_probes.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  });
+  for (std::size_t s = 0; s < kSurvivors; ++s) {
+    threads.emplace_back([&, s] {
+      for (std::size_t t = 0; t < kTicks; ++t) {
+        while (manager.ingest(survivors[s], tick_states(series[s], t)) ==
+               ds::IngestStatus::kRejected) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  std::vector<std::vector<double>> served(kSurvivors);
+  threads.emplace_back([&] {
+    for (bool done = false; !done;) {
+      done = true;
+      for (std::size_t s = 0; s < kSurvivors; ++s) {
+        while (const auto r = manager.poll(survivors[s])) {
+          EXPECT_EQ(r->window_index, served[s].size());
+          served[s].push_back(r->anomaly_score);
+        }
+        done = done && served[s].size() >= expected[s].size();
+      }
+      if (!done) std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_GT(erased_probes.load(), 0u);
+  EXPECT_EQ(manager.session_count(), kSurvivors);
+  for (std::size_t s = 0; s < kSurvivors; ++s) {
+    ASSERT_EQ(served[s].size(), expected[s].size()) << "session " << s;
+    for (std::size_t w = 0; w < expected[s].size(); ++w) {
+      EXPECT_EQ(bits(served[s][w]), bits(expected[s][w]))
+          << "session " << s << " window " << w;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch scheduler: span memo, dense edge states, wake-ups
 
@@ -452,7 +576,7 @@ std::vector<std::unique_ptr<ds::PendingWindow>> pending_windows(
     p->window_index = window->window_index;
     p->generation = gen;
     p->spans = std::move(window->spans);
-    for (std::size_t e = 0; e < gen->edges.size(); ++e) p->edges.push_back(e);
+    p->edges = gen->edge_plan;
     p->edge_bleu.assign(p->edges.size(), 0.0);
     p->edge_status.assign(p->edges.size(), 0);
     p->remaining = p->edges.size();
