@@ -20,7 +20,10 @@ constexpr std::uint32_t kNoPair = 0xFFFFFFFFu;
 }  // namespace
 
 struct AnomalyDetector::Memos {
-  explicit Memos(std::size_t edges) : edges(edges) {}
+  // With pairs: nothing ahead of the detector's memos answers a repeated
+  // (candidate, reference) pair, as serve's span memo does for serve.
+  explicit Memos(std::size_t edges)
+      : edges(edges, DecodeCache(DecodeCache::Pairs::kOn)) {}
 
   std::vector<DecodeCache> edges;
   MemoGauges gauges{obs::metrics().gauge("detector.memo.entries"),
@@ -143,17 +146,18 @@ DetectionResult AnomalyDetector::detect(
   // Edges are independent units of work: one edge's model and memo are
   // touched by one thread, which decodes on its own thread arena. Each edge
   // scores its distinct (source, reference) pairs over all of its windows
-  // in one EdgeScorer call against its memo, so a sentence decodes once per
-  // detector, not once per window or call, and a pair is looked up and
-  // scored once per call, not once per window. Excluded (edge, window)
-  // pairs are skipped entirely: an unhealthy sensor's sentences are
-  // plumbing artifacts, not data worth scoring. The counters count
-  // (edge, window) items.
+  // in one EdgeScorer call against its memo, so a pair is looked up once
+  // per call, not once per window, a sentence decodes once per detector,
+  // and a pair whose candidate the memo already held is BLEU-scored once
+  // per memo epoch. Excluded (edge, window) pairs are skipped entirely: an
+  // unhealthy sensor's sentences are plumbing artifacts, not data worth
+  // scoring. The counters count (edge, window) items.
   const EdgeScorer scorer({config_.bleu});
   obs::Counter& edge_windows =
       obs::metrics().counter("detector.edge_windows_scored");
   obs::Counter& decoded = obs::metrics().counter("detector.decoded");
   obs::Counter& memo_hits = obs::metrics().counter("detector.memo.hits");
+  obs::Counter& pair_hits = obs::metrics().counter("detector.memo.pair_hits");
   auto score_edge = [&](std::size_t e) {
     const MvrEdge& edge = valid_edges_[e];
     const EncodedCorpus& src = corpora[edge.src];
@@ -184,15 +188,18 @@ DetectionResult AnomalyDetector::detect(
         scorer.score([&edge] { return edge.model; }, sources, references,
                      &memos_->edges[e]);
     std::size_t hits = 0;
+    std::size_t pairs_answered = 0;
     for (std::size_t t = 0; t < windows; ++t) {
       if (pair[t] == kNoPair) continue;
       result.edge_bleu[e][t] = res.bleu[pair[t]];
-      hits += res.hit[pair[t]];
+      hits += res.hit[pair[t]] != EdgeScorer::Result::kDecoded;
+      pairs_answered += res.hit[pair[t]] == EdgeScorer::Result::kPair;
     }
     timer.annotate(obs::kv("decoded", res.decoded));
     edge_windows.inc(scored);
     decoded.inc(res.decoded);
     memo_hits.inc(hits);
+    pair_hits.inc(pairs_answered);
   };
 
   if (pool_ == nullptr) {
@@ -203,7 +210,7 @@ DetectionResult AnomalyDetector::detect(
   std::size_t memo_entries = 0;
   std::size_t memo_bytes = 0;
   for (const DecodeCache& memo : memos_->edges) {
-    memo_entries += memo.size();
+    memo_entries += memo.size() + memo.pairs();
     memo_bytes += memo.bytes();
   }
   memos_->gauges.update(memo_entries, memo_bytes);

@@ -19,10 +19,14 @@
 //
 // Decode memo: a detector keeps one DecodeCache (edge_scorer.h) per valid
 // edge for as long as it lives — empty until the first detect() fills it,
-// bounded by EdgeScorer::Options::cache_capacity sources per edge — so
-// repeated calls, and OnlineDetector's one call per window, decode only
-// sources the edge has never seen. Greedy decoding is a pure function of
-// the input ids, so a memo hit gives the bits of a fresh decode.
+// bounded by EdgeScorer::Options::cache_capacity sources and as many
+// (candidate, reference) pairs per edge — so repeated calls, and
+// OnlineDetector's one call per window, decode only sources the edge has
+// never seen, and score no pair twice once its candidate is memoised: a
+// warm call on repeated sentences decodes nothing and runs no sentence
+// BLEU. Greedy decoding is a pure function of the input ids, and f(i,j) of
+// the candidate's and reference's ids, so a memo hit gives the bits of a
+// fresh decode and score.
 //
 // Work follows the distinct sentences, not the windows: detect() scores
 // EncodedCorpus inputs (each sensor's distinct sentences, encoded once, and

@@ -40,54 +40,83 @@ std::size_t probe(const std::vector<std::uint32_t>& slots, std::uint64_t hash,
   }
 }
 
-/// `ids` packed as [width][ids] at the narrowest width of 1, 2 or 4 bytes
-/// that holds them all (equal ids, equal bytes) into `out`, which must hold
-/// 1 + 4 * ids.size() bytes. Returns the packed length.
-std::size_t pack(const std::vector<std::int32_t>& ids, std::uint8_t* out) {
+/// Calls f with a zero of the unsigned type `width` (1, 2 or 4) bytes wide.
+/// Ids are packed as [width byte][ids] at the narrowest width that holds
+/// them all, so equal ids give equal bytes.
+template <typename F>
+auto at_width(std::uint8_t width, const F& f) {
+  if (width == 1) return f(std::uint8_t{});
+  if (width == 2) return f(std::uint16_t{});
+  return f(std::uint32_t{});
+}
+
+/// Appends the packing of `ids` to `arena` and returns its offset.
+template <typename Id>
+std::uint32_t append_packed(std::vector<std::uint8_t>& arena,
+                            const std::vector<Id>& ids) {
   std::uint32_t all = 0;
-  for (const std::int32_t id : ids) all |= static_cast<std::uint32_t>(id);
+  for (const Id id : ids) all |= static_cast<std::uint32_t>(id);
   const std::uint8_t width = all < 0x100 ? 1 : all < 0x10000 ? 2 : 4;
-  out[0] = width;
-  std::uint8_t* at = out + 1;
-  for (const std::int32_t id : ids) {
-    if (width == 1) {
-      *at = static_cast<std::uint8_t>(id);
-    } else if (width == 2) {
-      const auto narrow = static_cast<std::uint16_t>(id);
-      std::memcpy(at, &narrow, 2);
-    } else {
-      std::memcpy(at, &id, 4);
+  const std::size_t offset = arena.size();
+  DESMINE_EXPECTS(offset + 1 + width * ids.size() <= 0xFFFFFFFFu,
+                  "decode cache keys past 4 GiB");
+  arena.resize(offset + 1 + width * ids.size());
+  std::uint8_t* at = arena.data() + offset;
+  *at++ = width;
+  at_width(width, [&](auto narrow) {
+    for (const Id id : ids) {
+      narrow = static_cast<decltype(narrow)>(id);
+      std::memcpy(at, &narrow, sizeof(narrow));
+      at += sizeof(narrow);
     }
-    at += width;
-  }
-  return static_cast<std::size_t>(at - out);
+  });
+  return static_cast<std::uint32_t>(offset);
+}
+
+/// Whether `length` packed bytes hold exactly `ids`, compared in place.
+template <typename Id>
+bool same_ids(const std::uint8_t* packed, std::size_t length,
+              const std::vector<Id>& ids) {
+  if (length - 1 != packed[0] * ids.size()) return false;
+  return at_width(packed[0], [&](auto narrow) {
+    const std::uint8_t* at = packed + 1;
+    for (const Id id : ids) {
+      std::memcpy(&narrow, at, sizeof(narrow));
+      if (narrow != static_cast<std::uint32_t>(id)) return false;
+      at += sizeof(narrow);
+    }
+    return true;
+  });
 }
 
 /// ids_hash of the ids `length` packed bytes hold.
 std::uint64_t packed_hash(const std::uint8_t* packed, std::size_t length) {
-  const std::uint8_t width = packed[0];
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t at = 1; at < length; at += width) {
-    std::uint32_t id = packed[at];
-    if (width == 2) {
-      std::uint16_t narrow;
-      std::memcpy(&narrow, packed + at, 2);
-      id = narrow;
-    } else if (width == 4) {
-      std::memcpy(&id, packed + at, 4);
+  return at_width(packed[0], [&](auto narrow) {
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t at = 1; at < length; at += sizeof(narrow)) {
+      std::memcpy(&narrow, packed + at, sizeof(narrow));
+      h = fnv_step(h, narrow);
     }
-    h = fnv_step(h, id);
-  }
-  return h;
+    return h;
+  });
 }
 
-/// The packing of `ids` in a per-thread buffer.
-const std::uint8_t* packed(const std::vector<std::int32_t>& ids,
-                           std::size_t* length) {
-  thread_local std::vector<std::uint8_t> buffer;
-  buffer.resize(1 + 4 * ids.size());
-  *length = pack(ids, buffer.data());
-  return buffer.data();
+/// Entry i's packed ids in `arena`: from its key offset up to the next
+/// entry's, or to the arena's end.
+template <typename Entry>
+const std::uint8_t* packed_key(const std::vector<Entry>& entries,
+                               const std::vector<std::uint8_t>& arena,
+                               std::size_t i, std::size_t* length) {
+  const std::size_t end =
+      i + 1 < entries.size() ? entries[i + 1].key : arena.size();
+  *length = end - entries[i].key;
+  return arena.data() + entries[i].key;
+}
+
+/// Where a (candidate, reference) pair lives: the reference's profile hash
+/// mixed with the candidate's number.
+std::uint64_t pair_hash(std::uint64_t candidate, std::uint64_t profile_hash) {
+  return (candidate * 0xbf58476d1ce4e5b9ull) ^ profile_hash;
 }
 
 /// Heap bytes of a profile's lists.
@@ -160,13 +189,11 @@ EncodedSentence encode_span(const text::Vocabulary& vocab,
 
 std::uint32_t DecodeCache::find(const EncodedSentence& source) const {
   if (sources_.empty()) return kMiss;
-  std::size_t length = 0;
-  const std::uint8_t* ids = packed(source.input, &length);
   const std::uint32_t slot = source_slots_[probe(
       source_slots_, source.input_hash, [&](std::uint32_t i) {
-        std::size_t stored = 0;
-        const std::uint8_t* k = key(i, &stored);
-        return stored == length && std::memcmp(k, ids, length) == 0;
+        std::size_t length = 0;
+        const std::uint8_t* k = packed_key(sources_, keys_, i, &length);
+        return same_ids(k, length, source.input);
       })];
   return slot == 0 ? kMiss : sources_[slot - 1].candidate;
 }
@@ -190,29 +217,44 @@ void DecodeCache::insert(const EncodedSentence& source,
   const std::uint32_t index = c - 1;
 
   if (2 * (sources_.size() + 1) > source_slots_.size()) grow_sources();
-  std::size_t length = 0;
-  const std::uint8_t* ids = packed(source.input, &length);
-  DESMINE_EXPECTS(keys_.size() + length <= 0xFFFFFFFFu,
-                  "decode cache keys past 4 GiB");
-  const auto offset = static_cast<std::uint32_t>(keys_.size());
-  keys_.insert(keys_.end(), ids, ids + length);
-  sources_.push_back({offset, index});
+  sources_.push_back({append_packed(keys_, source.input), index});
   source_slots_[probe(source_slots_, source.input_hash,
                       [](std::uint32_t) { return false; })] =
       static_cast<std::uint32_t>(sources_.size());
 }
 
-const std::uint8_t* DecodeCache::key(std::size_t i, std::size_t* length) const {
-  const std::size_t end =
-      i + 1 < sources_.size() ? sources_[i + 1].key : keys_.size();
-  *length = end - sources_[i].key;
-  return keys_.data() + sources_[i].key;
+bool DecodeCache::find_pair(std::uint32_t candidate,
+                            const EncodedSentence& reference,
+                            double* f) const {
+  if (pairs_.empty()) return false;
+  const std::uint32_t slot = pair_slots_[probe(
+      pair_slots_, pair_hash(candidate, reference.profile_hash),
+      [&](std::uint32_t i) {
+        if (pairs_[i].candidate != candidate) return false;
+        std::size_t length = 0;
+        const std::uint8_t* k = packed_key(pairs_, pair_keys_, i, &length);
+        return same_ids(k, length, reference.profile.ids);
+      })];
+  if (slot == 0) return false;
+  *f = pairs_[slot - 1].f;
+  return true;
+}
+
+void DecodeCache::insert_pair(std::uint32_t candidate,
+                              const EncodedSentence& reference, double f) {
+  DESMINE_EXPECTS(keeps_pairs(), "decode cache keeps no pairs");
+  if (2 * (pairs_.size() + 1) > pair_slots_.size()) grow_pairs();
+  pairs_.push_back({f, append_packed(pair_keys_, reference.profile.ids),
+                    candidate});
+  pair_slots_[probe(pair_slots_, pair_hash(candidate, reference.profile_hash),
+                    [](std::uint32_t) { return false; })] =
+      static_cast<std::uint32_t>(pairs_.size());
 }
 
 void DecodeCache::grow_sources() {
   regrow(source_slots_, sources_.size(), [this](std::size_t i) {
     std::size_t length = 0;
-    const std::uint8_t* k = key(i, &length);
+    const std::uint8_t* k = packed_key(sources_, keys_, i, &length);
     return packed_hash(k, length);
   });
 }
@@ -222,12 +264,28 @@ void DecodeCache::grow_candidates() {
          [this](std::size_t i) { return candidates_[i].hash; });
 }
 
+void DecodeCache::grow_pairs() {
+  regrow(pair_slots_, pairs_.size(), [this](std::size_t i) {
+    std::size_t length = 0;
+    const std::uint8_t* k = packed_key(pairs_, pair_keys_, i, &length);
+    return pair_hash(pairs_[i].candidate, packed_hash(k, length));
+  });
+}
+
 std::size_t DecodeCache::bytes() const {
   return keys_.capacity() + sources_.capacity() * sizeof(Source) +
          source_slots_.capacity() * sizeof(std::uint32_t) +
          candidates_.capacity() * sizeof(Candidate) +
          candidate_slots_.capacity() * sizeof(std::uint32_t) +
-         candidate_bytes_;
+         candidate_bytes_ + pair_keys_.capacity() +
+         pairs_.capacity() * sizeof(Pair) +
+         pair_slots_.capacity() * sizeof(std::uint32_t);
+}
+
+void DecodeCache::clear_pairs() {
+  pair_keys_.clear();
+  pairs_.clear();
+  std::fill(pair_slots_.begin(), pair_slots_.end(), 0);
 }
 
 void DecodeCache::clear() {
@@ -237,6 +295,7 @@ void DecodeCache::clear() {
   candidates_.clear();
   std::fill(candidate_slots_.begin(), candidate_slots_.end(), 0);
   candidate_bytes_ = 0;
+  clear_pairs();
 }
 
 void MemoGauges::update(std::size_t entries, std::size_t bytes) {
@@ -276,7 +335,7 @@ EdgeScorer::Result EdgeScorer::score(
       const std::uint32_t hit = cache->find(source);
       if (hit != DecodeCache::kMiss) {
         candidate[k] = hit;
-        out.hit[k] = 1;
+        out.hit[k] = Result::kCandidate;
         ++out.cache_hits;
         continue;
       }
@@ -318,16 +377,26 @@ EdgeScorer::Result EdgeScorer::score(
     out.decoded = misses.size();
   }
 
-  // 3. Sentence BLEU once per distinct (candidate, reference) pair: equal
-  // candidates share a number, and references are compared by their ids,
-  // since each window's sentence is encoded on its own.
+  // 3. f once per distinct (candidate, reference) pair: equal candidates
+  // share a number, and references are compared by their ids, since each
+  // window's sentence is encoded on its own. A memoised candidate's pair is
+  // looked up in the cache's pair table, when it keeps one, and a pair it
+  // misses joins it; the rest run sentence BLEU.
+  const bool pairs = cache != nullptr && cache->keeps_pairs() &&
+                     options_.cache_capacity > 0;
   util::FirstEqual first_pair(sources.size());
   for (std::size_t k = 0; k < sources.size(); ++k) {
     const std::size_t c = candidate[k];
     const EncodedSentence& ref = *references[k];
+    const bool memo_pair = pairs && c < memoised;
+    if (memo_pair && cache->find_pair(static_cast<std::uint32_t>(c), ref,
+                                      &out.bleu[k])) {
+      out.hit[k] = Result::kPair;
+      ++out.pair_hits;
+      continue;
+    }
     const std::size_t first = first_pair.find_or_add(
-        (c * 0xbf58476d1ce4e5b9ull) ^ ref.profile_hash, k,
-        [&](std::size_t j) {
+        pair_hash(c, ref.profile_hash), k, [&](std::size_t j) {
           return candidate[j] == c &&
                  references[j]->profile.ids == ref.profile.ids;
         });
@@ -340,6 +409,13 @@ EdgeScorer::Result EdgeScorer::score(
                                                static_cast<std::uint32_t>(c))
                                          : fresh[c - memoised];
     out.bleu[k] = text::sentence_bleu_score(cand, ref.profile, options_.bleu);
+    if (memo_pair) {
+      if (cache->pairs() >= options_.cache_capacity) {
+        cache->clear_pairs();
+        ++out.cache_evictions;
+      }
+      cache->insert_pair(static_cast<std::uint32_t>(c), ref, out.bleu[k]);
+    }
   }
 
   // 4. Memoize the fresh candidates.

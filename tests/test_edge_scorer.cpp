@@ -14,7 +14,10 @@
 // does not grow again. The DecodeCache memo compares sources by content at
 // 8-, 16- and 32-bit key widths, stores one candidate for the sources that
 // decode alike, and holds a full epoch in under 64 B per source; a
-// detector's memos answer a repeated call without decoding.
+// detector's memos answer a repeated call without decoding. A memo with
+// pairs answers a memoised candidate's (candidate, reference) pairs with
+// the bits of a fresh score, forgets them with their candidate epoch, and
+// holds a full pair epoch in under 48 B per pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -614,6 +617,117 @@ TEST(DecodeCache, StoresAFullEpochInUnder64BytesPerSource) {
   }
   EXPECT_EQ(cache.candidates(), 16u);
   EXPECT_LE(cache.bytes(), 64u * cache.size());
+}
+
+TEST(DecodeCache, PairsDieWithTheirCandidateEpoch) {
+  auto& f = fixture();
+  const auto corpora = f.framework.to_corpora(make_series(300, 8));
+  const dc::MvrEdge* edge = widest_edge(f, corpora).first;
+  ASSERT_NE(edge, nullptr);
+  const Items items(*edge->model, corpora[edge->src], corpora[edge->dst]);
+  const auto model = [edge] { return edge->model; };
+  const dc::EdgeScorer::Result fresh =
+      dc::EdgeScorer({}).score(model, items.sources, items.references);
+
+  // Calls that memoise candidates, then their pairs, then answer from the
+  // pairs: every f keeps the uncached bits, with epoch clears (capacity 4)
+  // and without (the default capacity).
+  for (const std::size_t capacity :
+       {std::size_t{4}, dc::EdgeScorer::Options{}.cache_capacity}) {
+    dc::EdgeScorer::Options options;
+    options.cache_capacity = capacity;
+    const dc::EdgeScorer scorer(options);
+    dc::DecodeCache cache(dc::DecodeCache::Pairs::kOn);
+    std::size_t evictions = 0;
+    dc::EdgeScorer::Result r;
+    for (int call = 0; call < 3; ++call) {
+      r = scorer.score(model, items.sources, items.references, &cache);
+      evictions += r.cache_evictions;
+      EXPECT_LE(cache.size(), capacity);
+      EXPECT_LE(cache.pairs(), capacity);
+      for (std::size_t k = 0; k < items.sources.size(); ++k) {
+        EXPECT_EQ(bits(r.bleu[k]), bits(fresh.bleu[k]))
+            << "capacity " << capacity << ", call " << call << ", item " << k;
+      }
+    }
+    if (capacity == 4) {
+      EXPECT_GT(evictions, 0u);
+    } else {
+      EXPECT_EQ(evictions, 0u);
+      EXPECT_EQ(r.decoded, 0u);
+      EXPECT_EQ(r.pair_hits, items.sources.size());
+    }
+  }
+
+  // Candidate indices restart after clear(): a pair of the old epoch must
+  // not answer for the new candidate that reuses its index.
+  const dc::EncodedSentence ref = *items.references.front();
+  dc::EncodedSentence other = *items.references.back();
+  other.profile = dx::ngram_profile({7, 7, 7}, 4);  // on ref's hash
+  other.profile_hash = ref.profile_hash;
+  dc::DecodeCache cache(dc::DecodeCache::Pairs::kOn);
+  cache.insert(*items.sources.front(), dx::ngram_profile({4, 5}, 4));
+  double bleu = 0.0;
+  EXPECT_FALSE(cache.find_pair(0, ref, &bleu));
+  cache.insert_pair(0, ref, 0.25);
+  ASSERT_TRUE(cache.find_pair(0, ref, &bleu));
+  EXPECT_EQ(bleu, 0.25);
+  EXPECT_FALSE(cache.find_pair(0, other, &bleu));  // same hash, other ids
+  EXPECT_FALSE(cache.find_pair(1, ref, &bleu));
+  const std::size_t with_pair = cache.bytes();
+  cache.clear();
+  EXPECT_EQ(cache.pairs(), 0u);
+  cache.insert(*items.sources.back(), dx::ngram_profile({6}, 4));
+  EXPECT_FALSE(cache.find_pair(0, ref, &bleu));
+  EXPECT_LE(cache.bytes(), with_pair);
+
+  // A memo without pairs keeps none.
+  dc::DecodeCache plain;
+  EXPECT_FALSE(plain.keeps_pairs());
+  (void)dc::EdgeScorer({}).score(model, items.sources, items.references,
+                                 &plain);
+  const dc::EdgeScorer::Result again = dc::EdgeScorer({}).score(
+      model, items.sources, items.references, &plain);
+  EXPECT_EQ(plain.pairs(), 0u);
+  EXPECT_EQ(again.pair_hits, 0u);
+  EXPECT_EQ(again.cache_hits, items.sources.size());
+}
+
+TEST(DecodeCache, StoresAFullPairEpochInUnder48BytesPerPair) {
+  // 4096 pairs of 16 candidates and distinct 20-word references over a
+  // 200-word vocabulary: the shape of a detector edge's pair table at
+  // capacity.
+  dx::Sentence words;
+  for (int i = 0; i < 200; ++i) words.push_back("w" + std::to_string(i));
+  const dx::Vocabulary vocab = dx::Vocabulary::build({words});
+  Rng rng(19);
+  const auto sentence = [&] {
+    dx::Sentence s;
+    for (int w = 0; w < 20; ++w) s.push_back(words[rng.uniform_int(0, 199)]);
+    return dc::encode_sentence(vocab, s, 4);
+  };
+  dc::DecodeCache cache(dc::DecodeCache::Pairs::kOn);
+  for (std::uint32_t c = 0; c < 16; ++c) {
+    cache.insert(sentence(), dx::ngram_profile({4 + c}, 4));
+  }
+  ASSERT_EQ(cache.candidates(), 16u);
+  const std::size_t sources = cache.bytes();
+  std::set<std::vector<std::uint32_t>> seen;
+  std::vector<dc::EncodedSentence> references;
+  while (cache.pairs() < 4096) {
+    dc::EncodedSentence ref = sentence();
+    if (!seen.insert(ref.profile.ids).second) continue;
+    const auto c = static_cast<std::uint32_t>(cache.pairs() % 16);
+    cache.insert_pair(c, ref, c + 0.5);
+    references.push_back(std::move(ref));
+  }
+  for (std::size_t i = 0; i < references.size(); i += 97) {
+    double f = 0.0;
+    const auto c = static_cast<std::uint32_t>(i % 16);
+    ASSERT_TRUE(cache.find_pair(c, references[i], &f)) << i;
+    EXPECT_EQ(f, c + 0.5) << i;
+  }
+  EXPECT_LE(cache.bytes() - sources, 48u * cache.pairs());
 }
 
 TEST(EdgeScorer, HeapGraphWithForeignEdgeVocabularyIsRejected) {

@@ -2,7 +2,8 @@
 // fit -> graph -> detect, plus corpus alignment plumbing. A Framework keeps
 // one detector, and with it one decode memo per edge, across detect calls:
 // repeated, concurrent and degraded calls must match a fresh AnomalyDetector
-// bit for bit, a second call on a chunk must decode nothing, copies must
+// bit for bit, a second call on a chunk must decode nothing, a third must
+// answer every (candidate, reference) pair from the memos, copies must
 // share the memos and fit()/restore() drop them, and a warm pool must
 // decode a fresh chunk without growing any arena.
 #include <gtest/gtest.h>
@@ -333,6 +334,74 @@ TEST(Framework, SecondDetectOnTheSameChunkDecodesNothing) {
           dc::AnomalyDetector(fw.graph(), fw.config().detector),
           fw.to_corpora(chunk), options),
       degraded, "memoised degraded call");
+}
+
+TEST(Framework, ThirdDetectOnTheSameChunkRunsNoBleu) {
+  auto& p = shared_pipeline();
+  dc::Framework fw(fast_config());
+  fw.restore(p.framework.encrypter(), p.framework.graph());  // cold memos
+  const dc::MultivariateSeries chunk = p.plant.days_slice(4, 2);
+  desmine::obs::MetricsRegistry& m = desmine::obs::metrics();
+  desmine::obs::Counter& decoded = m.counter("detector.decoded");
+  desmine::obs::Counter& hits = m.counter("detector.memo.hits");
+  desmine::obs::Counter& pair_hits = m.counter("detector.memo.pair_hits");
+  desmine::obs::Gauge& entries = m.gauge("detector.memo.entries");
+  desmine::obs::Gauge& bytes = m.gauge("detector.memo.bytes");
+
+  // The first call memoises candidates, the second the pairs of memoised
+  // candidates, so the third has every pair and scores none.
+  const std::uint64_t pairs0 = pair_hits.value();
+  const dc::DetectionResult first = fw.detect(chunk);
+  EXPECT_EQ(pair_hits.value(), pairs0);
+  const double entries1 = entries.value();
+  const double bytes1 = bytes.value();
+  const dc::DetectionResult second = fw.detect(chunk);
+  EXPECT_GT(entries.value(), entries1);  // the pairs joined the gauges
+  EXPECT_GT(bytes.value(), bytes1);
+  const std::uint64_t decoded2 = decoded.value();
+  const std::uint64_t hits2 = hits.value();
+  const std::uint64_t pairs2 = pair_hits.value();
+  const dc::DetectionResult third = fw.detect(chunk);
+  const std::uint64_t items =
+      first.valid_edges.size() * first.anomaly_scores.size();
+  ASSERT_GT(items, 0u);
+  EXPECT_EQ(decoded.value(), decoded2);
+  EXPECT_EQ(hits.value() - hits2, items);
+  EXPECT_EQ(pair_hits.value() - pairs2, items);
+  expect_bitwise_equal(first, second, "second call");
+  expect_bitwise_equal(first, third, "third call");
+  const dc::AnomalyDetector cold(fw.graph(), fw.config().detector);
+  expect_bitwise_equal(cold.detect(fw.encode(chunk, cold), {}), third,
+                       "fresh detector");
+  expect_bitwise_equal(
+      dor::detect_strings(
+          dc::AnomalyDetector(fw.graph(), fw.config().detector),
+          fw.to_corpora(chunk)),
+      third, "string oracle");
+
+  // A degraded call scores a subset of the same pairs, all memoised.
+  const desmine::robust::HealthConfig health;
+  const dc::HealthMask mask = dc::window_health_mask(
+      fw.encrypter(), fw.config().window, chunk, health);
+  dc::DetectOptions options;
+  options.unhealthy = &mask;
+  const std::uint64_t decoded3 = decoded.value();
+  const std::uint64_t pairs3 = pair_hits.value();
+  const std::uint64_t scored3 =
+      m.counter("detector.edge_windows_scored").value();
+  const dc::DetectionResult degraded = fw.detect_degraded(chunk, health);
+  EXPECT_EQ(decoded.value(), decoded3);
+  EXPECT_EQ(pair_hits.value() - pairs3,
+            m.counter("detector.edge_windows_scored").value() - scored3);
+  const dc::AnomalyDetector cold_degraded(fw.graph(), fw.config().detector);
+  expect_bitwise_equal(
+      cold_degraded.detect(fw.encode(chunk, cold_degraded), options),
+      degraded, "fresh degraded detector");
+  expect_bitwise_equal(
+      dor::detect_strings(
+          dc::AnomalyDetector(fw.graph(), fw.config().detector),
+          fw.to_corpora(chunk), options),
+      degraded, "degraded string oracle");
 }
 
 TEST(Framework, MemosAreSharedByCopiesAndDroppedByFitAndRestore) {
