@@ -87,7 +87,6 @@ class WindowAssembler {
   std::size_t windows_emitted() const { return next_window_; }
   const SensorEncrypter& encrypter() const { return encrypter_; }
   const LanguageGenerator& language() const { return language_; }
-  const WindowConfig& window_config() const { return language_.config(); }
   bool degraded_enabled() const { return degraded_.enabled; }
   /// Health states (degraded mode; all-healthy in strict mode).
   const robust::SensorHealthTracker& health() const { return health_; }

@@ -46,13 +46,6 @@ inline void write_f32(std::ostream& os, float v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-inline float read_f32(std::istream& is) {
-  float v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw RuntimeError("unexpected end of stream reading f32");
-  return v;
-}
-
 inline void write_f64(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }

@@ -128,13 +128,4 @@ LifecycleController::CandidateReport LifecycleController::build_candidate(
   return report;
 }
 
-void LifecycleController::rebase(const core::Framework& framework) {
-  DESMINE_EXPECTS(framework.fitted(), "rebase needs a fitted framework");
-  framework_ = framework;
-  monitor_ = DriftMonitor(framework_.graph(), framework_.config().detector,
-                          config_.drift);
-  DESMINE_LOG_INFO("lifecycle rebased on promoted graph",
-                   {obs::kv("edges", monitor_.edge_count())});
-}
-
 }  // namespace desmine::lifecycle

@@ -3,7 +3,8 @@
 // The loop:
 //   observe ──> DriftMonitor verdicts ──> build_candidate (incremental
 //   retrain + atomic candidate artifact) ──> serve::SessionManager::
-//   begin_shadow / promote / rollback ──> rebase on the promoted graph
+//   begin_shadow / promote / rollback ──> a new controller over the promoted
+//   framework
 //
 // The controller owns the active framework copy, the drift monitor, and the
 // retrainer; the serving half (shadow scoring, gate, hot promotion) lives in
@@ -70,11 +71,6 @@ class LifecycleController {
   CandidateReport build_candidate(const core::MultivariateSeries& train,
                                   const core::MultivariateSeries& dev,
                                   const std::string& path);
-
-  /// Adopt a promoted candidate as the new active state: replaces the
-  /// framework copy and restarts drift monitoring against the new
-  /// baselines.
-  void rebase(const core::Framework& framework);
 
   const DriftMonitor& monitor() const { return monitor_; }
   const core::Framework& framework() const { return framework_; }

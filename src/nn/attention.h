@@ -84,7 +84,6 @@ class LuongAttention {
   }
 
   std::size_t hidden() const { return hidden_; }
-  AttentionScore score_type() const { return score_; }
 
  private:
   struct StepCache {

@@ -76,9 +76,6 @@ struct Param {
 class ParamRegistry {
  public:
   void add(Param* p) { params_.push_back(p); }
-  void add_all(const ParamRegistry& other) {
-    params_.insert(params_.end(), other.params_.begin(), other.params_.end());
-  }
 
   std::vector<Param*>& params() { return params_; }
   const std::vector<Param*>& params() const { return params_; }

@@ -1,16 +1,18 @@
-// Minimal JSON emitter + recursive-descent parser.
+// Minimal JSON emitter + recursive-descent parser: every JSON byte the
+// library and its tools read or write goes through this file.
 //
 // The emitter handles comma placement, string escaping, and non-finite
 // number clamping; callers drive nesting with begin/end pairs (checked via
-// DESMINE_ENSURES). The parser (parse_json) covers the full nested grammar
-// needed by config files and the serve protocol: objects, arrays, strings
-// with standard escapes (incl. \uXXXX for the BMP), numbers, booleans, and
-// null. Errors throw util::RuntimeError naming the byte offset. For flat
-// single-level objects on hot paths, robust::parse_flat_json remains the
-// cheaper non-throwing alternative.
+// DESMINE_ENSURES). One strict RFC 8259 lexer serves two readers:
+// parse_json builds a tree (config files, bench calibration), and
+// parse_flat_json reads one object of scalar members straight into a map
+// (the serve protocol, the checkpoint and quarantine journals) without
+// building a tree. Strings take the standard escapes; a \uXXXX escape is
+// written out as UTF-8, and a surrogate pair as one 4-byte code point.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,6 +47,16 @@ struct JsonValue {
 /// garbage is an error). Throws util::RuntimeError with the byte offset of
 /// the first offending character.
 JsonValue parse_json(std::string_view text);
+
+/// Read one flat JSON object, whose member values are strings, numbers,
+/// true, false or null, into `out` (cleared first). String values are
+/// unescaped; any other value keeps its literal text once the grammar has
+/// accepted it ("ok":true gives "true", "session":12 gives "12"). Returns
+/// false, never throws, and leaves `out` empty on malformed input: a nested
+/// object or array, trailing text, an invalid literal or number, a bad
+/// escape or lone surrogate, or a duplicate key.
+bool parse_flat_json(std::string_view text,
+                     std::map<std::string, std::string>& out);
 
 class JsonWriter {
  public:

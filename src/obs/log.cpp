@@ -178,11 +178,6 @@ void Logger::add_sink(std::shared_ptr<Sink> sink) {
   sinks_.push_back(std::move(sink));
 }
 
-void Logger::clear_sinks() {
-  std::lock_guard lock(mutex_);
-  sinks_.clear();
-}
-
 void Logger::log(Level level, std::string_view message,
                  std::vector<Field> fields) {
   if (!enabled(level) || level == Level::kOff) return;

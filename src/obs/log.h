@@ -130,7 +130,6 @@ class Logger {
   /// Replace all sinks / add another sink. Thread-safe.
   void set_sink(std::shared_ptr<Sink> sink);
   void add_sink(std::shared_ptr<Sink> sink);
-  void clear_sinks();
 
   void log(Level level, std::string_view message,
            std::vector<Field> fields = {});

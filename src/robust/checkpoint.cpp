@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 
@@ -38,15 +39,17 @@ bool bits_to_double(const std::string& hex, double& out) {
   return true;
 }
 
+/// A field of decimal digits only: no sign, fraction, exponent or overflow.
 bool parse_size(const std::map<std::string, std::string>& m, const char* key,
                 std::size_t& out) {
   const auto it = m.find(key);
   if (it == m.end()) return false;
-  try {
-    out = static_cast<std::size_t>(std::stoull(it->second));
-  } catch (...) {
-    return false;
-  }
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  out = value;
   return true;
 }
 
@@ -57,93 +60,6 @@ std::string get_or(const std::map<std::string, std::string>& m,
 }
 
 }  // namespace
-
-bool parse_flat_json(std::string_view line,
-                     std::map<std::string, std::string>& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto parse_string = [&](std::string& s) -> bool {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    s.clear();
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) return false;
-        const char esc = line[i++];
-        switch (esc) {
-          case '"': s += '"'; break;
-          case '\\': s += '\\'; break;
-          case '/': s += '/'; break;
-          case 'n': s += '\n'; break;
-          case 'r': s += '\r'; break;
-          case 't': s += '\t'; break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = line[i++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // Journal strings only escape control characters this way.
-            s += static_cast<char>(code & 0xFF);
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        s += c;
-      }
-    }
-    if (i >= line.size()) return false;  // unterminated
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;  // empty object
-  while (true) {
-    skip_ws();
-    std::string key;
-    if (!parse_string(key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      if (!parse_string(value)) return false;
-    } else {
-      // Bare literal: number, true/false/null. Runs to , or }.
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}' &&
-             line[i] != ' ' && line[i] != '\t') {
-        ++i;
-      }
-      if (i == start) return false;
-      value.assign(line.substr(start, i - start));
-    }
-    out[key] = std::move(value);
-    skip_ws();
-    if (i >= line.size()) return false;
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (line[i] == '}') return true;
-    return false;
-  }
-}
 
 std::string checkpoint_model_dir(const std::string& journal_path) {
   return journal_path + ".models";
@@ -165,7 +81,7 @@ CheckpointState load_checkpoint(const std::string& path) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     std::map<std::string, std::string> fields;
-    if (!parse_flat_json(line, fields)) {
+    if (!obs::parse_flat_json(line, fields)) {
       // A crash mid-append leaves a partial trailing line; skip it.
       ++state.skipped_lines;
       continue;
@@ -234,13 +150,13 @@ CheckpointJournal::~CheckpointJournal() {
 
 void CheckpointJournal::write_line(const std::string& line) {
   std::lock_guard lock(mutex_);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fputc('\n', file_) == EOF || std::fflush(file_) != 0) {
-    throw RuntimeError("checkpoint journal write failed: " + path_);
-  }
   // fsync so a finished pair survives a machine crash, not just a process
   // crash. One sync per pair is negligible next to minutes of training.
-  ::fsync(::fileno(file_));
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fputc('\n', file_) == EOF || std::fflush(file_) != 0 ||
+      ::fsync(::fileno(file_)) != 0) {
+    throw RuntimeError("checkpoint journal write failed: " + path_);
+  }
 }
 
 void CheckpointJournal::write_header(std::uint32_t fingerprint,

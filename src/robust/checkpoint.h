@@ -23,7 +23,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 namespace desmine::robust {
 
@@ -85,11 +84,5 @@ class CheckpointJournal {
   std::FILE* file_ = nullptr;
   std::mutex mutex_;
 };
-
-/// Parse one flat (non-nested) JSON object into string fields; string
-/// values are unescaped, numbers/bools kept as their literal text. Returns
-/// false on malformed input. Exposed for tests.
-bool parse_flat_json(std::string_view line,
-                     std::map<std::string, std::string>& out);
 
 }  // namespace desmine::robust

@@ -24,8 +24,6 @@ bool interrupted() { return g_interrupted != 0; }
 
 void request_interrupt() { g_interrupted = 1; }
 
-void reset_interrupted() { g_interrupted = 0; }
-
 void install_reload_signal() {
 #ifdef SIGHUP
   std::signal(SIGHUP, handle_reload);
@@ -33,8 +31,6 @@ void install_reload_signal() {
 }
 
 bool reload_requested() { return g_reload != 0; }
-
-void request_reload() { g_reload = 1; }
 
 void clear_reload_request() { g_reload = 0; }
 

@@ -20,20 +20,13 @@ bool interrupted();
 /// shutdown path).
 void request_interrupt();
 
-/// Clear the flag (tests).
-void reset_interrupted();
-
 /// Install a SIGHUP handler that sets the reload-requested flag (the
 /// conventional "re-read your config/model" signal; desmine_serve's watcher
 /// thread polls it and triggers a hot reload). Safe to call more than once.
 void install_reload_signal();
 
-/// True once SIGHUP was received (or request_reload was called) and the
-/// request has not been cleared yet.
+/// True once SIGHUP was received and the request has not been cleared yet.
 bool reload_requested();
-
-/// Set the reload flag programmatically (tests).
-void request_reload();
 
 /// Acknowledge a reload request.
 void clear_reload_request();

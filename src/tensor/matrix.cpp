@@ -38,12 +38,6 @@ void Matrix::init_uniform(util::Rng& rng, float scale) {
   }
 }
 
-void Matrix::init_normal(util::Rng& rng, float stddev) {
-  for (float& v : data_) {
-    v = static_cast<float>(rng.normal(0.0, stddev));
-  }
-}
-
 Matrix& Matrix::operator+=(ConstMatrixView other) {
   MatrixView(*this) += other;
   return *this;

@@ -90,8 +90,6 @@ class Matrix {
 
   /// Uniform init in [-scale, scale] (classic NMT init).
   void init_uniform(util::Rng& rng, float scale);
-  /// Gaussian init with the given stddev.
-  void init_normal(util::Rng& rng, float stddev);
 
   Matrix& operator+=(ConstMatrixView other);
   Matrix& operator-=(ConstMatrixView other);

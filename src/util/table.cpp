@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.h"
@@ -70,13 +69,6 @@ std::string Table::to_csv() const {
   emit(header_);
   for (const auto& row : rows_) emit(row);
   return os.str();
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw RuntimeError("cannot open for writing: " + path);
-  out << to_csv();
-  if (!out) throw RuntimeError("write failed: " + path);
 }
 
 }  // namespace desmine::util

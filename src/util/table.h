@@ -25,9 +25,6 @@ class Table {
   /// Render as RFC-4180-ish CSV (fields containing comma/quote are quoted).
   std::string to_csv() const;
 
-  /// Write the CSV rendering to a file; throws RuntimeError on I/O failure.
-  void write_csv(const std::string& path) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

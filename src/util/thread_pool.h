@@ -72,8 +72,6 @@ class ThreadPool {
   /// aggregating the failure count and the first message is thrown.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  std::size_t thread_count() const { return workers_.size(); }
-
  private:
   struct Task {
     std::function<void()> run;

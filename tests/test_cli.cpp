@@ -20,11 +20,15 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/framework.h"
+#include "core/online.h"
+#include "io/serialize.h"
 #include "obs/json.h"
 
 namespace {
@@ -759,4 +763,203 @@ TEST(CliExitCodes, ModelLoadFaultIsRuntimeError) {
   EXPECT_EQ(run_cli(detect_args(detect_fixture().test.path),
                     "model.load:0=throw"),
             1);
+}
+
+// ------------------------------------------------ desmine_serve protocol ---
+//
+// The JSON-lines protocol driven over stdin: a script of request lines in,
+// the response and window-event lines out.
+
+namespace {
+
+namespace dc = desmine::core;
+namespace dobs = desmine::obs;
+
+/// A coupled pair whose states are not ASCII (follow repeats lead two ticks
+/// later) plus an ASCII noise sensor, so a state sent as a \u escape only
+/// scores right when it decodes to the bytes the encrypter was fitted on.
+dc::MultivariateSeries utf8_series(std::size_t ticks, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  dc::EventSequence lead, follow, noise;
+  bool on = false;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    if (t % 13 == 0) on = !on;
+    lead.push_back(on ? "\xe4\xb8\xad" : "OFF");  // U+4E2D
+    follow.push_back(t >= 2 && lead[t - 2] != "OFF" ? "\xf0\x9f\x98\x80"
+                                                    : "OFF");  // U+1F600
+    noise.push_back(rng() % 2 == 0 ? "ON" : "OFF");
+  }
+  return {{"lead", lead}, {"follow", follow}, {"noise", noise}};
+}
+
+/// One small framework fitted on utf8_series and saved once, the way
+/// test_inspect's fitted_framework() builds its own.
+struct ServeFixture {
+  TempFile artifact{"serve_model.bin"};
+  dc::Framework framework{[] {
+    dc::FrameworkConfig c;
+    c.window = {4, 1, 4, 4};
+    c.miner.translation.model.embedding_dim = 12;
+    c.miner.translation.model.hidden_dim = 12;
+    c.miner.translation.model.num_layers = 1;
+    c.miner.translation.model.dropout = 0.0f;
+    c.miner.translation.trainer.steps = 60;
+    c.miner.translation.trainer.batch_size = 8;
+    c.miner.seed = 3;
+    c.detector.valid_lo = 0.0;
+    c.detector.valid_hi = 100.5;
+    c.detector.tolerance = 10.0;
+    c.detector.threads = 1;
+    return c;
+  }()};
+  ServeFixture() {
+    framework.fit(utf8_series(400, 1), utf8_series(200, 2));
+    desmine::io::save_framework(framework, artifact.path);
+  }
+};
+
+ServeFixture& serve_fixture() {
+  static ServeFixture f;
+  return f;
+}
+
+/// Run desmine_serve over stdin with `script` (request lines, each ending
+/// in '\n') and return its stdout lines.
+std::vector<std::string> serve_script(const std::string& script) {
+  const TempFile in("serve_in.jsonl");
+  const TempFile out("serve_out.jsonl");
+  {
+    std::ofstream os(in.path, std::ios::binary);
+    os << script;
+  }
+  const std::string cmd = std::string(DESMINE_SERVE_PATH) + " --model " +
+                          serve_fixture().artifact.path +
+                          " --lo 0 --hi 100.5 --tolerance 10 --workers 1 <" +
+                          in.path + " >" + out.path + " 2>/dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream is(out.path, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// open, one ingest line per tick of `series`, close.
+std::string session_script(const dc::MultivariateSeries& series) {
+  std::string script = "{\"op\":\"open\"}\n";
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    dobs::JsonWriter w;
+    w.begin_object().key("op").value("ingest");
+    w.key("session").value(std::uint64_t{1});
+    for (const auto& sensor : series) w.key(sensor.name).value(sensor.events[t]);
+    w.end_object();
+    script += w.str() + "\n";
+  }
+  return script + "{\"op\":\"close\",\"session\":1}\n";
+}
+
+std::string ok_field(const std::string& line) {
+  const dobs::JsonValue doc = dobs::parse_json(line);
+  const dobs::JsonValue* ok = doc.find("ok");
+  return ok == nullptr ? "absent" : ok->boolean ? "true" : "false";
+}
+
+}  // namespace
+
+TEST(ServeProtocol, WindowEventsMatchAnOnlineReplayAtThePrintedPrecision) {
+  const ServeFixture& f = serve_fixture();
+  const dc::MultivariateSeries series = utf8_series(160, 9);
+  const std::vector<std::string> lines = serve_script(session_script(series));
+
+  dc::OnlineDetector online(f.framework.graph(), f.framework.encrypter(),
+                            f.framework.config().window,
+                            f.framework.config().detector);
+  std::vector<dc::OnlineDetector::WindowResult> expected;
+  for (std::size_t t = 0; t < series.front().events.size(); ++t) {
+    std::map<std::string, std::string> tick;
+    for (const auto& sensor : series) tick[sensor.name] = sensor.events[t];
+    if (auto r = online.push(tick)) expected.push_back(std::move(*r));
+  }
+  ASSERT_GT(expected.size(), 10u);
+
+  // open ack, one event per window, close ack.
+  ASSERT_EQ(lines.size(), expected.size() + 2);
+  EXPECT_EQ(lines.front(), R"({"ok":true,"op":"open","session":1})");
+  EXPECT_EQ(lines.back(), R"({"ok":true,"op":"close","session":1,"windows":)" +
+                              std::to_string(expected.size()) + "}");
+  const auto& names = f.framework.encrypter().kept_sensors();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const dobs::JsonValue event = dobs::parse_json(lines[i + 1]);
+    const dc::OnlineDetector::WindowResult& r = expected[i];
+    ASSERT_EQ(event.find("event")->string, "window") << lines[i + 1];
+    EXPECT_EQ(event.find("window")->number, static_cast<double>(r.window_index));
+    EXPECT_EQ(event.find("end_tick")->number, static_cast<double>(r.end_tick));
+    dobs::JsonWriter printed;
+    printed.value(r.anomaly_score);
+    EXPECT_EQ(event.find("score")->number,
+              dobs::parse_json(printed.str()).number)
+        << lines[i + 1];
+    EXPECT_EQ(event.find("coverage")->number, 1.0);
+    EXPECT_FALSE(event.find("degraded")->boolean);
+    std::string broken;
+    for (const auto& [src, dst] : r.broken) {
+      if (!broken.empty()) broken += ' ';
+      broken += names[src] + "->" + names[dst];
+    }
+    EXPECT_EQ(event.find("broken")->string, broken) << lines[i + 1];
+  }
+}
+
+TEST(ServeProtocol, EscapedStatesScoreLikeRawUtf8States) {
+  const std::string raw = session_script(utf8_series(120, 5));
+  // The same script with every non-ASCII state sent the way Python's
+  // json.dumps sends it: a \u escape, and a surrogate pair above the BMP.
+  std::string escaped = raw;
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\xe4\xb8\xad", "\\u4e2d"}, {"\xf0\x9f\x98\x80", "\\ud83d\\ude00"}}) {
+    for (std::size_t at = 0; (at = escaped.find(from, at)) != std::string::npos;) {
+      escaped.replace(at, from.size(), to);
+    }
+  }
+  ASSERT_TRUE(std::none_of(escaped.begin(), escaped.end(), [](char c) {
+    return static_cast<unsigned char>(c) >= 0x80;
+  }));
+  const std::vector<std::string> expected = serve_script(raw);
+  ASSERT_GT(expected.size(), 10u);
+  EXPECT_EQ(serve_script(escaped), expected);
+}
+
+TEST(ServeProtocol, MalformedLinesGetAnErrorAndTheNextLineIsServed) {
+  const char* const bad[] = {
+      R"({"op":"ping"} x)",                        // trailing text
+      R"({"op":"ping","session":1abc})",           // invalid number
+      R"({"op":"ping","nested":{"a":1}})",         // nested value
+      R"({"op":"ping","list":[1]})",
+      R"({"op":"ping","op":"ping"})",              // duplicate key
+      R"({"op":"ping","s":"\ud83d"})",             // lone surrogate
+  };
+  std::string script = "{\"op\":\"open\"}\n";
+  for (const char* line : bad) script += std::string(line) + "\n{\"op\":\"ping\"}\n";
+  // A session id is decimal digits, not a prefix of them.
+  script += "{\"op\":\"stats\",\"session\":\"1x\"}\n{\"op\":\"ping\"}\n";
+  const std::vector<std::string> lines = serve_script(script);
+  const std::size_t n = std::size(bad) + 1;
+  ASSERT_EQ(lines.size(), 1 + 2 * n);
+  EXPECT_EQ(ok_field(lines[0]), "true");
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(ok_field(lines[1 + 2 * i]), "false") << lines[1 + 2 * i];
+    EXPECT_EQ(lines[2 + 2 * i], R"({"ok":true,"op":"ping"})");
+  }
+  EXPECT_EQ(lines[1], R"({"ok":false,"error":"malformed JSON line"})");
+}
+
+TEST(ServeProtocol, OverLongLineIsAnsweredOnceAndSkipped) {
+  const std::string pad(2u << 20, 'x');  // 2 MiB
+  const std::vector<std::string> lines = serve_script(
+      "{\"op\":\"ping\",\"pad\":\"" + pad + "\"}\n{\"op\":\"ping\"}\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(ok_field(lines[0]), "false");
+  EXPECT_NE(lines[0].find("line longer than 1048576 bytes"), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1], R"({"ok":true,"op":"ping"})");
 }

@@ -9,7 +9,7 @@
 #include <sstream>
 
 #include "io/csv.h"
-#include "robust/checkpoint.h"
+#include "obs/json.h"
 #include "robust/fault_injector.h"
 #include "util/crc32.h"
 #include "util/error.h"
@@ -173,7 +173,7 @@ TEST(Csv, QuarantineModeKeepsTicksAndJournalsRows) {
   const auto lines = read_lines(journal.path);
   ASSERT_EQ(lines.size(), 1u);
   std::map<std::string, std::string> fields;
-  ASSERT_TRUE(dr::parse_flat_json(lines[0], fields));
+  ASSERT_TRUE(desmine::obs::parse_flat_json(lines[0], fields));
   EXPECT_EQ(fields.at("row"), "3");
   EXPECT_EQ(fields.at("expected_fields"), "2");
   EXPECT_EQ(fields.at("got_fields"), "1");
@@ -265,6 +265,6 @@ TEST(Csv, TenThousandRowMalformedCorpusSmoke) {
   const auto lines = read_lines(journal.path);
   ASSERT_EQ(lines.size(), expected_bad);
   std::map<std::string, std::string> fields;
-  ASSERT_TRUE(dr::parse_flat_json(lines.back(), fields));
+  ASSERT_TRUE(desmine::obs::parse_flat_json(lines.back(), fields));
   EXPECT_EQ(fields.at("line"), "only_one_field");
 }

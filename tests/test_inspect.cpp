@@ -20,6 +20,7 @@
 #include "data/plant.h"
 #include "io/artifact_map.h"
 #include "io/serialize.h"
+#include "obs/json.h"
 #include "util/crc32.h"
 
 namespace di = desmine::io;
@@ -142,6 +143,27 @@ TEST(InspectCli, MappedArtifactJsonDump) {
   EXPECT_NE(out.find("\"version\":4"), std::string::npos) << out;
   EXPECT_NE(out.find("\"layout\":\"mapped\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"edge_table\":["), std::string::npos) << out;
+}
+
+TEST(InspectCli, JsonDumpIsOneDocumentForAControlCharacterPath) {
+  // The document is built by obs::JsonWriter: a path with a control byte
+  // is escaped, and s(i,j) keeps 12 significant digits.
+  const TempFile file("ctl\x01\x1f.bin");
+  di::save_framework(fitted_framework(), file.path);
+  const auto [code, out] =
+      run_inspect("--model '" + file.path + "' --json --edges 0");
+  ASSERT_EQ(code, 0) << out;
+  const desmine::obs::JsonValue doc = desmine::obs::parse_json(out);
+  EXPECT_EQ(doc.find("path")->string, file.path);
+  const auto map = di::ArtifactMap::open(file.path);
+  const auto& table = doc.find("edge_table")->array;
+  ASSERT_EQ(table.size(), map->edges().size());
+  ASSERT_FALSE(table.empty());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table[i].find("src")->number,
+              static_cast<double>(map->edges()[i].src));
+    EXPECT_NEAR(table[i].find("bleu")->number, map->edges()[i].bleu, 1e-9);
+  }
 }
 
 TEST(InspectCli, StreamArtifactRejectedAtHeader) {

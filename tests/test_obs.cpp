@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,6 +170,121 @@ TEST(Json, NonFiniteNumbersBecomeNull) {
   w.value(std::numeric_limits<double>::infinity());
   w.end_array();
   EXPECT_EQ(w.str(), "[null,null]");
+}
+
+TEST(Json, TreeDecodesUnicodeEscapesAsUtf8) {
+  const obs::JsonValue v =
+      obs::parse_json(R"({"cjk":"\u4e2d","emoji":"\ud83d\ude00","e":"\u00e9"})");
+  EXPECT_EQ(v.find("cjk")->string, "\xe4\xb8\xad");
+  EXPECT_EQ(v.find("emoji")->string, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(v.find("e")->string, "\xc3\xa9");
+  EXPECT_THROW(obs::parse_json(R"(["\ud83d"])"), desmine::RuntimeError);
+  EXPECT_THROW(obs::parse_json(R"(["\ude00"])"), desmine::RuntimeError);
+}
+
+TEST(Json, TreeRejectsNumbersOutsideTheGrammar) {
+  for (const char* bad : {"01", "1.", ".5", "+1", "-", "1e", "1e+", "0x10",
+                          "1abc", "[1,]", "{\"a\":1,}", "\"tab\there\""}) {
+    EXPECT_THROW(obs::parse_json(bad), desmine::RuntimeError) << bad;
+  }
+  EXPECT_EQ(obs::parse_json("-0.5e+2").number, -50.0);
+  EXPECT_EQ(obs::parse_json("0").number, 0.0);
+  EXPECT_EQ(obs::parse_json("  [1E3 , true, null] ").array.at(0).number,
+            1000.0);
+}
+
+TEST(Json, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // A million unclosed brackets used to recurse until the stack ran out.
+  EXPECT_THROW(obs::parse_json(std::string(1000000, '[')),
+               desmine::RuntimeError);
+  std::string objects;
+  for (int i = 0; i < 300000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(obs::parse_json(objects), desmine::RuntimeError);
+  std::string nested = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(obs::parse_json(nested).is_array());
+}
+
+// ----------------------------------------------------------- flat JSON -----
+
+TEST(FlatJson, ParsesTypicalRecord) {
+  std::map<std::string, std::string> kv;
+  ASSERT_TRUE(obs::parse_flat_json(
+      R"({"type":"pair","pair":3,"ok":true,"bleu":91.25,"error":"a \"b\"\nc"})",
+      kv));
+  EXPECT_EQ(kv.at("type"), "pair");
+  EXPECT_EQ(kv.at("pair"), "3");
+  EXPECT_EQ(kv.at("ok"), "true");
+  EXPECT_EQ(kv.at("bleu"), "91.25");
+  EXPECT_EQ(kv.at("error"), "a \"b\"\nc");
+}
+
+TEST(FlatJson, RejectsMalformedInput) {
+  std::map<std::string, std::string> kv;
+  EXPECT_FALSE(obs::parse_flat_json("", kv));
+  EXPECT_FALSE(obs::parse_flat_json("not json", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"type":"pair","pair":)", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"unterminated":"str)", kv));
+}
+
+TEST(FlatJson, KeepsScalarLiteralsAsTheirText) {
+  std::map<std::string, std::string> kv;
+  ASSERT_TRUE(obs::parse_flat_json(
+      " {\"session\" : 12 ,\"ok\":true,\"no\":false,\"v\":null,"
+      "\"x\":-1.5e3,\"s\":\"12\"}\r\n",
+      kv));
+  EXPECT_EQ(kv.at("session"), "12");
+  EXPECT_EQ(kv.at("ok"), "true");
+  EXPECT_EQ(kv.at("no"), "false");
+  EXPECT_EQ(kv.at("v"), "null");
+  EXPECT_EQ(kv.at("x"), "-1.5e3");
+  EXPECT_EQ(kv.at("s"), "12");
+  ASSERT_TRUE(obs::parse_flat_json("{}", kv));
+  EXPECT_TRUE(kv.empty());
+}
+
+TEST(FlatJson, DecodesASurrogatePairToOneCodePoint) {
+  std::map<std::string, std::string> kv;
+  ASSERT_TRUE(obs::parse_flat_json(
+      R"({"emoji":"\ud83d\ude00","cjk":"\u4e2d","raw":"中"})", kv));
+  EXPECT_EQ(kv.at("emoji"), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(kv.at("cjk"), "\xe4\xb8\xad");
+  EXPECT_EQ(kv.at("cjk"), kv.at("raw"));
+}
+
+TEST(FlatJson, RejectsALoneSurrogate) {
+  std::map<std::string, std::string> kv;
+  EXPECT_FALSE(obs::parse_flat_json(R"({"s":"\ud83d"})", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"s":"\ud83dx"})", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"s":"\ud83d\u0041"})", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"s":"\ude00"})", kv));
+  EXPECT_FALSE(obs::parse_flat_json(R"({"s":"\ude00\ud83d"})", kv));
+}
+
+TEST(FlatJson, RejectsWhatTheGrammarRejectsAndLeavesTheMapEmpty) {
+  for (const char* bad : {
+           R"({"op":"ping"} x)",         // trailing text
+           R"({"op":"ping"}{})",         // a second document
+           R"({"session":1abc})",        // invalid number
+           R"({"session":01})",
+           R"({"session":1.})",
+           R"({"session":+1})",
+           R"({"ok":tru})",              // invalid literal
+           R"({"ok":truex})",
+           R"({"ok":yes})",
+           R"({"a":{"b":"c"}})",         // nested object
+           R"({"a":["b"]})",             // nested array
+           R"({"a":"1","a":"2"})",       // duplicate key
+           R"({"a":"\q"})",              // bad escape
+           R"({"a":"\u12g4"})",
+           "{\"a\":\"raw\ttab\"}",    // unescaped control character
+           R"({"a":1,})",
+           R"({a:1})",
+           R"(["a","b"])",
+       }) {
+    std::map<std::string, std::string> kv{{"stale", "x"}};
+    EXPECT_FALSE(obs::parse_flat_json(bad, kv)) << bad;
+    EXPECT_TRUE(kv.empty()) << bad;
+  }
 }
 
 // -------------------------------------------------------------- logger -----

@@ -356,28 +356,6 @@ TEST_F(RobustMiner, InjectorSpecParsesDelayAction) {
   EXPECT_EQ(inj.fire("serve.ingest", 1), dr::FaultAction::kNone);
 }
 
-// ----------------------------------------------------------- flat JSON -----
-
-TEST(FlatJson, ParsesTypicalRecord) {
-  std::map<std::string, std::string> kv;
-  ASSERT_TRUE(dr::parse_flat_json(
-      R"({"type":"pair","pair":3,"ok":true,"bleu":91.25,"error":"a \"b\"\nc"})",
-      kv));
-  EXPECT_EQ(kv.at("type"), "pair");
-  EXPECT_EQ(kv.at("pair"), "3");
-  EXPECT_EQ(kv.at("ok"), "true");
-  EXPECT_EQ(kv.at("bleu"), "91.25");
-  EXPECT_EQ(kv.at("error"), "a \"b\"\nc");
-}
-
-TEST(FlatJson, RejectsMalformedInput) {
-  std::map<std::string, std::string> kv;
-  EXPECT_FALSE(dr::parse_flat_json("", kv));
-  EXPECT_FALSE(dr::parse_flat_json("not json", kv));
-  EXPECT_FALSE(dr::parse_flat_json(R"({"type":"pair","pair":)", kv));
-  EXPECT_FALSE(dr::parse_flat_json(R"({"unterminated":"str)", kv));
-}
-
 // ------------------------------------------------------ checkpoint journal --
 
 TEST(Checkpoint, MissingFileLoadsEmpty) {
@@ -484,6 +462,33 @@ TEST(Checkpoint, AppendModePreservesExistingRecords) {
   const auto state = dr::load_checkpoint(file.path);
   EXPECT_EQ(state.fingerprint, 9u);
   EXPECT_EQ(state.completed.size(), 2u);
+}
+
+TEST(Checkpoint, NonDigitIntegersAreSkippedLines) {
+  // std::stoull would read -1 as 2^64-1 and 1.5 as 1; a journal integer is
+  // decimal digits only, so these records are skipped, not resumed.
+  const TempFile file("journal_integers.jsonl");
+  {
+    std::ofstream os(file.path, std::ios::binary);
+    os << R"({"type":"header","fingerprint":7,"pairs":4})" << "\n"
+       << R"({"type":"pair","pair":-1,"src":0,"dst":1,"ok":true})" << "\n"
+       << R"({"type":"pair","pair":1.5,"src":0,"dst":1,"ok":true})" << "\n"
+       << R"({"type":"pair","pair":2,"src":"1x","dst":1,"ok":true})" << "\n"
+       << R"({"type":"pair","pair":3,"src":1,"dst":0,"ok":true})" << "\n";
+  }
+  const auto state = dr::load_checkpoint(file.path);
+  EXPECT_EQ(state.fingerprint, 7u);
+  EXPECT_EQ(state.pair_count, 4u);
+  EXPECT_EQ(state.skipped_lines, 3u);
+  ASSERT_EQ(state.completed.size(), 1u);
+  EXPECT_EQ(state.completed.count(3), 1u);
+}
+
+TEST(Checkpoint, FailedFsyncThrowsLikeAFailedWrite) {
+  // fsync(2) on /dev/null fails with EINVAL on Linux, after fwrite and
+  // fflush have succeeded.
+  dr::CheckpointJournal journal("/dev/null", /*append=*/true);
+  EXPECT_THROW(journal.write_header(1, 2), desmine::RuntimeError);
 }
 
 // ------------------------------------------------- miner fault isolation ---

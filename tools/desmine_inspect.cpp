@@ -20,13 +20,13 @@
 #include <cstdint>
 #include <exception>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "args.h"
 #include "io/artifact_map.h"
+#include "obs/json.h"
 #include "tensor/kernels.h"
 #include "util/error.h"
 #include "util/version.h"
@@ -35,21 +35,6 @@ using namespace desmine;
 using tools::Args;
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 struct InspectOptions {
   bool json = false;
@@ -101,38 +86,50 @@ int inspect(const std::string& path, const InspectOptions& opt) {
                          : std::min(edges.size(), opt.max_edges);
 
   if (opt.json) {
-    std::ostringstream os;
-    os << "{\"path\":\"" << json_escape(path) << "\",\"version\":4,"
-       << "\"layout\":\"mapped\",\"file_size\":" << map->file_size()
-       << ",\"mapped\":" << (map->mapped() ? "true" : "false")
-       << ",\"sensors\":" << map->sensor_names().size()
-       << ",\"edges\":" << edges.size() << ",\"models\":" << models
-       << ",\"weight_bytes\":" << weight_bytes
-       << ",\"failures\":" << map->failures().size()
-       << ",\"window\":{\"word_length\":" << map->window().word_length
-       << ",\"word_stride\":" << map->window().word_stride
-       << ",\"sentence_length\":" << map->window().sentence_length
-       << ",\"sentence_stride\":" << map->window().sentence_stride << "}"
-       << ",\"verified_edges\":" << (opt.verify ? verified : 0)
-       << ",\"kernels\":\""
-       << tensor::kernels::backend_name(tensor::kernels::active_backend())
-       << "\",\"edge_table\":[";
+    const auto count = [](std::size_t n) {
+      return static_cast<std::uint64_t>(n);
+    };
+    obs::JsonWriter w;
+    w.begin_object();
+    w.key("path").value(path);
+    w.key("version").value(std::uint64_t{4});
+    w.key("layout").value("mapped");
+    w.key("file_size").value(map->file_size());
+    w.key("mapped").value(map->mapped());
+    w.key("sensors").value(count(map->sensor_names().size()));
+    w.key("edges").value(count(edges.size()));
+    w.key("models").value(count(models));
+    w.key("weight_bytes").value(weight_bytes);
+    w.key("failures").value(count(map->failures().size()));
+    w.key("window").begin_object();
+    w.key("word_length").value(count(map->window().word_length));
+    w.key("word_stride").value(count(map->window().word_stride));
+    w.key("sentence_length").value(count(map->window().sentence_length));
+    w.key("sentence_stride").value(count(map->window().sentence_stride));
+    w.end_object();
+    w.key("verified_edges").value(count(verified));
+    w.key("kernels").value(
+        tensor::kernels::backend_name(tensor::kernels::active_backend()));
+    w.key("edge_table").begin_array();
     for (std::size_t i = 0; i < shown; ++i) {
       const io::EdgeEntry& e = edges[i];
-      if (i != 0) os << ",";
-      os << "{\"src\":" << e.src << ",\"dst\":" << e.dst
-         << ",\"bleu\":" << e.bleu << ",\"has_model\":"
-         << (e.has_model ? "true" : "false");
+      w.begin_object();
+      w.key("src").value(e.src);
+      w.key("dst").value(e.dst);
+      w.key("bleu").value(e.bleu);
+      w.key("has_model").value(e.has_model);
       if (e.has_model) {
-        os << ",\"meta_off\":" << e.meta_off << ",\"meta_len\":" << e.meta_len
-           << ",\"weights_off\":" << e.weights_off
-           << ",\"weights_len\":" << e.weights_len
-           << ",\"params\":" << e.params.size();
+        w.key("meta_off").value(e.meta_off);
+        w.key("meta_len").value(e.meta_len);
+        w.key("weights_off").value(e.weights_off);
+        w.key("weights_len").value(e.weights_len);
+        w.key("params").value(count(e.params.size()));
       }
-      os << "}";
+      w.end_object();
     }
-    os << "]}";
-    std::cout << os.str() << "\n";
+    w.end_array();
+    w.end_object();
+    std::cout << w.str() << "\n";
     return 0;
   }
 

@@ -40,6 +40,14 @@
 //   `failed` lists edges whose score was unavailable (decode failure or an
 //   open circuit breaker); `shed` marks windows dropped under overload.
 // Errors: {"ok":false,"error":"..."} — the connection stays up.
+// Malformed lines get such an error and the next line is still served. A
+// line is malformed when it is not one JSON object (RFC 8259) whose values
+// are all strings, numbers, true, false or null: a nested object or array,
+// text after the object, a bad literal or number ("session":1abc), a bad
+// escape or lone surrogate, or a repeated key. A \uXXXX escape (and a
+// surrogate pair) in a state arrives as its UTF-8 bytes, so it scores like
+// the raw UTF-8 state. "session" must be a decimal id. A line longer than
+// 1 MiB is answered with one error and skipped up to its newline.
 //
 // Options: --model FILE (required), --config FILE / --dump-config,
 // --listen PORT, detector band overrides (--lo --hi --tolerance
@@ -60,6 +68,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -70,15 +79,14 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "args.h"
 #include "desmine.h"
 #include "obs/json.h"
-#include "robust/checkpoint.h"
 #include "robust/interrupt.h"
 #include "util/error.h"
 #include "util/version.h"
@@ -275,10 +283,10 @@ class Protocol {
     }
   }
 
-  void handle(const std::string& line, LineWriter& out) {
+  void handle(std::string_view line, LineWriter& out) {
     if (line.empty()) return;
     std::map<std::string, std::string> fields;
-    if (!robust::parse_flat_json(line, fields)) {
+    if (!obs::parse_flat_json(line, fields)) {
       out.write(error_line("malformed JSON line"));
       return;
     }
@@ -326,8 +334,12 @@ class Protocol {
     if (it == fields.end()) {
       throw PreconditionError("missing \"session\"");
     }
-    const std::uint64_t id = std::strtoull(it->second.c_str(), nullptr, 10);
-    if (mine_.count(id) == 0) {
+    const std::string& text = it->second;
+    std::uint64_t id = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), id);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        mine_.count(id) == 0) {
       throw PreconditionError("unknown session '" + it->second + "'");
     }
     return id;
@@ -353,13 +365,14 @@ class Protocol {
     out.write(w.str());
   }
 
-  void cmd_ingest(const std::map<std::string, std::string>& fields,
+  /// Every field besides op/session is a sensor reading; they are erased
+  /// from `fields` in place, which leaves the tick.
+  void cmd_ingest(std::map<std::string, std::string>& fields,
                   LineWriter& out) {
     const std::uint64_t id = session_of(fields);
-    std::map<std::string, std::string> states = fields;
-    states.erase("op");
-    states.erase("session");
-    const serve::IngestStatus status = manager_.ingest(id, states);
+    fields.erase("op");
+    fields.erase("session");
+    const serve::IngestStatus status = manager_.ingest(id, fields);
     if (status == serve::IngestStatus::kRejected) {
       out.write(error_line("backpressure: session " + std::to_string(id) +
                            " is full; poll and retry"));
@@ -475,18 +488,62 @@ class Protocol {
   std::set<std::uint64_t> mine_;
 };
 
+/// The longest protocol line served. Not a knob: an ingest line for the
+/// paper's 122 sensors is about 4 KB.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// The line reader both front ends share: hands `protocol` each line read
+/// from `fd` (a trailing '\r' dropped) until EOF, a read error, or an
+/// interrupt seen between lines. A line longer than kMaxLineBytes gets one
+/// error line and is skipped up to its newline; reading goes on.
+void serve_lines(int fd, Protocol& protocol, LineWriter& out) {
+  std::string line;
+  bool too_long = false;
+  const auto end_line = [&] {
+    if (!too_long) {
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      protocol.handle(line, out);
+    }
+    too_long = false;
+    line.clear();
+  };
+  std::vector<char> chunk(64 * 1024);
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    if (n <= 0) {
+      if (n == 0 && !line.empty() && !robust::interrupted()) end_line();
+      return;
+    }
+    std::string_view bytes(chunk.data(), static_cast<std::size_t>(n));
+    for (;;) {
+      const std::size_t nl = bytes.find('\n');
+      const std::string_view part = bytes.substr(0, nl);
+      if (too_long) {
+        // still skipping an over-long line
+      } else if (line.size() + part.size() > kMaxLineBytes) {
+        too_long = true;
+        line.clear();
+        out.write(error_line("line longer than " +
+                             std::to_string(kMaxLineBytes) + " bytes"));
+      } else {
+        line.append(part);
+      }
+      if (nl == std::string_view::npos) break;
+      if (robust::interrupted()) return;
+      end_line();
+      if (robust::interrupted()) return;  // shutdown op, after its ack
+      bytes.remove_prefix(nl + 1);
+    }
+  }
+}
+
 int run_stdin(serve::SessionManager& manager, core::DegradedConfig degraded,
               const std::string& model_path) {
   Protocol protocol(manager, degraded, model_path,
                     [] { robust::request_interrupt(); });
   StdoutWriter out;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (robust::interrupted()) return 130;
-    protocol.handle(line, out);
-    if (robust::interrupted()) return 130;  // shutdown op, after its ack
-  }
-  return 0;
+  serve_lines(STDIN_FILENO, protocol, out);
+  return robust::interrupted() ? 130 : 0;
 }
 
 int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
@@ -536,20 +593,7 @@ int run_tcp(serve::SessionManager& manager, core::DegradedConfig degraded,
                               &shutdown_hook] {
       Protocol protocol(manager, degraded, model_path, shutdown_hook);
       FdWriter out(fd);
-      std::string buffer;
-      char chunk[4096];
-      for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          std::string line = buffer.substr(0, nl);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          buffer.erase(0, nl + 1);
-          protocol.handle(line, out);
-        }
-      }
+      serve_lines(fd, protocol, out);
       ::close(fd);
     });
   }
