@@ -152,7 +152,7 @@ DetectionResult AnomalyDetector::detect(
   // per memo epoch. Excluded (edge, window) pairs are skipped entirely: an
   // unhealthy sensor's sentences are plumbing artifacts, not data worth
   // scoring. The counters count (edge, window) items.
-  const EdgeScorer scorer({config_.bleu});
+  const EdgeScorer scorer({});
   obs::Counter& edge_windows =
       obs::metrics().counter("detector.edge_windows_scored");
   obs::Counter& decoded = obs::metrics().counter("detector.decoded");

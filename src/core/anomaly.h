@@ -4,9 +4,10 @@
 // user-selected band (the paper finds [80, 90) best, §III-C). At each test
 // window t, every valid model translates sensor i's sentence and scores it
 // against sensor j's sentence; the relationship is *broken* when the test
-// BLEU f(i,j) falls below s(i,j) (minus an optional tolerance). The anomaly
-// score a_t is the fraction of valid relationships broken at t, and the
-// alert status W_t records which edges broke — the input to fault diagnosis.
+// BLEU f(i,j) falls below s(i,j) (minus an optional tolerance); both are
+// nmt::kBleu, so the two compare like with like. The anomaly score a_t is
+// the fraction of valid relationships broken at t, and the alert status W_t
+// records which edges broke — the input to fault diagnosis.
 //
 // Degraded-mode extension (deviation from the paper, see DESIGN.md §8):
 // detect() optionally takes a per-window health mask naming unhealthy
@@ -55,7 +56,6 @@
 
 #include "core/edge_scorer.h"
 #include "core/mvr_graph.h"
-#include "text/bleu.h"
 
 namespace desmine::util {
 class ThreadPool;
@@ -71,7 +71,6 @@ struct DetectorConfig {
   /// coverage falls below this fraction emits no verdict (degraded flag set,
   /// score forced to 0.0). Only consulted when a health mask is supplied.
   double min_coverage = 0.5;
-  text::BleuOptions bleu{};  ///< sentence-BLEU options (smoothing on)
   /// Edge-scoring threads (0 = hardware concurrency). The pool is created
   /// once per AnomalyDetector, not per detect() call.
   std::size_t threads = 0;
@@ -166,7 +165,7 @@ class AnomalyDetector {
 
   /// Algorithm 2 on encoded windows: `corpora[k]` holds sensor node k's
   /// sentences (same node indexing as the graph), encoded against
-  /// vocabulary(k) at a max_order of at least config().bleu.max_order, and
+  /// vocabulary(k) at a max_order of at least nmt::kBleu.max_order, and
   /// every corpus one entry per window (robust::MisalignedCorpus naming the
   /// offending sensor otherwise). Zero windows give an empty result. With
   /// DetectOptions::unhealthy set, edges incident to a listed sensor are

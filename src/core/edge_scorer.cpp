@@ -366,7 +366,7 @@ EdgeScorer::Result EdgeScorer::score(
     std::vector<std::size_t> alike(decoded.size());
     util::FirstEqual first_candidate(decoded.size());
     for (std::size_t i = 0; i < decoded.size(); ++i) {
-      fresh.push_back(candidate_profile(decoded[i], options_.bleu.max_order));
+      fresh.push_back(candidate_profile(decoded[i], nmt::kBleu.max_order));
       alike[i] = first_candidate.find_or_add(
           ids_hash(fresh[i].ids), i,
           [&](std::size_t j) { return fresh[j].ids == fresh[i].ids; });
@@ -408,7 +408,7 @@ EdgeScorer::Result EdgeScorer::score(
                                          ? cache->candidate(
                                                static_cast<std::uint32_t>(c))
                                          : fresh[c - memoised];
-    out.bleu[k] = text::sentence_bleu_score(cand, ref.profile, options_.bleu);
+    out.bleu[k] = text::sentence_bleu_score(cand, ref.profile, nmt::kBleu);
     if (memo_pair) {
       if (cache->pairs() >= options_.cache_capacity) {
         cache->clear_pairs();

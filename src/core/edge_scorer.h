@@ -1,7 +1,8 @@
 // One edge's Algorithm 2 scoring step, shared by every detection path.
 //
-// At window t, f(i,j) is the sentence BLEU of g(i,j)'s greedy translation of
-// sensor i's sentence against sensor j's sentence. Batch detection
+// At window t, f(i,j) is the sentence BLEU (nmt::kBleu, the BLEU of s(i,j))
+// of g(i,j)'s greedy translation of sensor i's sentence against sensor j's
+// sentence. Batch detection
 // (AnomalyDetector::detect, one call per edge over its distinct sentence
 // pairs, and through it OnlineDetector and Framework::detect) and the serving
 // layer (serve::BatchScheduler, serve::ShadowScorer) all compute it here.
@@ -216,7 +217,6 @@ class MemoGauges {
 class EdgeScorer {
  public:
   struct Options {
-    text::BleuOptions bleu{};
     /// Source bound of the caller's DecodeCache: an insert into a full
     /// cache clears it first (epoch eviction — periodic streams repopulate
     /// the working set within a few windows). Its pair table, when it keeps
@@ -243,12 +243,11 @@ class EdgeScorer {
 
   explicit EdgeScorer(Options options) : options_(options) {}
 
-  /// Score item k = sentence BLEU of greedy(sources[k]->input) against
-  /// references[k]->profile. Sources must be encoded with the model's source
-  /// vocabulary and references with its target vocabulary, at a max_order of
-  /// at least options.bleu.max_order. `cache` may be null (no memo); a
-  /// cache that keeps pairs must be used with one BleuOptions, since its f
-  /// values are theirs. Throws whatever decoding throws.
+  /// Score item k = sentence BLEU (nmt::kBleu) of
+  /// greedy(sources[k]->input) against references[k]->profile. Sources
+  /// must be encoded with the model's source vocabulary and references with
+  /// its target vocabulary, at a max_order of at least nmt::kBleu.max_order.
+  /// `cache` may be null (no memo). Throws whatever decoding throws.
   Result score(const ModelSource& model,
                const std::vector<const EncodedSentence*>& sources,
                const std::vector<const EncodedSentence*>& references,

@@ -121,7 +121,7 @@ std::vector<EncodedCorpus> Framework::encode(
                       std::to_string(kept.size()));
   const obs::ScopedTimer timer("encode");
   const std::vector<const EventSequence*> events = kept_events(kept, series);
-  const std::size_t max_order = d.config().bleu.max_order;
+  const std::size_t max_order = nmt::kBleu.max_order;
   const std::size_t span = language_.sentence_span();
   std::vector<EncodedCorpus> corpora(kept.size());
   for_each_sensor(d.pool(), kept.size(), [&](std::size_t k) {

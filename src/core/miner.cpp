@@ -216,10 +216,9 @@ MvrGraph RelationshipMiner::mine(
       }
     }
 
-    util::Rng backoff_rng = master.fork(p).fork(0xBACC0FFull);
     std::string last_error;
     std::size_t attempts = 0;
-    const std::size_t max_attempts = config_.retry.max_retries + 1;
+    const std::size_t max_attempts = config_.max_retries + 1;
 
     for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
       if (aborted()) return;
@@ -271,7 +270,7 @@ MvrGraph RelationshipMiner::mine(
         text::BleuBreakdown dev_score;
         {
           obs::Span score_span("bleu-score");
-          dev_score = model.score(src.dev, dst.dev, cfg.bleu);
+          dev_score = model.score(src.dev, dst.dev);
         }
         const auto end = std::chrono::steady_clock::now();
         const double wall_ms =
@@ -338,7 +337,6 @@ MvrGraph RelationshipMiner::mine(
               {obs::kv("pair", p), obs::kv("src", src.name),
                obs::kv("dst", dst.name), obs::kv("attempt", attempt + 1),
                obs::kv("error", e.what())});
-          config_.retry.backoff(attempt + 1, backoff_rng);
         }
       }
     }

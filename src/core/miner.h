@@ -9,7 +9,7 @@
 //
 // Fault tolerance (ISSUE 2): each pair is isolated — a crash, divergence, or
 // deadline overrun in one pair never aborts the run. Failed pairs are
-// retried up to retry.max_retries times with a forked seed and a halved
+// retried up to max_retries times, at once, with a forked seed and a halved
 // learning rate; permanently failed pairs are recorded in the MvrGraph as
 // absent edges with a reason. With a checkpoint journal configured, every
 // finished pair is durably journaled (JSON lines + sidecar model artifact),
@@ -24,7 +24,6 @@
 
 #include "core/mvr_graph.h"
 #include "nmt/translation.h"
-#include "robust/retry.h"
 #include "text/vocabulary.h"
 
 namespace desmine::core {
@@ -59,10 +58,12 @@ struct MinerConfig {
   std::size_t threads = 0;      ///< 0 = hardware concurrency
   std::uint64_t seed = 42;      ///< master seed; per-pair seeds are forked
 
-  /// Per-pair retry policy. A failed attempt (crash or divergence) is
-  /// retried with a forked seed and the learning rate halved per attempt;
-  /// deadline overruns are not retried (the budget would just elapse again).
-  robust::RetryPolicy retry{};
+  /// Retries after a pair's first attempt. A failed attempt (crash or
+  /// divergence) is retried at once with a forked seed and the learning
+  /// rate halved per attempt: a new trajectory, not a wait for the same
+  /// one. Deadline overruns are not retried (the budget would just elapse
+  /// again).
+  std::size_t max_retries = 2;
 
   /// Wall-clock budget per training attempt in seconds; 0 = unlimited.
   double pair_timeout_s = 0.0;

@@ -28,7 +28,7 @@ std::optional<OnlineDetector::WindowResult> OnlineDetector::push(
   ticks.inc();
   if (!window) return std::nullopt;
 
-  const std::size_t max_order = detector_.config().bleu.max_order;
+  const std::size_t max_order = nmt::kBleu.max_order;
   std::vector<EncodedCorpus> corpora(window->spans.sensors());
   for (std::size_t k = 0; k < corpora.size(); ++k) {
     corpora[k].windows.assign(1, 0);

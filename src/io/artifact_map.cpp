@@ -453,8 +453,29 @@ std::shared_ptr<nmt::TranslationModel> ArtifactMap::materialize_edge(
       std::ios::binary);
   text::Vocabulary src_vocab = read_vocabulary(is);
   text::Vocabulary tgt_vocab = read_vocabulary(is);
-  const nmt::Seq2SeqConfig config =
-      read_seq2seq_config(is);
+  const nmt::Seq2SeqConfig config = read_seq2seq_config(is);
+  const auto bad_meta = [&](const std::string& why) {
+    return ArtifactError(ArtifactError::Section::kMeta,
+                         "meta blob of edge " + std::to_string(e.src) + "->" +
+                             std::to_string(e.dst) + ": " + why + ": " +
+                             path_);
+  };
+  if (const std::string why = seq2seq_config_error(config); !why.empty()) {
+    throw bad_meta(why);
+  }
+  // The config must imply the TOC's weights before anything is built from
+  // it (a CRC-clean meta blob can still name 2^40 layers).
+  const nmt::ParameterFootprint need =
+      nmt::parameter_footprint(src_vocab.size(), tgt_vocab.size(), config);
+  std::uint64_t toc_floats = 0;
+  for (const ParamExtent& x : e.params) toc_floats += x.rows * x.cols;
+  if (need.tensors != e.params.size() || need.floats != toc_floats) {
+    throw bad_meta("model config implies " + std::to_string(need.tensors) +
+                   " tensors of " + std::to_string(need.floats) +
+                   " floats, the TOC holds " +
+                   std::to_string(e.params.size()) + " of " +
+                   std::to_string(toc_floats));
+  }
 
   auto model = std::make_unique<nmt::Seq2SeqModel>(
       src_vocab.size(), tgt_vocab.size(), config, util::Rng(0), nullptr,

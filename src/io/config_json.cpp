@@ -81,9 +81,7 @@ struct Table {
 #define DESMINE_OBJECT(S, m, table) \
   [](void* base) -> Ref { return Object{&static_cast<S*>(base)->m, &table}; }
 
-using Bleu = text::BleuOptions;
 using Window = core::WindowConfig;
-using Retry = robust::RetryPolicy;
 using Model = nmt::Seq2SeqConfig;
 using Trainer = nmt::TrainerConfig;
 using Miner = core::MinerConfig;
@@ -96,12 +94,6 @@ using Retrain = lifecycle::RetrainConfig;
 using Shadow = serve::ShadowConfig;
 using Lifecycle = lifecycle::LifecycleConfig;
 
-const Field kBleuFields[] = {
-    {"max_order", DESMINE_AT(Bleu, max_order), kPositive},
-    {"smooth", DESMINE_AT(Bleu, smooth)},
-};
-const Table kBleu{kBleuFields};
-
 const Field kWindowFields[] = {
     {"word_length", DESMINE_AT(Window, word_length), kPositive, "word"},
     {"word_stride", DESMINE_AT(Window, word_stride), kPositive, "word-stride"},
@@ -111,15 +103,6 @@ const Field kWindowFields[] = {
      "sentence-stride"},
 };
 const Table kWindow{kWindowFields};
-
-const Field kRetryFields[] = {
-    {"max_retries", DESMINE_AT(Retry, max_retries), kAny, "max-retries"},
-    {"base_delay_ms", DESMINE_AT(Retry, base_delay_ms), kNonNegative},
-    {"multiplier", DESMINE_AT(Retry, multiplier), {.lo = 1}},
-    {"max_delay_ms", DESMINE_AT(Retry, max_delay_ms), kNonNegative},
-    {"jitter", DESMINE_AT(Retry, jitter), kFraction},
-};
-const Table kRetry{kRetryFields};
 
 const Field kModelFields[] = {
     {"embedding_dim", DESMINE_AT(Model, embedding_dim), kPositive, "embedding"},
@@ -138,10 +121,6 @@ const Field kTrainerFields[] = {
     {"batch_size", DESMINE_AT(Trainer, batch_size), kPositive, "batch"},
     {"lr", DESMINE_AT(Trainer, lr), kPositive, "lr"},
     {"clip_norm", DESMINE_AT(Trainer, clip_norm), kNonNegative},
-    {"lr_decay_start", DESMINE_AT(Trainer, lr_decay_start)},
-    {"lr_decay_every", DESMINE_AT(Trainer, lr_decay_every)},
-    {"eval_every", DESMINE_AT(Trainer, eval_every)},
-    {"patience", DESMINE_AT(Trainer, patience), kPositive},
     {"divergence_factor", DESMINE_AT(Trainer, divergence_factor),
      kNonNegative},
 };
@@ -154,10 +133,9 @@ const Field kMinerFields[] = {
      "pair-timeout-s"},
     {"checkpoint_path", DESMINE_AT(Miner, checkpoint_path), kAny, "checkpoint"},
     {"resume", DESMINE_AT(Miner, resume), kAny, "resume"},
-    {"retry", DESMINE_OBJECT(Miner, retry, kRetry)},
+    {"max_retries", DESMINE_AT(Miner, max_retries), kAny, "max-retries"},
     {"model", DESMINE_OBJECT(Miner, translation.model, kModel)},
     {"trainer", DESMINE_OBJECT(Miner, translation.trainer, kTrainer)},
-    {"bleu", DESMINE_OBJECT(Miner, translation.bleu, kBleu)},
 };
 const Table kMiner{kMinerFields};
 
@@ -168,7 +146,6 @@ const Field kDetectorFields[] = {
     {"min_coverage", DESMINE_AT(Detector, min_coverage), kFraction,
      "min-coverage"},
     {"threads", DESMINE_AT(Detector, threads)},
-    {"bleu", DESMINE_OBJECT(Detector, bleu, kBleu)},
 };
 const Table kDetector{kDetectorFields, "valid_lo", "valid_hi"};
 

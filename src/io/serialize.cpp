@@ -83,6 +83,26 @@ nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is) {
   return c;
 }
 
+std::string seq2seq_config_error(const nmt::Seq2SeqConfig& c) {
+  const auto field = [](const char* name, const std::string& value,
+                        const char* rule) {
+    return "model config field '" + std::string(name) + "' is " + value +
+           ", must " + rule;
+  };
+  if (c.embedding_dim == 0) return field("embedding_dim", "0", "be > 0");
+  if (c.hidden_dim == 0) return field("hidden_dim", "0", "be > 0");
+  if (c.num_layers == 0) return field("num_layers", "0", "be > 0");
+  if (!(c.dropout >= 0.0f && c.dropout < 1.0f)) {
+    return field("dropout", std::to_string(c.dropout), "lie in [0, 1)");
+  }
+  const auto attention = static_cast<std::uint32_t>(c.attention);
+  if (attention > static_cast<std::uint32_t>(nn::AttentionScore::kDot)) {
+    return field("attention", std::to_string(attention),
+                 "be 0 (general) or 1 (dot)");
+  }
+  return {};
+}
+
 void write_matrix(std::ostream& os, tensor::ConstMatrixView m) {
   write_u64(os, m.rows());
   write_u64(os, m.cols());
@@ -140,6 +160,22 @@ nmt::TranslationModel read_translation_model(std::istream& is) {
   text::Vocabulary src_vocab = read_vocabulary(is);
   text::Vocabulary tgt_vocab = read_vocabulary(is);
   const nmt::Seq2SeqConfig config = read_seq2seq_config(is);
+  if (const std::string why = seq2seq_config_error(config); !why.empty()) {
+    throw RuntimeError("implausible artifact: " + why);
+  }
+  // The weights the config implies must fit in what is left: per tensor,
+  // its two u64 dimensions and its floats.
+  const nmt::ParameterFootprint need =
+      nmt::parameter_footprint(src_vocab.size(), tgt_vocab.size(), config);
+  try {
+    expect_fits(is, need.tensors, 2 * sizeof(std::uint64_t));
+    expect_fits(is, need.floats, sizeof(float));
+  } catch (const RuntimeError& e) {
+    throw RuntimeError("implausible artifact: model config implies " +
+                       std::to_string(need.tensors) + " tensors of " +
+                       std::to_string(need.floats) + " floats (" + e.what() +
+                       ")");
+  }
 
   auto model = std::make_unique<nmt::Seq2SeqModel>(
       src_vocab.size(), tgt_vocab.size(), config, util::Rng(0));

@@ -54,6 +54,13 @@ text::Vocabulary read_vocabulary(std::istream& is);
 void write_seq2seq_config(std::ostream& os, const nmt::Seq2SeqConfig& c);
 nmt::Seq2SeqConfig read_seq2seq_config(std::istream& is);
 
+/// Why a Seq2SeqConfig read from an artifact cannot build a model, naming
+/// the field (a zero dimension, a dropout outside [0, 1), an attention
+/// score other than general or dot); empty when it can. Readers check it,
+/// then the weights nmt::parameter_footprint implies against the bytes that
+/// must hold them, before they build anything.
+std::string seq2seq_config_error(const nmt::Seq2SeqConfig& c);
+
 void write_translation_model(std::ostream& os, nmt::TranslationModel& model,
                              const nmt::Seq2SeqConfig& config);
 nmt::TranslationModel read_translation_model(std::istream& is);

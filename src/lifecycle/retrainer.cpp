@@ -211,21 +211,11 @@ core::MvrGraph IncrementalRetrainer::retrain(
       const std::vector<nmt::EncodedPair> train_pairs = nmt::encode_pairs(
           model->src_vocab(), model->tgt_vocab(), languages[src].train,
           languages[dst].train);
-      const std::vector<nmt::EncodedPair> dev_pairs = nmt::encode_pairs(
-          model->src_vocab(), model->tgt_vocab(), languages[src].dev,
-          languages[dst].dev);
-      nmt::TrainingHistory history;
-      if (trainer.eval_every > 0) {
-        history = nmt::train_with_dev(model->model(), train_pairs, dev_pairs,
-                                      trainer, master.fork(rec.pair_index));
-      } else {
-        history = nmt::train(model->model(), train_pairs, trainer,
-                             master.fork(rec.pair_index));
-      }
+      const nmt::TrainingHistory history = nmt::train(
+          model->model(), train_pairs, trainer, master.fork(rec.pair_index));
       rec.steps_run = history.steps_run;
-      rec.new_bleu = model->score(languages[src].dev, languages[dst].dev,
-                                  translation_.bleu)
-                         .score;
+      rec.new_bleu =
+          model->score(languages[src].dev, languages[dst].dev).score;
 
       // Republish the per-edge artifact atomically (CRC-trailed sidecar).
       if (journal) {

@@ -27,7 +27,42 @@ std::vector<std::vector<std::int32_t>> to_timesteps(
   return steps;
 }
 
+/// a * b and a + b, saturating at UINT64_MAX.
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
 }  // namespace
+
+ParameterFootprint parameter_footprint(std::size_t src_vocab,
+                                       std::size_t tgt_vocab,
+                                       const Seq2SeqConfig& config) {
+  // The constructor's registration order: two embeddings, the encoder's and
+  // decoder's (Wx, Wh, b) per layer, attention (Wa for "general" only, Wc),
+  // and the output projection (W, b).
+  const std::uint64_t E = config.embedding_dim;
+  const std::uint64_t H = config.hidden_dim;
+  const std::uint64_t L = config.num_layers;
+  const std::uint64_t gates = sat_mul(4, H);
+  const bool general = config.attention == nn::AttentionScore::kGeneral;
+  ParameterFootprint out;
+  out.tensors = sat_add(sat_mul(6, L), general ? 6 : 5);
+  // One LSTM stack: layer 0 reads E, the rest H; every layer has Wh and b.
+  const std::uint64_t inputs = sat_add(E, sat_mul(L > 0 ? L - 1 : 0, H));
+  const std::uint64_t stack = sat_mul(
+      gates, sat_add(inputs, sat_mul(L, sat_add(H, 1))));
+  std::uint64_t floats = sat_mul(sat_add(src_vocab, tgt_vocab), E);
+  floats = sat_add(floats, sat_mul(2, stack));
+  floats = sat_add(floats, sat_mul(general ? 3 : 2, sat_mul(H, H)));
+  floats = sat_add(floats, sat_mul(sat_add(H, 1), tgt_vocab));
+  out.floats = floats;
+  return out;
+}
 
 Seq2SeqModel::Seq2SeqModel(std::size_t src_vocab, std::size_t tgt_vocab,
                            const Seq2SeqConfig& config, util::Rng rng,

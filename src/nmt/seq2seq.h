@@ -42,6 +42,19 @@ struct Seq2SeqConfig {
   nn::AttentionScore attention = nn::AttentionScore::kGeneral;
 };
 
+/// What a Seq2SeqModel of `config` over vocabularies of `src_vocab` and
+/// `tgt_vocab` tokens registers, worked out without building it: the number
+/// of weight tensors and their floats in total (saturating at UINT64_MAX).
+/// Artifact readers check a config read from a file against these before
+/// they build a model from it.
+struct ParameterFootprint {
+  std::uint64_t tensors = 0;
+  std::uint64_t floats = 0;
+};
+ParameterFootprint parameter_footprint(std::size_t src_vocab,
+                                       std::size_t tgt_vocab,
+                                       const Seq2SeqConfig& config);
+
 /// One encoded sentence pair: source ids and target ids (no specials; the
 /// model adds <s>/</s> internally).
 struct EncodedPair {

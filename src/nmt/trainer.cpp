@@ -35,41 +35,16 @@ Buckets bucket_pairs(const std::vector<EncodedPair>& pairs) {
   return out;
 }
 
-/// Mean dev loss over length-bucketed batches.
-double dev_loss(Seq2SeqModel& model, const Buckets& dev,
-                std::size_t batch_size) {
-  double loss_sum = 0.0;
-  std::size_t sentence_count = 0;
-  for (const auto& bucket : dev.groups) {
-    for (std::size_t start = 0; start < bucket.size(); start += batch_size) {
-      const std::size_t end = std::min(start + batch_size, bucket.size());
-      const std::vector<const EncodedPair*> batch(
-          bucket.begin() + static_cast<long>(start),
-          bucket.begin() + static_cast<long>(end));
-      loss_sum += model.evaluate_loss(batch) *
-                  static_cast<double>(batch.size());
-      sentence_count += batch.size();
-    }
-  }
-  return loss_sum / static_cast<double>(sentence_count);
-}
+}  // namespace
 
-TrainingHistory run_training(Seq2SeqModel& model,
-                             const std::vector<EncodedPair>& pairs,
-                             const std::vector<EncodedPair>* dev_pairs,
-                             const TrainerConfig& config, util::Rng rng) {
+TrainingHistory train(Seq2SeqModel& model,
+                      const std::vector<EncodedPair>& pairs,
+                      const TrainerConfig& config, util::Rng rng) {
   DESMINE_EXPECTS(!pairs.empty(), "cannot train on an empty corpus");
   DESMINE_EXPECTS(config.batch_size > 0 && config.steps > 0,
                   "trainer config must be positive");
-  const bool evaluating = dev_pairs != nullptr && config.eval_every > 0;
-  if (evaluating) {
-    DESMINE_EXPECTS(!dev_pairs->empty(),
-                    "early stopping needs a dev corpus");
-  }
 
   const Buckets buckets = bucket_pairs(pairs);
-  Buckets dev;
-  if (evaluating) dev = bucket_pairs(*dev_pairs);
 
   // Pre-size the model's workspace for the largest bucket so the training
   // loop never grows the arena mid-flight.
@@ -79,12 +54,6 @@ TrainingHistory run_training(Seq2SeqModel& model,
       max_src = std::max(max_src, p.source.size());
       max_tgt = std::max(max_tgt, p.target.size());
     }
-    if (evaluating) {
-      for (const EncodedPair& p : *dev_pairs) {
-        max_src = std::max(max_src, p.source.size());
-        max_tgt = std::max(max_tgt, p.target.size());
-      }
-    }
     model.reserve_workspace(max_src, max_tgt, config.batch_size);
   }
 
@@ -93,9 +62,7 @@ TrainingHistory run_training(Seq2SeqModel& model,
   nn::Adam optimizer(model.params(), adam_config);
 
   TrainingHistory history;
-  history.best_dev_loss = std::numeric_limits<double>::infinity();
   history.losses.reserve(config.steps);
-  std::size_t evals_without_improvement = 0;
 
   static obs::Counter& steps_total =
       obs::metrics().counter("nmt.train.steps");
@@ -105,15 +72,14 @@ TrainingHistory run_training(Seq2SeqModel& model,
   // Divergence baseline: the first finite step loss (floored so a lucky
   // near-zero start does not make the explosion threshold hair-trigger).
   double baseline = std::numeric_limits<double>::quiet_NaN();
-  const auto fail_divergence = [&](std::size_t step_1based, double bad,
-                                   const char* what) {
+  const auto fail_divergence = [&](std::size_t step_1based, double loss) {
     divergences.inc();
     history.diverged_at_step = step_1based;
     history.steps_run = step_1based;
     throw TrainDivergence(
         std::string("training diverged at step ") +
-            std::to_string(step_1based) + ": " + what + " = " +
-            std::to_string(bad) +
+            std::to_string(step_1based) + ": loss = " +
+            std::to_string(loss) +
             (std::isfinite(baseline)
                  ? " (baseline " + std::to_string(baseline) + ")"
                  : std::string()),
@@ -121,12 +87,6 @@ TrainingHistory run_training(Seq2SeqModel& model,
   };
 
   for (std::size_t step = 0; step < config.steps; ++step) {
-    // Learning-rate schedule: halve every lr_decay_every past the start.
-    if (config.lr_decay_every > 0 && step >= config.lr_decay_start &&
-        step > 0 && (step - config.lr_decay_start) % config.lr_decay_every == 0) {
-      optimizer.set_lr(optimizer.config().lr * 0.5f);
-    }
-
     const std::size_t bi =
         buckets.groups.size() == 1 ? 0 : rng.categorical(buckets.weights);
     const auto& bucket = buckets.groups[bi];
@@ -145,57 +105,18 @@ TrainingHistory run_training(Seq2SeqModel& model,
     steps_total.inc();
 
     if (config.divergence_factor > 0.0) {
-      if (!std::isfinite(loss)) {
-        fail_divergence(step + 1, loss, "loss");
-      }
+      if (!std::isfinite(loss)) fail_divergence(step + 1, loss);
       if (std::isnan(baseline)) {
         baseline = std::max(loss, 1e-3);
       } else if (loss > config.divergence_factor * baseline) {
-        fail_divergence(step + 1, loss, "loss");
+        fail_divergence(step + 1, loss);
       }
     }
 
-    StepEvent event;
-    event.step = step + 1;
-    event.loss = loss;
-    event.lr = optimizer.config().lr;
-
-    bool stop = false;
-    if (evaluating && (step + 1) % config.eval_every == 0) {
-      const double dl = dev_loss(model, dev, config.batch_size);
-      if (config.divergence_factor > 0.0 && !std::isfinite(dl)) {
-        fail_divergence(step + 1, dl, "dev loss");
-      }
-      history.dev_losses.emplace_back(step + 1, dl);
-      event.dev_loss = dl;
-      if (dl < history.best_dev_loss - 1e-6) {
-        history.best_dev_loss = dl;
-        evals_without_improvement = 0;
-      } else if (++evals_without_improvement >= config.patience) {
-        stop = true;  // early stop
-      }
-    }
-    if (config.on_step) config.on_step(event);
-    if (stop) break;
+    if (config.on_step) config.on_step({step + 1, loss});
   }
   history.final_loss = history.losses.back();
-  if (!evaluating) history.best_dev_loss = 0.0;
   return history;
-}
-
-}  // namespace
-
-TrainingHistory train(Seq2SeqModel& model,
-                      const std::vector<EncodedPair>& pairs,
-                      const TrainerConfig& config, util::Rng rng) {
-  return run_training(model, pairs, nullptr, config, rng);
-}
-
-TrainingHistory train_with_dev(Seq2SeqModel& model,
-                               const std::vector<EncodedPair>& pairs,
-                               const std::vector<EncodedPair>& dev_pairs,
-                               const TrainerConfig& config, util::Rng rng) {
-  return run_training(model, pairs, &dev_pairs, config, rng);
 }
 
 }  // namespace desmine::nmt

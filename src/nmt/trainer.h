@@ -1,10 +1,12 @@
 // Training loop for Seq2SeqModel: bucketed mini-batches, Adam, grad
 // clipping, and a divergence guard that fails fast (TrainDivergence) when a
 // run goes numerically bad instead of burning the remaining step budget.
+//
+// One schedule, the paper's (§III-A2): a fixed number of steps at a fixed
+// learning rate, with no decay and no early stopping on a dev set.
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "nmt/seq2seq.h"
@@ -17,9 +19,6 @@ namespace desmine::nmt {
 struct StepEvent {
   std::size_t step = 0;  ///< 1-based
   double loss = 0.0;     ///< mean per-token loss of this step's batch
-  float lr = 0.0f;       ///< learning rate after the schedule applied
-  /// Mean dev loss when this step ran an evaluation, NaN otherwise.
-  double dev_loss = std::numeric_limits<double>::quiet_NaN();
 };
 
 struct TrainerConfig {
@@ -29,22 +28,10 @@ struct TrainerConfig {
   float clip_norm = 5.0f;
   nn::AdamConfig adam{};  ///< lr below overrides adam.lr
 
-  /// Halve the learning rate every `lr_decay_every` steps once
-  /// `lr_decay_start` steps have passed (Luong-style schedule). 0 disables.
-  std::size_t lr_decay_start = 0;
-  std::size_t lr_decay_every = 0;
-
-  /// Early stopping (train_with_dev only): evaluate dev loss every
-  /// `eval_every` steps; stop after `patience` evaluations without
-  /// improvement. eval_every == 0 disables evaluation.
-  std::size_t eval_every = 0;
-  std::size_t patience = 3;
-
   /// Divergence guard: after every step the trainer fails with
-  /// TrainDivergence when the batch loss (or a dev evaluation) is NaN/Inf,
-  /// or when it exceeds divergence_factor times the first step's loss
-  /// (floored at 1e-3 so near-zero initial losses don't trip on noise).
-  /// 0 disables the guard.
+  /// TrainDivergence when the batch loss is NaN/Inf, or when it exceeds
+  /// divergence_factor times the first step's loss (floored at 1e-3 so
+  /// near-zero initial losses don't trip on noise). 0 disables the guard.
   double divergence_factor = 1e4;
 
   /// Progress hook called after every training step (miner wires this into
@@ -55,10 +42,7 @@ struct TrainerConfig {
 struct TrainingHistory {
   std::vector<double> losses;  ///< mean per-token loss per step
   double final_loss = 0.0;
-  /// (step, dev loss) pairs from train_with_dev.
-  std::vector<std::pair<std::size_t, double>> dev_losses;
-  double best_dev_loss = 0.0;
-  std::size_t steps_run = 0;  ///< < config.steps when early-stopped
+  std::size_t steps_run = 0;  ///< < config.steps only when it diverged
   /// 1-based step at which the divergence guard tripped; 0 = never.
   std::size_t diverged_at_step = 0;
 };
@@ -85,13 +69,5 @@ class TrainDivergence : public RuntimeError {
 TrainingHistory train(Seq2SeqModel& model,
                       const std::vector<EncodedPair>& pairs,
                       const TrainerConfig& config, util::Rng rng);
-
-/// Like train(), but also evaluates mean dev loss every `config.eval_every`
-/// steps and early-stops after `config.patience` evaluations without
-/// improvement. `dev_pairs` must be non-empty when eval_every > 0.
-TrainingHistory train_with_dev(Seq2SeqModel& model,
-                               const std::vector<EncodedPair>& pairs,
-                               const std::vector<EncodedPair>& dev_pairs,
-                               const TrainerConfig& config, util::Rng rng);
 
 }  // namespace desmine::nmt

@@ -23,15 +23,14 @@ text::Sentence TranslationModel::translate(const text::Sentence& source) {
 }
 
 text::BleuBreakdown TranslationModel::score(const text::Corpus& source,
-                                            const text::Corpus& reference,
-                                            const text::BleuOptions& options) {
+                                            const text::Corpus& reference) {
   DESMINE_EXPECTS(source.size() == reference.size(),
                   "source/reference corpora must align");
-  if (source.empty()) return text::corpus_bleu({}, reference, options);
+  if (source.empty()) return text::corpus_bleu({}, reference, kBleu);
   std::vector<const text::Sentence*> sources;
   sources.reserve(source.size());
   for (const text::Sentence& s : source) sources.push_back(&s);
-  return text::corpus_bleu(translate_batch(sources), reference, options);
+  return text::corpus_bleu(translate_batch(sources), reference, kBleu);
 }
 
 std::vector<text::Sentence> TranslationModel::translate_batch(

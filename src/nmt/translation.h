@@ -20,8 +20,13 @@ namespace desmine::nmt {
 struct TranslationConfig {
   Seq2SeqConfig model{};
   TrainerConfig trainer{};
-  text::BleuOptions bleu{};
 };
+
+/// The pipeline's one BLEU: s(i, j) (TranslationModel::score), f(i, j)
+/// (core::EdgeScorer) and the n-gram profiles every encoder builds for them
+/// all read it, so a break test f < s - tolerance compares like with like.
+/// BLEU-4 with +1 smoothing.
+inline constexpr text::BleuOptions kBleu{};
 
 /// Most distinct rows one stacked greedy decode runs. Bounds the decoding
 /// thread's scratch arena (tensor::thread_workspace) for any batch size.
@@ -37,12 +42,11 @@ class TranslationModel {
   /// paper's reserved symbol.
   text::Sentence translate(const text::Sentence& source);
 
-  /// Corpus BLEU (0..100) of greedy translations of `source` against
-  /// `reference` (decoded with translate_batch). Corpora must be aligned
-  /// sentence-by-sentence.
+  /// Corpus BLEU (kBleu, 0..100) of greedy translations of `source`
+  /// against `reference` (decoded with translate_batch). Corpora must be
+  /// aligned sentence-by-sentence.
   text::BleuBreakdown score(const text::Corpus& source,
-                            const text::Corpus& reference,
-                            const text::BleuOptions& options = {});
+                            const text::Corpus& reference);
 
   /// Greedy-translate a batch of sentences with stacked decodes
   /// (Seq2SeqModel::translate_batch) of at most kMaxDecodeRows rows each,

@@ -34,7 +34,6 @@ class Adam {
 
   std::size_t steps_taken() const { return t_; }
   const AdamConfig& config() const { return config_; }
-  void set_lr(float lr) { config_.lr = lr; }
 
  private:
   ParamRegistry& registry_;

@@ -149,10 +149,20 @@ void append_utf8(std::string& out, unsigned cp) {
   }
 }
 
+/// A lexer error: a RuntimeError naming the byte offset, which also keeps
+/// the offset and the reason apart for parse_flat_json.
+class ParseFailure : public RuntimeError {
+ public:
+  ParseFailure(std::size_t offset, const std::string& reason)
+      : RuntimeError("json parse error at offset " + std::to_string(offset) +
+                     ": " + reason),
+        error{offset, reason} {}
+  JsonError error;
+};
+
 /// The one JSON lexer: strict RFC 8259 strings, literals and numbers,
 /// behind a tree entry point (parse_document) and a flat one
-/// (parse_flat_document). Every error throws RuntimeError naming the byte
-/// offset.
+/// (parse_flat_document). Every error throws ParseFailure.
 class JsonParser {
  public:
   /// Deeper nesting is a parse error rather than a stack overflow.
@@ -169,6 +179,7 @@ class JsonParser {
   void parse_flat_document(std::map<std::string, std::string>& out) {
     skip_ws();
     parse_members([&](std::string key) {
+      if (peek() == '{' || peek() == '[') fail("nested value");
       std::string value =
           peek() == '"' ? parse_string() : std::string(scalar_token());
       if (!out.emplace(std::move(key), std::move(value)).second) {
@@ -180,8 +191,7 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw RuntimeError("json parse error at offset " + std::to_string(pos_) +
-                       ": " + what);
+    throw ParseFailure(pos_, what);
   }
 
   void finish() {
@@ -415,13 +425,15 @@ JsonValue parse_json(std::string_view text) {
 }
 
 bool parse_flat_json(std::string_view text,
-                     std::map<std::string, std::string>& out) {
+                     std::map<std::string, std::string>& out,
+                     JsonError* error) {
   out.clear();
   try {
     JsonParser(text).parse_flat_document(out);
     return true;
-  } catch (const RuntimeError&) {
+  } catch (const ParseFailure& e) {
     out.clear();
+    if (error != nullptr) *error = e.error;
     return false;
   }
 }

@@ -48,15 +48,23 @@ struct JsonValue {
 /// the first offending character.
 JsonValue parse_json(std::string_view text);
 
+/// Where and why the lexer refused a document.
+struct JsonError {
+  std::size_t offset = 0;  ///< byte offset of the first offending character
+  std::string reason;      ///< e.g. "duplicate key", "lone high surrogate"
+};
+
 /// Read one flat JSON object, whose member values are strings, numbers,
 /// true, false or null, into `out` (cleared first). String values are
 /// unescaped; any other value keeps its literal text once the grammar has
 /// accepted it ("ok":true gives "true", "session":12 gives "12"). Returns
 /// false, never throws, and leaves `out` empty on malformed input: a nested
 /// object or array, trailing text, an invalid literal or number, a bad
-/// escape or lone surrogate, or a duplicate key.
+/// escape or lone surrogate, or a duplicate key. `error`, when given, then
+/// holds the lexer's offset and reason.
 bool parse_flat_json(std::string_view text,
-                     std::map<std::string, std::string>& out);
+                     std::map<std::string, std::string>& out,
+                     JsonError* error = nullptr);
 
 class JsonWriter {
  public:

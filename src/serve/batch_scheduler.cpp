@@ -136,7 +136,7 @@ BatchScheduler::BatchScheduler(
     SchedulerConfig config,
     std::function<void(std::unique_ptr<PendingWindow>)> on_scored)
     : config_(config),
-      scorer_({config.bleu, config.decode_cache}),
+      scorer_({config.decode_cache}),
       on_scored_(std::move(on_scored)) {
   DESMINE_EXPECTS(config_.max_batch > 0, "max_batch must be > 0");
   DESMINE_EXPECTS(config_.circuit_open_after == 0 ||

@@ -18,6 +18,8 @@
 //     core::DecodeCache answers known sources, the rest decode once per
 //     distinct source on the worker's thread arena, and sentence BLEU runs
 //     once per distinct pair. The misses' f values then enter the memo.
+// f is always nmt::kBleu, the BLEU the miner scored s(i, j) with: no
+// scheduler, session or generation setting can pick another.
 // Every layer preserves IEEE-754 bit-identity with the sequential path:
 // greedy decoding is deterministic and row-independent (see seq2seq.h), and
 // memo hits are compared byte for byte, not by hash.
@@ -97,7 +99,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
-#include "text/bleu.h"
 
 namespace desmine::serve {
 
@@ -223,7 +224,6 @@ struct SchedulerConfig {
   /// Per-edge source->translation cache entries (0 disables caching, and
   /// with it the span memo).
   std::size_t decode_cache = 4096;
-  text::BleuOptions bleu{};
   /// Consecutive failed batches before an edge's breaker opens (0 disables
   /// the circuit breaker: failures still resolve as error results).
   std::size_t circuit_open_after = 5;

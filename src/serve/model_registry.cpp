@@ -82,7 +82,7 @@ std::vector<core::EncodedSentence> encode_window(
   DESMINE_EXPECTS(spans.span == language.sentence_span(),
                   "window spans do not match the generation's windows");
   std::vector<core::EncodedSentence> out(spans.sensors());
-  const std::size_t max_order = gen.detector.bleu.max_order;
+  const std::size_t max_order = nmt::kBleu.max_order;
   for (std::size_t k = 0; k < out.size(); ++k) {
     if (k < gen.vocabularies.size() && gen.vocabularies[k] != nullptr) {
       out[k] = core::encode_span(*gen.vocabularies[k], language,

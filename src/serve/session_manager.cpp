@@ -72,7 +72,6 @@ SessionManager::SessionManager(const std::string& artifact_path,
   SchedulerConfig sched;
   sched.max_batch = config_.max_batch;
   sched.decode_cache = config_.decode_cache;
-  sched.bleu = config_.detector.bleu;
   sched.circuit_open_after = config_.circuit_open_after;
   sched.circuit_probe_after = config_.circuit_probe_after;
   sched.max_queue_delay_ms = config_.max_queue_delay_ms;

@@ -62,7 +62,7 @@ void ShadowScorer::observe(ShadowSample sample) {
   // left different from the active generation's.
   const std::vector<core::EncodedSentence> encoded =
       encode_window(*candidate_, sample.spans);
-  const core::EdgeScorer scorer({detector.bleu});
+  const core::EdgeScorer scorer({});
   std::size_t surviving = 0;
   std::size_t broken = 0;
   bool any_failed = false;

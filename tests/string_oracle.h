@@ -41,8 +41,8 @@ inline core::DetectionResult detect_strings(
     encoded[k].windows.assign(corpora[k].size(), 0);
     const text::Vocabulary* vocab = detector.vocabulary(k);
     if (vocab == nullptr) continue;
-    encoded[k].sentences = encode_sentences(*vocab, corpora[k],
-                                            detector.config().bleu.max_order);
+    encoded[k].sentences =
+        encode_sentences(*vocab, corpora[k], nmt::kBleu.max_order);
     for (std::size_t t = 0; t < corpora[k].size(); ++t) {
       encoded[k].windows[t] = static_cast<std::uint32_t>(t);
     }

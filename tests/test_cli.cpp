@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -24,6 +25,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/framework.h"
@@ -358,6 +360,52 @@ TEST(ToolConfig, ServeBoolFlagWinsOverTheConfigFile) {
       << out;
 }
 
+TEST(ToolConfig, RemovedKeysAreUnknownKeys) {
+  // The pipeline has one BLEU, one training schedule and retries without
+  // sleeps: a file naming a key of the settings that went is refused, not
+  // read and ignored.
+  const char* const removed[] = {
+      "miner.bleu.max_order",         "miner.bleu.smooth",
+      "detector.bleu.max_order",      "detector.bleu.smooth",
+      "miner.trainer.lr_decay_start", "miner.trainer.lr_decay_every",
+      "miner.trainer.eval_every",     "miner.trainer.patience",
+      "miner.retry.base_delay_ms",    "miner.retry.multiplier",
+      "miner.retry.max_delay_ms",     "miner.retry.jitter",
+  };
+  const TempFile file("removed_key.json");
+  for (const std::string path : removed) {
+    // {"a": {"b": {"c": 1}}} for "a.b.c".
+    std::string json = "1";
+    std::size_t end = path.size();
+    while (true) {
+      const std::size_t dot = path.rfind('.', end - 1);
+      const std::size_t first = dot == std::string::npos ? 0 : dot + 1;
+      json = "{\"" + path.substr(first, end - first) + "\": " + json + "}";
+      if (dot == std::string::npos) break;
+      end = dot;
+    }
+    std::ofstream(file.path) << json;
+    for (const auto& [tool, command] :
+         {std::pair{DESMINE_CLI_PATH, "train "},
+          std::pair{DESMINE_SERVE_PATH, ""}}) {
+      std::string err;
+      EXPECT_EQ(run_tool_stderr(tool,
+                                std::string(command) + "--config " +
+                                    file.path + " --dump-config",
+                                &err),
+                2)
+          << tool << " " << json;
+      // The first segment nothing declares is the one named.
+      const std::size_t at = err.find("unknown key '");
+      ASSERT_NE(at, std::string::npos) << tool << ": " << err;
+      const std::size_t from = at + std::strlen("unknown key '");
+      const std::string named = err.substr(from, err.find('\'', from) - from);
+      EXPECT_NE(named.find('.'), std::string::npos) << named;
+      EXPECT_EQ(path.rfind(named, 0), 0u) << named << " vs " << path;
+    }
+  }
+}
+
 TEST(ToolConfig, NonFiniteConfigNumberIsAUsageErrorNamingTheKey) {
   // 1e999 parses as infinity: both tools must refuse the file before
   // --dump-config could print an `inf`, which is not JSON.
@@ -524,7 +572,7 @@ const Knob kTrainKnobs[] = {
     {"checkpoint", "miner.checkpoint_path", Knob::kText},
     {"resume", "miner.resume", Knob::kBool},
     {"pair-timeout-s", "miner.pair_timeout_s", Knob::kDouble, 0, kMaxDouble},
-    {"max-retries", "miner.retry.max_retries", Knob::kInt, 0, kMaxInt},
+    {"max-retries", "miner.max_retries", Knob::kInt, 0, kMaxInt},
 };
 
 const Knob kServeKnobs[] = {
@@ -938,6 +986,16 @@ TEST(ServeProtocol, MalformedLinesGetAnErrorAndTheNextLineIsServed) {
       R"({"op":"ping","op":"ping"})",              // duplicate key
       R"({"op":"ping","s":"\ud83d"})",             // lone surrogate
   };
+  // Each error names the lexer's byte offset and reason.
+  const char* const errors[] = {
+      "malformed JSON line at byte 14: trailing characters after document",
+      "malformed JSON line at byte 24: expected '}'",
+      "malformed JSON line at byte 22: nested value",
+      "malformed JSON line at byte 20: nested value",
+      "malformed JSON line at byte 24: duplicate key",
+      "malformed JSON line at byte 24: lone high surrogate",
+  };
+  static_assert(std::size(errors) == std::size(bad));
   std::string script = "{\"op\":\"open\"}\n";
   for (const char* line : bad) script += std::string(line) + "\n{\"op\":\"ping\"}\n";
   // A session id is decimal digits, not a prefix of them.
@@ -950,7 +1008,11 @@ TEST(ServeProtocol, MalformedLinesGetAnErrorAndTheNextLineIsServed) {
     EXPECT_EQ(ok_field(lines[1 + 2 * i]), "false") << lines[1 + 2 * i];
     EXPECT_EQ(lines[2 + 2 * i], R"({"ok":true,"op":"ping"})");
   }
-  EXPECT_EQ(lines[1], R"({"ok":false,"error":"malformed JSON line"})");
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    EXPECT_EQ(lines[1 + 2 * i],
+              std::string(R"({"ok":false,"error":")") + errors[i] + "\"}")
+        << bad[i];
+  }
 }
 
 TEST(ServeProtocol, OverLongLineIsAnsweredOnceAndSkipped) {

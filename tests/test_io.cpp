@@ -279,6 +279,62 @@ TEST(Serialize, PairModelRejectsOtherVersions) {
   EXPECT_THROW(di::load_pair_model(file.path), desmine::RuntimeError);
 }
 
+namespace {
+
+/// A model config field to overwrite in an artifact, with the reason the
+/// reader must give. Offsets are into write_seq2seq_config's 44 bytes.
+struct ConfigPatch {
+  const char* what;
+  std::size_t at;
+  std::size_t width;  ///< 8 for a u64 field, 4 for the u32 attention
+  std::uint64_t value;
+  const char* named;  ///< text the error must hold
+};
+
+const ConfigPatch kImplausibleConfigs[] = {
+    {"hidden_dim 2^31", 8, 8, std::uint64_t{1} << 31,
+     "model config implies"},
+    {"num_layers 2^40", 16, 8, std::uint64_t{1} << 40,
+     "model config implies"},
+    {"embedding_dim 0", 0, 8, 0, "embedding_dim"},
+    {"attention 7", 40, 4, 7, "attention"},
+};
+constexpr std::size_t kConfigBytes = 44;
+
+}  // namespace
+
+TEST(Serialize, ImplausibleModelConfigIsARuntimeErrorBeforeAllocating) {
+  // A CRC-clean sidecar can still carry an absurd model config. Each must
+  // be refused as RuntimeError before a model is built from it, never as
+  // std::bad_alloc or a parameter count mismatch.
+  const TempFile file("pair_config.bin");
+  const std::string clean = make_pair_artifact(file.path);
+  const auto model = di::load_pair_model(file.path);
+  std::ostringstream vocabs;
+  di::write_vocabulary(vocabs, model.src_vocab());
+  di::write_vocabulary(vocabs, model.tgt_vocab());
+  const std::size_t config_at = 8 + vocabs.str().size();  // past the header
+  for (const ConfigPatch& c : kImplausibleConfigs) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + config_at + c.at, &c.value, c.width);
+    // Reseal the CRC trailer (4-byte magic, then the CRC of the payload).
+    const std::uint32_t crc =
+        desmine::util::crc32(bytes.data(), bytes.size() - 8);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    write_bytes(file.path, bytes);
+    try {
+      di::load_pair_model(file.path);
+      FAIL() << c.what << " was not rejected";
+    } catch (const desmine::RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+          << c.what << ": " << e.what();
+      EXPECT_EQ(std::string(e.what()).find("parameter count"),
+                std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
+}
+
 TEST(Serialize, CorruptFrameworkSnapshotThrows) {
   // A flipped weight byte in a saved snapshot must be caught by the edge's
   // weight CRC before it can score.
@@ -478,11 +534,8 @@ TEST(ArtifactV4, OnlyV4RoundTripsBitIdentically) {
 
 namespace {
 
-/// Overwrite the u64 at `at` with `value`, then recompute the TOC and header
-/// CRCs so that only the value itself can fail the open.
-void patch_u64_resealed(std::string& bytes, std::size_t at,
-                        std::uint64_t value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
+/// Recompute the TOC and header CRCs of a v4 file.
+void reseal(std::string& bytes) {
   std::uint64_t toc_off = 0, toc_len = 0;
   std::memcpy(&toc_off, bytes.data() + 16, sizeof(toc_off));
   std::memcpy(&toc_len, bytes.data() + 24, sizeof(toc_len));
@@ -491,6 +544,14 @@ void patch_u64_resealed(std::string& bytes, std::size_t at,
   std::memcpy(bytes.data() + 48, &toc_crc, sizeof(toc_crc));
   const std::uint32_t header_crc = desmine::util::crc32(bytes.data(), 52);
   std::memcpy(bytes.data() + 52, &header_crc, sizeof(header_crc));
+}
+
+/// Overwrite the u64 at `at` with `value`, then reseal the file so that
+/// only the value itself can fail the open.
+void patch_u64_resealed(std::string& bytes, std::size_t at,
+                        std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  reseal(bytes);
 }
 
 }  // namespace
@@ -538,6 +599,52 @@ TEST(ArtifactV4, HostileTocCountsRaiseTypedTocErrors) {
       FAIL() << c.what << " was not rejected";
     } catch (const di::ArtifactError& e) {
       EXPECT_EQ(e.section(), di::ArtifactError::Section::kToc)
+          << c.what << ": " << e.what();
+    }
+  }
+}
+
+TEST(ArtifactV4, ImplausibleModelConfigRaisesTypedMetaErrors) {
+  // A meta blob whose CRC, TOC and header are all resealed can still carry
+  // an absurd model config: materializing the edge must raise ArtifactError
+  // kMeta before a model is built, never std::bad_alloc.
+  const dc::Framework& fw = fitted_framework();
+  const TempFile file("v4_config.bin");
+  di::save_framework(fw, file.path);
+  const std::string clean = slurp(file.path);
+  std::size_t edge = 0;
+  di::EdgeEntry entry;
+  {
+    const auto map = di::ArtifactMap::open(file.path);
+    while (!map->edges()[edge].has_model) ++edge;
+    entry = map->edges()[edge];
+  }
+  // The TOC names the meta blob by (offset, length, CRC): find that run to
+  // rewrite the CRC.
+  std::string run(20, '\0');
+  std::memcpy(run.data(), &entry.meta_off, 8);
+  std::memcpy(run.data() + 8, &entry.meta_len, 8);
+  std::memcpy(run.data() + 16, &entry.meta_crc, 4);
+  const std::size_t crc_at = clean.find(run) + 16;
+  ASSERT_NE(crc_at, std::string::npos + 16);
+  const std::size_t config_at = entry.meta_off + entry.meta_len - kConfigBytes;
+
+  for (const ConfigPatch& c : kImplausibleConfigs) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + config_at + c.at, &c.value, c.width);
+    const std::uint32_t crc =
+        desmine::util::crc32(bytes.data() + entry.meta_off, entry.meta_len);
+    std::memcpy(bytes.data() + crc_at, &crc, sizeof(crc));
+    reseal(bytes);
+    write_bytes(file.path, bytes);
+    const auto map = di::ArtifactMap::open(file.path);
+    try {
+      map->materialize_edge(edge);
+      FAIL() << c.what << " was not rejected";
+    } catch (const di::ArtifactError& e) {
+      EXPECT_EQ(e.section(), di::ArtifactError::Section::kMeta)
+          << c.what << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
           << c.what << ": " << e.what();
     }
   }

@@ -1,12 +1,13 @@
-// Tests for the NMT extensions: dot-attention variant (including its
-// gradient check), LR decay, and dev-based early stopping.
+// Tests for the NMT extensions: the dot-attention variant (including its
+// gradient check) and the parameter footprint artifact readers check.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "nmt/seq2seq.h"
 #include "nmt/trainer.h"
 #include "nmt/translation.h"
 #include "nn/gradcheck.h"
-#include "util/error.h"
 #include "util/rng.h"
 
 namespace dm = desmine::nmt;
@@ -83,90 +84,30 @@ TEST(DotAttention, LearnsSubstitutionTask) {
   EXPECT_GT(model.score(test_src, test_tgt).score, 70.0);
 }
 
-// ----------------------------------------------------------- trainer -------
+// ------------------------------------------------------------ footprint ---
 
-TEST(Trainer, LrDecaySchedule) {
-  dx::Corpus src, tgt;
-  make_corpus(32, 4, src, tgt, 12);
-  const auto sv = dx::Vocabulary::build(src);
-  const auto tv = dx::Vocabulary::build(tgt);
-  dm::Seq2SeqModel model(sv.size(), tv.size(), tiny_config(), Rng(13));
-  const auto pairs = dm::encode_pairs(sv, tv, src, tgt);
-
-  dm::TrainerConfig cfg;
-  cfg.steps = 60;
-  cfg.batch_size = 4;
-  cfg.lr = 0.02f;
-  cfg.lr_decay_start = 20;
-  cfg.lr_decay_every = 20;
-  // Decay only changes optimizer internals; verify training still completes
-  // and the loss is finite/decreasing overall.
-  const auto history = dm::train(model, pairs, cfg, Rng(14));
-  EXPECT_EQ(history.steps_run, 60u);
-  EXPECT_LT(history.final_loss, history.losses.front());
-}
-
-TEST(Trainer, EarlyStoppingTriggersOnPlateau) {
-  dx::Corpus src, tgt;
-  make_corpus(32, 4, src, tgt, 15);
-  const auto sv = dx::Vocabulary::build(src);
-  const auto tv = dx::Vocabulary::build(tgt);
-  dm::Seq2SeqModel model(sv.size(), tv.size(), tiny_config(), Rng(16));
-  const auto pairs = dm::encode_pairs(sv, tv, src, tgt);
-
-  // Dev set from a *different* mapping: dev loss cannot improve for long,
-  // so patience must fire well before the step budget.
-  dx::Corpus dev_src, dev_tgt_wrong;
-  make_corpus(8, 4, dev_src, dev_tgt_wrong, 17);
-  for (auto& sentence : dev_tgt_wrong) {
-    for (auto& word : sentence) word = "ta";  // degenerate references
+TEST(ParameterFootprint, MatchesTheBuiltModelForBothScores) {
+  for (const auto score : {desmine::nn::AttentionScore::kGeneral,
+                           desmine::nn::AttentionScore::kDot}) {
+    for (const std::size_t layers : {1u, 3u}) {
+      dm::Seq2SeqConfig cfg = tiny_config();
+      cfg.embedding_dim = 5;
+      cfg.hidden_dim = 7;
+      cfg.num_layers = layers;
+      cfg.attention = score;
+      dm::Seq2SeqModel model(9, 11, cfg, Rng(1));
+      std::uint64_t floats = 0;
+      for (const desmine::nn::Param* p : model.params().params()) {
+        floats += p->size();
+      }
+      const dm::ParameterFootprint f = dm::parameter_footprint(9, 11, cfg);
+      EXPECT_EQ(f.tensors, model.params().params().size()) << layers;
+      EXPECT_EQ(f.floats, floats) << layers;
+    }
   }
-  const auto dev_pairs =
-      dm::encode_pairs(sv, tv, dev_src, dev_tgt_wrong);
-
-  dm::TrainerConfig cfg;
-  cfg.steps = 2000;
-  cfg.batch_size = 4;
-  cfg.lr = 0.02f;
-  cfg.eval_every = 10;
-  cfg.patience = 3;
-  const auto history = dm::train_with_dev(model, pairs, dev_pairs, cfg,
-                                          Rng(18));
-  EXPECT_LT(history.steps_run, 2000u) << "early stopping never fired";
-  EXPECT_FALSE(history.dev_losses.empty());
-  EXPECT_GT(history.best_dev_loss, 0.0);
-}
-
-TEST(Trainer, DevEvaluationRecordsHistory) {
-  dx::Corpus src, tgt;
-  make_corpus(32, 4, src, tgt, 19);
-  const auto sv = dx::Vocabulary::build(src);
-  const auto tv = dx::Vocabulary::build(tgt);
-  dm::Seq2SeqModel model(sv.size(), tv.size(), tiny_config(), Rng(20));
-  const auto pairs = dm::encode_pairs(sv, tv, src, tgt);
-
-  dm::TrainerConfig cfg;
-  cfg.steps = 40;
-  cfg.batch_size = 4;
-  cfg.eval_every = 10;
-  cfg.patience = 100;  // never stop early
-  const auto history = dm::train_with_dev(model, pairs, pairs, cfg, Rng(21));
-  ASSERT_EQ(history.dev_losses.size(), 4u);
-  EXPECT_EQ(history.dev_losses.front().first, 10u);
-  EXPECT_EQ(history.dev_losses.back().first, 40u);
-  // Training on the dev set itself: best dev loss improves over the first.
-  EXPECT_LE(history.best_dev_loss, history.dev_losses.front().second);
-}
-
-TEST(Trainer, EarlyStoppingRequiresDevCorpus) {
-  dx::Corpus src, tgt;
-  make_corpus(8, 4, src, tgt, 22);
-  const auto sv = dx::Vocabulary::build(src);
-  const auto tv = dx::Vocabulary::build(tgt);
-  dm::Seq2SeqModel model(sv.size(), tv.size(), tiny_config(), Rng(23));
-  const auto pairs = dm::encode_pairs(sv, tv, src, tgt);
-  dm::TrainerConfig cfg;
-  cfg.eval_every = 5;
-  EXPECT_THROW(dm::train_with_dev(model, pairs, {}, cfg, Rng(24)),
-               desmine::PreconditionError);
+  // Absurd dimensions saturate instead of wrapping.
+  dm::Seq2SeqConfig huge = tiny_config();
+  huge.hidden_dim = std::size_t{1} << 40;
+  huge.num_layers = std::size_t{1} << 40;
+  EXPECT_EQ(dm::parameter_footprint(9, 11, huge).floats, UINT64_MAX);
 }

@@ -287,6 +287,26 @@ TEST(FlatJson, RejectsWhatTheGrammarRejectsAndLeavesTheMapEmpty) {
   }
 }
 
+TEST(FlatJson, ReportsTheLexersOffsetAndReason) {
+  const struct {
+    const char* text;
+    std::size_t offset;
+    const char* reason;
+  } cases[] = {
+      {R"({"a":"1","a":"2"})", 16, "duplicate key"},
+      {R"({"a":{"b":"c"}})", 5, "nested value"},
+      {R"({"ok":tru})", 6, "invalid literal"},
+      {R"({"op":"ping"} x)", 14, "trailing characters after document"},
+  };
+  for (const auto& c : cases) {
+    std::map<std::string, std::string> kv;
+    obs::JsonError error;
+    EXPECT_FALSE(obs::parse_flat_json(c.text, kv, &error)) << c.text;
+    EXPECT_EQ(error.offset, c.offset) << c.text;
+    EXPECT_EQ(error.reason, c.reason) << c.text;
+  }
+}
+
 // -------------------------------------------------------------- logger -----
 
 TEST(Logger, LevelFiltering) {

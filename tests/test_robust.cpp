@@ -1,11 +1,9 @@
-// Tests for the robustness subsystem: CRC32, retry policy, deadlines, fault
+// Tests for the robustness subsystem: CRC32, deadlines, fault
 // injection, the checkpoint journal, and the miner's fault isolation /
 // crash-resume behavior (ISSUE 2).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -20,7 +18,6 @@
 #include "robust/deadline.h"
 #include "robust/errors.h"
 #include "robust/fault_injector.h"
-#include "robust/retry.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -195,50 +192,6 @@ TEST(Crc32, DispatchedEqualsTableOnFourMebibytes) {
       random_bytes(std::size_t{4} << 20, rng);
   EXPECT_EQ(du::crc32(buf.data(), buf.size()),
             du::detail::crc32_table(buf.data(), buf.size()));
-}
-
-// ------------------------------------------------------------ retry policy --
-
-TEST(RetryPolicy, FirstAttemptHasNoDelay) {
-  dr::RetryPolicy policy;
-  policy.base_delay_ms = 100.0;
-  Rng rng(1);
-  EXPECT_EQ(policy.delay_ms(0, rng), 0.0);
-}
-
-TEST(RetryPolicy, ZeroBaseNeverSleeps) {
-  dr::RetryPolicy policy;  // base_delay_ms defaults to 0
-  Rng rng(1);
-  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(policy.delay_ms(r, rng), 0.0);
-}
-
-TEST(RetryPolicy, ExponentialGrowthAndCap) {
-  dr::RetryPolicy policy;
-  policy.base_delay_ms = 100.0;
-  policy.multiplier = 2.0;
-  policy.max_delay_ms = 350.0;
-  policy.jitter = 0.0;
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(1, rng), 100.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(2, rng), 200.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(3, rng), 350.0);  // capped, not 400
-  EXPECT_DOUBLE_EQ(policy.delay_ms(8, rng), 350.0);
-}
-
-TEST(RetryPolicy, JitterStaysInBoundsAndIsDeterministic) {
-  dr::RetryPolicy policy;
-  policy.base_delay_ms = 100.0;
-  policy.jitter = 0.25;
-  Rng a(7), b(7);
-  for (std::size_t r = 1; r <= 6; ++r) {
-    const double d = policy.delay_ms(r, a);
-    const double unjittered = std::min(
-        policy.base_delay_ms * std::pow(policy.multiplier, double(r - 1)),
-        policy.max_delay_ms);
-    EXPECT_GE(d, unjittered * 0.75);
-    EXPECT_LE(d, unjittered * 1.25);
-    EXPECT_DOUBLE_EQ(d, policy.delay_ms(r, b));  // same seed, same schedule
-  }
 }
 
 // ---------------------------------------------------------------- deadline --
@@ -512,7 +465,7 @@ TEST_F(RobustMiner, InjectedFaultsAreIsolatedToTheirPairs) {
   const auto failed_before = failed.value();
 
   dc::MinerConfig cfg = tiny_miner();
-  cfg.retry.max_retries = 1;
+  cfg.max_retries = 1;
   const dc::MvrGraph graph = dc::RelationshipMiner(cfg).mine(languages);
 
   // mine() completed despite two poisoned pairs.
@@ -542,7 +495,7 @@ TEST_F(RobustMiner, TransientFaultIsRetriedToSuccess) {
   const auto retries_before = retries.value();
 
   dc::MinerConfig cfg = tiny_miner();
-  cfg.retry.max_retries = 2;
+  cfg.max_retries = 2;
   const dc::MvrGraph graph = dc::RelationshipMiner(cfg).mine(languages);
 
   EXPECT_EQ(graph.edges().size(), 6u);
@@ -554,7 +507,7 @@ TEST_F(RobustMiner, DeadlineFailsPairsWithoutRetry) {
   const auto languages = make_languages(3, 5);
   dc::MinerConfig cfg = tiny_miner();
   cfg.pair_timeout_s = 1e-9;  // expires on the first training step
-  cfg.retry.max_retries = 3;
+  cfg.max_retries = 3;
   const dc::MvrGraph graph = dc::RelationshipMiner(cfg).mine(languages);
 
   EXPECT_TRUE(graph.edges().empty());

@@ -679,7 +679,6 @@ TEST(BatchScheduler, FaultAndBreakerComeBeforeTheSpanMemo) {
   cfg.max_batch = 4;
   cfg.circuit_open_after = 1;
   cfg.circuit_probe_after = 1u << 20;  // stays open for the whole pass
-  cfg.bleu = f.cfg.detector.bleu;
   std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
   ds::BatchScheduler scheduler(
       gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
@@ -971,7 +970,6 @@ TEST(BatchScheduler, ReloadWithCursorsMidQueueScoresOldWindowsOnOldModels) {
   ds::ModelRegistry registry(fixture_generation(f, 1));
   ds::SchedulerConfig cfg;
   cfg.max_batch = 2;
-  cfg.bleu = f.cfg.detector.bleu;
   const auto old_series = make_series(80, 44);
   const auto new_series = make_series(80, 45);
   const auto next = ds::make_generation(
@@ -1061,7 +1059,6 @@ TEST(BatchScheduler, HalfOpenBreakerProbesWithExactlyOneWindow) {
   cfg.max_batch = 4;
   cfg.circuit_open_after = 1;
   cfg.circuit_probe_after = 2;
-  cfg.bleu = f.cfg.detector.bleu;
   std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
   ds::BatchScheduler scheduler(
       gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
@@ -1105,7 +1102,6 @@ TEST(BatchScheduler, StaleSheddableWindowIsShedAtClaim) {
   ds::SchedulerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_queue_delay_ms = 50.0;
-  cfg.bleu = f.cfg.detector.bleu;
   std::vector<std::unique_ptr<ds::PendingWindow>> delivered;
   ds::BatchScheduler scheduler(
       gen, cfg, [&delivered](std::unique_ptr<ds::PendingWindow> w) {
@@ -1145,20 +1141,21 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   c.framework.miner.pair_timeout_s = 2.5;
   c.framework.miner.checkpoint_path = "ckpt.jsonl";
   c.framework.miner.resume = true;
-  c.framework.miner.retry.max_retries = 5;
-  c.framework.miner.retry.jitter = 0.125;
+  c.framework.miner.max_retries = 5;
   c.framework.miner.translation.model.hidden_dim = 48;
   c.framework.miner.translation.model.dropout = 0.25f;
   c.framework.miner.translation.model.attention =
       desmine::nn::AttentionScore::kDot;
   c.framework.miner.translation.trainer.steps = 333;
   c.framework.miner.translation.trainer.lr = 0.005f;
-  c.framework.miner.translation.bleu.max_order = 3;
+  c.framework.miner.translation.model.max_decode_length = 21;
+  c.framework.miner.translation.trainer.clip_norm = 2.5f;
+  c.framework.miner.translation.trainer.divergence_factor = 300.0;
   c.framework.detector.valid_lo = 70.0;
   c.framework.detector.valid_hi = 95.0;
   c.framework.detector.tolerance = 1.25;
   c.framework.detector.min_coverage = 0.75;
-  c.framework.detector.bleu.smooth = false;
+  c.framework.detector.threads = 6;
   c.health.drop_after_missing = 7;
   c.health.max_unk_rate = 0.375;
   c.serve.workers = 4;
@@ -1180,20 +1177,21 @@ TEST(ConfigJson, RoundTripsEveryKnob) {
   EXPECT_EQ(back.framework.miner.pair_timeout_s, 2.5);
   EXPECT_EQ(back.framework.miner.checkpoint_path, "ckpt.jsonl");
   EXPECT_TRUE(back.framework.miner.resume);
-  EXPECT_EQ(back.framework.miner.retry.max_retries, 5u);
-  EXPECT_EQ(back.framework.miner.retry.jitter, 0.125);
+  EXPECT_EQ(back.framework.miner.max_retries, 5u);
   EXPECT_EQ(back.framework.miner.translation.model.hidden_dim, 48u);
   EXPECT_EQ(back.framework.miner.translation.model.dropout, 0.25f);
   EXPECT_EQ(back.framework.miner.translation.model.attention,
             desmine::nn::AttentionScore::kDot);
   EXPECT_EQ(back.framework.miner.translation.trainer.steps, 333u);
   EXPECT_EQ(back.framework.miner.translation.trainer.lr, 0.005f);
-  EXPECT_EQ(back.framework.miner.translation.bleu.max_order, 3u);
+  EXPECT_EQ(back.framework.miner.translation.model.max_decode_length, 21u);
+  EXPECT_EQ(back.framework.miner.translation.trainer.clip_norm, 2.5f);
+  EXPECT_EQ(back.framework.miner.translation.trainer.divergence_factor, 300.0);
   EXPECT_EQ(back.framework.detector.valid_lo, 70.0);
   EXPECT_EQ(back.framework.detector.valid_hi, 95.0);
   EXPECT_EQ(back.framework.detector.tolerance, 1.25);
   EXPECT_EQ(back.framework.detector.min_coverage, 0.75);
-  EXPECT_FALSE(back.framework.detector.bleu.smooth);
+  EXPECT_EQ(back.framework.detector.threads, 6u);
   EXPECT_EQ(back.health.drop_after_missing, 7u);
   EXPECT_EQ(back.health.max_unk_rate, 0.375);
   EXPECT_EQ(back.serve.workers, 4u);

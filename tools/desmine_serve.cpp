@@ -286,8 +286,11 @@ class Protocol {
   void handle(std::string_view line, LineWriter& out) {
     if (line.empty()) return;
     std::map<std::string, std::string> fields;
-    if (!obs::parse_flat_json(line, fields)) {
-      out.write(error_line("malformed JSON line"));
+    obs::JsonError error;
+    if (!obs::parse_flat_json(line, fields, &error)) {
+      out.write(error_line("malformed JSON line at byte " +
+                           std::to_string(error.offset) + ": " +
+                           error.reason));
       return;
     }
     const auto op_it = fields.find("op");
